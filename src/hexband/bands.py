@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
@@ -29,11 +28,11 @@ from .core import (
     FloquetPhase,
     HexGeometry,
     VertexCoupling,
+    checked_sines,
     cos_reduced,
-    dispersion,
     dispersion_negative,
+    positive_terms,
     sin_reduced,
-    sine_triple,
 )
 from .numtheory import CommensurabilityWitness, commensurability_witness
 from .report import FlatBand, SampleRow, SpectrumReport
@@ -122,13 +121,8 @@ def rhs_envelope(
     geom: HexGeometry, k: float, dirichlet_tol: float = DEFAULT_DIRICHLET_TOL
 ) -> RhsEnvelope:
     """Positive-branch envelope of sqrt(R) at wavenumber k."""
-    triple = sine_triple(geom, k, dirichlet_tol)
-    if triple.any_vanish:
-        raise DirichletPointError(k, triple.vanishing_edges)
-    inv = [1 / abs(s) for s in triple.values]
-    upper = sum(inv)
-    lower = max(0.0, 2 * max(inv) - upper)
-    return RhsEnvelope(lower, upper)
+    _, lower, upper = positive_terms(geom, 0.0, k, dirichlet_tol)
+    return RhsEnvelope(max(0.0, lower), upper)
 
 
 def inv_sinh(x: float) -> float:
@@ -163,153 +157,116 @@ def band_membership(
     closed forms and is rejected.
     """
     if energy.branch == "positive":
-        k = energy.param
-        triple = sine_triple(geom, k, dirichlet_tol)
-        if triple.any_vanish:
-            return BandDecision.dirichlet(triple.vanishing_edges)
-        env = rhs_envelope(geom, k, dirichlet_tol)
-        value = abs(dispersion(geom, coupling, k, dirichlet_tol))
+        try:
+            row = _positive_row(geom, coupling.alpha, energy.param, dirichlet_tol)
+        except DirichletPointError as exc:
+            return BandDecision.dirichlet(exc.edges)
     elif energy.branch == "negative":
-        kappa = energy.param
-        env = rhs_envelope_negative(geom, kappa)
-        value = abs(dispersion_negative(geom, coupling, kappa))
+        row = _negative_row(geom, coupling, energy.param)
     else:
         raise ValueError("band membership is defined on the positive/negative branches only")
-    return BandDecision.in_band() if env.contains(value) else BandDecision.in_gap()
+    return BandDecision(Decision(row.decision))
 
 
 # ---------------------------------------------------------------------------
 # spectrum scanning
 
 
-def _positive_sample(geom, coupling, k, dirichlet_tol):
-    triple = sine_triple(geom, k, dirichlet_tol)
-    if triple.any_vanish:
-        return SampleRow(k, k * k, math.nan, math.nan, math.nan, Decision.DIRICHLET.value)
-    env = rhs_envelope(geom, k, dirichlet_tol)
-    value = abs(dispersion(geom, coupling, k, dirichlet_tol))
-    decision = Decision.BAND if env.contains(value) else Decision.GAP
-    return SampleRow(k, k * k, value, env.lower, env.upper, decision.value)
+def _sample_row(x: float, energy: float, value: float, lower: float, upper: float) -> SampleRow:
+    decision = Decision.BAND if lower <= value <= upper else Decision.GAP
+    return SampleRow(x, energy, value, lower, upper, decision.value)
 
 
-def _negative_sample(geom, coupling, kappa):
+def _positive_row(geom: HexGeometry, alpha: float, k: float, dirichlet_tol: float) -> SampleRow:
+    """Membership at wavenumber k as a scan row; raises at Dirichlet points."""
+    d, lower, upper = positive_terms(geom, alpha, k, dirichlet_tol)
+    return _sample_row(k, k * k, abs(d), max(0.0, lower), upper)
+
+
+def _negative_row(geom: HexGeometry, coupling: VertexCoupling, kappa: float) -> SampleRow:
     env = rhs_envelope_negative(geom, kappa)
     value = abs(dispersion_negative(geom, coupling, kappa))
-    decision = Decision.BAND if env.contains(value) else Decision.GAP
-    return SampleRow(kappa, -kappa * kappa, value, env.lower, env.upper, decision.value)
+    return _sample_row(kappa, -kappa * kappa, value, env.lower, env.upper)
 
 
-def _map_samples(fn, xs, workers):
-    """Evaluate fn over xs, optionally partitioned across worker threads.
+def _bisect(changed, lo: float, hi: float, edge_tol: float) -> tuple[float, float]:
+    """Shrink a bracket with ``changed`` false at lo and true at hi to width <= edge_tol.
 
-    Sampling is pure, so contiguous blocks can run concurrently; the ordered
-    merge keeps results deterministic regardless of worker count.
+    Stops early once lo and hi are adjacent doubles, where edge_tol is below
+    their spacing and the midpoint would repeat an end.
     """
-    if workers and workers > 1:
-        size = (len(xs) + workers - 1) // workers
-        blocks = [xs[i : i + size] for i in range(0, len(xs), size)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = pool.map(lambda block: [fn(x) for x in block], blocks)
-        out = []
-        for block in results:
-            out.extend(block)
-        return out
-    return [fn(x) for x in xs]
-
-
-def _resolve_dirichlet(decisions: list[Decision]) -> list[Decision]:
-    """Extend membership across flagged samples by neighbour consensus.
-
-    Isolated Dirichlet samples interior to a band (or gap) are absorbed;
-    runs between differing neighbours stay unresolved here and are handled
-    by the boundary refinement brackets.
-    """
-    resolved = list(decisions)
-    n = len(resolved)
-    i = 0
-    while i < n:
-        if resolved[i] is not Decision.DIRICHLET:
-            i += 1
-            continue
-        j = i
-        while j < n and resolved[j] is Decision.DIRICHLET:
-            j += 1
-        left = resolved[i - 1] if i > 0 else None
-        right = resolved[j] if j < n else None
-        fill = None
-        if left is None:
-            fill = right
-        elif right is None:
-            fill = left
-        elif left is right:
-            fill = left
-        if fill is not None:
-            for t in range(i, j):
-                resolved[t] = fill
+    while hi - lo > edge_tol:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if changed(mid):
+            hi = mid
         else:
-            # boundary crosses the run: split it between the two states
-            mid = (i + j) // 2
-            for t in range(i, mid):
-                resolved[t] = left
-            for t in range(mid, j):
-                resolved[t] = right
-        i = j
-    return resolved
+            lo = mid
+    return lo, hi
 
 
-def _refine_boundary(is_gap, lo: float, hi: float, lo_is_gap: bool, edge_tol: float) -> float:
-    """Bisect the membership change inside (lo, hi) to width <= edge_tol.
+def _intervals_from_runs(xs, decisions, is_gap, edge_tol):
+    """Compress per-sample decisions into refined (state, x_lo, x_hi) runs.
 
+    Each boundary between consecutive runs is bisected to width <= edge_tol.
     The membership predicate is exactly the sign test of the boundary
     functions |D| - upper (gap above the envelope) and |D| - lower (gap
     below), so this is bisection on whichever of the two changes sign
     across the bracket; across a Dirichlet point the functions jump and the
     bisection still converges to the crossing.
     """
-    while hi - lo > edge_tol:
-        mid = 0.5 * (lo + hi)
-        if is_gap(mid) == lo_is_gap:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _intervals_from_runs(xs, decisions, is_gap, edge_tol):
-    """Compress per-sample decisions into refined (state, x_lo, x_hi) runs."""
     runs: list[list] = []
     for x, d in zip(xs, decisions):
         if runs and runs[-1][0] is d:
             runs[-1][2] = x
         else:
             runs.append([d, x, x])
-    # refine boundaries between consecutive runs
     boundaries = []
     for left, right in zip(runs, runs[1:]):
-        lo, hi = left[2], right[1]
-        boundaries.append(_refine_boundary(is_gap, lo, hi, left[0] is Decision.GAP, edge_tol))
+        lo_is_gap = left[0] is Decision.GAP
+        lo, hi = _bisect(lambda x: is_gap(x) != lo_is_gap, left[2], right[1], edge_tol)
+        boundaries.append(0.5 * (lo + hi))
     edges = [xs[0]] + boundaries + [xs[-1]]
     return [(run[0], edges[i], edges[i + 1]) for i, run in enumerate(runs)]
 
 
-def _safe_is_gap(decide, edge_tol):
+def _flagged(row_at, x: float) -> bool:
+    try:
+        row_at(x)
+    except DirichletPointError:
+        return True
+    return False
+
+
+def _safe_is_gap(row_at, edge_tol, x_max=math.inf):
     """Membership predicate that steps off flagged points before deciding.
 
-    The step grows geometrically so any Dirichlet flag band (width scales
-    with the tolerance times l*k) is escaped in a few probes; the returned
-    state is the one immediately to the right of the flagged point.
+    ``row_at`` raises :class:`DirichletPointError` at flagged points.  From a
+    flagged point the probe steps right by a geometrically growing step,
+    capped at ``x_max``, so any Dirichlet flag zone (width scales with the
+    tolerance times l*k) is escaped in a few probes, then bisects back to the
+    zone's right end.  The returned state is the one within ``edge_tol`` right
+    of the zone, however far the last step overshot it.  A zone that does not
+    end by ``x_max`` raises the error of the starting point.
     """
 
     def is_gap(x: float) -> bool:
-        probe = x
+        try:
+            return row_at(x).decision == Decision.GAP.value
+        except DirichletPointError as exc:
+            edges = exc.edges  # keep no exception: its traceback would cycle back here
+        lo = x
         delta = max(1e-15 * max(1.0, abs(x)), 0.25 * edge_tol)
         for _ in range(80):
-            d = decide(probe)
-            if d is not Decision.DIRICHLET:
-                return d is Decision.GAP
-            probe = x + delta
-            delta *= 2
-        raise DirichletPointError(x, ("a", "b", "c"))
+            hi = min(x + delta, x_max)
+            if not _flagged(row_at, hi):
+                _, hi = _bisect(lambda m: not _flagged(row_at, m), lo, hi, edge_tol)
+                return row_at(hi).decision == Decision.GAP.value
+            if hi == x_max:
+                break
+            lo, delta = hi, 2 * delta
+        raise DirichletPointError(x, edges)
 
     return is_gap
 
@@ -350,16 +307,17 @@ def scan_spectrum(
     n_samples: int,
     edge_tol: float,
     dirichlet_tol: float = DEFAULT_DIRICHLET_TOL,
-    workers: int | None = None,
 ) -> SpectrumReport:
     """Scan the positive branch over (k_lo, k_hi] and report bands/gaps.
 
     Membership is sampled on a uniform k grid, every change is bracketed and
-    refined by bisection to ``edge_tol``, isolated Dirichlet points interior
-    to a band are absorbed (the spectrum is closed), and intervals are
-    reported in energy units E = k^2.  A metadata flag warns when the grid
-    spacing is too coarse to resolve features on the scale of the fastest
-    trigonometric oscillation.
+    refined by bisection to ``edge_tol``, a flagged Dirichlet sample takes
+    the state just right of its flag zone, or the state left of it when the
+    zone reaches past k_hi (so isolated Dirichlet points interior to a band
+    are absorbed: the spectrum is closed), and intervals are reported in
+    energy units E = k^2.  A metadata flag warns when the grid spacing is too
+    coarse to resolve features on the scale of the fastest trigonometric
+    oscillation.
     """
     if not (0 < k_lo < k_hi):
         raise ValueError(f"need 0 < k_lo < k_hi, got ({k_lo!r}, {k_hi!r})")
@@ -371,19 +329,31 @@ def scan_spectrum(
     ks = [k_lo + i * h for i in range(n_samples)]
     ks[-1] = k_hi
 
-    def decide(k: float) -> Decision:
-        triple = sine_triple(geom, k, dirichlet_tol)
-        if triple.any_vanish:
-            return Decision.DIRICHLET
-        env = rhs_envelope(geom, k, dirichlet_tol)
-        value = abs(dispersion(geom, coupling, k, dirichlet_tol))
-        return Decision.BAND if env.contains(value) else Decision.GAP
+    def row_at(k: float) -> SampleRow:
+        return _positive_row(geom, coupling.alpha, k, dirichlet_tol)
 
-    samples = _map_samples(
-        lambda k: _positive_sample(geom, coupling, k, dirichlet_tol), ks, workers
-    )
-    decisions = _resolve_dirichlet([Decision(s.decision) for s in samples])
-    intervals = _intervals_from_runs(ks, decisions, _safe_is_gap(decide, edge_tol), edge_tol)
+    is_gap = _safe_is_gap(row_at, edge_tol, k_hi)
+    samples: list[SampleRow] = []
+    decisions: list[Decision] = []
+    for k in ks:
+        try:
+            row = row_at(k)
+        except DirichletPointError:
+            row = SampleRow(k, k * k, math.nan, math.nan, math.nan, Decision.DIRICHLET.value)
+        samples.append(row)
+        if row.decision != Decision.DIRICHLET.value:
+            decisions.append(Decision(row.decision))
+            continue
+        # a flagged sample takes the state just right of its flag zone; a zone
+        # reaching past k_hi has none in the window, so the state on its left
+        # extends over it
+        try:
+            decisions.append(Decision.GAP if is_gap(k) else Decision.BAND)
+        except DirichletPointError:
+            if not decisions:
+                raise
+            decisions.append(decisions[-1])
+    intervals = _intervals_from_runs(ks, decisions, is_gap, edge_tol)
 
     bands = [(lo * lo, hi * hi) for state, lo, hi in intervals if state is Decision.BAND]
     gaps = [(lo * lo, hi * hi) for state, lo, hi in intervals if state is Decision.GAP]
@@ -423,7 +393,6 @@ def negative_spectrum_scan(
     n_samples: int,
     edge_tol: float,
     kappa_lo: float | None = None,
-    workers: int | None = None,
 ) -> SpectrumReport:
     """Scan the negative branch and report in energy units E = -kappa^2.
 
@@ -445,16 +414,13 @@ def negative_spectrum_scan(
     kappas = [kappa_lo + i * h for i in range(n_samples)]
     kappas[-1] = kappa_max
 
-    def decide(kappa: float) -> Decision:
-        env = rhs_envelope_negative(geom, kappa)
-        value = abs(dispersion_negative(geom, coupling, kappa))
-        return Decision.BAND if env.contains(value) else Decision.GAP
-
-    samples = _map_samples(lambda x: _negative_sample(geom, coupling, x), kappas, workers)
+    samples = [_negative_row(geom, coupling, x) for x in kappas]
     decisions = [Decision(s.decision) for s in samples]
-    intervals = _intervals_from_runs(
-        kappas, decisions, lambda x: decide(x) is Decision.GAP, edge_tol
-    )
+
+    def is_gap(kappa: float) -> bool:
+        return _negative_row(geom, coupling, kappa).decision == Decision.GAP.value
+
+    intervals = _intervals_from_runs(kappas, decisions, is_gap, edge_tol)
 
     def to_energy(lo: float, hi: float) -> tuple[float, float]:
         return (-hi * hi, -lo * lo)
@@ -535,12 +501,11 @@ def verify_flat_band(
         else:
             value_in = value
             slope_in = -k * cos_reduced(k * s_j)
-        vertex_value = value
         worst = max(
             worst,
             abs(value),  # against the zero outside edge
             abs(value_in - value),  # cycle continuity
-            abs(slope_out + slope_in + 0.0 - alpha * vertex_value),
+            abs(slope_out + slope_in - alpha * value),
         )
     return worst
 
@@ -584,9 +549,7 @@ def solve_cell_wavefunction(
     Bloch condition of the cell.
     """
     a, b, c = geom.lengths
-    s_a = sin_reduced(a * k)
-    if abs(s_a) <= dirichlet_tol * max(1.0, a * k):
-        raise DirichletPointError(k, ("a",))
+    checked_sines(k, ("a",), (a,), dirichlet_tol)
     t1, t2 = phase.theta1, phase.theta2
     c2p, c2m = c2
     c3p, c3m = c3

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import random
 import re
 import sys
@@ -50,7 +49,6 @@ from .numtheory import (
     QuadraticSurd,
     RatioClassKind,
     RatioInput,
-    RationalRatioError,
     approx_constant,
     cf_expand,
     classify_ratio,
@@ -134,17 +132,6 @@ def _apply_config(ctx: click.Context, config_path: str | None) -> None:
             ctx.params[name] = param.type.convert(value, param, ctx)
 
 
-def _workers_from_env() -> int | None:
-    raw = os.environ.get("HEXBAND_THREADS")
-    if not raw:
-        return None
-    try:
-        workers = int(raw)
-    except ValueError:
-        raise click.UsageError(f"HEXBAND_THREADS must be an integer, got {raw!r}")
-    return max(1, workers)
-
-
 def _write_text(text: str, output: str | None) -> None:
     if output:
         with open(output, "w", encoding="utf-8") as fh:
@@ -220,12 +207,11 @@ def bands(ctx, a, b, c, alpha, kmin, kmax, samples, edge_tol, dirichlet_tol,
     try:
         report = scan_spectrum(
             geom, coupling, p["kmin"], p["kmax"], p["samples"], p["edge_tol"],
-            dirichlet_tol=p["dirichlet_tol"], workers=_workers_from_env(),
+            dirichlet_tol=p["dirichlet_tol"],
         )
         if p["include_negative"] and coupling.alpha < 0:
             negative = negative_spectrum_scan(
-                geom, coupling, p["kappa_max"], p["samples"], p["edge_tol"],
-                workers=_workers_from_env(),
+                geom, coupling, p["kappa_max"], p["samples"], p["edge_tol"]
             )
         else:
             negative = None
@@ -270,8 +256,7 @@ def gaps(ctx, a, b, c, alpha, kmin, kmax, samples, edge_tol, centers, fmt, outpu
         raise click.UsageError("need 0 < kmin < kmax")
     try:
         report = scan_spectrum(
-            geom, coupling, p["kmin"], p["kmax"], p["samples"], p["edge_tol"],
-            workers=_workers_from_env(),
+            geom, coupling, p["kmin"], p["kmax"], p["samples"], p["edge_tol"]
         )
         rows = []
         for e_lo, e_hi in report.gaps:
@@ -302,7 +287,7 @@ def gaps(ctx, a, b, c, alpha, kmin, kmax, samples, edge_tol, centers, fmt, outpu
                 predictions = predicted_gap_centers(
                     p["a"][1], p["b"][1], coupling.alpha, p["centers"]
                 )
-            except (RationalRatioError, ValueError) as exc:
+            except ValueError as exc:  # rational a/b or alpha = 0; search failures are numeric
                 raise click.UsageError(f"cannot predict centers: {exc}")
             for row in rows:
                 for center in predictions:
@@ -371,7 +356,7 @@ def classify(ctx, a, b, alpha, depth, gamma_depth, centers, output, config):
                 prediction_rows.append(
                     {"k": center.k, "family": center.family, "p": center.p, "q": center.q}
                 )
-    except (RationalRatioError, ValueError) as exc:
+    except (ValueError, ArithmeticError) as exc:
         click.echo(f"numeric failure: {exc}", err=True)
         sys.exit(EXIT_NUMERIC)
     notes = []

@@ -236,26 +236,68 @@ class MMatrix:
             raise ValueError("MMatrix requires a 4x4 entry grid")
 
 
-def sine_triple(
-    geom: HexGeometry, k: float, dirichlet_tol: float = DEFAULT_DIRICHLET_TOL
-) -> SineTriple:
-    """Evaluate sin(l*k) on all three edges with scale-aware vanish flags.
+def _flag_sines(k: float, lengths, dirichlet_tol: float) -> tuple[list[float], list[bool]]:
+    """sin(l*k) for each length, and whether each is flagged as vanishing.
 
-    An edge is flagged when |sin(l*k)| <= dirichlet_tol * max(1, l*k), which
-    guards against catastrophic cancellation at large arguments.
+    This is the package's one Dirichlet guard.  An edge is flagged when
+    |sin(l*k)| is at most the tolerance times max(1, l*k); scaling with the
+    argument guards against catastrophic cancellation at large l*k.
     """
-    if not k > 0:
-        raise ValueError(f"k must be > 0, got {k!r}")
     if not dirichlet_tol > 0:
         raise ValueError(f"dirichlet_tol must be > 0, got {dirichlet_tol!r}")
     values = []
     flags = []
-    for ell in geom.lengths:
+    for ell in lengths:
         x = ell * k
         s = sin_reduced(x)
         values.append(s)
         flags.append(abs(s) <= dirichlet_tol * max(1.0, x))
+    return values, flags
+
+
+def checked_sines(k: float, names, lengths, dirichlet_tol: float) -> list[float]:
+    """sin(l*k) for the named edge lengths.
+
+    Raises :class:`DirichletPointError` naming every edge the guard flags.
+    """
+    values, flags = _flag_sines(k, lengths, dirichlet_tol)
+    vanishing = tuple(name for name, flag in zip(names, flags) if flag)
+    if vanishing:
+        raise DirichletPointError(k, vanishing)
+    return values
+
+
+def sine_triple(
+    geom: HexGeometry, k: float, dirichlet_tol: float = DEFAULT_DIRICHLET_TOL
+) -> SineTriple:
+    """Evaluate sin(l*k) on all three edges with scale-aware vanish flags."""
+    if not k > 0:
+        raise ValueError(f"k must be > 0, got {k!r}")
+    values, flags = _flag_sines(k, geom.lengths, dirichlet_tol)
     return SineTriple(values[0], values[1], values[2], flags[0], flags[1], flags[2])
+
+
+def positive_terms(
+    geom: HexGeometry, alpha: float, k: float, dirichlet_tol: float
+) -> tuple[float, float, float]:
+    """The positive-branch membership kernel: ``(D, lower_unclamped, upper)``.
+
+    ``D = cot(a*k) + cot(b*k) + cot(c*k) + alpha/k``, ``upper`` is the sum of
+    the inverse |sines| and ``lower_unclamped = 2*max(inverse) - upper``, so
+    k is in the spectrum iff max(0, lower_unclamped) <= |D| <= upper.  The
+    sines are evaluated once, by :func:`sine_triple`; a flagged sine raises
+    :class:`DirichletPointError` naming the vanishing edges.
+    """
+    triple = sine_triple(geom, k, dirichlet_tol)
+    if triple.any_vanish:
+        raise DirichletPointError(k, triple.vanishing_edges)
+    values = triple.values
+    inv = [1 / abs(s) for s in values]
+    upper = sum(inv)
+    total = alpha / k
+    for ell, s in zip(geom.lengths, values):
+        total += cos_reduced(ell * k) / s
+    return total, 2 * max(inv) - upper, upper
 
 
 def dispersion(
@@ -268,13 +310,7 @@ def dispersion(
 
     Raises :class:`DirichletPointError` when any sin(l*k) is flagged zero.
     """
-    triple = sine_triple(geom, k, dirichlet_tol)
-    if triple.any_vanish:
-        raise DirichletPointError(k, triple.vanishing_edges)
-    total = coupling.alpha / k
-    for ell, s in zip(geom.lengths, triple.values):
-        total += cos_reduced(ell * k) / s
-    return total
+    return positive_terms(geom, coupling.alpha, k, dirichlet_tol)[0]
 
 
 def dispersion_negative(geom: HexGeometry, coupling: VertexCoupling, kappa: float) -> float:
@@ -294,10 +330,7 @@ def dispersion_negative(geom: HexGeometry, coupling: VertexCoupling, kappa: floa
 def _check_sin_a(geom: HexGeometry, k: float, dirichlet_tol: float) -> float:
     if not k > 0:
         raise ValueError(f"k must be > 0, got {k!r}")
-    s_a = sin_reduced(geom.a * k)
-    if abs(s_a) <= dirichlet_tol * max(1.0, geom.a * k):
-        raise DirichletPointError(k, ("a",))
-    return s_a
+    return checked_sines(k, ("a",), (geom.a,), dirichlet_tol)[0]
 
 
 def assemble_m_matrix(

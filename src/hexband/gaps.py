@@ -18,17 +18,15 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .bands import inv_sinh
+from .bands import rhs_envelope_negative
 from .core import (
     DEFAULT_DIRICHLET_TOL,
-    DirichletPointError,
     HexGeometry,
     VertexCoupling,
+    checked_sines,
     cos_reduced,
-    dispersion,
     dispersion_negative,
-    sin_reduced,
-    sine_triple,
+    positive_terms,
 )
 from .numtheory import RatioClass, RatioClassKind
 from .report import json_dumps
@@ -69,28 +67,15 @@ def _sign(x: float) -> int:
     return (x > 0) - (x < 0)
 
 
-def _checked_triple(geom: HexGeometry, k: float, dirichlet_tol: float):
-    triple = sine_triple(geom, k, dirichlet_tol)
-    if triple.any_vanish:
-        raise DirichletPointError(k, triple.vanishing_edges)
-    return triple
-
-
 def gc1(
     geom: HexGeometry,
     coupling: VertexCoupling,
     k: float,
     dirichlet_tol: float = DEFAULT_DIRICHLET_TOL,
-    strict_slack: float = 0.0,
 ) -> bool:
-    """Gap criterion above the envelope: |D(k)| > sum of inverse |sines|.
-
-    ``strict_slack`` widens (positive) or relaxes (negative) the strict
-    comparison for boundary probing.
-    """
-    triple = _checked_triple(geom, k, dirichlet_tol)
-    upper = sum(1 / abs(s) for s in triple.values)
-    return abs(dispersion(geom, coupling, k, dirichlet_tol)) > upper + strict_slack
+    """Gap criterion above the envelope: |D(k)| > sum of inverse |sines|."""
+    d, _, upper = positive_terms(geom, coupling.alpha, k, dirichlet_tol)
+    return abs(d) > upper
 
 
 def gc2(
@@ -98,19 +83,19 @@ def gc2(
     coupling: VertexCoupling,
     k: float,
     dirichlet_tol: float = DEFAULT_DIRICHLET_TOL,
-    strict_slack: float = 0.0,
 ) -> bool:
     """Gap criterion below the envelope:
     2 max_l 1/|sin lk| - sum_l 1/|sin lk| > |D(k)|."""
-    triple = _checked_triple(geom, k, dirichlet_tol)
-    inv = [1 / abs(s) for s in triple.values]
-    lower = 2 * max(inv) - sum(inv)
-    return lower > abs(dispersion(geom, coupling, k, dirichlet_tol)) + strict_slack
+    d, lower, _ = positive_terms(geom, coupling.alpha, k, dirichlet_tol)
+    return lower > abs(d)
 
 
-def tangent_sum(
-    geom: HexGeometry, k: float, dirichlet_tol: float = DEFAULT_DIRICHLET_TOL
-) -> float:
+def _edge_tangent(x: float) -> float:
+    """|tan(frac(x/pi) * pi/2)| = 1/|sin x| - |cot x|, finite everywhere."""
+    return abs(math.tan(nearest_int_frac(x / math.pi) * math.pi / 2))
+
+
+def tangent_sum(geom: HexGeometry, k: float) -> float:
     """Sum over the edges of |tan(frac(l*k/pi) * pi/2)|.
 
     Each term equals 1/|sin(l*k)| - |cot(l*k)|, the margin by which that
@@ -118,16 +103,12 @@ def tangent_sum(
     |alpha|/k must beat for the sign-aligned gap criterion.  The arguments
     stay in [-pi/4, pi/4], so the value is finite everywhere.
     """
-    return sum(
-        abs(math.tan(nearest_int_frac(ell * k / math.pi) * math.pi / 2)) for ell in geom.lengths
-    )
+    return sum(_edge_tangent(ell * k) for ell in geom.lengths)
 
 
 def tangent_sum_bc(a: float, b: float, k: float) -> float:
     """The b = c weighting of :func:`tangent_sum`: a-term plus twice b-term."""
-    return abs(math.tan(nearest_int_frac(a * k / math.pi) * math.pi / 2)) + 2 * abs(
-        math.tan(nearest_int_frac(b * k / math.pi) * math.pi / 2)
-    )
+    return _edge_tangent(a * k) + 2 * _edge_tangent(b * k)
 
 
 def gc1_tangent_form(
@@ -145,12 +126,12 @@ def gc1_tangent_form(
     alpha = coupling.alpha
     if k < abs(alpha):
         raise ValueError(f"tangent form requires k >= |alpha|; got k={k!r}, |alpha|={abs(alpha)!r}")
-    triple = _checked_triple(geom, k, dirichlet_tol)
+    sines = checked_sines(k, HexGeometry.EDGE_NAMES, geom.lengths, dirichlet_tol)
     want = _sign(alpha)
-    for ell, s in zip(geom.lengths, triple.values):
+    for ell, s in zip(geom.lengths, sines):
         if _sign(cos_reduced(ell * k) / s) != want:
             return False
-    return tangent_sum(geom, k, dirichlet_tol) < abs(alpha) / k
+    return tangent_sum(geom, k) < abs(alpha) / k
 
 
 def cot_dominance(a: float, b: float, k: float, dirichlet_tol: float = DEFAULT_DIRICHLET_TOL) -> float:
@@ -159,15 +140,7 @@ def cot_dominance(a: float, b: float, k: float, dirichlet_tol: float = DEFAULT_D
     For the b = c lattice, envelope-undershooting gaps require this margin
     to sit close to |alpha|/k.
     """
-    s_a = sin_reduced(a * k)
-    s_b = sin_reduced(b * k)
-    edges = tuple(
-        name
-        for name, s, ell in (("a", s_a, a), ("b", s_b, b))
-        if abs(s) <= dirichlet_tol * max(1.0, ell * k)
-    )
-    if edges:
-        raise DirichletPointError(k, edges)
+    s_a, s_b = checked_sines(k, ("a", "b"), (a, b), dirichlet_tol)
     return abs(cos_reduced(a * k) / s_a) - 2 * abs(cos_reduced(b * k) / s_b)
 
 
@@ -178,9 +151,7 @@ def tangent_margin_bc(a: float, b: float, k: float) -> float:
     weighted difference is what |alpha|/k must exceed for the stretched
     lattice's envelope-undershooting gaps near the a-edge Dirichlet points.
     """
-    return 2 * abs(math.tan(nearest_int_frac(b * k / math.pi) * math.pi / 2)) - abs(
-        math.tan(nearest_int_frac(a * k / math.pi) * math.pi / 2)
-    )
+    return 2 * _edge_tangent(b * k) - _edge_tangent(a * k)
 
 
 @dataclass(frozen=True)
@@ -216,15 +187,7 @@ def gc2_equivalent_bc(
     dominance margin.  The four conditions imply GC2 for every k > 0 and are
     equivalent to it on k > |alpha|.
     """
-    s_a = sin_reduced(a * k)
-    s_b = sin_reduced(b * k)
-    edges = tuple(
-        name
-        for name, s, ell in (("a", s_a, a), ("b", s_b, b))
-        if abs(s) <= dirichlet_tol * max(1.0, ell * k)
-    )
-    if edges:
-        raise DirichletPointError(k, edges)
+    s_a, s_b = checked_sines(k, ("a", "b"), (a, b), dirichlet_tol)
     cot_a = cos_reduced(a * k) / s_a
     cot_b = cos_reduced(b * k) / s_b
     margin = 1 / abs(s_a) - 2 / abs(s_b)
@@ -246,13 +209,9 @@ def gc_negative(
     gc1_neg: |D-(kappa)| exceeds the sum of inverse hyperbolic sines;
     gc2_neg: it stays below 2/sinh(l_min*kappa) minus that sum.
     """
-    if not kappa > 0:
-        raise ValueError("kappa must be > 0")
-    inv = [inv_sinh(ell * kappa) for ell in geom.lengths]
-    upper = sum(inv)
-    lower = 2 * inv_sinh(geom.ell_min * kappa) - upper
+    env = rhs_envelope_negative(geom, kappa)
     value = abs(dispersion_negative(geom, coupling, kappa))
-    return value > upper, value < lower
+    return value > env.upper, value < env.lower
 
 
 class GapAtZero(Enum):

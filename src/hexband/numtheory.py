@@ -48,6 +48,9 @@ DEFAULT_DENOMINATOR_CAP = 10**6
 
 # Digits of sqrt(D) precision used for exact sign/quality evaluation.
 _SURD_DIGITS = 40
+# A convergent's quality q^2|theta - p/q| carries an error of up to
+# q^2 * 10**-_SURD_DIGITS; below this denominator that error stays under 1e-4.
+_RESOLVED_Q = 10 ** ((_SURD_DIGITS - 4) // 2)
 
 
 class RationalRatioError(ValueError):
@@ -589,7 +592,9 @@ def predicted_gap_centers(
     Convergents whose quality reaches 1/2 are skipped: there p is not the
     nearest integer to theta*q and the sign of cot(a*k) at the center is no
     longer tied to the approach side.  Rational ratios are rejected (their
-    gap centers are the exact commensurability points instead).
+    gap centers are the exact commensurability points instead); running out
+    of resolvable convergents before ``count`` are found is an
+    ``ArithmeticError``.
     """
     if alpha == 0:
         raise ValueError("alpha must be nonzero to select an approach side")
@@ -617,11 +622,14 @@ def predicted_gap_centers(
                 c for c in convs if c.approach_sign == want and c.quality < 0.5
             ][:count]
             picked = len(picked_list)
-            if picked >= count or depth >= 400 or cf.depth + 1 < depth:
+            # deeper convergents would outrun the precision of their qualities
+            if picked >= count or convs[-1].q >= _RESOLVED_Q or cf.depth + 1 < depth:
                 break
             depth *= 2
         if picked < count:
-            raise ValueError(f"could not find {count} sign-matching convergents (family {family})")
+            raise ArithmeticError(
+                f"could not find {count} sign-matching convergents (family {family})"
+            )
         for conv in picked_list:
             centers.append(GapCenter(conv.q * math.pi / scale, family, conv.p, conv.q))
     return centers

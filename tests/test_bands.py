@@ -20,8 +20,10 @@ from hexband import (
     trig_polynomial_min,
     verify_flat_band,
 )
+from hexband.bands import _safe_is_gap
 from hexband.core import DirichletPointError
 from hexband.numtheory import CommensurabilityWitness
+from hexband.report import SampleRow
 from hexband.oracle import GridSpec, band_membership_grid, rhs_extrema_grid, trig_min_grid
 
 EQUILATERAL = HexGeometry(1, 1, 1)
@@ -234,11 +236,54 @@ class TestScanSpectrum:
         with pytest.raises(ValueError):
             scan_spectrum(EQUILATERAL, KIRCHHOFF, 0.0, 1.0, 100, 1e-9)
 
-    def test_workers_do_not_change_result(self):
-        base = scan_spectrum(EQUILATERAL, VertexCoupling(1.0), 5.0, 8.0, 800, 1e-9)
-        threaded = scan_spectrum(EQUILATERAL, VertexCoupling(1.0), 5.0, 8.0, 800, 1e-9, workers=3)
-        assert base.bands == threaded.bands
-        assert base.gaps == threaded.gaps
+    def test_edge_tol_below_double_spacing_terminates(self):
+        # doubles near k = 250 are ~6e-14 apart, wider than edge_tol
+        geom = HexGeometry((1 + math.sqrt(5)) / 2, 1, 1)
+        fine = scan_spectrum(geom, VertexCoupling(20.0), 250.0, 300.0, 2000, 1e-14)
+        coarse = scan_spectrum(geom, VertexCoupling(20.0), 250.0, 300.0, 2000, 1e-9)
+        assert len(fine.gaps) == len(coarse.gaps) >= 1
+        for (lo, hi), (lo_c, hi_c) in zip(fine.gaps, coarse.gaps):
+            assert math.sqrt(lo) == pytest.approx(math.sqrt(lo_c), abs=1e-9)
+            assert math.sqrt(hi) == pytest.approx(math.sqrt(hi_c), abs=1e-9)
+
+    def test_narrow_band_right_of_dirichlet_zone_at_large_k(self):
+        # At k ~ 1e6 the default tolerance flags about +-1e-3 around each
+        # Dirichlet point; a band about 1.3e-3 wide starts where the zone
+        # ends, narrower than the grid spacing of 2.5e-3.
+        geom = HexGeometry((1 + math.sqrt(5)) / 2, 1, math.sqrt(2))
+        coupling = VertexCoupling(3107703.0)
+        k = 1004700.2205
+        assert band_membership(geom, coupling, EnergyPoint.positive(k)).kind is Decision.BAND
+        report = scan_spectrum(geom, coupling, 1004692.43, 1004702.43, 4000, 1e-6)
+        assert any(lo <= k * k <= hi for lo, hi in report.bands)
+        assert not any(lo < k * k < hi for lo, hi in report.gaps)
+
+    def test_window_ending_on_dirichlet_point_keeps_its_band(self):
+        # 10*pi is a Dirichlet point of every edge and the gap opens to its
+        # right, outside the window: the last sample keeps the band on its left
+        k_hi = 10 * math.pi
+        report = scan_spectrum(EQUILATERAL, VertexCoupling(1.0), 5.0, k_hi, 4000, 1e-9)
+        assert report.bands[-1][1] == pytest.approx(k_hi**2, rel=1e-15)
+        assert not any(math.sqrt(lo) > k_hi - 1e-6 for lo, _ in report.gaps)
+
+    def test_probe_stops_at_window_end(self):
+        def zone_from_three_to_five(x):
+            if 3.0 <= x < 5.0:
+                raise DirichletPointError(x, ("c",))
+            return SampleRow(x, x * x, 2.0, 0.0, 1.0, Decision.GAP.value)
+
+        assert _safe_is_gap(zone_from_three_to_five, 1e-9)(3.5)
+        with pytest.raises(DirichletPointError) as info:
+            _safe_is_gap(zone_from_three_to_five, 1e-9, 4.0)(3.5)
+        assert info.value.edges == ("c",)
+
+    def test_probe_error_names_the_vanishing_edges(self):
+        def always_flagged(x):
+            raise DirichletPointError(x, ("b",))
+
+        with pytest.raises(DirichletPointError) as info:
+            _safe_is_gap(always_flagged, 1e-9)(2.0)
+        assert info.value.edges == ("b",)
 
     def test_flat_bands_and_dirichlet_points_reported(self):
         report = scan_spectrum(HexGeometry(1, 2, 3), KIRCHHOFF, 0.5, 14.0, 2000, 1e-9)

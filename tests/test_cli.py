@@ -113,13 +113,6 @@ class TestBandsCommand:
         assert negative.branch == "negative"
         assert negative.gap_adjacent_to_zero()
 
-    def test_threads_env_does_not_change_output(self, runner):
-        args = ["bands", "--a", "1", "--b", "2", "--c", "3", "--alpha", "1.0",
-                "--kmax", "8.0", "--samples", "500"]
-        plain = runner.invoke(cli, args)
-        threaded = runner.invoke(cli, args, env={"HEXBAND_THREADS": "3"})
-        assert plain.output == threaded.output
-
     def test_output_file(self, runner, tmp_path):
         out = tmp_path / "report.json"
         result = runner.invoke(
@@ -250,6 +243,23 @@ class TestClassifyCommand:
         data = json.loads(result.output.strip().splitlines()[0])
         assert data["classification"]["kind"] == "unknown_numeric"
         assert data["classification"]["certified"] is False
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["classify", "--a", "sqrt(3)", "--b", "1"],
+            ["classify", "--a", "(1+sqrt(7))/3", "--b", "1"],
+            ["gaps", "--a", "sqrt(3)", "--b", "1", "--c", "1", "--kmax", "20",
+             "--samples", "1000"],
+        ],
+    )
+    def test_no_sign_matching_convergents_is_numeric_failure(self, runner, args):
+        # neither ratio has a positive-side convergent of quality below 1/2
+        # within the resolved depth, so the centre search gives up cleanly
+        result = runner.invoke(cli, args + ["--alpha", "6", "--centers", "5"])
+        assert result.exit_code == 3
+        assert result.stderr.startswith("numeric failure:")
+        assert "sign-matching convergents" in result.stderr
 
 
 class TestFlatbandsCommand:

@@ -13,9 +13,17 @@ from hexband import (
     HexGeometry,
     VertexCoupling,
     assemble_m_matrix,
+    band_membership,
+    cot_dominance,
     det_m_closed_form,
     dispersion,
     dispersion_negative,
+    gc1,
+    gc1_tangent_form,
+    gc2,
+    gc2_equivalent_bc,
+    rhs_envelope,
+    scan_spectrum,
     sine_triple,
     solve_cell_wavefunction,
 )
@@ -136,6 +144,76 @@ class TestDispersion:
             assert dispersion(EQUILATERAL, KIRCHHOFF, k + math.pi) == pytest.approx(
                 dispersion(EQUILATERAL, KIRCHHOFF, k), rel=1e-10
             )
+
+
+class TestDirichletGuard:
+    # at k = pi/2 only the b edge (length 2) sits on a Dirichlet point
+    GEOM = HexGeometry(1, 2, math.sqrt(2))
+
+    @pytest.mark.parametrize(
+        "call, edges",
+        [
+            (lambda g, k: dispersion(g, KIRCHHOFF, k), ("b",)),
+            (lambda g, k: gc1(g, KIRCHHOFF, k), ("b",)),
+            (lambda g, k: gc1_tangent_form(g, KIRCHHOFF, k), ("b",)),
+            (lambda g, k: cot_dominance(g.a, g.b, k), ("b",)),
+            (lambda g, k: gc2_equivalent_bc(g.b, g.a, KIRCHHOFF, k), ("a",)),
+            (lambda g, k: det_m_closed_form(HexGeometry(g.b, g.a, g.c), KIRCHHOFF, k,
+                                            FloquetPhase(0.1, 0.2)), ("a",)),
+        ],
+        ids=["dispersion", "gc1", "gc1_tangent_form", "cot_dominance", "gc2_equivalent_bc",
+             "det_m_closed_form"],
+    )
+    def test_error_names_only_the_vanishing_edges(self, call, edges):
+        with pytest.raises(DirichletPointError) as info:
+            call(self.GEOM, math.pi / 2)
+        assert info.value.edges == edges
+
+
+class TestKernelCalls:
+    """Each membership entry point evaluates the three sines once per point."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        import hexband.bands
+        import hexband.core
+        import hexband.gaps
+
+        count = [0]
+        original = hexband.core.sine_triple
+
+        def counting(*args, **kwargs):
+            count[0] += 1
+            return original(*args, **kwargs)
+
+        for module in (hexband.core, hexband.bands, hexband.gaps):
+            if hasattr(module, "sine_triple"):
+                monkeypatch.setattr(module, "sine_triple", counting)
+        return count
+
+    GEOM = HexGeometry(1.0, 1.3, 0.8)
+    COUPLING = VertexCoupling(2.0)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda g, c: band_membership(g, c, EnergyPoint.positive(3.3)),
+            lambda g, c: gc1(g, c, 3.3),
+            lambda g, c: gc2(g, c, 3.3),
+            lambda g, c: dispersion(g, c, 3.3),
+            lambda g, c: rhs_envelope(g, 3.3),
+        ],
+        ids=["band_membership", "gc1", "gc2", "dispersion", "rhs_envelope"],
+    )
+    def test_point_entry_points(self, calls, call):
+        call(self.GEOM, self.COUPLING)
+        assert calls[0] == 1
+
+    def test_one_call_per_scan_sample(self, calls):
+        # Kirchhoff equilateral is one band: no edges to refine
+        report = scan_spectrum(EQUILATERAL, KIRCHHOFF, 1.0, 2.0, 50, 1e-9)
+        assert len(report.bands) == 1 and not report.gaps
+        assert calls[0] == 50
 
 
 class TestDispersionNegative:

@@ -78,11 +78,6 @@ class TestGC1:
         with pytest.raises(DirichletPointError):
             gc1(EQUILATERAL, VertexCoupling(1.0), math.pi)
 
-    def test_strict_slack_knob(self):
-        k = 2 * math.pi + 0.1
-        assert gc1(EQUILATERAL, VertexCoupling(3.0), k, strict_slack=0.0)
-        assert not gc1(EQUILATERAL, VertexCoupling(3.0), k, strict_slack=100.0)
-
 
 class TestGC2:
     def test_equal_lengths_never(self):
