@@ -299,6 +299,47 @@ def _flat_bands_in_window(geom: HexGeometry, k_lo: float, k_hi: float) -> list[F
     return out
 
 
+def _scan(row_at, lo: float, hi: float, n_samples: int, edge_tol: float):
+    """Sample membership on a uniform grid over [lo, hi] and refine every change.
+
+    ``row_at`` gives the :class:`SampleRow` at one point and may raise
+    :class:`DirichletPointError` there.  A flagged sample takes the state
+    just right of its flag zone, or the state left of it when the zone
+    reaches past ``hi`` (so isolated Dirichlet points interior to a band are
+    absorbed: the spectrum is closed).  Returns the grid spacing, the sample
+    rows and the refined (state, x_lo, x_hi) runs.
+    """
+    if not (0 < lo < hi < math.inf):
+        raise ValueError(f"need 0 < window start < window end < inf, got ({lo!r}, {hi!r})")
+    if n_samples < 2:
+        raise ValueError(f"n_samples must be >= 2, got {n_samples!r}")
+    if not edge_tol > 0:
+        raise ValueError(f"edge_tol must be > 0, got {edge_tol!r}")
+    h = (hi - lo) / (n_samples - 1)
+    xs = [lo + i * h for i in range(n_samples)]
+    xs[-1] = hi
+
+    is_gap = _safe_is_gap(row_at, edge_tol, hi)
+    samples: list[SampleRow] = []
+    decisions: list[Decision] = []
+    for x in xs:
+        try:
+            row = row_at(x)
+        except DirichletPointError:  # only positive rows raise, so E = k^2
+            row = SampleRow(x, x * x, math.nan, math.nan, math.nan, Decision.DIRICHLET.value)
+        samples.append(row)
+        if row.decision != Decision.DIRICHLET.value:
+            decisions.append(Decision(row.decision))
+            continue
+        try:
+            decisions.append(Decision.GAP if is_gap(x) else Decision.BAND)
+        except DirichletPointError:
+            if not decisions:
+                raise
+            decisions.append(decisions[-1])
+    return h, samples, _intervals_from_runs(xs, decisions, is_gap, edge_tol)
+
+
 def scan_spectrum(
     geom: HexGeometry,
     coupling: VertexCoupling,
@@ -310,51 +351,16 @@ def scan_spectrum(
 ) -> SpectrumReport:
     """Scan the positive branch over (k_lo, k_hi] and report bands/gaps.
 
-    Membership is sampled on a uniform k grid, every change is bracketed and
-    refined by bisection to ``edge_tol``, a flagged Dirichlet sample takes
-    the state just right of its flag zone, or the state left of it when the
-    zone reaches past k_hi (so isolated Dirichlet points interior to a band
-    are absorbed: the spectrum is closed), and intervals are reported in
-    energy units E = k^2.  A metadata flag warns when the grid spacing is too
-    coarse to resolve features on the scale of the fastest trigonometric
-    oscillation.
+    Membership is sampled and refined by :func:`_scan`, and intervals are
+    reported in energy units E = k^2.  A metadata flag warns when the grid
+    spacing is too coarse to resolve features on the scale of the fastest
+    trigonometric oscillation.
     """
-    if not (0 < k_lo < k_hi):
-        raise ValueError(f"need 0 < k_lo < k_hi, got ({k_lo!r}, {k_hi!r})")
-    if n_samples < 2:
-        raise ValueError("n_samples must be >= 2")
-    if not edge_tol > 0:
-        raise ValueError("edge_tol must be > 0")
-    h = (k_hi - k_lo) / (n_samples - 1)
-    ks = [k_lo + i * h for i in range(n_samples)]
-    ks[-1] = k_hi
 
     def row_at(k: float) -> SampleRow:
         return _positive_row(geom, coupling.alpha, k, dirichlet_tol)
 
-    is_gap = _safe_is_gap(row_at, edge_tol, k_hi)
-    samples: list[SampleRow] = []
-    decisions: list[Decision] = []
-    for k in ks:
-        try:
-            row = row_at(k)
-        except DirichletPointError:
-            row = SampleRow(k, k * k, math.nan, math.nan, math.nan, Decision.DIRICHLET.value)
-        samples.append(row)
-        if row.decision != Decision.DIRICHLET.value:
-            decisions.append(Decision(row.decision))
-            continue
-        # a flagged sample takes the state just right of its flag zone; a zone
-        # reaching past k_hi has none in the window, so the state on its left
-        # extends over it
-        try:
-            decisions.append(Decision.GAP if is_gap(k) else Decision.BAND)
-        except DirichletPointError:
-            if not decisions:
-                raise
-            decisions.append(decisions[-1])
-    intervals = _intervals_from_runs(ks, decisions, is_gap, edge_tol)
-
+    h, samples, intervals = _scan(row_at, k_lo, k_hi, n_samples, edge_tol)
     bands = [(lo * lo, hi * hi) for state, lo, hi in intervals if state is Decision.BAND]
     gaps = [(lo * lo, hi * hi) for state, lo, hi in intervals if state is Decision.GAP]
     spacing_limit = math.pi / (8 * max(geom.lengths))
@@ -398,29 +404,17 @@ def negative_spectrum_scan(
 
     The negative spectrum is nonempty only for alpha < 0; for alpha >= 0 the
     whole axis is a gap and the band list comes back empty.  Intervals are
-    ordered by increasing energy (decreasing kappa).
+    ordered by increasing energy (decreasing kappa).  The window defaults to
+    kappa in [kappa_max / n_samples, kappa_max].
     """
-    if not kappa_max > 0:
-        raise ValueError("kappa_max must be > 0")
-    if n_samples < 2:
-        raise ValueError("n_samples must be >= 2")
-    if not edge_tol > 0:
-        raise ValueError("edge_tol must be > 0")
     if kappa_lo is None:
-        kappa_lo = kappa_max / n_samples
-    if not (0 < kappa_lo < kappa_max):
-        raise ValueError("need 0 < kappa_lo < kappa_max")
-    h = (kappa_max - kappa_lo) / (n_samples - 1)
-    kappas = [kappa_lo + i * h for i in range(n_samples)]
-    kappas[-1] = kappa_max
+        # _scan rejects n_samples < 2; max() only keeps this division defined until it does
+        kappa_lo = kappa_max / max(n_samples, 2)
 
-    samples = [_negative_row(geom, coupling, x) for x in kappas]
-    decisions = [Decision(s.decision) for s in samples]
+    def row_at(kappa: float) -> SampleRow:
+        return _negative_row(geom, coupling, kappa)
 
-    def is_gap(kappa: float) -> bool:
-        return _negative_row(geom, coupling, kappa).decision == Decision.GAP.value
-
-    intervals = _intervals_from_runs(kappas, decisions, is_gap, edge_tol)
+    h, samples, intervals = _scan(row_at, kappa_lo, kappa_max, n_samples, edge_tol)
 
     def to_energy(lo: float, hi: float) -> tuple[float, float]:
         return (-hi * hi, -lo * lo)

@@ -7,13 +7,17 @@ verification residuals) and ``verify`` (oracle cross-check suites).
 
 Geometry arguments accept three grammars per argument: a decimal float
 (``1.5``), an exact rational (``3/2``), or a quadratic surd
-(``(1+sqrt(5))/2``, ``sqrt(2)``).  A JSON config file can mirror any flag;
-explicit flags win.  Exit codes: 0 ok, 2 config error, 3 numeric failure,
-4 verification failure.
+(``(1+sqrt(5))/2``, ``sqrt(2)``).  A JSON config file (``--config``) sets
+option defaults; its keys are the parameter names (``fmt`` for
+``--format``) and explicit flags win.  Exit codes: 0 ok, 2 invalid input
+(any invalid flag or config value, including values only the library
+checks), 3 numeric failure, 4 verification failure.  Library errors map to
+these codes in one place, :class:`_Command`.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import random
@@ -58,7 +62,7 @@ from .numtheory import (
     ratio_divide,
 )
 from .oracle import GridSpec, det_numeric, rhs_extrema_grid, trig_min_grid
-from .report import json_dumps, report_to_json, write_samples_csv
+from .report import format_float, json_dumps, report_to_json, write_samples_csv
 
 EXIT_NUMERIC = 3
 EXIT_VERIFY = 4
@@ -111,25 +115,42 @@ class LengthParam(click.ParamType):
 LENGTH = LengthParam()
 
 
-def _apply_config(ctx: click.Context, config_path: str | None) -> None:
-    """Fill parameters from a JSON config file; explicit flags override."""
-    if not config_path:
+class _Command(click.Command):
+    """A subcommand whose library errors map to exit codes, in this one place."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except (DirichletPointError, ArithmeticError) as exc:  # before ValueError, its base
+            click.echo(f"numeric failure: {exc}", err=True)
+            sys.exit(EXIT_NUMERIC)
+        except ValueError as exc:  # an input the library rejects
+            raise click.UsageError(str(exc), ctx) from exc
+
+
+class _Group(click.Group):
+    command_class = _Command
+
+
+def _load_config(ctx: click.Context, param: click.Parameter, path: str | None) -> None:
+    """Make a JSON config file's values the command's defaults; explicit flags win."""
+    if not path:
         return
     try:
-        with open(config_path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise click.UsageError(f"cannot read config file {config_path!r}: {exc}")
+        raise click.UsageError(f"cannot read config file {path!r}: {exc}")
     if not isinstance(data, dict):
         raise click.UsageError("config file must hold a JSON object of flag values")
+    names = {p.name for p in ctx.command.params}
+    defaults = {}
     for key, value in data.items():
         name = key.replace("-", "_")
-        if name not in ctx.params:
+        if name not in names:
             raise click.UsageError(f"config file sets unknown option {key!r}")
-        source = ctx.get_parameter_source(name)
-        if source is not None and source.name == "DEFAULT":
-            param = next(p for p in ctx.command.params if p.name == name)
-            ctx.params[name] = param.type.convert(value, param, ctx)
+        defaults[name] = value
+    ctx.default_map = defaults
 
 
 def _write_text(text: str, output: str | None) -> None:
@@ -140,225 +161,156 @@ def _write_text(text: str, output: str | None) -> None:
         click.echo(text, nl=False)
 
 
-def _require(params: dict, *names: str) -> None:
-    """Enforce required options after the config file has been merged in."""
-    for name in names:
-        if params.get(name) is None:
-            raise click.UsageError(f"missing required option --{name.replace('_', '-')}")
+_A = click.option("--a", "a", type=LENGTH, required=True,
+                  help="edge length a (float, p/q or surd)")
+_B = click.option("--b", "b", type=LENGTH, required=True, help="edge length b")
+_C = click.option("--c", "c", type=LENGTH, required=True, help="edge length c")
+_ALPHA = click.option("--alpha", type=float, default=0.0, show_default=True,
+                      help="vertex coupling")
+_FORMAT = click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json",
+                       show_default=True)
+_OUTPUT = click.option("--output", type=click.Path(dir_okay=False, writable=True), default=None)
+_CONFIG = click.option("--config", type=click.Path(exists=False), is_eager=True,
+                       expose_value=False, callback=_load_config,
+                       help="JSON config file of option values")
 
 
-def _geometry(params: dict) -> HexGeometry:
-    _require(params, "a", "b", "c")
-    try:
-        return HexGeometry(params["a"][0], params["b"][0], params["c"][0])
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-
-
-# required-ness is checked after config merge, hence no required=True here
-_GEOMETRY_OPTIONS = [
-    click.option("--a", "a", type=LENGTH, default=None,
-                 help="edge length a (float, p/q or surd)  [required]"),
-    click.option("--b", "b", type=LENGTH, default=None, help="edge length b  [required]"),
-    click.option("--c", "c", type=LENGTH, default=None, help="edge length c  [required]"),
-    click.option("--alpha", type=float, default=0.0, show_default=True, help="vertex coupling"),
-]
-
-
-def geometry_options(fn):
-    for opt in reversed(_GEOMETRY_OPTIONS):
-        fn = opt(fn)
-    return fn
-
-
-@click.group()
+@click.group(cls=_Group)
 @click.version_option(version=__version__, prog_name="hexband")
 def cli():
     """Band/gap structure of the dilated honeycomb quantum graph."""
 
 
 @cli.command()
-@geometry_options
+@_A
+@_B
+@_C
+@_ALPHA
 @click.option("--kmin", type=float, default=0.01, show_default=True, help="scan window start (k)")
-@click.option("--kmax", type=float, default=None, help="scan window end (k)  [required]")
+@click.option("--kmax", type=float, required=True, help="scan window end (k)")
 @click.option("--samples", type=int, default=4000, show_default=True, help="grid samples")
 @click.option("--edge-tol", type=float, default=1e-9, show_default=True, help="edge bisection width")
 @click.option("--dirichlet-tol", type=float, default=DEFAULT_DIRICHLET_TOL, show_default=True)
 @click.option("--include-negative", is_flag=True, help="also scan E < 0 when alpha < 0")
 @click.option("--kappa-max", type=float, default=5.0, show_default=True, help="negative-branch window")
-@click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json", show_default=True)
-@click.option("--output", type=click.Path(dir_okay=False, writable=True), default=None)
-@click.option("--config", type=click.Path(exists=False), default=None, help="JSON config file")
-@click.pass_context
-def bands(ctx, a, b, c, alpha, kmin, kmax, samples, edge_tol, dirichlet_tol,
-          include_negative, kappa_max, fmt, output, config):
+@_FORMAT
+@_OUTPUT
+@_CONFIG
+def bands(a, b, c, alpha, kmin, kmax, samples, edge_tol, dirichlet_tol,
+          include_negative, kappa_max, fmt, output):
     """Scan a k window and report bands, gaps, flat bands, Dirichlet points."""
-    _apply_config(ctx, config)
-    p = ctx.params
-    _require(p, "kmax")
-    geom = _geometry(p)
-    coupling = VertexCoupling(p["alpha"])
-    if not (0 < p["kmin"] < p["kmax"]):
-        raise click.UsageError(f"need 0 < kmin < kmax, got kmin={p['kmin']}, kmax={p['kmax']}")
-    if p["samples"] < 2:
-        raise click.UsageError("--samples must be >= 2")
-    if p["edge_tol"] <= 0:
-        raise click.UsageError("--edge-tol must be > 0")
-    try:
-        report = scan_spectrum(
-            geom, coupling, p["kmin"], p["kmax"], p["samples"], p["edge_tol"],
-            dirichlet_tol=p["dirichlet_tol"],
-        )
-        if p["include_negative"] and coupling.alpha < 0:
-            negative = negative_spectrum_scan(
-                geom, coupling, p["kappa_max"], p["samples"], p["edge_tol"]
-            )
-        else:
-            negative = None
-    except (DirichletPointError, ArithmeticError) as exc:
-        click.echo(f"numeric failure: {exc}", err=True)
-        sys.exit(EXIT_NUMERIC)
-    if p["fmt"] == "csv":
-        import io
-
+    geom = HexGeometry(a[0], b[0], c[0])
+    coupling = VertexCoupling(alpha)
+    reports = [scan_spectrum(geom, coupling, kmin, kmax, samples, edge_tol,
+                             dirichlet_tol=dirichlet_tol)]
+    if include_negative and coupling.alpha < 0:
+        reports.append(negative_spectrum_scan(geom, coupling, kappa_max, samples, edge_tol))
+    if fmt == "csv":
         buffer = io.StringIO()
-        write_samples_csv(report, buffer)
-        if negative is not None:
-            write_samples_csv(negative, buffer)
-        _write_text(buffer.getvalue(), p["output"])
+        for report in reports:
+            write_samples_csv(report, buffer)
+        _write_text(buffer.getvalue(), output)
     else:
-        text = report_to_json(report)
-        if negative is not None:
-            text += report_to_json(negative)
-        _write_text(text, p["output"])
+        _write_text("".join(report_to_json(report) for report in reports), output)
+
+
+_GAP_FLOATS = ("e_lo", "e_hi", "k_lo", "k_hi", "width_e")
 
 
 @cli.command()
-@geometry_options
+@_A
+@_B
+@_C
+@_ALPHA
 @click.option("--kmin", type=float, default=0.01, show_default=True)
-@click.option("--kmax", type=float, default=None, help="scan window end (k)  [required]")
+@click.option("--kmax", type=float, required=True, help="scan window end (k)")
 @click.option("--samples", type=int, default=4000, show_default=True)
 @click.option("--edge-tol", type=float, default=1e-9, show_default=True)
 @click.option("--centers", type=int, default=0,
               help="annotate gaps with this many predicted centers per family (b = c only)")
-@click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json", show_default=True)
-@click.option("--output", type=click.Path(dir_okay=False, writable=True), default=None)
-@click.option("--config", type=click.Path(exists=False), default=None)
-@click.pass_context
-def gaps(ctx, a, b, c, alpha, kmin, kmax, samples, edge_tol, centers, fmt, output, config):
+@_FORMAT
+@_OUTPUT
+@_CONFIG
+def gaps(a, b, c, alpha, kmin, kmax, samples, edge_tol, centers, fmt, output):
     """Tabulate gaps with per-gap criterion attribution at the midpoint."""
-    _apply_config(ctx, config)
-    p = ctx.params
-    _require(p, "kmax")
-    geom = _geometry(p)
-    coupling = VertexCoupling(p["alpha"])
-    if not (0 < p["kmin"] < p["kmax"]):
-        raise click.UsageError("need 0 < kmin < kmax")
-    try:
-        report = scan_spectrum(
-            geom, coupling, p["kmin"], p["kmax"], p["samples"], p["edge_tol"]
+    geom = HexGeometry(a[0], b[0], c[0])
+    coupling = VertexCoupling(alpha)
+    report = scan_spectrum(geom, coupling, kmin, kmax, samples, edge_tol)
+    rows = []
+    for e_lo, e_hi in report.gaps:
+        k_mid = (math.sqrt(e_lo) + math.sqrt(e_hi)) / 2
+        attribution = []
+        try:
+            if gc1(geom, coupling, k_mid):
+                attribution.append("GC1")
+            if gc2(geom, coupling, k_mid):
+                attribution.append("GC2")
+        except DirichletPointError:
+            attribution.append("midpoint-at-dirichlet")
+        rows.append(
+            {
+                "e_lo": e_lo,
+                "e_hi": e_hi,
+                "k_lo": math.sqrt(e_lo),
+                "k_hi": math.sqrt(e_hi),
+                "width_e": e_hi - e_lo,
+                "attribution": attribution,
+                "predicted_centers": [],
+            }
         )
-        rows = []
-        for e_lo, e_hi in report.gaps:
-            k_mid = (math.sqrt(e_lo) + math.sqrt(e_hi)) / 2
-            attribution = []
-            try:
-                if gc1(geom, coupling, k_mid):
-                    attribution.append("GC1")
-                if gc2(geom, coupling, k_mid):
-                    attribution.append("GC2")
-            except DirichletPointError:
-                attribution.append("midpoint-at-dirichlet")
-            rows.append(
-                {
-                    "e_lo": e_lo,
-                    "e_hi": e_hi,
-                    "k_lo": math.sqrt(e_lo),
-                    "k_hi": math.sqrt(e_hi),
-                    "width_e": e_hi - e_lo,
-                    "attribution": attribution,
-                    "predicted_centers": [],
-                }
-            )
-        if p["centers"] > 0:
-            if not math.isclose(geom.b, geom.c, rel_tol=1e-12):
-                raise click.UsageError("--centers needs b = c geometry")
-            try:
-                predictions = predicted_gap_centers(
-                    p["a"][1], p["b"][1], coupling.alpha, p["centers"]
-                )
-            except ValueError as exc:  # rational a/b or alpha = 0; search failures are numeric
-                raise click.UsageError(f"cannot predict centers: {exc}")
-            for row in rows:
-                for center in predictions:
-                    if row["k_lo"] - 0.5 <= center.k <= row["k_hi"] + 0.5:
-                        row["predicted_centers"].append(
-                            {"k": center.k, "family": center.family,
-                             "p": center.p, "q": center.q}
-                        )
-    except (DirichletPointError, ArithmeticError) as exc:
-        click.echo(f"numeric failure: {exc}", err=True)
-        sys.exit(EXIT_NUMERIC)
-    if p["fmt"] == "csv":
-        lines = ["e_lo,e_hi,k_lo,k_hi,width_e,attribution"]
+    if centers > 0:
+        if not math.isclose(geom.b, geom.c, rel_tol=1e-12):
+            raise click.UsageError("--centers needs b = c geometry")
+        predictions = predicted_gap_centers(a[1], b[1], coupling.alpha, centers)
         for row in rows:
-            lines.append(
-                ",".join(
-                    [
-                        format(row["e_lo"], ".17g"),
-                        format(row["e_hi"], ".17g"),
-                        format(row["k_lo"], ".17g"),
-                        format(row["k_hi"], ".17g"),
-                        format(row["width_e"], ".17g"),
-                        "+".join(row["attribution"]),
-                    ]
-                )
-            )
-        _write_text("\n".join(lines) + "\n", p["output"])
+            for center in predictions:
+                if row["k_lo"] - 0.5 <= center.k <= row["k_hi"] + 0.5:
+                    row["predicted_centers"].append(
+                        {"k": center.k, "family": center.family, "p": center.p, "q": center.q}
+                    )
+    if fmt == "csv":
+        lines = [",".join(_GAP_FLOATS + ("attribution",))]
+        for row in rows:
+            cells = [format_float(row[key]) for key in _GAP_FLOATS]
+            lines.append(",".join(cells + ["+".join(row["attribution"])]))
+        _write_text("\n".join(lines) + "\n", output)
     else:
         payload = {"schema_version": 1, "gaps": rows}
-        _write_text(json_dumps(payload) + "\n", p["output"])
+        _write_text(json_dumps(payload) + "\n", output)
 
 
 @cli.command()
-@click.option("--a", "a", type=LENGTH, default=None)
-@click.option("--b", "b", type=LENGTH, default=None)
-@click.option("--alpha", type=float, default=0.0, show_default=True)
+@_A
+@_B
+@_ALPHA
 @click.option("--depth", type=int, default=30, show_default=True, help="CF depth examined")
 @click.option("--gamma-depth", type=int, default=20, show_default=True)
 @click.option("--centers", type=int, default=3, show_default=True,
               help="predicted gap centers per family (0 disables)")
-@click.option("--output", type=click.Path(dir_okay=False, writable=True), default=None)
-@click.option("--config", type=click.Path(exists=False), default=None)
-@click.pass_context
-def classify(ctx, a, b, alpha, depth, gamma_depth, centers, output, config):
+@_OUTPUT
+@_CONFIG
+def classify(a, b, alpha, depth, gamma_depth, centers, output):
     """Classify the ratio a/b and report the b = c coupling thresholds."""
-    _apply_config(ctx, config)
-    p = ctx.params
-    _require(p, "a", "b")
-    a_val, a_exact = p["a"]
-    b_val, b_exact = p["b"]
-    try:
-        theta = ratio_divide(a_exact, b_exact)
-        ratio_class = classify_ratio(theta, depth=p["depth"])
-        gamma = None
-        if ratio_class.kind is RatioClassKind.BADLY_APPROXIMABLE:
-            gamma = approx_constant(theta, depth=p["gamma_depth"])
-        thresholds = thresholds_bc(a_val, b_val, ratio_class, gamma_estimate=gamma)
-        cf = cf_expand(theta, max_depth=min(p["depth"], 24))
-        table = convergents(cf, theta, min(10, cf.depth + 1))
-        prediction_rows = []
-        if p["centers"] > 0 and ratio_class.kind in (
-            RatioClassKind.BADLY_APPROXIMABLE,
-            RatioClassKind.LAST_ADMISSIBLE,
-        ) and p["alpha"] != 0:
-            for center in predicted_gap_centers(a_exact, b_exact, p["alpha"], p["centers"]):
-                prediction_rows.append(
-                    {"k": center.k, "family": center.family, "p": center.p, "q": center.q}
-                )
-    except (ValueError, ArithmeticError) as exc:
-        click.echo(f"numeric failure: {exc}", err=True)
-        sys.exit(EXIT_NUMERIC)
+    a_val, a_exact = a
+    b_val, b_exact = b
+    coupling = VertexCoupling(alpha)
+    theta = ratio_divide(a_exact, b_exact)
+    ratio_class = classify_ratio(theta, depth=depth)
+    gamma = None
+    if ratio_class.kind is RatioClassKind.BADLY_APPROXIMABLE:
+        gamma = approx_constant(theta, depth=gamma_depth)
+    thresholds = thresholds_bc(a_val, b_val, ratio_class, gamma_estimate=gamma)
+    cf = cf_expand(theta, max_depth=min(depth, 24))
+    table = convergents(cf, theta, min(10, cf.depth + 1))
+    prediction_rows = []
+    if centers > 0 and ratio_class.kind in (
+        RatioClassKind.BADLY_APPROXIMABLE,
+        RatioClassKind.LAST_ADMISSIBLE,
+    ) and coupling.alpha != 0:
+        for center in predicted_gap_centers(a_exact, b_exact, coupling.alpha, centers):
+            prediction_rows.append(
+                {"k": center.k, "family": center.family, "p": center.p, "q": center.q}
+            )
     notes = []
     if ratio_class.kind is RatioClassKind.RATIONAL:
         notes.append("rational ratio: infinitely many gaps for any nonzero coupling")
@@ -373,33 +325,26 @@ def classify(ctx, a, b, alpha, depth, gamma_depth, centers, output, config):
         "notes": notes,
     }
     text = json_dumps(payload) + "\n" + threshold_report_to_json(thresholds)
-    _write_text(text, p["output"])
+    _write_text(text, output)
 
 
 @cli.command()
-@click.option("--a", "a", type=LENGTH, default=None)
-@click.option("--b", "b", type=LENGTH, default=None)
-@click.option("--c", "c", type=LENGTH, default=None)
-@click.option("--alpha", type=float, default=0.0, show_default=True)
+@_A
+@_B
+@_C
+@_ALPHA
 @click.option("--n-max", type=int, default=5, show_default=True)
 @click.option("--tol", type=float, default=DEFAULT_RATIONAL_TOL, show_default=True,
               help="rational reconstruction tolerance for float lengths")
 @click.option("--denominator-cap", type=int, default=DEFAULT_DENOMINATOR_CAP, show_default=True)
-@click.option("--output", type=click.Path(dir_okay=False, writable=True), default=None)
-@click.option("--config", type=click.Path(exists=False), default=None)
-@click.pass_context
-def flatbands(ctx, a, b, c, alpha, n_max, tol, denominator_cap, output, config):
+@_OUTPUT
+@_CONFIG
+def flatbands(a, b, c, alpha, n_max, tol, denominator_cap, output):
     """List flat-band wavenumbers with eigenfunction residuals."""
-    _apply_config(ctx, config)
-    p = ctx.params
-    geom = _geometry(p)
-    coupling = VertexCoupling(p["alpha"])
-    exacts = []
-    for value, witness in (p["a"], p["b"], p["c"]):
-        exacts.append(witness.fraction if isinstance(witness, ExactRatio) else value)
-    witness = commensurability_witness(
-        exacts[0], exacts[1], exacts[2], tol=p["tol"], max_denominator=p["denominator_cap"]
-    )
+    geom = HexGeometry(a[0], b[0], c[0])
+    coupling = VertexCoupling(alpha)
+    exacts = [w.fraction if isinstance(w, ExactRatio) else value for value, w in (a, b, c)]
+    witness = commensurability_witness(*exacts, tol=tol, max_denominator=denominator_cap)
     if witness is None:
         payload = {
             "schema_version": 1,
@@ -407,29 +352,24 @@ def flatbands(ctx, a, b, c, alpha, n_max, tol, denominator_cap, output, config):
             "message": "edge lengths share no rational unit (incommensurate); "
             "the point spectrum is empty",
         }
-        _write_text(json_dumps(payload) + "\n", p["output"])
+        _write_text(json_dumps(payload) + "\n", output)
         return
-    try:
-        ks = flat_band_energies(witness, p["n_max"])
-        rows = [
-            {
-                "k": k,
-                "energy": k * k,
-                "residual": verify_flat_band(geom, k, coupling),
-                "note": "infinite multiplicity",
-            }
-            for k in ks
-        ]
-    except (ValueError, ArithmeticError) as exc:
-        click.echo(f"numeric failure: {exc}", err=True)
-        sys.exit(EXIT_NUMERIC)
+    rows = [
+        {
+            "k": k,
+            "energy": k * k,
+            "residual": verify_flat_band(geom, k, coupling),
+            "note": "infinite multiplicity",
+        }
+        for k in flat_band_energies(witness, n_max)
+    ]
     payload = {
         "schema_version": 1,
         "witness": {"d": float(witness.d), "p": witness.p, "q": witness.q, "r": witness.r,
                     "exact": witness.exact},
         "flat_bands": rows,
     }
-    _write_text(json_dumps(payload) + "\n", p["output"])
+    _write_text(json_dumps(payload) + "\n", output)
 
 
 @cli.command()
@@ -444,22 +384,18 @@ def flatbands(ctx, a, b, c, alpha, n_max, tol, denominator_cap, output, config):
 @click.option("--trigmin-tol", type=float, default=1e-6, show_default=True)
 @click.option("--corrupt-tolerances", is_flag=True, hidden=True,
               help="self-test: force tolerances to zero so the run must fail")
-@click.option("--output", type=click.Path(dir_okay=False, writable=True), default=None)
-@click.option("--config", type=click.Path(exists=False), default=None)
-@click.pass_context
-def verify(ctx, det_samples, envelope_samples, trigmin_samples, grid_n, refine_rounds,
-           seed, det_tol, envelope_tol, trigmin_tol, corrupt_tolerances, output, config):
+@_OUTPUT
+@_CONFIG
+def verify(det_samples, envelope_samples, trigmin_samples, grid_n, refine_rounds,
+           seed, det_tol, envelope_tol, trigmin_tol, corrupt_tolerances, output):
     """Cross-check the closed forms against the brute-force oracles."""
-    _apply_config(ctx, config)
-    p = ctx.params
-    det_tol = 0.0 if p["corrupt_tolerances"] else p["det_tol"]
-    envelope_tol = 0.0 if p["corrupt_tolerances"] else p["envelope_tol"]
-    trigmin_tol = 0.0 if p["corrupt_tolerances"] else p["trigmin_tol"]
-    rng = random.Random(p["seed"])
-    grid = GridSpec(n=p["grid_n"], refine_rounds=p["refine_rounds"])
+    if corrupt_tolerances:
+        det_tol = envelope_tol = trigmin_tol = 0.0
+    rng = random.Random(seed)
+    grid = GridSpec(n=grid_n, refine_rounds=refine_rounds)
 
     max_det_dev = 0.0
-    for _ in range(p["det_samples"]):
+    for _ in range(det_samples):
         geom = HexGeometry(rng.uniform(0.5, 3), rng.uniform(0.5, 3), rng.uniform(0.5, 3))
         coupling = VertexCoupling(rng.uniform(-5, 5))
         k = rng.uniform(0.1, 30)
@@ -471,7 +407,7 @@ def verify(ctx, det_samples, envelope_samples, trigmin_samples, grid_n, refine_r
         max_det_dev = max(max_det_dev, abs(closed - direct) / (1 + abs(closed)))
 
     max_env_dev = 0.0
-    for _ in range(p["envelope_samples"]):
+    for _ in range(envelope_samples):
         while True:
             geom = HexGeometry(rng.uniform(0.5, 3), rng.uniform(0.5, 3), rng.uniform(0.5, 3))
             k = rng.uniform(0.1, 30)
@@ -482,7 +418,7 @@ def verify(ctx, det_samples, envelope_samples, trigmin_samples, grid_n, refine_r
         max_env_dev = max(max_env_dev, abs(lo - env.lower**2), abs(hi - env.upper**2))
 
     max_trigmin_dev = 0.0
-    for _ in range(p["trigmin_samples"]):
+    for _ in range(trigmin_samples):
         mags = [rng.uniform(0.2, 5) for _ in range(3)]
         signs = rng.choice([(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)])
         coefs = [m * s for m, s in zip(mags, signs)]
@@ -504,7 +440,7 @@ def verify(ctx, det_samples, envelope_samples, trigmin_samples, grid_n, refine_r
             for name, dev, tol in checks
         ],
     }
-    _write_text(json_dumps(payload) + "\n", p["output"])
+    _write_text(json_dumps(payload) + "\n", output)
     if not ok:
         sys.exit(EXIT_VERIFY)
 

@@ -684,6 +684,10 @@ def commensurability_witness(
     ratios b/a and c/a; when either ratio admits no rational of denominator
     <= ``max_denominator`` within ``tol``, there is no witness.
     """
+    if not (tol > 0 and max_denominator >= 1):
+        raise ValueError(
+            f"need tol > 0 and max_denominator >= 1, got ({tol!r}, {max_denominator!r})"
+        )
     values = (a, b, c)
     if all(isinstance(v, (int, Fraction)) for v in values):
         fracs = [Fraction(v) for v in values]

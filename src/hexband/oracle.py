@@ -103,6 +103,18 @@ def _grid_extrema(f, n: int, refine_rounds: int, seeds: int = 4):
     return refine("min"), refine("max")
 
 
+def _rhs_extrema(s_a: float, s_b: float, s_c: float, grid: GridSpec) -> tuple[float, float]:
+    """Grid extrema of the right side written in the three edge sines (sin or sinh)."""
+    const = 1 / s_a**2 + 1 / s_b**2 + 1 / s_c**2
+
+    def f(T1, T2):
+        return const + 2 * (
+            np.cos(T1) / (s_a * s_b) + np.cos(T2) / (s_a * s_c) + np.cos(T1 - T2) / (s_b * s_c)
+        )
+
+    return _grid_extrema(f, grid.n, grid.refine_rounds)
+
+
 def rhs_extrema_grid(
     geom: HexGeometry,
     k: float,
@@ -117,15 +129,7 @@ def rhs_extrema_grid(
     triple = sine_triple(geom, k, dirichlet_tol)
     if triple.any_vanish:
         raise DirichletPointError(k, triple.vanishing_edges)
-    sa, sb, sc = triple.values
-    const = 1 / sa**2 + 1 / sb**2 + 1 / sc**2
-
-    def f(T1, T2):
-        return const + 2 * (
-            np.cos(T1) / (sa * sb) + np.cos(T2) / (sa * sc) + np.cos(T1 - T2) / (sb * sc)
-        )
-
-    return _grid_extrema(f, grid.n, grid.refine_rounds)
+    return _rhs_extrema(*triple.values, grid)
 
 
 def band_membership_grid(
@@ -145,15 +149,7 @@ def band_membership_grid(
         d2 = dispersion(geom, coupling, k, dirichlet_tol) ** 2
     elif energy.branch == "negative":
         kappa = energy.param
-        sa, sb, sc = (math.sinh(ell * kappa) for ell in geom.lengths)
-        const = 1 / sa**2 + 1 / sb**2 + 1 / sc**2
-
-        def f(T1, T2):
-            return const + 2 * (
-                np.cos(T1) / (sa * sb) + np.cos(T2) / (sa * sc) + np.cos(T1 - T2) / (sb * sc)
-            )
-
-        lo, hi = _grid_extrema(f, grid.n, grid.refine_rounds)
+        lo, hi = _rhs_extrema(*(math.sinh(ell * kappa) for ell in geom.lengths), grid)
         d2 = dispersion_negative(geom, coupling, kappa) ** 2
     else:
         raise ValueError("membership is defined on the positive/negative branches only")

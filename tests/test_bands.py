@@ -30,6 +30,18 @@ EQUILATERAL = HexGeometry(1, 1, 1)
 KIRCHHOFF = VertexCoupling(0.0)
 
 
+def _positive_scan(lo, hi, n_samples, edge_tol):
+    """Positive scan over [lo, hi]; lo None takes the CLI's default start."""
+    lo = 0.01 if lo is None else lo
+    return scan_spectrum(EQUILATERAL, KIRCHHOFF, lo, hi, n_samples, edge_tol)
+
+
+def _negative_scan(lo, hi, n_samples, edge_tol):
+    """Negative scan over kappa in [lo, hi]; lo None takes hi / n_samples."""
+    return negative_spectrum_scan(EQUILATERAL, VertexCoupling(-6.5), hi, n_samples, edge_tol,
+                                  kappa_lo=lo)
+
+
 class TestTrigPolynomialMin:
     def test_symmetric_unit_case(self):
         assert trig_polynomial_min(1, 1, 1) == pytest.approx(-1.5, abs=1e-14)
@@ -230,11 +242,30 @@ class TestScanSpectrum:
         report = scan_spectrum(EQUILATERAL, KIRCHHOFF, 1.0, 2.0, 200, 1e-6)
         assert report.meta["may_miss_narrow_features"] is False
 
-    def test_window_validation(self):
+    @pytest.mark.parametrize("scan", [_positive_scan, _negative_scan], ids=["positive", "negative"])
+    @pytest.mark.parametrize(
+        "lo, hi, n_samples, edge_tol",
+        [
+            (1.0, 2.0, 0, 1e-9),
+            (1.0, 2.0, 1, 1e-9),
+            (1.0, 2.0, 100, 0.0),
+            (1.0, 2.0, 100, math.nan),
+            (2.0, 1.0, 100, 1e-9),
+            (0.0, 1.0, 100, 1e-9),
+            (None, 0.0, 100, 1e-9),
+            (None, -1.0, 100, 1e-9),
+            (None, -1.0, 0, 1e-9),
+            (None, 2.0, 0, 1e-9),
+            (1.0, math.inf, 100, 1e-9),
+        ],
+        ids=["no-samples", "one-sample", "zero-edge-tol", "nan-edge-tol", "reversed",
+             "zero-start", "zero-end", "negative-end", "negative-end-no-samples",
+             "default-start-no-samples", "infinite-end"],
+    )
+    def test_window_validation(self, scan, lo, hi, n_samples, edge_tol):
+        # a ValueError, never a ZeroDivisionError from the default window start
         with pytest.raises(ValueError):
-            scan_spectrum(EQUILATERAL, KIRCHHOFF, 2.0, 1.0, 100, 1e-9)
-        with pytest.raises(ValueError):
-            scan_spectrum(EQUILATERAL, KIRCHHOFF, 0.0, 1.0, 100, 1e-9)
+            scan(lo, hi, n_samples, edge_tol)
 
     def test_edge_tol_below_double_spacing_terminates(self):
         # doubles near k = 250 are ~6e-14 apart, wider than edge_tol

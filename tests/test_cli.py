@@ -139,6 +139,23 @@ class TestBandsCommand:
         )
         assert report_from_json(overridden.output).window[1] == pytest.approx(16.0)
 
+    def test_config_supplies_required_options(self, runner, tmp_path):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"a": "1", "b": 1, "c": "1", "alpha": -6.5, "kmax": 6.0,
+                                      "samples": 400, "include-negative": True}))
+        base = runner.invoke(cli, ["bands", "--config", str(config)])
+        assert base.exit_code == 0
+        branches = [report_from_json(line).branch for line in base.output.strip().splitlines()]
+        assert branches == ["positive", "negative"]
+        overridden = runner.invoke(cli, ["bands", "--config", str(config), "--c", "2"])
+        explicit = runner.invoke(
+            cli,
+            ["bands", "--a", "1", "--b", "1", "--c", "2", "--alpha", "-6.5", "--kmax", "6.0",
+             "--samples", "400", "--include-negative"],
+        )
+        assert overridden.exit_code == explicit.exit_code == 0
+        assert overridden.output == explicit.output != base.output
+
     def test_unknown_config_key_exits_2(self, runner, tmp_path):
         config = tmp_path / "bad.json"
         config.write_text(json.dumps({"no-such-flag": 1}))
@@ -258,6 +275,7 @@ class TestClassifyCommand:
         # within the resolved depth, so the centre search gives up cleanly
         result = runner.invoke(cli, args + ["--alpha", "6", "--centers", "5"])
         assert result.exit_code == 3
+        assert isinstance(result.exception, SystemExit)  # no traceback
         assert result.stderr.startswith("numeric failure:")
         assert "sign-matching convergents" in result.stderr
 
@@ -312,3 +330,31 @@ class TestVerifyCommand:
              "--trigmin-samples", "2", "--corrupt-tolerances"],
         )
         assert result.exit_code == 4
+
+
+EQUILATERAL = ["--a", "1", "--b", "1", "--c", "1"]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["gaps", *EQUILATERAL, "--kmax", "5", "--samples", "1"],
+        ["gaps", *EQUILATERAL, "--kmax", "5", "--edge-tol", "0"],
+        ["bands", *EQUILATERAL, "--kmax", "5", "--dirichlet-tol", "0"],
+        ["bands", *EQUILATERAL, "--kmax", "5", "--alpha", "-3", "--include-negative",
+         "--kappa-max", "-1"],
+        ["classify", "--a", "sqrt(2)", "--b", "1", "--alpha", "nan"],
+        ["verify", "--grid-n", "4"],
+        ["flatbands", "--a", "1", "--b", "2", "--c", "3", "--n-max", "0"],
+        ["flatbands", "--a", "1.25", "--b", "1", "--c", "1", "--tol", "-1"],
+        ["flatbands", "--a", "1.25", "--b", "1", "--c", "1", "--denominator-cap", "0"],
+    ],
+    ids=["gaps-samples", "gaps-edge-tol", "bands-dirichlet-tol", "bands-kappa-max",
+         "classify-alpha", "verify-grid-n", "flatbands-n-max", "flatbands-tol",
+         "flatbands-denominator-cap"],
+)
+def test_value_only_the_library_checks_is_usage_error(runner, args):
+    result = runner.invoke(cli, args)
+    assert result.exit_code == 2
+    assert "Error:" in result.stderr
+    assert isinstance(result.exception, SystemExit)  # no traceback

@@ -34,6 +34,9 @@ GOLDEN = [
                  id="bands-negative-csv"),
     pytest.param(GAPS, "d82ba1f63759ad73b52ec8878ef13196131d4e9383c6b193e37ce431e64b42c6",
                  id="gaps-json"),
+    pytest.param(GAPS + ["--format", "csv"],
+                 "180424ea6cd1b19498941b6140f55ac2592f302b5f0075486d4fbf1ccce6563d",
+                 id="gaps-csv"),
     pytest.param(GAPS_CENTERS, "c5bbea9fa489da3bf2a982c6a3188c27d13aaa3a27b4c6d0646c58f7335d483b",
                  id="gaps-centers-json"),
 ]
