@@ -265,9 +265,7 @@ def gaps(a, b, c, alpha, kmin, kmax, samples, edge_tol, centers, fmt, output):
         for row in rows:
             for center in predictions:
                 if row["k_lo"] - 0.5 <= center.k <= row["k_hi"] + 0.5:
-                    row["predicted_centers"].append(
-                        {"k": center.k, "family": center.family, "p": center.p, "q": center.q}
-                    )
+                    row["predicted_centers"].append(center)
     if fmt == "csv":
         lines = [",".join(_GAP_FLOATS + ("attribution",))]
         for row in rows:
@@ -302,26 +300,23 @@ def classify(a, b, alpha, depth, gamma_depth, centers, output):
     thresholds = thresholds_bc(a_val, b_val, ratio_class, gamma_estimate=gamma)
     cf = cf_expand(theta, max_depth=min(depth, 24))
     table = convergents(cf, theta, min(10, cf.depth + 1))
-    prediction_rows = []
+    predictions = []
     if centers > 0 and ratio_class.kind in (
         RatioClassKind.BADLY_APPROXIMABLE,
         RatioClassKind.LAST_ADMISSIBLE,
     ) and coupling.alpha != 0:
-        for center in predicted_gap_centers(a_exact, b_exact, coupling.alpha, centers):
-            prediction_rows.append(
-                {"k": center.k, "family": center.family, "p": center.p, "q": center.q}
-            )
+        predictions = predicted_gap_centers(a_exact, b_exact, coupling.alpha, centers)
     notes = []
     if ratio_class.kind is RatioClassKind.RATIONAL:
         notes.append("rational ratio: infinitely many gaps for any nonzero coupling")
     payload = {
         "schema_version": 1,
         "theta": {"value": a_val / b_val},
-        "classification": ratio_class.to_dict(),
+        "classification": ratio_class,
         "gamma_estimate": gamma,
-        "continued_fraction": cf.to_dict(),
-        "convergents": [conv.to_dict() for conv in table],
-        "predicted_gap_centers": prediction_rows,
+        "continued_fraction": cf,
+        "convergents": table,
+        "predicted_gap_centers": predictions,
         "notes": notes,
     }
     text = json_dumps(payload) + "\n" + threshold_report_to_json(thresholds)
@@ -382,15 +377,11 @@ def flatbands(a, b, c, alpha, n_max, tol, denominator_cap, output):
 @click.option("--det-tol", type=float, default=1e-9, show_default=True)
 @click.option("--envelope-tol", type=float, default=1e-3, show_default=True)
 @click.option("--trigmin-tol", type=float, default=1e-6, show_default=True)
-@click.option("--corrupt-tolerances", is_flag=True, hidden=True,
-              help="self-test: force tolerances to zero so the run must fail")
 @_OUTPUT
 @_CONFIG
 def verify(det_samples, envelope_samples, trigmin_samples, grid_n, refine_rounds,
-           seed, det_tol, envelope_tol, trigmin_tol, corrupt_tolerances, output):
+           seed, det_tol, envelope_tol, trigmin_tol, output):
     """Cross-check the closed forms against the brute-force oracles."""
-    if corrupt_tolerances:
-        det_tol = envelope_tol = trigmin_tol = 0.0
     rng = random.Random(seed)
     grid = GridSpec(n=grid_n, refine_rounds=refine_rounds)
 

@@ -18,7 +18,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Sequence
+from itertools import islice
+from typing import Callable, Iterator, Sequence
 
 __all__ = [
     "ExactRatio",
@@ -51,6 +52,9 @@ _SURD_DIGITS = 40
 # A convergent's quality q^2|theta - p/q| carries an error of up to
 # q^2 * 10**-_SURD_DIGITS; below this denominator that error stays under 1e-4.
 _RESOLVED_Q = 10 ** ((_SURD_DIGITS - 4) // 2)
+# q_n >= F_{n+1} (Fibonacci) and F_88 > _RESOLVED_Q, so convergent 87 is past
+# it: 86 partial quotients reach every convergent with q < _RESOLVED_Q.
+_RESOLVED_DEPTH = 86
 
 
 class RationalRatioError(ValueError):
@@ -110,17 +114,12 @@ class QuadraticSurd:
         # sqrt coefficient stays +1.
         return _normalize_surd(-self.P * self.Q, self.Q, self.D, self.D - self.P * self.P)
 
-    def sqrt_d_bounds(self, digits: int = _SURD_DIGITS) -> tuple[Fraction, Fraction]:
-        """Rational lower/upper bounds on sqrt(D) accurate to ``digits``."""
-        scale = 10**digits
+    def midpoint(self) -> Fraction:
+        """The value with sqrt(D) replaced by the midpoint of its
+        ``_SURD_DIGITS``-digit bracket: within 10**-_SURD_DIGITS/|Q| of it."""
+        scale = 10**_SURD_DIGITS
         root = math.isqrt(self.D * scale * scale)
-        return Fraction(root, scale), Fraction(root + 1, scale)
-
-    def fraction_bounds(self, digits: int = _SURD_DIGITS) -> tuple[Fraction, Fraction]:
-        lo, hi = self.sqrt_d_bounds(digits)
-        if self.Q > 0:
-            return (self.P + lo) / self.Q, (self.P + hi) / self.Q
-        return (self.P + hi) / self.Q, (self.P + lo) / self.Q
+        return (self.P + Fraction(2 * root + 1, 2 * scale)) / self.Q
 
     def compare_fraction(self, other: Fraction) -> int:
         """Exact sign of (self - other)."""
@@ -208,15 +207,6 @@ class ContinuedFraction:
     def depth(self) -> int:
         return len(self.partials)
 
-    def to_dict(self) -> dict:
-        return {
-            "a0": self.a0,
-            "partials": list(self.partials),
-            "period": list(self.period) if self.period else None,
-            "exact": self.exact,
-            "precision_exhausted": self.precision_exhausted,
-        }
-
 
 @dataclass(frozen=True)
 class Convergent:
@@ -231,14 +221,6 @@ class Convergent:
     q: int
     approach_sign: int
     quality: float
-
-    def to_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "q": self.q,
-            "approach_sign": self.approach_sign,
-            "quality": self.quality,
-        }
 
 
 class RatioClassKind(Enum):
@@ -257,15 +239,6 @@ class RatioClass:
     gamma_lower: float | None = None
     rational_pq: tuple[int, int] | None = None
     note: str = ""
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind.value,
-            "certified": self.certified,
-            "gamma_lower": self.gamma_lower,
-            "rational_pq": list(self.rational_pq) if self.rational_pq else None,
-            "note": self.note,
-        }
 
 
 @dataclass(frozen=True)
@@ -452,61 +425,45 @@ def _cf_expand_float(x: float, max_depth: int) -> ContinuedFraction:
     )
 
 
-def _exact_diff(ratio: RatioInput, frac: Fraction) -> tuple[int, Fraction]:
-    """(sign, |theta - frac|) with extended precision for exact inputs."""
-    if isinstance(ratio, ExactRatio):
-        diff = ratio.fraction - frac
-        return _sign(diff), abs(diff)
-    if isinstance(ratio, QuadraticSurd):
-        sign = ratio.compare_fraction(frac)
-        lo, hi = ratio.fraction_bounds()
-        mid = (lo + hi) / 2
-        return sign, abs(mid - frac)
-    if isinstance(ratio, ExplicitCF):
-        deep = _cf_value_fraction(ratio.a0, [ratio.partial(j) for j in range(1, 61)])
-        diff = deep - frac
-        return _sign(diff), abs(diff)
-    assert isinstance(ratio, NumericRatio)
-    diff = Fraction(ratio.x) - frac
-    return _sign(diff), abs(diff)
+def _walk(cf: ContinuedFraction, ratio: RatioInput) -> Iterator[Convergent]:
+    """The convergents of ``cf`` in order, lazily, by the three-term recurrence.
+
+    Consecutive convergents satisfy p_n q_{n-1} - p_{n-1} q_n = +-1 exactly.
+    Qualities are measured against one reference value of theta: exact for
+    rational and floating-point inputs, the 40-digit midpoint for surds and
+    the depth-60 truncation for explicit quotient sequences.  Approach signs
+    are exact for surds (:meth:`QuadraticSurd.compare_fraction`) and taken
+    against the reference otherwise.
+    """
+    surd = isinstance(ratio, QuadraticSurd)
+    if surd:
+        theta = ratio.midpoint()
+    elif isinstance(ratio, ExactRatio):
+        theta = ratio.fraction
+    elif isinstance(ratio, ExplicitCF):
+        theta = _cf_value_fraction(ratio.a0, [ratio.partial(j) for j in range(1, 61)])
+    else:
+        theta = Fraction(ratio.x)
+
+    def convergent(p: int, q: int) -> Convergent:
+        frac = Fraction(p, q)
+        sign = ratio.compare_fraction(frac) if surd else _sign(theta - frac)
+        return Convergent(p, q, sign, float(q * q * abs(theta - frac)))
+
+    p_prev, p, q_prev, q = 1, cf.a0, 0, 1
+    yield convergent(p, q)
+    for a in cf.partials:
+        p_prev, p = p, a * p + p_prev
+        q_prev, q = q, a * q + q_prev
+        yield convergent(p, q)
 
 
 def convergents(cf: ContinuedFraction, ratio: RatioInput, n: int) -> list[Convergent]:
-    """First ``n`` convergents p/q by the standard three-term recurrence.
-
-    Consecutive convergents satisfy p_n q_{n-1} - p_{n-1} q_n = +-1 exactly;
-    approach signs are evaluated exactly for exact inputs and numerically
-    otherwise.
-    """
+    """The first ``n`` convergents p/q of ``cf``, with approach sides and qualities."""
     available = cf.depth + 1
     if n > available:
         raise ValueError(f"depth exhausted: {n} convergents requested, {available} available")
-    result: list[Convergent] = []
-    p_prev, p_cur = 1, cf.a0
-    q_prev, q_cur = 0, 1
-    for index in range(n):
-        if index > 0:
-            a = cf.partials[index - 1]
-            p_prev, p_cur = p_cur, a * p_cur + p_prev
-            q_prev, q_cur = q_cur, a * q_cur + q_prev
-        frac = Fraction(p_cur, q_cur)
-        sign, diff = _exact_diff(ratio, frac)
-        quality = float(q_cur * q_cur * diff)
-        result.append(Convergent(p_cur, q_cur, sign, quality))
-    return result
-
-
-def _tail_min_quality(qualities: Sequence[float]) -> float:
-    """Asymptotic estimate of liminf q^2|theta - p/q| over convergents.
-
-    The earliest convergents of a quadratic irrational can undershoot the
-    limiting constant (the golden ratio's 2/1 has quality 1/phi^2 < 1/sqrt5),
-    so the estimate discards the first half of the examined sequence.
-    """
-    tail = qualities[len(qualities) // 2 :]
-    if not tail:
-        raise ValueError("no convergents available")
-    return min(tail)
+    return list(islice(_walk(cf, ratio), n))
 
 
 def classify_ratio(ratio: RatioInput, depth: int = 30) -> RatioClass:
@@ -525,13 +482,10 @@ def classify_ratio(ratio: RatioInput, depth: int = 30) -> RatioClass:
             note="terminating continued fraction",
         )
     if isinstance(ratio, QuadraticSurd):
-        cf = cf_expand(ratio, depth)
-        convs = convergents(cf, ratio, depth)
-        gamma = _tail_min_quality([c.quality for c in convs])
         return RatioClass(
             RatioClassKind.BADLY_APPROXIMABLE,
             certified=True,
-            gamma_lower=gamma,
+            gamma_lower=approx_constant(ratio, depth),
             note=(
                 "periodic continued fraction: partial quotients bounded; "
                 "gamma_lower is a convergent-restricted asymptotic estimate"
@@ -568,15 +522,15 @@ def approx_constant(ratio: RatioInput, depth: int = 20) -> float:
     """Estimate gamma = liminf q^2 |theta - p/q| over the convergents.
 
     Restricted to convergents (best approximations carry the liminf) and
-    evaluated on the tail of the examined range to discard the pre-asymptotic
-    start; rational inputs are rejected.
+    evaluated on the second half of the first ``depth`` of them: the earliest
+    convergents of a quadratic irrational can undershoot the limiting
+    constant (the golden ratio's 2/1 has quality 1/phi^2 < 1/sqrt5).
+    Rational inputs are rejected.
     """
     if isinstance(ratio, ExactRatio):
         raise RationalRatioError("approximation constant is undefined for rational ratios")
-    cf = cf_expand(ratio, depth)
-    n = min(depth, cf.depth + 1)
-    convs = convergents(cf, ratio, n)
-    return _tail_min_quality([c.quality for c in convs])
+    qualities = [c.quality for c in islice(_walk(cf_expand(ratio, depth), ratio), depth)]
+    return min(qualities[len(qualities) // 2 :])
 
 
 def predicted_gap_centers(
@@ -591,10 +545,11 @@ def predicted_gap_centers(
     give centers k = q*pi/b; convergents of 1/theta likewise give k = q*pi/a.
     Convergents whose quality reaches 1/2 are skipped: there p is not the
     nearest integer to theta*q and the sign of cot(a*k) at the center is no
-    longer tied to the approach side.  Rational ratios are rejected (their
-    gap centers are the exact commensurability points instead); running out
-    of resolvable convergents before ``count`` are found is an
-    ``ArithmeticError``.
+    longer tied to the approach side.  Only convergents with q < 1e18 are
+    examined: below that the 40-digit surd arithmetic resolves the quality.
+    Rational ratios are rejected (their gap centers are the exact
+    commensurability points instead); running out of resolvable convergents
+    before ``count`` are found is an ``ArithmeticError``.
     """
     if alpha == 0:
         raise ValueError("alpha must be nonzero to select an approach side")
@@ -608,30 +563,19 @@ def predicted_gap_centers(
         )
     want = _sign(alpha)
     centers: list[GapCenter] = []
-    for family, ratio_obj, scale in (
-        ("b", theta, b.value()),
-        ("a", theta.invert() if not isinstance(theta, NumericRatio) else NumericRatio(1 / theta.x),
-         a.value()),
-    ):
-        picked = 0
-        depth = 2 * count + 12
-        while True:
-            cf = cf_expand(ratio_obj, depth)
-            convs = convergents(cf, ratio_obj, min(depth, cf.depth + 1))
-            picked_list = [
-                c for c in convs if c.approach_sign == want and c.quality < 0.5
-            ][:count]
-            picked = len(picked_list)
+    for family, ratio, scale in (("b", theta, b.value()), ("a", theta.invert(), a.value())):
+        picked: list[Convergent] = []
+        for conv in _walk(cf_expand(ratio, _RESOLVED_DEPTH), ratio):
             # deeper convergents would outrun the precision of their qualities
-            if picked >= count or convs[-1].q >= _RESOLVED_Q or cf.depth + 1 < depth:
+            if len(picked) == count or conv.q >= _RESOLVED_Q:
                 break
-            depth *= 2
-        if picked < count:
+            if conv.approach_sign == want and conv.quality < 0.5:
+                picked.append(conv)
+        if len(picked) < count:
             raise ArithmeticError(
                 f"could not find {count} sign-matching convergents (family {family})"
             )
-        for conv in picked_list:
-            centers.append(GapCenter(conv.q * math.pi / scale, family, conv.p, conv.q))
+        centers.extend(GapCenter(c.q * math.pi / scale, family, c.p, c.q) for c in picked)
     return centers
 
 

@@ -19,7 +19,7 @@ from .core import (
     HexGeometry,
     MMatrix,
     VertexCoupling,
-    dispersion,
+    cos_reduced,
     dispersion_negative,
     sine_triple,
 )
@@ -145,8 +145,12 @@ def band_membership_grid(
         triple = sine_triple(geom, k, dirichlet_tol)
         if triple.any_vanish:
             return BandDecision.dirichlet(triple.vanishing_edges)
-        lo, hi = rhs_extrema_grid(geom, k, grid, dirichlet_tol)
-        d2 = dispersion(geom, coupling, k, dirichlet_tol) ** 2
+        lo, hi = _rhs_extrema(*triple.values, grid)
+        # the dispersion as written, on the sines already checked above
+        d = coupling.alpha / k
+        for ell, s in zip(geom.lengths, triple.values):
+            d += cos_reduced(ell * k) / s
+        d2 = d**2
     elif energy.branch == "negative":
         kappa = energy.param
         lo, hi = _rhs_extrema(*(math.sinh(ell * kappa) for ell in geom.lengths), grid)

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
+from enum import Enum
 from typing import Any, TextIO
 
 __all__ = [
@@ -97,7 +98,8 @@ def format_float(x: float) -> str:
 def json_dumps(obj: Any) -> str:
     """Serialize nested dict/list structures with fixed float formatting.
 
-    Dict insertion order is preserved; floats go through
+    Dict insertion order is preserved, a dataclass becomes an object of its
+    fields in declaration order and an enum its value; floats go through
     :func:`format_float` so identical inputs give byte-identical output.
     """
     parts: list[str] = []
@@ -134,6 +136,10 @@ def _emit(obj: Any, parts: list[str]) -> None:
                 parts.append(",")
             _emit(value, parts)
         parts.append("]")
+    elif isinstance(obj, Enum):
+        _emit(obj.value, parts)
+    elif is_dataclass(obj):
+        _emit({f.name: getattr(obj, f.name) for f in fields(obj)}, parts)
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
@@ -145,9 +151,7 @@ def report_to_dict(report: SpectrumReport) -> dict[str, Any]:
         "window": {"e_lo": report.window[0], "e_hi": report.window[1]},
         "bands": [{"e_lo": lo, "e_hi": hi} for lo, hi in report.bands],
         "gaps": [{"e_lo": lo, "e_hi": hi} for lo, hi in report.gaps],
-        "flat_bands": [
-            {"k": fb.k, "energy": fb.energy, "note": fb.note} for fb in report.flat_bands
-        ],
+        "flat_bands": report.flat_bands,
         "dirichlet_points": list(report.dirichlet_points),
         "meta": report.meta,
     }

@@ -264,16 +264,18 @@ class TestClassifyCommand:
     @pytest.mark.parametrize(
         "args",
         [
-            ["classify", "--a", "sqrt(3)", "--b", "1"],
-            ["classify", "--a", "(1+sqrt(7))/3", "--b", "1"],
+            ["classify", "--a", "sqrt(3)", "--b", "1", "--centers", "5"],
+            ["classify", "--a", "(1+sqrt(7))/3", "--b", "1", "--centers", "5"],
             ["gaps", "--a", "sqrt(3)", "--b", "1", "--c", "1", "--kmax", "20",
-             "--samples", "1000"],
+             "--samples", "1000", "--centers", "5"],
+            # one centre from family b, none from family a below q = 1e18
+            ["classify", "--a", "(1+sqrt(7))/3", "--b", "1", "--centers", "1"],
         ],
     )
     def test_no_sign_matching_convergents_is_numeric_failure(self, runner, args):
-        # neither ratio has a positive-side convergent of quality below 1/2
-        # within the resolved depth, so the centre search gives up cleanly
-        result = runner.invoke(cli, args + ["--alpha", "6", "--centers", "5"])
+        # neither ratio has enough positive-side convergents of quality below
+        # 1/2 within the resolved depth, so the centre search gives up cleanly
+        result = runner.invoke(cli, args + ["--alpha", "6"])
         assert result.exit_code == 3
         assert isinstance(result.exception, SystemExit)  # no traceback
         assert result.stderr.startswith("numeric failure:")
@@ -327,7 +329,8 @@ class TestVerifyCommand:
         result = runner.invoke(
             cli,
             ["verify", "--det-samples", "20", "--envelope-samples", "2",
-             "--trigmin-samples", "2", "--corrupt-tolerances"],
+             "--trigmin-samples", "2", "--det-tol", "0", "--envelope-tol", "0",
+             "--trigmin-tol", "0"],
         )
         assert result.exit_code == 4
 

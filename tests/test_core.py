@@ -28,7 +28,7 @@ from hexband import (
     solve_cell_wavefunction,
 )
 from hexband.core import reduce_mod_two_pi
-from hexband.oracle import det_numeric
+from hexband.oracle import GridSpec, band_membership_grid, det_numeric
 
 EQUILATERAL = HexGeometry(1, 1, 1)
 KIRCHHOFF = VertexCoupling(0.0)
@@ -178,6 +178,7 @@ class TestKernelCalls:
         import hexband.bands
         import hexband.core
         import hexband.gaps
+        import hexband.oracle
 
         count = [0]
         original = hexband.core.sine_triple
@@ -186,7 +187,7 @@ class TestKernelCalls:
             count[0] += 1
             return original(*args, **kwargs)
 
-        for module in (hexband.core, hexband.bands, hexband.gaps):
+        for module in (hexband.core, hexband.bands, hexband.gaps, hexband.oracle):
             if hasattr(module, "sine_triple"):
                 monkeypatch.setattr(module, "sine_triple", counting)
         return count
@@ -202,8 +203,10 @@ class TestKernelCalls:
             lambda g, c: gc2(g, c, 3.3),
             lambda g, c: dispersion(g, c, 3.3),
             lambda g, c: rhs_envelope(g, 3.3),
+            lambda g, c: band_membership_grid(g, c, EnergyPoint.positive(3.3), GridSpec(64, 0)),
         ],
-        ids=["band_membership", "gc1", "gc2", "dispersion", "rhs_envelope"],
+        ids=["band_membership", "gc1", "gc2", "dispersion", "rhs_envelope",
+             "band_membership_grid"],
     )
     def test_point_entry_points(self, calls, call):
         call(self.GEOM, self.COUPLING)

@@ -1,8 +1,9 @@
 """Byte-identity of CLI output for the README example configurations.
 
 The digests pin the exact bytes the reports had before the membership code
-was folded into one kernel per branch; a refactor of the per-point
-arithmetic must not move a single digit.
+was folded into one kernel per branch, and before the number theory moved
+onto one convergent walk per ratio; a refactor of the per-point arithmetic
+or of the convergent search must not move a single digit.
 """
 
 import hashlib
@@ -20,6 +21,11 @@ GAPS = ["gaps", "--a", "2", "--b", "1", "--c", "1", "--alpha", "4",
 # the README's classify geometry, since --centers needs an irrational a/b
 GAPS_CENTERS = ["gaps", "--a", "(1+sqrt(5))/2", "--b", "1", "--c", "1", "--alpha", "6",
                 "--kmax", "40", "--centers", "3"]
+CLASSIFY = ["classify", "--a", "(1+sqrt(5))/2", "--b", "1", "--alpha", "6"]
+CLASSIFY_SQRT2 = ["classify", "--a", "sqrt(2)", "--b", "1", "--alpha", "-6", "--centers", "5"]
+# a decimal ratio: the centres come from the floating-point expansion
+GAPS_NUMERIC_CENTERS = ["gaps", "--a", "1.6180339887", "--b", "1", "--c", "1", "--alpha", "20",
+                        "--kmax", "60", "--samples", "1500", "--centers", "3"]
 
 GOLDEN = [
     pytest.param(BANDS, "069d807bb0fb232c0cb3a4caacdca22f8fa6e50d07e14f54cd4ad09e7e8eb218",
@@ -39,6 +45,13 @@ GOLDEN = [
                  id="gaps-csv"),
     pytest.param(GAPS_CENTERS, "c5bbea9fa489da3bf2a982c6a3188c27d13aaa3a27b4c6d0646c58f7335d483b",
                  id="gaps-centers-json"),
+    pytest.param(CLASSIFY, "814ba1f29e6784263553d0ee7f54ac6f03569d75bbdb8e387c3ea8e4d3c81066",
+                 id="classify-json"),
+    pytest.param(CLASSIFY_SQRT2, "e71b162ea991d8d27d8132275826519053fd15ffff17c8e133ac6b2fc281022b",
+                 id="classify-sqrt2-centers-json"),
+    pytest.param(GAPS_NUMERIC_CENTERS,
+                 "9654471338b24a9f9b6a1f106c08a080dd2921de48f77cad03fe7f78445180a0",
+                 id="gaps-numeric-centers-json"),
 ]
 
 

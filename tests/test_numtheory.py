@@ -272,6 +272,30 @@ class TestPredictedGapCenters:
         with pytest.raises(ValueError):
             predicted_gap_centers(GOLDEN, ExactRatio(1, 1), 0.0, 2)
 
+    @pytest.mark.parametrize("alpha", [6.0, -6.0])
+    @pytest.mark.parametrize(
+        "theta",
+        [GOLDEN, SQRT2, SQRT3, QuadraticSurd(1, 3, 7), QuadraticSurd(3, 4, 7)],
+        ids=["golden", "sqrt2", "sqrt3", "1+sqrt7_3", "3+sqrt7_4"],
+    )
+    def test_centers_approach_from_the_coupling_side(self, theta, alpha):
+        # every centre's convergent approaches its family's ratio from side
+        # sign(alpha) with quality below 1/2, checked at 60 digits; a search
+        # that runs out of resolvable convergents fails instead
+        with mp.workdps(60):
+            value = (theta.P + mp.sqrt(theta.D)) / theta.Q
+            family_ratio = {"b": value, "a": 1 / value}
+            for count in range(1, 9):
+                try:
+                    centers = predicted_gap_centers(theta, ExactRatio(1, 1), alpha, count)
+                except ArithmeticError:
+                    continue
+                assert len(centers) == 2 * count
+                for c in centers:
+                    diff = family_ratio[c.family] - mp.mpf(c.p) / c.q
+                    assert mp.sign(diff) == math.copysign(1, alpha), (count, c)
+                    assert c.q**2 * abs(diff) < 0.5, (count, c)
+
     def test_centers_are_sound_for_strong_coupling(self):
         # cross-module: GC1 opens on the right of each of the first three
         # stretched-family centers once the coupling beats the guarantee
