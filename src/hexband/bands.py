@@ -95,9 +95,6 @@ class RhsEnvelope:
         if not (0 <= self.lower <= self.upper):
             raise ValueError(f"need 0 <= lower <= upper, got {self.lower}, {self.upper}")
 
-    def contains(self, abs_dispersion: float) -> bool:
-        return self.lower <= abs_dispersion <= self.upper
-
 
 def trig_polynomial_min(a_coef: float, b_coef: float, c_coef: float) -> float:
     """Closed-form minimum of A cos(t1 - t2) + B cos(t2) + C cos(t1).
@@ -117,11 +114,9 @@ def trig_polynomial_min(a_coef: float, b_coef: float, c_coef: float) -> float:
     return -(abs(A) + abs(B) + abs(C)) + 2 * min(abs(A), abs(B), abs(C))
 
 
-def rhs_envelope(
-    geom: HexGeometry, k: float, dirichlet_tol: float = DEFAULT_DIRICHLET_TOL
-) -> RhsEnvelope:
+def rhs_envelope(geom: HexGeometry, k: float) -> RhsEnvelope:
     """Positive-branch envelope of sqrt(R) at wavenumber k."""
-    _, lower, upper = positive_terms(geom, 0.0, k, dirichlet_tol)
+    _, lower, upper = positive_terms(geom, 0.0, k, DEFAULT_DIRICHLET_TOL)
     return RhsEnvelope(max(0.0, lower), upper)
 
 
@@ -145,10 +140,7 @@ def rhs_envelope_negative(geom: HexGeometry, kappa: float) -> RhsEnvelope:
 
 
 def band_membership(
-    geom: HexGeometry,
-    coupling: VertexCoupling,
-    energy: EnergyPoint,
-    dirichlet_tol: float = DEFAULT_DIRICHLET_TOL,
+    geom: HexGeometry, coupling: VertexCoupling, energy: EnergyPoint
 ) -> BandDecision:
     """Decide whether an energy lies in the spectrum (closed comparisons).
 
@@ -158,7 +150,7 @@ def band_membership(
     """
     if energy.branch == "positive":
         try:
-            row = _positive_row(geom, coupling.alpha, energy.param, dirichlet_tol)
+            row = _positive_row(geom, coupling.alpha, energy.param, DEFAULT_DIRICHLET_TOL)
         except DirichletPointError as exc:
             return BandDecision.dirichlet(exc.edges)
     elif energy.branch == "negative":
@@ -532,7 +524,6 @@ def solve_cell_wavefunction(
     phase: FloquetPhase,
     c2: tuple[complex, complex],
     c3: tuple[complex, complex],
-    dirichlet_tol: float = DEFAULT_DIRICHLET_TOL,
 ) -> CellWavefunction:
     """Reconstruct all twelve amplitudes from a null vector of the cell matrix.
 
@@ -543,7 +534,7 @@ def solve_cell_wavefunction(
     Bloch condition of the cell.
     """
     a, b, c = geom.lengths
-    checked_sines(k, ("a",), (a,), dirichlet_tol)
+    checked_sines(k, ("a",), (a,))
     t1, t2 = phase.theta1, phase.theta2
     c2p, c2m = c2
     c3p, c3m = c3

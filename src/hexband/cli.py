@@ -13,6 +13,11 @@ option defaults; its keys are the parameter names (``fmt`` for
 (any invalid flag or config value, including values only the library
 checks), 3 numeric failure, 4 verification failure.  Library errors map to
 these codes in one place, :class:`_Command`.
+
+Only settings a run needs to choose are flags.  The continued-fraction
+depths of ``classify``, the rational reconstruction of ``flatbands`` and
+the pass tolerances of ``verify`` are constants; the Dirichlet tolerance is
+a flag of ``bands`` only.
 """
 
 from __future__ import annotations
@@ -46,8 +51,6 @@ from .core import (
 )
 from .gaps import gc1, gc2, thresholds_bc, threshold_report_to_json
 from .numtheory import (
-    DEFAULT_DENOMINATOR_CAP,
-    DEFAULT_RATIONAL_TOL,
     ExactRatio,
     NumericRatio,
     QuadraticSurd,
@@ -226,7 +229,7 @@ _GAP_FLOATS = ("e_lo", "e_hi", "k_lo", "k_hi", "width_e")
 @click.option("--kmax", type=float, required=True, help="scan window end (k)")
 @click.option("--samples", type=int, default=4000, show_default=True)
 @click.option("--edge-tol", type=float, default=1e-9, show_default=True)
-@click.option("--centers", type=int, default=0,
+@click.option("--centers", type=click.IntRange(min=0), default=0,
               help="annotate gaps with this many predicted centers per family (b = c only)")
 @_FORMAT
 @_OUTPUT
@@ -281,24 +284,26 @@ def gaps(a, b, c, alpha, kmin, kmax, samples, edge_tol, centers, fmt, output):
 @_A
 @_B
 @_ALPHA
-@click.option("--depth", type=int, default=30, show_default=True, help="CF depth examined")
-@click.option("--gamma-depth", type=int, default=20, show_default=True)
-@click.option("--centers", type=int, default=3, show_default=True,
+@click.option("--centers", type=click.IntRange(min=0), default=3, show_default=True,
               help="predicted gap centers per family (0 disables)")
 @_OUTPUT
 @_CONFIG
-def classify(a, b, alpha, depth, gamma_depth, centers, output):
-    """Classify the ratio a/b and report the b = c coupling thresholds."""
+def classify(a, b, alpha, centers, output):
+    """Classify the ratio a/b and report the b = c coupling thresholds.
+
+    The class reads 30 partial quotients and gamma 20 (the library
+    defaults); the printed expansion has 24.
+    """
     a_val, a_exact = a
     b_val, b_exact = b
     coupling = VertexCoupling(alpha)
     theta = ratio_divide(a_exact, b_exact)
-    ratio_class = classify_ratio(theta, depth=depth)
+    ratio_class = classify_ratio(theta)
     gamma = None
     if ratio_class.kind is RatioClassKind.BADLY_APPROXIMABLE:
-        gamma = approx_constant(theta, depth=gamma_depth)
+        gamma = approx_constant(theta)
     thresholds = thresholds_bc(a_val, b_val, ratio_class, gamma_estimate=gamma)
-    cf = cf_expand(theta, max_depth=min(depth, 24))
+    cf = cf_expand(theta, max_depth=24)
     table = convergents(cf, theta, min(10, cf.depth + 1))
     predictions = []
     if centers > 0 and ratio_class.kind in (
@@ -329,17 +334,14 @@ def classify(a, b, alpha, depth, gamma_depth, centers, output):
 @_C
 @_ALPHA
 @click.option("--n-max", type=int, default=5, show_default=True)
-@click.option("--tol", type=float, default=DEFAULT_RATIONAL_TOL, show_default=True,
-              help="rational reconstruction tolerance for float lengths")
-@click.option("--denominator-cap", type=int, default=DEFAULT_DENOMINATOR_CAP, show_default=True)
 @_OUTPUT
 @_CONFIG
-def flatbands(a, b, c, alpha, n_max, tol, denominator_cap, output):
+def flatbands(a, b, c, alpha, n_max, output):
     """List flat-band wavenumbers with eigenfunction residuals."""
     geom = HexGeometry(a[0], b[0], c[0])
     coupling = VertexCoupling(alpha)
     exacts = [w.fraction if isinstance(w, ExactRatio) else value for value, w in (a, b, c)]
-    witness = commensurability_witness(*exacts, tol=tol, max_denominator=denominator_cap)
+    witness = commensurability_witness(*exacts)
     if witness is None:
         payload = {
             "schema_version": 1,
@@ -368,19 +370,15 @@ def flatbands(a, b, c, alpha, n_max, tol, denominator_cap, output):
 
 
 @cli.command()
-@click.option("--det-samples", type=int, default=300, show_default=True)
-@click.option("--envelope-samples", type=int, default=25, show_default=True)
-@click.option("--trigmin-samples", type=int, default=40, show_default=True)
+@click.option("--det-samples", type=click.IntRange(min=1), default=300, show_default=True)
+@click.option("--envelope-samples", type=click.IntRange(min=1), default=25, show_default=True)
+@click.option("--trigmin-samples", type=click.IntRange(min=1), default=40, show_default=True)
 @click.option("--grid-n", type=int, default=1024, show_default=True)
 @click.option("--refine-rounds", type=int, default=2, show_default=True)
 @click.option("--seed", type=int, default=20240901, show_default=True)
-@click.option("--det-tol", type=float, default=1e-9, show_default=True)
-@click.option("--envelope-tol", type=float, default=1e-3, show_default=True)
-@click.option("--trigmin-tol", type=float, default=1e-6, show_default=True)
 @_OUTPUT
 @_CONFIG
-def verify(det_samples, envelope_samples, trigmin_samples, grid_n, refine_rounds,
-           seed, det_tol, envelope_tol, trigmin_tol, output):
+def verify(det_samples, envelope_samples, trigmin_samples, grid_n, refine_rounds, seed, output):
     """Cross-check the closed forms against the brute-force oracles."""
     rng = random.Random(seed)
     grid = GridSpec(n=grid_n, refine_rounds=refine_rounds)
@@ -418,9 +416,9 @@ def verify(det_samples, envelope_samples, trigmin_samples, grid_n, refine_rounds
         max_trigmin_dev = max(max_trigmin_dev, abs(closed - gridmin))
 
     checks = [
-        ("determinant closed form vs cofactor", max_det_dev, det_tol),
-        ("envelope vs phase-grid extrema", max_env_dev, envelope_tol),
-        ("trig minimum closed form vs grid", max_trigmin_dev, trigmin_tol),
+        ("determinant closed form vs cofactor", max_det_dev, 1e-9),
+        ("envelope vs phase-grid extrema", max_env_dev, 1e-3),
+        ("trig minimum closed form vs grid", max_trigmin_dev, 1e-6),
     ]
     ok = all(dev <= tol for _, dev, tol in checks)
     payload = {

@@ -255,12 +255,13 @@ def _flag_sines(k: float, lengths, dirichlet_tol: float) -> tuple[list[float], l
     return values, flags
 
 
-def checked_sines(k: float, names, lengths, dirichlet_tol: float) -> list[float]:
+def checked_sines(k: float, names, lengths) -> list[float]:
     """sin(l*k) for the named edge lengths.
 
-    Raises :class:`DirichletPointError` naming every edge the guard flags.
+    Raises :class:`DirichletPointError` naming every edge the guard flags at
+    the default tolerance.
     """
-    values, flags = _flag_sines(k, lengths, dirichlet_tol)
+    values, flags = _flag_sines(k, lengths, DEFAULT_DIRICHLET_TOL)
     vanishing = tuple(name for name, flag in zip(names, flags) if flag)
     if vanishing:
         raise DirichletPointError(k, vanishing)
@@ -300,17 +301,12 @@ def positive_terms(
     return total, 2 * max(inv) - upper, upper
 
 
-def dispersion(
-    geom: HexGeometry,
-    coupling: VertexCoupling,
-    k: float,
-    dirichlet_tol: float = DEFAULT_DIRICHLET_TOL,
-) -> float:
+def dispersion(geom: HexGeometry, coupling: VertexCoupling, k: float) -> float:
     """cot(a*k) + cot(b*k) + cot(c*k) + alpha/k, the positive-branch dispersion.
 
     Raises :class:`DirichletPointError` when any sin(l*k) is flagged zero.
     """
-    return positive_terms(geom, coupling.alpha, k, dirichlet_tol)[0]
+    return positive_terms(geom, coupling.alpha, k, DEFAULT_DIRICHLET_TOL)[0]
 
 
 def dispersion_negative(geom: HexGeometry, coupling: VertexCoupling, kappa: float) -> float:
@@ -327,18 +323,14 @@ def dispersion_negative(geom: HexGeometry, coupling: VertexCoupling, kappa: floa
     return total
 
 
-def _check_sin_a(geom: HexGeometry, k: float, dirichlet_tol: float) -> float:
+def _check_sin_a(geom: HexGeometry, k: float) -> float:
     if not k > 0:
         raise ValueError(f"k must be > 0, got {k!r}")
-    return checked_sines(k, ("a",), (geom.a,), dirichlet_tol)[0]
+    return checked_sines(k, ("a",), (geom.a,))[0]
 
 
 def assemble_m_matrix(
-    geom: HexGeometry,
-    coupling: VertexCoupling,
-    k: float,
-    phase: FloquetPhase,
-    dirichlet_tol: float = DEFAULT_DIRICHLET_TOL,
+    geom: HexGeometry, coupling: VertexCoupling, k: float, phase: FloquetPhase
 ) -> MMatrix:
     """Assemble the reduced 4x4 cell matrix at (k, theta1, theta2).
 
@@ -347,7 +339,7 @@ def assemble_m_matrix(
     derivative conditions with the full-edge amplitudes already eliminated.
     The derivation divides by sin(a*k), so that sine must not vanish.
     """
-    s_a = _check_sin_a(geom, k, dirichlet_tol)
+    s_a = _check_sin_a(geom, k)
     a, b, c = geom.lengths
     alpha_over_k = coupling.alpha / k
     t1, t2 = phase.theta1, phase.theta2
@@ -382,11 +374,7 @@ def assemble_m_matrix(
 
 
 def det_m_closed_form(
-    geom: HexGeometry,
-    coupling: VertexCoupling,
-    k: float,
-    phase: FloquetPhase,
-    dirichlet_tol: float = DEFAULT_DIRICHLET_TOL,
+    geom: HexGeometry, coupling: VertexCoupling, k: float, phase: FloquetPhase
 ) -> complex:
     """Closed-form determinant of the reduced cell matrix.
 
@@ -394,7 +382,7 @@ def det_m_closed_form(
     bracket ``B`` collects the trigonometric terms of the secular condition;
     the bracket is symmetric under (b <-> c, theta1 <-> theta2).
     """
-    s_a = _check_sin_a(geom, k, dirichlet_tol)
+    s_a = _check_sin_a(geom, k)
     a, b, c = geom.lengths
     s_b = sin_reduced(b * k)
     s_c = sin_reduced(c * k)

@@ -67,26 +67,16 @@ def _sign(x: float) -> int:
     return (x > 0) - (x < 0)
 
 
-def gc1(
-    geom: HexGeometry,
-    coupling: VertexCoupling,
-    k: float,
-    dirichlet_tol: float = DEFAULT_DIRICHLET_TOL,
-) -> bool:
+def gc1(geom: HexGeometry, coupling: VertexCoupling, k: float) -> bool:
     """Gap criterion above the envelope: |D(k)| > sum of inverse |sines|."""
-    d, _, upper = positive_terms(geom, coupling.alpha, k, dirichlet_tol)
+    d, _, upper = positive_terms(geom, coupling.alpha, k, DEFAULT_DIRICHLET_TOL)
     return abs(d) > upper
 
 
-def gc2(
-    geom: HexGeometry,
-    coupling: VertexCoupling,
-    k: float,
-    dirichlet_tol: float = DEFAULT_DIRICHLET_TOL,
-) -> bool:
+def gc2(geom: HexGeometry, coupling: VertexCoupling, k: float) -> bool:
     """Gap criterion below the envelope:
     2 max_l 1/|sin lk| - sum_l 1/|sin lk| > |D(k)|."""
-    d, lower, _ = positive_terms(geom, coupling.alpha, k, dirichlet_tol)
+    d, lower, _ = positive_terms(geom, coupling.alpha, k, DEFAULT_DIRICHLET_TOL)
     return lower > abs(d)
 
 
@@ -111,12 +101,7 @@ def tangent_sum_bc(a: float, b: float, k: float) -> float:
     return _edge_tangent(a * k) + 2 * _edge_tangent(b * k)
 
 
-def gc1_tangent_form(
-    geom: HexGeometry,
-    coupling: VertexCoupling,
-    k: float,
-    dirichlet_tol: float = DEFAULT_DIRICHLET_TOL,
-) -> bool:
+def gc1_tangent_form(geom: HexGeometry, coupling: VertexCoupling, k: float) -> bool:
     """GC1 rewritten through the nearest-integer fractional part.
 
     Valid for k >= |alpha| (raises outside that domain), where it is
@@ -126,7 +111,7 @@ def gc1_tangent_form(
     alpha = coupling.alpha
     if k < abs(alpha):
         raise ValueError(f"tangent form requires k >= |alpha|; got k={k!r}, |alpha|={abs(alpha)!r}")
-    sines = checked_sines(k, HexGeometry.EDGE_NAMES, geom.lengths, dirichlet_tol)
+    sines = checked_sines(k, HexGeometry.EDGE_NAMES, geom.lengths)
     want = _sign(alpha)
     for ell, s in zip(geom.lengths, sines):
         if _sign(cos_reduced(ell * k) / s) != want:
@@ -134,13 +119,13 @@ def gc1_tangent_form(
     return tangent_sum(geom, k) < abs(alpha) / k
 
 
-def cot_dominance(a: float, b: float, k: float, dirichlet_tol: float = DEFAULT_DIRICHLET_TOL) -> float:
+def cot_dominance(a: float, b: float, k: float) -> float:
     """|cot(a*k)| - 2|cot(b*k)|, the stretched-edge dominance margin.
 
     For the b = c lattice, envelope-undershooting gaps require this margin
     to sit close to |alpha|/k.
     """
-    s_a, s_b = checked_sines(k, ("a", "b"), (a, b), dirichlet_tol)
+    s_a, s_b = checked_sines(k, ("a", "b"), (a, b))
     return abs(cos_reduced(a * k) / s_a) - 2 * abs(cos_reduced(b * k) / s_b)
 
 
@@ -163,23 +148,15 @@ class GapDiagnostics:
     tangent_margin: float
 
 
-def gap_diagnostics_bc(
-    a: float, b: float, k: float, dirichlet_tol: float = DEFAULT_DIRICHLET_TOL
-) -> GapDiagnostics:
+def gap_diagnostics_bc(a: float, b: float, k: float) -> GapDiagnostics:
     return GapDiagnostics(
         tangent_sum=tangent_sum_bc(a, b, k),
-        cot_dominance=cot_dominance(a, b, k, dirichlet_tol),
+        cot_dominance=cot_dominance(a, b, k),
         tangent_margin=tangent_margin_bc(a, b, k),
     )
 
 
-def gc2_equivalent_bc(
-    a: float,
-    b: float,
-    coupling: VertexCoupling,
-    k: float,
-    dirichlet_tol: float = DEFAULT_DIRICHLET_TOL,
-) -> bool:
+def gc2_equivalent_bc(a: float, b: float, coupling: VertexCoupling, k: float) -> bool:
     """Four-condition form of GC2 for the stretched lattice (b = c).
 
     True iff 1/|sin ak| > 2/|sin bk|, cot(ak)cot(bk) < 0, alpha*cot(ak) < 0
@@ -187,7 +164,7 @@ def gc2_equivalent_bc(
     dominance margin.  The four conditions imply GC2 for every k > 0 and are
     equivalent to it on k > |alpha|.
     """
-    s_a, s_b = checked_sines(k, ("a", "b"), (a, b), dirichlet_tol)
+    s_a, s_b = checked_sines(k, ("a", "b"), (a, b))
     cot_a = cos_reduced(a * k) / s_a
     cot_b = cos_reduced(b * k) / s_b
     margin = 1 / abs(s_a) - 2 / abs(s_b)

@@ -618,20 +618,15 @@ def commensurability_witness(
     a: float | Fraction,
     b: float | Fraction,
     c: float | Fraction,
-    tol: float = DEFAULT_RATIONAL_TOL,
-    max_denominator: int = DEFAULT_DENOMINATOR_CAP,
 ) -> CommensurabilityWitness | None:
     """Find a common unit d with a = p*d, b = q*d, c = r*d, gcd(p,q,r) = 1.
 
     Exact ``Fraction``/``int`` inputs produce an exact witness.  Float
     inputs go through bounded-denominator rational reconstruction of the
     ratios b/a and c/a; when either ratio admits no rational of denominator
-    <= ``max_denominator`` within ``tol``, there is no witness.
+    <= ``DEFAULT_DENOMINATOR_CAP`` within ``DEFAULT_RATIONAL_TOL``, there is
+    no witness.
     """
-    if not (tol > 0 and max_denominator >= 1):
-        raise ValueError(
-            f"need tol > 0 and max_denominator >= 1, got ({tol!r}, {max_denominator!r})"
-        )
     values = (a, b, c)
     if all(isinstance(v, (int, Fraction)) for v in values):
         fracs = [Fraction(v) for v in values]
@@ -647,8 +642,8 @@ def commensurability_witness(
     fa, fb, fc = (float(v) for v in values)
     if min(fa, fb, fc) <= 0:
         raise ValueError("lengths must be positive")
-    rb = reconstruct_rational(fb / fa, tol, max_denominator)
-    rc = reconstruct_rational(fc / fa, tol, max_denominator)
+    rb = reconstruct_rational(fb / fa)
+    rc = reconstruct_rational(fc / fa)
     if rb is None or rc is None:
         return None
     (mb, nb), (mc, nc) = rb, rc
@@ -657,6 +652,7 @@ def commensurability_witness(
     g = math.gcd(p, q, r)
     p, q, r = p // g, q // g, r // g
     d = fa / p
+    tol = DEFAULT_RATIONAL_TOL
     if abs(fb - q * d) > tol * max(1.0, fb) or abs(fc - r * d) > tol * max(1.0, fc):
         return None
     return CommensurabilityWitness(d, p, q, r, exact=False)

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    DEFAULT_DIRICHLET_TOL,
     DirichletPointError,
     EnergyPoint,
     HexGeometry,
@@ -48,12 +47,16 @@ class GridSpec:
             raise ValueError("refine_rounds must be >= 0")
 
 
-def _grid_extrema(f, n: int, refine_rounds: int, seeds: int = 4):
+# Well-separated best grid cells refined per extremum.
+_SEEDS = 4
+
+
+def _grid_extrema(f, n: int, refine_rounds: int) -> tuple[float, float]:
     """Extrema of f(theta1, theta2) over the torus by grid + local zoom.
 
     Several well-separated best cells are refined independently so that two
     near-tied basins cannot hide the true extremum; the reported bracket can
-    only widen as the grid is refined.
+    only widen as the grid is refined.  The maximum is the minimum of -f.
     """
     t = np.linspace(-math.pi, math.pi, n, endpoint=False) + math.pi / n
     T1, T2 = np.meshgrid(t, t, indexing="ij")
@@ -63,12 +66,12 @@ def _grid_extrema(f, n: int, refine_rounds: int, seeds: int = 4):
     def wrapped_near(x: float, y: float) -> bool:
         return min(abs(x - y), 2 * math.pi - abs(x - y)) < 5 * h
 
-    def refine(extreme: str) -> float:
-        flat = values.ravel()
-        order = np.argsort(flat) if extreme == "min" else np.argsort(-flat)
-        best_value = float(flat[order[0]])
+    def lowest(g, grid_values) -> float:
+        flat = grid_values.ravel()
+        order = np.argsort(flat)
+        best = float(flat[order[0]])
         picked: list[tuple[float, float]] = []
-        for idx in order[: 64 * seeds]:
+        for idx in order[: 64 * _SEEDS]:
             i, j = divmod(int(idx), n)
             point = (float(T1[i, j]), float(T2[i, j]))
             if any(
@@ -76,31 +79,21 @@ def _grid_extrema(f, n: int, refine_rounds: int, seeds: int = 4):
             ):
                 continue
             picked.append(point)
-            if len(picked) >= seeds:
+            if len(picked) >= _SEEDS:
                 break
-        for p0, p1 in picked:
+        for center in picked:
             half = 2 * h
-            local_best = best_value
-            center = (p0, p1)
             for _ in range(refine_rounds):
                 lt = np.linspace(-half, half, 33)
                 L1, L2 = np.meshgrid(center[0] + lt, center[1] + lt, indexing="ij")
-                local = f(L1, L2)
-                if extreme == "min":
-                    pos = np.unravel_index(np.argmin(local), local.shape)
-                    local_best = min(local_best, float(local[pos]))
-                else:
-                    pos = np.unravel_index(np.argmax(local), local.shape)
-                    local_best = max(local_best, float(local[pos]))
+                local = g(L1, L2)
+                pos = np.unravel_index(np.argmin(local), local.shape)
+                best = min(best, float(local[pos]))
                 center = (float(L1[pos]), float(L2[pos]))
                 half /= 8
-            if extreme == "min":
-                best_value = min(best_value, local_best)
-            else:
-                best_value = max(best_value, local_best)
-        return float(best_value)
+        return best
 
-    return refine("min"), refine("max")
+    return lowest(f, values), -lowest(lambda L1, L2: -f(L1, L2), -values)
 
 
 def _rhs_extrema(s_a: float, s_b: float, s_c: float, grid: GridSpec) -> tuple[float, float]:
@@ -116,17 +109,14 @@ def _rhs_extrema(s_a: float, s_b: float, s_c: float, grid: GridSpec) -> tuple[fl
 
 
 def rhs_extrema_grid(
-    geom: HexGeometry,
-    k: float,
-    grid: GridSpec = GridSpec(),
-    dirichlet_tol: float = DEFAULT_DIRICHLET_TOL,
+    geom: HexGeometry, k: float, grid: GridSpec = GridSpec()
 ) -> tuple[float, float]:
     """Extrema over the phase torus of the secular condition's right side.
 
     Evaluates the formula as written: sum of inverse squared sines plus the
     three phase cosine cross terms.
     """
-    triple = sine_triple(geom, k, dirichlet_tol)
+    triple = sine_triple(geom, k)
     if triple.any_vanish:
         raise DirichletPointError(k, triple.vanishing_edges)
     return _rhs_extrema(*triple.values, grid)
@@ -137,12 +127,11 @@ def band_membership_grid(
     coupling: VertexCoupling,
     energy: EnergyPoint,
     grid: GridSpec = GridSpec(),
-    dirichlet_tol: float = DEFAULT_DIRICHLET_TOL,
 ) -> BandDecision:
     """Membership decided against the grid-bracketed right-hand-side range."""
     if energy.branch == "positive":
         k = energy.param
-        triple = sine_triple(geom, k, dirichlet_tol)
+        triple = sine_triple(geom, k)
         if triple.any_vanish:
             return BandDecision.dirichlet(triple.vanishing_edges)
         lo, hi = _rhs_extrema(*triple.values, grid)

@@ -325,14 +325,18 @@ class TestVerifyCommand:
         det_check = data["checks"][0]
         assert det_check["max_deviation"] < 1e-9
 
-    def test_corrupted_tolerances_fail_with_exit_4(self, runner):
+    def test_corrupted_tolerances_fail_with_exit_4(self, runner, monkeypatch):
+        # a cofactor oracle that disagrees with the closed form fails the suite
+        monkeypatch.setattr("hexband.cli.det_numeric", lambda m: 1e6 + 0j)
         result = runner.invoke(
             cli,
             ["verify", "--det-samples", "20", "--envelope-samples", "2",
-             "--trigmin-samples", "2", "--det-tol", "0", "--envelope-tol", "0",
-             "--trigmin-tol", "0"],
+             "--trigmin-samples", "2", "--grid-n", "64"],
         )
         assert result.exit_code == 4
+        data = json.loads(result.output)
+        assert data["passed"] is False
+        assert [check["passed"] for check in data["checks"]] == [False, True, True]
 
 
 EQUILATERAL = ["--a", "1", "--b", "1", "--c", "1"]
@@ -349,15 +353,42 @@ EQUILATERAL = ["--a", "1", "--b", "1", "--c", "1"]
         ["classify", "--a", "sqrt(2)", "--b", "1", "--alpha", "nan"],
         ["verify", "--grid-n", "4"],
         ["flatbands", "--a", "1", "--b", "2", "--c", "3", "--n-max", "0"],
-        ["flatbands", "--a", "1.25", "--b", "1", "--c", "1", "--tol", "-1"],
-        ["flatbands", "--a", "1.25", "--b", "1", "--c", "1", "--denominator-cap", "0"],
+        ["gaps", "--a", "(1+sqrt(5))/2", "--b", "1", "--c", "1", "--alpha", "6",
+         "--kmax", "10", "--samples", "500", "--centers", "-2"],
+        ["classify", "--a", "(1+sqrt(5))/2", "--b", "1", "--alpha", "6", "--centers", "-1"],
+        ["verify", "--det-samples", "0", "--envelope-samples", "0", "--trigmin-samples", "0"],
+        ["verify", "--det-samples", "-3"],
+        ["verify", "--envelope-samples", "-1"],
+        ["verify", "--trigmin-samples", "0"],
     ],
     ids=["gaps-samples", "gaps-edge-tol", "bands-dirichlet-tol", "bands-kappa-max",
-         "classify-alpha", "verify-grid-n", "flatbands-n-max", "flatbands-tol",
-         "flatbands-denominator-cap"],
+         "classify-alpha", "verify-grid-n", "flatbands-n-max", "gaps-centers",
+         "classify-centers", "verify-samples-zero", "verify-det-samples",
+         "verify-envelope-samples", "verify-trigmin-samples"],
 )
 def test_value_only_the_library_checks_is_usage_error(runner, args):
     result = runner.invoke(cli, args)
     assert result.exit_code == 2
     assert "Error:" in result.stderr
     assert isinstance(result.exception, SystemExit)  # no traceback
+
+
+# Every settable value of every subcommand.  A new option is a new knob to
+# document and test; add it here on purpose.
+PARAMETERS = {
+    "bands": ["a", "b", "c", "alpha", "kmin", "kmax", "samples", "edge_tol", "dirichlet_tol",
+              "include_negative", "kappa_max", "fmt", "output", "config"],
+    "gaps": ["a", "b", "c", "alpha", "kmin", "kmax", "samples", "edge_tol", "centers", "fmt",
+             "output", "config"],
+    "classify": ["a", "b", "alpha", "centers", "output", "config"],
+    "flatbands": ["a", "b", "c", "alpha", "n_max", "output", "config"],
+    "verify": ["det_samples", "envelope_samples", "trigmin_samples", "grid_n", "refine_rounds",
+               "seed", "output", "config"],
+}
+
+
+def test_subcommand_parameters_are_pinned():
+    assert {name: [p.name for p in command.params] for name, command in cli.commands.items()} \
+        == PARAMETERS
+    assert sum(len(names) for names in PARAMETERS.values()) == 47
+

@@ -2,8 +2,10 @@
 
 The digests pin the exact bytes the reports had before the membership code
 was folded into one kernel per branch, and before the number theory moved
-onto one convergent walk per ratio; a refactor of the per-point arithmetic
-or of the convergent search must not move a single digit.
+onto one convergent walk per ratio, and before the tolerance and depth knobs
+that only ever held their defaults became constants; a refactor of the
+per-point arithmetic, of the convergent search or of the option surface must
+not move a single digit.
 """
 
 import hashlib
@@ -26,6 +28,11 @@ CLASSIFY_SQRT2 = ["classify", "--a", "sqrt(2)", "--b", "1", "--alpha", "-6", "--
 # a decimal ratio: the centres come from the floating-point expansion
 GAPS_NUMERIC_CENTERS = ["gaps", "--a", "1.6180339887", "--b", "1", "--c", "1", "--alpha", "20",
                         "--kmax", "60", "--samples", "1500", "--centers", "3"]
+# an exact commensurability witness, and one reconstructed from a decimal length
+FLATBANDS_EXACT = ["flatbands", "--a", "1/2", "--b", "3/2", "--c", "1", "--n-max", "3"]
+FLATBANDS_DECIMAL = ["flatbands", "--a", "1.25", "--b", "1", "--c", "1"]
+VERIFY = ["verify", "--det-samples", "30", "--envelope-samples", "2", "--trigmin-samples", "4",
+          "--grid-n", "64"]
 
 GOLDEN = [
     pytest.param(BANDS, "069d807bb0fb232c0cb3a4caacdca22f8fa6e50d07e14f54cd4ad09e7e8eb218",
@@ -52,6 +59,14 @@ GOLDEN = [
     pytest.param(GAPS_NUMERIC_CENTERS,
                  "9654471338b24a9f9b6a1f106c08a080dd2921de48f77cad03fe7f78445180a0",
                  id="gaps-numeric-centers-json"),
+    pytest.param(FLATBANDS_EXACT,
+                 "f20722cdfc3ce717d56d139b99aa938db8817f238d8f27ffa44720e346d77d4f",
+                 id="flatbands-exact-json"),
+    pytest.param(FLATBANDS_DECIMAL,
+                 "b2e6571d6c632eba8eec565304cd67e584a8f9a7235b1792f2dbd3bff967ed3f",
+                 id="flatbands-decimal-json"),
+    pytest.param(VERIFY, "5174345bfcba27c7ddf50912957fc5eaeeaf62da07fc529e745224c399c48480",
+                 id="verify-json"),
 ]
 
 
