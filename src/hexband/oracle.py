@@ -47,65 +47,81 @@ class GridSpec:
             raise ValueError("refine_rounds must be >= 0")
 
 
-# Well-separated best grid cells refined per extremum.
+# Well-separated best grid cells refined per minimum.
 _SEEDS = 4
+# Best grid cells scanned for those seeds.
+_CANDIDATES = 64 * _SEEDS
 
 
-def _grid_extrema(f, n: int, refine_rounds: int) -> tuple[float, float]:
-    """Extrema of f(theta1, theta2) over the torus by grid + local zoom.
+def _phase_axis(n: int) -> np.ndarray:
+    """Cell centres of an n-point grid on one phase axis [-pi, pi)."""
+    return np.linspace(-math.pi, math.pi, n, endpoint=False) + math.pi / n
 
-    Several well-separated best cells are refined independently so that two
-    near-tied basins cannot hide the true extremum; the reported bracket can
-    only widen as the grid is refined.  The maximum is the minimum of -f.
+
+def _on_grid(f, n: int) -> np.ndarray:
+    """f on the n x n phase grid, its two axes broadcast against each other."""
+    t = _phase_axis(n)
+    return f(t[:, None], t[None, :])
+
+
+def _grid_min(f, values: np.ndarray, refine_rounds: int) -> float:
+    """Minimum of f(theta1, theta2) over the torus by grid + local zoom.
+
+    ``values`` is f on the n x n phase grid (``_on_grid``).  Only the best
+    ``_CANDIDATES`` cells are read, so they are found by partial selection
+    and only they are sorted, stably: equal values keep the order partial
+    selection left them in.  From them, several well-separated cells are
+    refined independently so that two near-tied basins cannot hide the true
+    minimum; the result can only fall as the grid is refined.  A maximum is
+    the minimum of -f.
     """
-    t = np.linspace(-math.pi, math.pi, n, endpoint=False) + math.pi / n
-    T1, T2 = np.meshgrid(t, t, indexing="ij")
-    values = f(T1, T2)
+    n = values.shape[0]
+    t = _phase_axis(n)
     h = 2 * math.pi / n
 
     def wrapped_near(x: float, y: float) -> bool:
         return min(abs(x - y), 2 * math.pi - abs(x - y)) < 5 * h
 
-    def lowest(g, grid_values) -> float:
-        flat = grid_values.ravel()
-        order = np.argsort(flat)
-        best = float(flat[order[0]])
-        picked: list[tuple[float, float]] = []
-        for idx in order[: 64 * _SEEDS]:
-            i, j = divmod(int(idx), n)
-            point = (float(T1[i, j]), float(T2[i, j]))
-            if any(
-                wrapped_near(point[0], p0) and wrapped_near(point[1], p1) for p0, p1 in picked
-            ):
-                continue
-            picked.append(point)
-            if len(picked) >= _SEEDS:
-                break
-        for center in picked:
-            half = 2 * h
-            for _ in range(refine_rounds):
-                lt = np.linspace(-half, half, 33)
-                L1, L2 = np.meshgrid(center[0] + lt, center[1] + lt, indexing="ij")
-                local = g(L1, L2)
-                pos = np.unravel_index(np.argmin(local), local.shape)
-                best = min(best, float(local[pos]))
-                center = (float(L1[pos]), float(L2[pos]))
-                half /= 8
-        return best
-
-    return lowest(f, values), -lowest(lambda L1, L2: -f(L1, L2), -values)
+    flat = values.ravel()
+    m = min(_CANDIDATES, flat.size)
+    best_cells = np.argpartition(flat, m - 1)[:m]
+    order = best_cells[np.argsort(flat[best_cells], kind="stable")]
+    best = float(flat[order[0]])
+    picked: list[tuple[float, float]] = []
+    for idx in order:
+        i, j = divmod(int(idx), n)
+        point = (float(t[i]), float(t[j]))
+        if any(wrapped_near(point[0], p0) and wrapped_near(point[1], p1) for p0, p1 in picked):
+            continue
+        picked.append(point)
+        if len(picked) >= _SEEDS:
+            break
+    for c1, c2 in picked:
+        half = 2 * h
+        for _ in range(refine_rounds):
+            lt = np.linspace(-half, half, 33)
+            l1, l2 = c1 + lt, c2 + lt
+            local = f(l1[:, None], l2[None, :])
+            i, j = np.unravel_index(np.argmin(local), local.shape)
+            best = min(best, float(local[i, j]))
+            c1, c2 = float(l1[i]), float(l2[j])
+            half /= 8
+    return best
 
 
 def _rhs_extrema(s_a: float, s_b: float, s_c: float, grid: GridSpec) -> tuple[float, float]:
     """Grid extrema of the right side written in the three edge sines (sin or sinh)."""
     const = 1 / s_a**2 + 1 / s_b**2 + 1 / s_c**2
 
-    def f(T1, T2):
+    def f(t1, t2):
         return const + 2 * (
-            np.cos(T1) / (s_a * s_b) + np.cos(T2) / (s_a * s_c) + np.cos(T1 - T2) / (s_b * s_c)
+            np.cos(t1) / (s_a * s_b) + np.cos(t2) / (s_a * s_c) + np.cos(t1 - t2) / (s_b * s_c)
         )
 
-    return _grid_extrema(f, grid.n, grid.refine_rounds)
+    values = _on_grid(f, grid.n)
+    lo = _grid_min(f, values, grid.refine_rounds)
+    hi = -_grid_min(lambda t1, t2: -f(t1, t2), -values, grid.refine_rounds)
+    return lo, hi
 
 
 def rhs_extrema_grid(
@@ -176,8 +192,7 @@ def trig_min_grid(
     positive-product domain.
     """
 
-    def f(T1, T2):
-        return a_coef * np.cos(T1 - T2) + b_coef * np.cos(T2) + c_coef * np.cos(T1)
+    def f(t1, t2):
+        return a_coef * np.cos(t1 - t2) + b_coef * np.cos(t2) + c_coef * np.cos(t1)
 
-    lo, _ = _grid_extrema(f, grid.n, grid.refine_rounds)
-    return lo
+    return _grid_min(f, _on_grid(f, grid.n), grid.refine_rounds)

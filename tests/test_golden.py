@@ -2,10 +2,11 @@
 
 The digests pin the exact bytes the reports had before the membership code
 was folded into one kernel per branch, and before the number theory moved
-onto one convergent walk per ratio, and before the tolerance and depth knobs
-that only ever held their defaults became constants; a refactor of the
-per-point arithmetic, of the convergent search or of the option surface must
-not move a single digit.
+onto one convergent walk per ratio, before the tolerance and depth knobs
+that only ever held their defaults became constants, and before the oracle's
+grid extrema moved to partial selection on broadcast axes; a refactor of the
+per-point arithmetic, of the convergent search, of the option surface or of
+the phase-grid search must not move a single digit.
 """
 
 import hashlib
@@ -33,6 +34,9 @@ FLATBANDS_EXACT = ["flatbands", "--a", "1/2", "--b", "3/2", "--c", "1", "--n-max
 FLATBANDS_DECIMAL = ["flatbands", "--a", "1.25", "--b", "1", "--c", "1"]
 VERIFY = ["verify", "--det-samples", "30", "--envelope-samples", "2", "--trigmin-samples", "4",
           "--grid-n", "64"]
+# verify's default 1024 x 1024 grid, where exact ties in the grid order are most common
+VERIFY_DEFAULT_GRID = ["verify", "--det-samples", "30", "--envelope-samples", "3",
+                       "--trigmin-samples", "3"]
 
 GOLDEN = [
     pytest.param(BANDS, "069d807bb0fb232c0cb3a4caacdca22f8fa6e50d07e14f54cd4ad09e7e8eb218",
@@ -67,6 +71,9 @@ GOLDEN = [
                  id="flatbands-decimal-json"),
     pytest.param(VERIFY, "5174345bfcba27c7ddf50912957fc5eaeeaf62da07fc529e745224c399c48480",
                  id="verify-json"),
+    pytest.param(VERIFY_DEFAULT_GRID,
+                 "90ffee40ad7e8b41b44872e9cbe9041e7a95131fb9b5920161c006b5efbc0cf3",
+                 id="verify-default-grid-json"),
 ]
 
 

@@ -1,7 +1,10 @@
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hexband import (
     Decision,
@@ -25,6 +28,16 @@ from hexband.oracle import (
 )
 
 EQUILATERAL = HexGeometry(1, 1, 1)
+# the sign patterns of A, B, C with A*B*C > 0, the closed form's domain
+POSITIVE_PRODUCT_SIGNS = [(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)]
+# grids with at most 256 cells, fewer than the extremum search reads
+SMALL_GRIDS = [8, 9, 15, 16]
+
+
+def full_phase_grid(n):
+    """The oracle's n x n phase grid as two full coordinate arrays."""
+    t = np.linspace(-math.pi, math.pi, n, endpoint=False) + math.pi / n
+    return np.meshgrid(t, t, indexing="ij")
 
 
 class TestGridSpec:
@@ -65,6 +78,30 @@ class TestRhsExtremaGrid:
             assert abs(lo1 - lo2) <= c / n**2
             assert abs(hi1 - hi2) <= c / n**2
             checked += 1
+
+    @pytest.mark.parametrize("n", SMALL_GRIDS)
+    @pytest.mark.parametrize("lengths, k", [((1, 1, 1), 1.0), ((1, 2, 3), 1.0),
+                                            ((1, 1.618, 1.3), 2.2)])
+    def test_small_grid_unrefined_is_plain_extrema(self, n, lengths, k):
+        s_a, s_b, s_c = (math.sin(ell * k) for ell in lengths)
+        t1, t2 = full_phase_grid(n)
+        values = 1 / s_a**2 + 1 / s_b**2 + 1 / s_c**2 + 2 * (
+            np.cos(t1) / (s_a * s_b) + np.cos(t2) / (s_a * s_c) + np.cos(t1 - t2) / (s_b * s_c)
+        )
+        lo, hi = rhs_extrema_grid(HexGeometry(*lengths), k, GridSpec(n, 0))
+        assert lo == pytest.approx(values.min(), rel=1e-12, abs=1e-12)
+        assert hi == pytest.approx(values.max(), rel=1e-12, abs=1e-12)
+
+    @settings(deadline=None, derandomize=True)
+    @given(lengths=st.tuples(*[st.floats(0.5, 3)] * 3), k=st.floats(0.1, 30))
+    def test_extrema_inside_envelope(self, lengths, k):
+        # the grid sees only values the phase torus attains
+        assume(min(abs(math.sin(ell * k)) for ell in lengths) >= 0.05)
+        geom = HexGeometry(*lengths)
+        lo, hi = rhs_extrema_grid(geom, k, GridSpec(64, 2))
+        env = rhs_envelope(geom, k)
+        slack = 1e-9 * env.upper**2
+        assert env.lower**2 - slack <= lo <= hi <= env.upper**2 + slack
 
 
 class TestBandMembershipGrid:
@@ -130,3 +167,19 @@ class TestTrigMinGrid:
             closed = trig_polynomial_min(*coefs)
             gridmin = trig_min_grid(*coefs, grid=GridSpec(256, 1))
             assert gridmin >= closed - 1e-6
+
+    @pytest.mark.parametrize("n", SMALL_GRIDS)
+    @pytest.mark.parametrize("coefs", [(1, 1, 1), (-1, -1, -1), (1, 1, 10), (0.5, -2, 3)])
+    def test_small_grid_unrefined_is_plain_minimum(self, n, coefs):
+        a_coef, b_coef, c_coef = coefs
+        t1, t2 = full_phase_grid(n)
+        values = a_coef * np.cos(t1 - t2) + b_coef * np.cos(t2) + c_coef * np.cos(t1)
+        got = trig_min_grid(*coefs, grid=GridSpec(n, 0))
+        assert got == pytest.approx(values.min(), rel=1e-12, abs=1e-12)
+
+    @settings(deadline=None, derandomize=True)
+    @given(mags=st.tuples(*[st.floats(0.2, 5)] * 3),
+           signs=st.sampled_from(POSITIVE_PRODUCT_SIGNS))
+    def test_grid_min_never_below_closed_form_any_signs(self, mags, signs):
+        coefs = [m * s for m, s in zip(mags, signs)]
+        assert trig_min_grid(*coefs, grid=GridSpec(64, 2)) >= trig_polynomial_min(*coefs) - 1e-12
