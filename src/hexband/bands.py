@@ -11,7 +11,8 @@ As the Bloch phases sweep the torus, R fills exactly the interval
 so E is in the spectrum iff lower <= |D(k)| <= upper.  The negative branch
 E = -kappa^2 uses the hyperbolic analogues.  Scanning samples this
 membership over a k (or kappa) grid and refines every band edge by
-bisection of the boundary functions |D| - upper and |D| - lower.
+bisection on the signs of the boundary functions D -+ upper and D -+ lower,
+which on the positive branch are defined at the Dirichlet points too.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .core import (
     checked_sines,
     cos_reduced,
     dispersion_negative,
+    gap_criteria,
     positive_terms,
     sin_reduced,
 )
@@ -198,69 +200,25 @@ def _bisect(changed, lo: float, hi: float, edge_tol: float) -> tuple[float, floa
     return lo, hi
 
 
-def _intervals_from_runs(xs, decisions, is_gap, edge_tol):
-    """Compress per-sample decisions into refined (state, x_lo, x_hi) runs.
+def _intervals_from_runs(xs, gaps, is_gap, edge_tol):
+    """Compress per-sample gap flags into refined (is_gap, x_lo, x_hi) runs.
 
-    Each boundary between consecutive runs is bisected to width <= edge_tol.
-    The membership predicate is exactly the sign test of the boundary
-    functions |D| - upper (gap above the envelope) and |D| - lower (gap
-    below), so this is bisection on whichever of the two changes sign
-    across the bracket; across a Dirichlet point the functions jump and the
-    bisection still converges to the crossing.
+    Each change between neighbouring samples is bisected on ``is_gap`` to
+    width <= edge_tol.  A run narrower than edge_tol at a window end is that
+    end's Dirichlet point seen from its other side; it joins its neighbour.
     """
-    runs: list[list] = []
-    for x, d in zip(xs, decisions):
-        if runs and runs[-1][0] is d:
-            runs[-1][2] = x
-        else:
-            runs.append([d, x, x])
-    boundaries = []
-    for left, right in zip(runs, runs[1:]):
-        lo_is_gap = left[0] is Decision.GAP
-        lo, hi = _bisect(lambda x: is_gap(x) != lo_is_gap, left[2], right[1], edge_tol)
-        boundaries.append(0.5 * (lo + hi))
-    edges = [xs[0]] + boundaries + [xs[-1]]
-    return [(run[0], edges[i], edges[i + 1]) for i, run in enumerate(runs)]
-
-
-def _flagged(row_at, x: float) -> bool:
-    try:
-        row_at(x)
-    except DirichletPointError:
-        return True
-    return False
-
-
-def _safe_is_gap(row_at, edge_tol, x_max=math.inf):
-    """Membership predicate that steps off flagged points before deciding.
-
-    ``row_at`` raises :class:`DirichletPointError` at flagged points.  From a
-    flagged point the probe steps right by a geometrically growing step,
-    capped at ``x_max``, so any Dirichlet flag zone (width scales with the
-    tolerance times l*k) is escaped in a few probes, then bisects back to the
-    zone's right end.  The returned state is the one within ``edge_tol`` right
-    of the zone, however far the last step overshot it.  A zone that does not
-    end by ``x_max`` raises the error of the starting point.
-    """
-
-    def is_gap(x: float) -> bool:
-        try:
-            return row_at(x).decision == Decision.GAP.value
-        except DirichletPointError as exc:
-            edges = exc.edges  # keep no exception: its traceback would cycle back here
-        lo = x
-        delta = max(1e-15 * max(1.0, abs(x)), 0.25 * edge_tol)
-        for _ in range(80):
-            hi = min(x + delta, x_max)
-            if not _flagged(row_at, hi):
-                _, hi = _bisect(lambda m: not _flagged(row_at, m), lo, hi, edge_tol)
-                return row_at(hi).decision == Decision.GAP.value
-            if hi == x_max:
-                break
-            lo, delta = hi, 2 * delta
-        raise DirichletPointError(x, edges)
-
-    return is_gap
+    states, edges = [gaps[0]], [xs[0]]
+    for x_lo, x_hi, was_gap, gap in zip(xs, xs[1:], gaps, gaps[1:]):
+        if gap != was_gap:
+            lo, hi = _bisect(lambda x: is_gap(x) != was_gap, x_lo, x_hi, edge_tol)
+            states.append(gap)
+            edges.append(0.5 * (lo + hi))
+    edges.append(xs[-1])
+    if len(states) > 1 and edges[1] - edges[0] < edge_tol:
+        del states[0], edges[1]
+    if len(states) > 1 and edges[-1] - edges[-2] < edge_tol:
+        del states[-1], edges[-2]
+    return [(state, edges[i], edges[i + 1]) for i, state in enumerate(states)]
 
 
 def _dirichlet_points_in_window(geom: HexGeometry, k_lo: float, k_hi: float) -> list[float]:
@@ -291,15 +249,14 @@ def _flat_bands_in_window(geom: HexGeometry, k_lo: float, k_hi: float) -> list[F
     return out
 
 
-def _scan(row_at, lo: float, hi: float, n_samples: int, edge_tol: float):
+def _scan(row_at, gap_at, lo: float, hi: float, n_samples: int, edge_tol: float):
     """Sample membership on a uniform grid over [lo, hi] and refine every change.
 
     ``row_at`` gives the :class:`SampleRow` at one point and may raise
-    :class:`DirichletPointError` there.  A flagged sample takes the state
-    just right of its flag zone, or the state left of it when the zone
-    reaches past ``hi`` (so isolated Dirichlet points interior to a band are
-    absorbed: the spectrum is closed).  Returns the grid spacing, the sample
-    rows and the refined (state, x_lo, x_hi) runs.
+    :class:`DirichletPointError` there; ``gap_at`` decides membership at every
+    point.  A sample decides by its row, or by ``gap_at`` where the row
+    raises, and every change is bisected on ``gap_at``.  Returns the grid
+    spacing, the sample rows and the refined (is_gap, x_lo, x_hi) runs.
     """
     if not (0 < lo < hi < math.inf):
         raise ValueError(f"need 0 < window start < window end < inf, got ({lo!r}, {hi!r})")
@@ -311,25 +268,17 @@ def _scan(row_at, lo: float, hi: float, n_samples: int, edge_tol: float):
     xs = [lo + i * h for i in range(n_samples)]
     xs[-1] = hi
 
-    is_gap = _safe_is_gap(row_at, edge_tol, hi)
     samples: list[SampleRow] = []
-    decisions: list[Decision] = []
+    gaps: list[bool] = []
     for x in xs:
         try:
             row = row_at(x)
+            gaps.append(row.decision == Decision.GAP.value)
         except DirichletPointError:  # only positive rows raise, so E = k^2
             row = SampleRow(x, x * x, math.nan, math.nan, math.nan, Decision.DIRICHLET.value)
+            gaps.append(gap_at(x))
         samples.append(row)
-        if row.decision != Decision.DIRICHLET.value:
-            decisions.append(Decision(row.decision))
-            continue
-        try:
-            decisions.append(Decision.GAP if is_gap(x) else Decision.BAND)
-        except DirichletPointError:
-            if not decisions:
-                raise
-            decisions.append(decisions[-1])
-    return h, samples, _intervals_from_runs(xs, decisions, is_gap, edge_tol)
+    return h, samples, _intervals_from_runs(xs, gaps, gap_at, edge_tol)
 
 
 def scan_spectrum(
@@ -344,17 +293,22 @@ def scan_spectrum(
     """Scan the positive branch over (k_lo, k_hi] and report bands/gaps.
 
     Membership is sampled and refined by :func:`_scan`, and intervals are
-    reported in energy units E = k^2.  A metadata flag warns when the grid
-    spacing is too coarse to resolve features on the scale of the fastest
-    trigonometric oscillation.
+    reported in energy units E = k^2.  Edges are bisected on
+    :func:`gap_criteria`, defined at the Dirichlet points too, so
+    ``dirichlet_tol`` only labels sample rows as ``dirichlet``.  A metadata
+    flag warns when the grid spacing is too coarse to resolve features on the
+    scale of the fastest trigonometric oscillation.
     """
 
     def row_at(k: float) -> SampleRow:
         return _positive_row(geom, coupling.alpha, k, dirichlet_tol)
 
-    h, samples, intervals = _scan(row_at, k_lo, k_hi, n_samples, edge_tol)
-    bands = [(lo * lo, hi * hi) for state, lo, hi in intervals if state is Decision.BAND]
-    gaps = [(lo * lo, hi * hi) for state, lo, hi in intervals if state is Decision.GAP]
+    def gap_at(k: float) -> bool:
+        return any(gap_criteria(geom, coupling.alpha, k))
+
+    h, samples, intervals = _scan(row_at, gap_at, k_lo, k_hi, n_samples, edge_tol)
+    bands = [(lo * lo, hi * hi) for gap, lo, hi in intervals if not gap]
+    gaps = [(lo * lo, hi * hi) for gap, lo, hi in intervals if gap]
     spacing_limit = math.pi / (8 * max(geom.lengths))
     under_resolved = h > spacing_limit
     meta = {
@@ -406,13 +360,16 @@ def negative_spectrum_scan(
     def row_at(kappa: float) -> SampleRow:
         return _negative_row(geom, coupling, kappa)
 
-    h, samples, intervals = _scan(row_at, kappa_lo, kappa_max, n_samples, edge_tol)
+    def gap_at(kappa: float) -> bool:
+        return row_at(kappa).decision == Decision.GAP.value
+
+    h, samples, intervals = _scan(row_at, gap_at, kappa_lo, kappa_max, n_samples, edge_tol)
 
     def to_energy(lo: float, hi: float) -> tuple[float, float]:
         return (-hi * hi, -lo * lo)
 
-    bands = [to_energy(lo, hi) for state, lo, hi in reversed(intervals) if state is Decision.BAND]
-    gaps = [to_energy(lo, hi) for state, lo, hi in reversed(intervals) if state is Decision.GAP]
+    bands = [to_energy(lo, hi) for gap, lo, hi in reversed(intervals) if not gap]
+    gaps = [to_energy(lo, hi) for gap, lo, hi in reversed(intervals) if gap]
     meta = {
         "n_samples": n_samples,
         "kappa_spacing": h,

@@ -17,7 +17,7 @@ these codes in one place, :class:`_Command`.
 Only settings a run needs to choose are flags.  The continued-fraction
 depths of ``classify``, the rational reconstruction of ``flatbands`` and
 the pass tolerances of ``verify`` are constants; the Dirichlet tolerance is
-a flag of ``bands`` only.
+a flag of ``bands`` only, and it only labels sample rows as ``dirichlet``.
 """
 
 from __future__ import annotations
@@ -193,7 +193,8 @@ def cli():
 @click.option("--kmax", type=float, required=True, help="scan window end (k)")
 @click.option("--samples", type=int, default=4000, show_default=True, help="grid samples")
 @click.option("--edge-tol", type=float, default=1e-9, show_default=True, help="edge bisection width")
-@click.option("--dirichlet-tol", type=float, default=DEFAULT_DIRICHLET_TOL, show_default=True)
+@click.option("--dirichlet-tol", type=float, default=DEFAULT_DIRICHLET_TOL, show_default=True,
+              help="labels sample rows as dirichlet; bands and gaps do not depend on it")
 @click.option("--include-negative", is_flag=True, help="also scan E < 0 when alpha < 0")
 @click.option("--kappa-max", type=float, default=5.0, show_default=True, help="negative-branch window")
 @_FORMAT

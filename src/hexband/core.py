@@ -301,6 +301,39 @@ def positive_terms(
     return total, 2 * max(inv) - upper, upper
 
 
+def _half_angle_pair(s: float, c: float) -> tuple[float, float]:
+    """``(cot x - 1/|sin x|, cot x + 1/|sin x|)`` from ``s = sin x``, ``c = cos x``.
+
+    With ``t = tan(x/2)`` taken as s/(1+c) or (1-c)/s, whichever does not
+    cancel, the pair is (-t, 1/t) for s > 0 and (1/t, -t) for s < 0.  At
+    s == 0 it is the limit from the right, (-0, +inf).
+    """
+    if s == 0.0:
+        return -0.0, math.inf
+    t = s / (1 + c) if c >= 0 else (1 - c) / s
+    return (-t, 1 / t) if s > 0 else (1 / t, -t)
+
+
+def gap_criteria(geom: HexGeometry, alpha: float, k: float) -> tuple[bool, bool]:
+    """``(GC1, GC2)``, that is |D| > upper and |D| < lower, at any k > 0.
+
+    With (m, p) the half-angle pairs of the edges and j the edge of smallest
+    |sin|, D -+ upper = alpha/k + sum m (or p), D - lower = alpha/k + m_j +
+    sum_{i != j} p_i and D + lower = alpha/k + p_j + sum_{i != j} m_i.  No sum
+    adds a pole to its negative, so the signs hold up to the Dirichlet points
+    and need no tolerance.  The sines come from :func:`sine_triple`.
+    """
+    sines = sine_triple(geom, k).values
+    ms, ps = zip(*(_half_angle_pair(s, cos_reduced(ell * k))
+                   for ell, s in zip(geom.lengths, sines)))
+    j = min(range(3), key=lambda i: abs(sines[i]))
+    g = alpha / k
+    gc1 = g + sum(ms) > 0 or g + sum(ps) < 0
+    d_minus_lower = g + ms[j] + sum(p for i, p in enumerate(ps) if i != j)
+    d_plus_lower = g + ps[j] + sum(m for i, m in enumerate(ms) if i != j)
+    return gc1, d_minus_lower < 0 < d_plus_lower
+
+
 def dispersion(geom: HexGeometry, coupling: VertexCoupling, k: float) -> float:
     """cot(a*k) + cot(b*k) + cot(c*k) + alpha/k, the positive-branch dispersion.
 

@@ -20,10 +20,8 @@ from hexband import (
     trig_polynomial_min,
     verify_flat_band,
 )
-from hexband.bands import _safe_is_gap
 from hexband.core import DirichletPointError
 from hexband.numtheory import CommensurabilityWitness
-from hexband.report import SampleRow
 from hexband.oracle import GridSpec, band_membership_grid, rhs_extrema_grid, trig_min_grid
 
 EQUILATERAL = HexGeometry(1, 1, 1)
@@ -297,25 +295,6 @@ class TestScanSpectrum:
         assert report.bands[-1][1] == pytest.approx(k_hi**2, rel=1e-15)
         assert not any(math.sqrt(lo) > k_hi - 1e-6 for lo, _ in report.gaps)
 
-    def test_probe_stops_at_window_end(self):
-        def zone_from_three_to_five(x):
-            if 3.0 <= x < 5.0:
-                raise DirichletPointError(x, ("c",))
-            return SampleRow(x, x * x, 2.0, 0.0, 1.0, Decision.GAP.value)
-
-        assert _safe_is_gap(zone_from_three_to_five, 1e-9)(3.5)
-        with pytest.raises(DirichletPointError) as info:
-            _safe_is_gap(zone_from_three_to_five, 1e-9, 4.0)(3.5)
-        assert info.value.edges == ("c",)
-
-    def test_probe_error_names_the_vanishing_edges(self):
-        def always_flagged(x):
-            raise DirichletPointError(x, ("b",))
-
-        with pytest.raises(DirichletPointError) as info:
-            _safe_is_gap(always_flagged, 1e-9)(2.0)
-        assert info.value.edges == ("b",)
-
     def test_flat_bands_and_dirichlet_points_reported(self):
         report = scan_spectrum(HexGeometry(1, 2, 3), KIRCHHOFF, 0.5, 14.0, 2000, 1e-9)
         ks = [fb.k for fb in report.flat_bands]
@@ -325,6 +304,52 @@ class TestScanSpectrum:
         for fb in report.flat_bands:
             for ell in (1, 2, 3):
                 assert abs(math.sin(ell * fb.k)) < 1e-9 * max(1, ell * fb.k)
+
+
+def _intervals(report):
+    """(k_lo, k_hi, state) of every band and gap, ascending."""
+    items = [(lo, hi, "band") for lo, hi in report.bands]
+    items += [(lo, hi, "gap") for lo, hi in report.gaps]
+    return [(math.sqrt(lo), math.sqrt(hi), state) for lo, hi, state in sorted(items)]
+
+
+class TestDirichletEdges:
+    """Membership is decided at the Dirichlet points themselves, with no tolerance."""
+
+    def test_readme_equilateral_edges_sit_on_dirichlet_points(self):
+        # bands --a 1 --b 1 --c 1 --alpha 3 --kmax 31.4: a gap opens right of every m*pi
+        report = scan_spectrum(EQUILATERAL, VertexCoupling(3.0), 0.01, 31.4, 4000, 1e-9)
+        edges = [k for lo, hi, _ in _intervals(report) for k in (lo, hi)]
+        for m in range(1, 10):
+            assert min(abs(k - m * math.pi) for k in edges) <= 1e-9
+
+    def test_intervals_do_not_depend_on_the_dirichlet_tolerance(self):
+        geom = HexGeometry((1 + math.sqrt(5)) / 2, 1, 1)
+        reports = [scan_spectrum(geom, VertexCoupling(-20.0), 0.01, 120.0, 4000, 1e-9,
+                                 dirichlet_tol=tol) for tol in (1e-9, 1e-6, 1e-3, 2.0)]
+        assert reports[0].gaps
+        for report in reports[1:]:
+            assert (report.bands, report.gaps) == (reports[0].bands, reports[0].gaps)
+        # a tolerance of 2 flags every sample row, and still decides every interval
+        assert {row.decision for row in reports[-1].samples} == {"dirichlet"}
+
+    @pytest.mark.parametrize(
+        "geom, alpha, k_lo, k_hi, end, state",
+        [
+            # 6*pi is a Dirichlet point of all three edges, and the double 6*pi
+            # lies just left of it, in the band that ends there
+            (HexGeometry(2 / 3, 1, 4 / 3), 1.8602, 6 * math.pi, 6 * math.pi + 20, 0, "gap"),
+            # the double 13*pi lies just right of 13*pi, in the gap that opens there
+            (EQUILATERAL, 3.0, 30.0, 13 * math.pi, -1, "band"),
+        ],
+        ids=["start", "end"],
+    )
+    def test_window_end_on_a_dirichlet_point_keeps_its_neighbour(self, geom, alpha, k_lo, k_hi,
+                                                                 end, state):
+        report = scan_spectrum(geom, VertexCoupling(alpha), k_lo, k_hi, 4000, 1e-9)
+        intervals = _intervals(report)
+        assert intervals[end][2] == state
+        assert all(hi - lo >= 1e-9 for lo, hi, _ in intervals)
 
 
 class TestNegativeScan:

@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
 from hexband import (
@@ -27,7 +29,7 @@ from hexband import (
     sine_triple,
     solve_cell_wavefunction,
 )
-from hexband.core import reduce_mod_two_pi
+from hexband.core import _half_angle_pair, gap_criteria, reduce_mod_two_pi
 from hexband.oracle import GridSpec, band_membership_grid, det_numeric
 
 EQUILATERAL = HexGeometry(1, 1, 1)
@@ -204,9 +206,10 @@ class TestKernelCalls:
             lambda g, c: dispersion(g, c, 3.3),
             lambda g, c: rhs_envelope(g, 3.3),
             lambda g, c: band_membership_grid(g, c, EnergyPoint.positive(3.3), GridSpec(64, 0)),
+            lambda g, c: gap_criteria(g, c.alpha, 3.3),
         ],
         ids=["band_membership", "gc1", "gc2", "dispersion", "rhs_envelope",
-             "band_membership_grid"],
+             "band_membership_grid", "gap_criteria"],
     )
     def test_point_entry_points(self, calls, call):
         call(self.GEOM, self.COUPLING)
@@ -217,6 +220,69 @@ class TestKernelCalls:
         report = scan_spectrum(EQUILATERAL, KIRCHHOFF, 1.0, 2.0, 50, 1e-9)
         assert len(report.bands) == 1 and not report.gaps
         assert calls[0] == 50
+
+
+LENGTH = st.floats(0.5, 3.0)
+ALPHA = st.floats(-50.0, 50.0)
+
+
+def _mp_boundary_functions(geom, alpha, k):
+    """D - upper, D + upper, D - lower and D + lower at 50 digits, and a margin.
+
+    The arguments are the doubles l*k that the kernel forms.  The margin is
+    relative to the terms that stay finite at the nearest Dirichlet point.
+    """
+    with mp.workdps(50):
+        xs = [mp.mpf(ell * k) for ell in geom.lengths]
+        inv = [1 / abs(mp.sin(x)) for x in xs]
+        cots = [mp.cot(x) for x in xs]
+        j = max(range(3), key=lambda i: inv[i])
+        g = mp.mpf(alpha) / mp.mpf(k)
+        d = g + sum(cots)
+        upper = sum(inv)
+        lower = 2 * inv[j] - upper
+        finite = 1 + abs(g) + sum(abs(cots[i]) + inv[i] for i in range(3) if i != j)
+        return (d - upper, d + upper, d - lower, d + lower), 1e-9 * finite
+
+
+class TestGapCriteria:
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(LENGTH, LENGTH, LENGTH, ALPHA, st.floats(0.05, 200.0))
+    def test_equals_the_envelope_comparison_off_dirichlet_points(self, a, b, c, alpha, k):
+        geom = HexGeometry(a, b, c)
+        assume(not sine_triple(geom, k).any_vanish)
+        coupling = VertexCoupling(alpha)
+        verdict = gap_criteria(geom, alpha, k)
+        assert verdict == (gc1(geom, coupling, k), gc2(geom, coupling, k))
+        membership = band_membership(geom, coupling, EnergyPoint.positive(k)).kind
+        assert any(verdict) == (membership.value == "gap")
+
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(LENGTH, LENGTH, LENGTH, st.integers(0, 2), st.integers(1, 300),
+           st.floats(-1e-12, 1e-12), st.booleans(), st.floats(-1.0, 1.0))
+    def test_matches_high_precision_at_dirichlet_points(self, a, b, c, edge, m, offset,
+                                                        lower, shift):
+        # alpha puts the finite one of D -+ upper (or of D -+ lower) within
+        # `shift` of zero, where a pole that cancels in floating point would
+        # show as a wrong sign
+        geom = HexGeometry(a, b, c)
+        k = m * math.pi / geom.lengths[edge] * (1 + offset)
+        values, _ = _mp_boundary_functions(geom, 0.0, k)
+        alpha = float(k * (shift - min(values[2 * lower:2 * lower + 2], key=abs)))
+        (d_minus_upper, d_plus_upper, d_minus_lower, d_plus_lower), margin = \
+            _mp_boundary_functions(geom, alpha, k)
+        assume(min(abs(d_minus_upper), abs(d_plus_upper), abs(d_minus_lower),
+                   abs(d_plus_lower)) > margin)
+        expected = (d_minus_upper > 0 or d_plus_upper < 0, d_minus_lower < 0 < d_plus_lower)
+        assert gap_criteria(geom, alpha, k) == expected
+
+    @pytest.mark.parametrize("s_right, c", [(1e-300, 1.0), (-1e-300, -1.0)], ids=["0", "pi"])
+    def test_exact_zero_sine_is_the_limit_from_the_right(self, s_right, c):
+        # just right of x = 0 the sine is positive, just right of x = pi negative
+        m, p = _half_angle_pair(s_right, c)
+        assert -1e-299 < m < 0 and p > 1e299
+        m, p = _half_angle_pair(0.0, c)
+        assert m == 0.0 and math.copysign(1.0, m) < 0 and p == math.inf
 
 
 class TestDispersionNegative:
