@@ -22,6 +22,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .core import (
     DEFAULT_DIRICHLET_TOL,
     DirichletPointError,
@@ -31,9 +33,9 @@ from .core import (
     VertexCoupling,
     checked_sines,
     cos_reduced,
-    dispersion_negative,
     gap_criteria,
     positive_terms,
+    positive_terms_grid,
     sin_reduced,
 )
 from .numtheory import CommensurabilityWitness, commensurability_witness
@@ -60,6 +62,12 @@ class Decision(Enum):
     BAND = "band"
     GAP = "gap"
     DIRICHLET = "dirichlet"
+
+
+# Sample-row labels indexed by 0 gap, 1 band, 2 dirichlet.
+_LABELS = np.array([Decision.GAP.value, Decision.BAND.value, Decision.DIRICHLET.value],
+                   dtype=object)
+_BAND, _GAP = Decision.BAND.value, Decision.GAP.value
 
 
 @dataclass(frozen=True)
@@ -127,18 +135,29 @@ def inv_sinh(x: float) -> float:
     return 1.0 / math.sinh(x) if x < 700.0 else 0.0
 
 
-def rhs_envelope_negative(geom: HexGeometry, kappa: float) -> RhsEnvelope:
-    """Negative-branch envelope: hyperbolic sines never vanish.
+def _negative_terms(geom: HexGeometry, alpha: float, kappa: float) -> tuple[float, float, float]:
+    """The negative-branch mirror of :func:`positive_terms`: ``(D, lower_unclamped, upper)``.
 
-    The largest 1/sinh term always belongs to the shortest edge, so the
-    lower envelope is max(0, 2/sinh(l_min*kappa) - upper).
+    ``D = coth(a*kappa) + coth(b*kappa) + coth(c*kappa) + alpha/kappa`` and
+    ``upper`` is the sum of the 1/sinh terms.  The largest of those always
+    belongs to the shortest edge, so ``lower_unclamped = 2/sinh(l_min*kappa)
+    - upper``.
     """
     if not kappa > 0:
         raise ValueError(f"kappa must be > 0, got {kappa!r}")
-    inv = [inv_sinh(ell * kappa) for ell in geom.lengths]
+    lengths = geom.lengths
+    inv = [inv_sinh(ell * kappa) for ell in lengths]
     upper = sum(inv)
-    lower = max(0.0, 2 * inv_sinh(geom.ell_min * kappa) - upper)
-    return RhsEnvelope(lower, upper)
+    total = alpha / kappa
+    for ell in lengths:
+        total += 1.0 / math.tanh(ell * kappa)
+    return total, 2 * inv[lengths.index(geom.ell_min)] - upper, upper
+
+
+def rhs_envelope_negative(geom: HexGeometry, kappa: float) -> RhsEnvelope:
+    """Negative-branch envelope: hyperbolic sines never vanish."""
+    _, lower, upper = _negative_terms(geom, 0.0, kappa)
+    return RhsEnvelope(max(0.0, lower), upper)
 
 
 def band_membership(
@@ -156,7 +175,7 @@ def band_membership(
         except DirichletPointError as exc:
             return BandDecision.dirichlet(exc.edges)
     elif energy.branch == "negative":
-        row = _negative_row(geom, coupling, energy.param)
+        row = _negative_row(geom, coupling.alpha, energy.param)
     else:
         raise ValueError("band membership is defined on the positive/negative branches only")
     return BandDecision(Decision(row.decision))
@@ -167,8 +186,7 @@ def band_membership(
 
 
 def _sample_row(x: float, energy: float, value: float, lower: float, upper: float) -> SampleRow:
-    decision = Decision.BAND if lower <= value <= upper else Decision.GAP
-    return SampleRow(x, energy, value, lower, upper, decision.value)
+    return SampleRow(x, energy, value, lower, upper, _BAND if lower <= value <= upper else _GAP)
 
 
 def _positive_row(geom: HexGeometry, alpha: float, k: float, dirichlet_tol: float) -> SampleRow:
@@ -177,10 +195,31 @@ def _positive_row(geom: HexGeometry, alpha: float, k: float, dirichlet_tol: floa
     return _sample_row(k, k * k, abs(d), max(0.0, lower), upper)
 
 
-def _negative_row(geom: HexGeometry, coupling: VertexCoupling, kappa: float) -> SampleRow:
-    env = rhs_envelope_negative(geom, kappa)
-    value = abs(dispersion_negative(geom, coupling, kappa))
-    return _sample_row(kappa, -kappa * kappa, value, env.lower, env.upper)
+def _positive_rows(geom: HexGeometry, alpha: float, ks: np.ndarray, dirichlet_tol: float, gap_at):
+    """The scan rows and gap flags of a whole k grid from one grid-kernel pass.
+
+    Each row equals :func:`_positive_row` at its k; a flagged k gets a
+    ``dirichlet`` row of NaNs and takes its gap flag from ``gap_at``.
+    """
+    d, lower, upper, flagged = positive_terms_grid(geom, alpha, ks, dirichlet_tol)
+    value = np.abs(d, out=d)
+    lower[~(lower > 0.0)] = 0.0  # max(0.0, lower), NaN included
+    band = (lower <= value) & (value <= upper)
+    for column in (value, lower, upper):
+        column[flagged] = math.nan
+    decisions = _LABELS[np.where(flagged, 2, band)].tolist()
+    xs = ks.tolist()
+    samples = list(map(SampleRow, xs, (ks * ks).tolist(), value.tolist(), lower.tolist(),
+                       upper.tolist(), decisions))
+    gaps = (~band).tolist()
+    for i in np.flatnonzero(flagged).tolist():
+        gaps[i] = gap_at(xs[i])
+    return samples, gaps
+
+
+def _negative_row(geom: HexGeometry, alpha: float, kappa: float) -> SampleRow:
+    d, lower, upper = _negative_terms(geom, alpha, kappa)
+    return _sample_row(kappa, -kappa * kappa, abs(d), max(0.0, lower), upper)
 
 
 def _bisect(changed, lo: float, hi: float, edge_tol: float) -> tuple[float, float]:
@@ -249,14 +288,15 @@ def _flat_bands_in_window(geom: HexGeometry, k_lo: float, k_hi: float) -> list[F
     return out
 
 
-def _scan(row_at, gap_at, lo: float, hi: float, n_samples: int, edge_tol: float):
+def _scan(rows, gap_at, lo: float, hi: float, n_samples: int, edge_tol: float):
     """Sample membership on a uniform grid over [lo, hi] and refine every change.
 
-    ``row_at`` gives the :class:`SampleRow` at one point and may raise
-    :class:`DirichletPointError` there; ``gap_at`` decides membership at every
-    point.  A sample decides by its row, or by ``gap_at`` where the row
-    raises, and every change is bisected on ``gap_at``.  Returns the grid
-    spacing, the sample rows and the refined (is_gap, x_lo, x_hi) runs.
+    The grid is ``lo + i*h`` with its last point set to ``hi``.  ``rows``
+    maps the whole grid, as an array, to its :class:`SampleRow` list and its
+    per-sample gap flags; ``gap_at`` decides membership at any one point,
+    and every change between neighbouring samples is bisected on it.
+    Returns the grid spacing, the sample rows and the refined
+    (is_gap, x_lo, x_hi) runs.
     """
     if not (0 < lo < hi < math.inf):
         raise ValueError(f"need 0 < window start < window end < inf, got ({lo!r}, {hi!r})")
@@ -265,20 +305,10 @@ def _scan(row_at, gap_at, lo: float, hi: float, n_samples: int, edge_tol: float)
     if not edge_tol > 0:
         raise ValueError(f"edge_tol must be > 0, got {edge_tol!r}")
     h = (hi - lo) / (n_samples - 1)
-    xs = [lo + i * h for i in range(n_samples)]
+    xs = lo + np.arange(n_samples) * h
     xs[-1] = hi
-
-    samples: list[SampleRow] = []
-    gaps: list[bool] = []
-    for x in xs:
-        try:
-            row = row_at(x)
-            gaps.append(row.decision == Decision.GAP.value)
-        except DirichletPointError:  # only positive rows raise, so E = k^2
-            row = SampleRow(x, x * x, math.nan, math.nan, math.nan, Decision.DIRICHLET.value)
-            gaps.append(gap_at(x))
-        samples.append(row)
-    return h, samples, _intervals_from_runs(xs, gaps, gap_at, edge_tol)
+    samples, gaps = rows(xs)
+    return h, samples, _intervals_from_runs(xs.tolist(), gaps, gap_at, edge_tol)
 
 
 def scan_spectrum(
@@ -293,20 +323,22 @@ def scan_spectrum(
     """Scan the positive branch over (k_lo, k_hi] and report bands/gaps.
 
     Membership is sampled and refined by :func:`_scan`, and intervals are
-    reported in energy units E = k^2.  Edges are bisected on
-    :func:`gap_criteria`, defined at the Dirichlet points too, so
+    reported in energy units E = k^2.  The whole k grid is sampled in one
+    numpy pass of :func:`positive_terms_grid`, bit-identical to the point
+    kernel; only the samples it flags, and the edge bisections, call
+    :func:`gap_criteria`, which is defined at the Dirichlet points too.  So
     ``dirichlet_tol`` only labels sample rows as ``dirichlet``.  A metadata
     flag warns when the grid spacing is too coarse to resolve features on the
     scale of the fastest trigonometric oscillation.
     """
 
-    def row_at(k: float) -> SampleRow:
-        return _positive_row(geom, coupling.alpha, k, dirichlet_tol)
-
     def gap_at(k: float) -> bool:
         return any(gap_criteria(geom, coupling.alpha, k))
 
-    h, samples, intervals = _scan(row_at, gap_at, k_lo, k_hi, n_samples, edge_tol)
+    def rows(ks):
+        return _positive_rows(geom, coupling.alpha, ks, dirichlet_tol, gap_at)
+
+    h, samples, intervals = _scan(rows, gap_at, k_lo, k_hi, n_samples, edge_tol)
     bands = [(lo * lo, hi * hi) for gap, lo, hi in intervals if not gap]
     gaps = [(lo * lo, hi * hi) for gap, lo, hi in intervals if gap]
     spacing_limit = math.pi / (8 * max(geom.lengths))
@@ -357,13 +389,16 @@ def negative_spectrum_scan(
         # _scan rejects n_samples < 2; max() only keeps this division defined until it does
         kappa_lo = kappa_max / max(n_samples, 2)
 
-    def row_at(kappa: float) -> SampleRow:
-        return _negative_row(geom, coupling, kappa)
-
+    # Rows stay scalar: np.tanh and np.sinh differ from math's in the last
+    # bit on a few percent of arguments, which would change the CSV bytes.
     def gap_at(kappa: float) -> bool:
-        return row_at(kappa).decision == Decision.GAP.value
+        return _negative_row(geom, coupling.alpha, kappa).decision == _GAP
 
-    h, samples, intervals = _scan(row_at, gap_at, kappa_lo, kappa_max, n_samples, edge_tol)
+    def rows(kappas):
+        samples = [_negative_row(geom, coupling.alpha, kappa) for kappa in kappas.tolist()]
+        return samples, [row.decision == _GAP for row in samples]
+
+    h, samples, intervals = _scan(rows, gap_at, kappa_lo, kappa_max, n_samples, edge_tol)
 
     def to_energy(lo: float, hi: float) -> tuple[float, float]:
         return (-hi * hi, -lo * lo)

@@ -20,6 +20,8 @@ import cmath
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 __all__ = [
     "DEFAULT_DIRICHLET_TOL",
     "DirichletPointError",
@@ -236,6 +238,11 @@ class MMatrix:
             raise ValueError("MMatrix requires a 4x4 entry grid")
 
 
+def _check_dirichlet_tol(dirichlet_tol: float) -> None:
+    if not dirichlet_tol > 0:
+        raise ValueError(f"dirichlet_tol must be > 0, got {dirichlet_tol!r}")
+
+
 def _flag_sines(k: float, lengths, dirichlet_tol: float) -> tuple[list[float], list[bool]]:
     """sin(l*k) for each length, and whether each is flagged as vanishing.
 
@@ -243,8 +250,7 @@ def _flag_sines(k: float, lengths, dirichlet_tol: float) -> tuple[list[float], l
     |sin(l*k)| is at most the tolerance times max(1, l*k); scaling with the
     argument guards against catastrophic cancellation at large l*k.
     """
-    if not dirichlet_tol > 0:
-        raise ValueError(f"dirichlet_tol must be > 0, got {dirichlet_tol!r}")
+    _check_dirichlet_tol(dirichlet_tol)
     values = []
     flags = []
     for ell in lengths:
@@ -299,6 +305,52 @@ def positive_terms(
     for ell, s in zip(geom.lengths, values):
         total += cos_reduced(ell * k) / s
     return total, 2 * max(inv) - upper, upper
+
+
+def _reduce_grid(x: np.ndarray) -> np.ndarray:
+    """:func:`reduce_mod_two_pi` on an array of positive arguments, bit for bit.
+
+    ``np.fmod`` is exact, and for x > 0 folding its (pi, 2*pi) part down by
+    2*pi is exact too, so this is ``math.remainder``.  At a tie, fmod == pi,
+    the half-even quotient decides the sign; ``math.remainder`` gives it.
+    """
+    r = np.fmod(x, math.tau)
+    r = np.where(r > math.pi, r - math.tau, r)
+    for i in np.flatnonzero(r == math.pi):
+        r[i] = math.remainder(x[i], math.tau)
+    n = np.round((x - r) / math.tau)
+    return r - n * _TAU_LO
+
+
+def positive_terms_grid(
+    geom: HexGeometry, alpha: float, ks: np.ndarray, dirichlet_tol: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`positive_terms` on a whole grid of k: ``(D, lower_unclamped, upper, flagged)``.
+
+    ``flagged`` marks the k where :func:`_flag_sines` flags a sine; there the
+    other three entries are meaningless.  Elsewhere they equal the scalar
+    kernel's bit for bit: the same angle reduction, the same flag rule and
+    the same order of operations, with ``np.sin``/``np.cos`` in place of
+    ``math.sin``/``math.cos``, which ``tests/test_core.py`` pins as equal.
+    """
+    _check_dirichlet_tol(dirichlet_tol)
+    if not np.all(ks > 0):
+        raise ValueError("every k must be > 0")
+    flagged = np.zeros(ks.shape, dtype=bool)
+    total = alpha / ks
+    upper = 0
+    inv_max = 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for ell in geom.lengths:
+            x = ell * ks
+            r = _reduce_grid(x)
+            s = np.sin(r)
+            flagged |= np.abs(s) <= dirichlet_tol * np.maximum(1.0, x)
+            inv = 1 / np.abs(s)
+            upper = upper + inv
+            inv_max = np.maximum(inv_max, inv)
+            total += np.cos(r) / s
+        return total, 2 * inv_max - upper, upper, flagged
 
 
 def _half_angle_pair(s: float, c: float) -> tuple[float, float]:

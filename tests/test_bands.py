@@ -20,7 +20,9 @@ from hexband import (
     trig_polynomial_min,
     verify_flat_band,
 )
-from hexband.core import DirichletPointError
+from hexband.bands import _positive_row, inv_sinh
+from hexband.core import DirichletPointError, dispersion_negative
+from hexband.report import SampleRow
 from hexband.numtheory import CommensurabilityWitness
 from hexband.oracle import GridSpec, band_membership_grid, rhs_extrema_grid, trig_min_grid
 
@@ -236,6 +238,32 @@ class TestScanSpectrum:
         assert report.meta["may_miss_narrow_features"] is True
         assert report.meta["warnings"]
 
+    @pytest.mark.parametrize(
+        "geom, alpha, k_lo, k_hi, n_samples, tol",
+        [
+            (HexGeometry(1, (1 + math.sqrt(5)) / 2, 1.3), 3.0, 0.01, 100.0, 4000, 1e-3),
+            # both window ends and ten samples between them lie on a double m*pi
+            (EQUILATERAL, 3.0, math.pi, 13 * math.pi, 145, 1e-9),
+        ],
+        ids=["wide-tolerance", "on-dirichlet-points"],
+    )
+    def test_samples_equal_the_point_kernel_rows(self, geom, alpha, k_lo, k_hi, n_samples, tol):
+        # the grid kernel is bit-identical to the scalar _positive_row on the
+        # scan's own grid lo + i*h, and a flagged sample is a row of NaNs
+        report = scan_spectrum(geom, VertexCoupling(alpha), k_lo, k_hi, n_samples, 1e-9,
+                               dirichlet_tol=tol)
+        h = (k_hi - k_lo) / (n_samples - 1)
+        expected = []
+        for i in range(n_samples):
+            k = k_hi if i == n_samples - 1 else k_lo + i * h
+            try:
+                expected.append(_positive_row(geom, alpha, k, tol))
+            except DirichletPointError:
+                expected.append(SampleRow(k, k * k, math.nan, math.nan, math.nan, "dirichlet"))
+        assert 0 < sum(row.decision == "dirichlet" for row in expected) < n_samples
+        assert [tuple(map(repr, row)) for row in report.samples] == \
+            [tuple(map(repr, row)) for row in expected]
+
     def test_fine_grid_not_flagged(self):
         report = scan_spectrum(EQUILATERAL, KIRCHHOFF, 1.0, 2.0, 200, 1e-6)
         assert report.meta["may_miss_narrow_features"] is False
@@ -370,6 +398,20 @@ class TestNegativeScan:
             HexGeometry(1, 3, 3), VertexCoupling(-1.5), 5.0, 1500, 1e-9, kappa_lo=1e-4
         )
         assert report.gap_adjacent_to_zero()
+
+    def test_rows_equal_the_dispersion_and_envelope(self):
+        # kappa reaches past 700/l, where 1/sinh is taken as 0
+        geom, coupling = HexGeometry(1, 3, 0.7), VertexCoupling(-6.5)
+        report = negative_spectrum_scan(geom, coupling, 300.0, 800, 1e-9, kappa_lo=1e-3)
+        for row in report.samples:
+            kappa = row.k
+            inv = [inv_sinh(ell * kappa) for ell in geom.lengths]
+            upper = sum(inv)
+            lower = max(0.0, 2 * inv_sinh(geom.ell_min * kappa) - upper)
+            value = abs(dispersion_negative(geom, coupling, kappa))
+            assert (row.energy, row.abs_dispersion, row.lower, row.upper) == \
+                (-kappa * kappa, value, lower, upper)
+            assert row.decision == ("band" if lower <= value <= upper else "gap")
 
     def test_energies_increase(self):
         report = negative_spectrum_scan(

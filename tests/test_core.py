@@ -29,7 +29,15 @@ from hexband import (
     sine_triple,
     solve_cell_wavefunction,
 )
-from hexband.core import _half_angle_pair, gap_criteria, reduce_mod_two_pi
+from hexband.core import (
+    _flag_sines,
+    _half_angle_pair,
+    _reduce_grid,
+    gap_criteria,
+    positive_terms,
+    positive_terms_grid,
+    reduce_mod_two_pi,
+)
 from hexband.oracle import GridSpec, band_membership_grid, det_numeric
 
 EQUILATERAL = HexGeometry(1, 1, 1)
@@ -215,11 +223,107 @@ class TestKernelCalls:
         call(self.GEOM, self.COUPLING)
         assert calls[0] == 1
 
-    def test_one_call_per_scan_sample(self, calls):
-        # Kirchhoff equilateral is one band: no edges to refine
+    def test_one_grid_call_per_scan(self, calls, monkeypatch):
+        # Kirchhoff equilateral is one band: no edges to refine, so the grid
+        # kernel samples all 50 points and no scalar kernel runs
+        import hexband.bands
+
+        grid_calls = [0]
+        original = hexband.bands.positive_terms_grid
+
+        def counting(*args, **kwargs):
+            grid_calls[0] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(hexband.bands, "positive_terms_grid", counting)
         report = scan_spectrum(EQUILATERAL, KIRCHHOFF, 1.0, 2.0, 50, 1e-9)
         assert len(report.bands) == 1 and not report.gaps
-        assert calls[0] == 50
+        assert len(report.samples) == 50
+        assert (grid_calls[0], calls[0]) == (1, 0)
+
+
+SIMD_MESSAGE = ("numpy's SIMD dispatch on this CPU differs from libm ({}): the scan grid "
+                "kernel is no longer bit-identical to the point kernel")
+
+
+class TestGridKernelAgainstLibm:
+    """The grid kernel is bit-identical only while numpy's sin, cos and fmod
+    agree with math's; numpy may dispatch other SIMD kernels on other CPUs."""
+
+    N = 1_000_000
+
+    def test_sin_and_cos(self):
+        x = np.random.default_rng(8).uniform(-math.pi, math.pi, self.N)
+        xs = x.tolist()
+        for np_fn, math_fn in ((np.sin, math.sin), (np.cos, math.cos)):
+            expected = np.array([math_fn(v) for v in xs])
+            bad = np.count_nonzero(np_fn(x) != expected)
+            assert bad == 0, SIMD_MESSAGE.format(f"{np_fn.__name__}: {bad} of {self.N} differ")
+
+    def test_fold(self):
+        x = np.random.default_rng(9).uniform(0.0, 1e8, self.N)
+        expected = np.array([reduce_mod_two_pi(v) for v in x.tolist()])
+        bad = np.count_nonzero(_reduce_grid(x) != expected)
+        assert bad == 0, SIMD_MESSAGE.format(f"fold: {bad} of {self.N} differ")
+
+
+def _hex(x):
+    return float(x).hex()
+
+
+@st.composite
+def _grid_case(draw):
+    """A geometry, alpha, tolerance and k grid with exact Dirichlet hits and
+    ``fmod(l*k, 2*pi) == pi`` ties among random k from 1e-2 to 1e8."""
+    lengths = [draw(st.floats(0.05, 20.0)) for _ in range(3)]
+    ks = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["random", "dirichlet", "tie"]))
+        edge = draw(st.integers(0, 2))
+        if kind == "random":
+            ks.append(10.0 ** draw(st.floats(-2.0, 8.0)))
+        elif kind == "dirichlet":
+            ks.append(draw(st.integers(1, 10**7)) * math.pi / lengths[edge])
+        else:
+            # the only doubles x with fmod(x, 2*pi) == pi are pi, 3pi, 5pi, 7pi and 9pi;
+            # a power-of-two length makes l*k land on one exactly
+            lengths[edge] = 2.0 ** draw(st.integers(-4, 4))
+            ks.append(draw(st.sampled_from([1, 3, 5, 7, 9])) * math.pi / lengths[edge])
+    alpha = draw(st.floats(-1e3, 1e3))
+    tol = draw(st.sampled_from([1e-9, 1e-20]))
+    return HexGeometry(*lengths), alpha, ks, tol
+
+
+class TestPositiveTermsGrid:
+    @settings(max_examples=1500, derandomize=True, deadline=None)
+    @given(_grid_case())
+    def test_equals_the_point_kernel_bit_for_bit(self, case):
+        geom, alpha, ks, tol = case
+        d, lower, upper, flagged = positive_terms_grid(geom, alpha, np.array(ks), tol)
+        for i, k in enumerate(ks):
+            flags = _flag_sines(k, geom.lengths, tol)[1]
+            assert bool(flagged[i]) == any(flags)
+            if flagged[i]:
+                with pytest.raises(DirichletPointError):
+                    positive_terms(geom, alpha, k, tol)
+                continue
+            expected = positive_terms(geom, alpha, k, tol)
+            assert tuple(map(_hex, (d[i], lower[i], upper[i]))) == tuple(map(_hex, expected))
+
+    def test_ties_take_the_half_even_quotient(self):
+        x = np.array([math.pi, 3 * math.pi, 5 * math.pi, 7 * math.pi, 9 * math.pi])
+        assert [math.fmod(v, math.tau) for v in x.tolist()] == [math.pi] * 5
+        assert _reduce_grid(x).tolist() == [reduce_mod_two_pi(v) for v in x.tolist()]
+        assert [math.copysign(1.0, v) for v in _reduce_grid(x).tolist()] == [1, -1, 1, -1, 1]
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-9, math.nan])
+    def test_rejects_a_nonpositive_tolerance(self, tol):
+        with pytest.raises(ValueError, match="dirichlet_tol"):
+            positive_terms_grid(EQUILATERAL, 0.0, np.array([1.0]), tol)
+
+    def test_rejects_a_nonpositive_k(self):
+        with pytest.raises(ValueError, match="k must be > 0"):
+            positive_terms_grid(EQUILATERAL, 0.0, np.array([1.0, 0.0]), 1e-9)
 
 
 LENGTH = st.floats(0.5, 3.0)
