@@ -33,7 +33,7 @@ from .core import (
     VertexCoupling,
     checked_sines,
     cos_reduced,
-    gap_criteria,
+    gap_criteria_grid,
     positive_terms,
     positive_terms_grid,
     sin_reduced,
@@ -195,11 +195,18 @@ def _positive_row(geom: HexGeometry, alpha: float, k: float, dirichlet_tol: floa
     return _sample_row(k, k * k, abs(d), max(0.0, lower), upper)
 
 
-def _positive_rows(geom: HexGeometry, alpha: float, ks: np.ndarray, dirichlet_tol: float, gap_at):
+def _positive_gaps(geom: HexGeometry, alpha: float, ks: np.ndarray) -> np.ndarray:
+    """Whether each k lies in a gap, from :func:`gap_criteria_grid`."""
+    gc1, gc2 = gap_criteria_grid(geom, alpha, ks)
+    return gc1 | gc2
+
+
+def _positive_rows(geom: HexGeometry, alpha: float, ks: np.ndarray, dirichlet_tol: float):
     """The scan rows and gap flags of a whole k grid from one grid-kernel pass.
 
-    Each row equals :func:`_positive_row` at its k; a flagged k gets a
-    ``dirichlet`` row of NaNs and takes its gap flag from ``gap_at``.
+    Each row equals :func:`_positive_row` at its k; the flagged k get
+    ``dirichlet`` rows of NaNs and take their gap flags from one
+    :func:`gap_criteria_grid` call.
     """
     d, lower, upper, flagged = positive_terms_grid(geom, alpha, ks, dirichlet_tol)
     value = np.abs(d, out=d)
@@ -211,9 +218,9 @@ def _positive_rows(geom: HexGeometry, alpha: float, ks: np.ndarray, dirichlet_to
     xs = ks.tolist()
     samples = list(map(SampleRow, xs, (ks * ks).tolist(), value.tolist(), lower.tolist(),
                        upper.tolist(), decisions))
-    gaps = (~band).tolist()
-    for i in np.flatnonzero(flagged).tolist():
-        gaps[i] = gap_at(xs[i])
+    gaps = ~band
+    if flagged.any():
+        gaps[flagged] = _positive_gaps(geom, alpha, ks[flagged])
     return samples, gaps
 
 
@@ -222,37 +229,32 @@ def _negative_row(geom: HexGeometry, alpha: float, kappa: float) -> SampleRow:
     return _sample_row(kappa, -kappa * kappa, abs(d), max(0.0, lower), upper)
 
 
-def _bisect(changed, lo: float, hi: float, edge_tol: float) -> tuple[float, float]:
-    """Shrink a bracket with ``changed`` false at lo and true at hi to width <= edge_tol.
-
-    Stops early once lo and hi are adjacent doubles, where edge_tol is below
-    their spacing and the midpoint would repeat an end.
-    """
-    while hi - lo > edge_tol:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        if changed(mid):
-            hi = mid
-        else:
-            lo = mid
-    return lo, hi
-
-
-def _intervals_from_runs(xs, gaps, is_gap, edge_tol):
+def _intervals_from_runs(xs: np.ndarray, gaps: np.ndarray, gaps_at, edge_tol: float):
     """Compress per-sample gap flags into refined (is_gap, x_lo, x_hi) runs.
 
-    Each change between neighbouring samples is bisected on ``is_gap`` to
-    width <= edge_tol.  A run narrower than edge_tol at a window end is that
-    end's Dirichlet point seen from its other side; it joins its neighbour.
+    Every change between neighbouring samples is bisected on ``gaps_at``,
+    which maps an array of points to their gap flags.  All brackets step in
+    lockstep, one ``gaps_at`` call per step; each stops once it is no wider
+    than edge_tol, or once its ends are adjacent doubles, where edge_tol is
+    below their spacing and the midpoint would repeat an end.  A run narrower
+    than edge_tol at a window end is that end's Dirichlet point seen from its
+    other side; it joins its neighbour.
     """
-    states, edges = [gaps[0]], [xs[0]]
-    for x_lo, x_hi, was_gap, gap in zip(xs, xs[1:], gaps, gaps[1:]):
-        if gap != was_gap:
-            lo, hi = _bisect(lambda x: is_gap(x) != was_gap, x_lo, x_hi, edge_tol)
-            states.append(gap)
-            edges.append(0.5 * (lo + hi))
-    edges.append(xs[-1])
+    changes = np.flatnonzero(gaps[1:] != gaps[:-1])
+    lo, hi, was_gap = xs[changes], xs[changes + 1], gaps[changes]
+    pending = np.arange(changes.size)
+    while True:
+        bracket_lo, bracket_hi = lo[pending], hi[pending]
+        mid = 0.5 * (bracket_lo + bracket_hi)
+        live = (bracket_hi - bracket_lo > edge_tol) & (bracket_lo < mid) & (mid < bracket_hi)
+        pending, mid = pending[live], mid[live]
+        if not pending.size:
+            break
+        changed = gaps_at(mid) != was_gap[pending]
+        hi[pending[changed]] = mid[changed]
+        lo[pending[~changed]] = mid[~changed]
+    states = [bool(gaps[0]), *(~was_gap).tolist()]
+    edges = [float(xs[0]), *(0.5 * (lo + hi)).tolist(), float(xs[-1])]
     if len(states) > 1 and edges[1] - edges[0] < edge_tol:
         del states[0], edges[1]
     if len(states) > 1 and edges[-1] - edges[-2] < edge_tol:
@@ -288,15 +290,15 @@ def _flat_bands_in_window(geom: HexGeometry, k_lo: float, k_hi: float) -> list[F
     return out
 
 
-def _scan(rows, gap_at, lo: float, hi: float, n_samples: int, edge_tol: float):
+def _scan(rows, gaps_at, lo: float, hi: float, n_samples: int, edge_tol: float):
     """Sample membership on a uniform grid over [lo, hi] and refine every change.
 
     The grid is ``lo + i*h`` with its last point set to ``hi``.  ``rows``
     maps the whole grid, as an array, to its :class:`SampleRow` list and its
-    per-sample gap flags; ``gap_at`` decides membership at any one point,
-    and every change between neighbouring samples is bisected on it.
-    Returns the grid spacing, the sample rows and the refined
-    (is_gap, x_lo, x_hi) runs.
+    per-sample gap flags as a boolean array; ``gaps_at`` maps any array of
+    points to their gap flags, and :func:`_intervals_from_runs` bisects every
+    change between neighbouring samples on it, all at once.  Returns the grid
+    spacing, the sample rows and the refined (is_gap, x_lo, x_hi) runs.
     """
     if not (0 < lo < hi < math.inf):
         raise ValueError(f"need 0 < window start < window end < inf, got ({lo!r}, {hi!r})")
@@ -308,7 +310,7 @@ def _scan(rows, gap_at, lo: float, hi: float, n_samples: int, edge_tol: float):
     xs = lo + np.arange(n_samples) * h
     xs[-1] = hi
     samples, gaps = rows(xs)
-    return h, samples, _intervals_from_runs(xs.tolist(), gaps, gap_at, edge_tol)
+    return h, samples, _intervals_from_runs(xs, gaps, gaps_at, edge_tol)
 
 
 def scan_spectrum(
@@ -325,20 +327,21 @@ def scan_spectrum(
     Membership is sampled and refined by :func:`_scan`, and intervals are
     reported in energy units E = k^2.  The whole k grid is sampled in one
     numpy pass of :func:`positive_terms_grid`, bit-identical to the point
-    kernel; only the samples it flags, and the edge bisections, call
-    :func:`gap_criteria`, which is defined at the Dirichlet points too.  So
-    ``dirichlet_tol`` only labels sample rows as ``dirichlet``.  A metadata
-    flag warns when the grid spacing is too coarse to resolve features on the
-    scale of the fastest trigonometric oscillation.
+    kernel.  The samples it flags take their gap flags from one
+    :func:`gap_criteria_grid` call, and each lockstep bisection step makes
+    one more over every pending edge; the criteria are defined at the
+    Dirichlet points too.  So ``dirichlet_tol`` only labels sample rows as
+    ``dirichlet``.  A metadata flag warns when the grid spacing is too coarse
+    to resolve features on the scale of the fastest trigonometric oscillation.
     """
 
-    def gap_at(k: float) -> bool:
-        return any(gap_criteria(geom, coupling.alpha, k))
+    def gaps_at(ks):
+        return _positive_gaps(geom, coupling.alpha, ks)
 
     def rows(ks):
-        return _positive_rows(geom, coupling.alpha, ks, dirichlet_tol, gap_at)
+        return _positive_rows(geom, coupling.alpha, ks, dirichlet_tol)
 
-    h, samples, intervals = _scan(rows, gap_at, k_lo, k_hi, n_samples, edge_tol)
+    h, samples, intervals = _scan(rows, gaps_at, k_lo, k_hi, n_samples, edge_tol)
     bands = [(lo * lo, hi * hi) for gap, lo, hi in intervals if not gap]
     gaps = [(lo * lo, hi * hi) for gap, lo, hi in intervals if gap]
     spacing_limit = math.pi / (8 * max(geom.lengths))
@@ -391,14 +394,14 @@ def negative_spectrum_scan(
 
     # Rows stay scalar: np.tanh and np.sinh differ from math's in the last
     # bit on a few percent of arguments, which would change the CSV bytes.
-    def gap_at(kappa: float) -> bool:
-        return _negative_row(geom, coupling.alpha, kappa).decision == _GAP
-
     def rows(kappas):
         samples = [_negative_row(geom, coupling.alpha, kappa) for kappa in kappas.tolist()]
-        return samples, [row.decision == _GAP for row in samples]
+        return samples, np.array([row.decision == _GAP for row in samples])
 
-    h, samples, intervals = _scan(rows, gap_at, kappa_lo, kappa_max, n_samples, edge_tol)
+    def gaps_at(kappas):
+        return rows(kappas)[1]
+
+    h, samples, intervals = _scan(rows, gaps_at, kappa_lo, kappa_max, n_samples, edge_tol)
 
     def to_energy(lo: float, hi: float) -> tuple[float, float]:
         return (-hi * hi, -lo * lo)

@@ -316,9 +316,11 @@ def _reduce_grid(x: np.ndarray) -> np.ndarray:
     """
     r = np.fmod(x, math.tau)
     r = np.where(r > math.pi, r - math.tau, r)
-    for i in np.flatnonzero(r == math.pi):
-        r[i] = math.remainder(x[i], math.tau)
-    n = np.round((x - r) / math.tau)
+    ties = r == math.pi
+    if ties.any():
+        for i in np.flatnonzero(ties):
+            r[i] = math.remainder(x[i], math.tau)
+    n = np.rint((x - r) / math.tau)
     return r - n * _TAU_LO
 
 
@@ -337,10 +339,10 @@ def positive_terms_grid(
     if not np.all(ks > 0):
         raise ValueError("every k must be > 0")
     flagged = np.zeros(ks.shape, dtype=bool)
-    total = alpha / ks
     upper = 0
     inv_max = 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        total = alpha / ks
         for ell in geom.lengths:
             x = ell * ks
             r = _reduce_grid(x)
@@ -358,12 +360,14 @@ def _half_angle_pair(s: float, c: float) -> tuple[float, float]:
 
     With ``t = tan(x/2)`` taken as s/(1+c) or (1-c)/s, whichever does not
     cancel, the pair is (-t, 1/t) for s > 0 and (1/t, -t) for s < 0.  At
-    s == 0 it is the limit from the right, (-0, +inf).
+    s == 0 it is the limit from the right, (-0, +inf); where t underflows to
+    zero, 1/t is the IEEE limit.
     """
     if s == 0.0:
         return -0.0, math.inf
     t = s / (1 + c) if c >= 0 else (1 - c) / s
-    return (-t, 1 / t) if s > 0 else (1 / t, -t)
+    inv = 1 / t if t else math.copysign(math.inf, t)  # t underflows only for a subnormal s
+    return (-t, inv) if s > 0 else (inv, -t)
 
 
 def gap_criteria(geom: HexGeometry, alpha: float, k: float) -> tuple[bool, bool]:
@@ -384,6 +388,43 @@ def gap_criteria(geom: HexGeometry, alpha: float, k: float) -> tuple[bool, bool]
     d_minus_lower = g + ms[j] + sum(p for i, p in enumerate(ps) if i != j)
     d_plus_lower = g + ps[j] + sum(m for i, m in enumerate(ms) if i != j)
     return gc1, d_minus_lower < 0 < d_plus_lower
+
+
+# The two edges other than j, in order, for j = 0, 1, 2.
+_OTHER_EDGES = np.array([[1, 0, 0], [2, 2, 1]])
+
+
+def gap_criteria_grid(
+    geom: HexGeometry, alpha: float, ks: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`gap_criteria` on an array of k: ``(gc1, gc2)`` as boolean arrays.
+
+    Equal to the scalar form bit for bit.  The three edges form one stacked
+    ``(3, n)`` array, reduced by :func:`_reduce_grid`; the half-angle pairs
+    follow :func:`_half_angle_pair`, j is the first edge of smallest |sin|,
+    and every sum adds its terms in the scalar order.
+    """
+    if not (ks > 0).all():
+        raise ValueError("every k must be > 0")
+    x = np.multiply.outer(geom.lengths, ks)
+    r = _reduce_grid(x.ravel()).reshape(x.shape)
+    s = np.sin(r)
+    c = np.cos(r)
+    j = np.argmin(np.abs(s), axis=0)
+    first, second = _OTHER_EDGES[:, j]
+    cols = np.arange(ks.size)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # r is never -0.0, so s == 0 has c == 1 and t == +0: (-0, +inf) as in the scalar form
+        t = np.where(c >= 0, s / (1 + c), (1 - c) / s)
+        inv = 1 / t
+        right = s >= 0
+        m = np.where(right, -t, inv)
+        p = np.where(right, inv, -t)
+        g = alpha / ks
+        gc1 = (g + (m[0] + m[1] + m[2]) > 0) | (g + (p[0] + p[1] + p[2]) < 0)
+        d_minus_lower = g + m[j, cols] + (p[first, cols] + p[second, cols])
+        d_plus_lower = g + p[j, cols] + (m[first, cols] + m[second, cols])
+        return gc1, (d_minus_lower < 0) & (0 < d_plus_lower)
 
 
 def dispersion(geom: HexGeometry, coupling: VertexCoupling, k: float) -> float:

@@ -1,7 +1,10 @@
+import hashlib
 import math
 import random
+import struct
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hexband import (
@@ -20,8 +23,9 @@ from hexband import (
     trig_polynomial_min,
     verify_flat_band,
 )
-from hexband.bands import _positive_row, inv_sinh
-from hexband.core import DirichletPointError, dispersion_negative
+from hexband.bands import (_intervals_from_runs, _negative_row, _positive_gaps, _positive_row,
+                           _positive_rows, inv_sinh)
+from hexband.core import DirichletPointError, dispersion_negative, gap_criteria
 from hexband.report import SampleRow
 from hexband.numtheory import CommensurabilityWitness
 from hexband.oracle import GridSpec, band_membership_grid, rhs_extrema_grid, trig_min_grid
@@ -378,6 +382,144 @@ class TestDirichletEdges:
         intervals = _intervals(report)
         assert intervals[end][2] == state
         assert all(hi - lo >= 1e-9 for lo, hi, _ in intervals)
+
+
+def _reference_runs(xs, gaps, is_gap, edge_tol):
+    """Refined (is_gap, x_lo, x_hi) runs from one scalar bisection per edge.
+
+    Each change is bisected on the point function ``is_gap`` until the
+    bracket is no wider than edge_tol or its ends are adjacent doubles; then
+    a run narrower than edge_tol at a window end joins its neighbour.
+    """
+    states, edges = [gaps[0]], [xs[0]]
+    for x_lo, x_hi, was_gap, gap in zip(xs, xs[1:], gaps, gaps[1:]):
+        if gap == was_gap:
+            continue
+        lo, hi = x_lo, x_hi
+        while hi - lo > edge_tol:
+            mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:
+                break
+            if is_gap(mid) != was_gap:
+                hi = mid
+            else:
+                lo = mid
+        states.append(gap)
+        edges.append(0.5 * (lo + hi))
+    edges.append(xs[-1])
+    if len(states) > 1 and edges[1] - edges[0] < edge_tol:
+        del states[0], edges[1]
+    if len(states) > 1 and edges[-1] - edges[-2] < edge_tol:
+        del states[-1], edges[-2]
+    return [(state, edges[i], edges[i + 1]) for i, state in enumerate(states)]
+
+
+def _hashed_gap(x):
+    """A fixed but arbitrary gap flag for every double x."""
+    return hashlib.blake2b(struct.pack("<d", x), digest_size=1).digest()[0] & 1 == 1
+
+
+def _lockstep_runs(xs, gaps, is_gap, edge_tol):
+    """:func:`_intervals_from_runs` on ``is_gap`` mapped over arrays, and the
+    size of each array it asked for."""
+    sizes = []
+
+    def gaps_at(points):
+        sizes.append(points.size)
+        return np.array([is_gap(x) for x in points.tolist()], dtype=bool)
+
+    return _intervals_from_runs(np.array(xs), np.array(gaps), gaps_at, edge_tol), sizes
+
+
+class TestLockstepRefinement:
+    """Bisecting every edge at once gives the doubles of one bisection per edge."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_flag_patterns(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(2, 80)
+        lo = 10 ** rng.uniform(-2, 6)
+        h = lo * 10 ** rng.uniform(-6, 0)
+        xs = (lo + np.arange(n) * h).tolist()
+        gaps = [rng.random() < rng.choice([0.1, 0.5, 0.9]) for _ in range(n)]
+        edge_tol = 10 ** rng.uniform(-15, -2)
+        runs, sizes = _lockstep_runs(xs, gaps, _hashed_gap, edge_tol)
+        assert runs == _reference_runs(xs, gaps, _hashed_gap, edge_tol)
+        assert all(type(x) is float and type(state) is bool for state, *ends in runs
+                   for x in ends)
+        changes = sum(a != b for a, b in zip(gaps, gaps[1:]))
+        assert sorted(sizes, reverse=True) == sizes and all(0 < n <= changes for n in sizes)
+
+    def test_brackets_shrink_to_adjacent_doubles(self):
+        # doubles near k = 1e6 are ~1.2e-10 apart, far wider than edge_tol
+        rng = random.Random(3)
+        xs = (1e6 + np.arange(400) * 2.5e-3).tolist()
+        gaps = [rng.random() < 0.5 for _ in xs]
+        runs, sizes = _lockstep_runs(xs, gaps, _hashed_gap, 1e-14)
+        assert runs == _reference_runs(xs, gaps, _hashed_gap, 1e-14)
+        # the width test never stops a bracket: each stops once its midpoint
+        # repeats an end, after about log2(spacing / ulp) steps
+        steps = math.log2(2.5e-3 / math.ulp(1e6))
+        assert math.floor(steps) <= len(sizes) <= math.ceil(steps) + 1
+
+    def test_a_bracket_as_wide_as_edge_tol_stops(self):
+        # power-of-two widths: after 11 halvings of 0.5 each bracket is exactly 2**-12 wide
+        xs, gaps = [1.0, 1.5, 2.0, 2.5], [False, True, False, True]
+        runs, sizes = _lockstep_runs(xs, gaps, _hashed_gap, 2.0**-12)
+        assert runs == _reference_runs(xs, gaps, _hashed_gap, 2.0**-12)
+        assert sizes == [3] * 11
+
+    @pytest.mark.parametrize("first, last", [(True, True), (True, False), (False, True)])
+    def test_runs_at_both_window_ends_join_their_neighbours(self, first, last):
+        # the point function puts the first edge on the window start and the
+        # last on the window end, leaving runs narrower than edge_tol there
+        xs = [1.0, 1.5, 2.0, 2.5]
+        gaps = [first, not first, not first, last]
+        interior = not first
+
+        def is_gap(x):
+            return interior
+
+        runs, _ = _lockstep_runs(xs, gaps, is_gap, 1e-9)
+        assert runs == _reference_runs(xs, gaps, is_gap, 1e-9)
+        assert [state for state, _, _ in runs] == [interior]
+        assert (runs[0][1], runs[-1][2]) == (1.0, 2.5)
+
+    @pytest.mark.parametrize(
+        "geom, alpha, k_lo, k_hi, n_samples, edge_tol",
+        [
+            (HexGeometry((1 + math.sqrt(5)) / 2, 1, 1), -47.5, 0.01, 120.0, 1500, 1e-9),
+            (HexGeometry(0.5, 1.5, 1.0), 3.5, 2 * math.pi, 22 * math.pi, 801, 1e-12),
+            (HexGeometry((1 + math.sqrt(5)) / 2, 1, math.sqrt(2)), 3107703.0,
+             1004692.43, 1004702.43, 4000, 1e-14),
+        ],
+        ids=["golden-bc", "dirichlet-ends", "large-k"],
+    )
+    def test_positive_scans_equal_the_scalar_criteria_bisection(self, geom, alpha, k_lo, k_hi,
+                                                                n_samples, edge_tol):
+        xs = np.linspace(k_lo, k_hi, n_samples)
+        _, gaps = _positive_rows(geom, alpha, xs, 1e-9)
+        runs = _intervals_from_runs(xs, gaps, lambda ks: _positive_gaps(geom, alpha, ks),
+                                    edge_tol)
+
+        def is_gap(k):
+            return any(gap_criteria(geom, alpha, k))
+
+        assert len(runs) >= 3
+        assert runs == _reference_runs(xs.tolist(), gaps.tolist(), is_gap, edge_tol)
+
+    def test_negative_scan_equals_the_scalar_bisection(self):
+        geom, alpha = HexGeometry(1.0, 0.6, 1.7), -6.5
+        kappas = np.linspace(0.05, 5.0, 300)
+        rows = [_negative_row(geom, alpha, kappa) for kappa in kappas.tolist()]
+        gaps = [row.decision == "gap" for row in rows]
+
+        def is_gap(kappa):
+            return _negative_row(geom, alpha, kappa).decision == "gap"
+
+        runs, _ = _lockstep_runs(kappas.tolist(), gaps, is_gap, 1e-12)
+        assert len(runs) >= 2
+        assert runs == _reference_runs(kappas.tolist(), gaps, is_gap, 1e-12)
 
 
 class TestNegativeScan:

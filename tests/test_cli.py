@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import pytest
 from click.testing import CliRunner
@@ -72,6 +73,17 @@ class TestBandsCommand:
         lefts = [math.sqrt(lo) for lo, _ in report.gaps]
         for m in (1, 2, 3, 4):
             assert any(abs(left - 2 * math.pi * m) < 1e-3 for left in lefts)
+
+    def test_subnormal_window_start_is_quiet(self, runner):
+        # tan(k/2) underflows to zero and alpha/k overflows at k = 5e-324:
+        # both take their IEEE limits, with no error and no numpy warning
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = runner.invoke(cli, ["bands", "--a", "1", "--b", "1", "--c", "1",
+                                         "--alpha", "3", "--kmin", "5e-324", "--kmax", "1",
+                                         "--samples", "50"])
+        assert (result.exit_code, result.stderr, caught) == (0, "", [])
+        assert json.loads(result.stdout)["gaps"] == [{"e_lo": 0, "e_hi": 1}]
 
     def test_invalid_geometry_exits_2(self, runner):
         result = runner.invoke(cli, ["bands", "--a", "0", "--b", "1", "--c", "1", "--kmax", "5"])

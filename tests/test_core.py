@@ -34,6 +34,7 @@ from hexband.core import (
     _half_angle_pair,
     _reduce_grid,
     gap_criteria,
+    gap_criteria_grid,
     positive_terms,
     positive_terms_grid,
     reduce_mod_two_pi,
@@ -224,22 +225,45 @@ class TestKernelCalls:
         assert calls[0] == 1
 
     def test_one_grid_call_per_scan(self, calls, monkeypatch):
-        # Kirchhoff equilateral is one band: no edges to refine, so the grid
-        # kernel samples all 50 points and no scalar kernel runs
         import hexband.bands
+        import hexband.core
 
-        grid_calls = [0]
-        original = hexband.bands.positive_terms_grid
+        counts = {}
 
-        def counting(*args, **kwargs):
-            grid_calls[0] += 1
-            return original(*args, **kwargs)
+        def count(module, name):
+            original = getattr(module, name)
+            counts[name] = 0
 
-        monkeypatch.setattr(hexband.bands, "positive_terms_grid", counting)
+            def counting(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counting)
+
+        count(hexband.bands, "positive_terms_grid")
+        count(hexband.bands, "gap_criteria_grid")
+        count(hexband.core, "gap_criteria")
+
+        # Kirchhoff equilateral is one band: no edges to refine, so the grid
+        # kernel samples all 50 points and no other kernel runs
         report = scan_spectrum(EQUILATERAL, KIRCHHOFF, 1.0, 2.0, 50, 1e-9)
         assert len(report.bands) == 1 and not report.gaps
         assert len(report.samples) == 50
-        assert (grid_calls[0], calls[0]) == (1, 0)
+        assert (counts["positive_terms_grid"], counts["gap_criteria_grid"], calls[0]) == (1, 0, 0)
+
+        # A gap-rich window whose ends and inner samples hit Dirichlet points:
+        # one criteria call for the flagged samples and one per lockstep
+        # bisection step, however many edges there are, and no scalar calls
+        counts.update(positive_terms_grid=0, gap_criteria_grid=0)
+        geom = HexGeometry(0.5, 1.5, 1.0)
+        k_lo, k_hi, n_samples, edge_tol = 2 * math.pi, 22 * math.pi, 4001, 1e-9
+        report = scan_spectrum(geom, VertexCoupling(3.5), k_lo, k_hi, n_samples, edge_tol)
+        assert len(report.gaps) >= 10
+        assert any(row.decision == "dirichlet" for row in report.samples)
+        h = report.meta["k_spacing"]
+        assert counts["positive_terms_grid"] == 1
+        assert 2 <= counts["gap_criteria_grid"] <= math.ceil(math.log2(h / edge_tol)) + 2
+        assert (counts["gap_criteria"], calls[0]) == (0, 0)
 
 
 SIMD_MESSAGE = ("numpy's SIMD dispatch on this CPU differs from libm ({}): the scan grid "
@@ -387,6 +411,93 @@ class TestGapCriteria:
         assert -1e-299 < m < 0 and p > 1e299
         m, p = _half_angle_pair(0.0, c)
         assert m == 0.0 and math.copysign(1.0, m) < 0 and p == math.inf
+
+    def test_underflowing_half_angle_takes_the_ieee_limit(self):
+        # tan(x/2) = s/(1+c) underflows to zero for a subnormal sine
+        m, p = _half_angle_pair(5e-324, 1.0)
+        assert (m, p) == (0.0, math.inf) and math.copysign(1.0, m) < 0
+        m, p = _half_angle_pair(-5e-324, 1.0)
+        assert (m, p) == (-math.inf, 0.0) and math.copysign(1.0, p) > 0
+        assert gap_criteria(EQUILATERAL, 3.0, 5e-324) == (True, False)
+
+
+@st.composite
+def _criteria_case(draw):
+    """A geometry, alpha and k grid as in :func:`_grid_case`, with b = c in half
+    the cases (ties in |sin|), k = 2*pi on a unit edge, and subnormal k, where
+    l*k can underflow to an exact zero sine or tan(l*k/2) to zero."""
+    lengths = [draw(st.floats(0.05, 20.0)) for _ in range(3)]
+    tied = draw(st.booleans())
+
+    def set_length(edge, value):
+        lengths[edge] = value
+        if tied and edge > 0:
+            lengths[3 - edge] = value
+
+    if tied:
+        lengths[2] = lengths[1]
+    ks = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["random", "dirichlet", "tie", "two-pi", "subnormal"]))
+        edge = draw(st.integers(0, 2))
+        if kind == "random":
+            ks.append(10.0 ** draw(st.floats(-2.0, 8.0)))
+        elif kind == "dirichlet":
+            ks.append(draw(st.integers(1, 10**7)) * math.pi / lengths[edge])
+        elif kind == "tie":
+            set_length(edge, 2.0 ** draw(st.integers(-4, 4)))
+            ks.append(draw(st.sampled_from([1, 3, 5, 7, 9])) * math.pi / lengths[edge])
+        elif kind == "two-pi":
+            set_length(edge, 1.0)
+            ks.append(2 * math.pi)
+        else:
+            ks.append(draw(st.sampled_from([5e-324, 1e-323, 1e-320, 1e-310, 2.2e-308])))
+    geom = HexGeometry(*lengths)
+    alpha = draw(st.floats(-1e3, 1e3))
+    if draw(st.booleans()):
+        # alpha/k cancels one boundary function at the first k to within a few
+        # ulps, where any change in rounding flips its sign
+        k = ks[0]
+        target = -k * draw(st.sampled_from(_boundary_sums(geom, k)))
+        if math.isfinite(target):
+            alpha = target
+            for _ in range(draw(st.integers(0, 3))):
+                alpha = math.nextafter(alpha, draw(st.sampled_from([-math.inf, math.inf])))
+    return geom, alpha, ks
+
+
+def _boundary_sums(geom, k):
+    """D - upper, D + upper, D - lower and D + lower less alpha/k, summed as
+    :func:`gap_criteria` sums them."""
+    xs = [ell * k for ell in geom.lengths]
+    sines = [math.sin(reduce_mod_two_pi(x)) for x in xs]
+    ms, ps = zip(*(_half_angle_pair(s, math.cos(reduce_mod_two_pi(x)))
+                   for s, x in zip(sines, xs)))
+    j = min(range(3), key=lambda i: abs(sines[i]))
+    return (sum(ms), sum(ps), ms[j] + sum(p for i, p in enumerate(ps) if i != j),
+            ps[j] + sum(m for i, m in enumerate(ms) if i != j))
+
+
+class TestGapCriteriaGrid:
+    @settings(max_examples=1500, derandomize=True, deadline=None)
+    @given(_criteria_case())
+    def test_equals_the_scalar_form_bit_for_bit(self, case):
+        geom, alpha, ks = case
+        gc1, gc2 = gap_criteria_grid(geom, alpha, np.array(ks))
+        assert list(zip(gc1.tolist(), gc2.tolist())) == [gap_criteria(geom, alpha, k) for k in ks]
+
+    def test_exact_zero_and_underflowing_sines(self):
+        # l*k underflows to 0 on the short edge, and tan(l*k/2) to 0 on the others
+        geom = HexGeometry(0.25, 1.0, 1.0)
+        ks = np.array([5e-324, 1e-323])
+        assert sine_triple(geom, 5e-324).values == (0.0, 5e-324, 5e-324)
+        gc1, gc2 = gap_criteria_grid(geom, -3.0, ks)
+        expected = [gap_criteria(geom, -3.0, k) for k in ks.tolist()]
+        assert list(zip(gc1.tolist(), gc2.tolist())) == expected
+
+    def test_rejects_a_nonpositive_k(self):
+        with pytest.raises(ValueError, match="k must be > 0"):
+            gap_criteria_grid(EQUILATERAL, 0.0, np.array([1.0, 0.0]))
 
 
 class TestDispersionNegative:
