@@ -81,6 +81,7 @@ from .oracle import GridSpec, band_membership_grid, det_numeric, rhs_extrema_gri
 from .report import (
     FlatBand,
     SampleRow,
+    SampleTable,
     SpectrumReport,
     report_from_json,
     report_to_json,

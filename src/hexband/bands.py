@@ -39,7 +39,7 @@ from .core import (
     sin_reduced,
 )
 from .numtheory import CommensurabilityWitness, commensurability_witness
-from .report import FlatBand, SampleRow, SpectrumReport
+from .report import FlatBand, SampleTable, SpectrumReport
 
 __all__ = [
     "Decision",
@@ -62,12 +62,6 @@ class Decision(Enum):
     BAND = "band"
     GAP = "gap"
     DIRICHLET = "dirichlet"
-
-
-# Sample-row labels indexed by 0 gap, 1 band, 2 dirichlet.
-_LABELS = np.array([Decision.GAP.value, Decision.BAND.value, Decision.DIRICHLET.value],
-                   dtype=object)
-_BAND, _GAP = Decision.BAND.value, Decision.GAP.value
 
 
 @dataclass(frozen=True)
@@ -154,6 +148,34 @@ def _negative_terms(geom: HexGeometry, alpha: float, kappa: float) -> tuple[floa
     return total, 2 * inv[lengths.index(geom.ell_min)] - upper, upper
 
 
+def _negative_terms_grid(
+    geom: HexGeometry, alpha: float, kappas: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_negative_terms` on a whole grid of kappa, bit for bit.
+
+    ``math.sinh`` and ``math.tanh`` are mapped over each ``l*kappa``, since
+    ``np.sinh`` and ``np.tanh`` differ from them in the last bit on a few
+    percent of arguments.  :func:`inv_sinh`'s cutoff at 700 is kept, and
+    the sums add their terms in the scalar order.  Where an ``l*kappa``
+    underflows to 0 the point kernel raises ``ZeroDivisionError``; this
+    raises ``FloatingPointError``, like it an ``ArithmeticError``.
+    """
+    if not np.all(kappas > 0):
+        raise ValueError("every kappa must be > 0")
+    lengths = geom.lengths
+    n = kappas.size
+    inv = []
+    with np.errstate(divide="raise", over="ignore", invalid="ignore"):
+        total = alpha / kappas
+        for ell in lengths:
+            x = ell * kappas
+            sinh = np.fromiter(map(math.sinh, np.minimum(x, 700.0).tolist()), np.float64, n)
+            inv.append(np.where(x < 700.0, 1.0 / sinh, 0.0))
+            total += 1.0 / np.fromiter(map(math.tanh, x.tolist()), np.float64, n)
+        upper = sum(inv)
+        return total, 2 * inv[lengths.index(geom.ell_min)] - upper, upper
+
+
 def rhs_envelope_negative(geom: HexGeometry, kappa: float) -> RhsEnvelope:
     """Negative-branch envelope: hyperbolic sines never vanish."""
     _, lower, upper = _negative_terms(geom, 0.0, kappa)
@@ -171,28 +193,19 @@ def band_membership(
     """
     if energy.branch == "positive":
         try:
-            row = _positive_row(geom, coupling.alpha, energy.param, DEFAULT_DIRICHLET_TOL)
+            d, lower, upper = positive_terms(geom, coupling.alpha, energy.param,
+                                             DEFAULT_DIRICHLET_TOL)
         except DirichletPointError as exc:
             return BandDecision.dirichlet(exc.edges)
     elif energy.branch == "negative":
-        row = _negative_row(geom, coupling.alpha, energy.param)
+        d, lower, upper = _negative_terms(geom, coupling.alpha, energy.param)
     else:
         raise ValueError("band membership is defined on the positive/negative branches only")
-    return BandDecision(Decision(row.decision))
+    return BandDecision(Decision.BAND if max(0.0, lower) <= abs(d) <= upper else Decision.GAP)
 
 
 # ---------------------------------------------------------------------------
 # spectrum scanning
-
-
-def _sample_row(x: float, energy: float, value: float, lower: float, upper: float) -> SampleRow:
-    return SampleRow(x, energy, value, lower, upper, _BAND if lower <= value <= upper else _GAP)
-
-
-def _positive_row(geom: HexGeometry, alpha: float, k: float, dirichlet_tol: float) -> SampleRow:
-    """Membership at wavenumber k as a scan row; raises at Dirichlet points."""
-    d, lower, upper = positive_terms(geom, alpha, k, dirichlet_tol)
-    return _sample_row(k, k * k, abs(d), max(0.0, lower), upper)
 
 
 def _positive_gaps(geom: HexGeometry, alpha: float, ks: np.ndarray) -> np.ndarray:
@@ -201,32 +214,41 @@ def _positive_gaps(geom: HexGeometry, alpha: float, ks: np.ndarray) -> np.ndarra
     return gc1 | gc2
 
 
-def _positive_rows(geom: HexGeometry, alpha: float, ks: np.ndarray, dirichlet_tol: float):
-    """The scan rows and gap flags of a whole k grid from one grid-kernel pass.
+def _sample_table(xs, energy, d, lower, upper, flagged):
+    """The scan rows of membership terms ``(D, lower_unclamped, upper)``, and their band flags.
 
-    Each row equals :func:`_positive_row` at its k; the flagged k get
-    ``dirichlet`` rows of NaNs and take their gap flags from one
-    :func:`gap_criteria_grid` call.
+    A row is in a band iff max(0, lower_unclamped) <= |D| <= upper, the
+    point kernels' comparison; a flagged row is a ``dirichlet`` row of NaNs.
     """
-    d, lower, upper, flagged = positive_terms_grid(geom, alpha, ks, dirichlet_tol)
     value = np.abs(d, out=d)
     lower[~(lower > 0.0)] = 0.0  # max(0.0, lower), NaN included
     band = (lower <= value) & (value <= upper)
     for column in (value, lower, upper):
         column[flagged] = math.nan
-    decisions = _LABELS[np.where(flagged, 2, band)].tolist()
-    xs = ks.tolist()
-    samples = list(map(SampleRow, xs, (ks * ks).tolist(), value.tolist(), lower.tolist(),
-                       upper.tolist(), decisions))
+    return SampleTable(xs, energy, value, lower, upper, np.where(flagged, 2, band)), band
+
+
+def _positive_rows(geom: HexGeometry, alpha: float, ks: np.ndarray, dirichlet_tol: float):
+    """The sample table and gap flags of a whole k grid from one grid-kernel pass.
+
+    Each row's columns equal :func:`positive_terms` at its k; the flagged k
+    get ``dirichlet`` rows of NaNs and take their gap flags from one
+    :func:`gap_criteria_grid` call.
+    """
+    d, lower, upper, flagged = positive_terms_grid(geom, alpha, ks, dirichlet_tol)
+    samples, band = _sample_table(ks, ks * ks, d, lower, upper, flagged)
     gaps = ~band
     if flagged.any():
         gaps[flagged] = _positive_gaps(geom, alpha, ks[flagged])
     return samples, gaps
 
 
-def _negative_row(geom: HexGeometry, alpha: float, kappa: float) -> SampleRow:
-    d, lower, upper = _negative_terms(geom, alpha, kappa)
-    return _sample_row(kappa, -kappa * kappa, abs(d), max(0.0, lower), upper)
+def _negative_rows(geom: HexGeometry, alpha: float, kappas: np.ndarray):
+    """The sample table and gap flags of a kappa grid from :func:`_negative_terms_grid`."""
+    d, lower, upper = _negative_terms_grid(geom, alpha, kappas)
+    samples, band = _sample_table(kappas, -kappas * kappas, d, lower, upper,
+                                  np.zeros(kappas.shape, dtype=bool))
+    return samples, ~band
 
 
 def _intervals_from_runs(xs: np.ndarray, gaps: np.ndarray, gaps_at, edge_tol: float):
@@ -294,11 +316,11 @@ def _scan(rows, gaps_at, lo: float, hi: float, n_samples: int, edge_tol: float):
     """Sample membership on a uniform grid over [lo, hi] and refine every change.
 
     The grid is ``lo + i*h`` with its last point set to ``hi``.  ``rows``
-    maps the whole grid, as an array, to its :class:`SampleRow` list and its
+    maps the whole grid, as an array, to its :class:`SampleTable` and its
     per-sample gap flags as a boolean array; ``gaps_at`` maps any array of
     points to their gap flags, and :func:`_intervals_from_runs` bisects every
     change between neighbouring samples on it, all at once.  Returns the grid
-    spacing, the sample rows and the refined (is_gap, x_lo, x_hi) runs.
+    spacing, the sample table and the refined (is_gap, x_lo, x_hi) runs.
     """
     if not (0 < lo < hi < math.inf):
         raise ValueError(f"need 0 < window start < window end < inf, got ({lo!r}, {hi!r})")
@@ -327,9 +349,10 @@ def scan_spectrum(
     Membership is sampled and refined by :func:`_scan`, and intervals are
     reported in energy units E = k^2.  The whole k grid is sampled in one
     numpy pass of :func:`positive_terms_grid`, bit-identical to the point
-    kernel.  The samples it flags take their gap flags from one
-    :func:`gap_criteria_grid` call, and each lockstep bisection step makes
-    one more over every pending edge; the criteria are defined at the
+    kernel, and its columns become the report's :class:`SampleTable` with
+    no per-sample object.  The samples it flags take their gap flags from
+    one :func:`gap_criteria_grid` call, and each lockstep bisection step
+    makes one more over every pending edge; the criteria are defined at the
     Dirichlet points too.  So ``dirichlet_tol`` only labels sample rows as
     ``dirichlet``.  A metadata flag warns when the grid spacing is too coarse
     to resolve features on the scale of the fastest trigonometric oscillation.
@@ -386,17 +409,16 @@ def negative_spectrum_scan(
     The negative spectrum is nonempty only for alpha < 0; for alpha >= 0 the
     whole axis is a gap and the band list comes back empty.  Intervals are
     ordered by increasing energy (decreasing kappa).  The window defaults to
-    kappa in [kappa_max / n_samples, kappa_max].
+    kappa in [kappa_max / n_samples, kappa_max].  The sample table and every
+    bisection step come from :func:`_negative_terms_grid`, bit-identical to
+    the point kernel :func:`_negative_terms`.
     """
     if kappa_lo is None:
         # _scan rejects n_samples < 2; max() only keeps this division defined until it does
         kappa_lo = kappa_max / max(n_samples, 2)
 
-    # Rows stay scalar: np.tanh and np.sinh differ from math's in the last
-    # bit on a few percent of arguments, which would change the CSV bytes.
     def rows(kappas):
-        samples = [_negative_row(geom, coupling.alpha, kappa) for kappa in kappas.tolist()]
-        return samples, np.array([row.decision == _GAP for row in samples])
+        return _negative_rows(geom, coupling.alpha, kappas)
 
     def gaps_at(kappas):
         return rows(kappas)[1]

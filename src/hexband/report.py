@@ -10,14 +10,18 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum
 from typing import Any, NamedTuple, TextIO
+
+import numpy as np
 
 __all__ = [
     "SCHEMA_VERSION",
     "FlatBand",
     "SampleRow",
+    "SampleTable",
     "SpectrumReport",
     "format_float",
     "json_dumps",
@@ -29,6 +33,10 @@ __all__ = [
 SCHEMA_VERSION = 1
 
 CSV_COLUMNS = ("k", "E", "absD", "lower", "upper", "decision")
+# Rows per formatting pass of the CSV writer: enough to amortize the column
+# reads, few enough that a pass's strings stay small whatever the grid size.
+_CSV_CHUNK = 4096
+_CSV_ROW = "%.17g,%.17g,%.17g,%.17g,%.17g,%s\n"
 
 
 @dataclass(frozen=True)
@@ -43,8 +51,10 @@ class FlatBand:
 class SampleRow(NamedTuple):
     """One scan sample: spectral variable, dispersion and envelope values.
 
-    A named tuple rather than a dataclass: a scan builds one per grid point,
-    and a tuple is several times cheaper to create.
+    ``decision`` is ``band``, ``gap`` or ``dirichlet``; a ``dirichlet`` row
+    has NaN in its three envelope and dispersion cells.  A scan keeps its
+    samples as the columns of a :class:`SampleTable`, which builds these
+    rows only when they are read.
     """
 
     k: float
@@ -55,6 +65,57 @@ class SampleRow(NamedTuple):
     decision: str
 
 
+class SampleTable(Sequence):
+    """A scan's samples as read-only float64 columns, a sequence of :class:`SampleRow`.
+
+    ``decisions`` holds one code per row, an index into :attr:`DECISIONS`:
+    0 gap, 1 band, 2 dirichlet.  Indexing builds one row, a slice is a
+    table over views of the same columns, and iteration builds the rows
+    from whole columns at once.  With no arguments the table is empty.
+    """
+
+    DECISIONS = ("gap", "band", "dirichlet")
+    _LABELS = np.array(DECISIONS, dtype=object)
+
+    __slots__ = ("k", "energy", "abs_dispersion", "lower", "upper", "decisions")
+
+    def __init__(self, k=(), energy=(), abs_dispersion=(), lower=(), upper=(), decisions=()):
+        columns = [np.asarray(c, dtype=np.float64) for c in (k, energy, abs_dispersion, lower,
+                                                             upper)]
+        columns.append(np.asarray(decisions, dtype=np.int8))
+        if len({c.shape for c in columns}) != 1 or columns[0].ndim != 1:
+            raise ValueError("sample columns must be one-dimensional and of equal length")
+        for name, column in zip(self.__slots__, columns):
+            view = column.view()  # read-only without freezing the caller's array
+            view.flags.writeable = False
+            setattr(self, name, view)
+
+    def _columns(self) -> list[np.ndarray]:
+        return [getattr(self, name) for name in self.__slots__]
+
+    def __len__(self) -> int:
+        return len(self.k)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return SampleTable(*(column[index] for column in self._columns()))
+        *values, code = (column[index].item() for column in self._columns())
+        return SampleRow(*values, self.DECISIONS[code])
+
+    def __iter__(self):
+        *columns, codes = self._columns()
+        return map(SampleRow, *(column.tolist() for column in columns),
+                   self._LABELS[codes].tolist())
+
+    def __eq__(self, other):
+        if not isinstance(other, SampleTable):
+            return NotImplemented
+        return all(np.array_equal(a, b, equal_nan=True)
+                   for a, b in zip(self._columns(), other._columns()))
+
+    __hash__ = None
+
+
 @dataclass
 class SpectrumReport:
     """Bands, gaps, flat bands and Dirichlet points over a scanned window.
@@ -62,6 +123,8 @@ class SpectrumReport:
     ``bands`` are closed energy intervals, ``gaps`` open ones; together they
     interleave and tile ``window`` up to the scan's edge resolution.  The
     negative branch reports energies E = -kappa^2, ordered increasingly.
+    ``samples`` is the scan grid, one row per sample, which only the CSV
+    format prints; a report read back from JSON has none.
     """
 
     branch: str
@@ -71,7 +134,7 @@ class SpectrumReport:
     flat_bands: list[FlatBand] = field(default_factory=list)
     dirichlet_points: list[float] = field(default_factory=list)
     meta: dict[str, Any] = field(default_factory=dict)
-    samples: list[SampleRow] = field(default_factory=list)
+    samples: SampleTable = field(default_factory=SampleTable)
 
     def gap_adjacent_to_zero(self) -> bool:
         """True when the interval bordering E = 0 from below is a gap.
@@ -164,8 +227,13 @@ def report_to_json(report: SpectrumReport) -> str:
     return json_dumps(report_to_dict(report)) + "\n"
 
 
+def _parse_int(text: str) -> int | float:
+    # format_float writes -0.0 as "-0", which json reads as the integer 0
+    return -0.0 if text == "-0" else int(text)
+
+
 def report_from_json(text: str) -> SpectrumReport:
-    data = json.loads(text)
+    data = json.loads(text, parse_int=_parse_int)
     version = data.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema_version {version!r}")
@@ -183,19 +251,24 @@ def report_from_json(text: str) -> SpectrumReport:
 
 
 def write_samples_csv(report: SpectrumReport, stream: TextIO) -> None:
-    """Write the per-sample scan table with the fixed column set."""
+    """Write the per-sample scan table with the fixed column set.
+
+    The columns are read ``_CSV_CHUNK`` rows at a time.  A row whose cells
+    are all finite is formatted by one ``%.17g`` template, which gives the
+    bytes of :func:`format_float`; a row with a NaN or infinite cell goes
+    through :func:`format_float` itself.
+    """
     stream.write(",".join(CSV_COLUMNS) + "\n")
-    for row in report.samples:
-        stream.write(
-            ",".join(
-                (
-                    format_float(row.k),
-                    format_float(row.energy),
-                    format_float(row.abs_dispersion),
-                    format_float(row.lower),
-                    format_float(row.upper),
-                    row.decision,
-                )
-            )
-            + "\n"
-        )
+    samples = report.samples
+    for start in range(0, len(samples), _CSV_CHUNK):
+        *values, codes = (column[start:start + _CSV_CHUNK] for column in samples._columns())
+        rows = list(zip(*(column.tolist() for column in values),
+                        SampleTable._LABELS[codes].tolist()))
+        lines = list(map(_CSV_ROW.__mod__, rows))
+        finite = np.isfinite(values[0])
+        for column in values[1:]:
+            finite &= np.isfinite(column)
+        for i in np.flatnonzero(~finite).tolist():
+            *cells, decision = rows[i]
+            lines[i] = ",".join([*map(format_float, cells), decision]) + "\n"
+        stream.write("".join(lines))

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hexband import (
     Decision,
@@ -23,9 +25,9 @@ from hexband import (
     trig_polynomial_min,
     verify_flat_band,
 )
-from hexband.bands import (_intervals_from_runs, _negative_row, _positive_gaps, _positive_row,
-                           _positive_rows, inv_sinh)
-from hexband.core import DirichletPointError, dispersion_negative, gap_criteria
+from hexband.bands import (_intervals_from_runs, _negative_rows, _negative_terms,
+                           _negative_terms_grid, _positive_gaps, _positive_rows, inv_sinh)
+from hexband.core import DirichletPointError, dispersion_negative, gap_criteria, positive_terms
 from hexband.report import SampleRow
 from hexband.numtheory import CommensurabilityWitness
 from hexband.oracle import GridSpec, band_membership_grid, rhs_extrema_grid, trig_min_grid
@@ -252,7 +254,7 @@ class TestScanSpectrum:
         ids=["wide-tolerance", "on-dirichlet-points"],
     )
     def test_samples_equal_the_point_kernel_rows(self, geom, alpha, k_lo, k_hi, n_samples, tol):
-        # the grid kernel is bit-identical to the scalar _positive_row on the
+        # the grid kernel is bit-identical to the scalar positive_terms on the
         # scan's own grid lo + i*h, and a flagged sample is a row of NaNs
         report = scan_spectrum(geom, VertexCoupling(alpha), k_lo, k_hi, n_samples, 1e-9,
                                dirichlet_tol=tol)
@@ -261,7 +263,10 @@ class TestScanSpectrum:
         for i in range(n_samples):
             k = k_hi if i == n_samples - 1 else k_lo + i * h
             try:
-                expected.append(_positive_row(geom, alpha, k, tol))
+                d, lower, upper = positive_terms(geom, alpha, k, tol)
+                value, lower = abs(d), max(0.0, lower)
+                decision = "band" if lower <= value <= upper else "gap"
+                expected.append(SampleRow(k, k * k, value, lower, upper, decision))
             except DirichletPointError:
                 expected.append(SampleRow(k, k * k, math.nan, math.nan, math.nan, "dirichlet"))
         assert 0 < sum(row.decision == "dirichlet" for row in expected) < n_samples
@@ -511,15 +516,63 @@ class TestLockstepRefinement:
     def test_negative_scan_equals_the_scalar_bisection(self):
         geom, alpha = HexGeometry(1.0, 0.6, 1.7), -6.5
         kappas = np.linspace(0.05, 5.0, 300)
-        rows = [_negative_row(geom, alpha, kappa) for kappa in kappas.tolist()]
-        gaps = [row.decision == "gap" for row in rows]
 
         def is_gap(kappa):
-            return _negative_row(geom, alpha, kappa).decision == "gap"
+            energy = EnergyPoint.negative(kappa)
+            return band_membership(geom, VertexCoupling(alpha), energy).kind is Decision.GAP
 
-        runs, _ = _lockstep_runs(kappas.tolist(), gaps, is_gap, 1e-12)
+        gaps = [is_gap(kappa) for kappa in kappas.tolist()]
+        assert _negative_rows(geom, alpha, kappas)[1].tolist() == gaps
+        runs = _intervals_from_runs(kappas, np.array(gaps),
+                                    lambda xs: _negative_rows(geom, alpha, xs)[1], 1e-12)
         assert len(runs) >= 2
         assert runs == _reference_runs(kappas.tolist(), gaps, is_gap, 1e-12)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
+
+
+@st.composite
+def _negative_case(draw):
+    """A geometry, alpha and kappa grid from 1e-8 to 1e3, with l*kappa at and
+    within a few ulps of inv_sinh's cutoff 700 on a random edge."""
+    lengths = [draw(st.floats(0.05, 20.0)) for _ in range(3)]
+    kappas = []
+    for _ in range(draw(st.integers(1, 12))):
+        if draw(st.booleans()):
+            kappas.append(10.0 ** draw(st.floats(-8.0, 3.0)))
+        else:
+            kappa = 700.0 / lengths[draw(st.integers(0, 2))]
+            for _ in range(draw(st.integers(0, 3))):
+                kappa = math.nextafter(kappa, draw(st.sampled_from([0.0, math.inf])))
+            kappas.append(kappa)
+    return HexGeometry(*lengths), draw(st.floats(-1e3, 1e3)), kappas
+
+
+class TestNegativeTermsGrid:
+    @settings(max_examples=800, derandomize=True, deadline=None)
+    @given(_negative_case())
+    # l*kappa is exactly 700 on the unit edge, and one ulp either side
+    @example((HexGeometry(1.0, 0.5, 3.0), -6.5,
+              [700.0, math.nextafter(700.0, 0.0), math.nextafter(700.0, math.inf)]))
+    def test_equals_the_point_kernel_bit_for_bit(self, case):
+        geom, alpha, kappas = case
+        grid = _negative_terms_grid(geom, alpha, np.array(kappas))
+        expected = [_negative_terms(geom, alpha, kappa) for kappa in kappas]
+        assert [_bits(column) for column in grid] == [_bits(column) for column in zip(*expected)]
+
+    def test_rejects_a_nonpositive_kappa(self):
+        with pytest.raises(ValueError, match="kappa must be > 0"):
+            _negative_terms_grid(EQUILATERAL, -6.5, np.array([1.0, 0.0]))
+
+    def test_fails_where_the_point_kernel_fails(self):
+        # 0.5 * 5e-324 underflows to 0, where coth and 1/sinh divide by zero
+        geom = HexGeometry(1.0, 0.5, 1.0)
+        with pytest.raises(ZeroDivisionError):
+            _negative_terms(geom, -3.0, 5e-324)
+        with pytest.raises(ArithmeticError):
+            _negative_terms_grid(geom, -3.0, np.array([1.0, 5e-324]))
 
 
 class TestNegativeScan:
@@ -564,6 +617,27 @@ class TestNegativeScan:
         assert all(hi <= 0 for _, hi in intervals)
         flat = [e for pair in intervals for e in pair]
         assert flat == sorted(flat)
+
+
+class TestKnownMiss:
+    """The GC1 gap at k = 89*pi, 7.5e-3 wide, on (phi, 1, 1) with alpha = 6."""
+
+    GEOM, COUPLING = HexGeometry((1 + math.sqrt(5)) / 2, 1, 1), VertexCoupling(6.0)
+    GAP = (279.60175, 279.60924)
+
+    def test_a_local_scan_finds_the_gap(self):
+        report = scan_spectrum(self.GEOM, self.COUPLING, 279.0, 280.2, 4000, 1e-9)
+        [(lo, hi)] = [(math.sqrt(lo), math.sqrt(hi)) for lo, hi in report.gaps]
+        assert (lo, hi) == pytest.approx(self.GAP, abs=1e-5)
+
+    @pytest.mark.xfail(strict=True, reason="the default grid misses a gap narrower than its "
+                       "spacing and still reports may_miss_narrow_features false; the sub-cell "
+                       "edge engine of ROADMAP item 2 is to find it")
+    def test_the_default_window_finds_the_gap(self):
+        # bands --a '(1+sqrt(5))/2' --b 1 --c 1 --alpha 6 --kmax 280.6017
+        report = scan_spectrum(self.GEOM, self.COUPLING, 0.01, 280.6017, 4000, 1e-9)
+        lo, hi = self.GAP
+        assert any(e_lo < hi * hi and lo * lo < e_hi for e_lo, e_hi in report.gaps)
 
 
 class TestFlatBands:

@@ -14,6 +14,12 @@ to 6e-8 away, and are now refined onto the point, within edge_tol.  The
 four JSON digests with such edges (bands-json, bands-negative-json,
 gaps-centers-json, gaps-numeric-centers-json) were recorded after that fix;
 every other digest, the CSV ones included, held through it.
+
+The sample table was then kept as numpy columns, formatted by a chunked
+CSV writer, with the negative-branch rows computed by a column kernel.  The
+bands-both-branches-csv digest was recorded before that change, on a scan
+with Dirichlet rows of NaNs and negative rows past kappa*l = 700, where
+1/sinh is taken as 0; every digest held through it.
 """
 
 import hashlib
@@ -39,6 +45,12 @@ GAPS_NUMERIC_CENTERS = ["gaps", "--a", "1.6180339887", "--b", "1", "--c", "1", "
 # an exact commensurability witness, and one reconstructed from a decimal length
 FLATBANDS_EXACT = ["flatbands", "--a", "1/2", "--b", "3/2", "--c", "1", "--n-max", "3"]
 FLATBANDS_DECIMAL = ["flatbands", "--a", "1.25", "--b", "1", "--c", "1"]
+# Dirichlet rows of NaNs on the positive branch, and negative rows whose
+# kappa*l passes 700, so their upper and lower columns read 0
+BANDS_BOTH_BRANCHES = ["bands", "--a", "1/2", "--b", "3/2", "--c", "1", "--alpha", "-3",
+                       "--kmin", "3.1", "--kmax", "25.2", "--samples", "3000",
+                       "--dirichlet-tol", "1e-3", "--include-negative", "--kappa-max", "1500",
+                       "--format", "csv"]
 VERIFY = ["verify", "--det-samples", "30", "--envelope-samples", "2", "--trigmin-samples", "4",
           "--grid-n", "64"]
 # verify's default 1024 x 1024 grid, where exact ties in the grid order are most common
@@ -56,6 +68,9 @@ GOLDEN = [
     pytest.param(BANDS_NEGATIVE + ["--format", "csv"],
                  "311a8dc4a89938e34146a239ce4dfa79f84fbc82e202b7c3408b6e7fed9b82d9",
                  id="bands-negative-csv"),
+    pytest.param(BANDS_BOTH_BRANCHES,
+                 "3112ce30d1b439a6be12c06c3dd672f79d156bbbd0ac0e10337b4b5ac28adb7a",
+                 id="bands-both-branches-csv"),
     pytest.param(GAPS, "d82ba1f63759ad73b52ec8878ef13196131d4e9383c6b193e37ce431e64b42c6",
                  id="gaps-json"),
     pytest.param(GAPS + ["--format", "csv"],
