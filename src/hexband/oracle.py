@@ -7,6 +7,7 @@ Deliberately simple; not a performance path.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -58,25 +59,49 @@ def _phase_axis(n: int) -> np.ndarray:
     return np.linspace(-math.pi, math.pi, n, endpoint=False) + math.pi / n
 
 
-def _on_grid(f, n: int) -> np.ndarray:
-    """f on the n x n phase grid, its two axes broadcast against each other."""
+@functools.lru_cache(maxsize=1)
+def _phase_table(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The n-point phase axis ``t``, ``cos t`` and the n x n ``cos(t1 - t2)``.
+
+    Every grid function reads the phases only through these three cosines,
+    and the n x n one depends on n alone, so it is built once per size and
+    shared, read-only, by every call on that size.  It is built in place, so
+    that only one n x n array is allocated.
+    """
     t = _phase_axis(n)
-    return f(t[:, None], t[None, :])
+    cos_diff = t[:, None] - t[None, :]
+    np.cos(cos_diff, out=cos_diff)
+    cos_t = np.cos(t)
+    for a in (t, cos_t, cos_diff):
+        a.setflags(write=False)
+    return t, cos_t, cos_diff
 
 
-def _grid_min(f, values: np.ndarray, refine_rounds: int) -> float:
-    """Minimum of f(theta1, theta2) over the torus by grid + local zoom.
+def _on_grid(g, n: int) -> np.ndarray:
+    """g on the n x n phase grid, from the shared cosine table."""
+    _, cos_t, cos_diff = _phase_table(n)
+    return g(cos_t[:, None], cos_t[None, :], cos_diff)
 
-    ``values`` is f on the n x n phase grid (``_on_grid``).  Only the best
+
+def _on_window(g, l1: np.ndarray, l2: np.ndarray) -> np.ndarray:
+    """g on the grid of phases ``l1`` x ``l2``, broadcast against each other."""
+    return g(np.cos(l1)[:, None], np.cos(l2)[None, :], np.cos(l1[:, None] - l2[None, :]))
+
+
+def _grid_min(g, values: np.ndarray, refine_rounds: int) -> float:
+    """Minimum over the torus of g(cos t1, cos t2, cos(t1 - t2)) by grid + local zoom.
+
+    ``values`` is g on the n x n phase grid (``_on_grid``).  Only the best
     ``_CANDIDATES`` cells are read, so they are found by partial selection
     and only they are sorted, stably: equal values keep the order partial
     selection left them in.  From them, several well-separated cells are
     refined independently so that two near-tied basins cannot hide the true
-    minimum; the result can only fall as the grid is refined.  A maximum is
-    the minimum of -f.
+    minimum; the result can only fall as the grid is refined.  Each zoom
+    evaluates g on a 33 x 33 window of its own phases.  A maximum is the
+    minimum of -g.
     """
     n = values.shape[0]
-    t = _phase_axis(n)
+    t = _phase_table(n)[0]
     h = 2 * math.pi / n
 
     def wrapped_near(x: float, y: float) -> bool:
@@ -101,7 +126,7 @@ def _grid_min(f, values: np.ndarray, refine_rounds: int) -> float:
         for _ in range(refine_rounds):
             lt = np.linspace(-half, half, 33)
             l1, l2 = c1 + lt, c2 + lt
-            local = f(l1[:, None], l2[None, :])
+            local = _on_window(g, l1, l2)
             i, j = np.unravel_index(np.argmin(local), local.shape)
             best = min(best, float(local[i, j]))
             c1, c2 = float(l1[i]), float(l2[j])
@@ -113,14 +138,14 @@ def _rhs_extrema(s_a: float, s_b: float, s_c: float, grid: GridSpec) -> tuple[fl
     """Grid extrema of the right side written in the three edge sines (sin or sinh)."""
     const = 1 / s_a**2 + 1 / s_b**2 + 1 / s_c**2
 
-    def f(t1, t2):
-        return const + 2 * (
-            np.cos(t1) / (s_a * s_b) + np.cos(t2) / (s_a * s_c) + np.cos(t1 - t2) / (s_b * s_c)
-        )
+    def g(c1, c2, c12):
+        return const + 2 * (c1 / (s_a * s_b) + c2 / (s_a * s_c) + c12 / (s_b * s_c))
 
-    values = _on_grid(f, grid.n)
-    lo = _grid_min(f, values, grid.refine_rounds)
-    hi = -_grid_min(lambda t1, t2: -f(t1, t2), -values, grid.refine_rounds)
+    values = _on_grid(g, grid.n)
+    lo = _grid_min(g, values, grid.refine_rounds)
+    # the maximum is the minimum of -g; values is this call's own array
+    np.negative(values, out=values)
+    hi = -_grid_min(lambda c1, c2, c12: -g(c1, c2, c12), values, grid.refine_rounds)
     return lo, hi
 
 
@@ -192,7 +217,7 @@ def trig_min_grid(
     positive-product domain.
     """
 
-    def f(t1, t2):
-        return a_coef * np.cos(t1 - t2) + b_coef * np.cos(t2) + c_coef * np.cos(t1)
+    def g(c1, c2, c12):
+        return a_coef * c12 + b_coef * c2 + c_coef * c1
 
-    return _grid_min(f, _on_grid(f, grid.n), grid.refine_rounds)
+    return _grid_min(g, _on_grid(g, grid.n), grid.refine_rounds)
