@@ -2,7 +2,11 @@
 
 Everything here evaluates the defining formulas directly on phase grids or
 by cofactor expansion, sharing no code with the closed forms it validates.
-Deliberately simple; not a performance path.
+Deliberately simple, with one concession to speed: the phase grids read the
+phases only through cos t1, cos t2 and cos(t1 - t2), and the full n x n
+grid of cos(t1 - t2) is one read-only table kept for the last grid size.
+The formulas are evaluated in their written order, so every grid value is
+the one the formula gives at that phase.
 """
 
 from __future__ import annotations
@@ -54,21 +58,16 @@ _SEEDS = 4
 _CANDIDATES = 64 * _SEEDS
 
 
-def _phase_axis(n: int) -> np.ndarray:
-    """Cell centres of an n-point grid on one phase axis [-pi, pi)."""
-    return np.linspace(-math.pi, math.pi, n, endpoint=False) + math.pi / n
-
-
 @functools.lru_cache(maxsize=1)
 def _phase_table(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The n-point phase axis ``t``, ``cos t`` and the n x n ``cos(t1 - t2)``.
 
-    Every grid function reads the phases only through these three cosines,
-    and the n x n one depends on n alone, so it is built once per size and
-    shared, read-only, by every call on that size.  It is built in place, so
-    that only one n x n array is allocated.
+    ``t`` holds the cell centres of n cells on [-pi, pi).  The n x n table
+    depends on n alone, so it is built once for the last size asked for and
+    shared, read-only, by every grid on that size (8 MiB at n = 1024).  It
+    is built in place, so that only one n x n array is allocated.
     """
-    t = _phase_axis(n)
+    t = np.linspace(-math.pi, math.pi, n, endpoint=False) + math.pi / n
     cos_diff = t[:, None] - t[None, :]
     np.cos(cos_diff, out=cos_diff)
     cos_t = np.cos(t)
@@ -96,9 +95,15 @@ def _grid_min(g, values: np.ndarray, refine_rounds: int) -> float:
     and only they are sorted, stably: equal values keep the order partial
     selection left them in.  From them, several well-separated cells are
     refined independently so that two near-tied basins cannot hide the true
-    minimum; the result can only fall as the grid is refined.  Each zoom
-    evaluates g on a 33 x 33 window of its own phases.  A maximum is the
-    minimum of -g.
+    minimum; the result can only fall as the grid is refined.
+
+    Each zoom round evaluates g on a 33 x 33 window of its own phases
+    around the best point so far, then shrinks the window eightfold.  Near
+    a flat valley the minimum can lie several cells from every seed, past
+    what shrinking windows reach; so while a window's best point lies on its
+    border and lowers ``best``, the window moves there at the same width and
+    the round is not counted.  ``best`` falls strictly at each such move,
+    which bounds the walk.  A maximum is the minimum of -g.
     """
     n = values.shape[0]
     t = _phase_table(n)[0]
@@ -123,24 +128,46 @@ def _grid_min(g, values: np.ndarray, refine_rounds: int) -> float:
             break
     for c1, c2 in picked:
         half = 2 * h
-        for _ in range(refine_rounds):
+        rounds = 0
+        while rounds < refine_rounds:
             lt = np.linspace(-half, half, 33)
             l1, l2 = c1 + lt, c2 + lt
             local = _on_window(g, l1, l2)
             i, j = np.unravel_index(np.argmin(local), local.shape)
-            best = min(best, float(local[i, j]))
+            value = float(local[i, j])
             c1, c2 = float(l1[i]), float(l2[j])
+            if value < best and (i in (0, 32) or j in (0, 32)):
+                # the valley runs on past the window: follow it at this width
+                best = value
+                continue
+            best = min(best, value)
             half /= 8
+            rounds += 1
     return best
 
 
-def _rhs_extrema(s_a: float, s_b: float, s_c: float, grid: GridSpec) -> tuple[float, float]:
-    """Grid extrema of the right side written in the three edge sines (sin or sinh)."""
+def _rhs_function(s_a: float, s_b: float, s_c: float):
+    """The right side in the three edge sines (sin or sinh), in the phase cosines."""
     const = 1 / s_a**2 + 1 / s_b**2 + 1 / s_c**2
 
     def g(c1, c2, c12):
         return const + 2 * (c1 / (s_a * s_b) + c2 / (s_a * s_c) + c12 / (s_b * s_c))
 
+    return g
+
+
+def _trig_function(a_coef: float, b_coef: float, c_coef: float):
+    """A cos(t1 - t2) + B cos(t2) + C cos(t1), in the phase cosines."""
+
+    def g(c1, c2, c12):
+        return a_coef * c12 + b_coef * c2 + c_coef * c1
+
+    return g
+
+
+def _rhs_extrema(s_a: float, s_b: float, s_c: float, grid: GridSpec) -> tuple[float, float]:
+    """Grid extrema of the right side written in the three edge sines."""
+    g = _rhs_function(s_a, s_b, s_c)
     values = _on_grid(g, grid.n)
     lo = _grid_min(g, values, grid.refine_rounds)
     # the maximum is the minimum of -g; values is this call's own array
@@ -155,7 +182,8 @@ def rhs_extrema_grid(
     """Extrema over the phase torus of the secular condition's right side.
 
     Evaluates the formula as written: sum of inverse squared sines plus the
-    three phase cosine cross terms.
+    three phase cosine cross terms, the full grid from the shared cosine
+    table and each zoom window from its own phases.
     """
     triple = sine_triple(geom, k)
     if triple.any_vanish:
@@ -214,10 +242,9 @@ def trig_min_grid(
     """Grid minimum of A cos(t1 - t2) + B cos(t2) + C cos(t1) with refinement.
 
     Works for any coefficient signs; validates the closed form on its
-    positive-product domain.
+    positive-product domain.  The full grid reads the shared cosine table.
+    Near the triangle condition's boundary the minimum lies in a long flat
+    valley, which the zoom follows past its first window.
     """
-
-    def g(c1, c2, c12):
-        return a_coef * c12 + b_coef * c2 + c_coef * c1
-
+    g = _trig_function(a_coef, b_coef, c_coef)
     return _grid_min(g, _on_grid(g, grid.n), grid.refine_rounds)

@@ -350,6 +350,20 @@ class TestVerifyCommand:
         assert data["passed"] is False
         assert [check["passed"] for check in data["checks"]] == [False, True, True]
 
+    def test_trig_minimum_in_a_long_valley_passes(self, runner):
+        # coefficients (-0.4692, -0.5104, 4.8077), 1.0085 times the triangle
+        # boundary: the minimum lies about 4 cells from the best grid cells,
+        # past the reach of a zoom that shrinks every round (it read 1.34e-6)
+        result = runner.invoke(
+            cli,
+            ["verify", "--seed", "348065467", "--det-samples", "100", "--envelope-samples", "3",
+             "--trigmin-samples", "3", "--grid-n", "768", "--refine-rounds", "2"],
+        )
+        assert result.exit_code == 0
+        trig_check = json.loads(result.output)["checks"][2]
+        assert trig_check["name"] == "trig minimum closed form vs grid"
+        assert trig_check["max_deviation"] < 1e-8
+
 
 EQUILATERAL = ["--a", "1", "--b", "1", "--c", "1"]
 

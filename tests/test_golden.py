@@ -20,6 +20,10 @@ CSV writer, with the negative-branch rows computed by a column kernel.  The
 bands-both-branches-csv digest was recorded before that change, on a scan
 with Dirichlet rows of NaNs and negative rows past kappa*l = 700, where
 1/sinh is taken as 0; every digest held through it.
+
+The oracle's phase grids then moved onto one shared cos(t1 - t2) table per
+grid size, and its zoom learned to follow a valley past its window; every
+digest, verify-default-grid-json included, held through both.
 """
 
 import hashlib

@@ -3,7 +3,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hexband import (
@@ -17,8 +17,10 @@ from hexband import (
     band_membership,
     det_m_closed_form,
     rhs_envelope,
+    sine_triple,
     trig_polynomial_min,
 )
+from hexband import oracle
 from hexband.oracle import (
     GridSpec,
     band_membership_grid,
@@ -34,10 +36,34 @@ POSITIVE_PRODUCT_SIGNS = [(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)]
 SMALL_GRIDS = [8, 9, 15, 16]
 
 
+def phase_axis(n):
+    """The oracle's n cell centres on one phase axis."""
+    return np.linspace(-math.pi, math.pi, n, endpoint=False) + math.pi / n
+
+
 def full_phase_grid(n):
     """The oracle's n x n phase grid as two full coordinate arrays."""
-    t = np.linspace(-math.pi, math.pi, n, endpoint=False) + math.pi / n
+    t = phase_axis(n)
     return np.meshgrid(t, t, indexing="ij")
+
+
+@st.composite
+def near_boundary_coefficients(draw):
+    """Coefficients with 2 max(1/|c|) <= sum(1/|c|) <= 1.05 * 2 max(1/|c|).
+
+    Every magnitude lies in verify's range [0.2, 5].  The smallest one sets
+    the largest inverse magnitude u; the other two inverses split
+    (2 ratio - 1) u, each within [1/5, u].
+    """
+    smallest = draw(st.floats(0.2, 1))
+    ratio = draw(st.floats(1, 1.05))
+    rest = (2 * ratio - 1) / smallest
+    lo, hi = max(0.2, rest - 1 / smallest), min(1 / smallest, rest - 0.2)
+    u = lo + draw(st.floats(0, 1)) * (hi - lo)
+    mags = [smallest, 1 / u, 1 / (rest - u)]
+    order = draw(st.permutations(range(3)))
+    signs = draw(st.sampled_from(POSITIVE_PRODUCT_SIGNS))
+    return tuple(mags[i] * sign for i, sign in zip(order, signs))
 
 
 class TestGridSpec:
@@ -83,14 +109,11 @@ class TestRhsExtremaGrid:
     @pytest.mark.parametrize("lengths, k", [((1, 1, 1), 1.0), ((1, 2, 3), 1.0),
                                             ((1, 1.618, 1.3), 2.2)])
     def test_small_grid_unrefined_is_plain_extrema(self, n, lengths, k):
-        s_a, s_b, s_c = (math.sin(ell * k) for ell in lengths)
-        t1, t2 = full_phase_grid(n)
-        values = 1 / s_a**2 + 1 / s_b**2 + 1 / s_c**2 + 2 * (
-            np.cos(t1) / (s_a * s_b) + np.cos(t2) / (s_a * s_c) + np.cos(t1 - t2) / (s_b * s_c)
-        )
-        lo, hi = rhs_extrema_grid(HexGeometry(*lengths), k, GridSpec(n, 0))
-        assert lo == pytest.approx(values.min(), rel=1e-12, abs=1e-12)
-        assert hi == pytest.approx(values.max(), rel=1e-12, abs=1e-12)
+        geom = HexGeometry(*lengths)
+        values = rhs_as_written(*sine_triple(geom, k).values)(*full_phase_grid(n))
+        lo, hi = rhs_extrema_grid(geom, k, GridSpec(n, 0))
+        assert lo == values.min()
+        assert hi == values.max()
 
     @settings(deadline=None, derandomize=True)
     @given(lengths=st.tuples(*[st.floats(0.5, 3)] * 3), k=st.floats(0.1, 30))
@@ -171,11 +194,8 @@ class TestTrigMinGrid:
     @pytest.mark.parametrize("n", SMALL_GRIDS)
     @pytest.mark.parametrize("coefs", [(1, 1, 1), (-1, -1, -1), (1, 1, 10), (0.5, -2, 3)])
     def test_small_grid_unrefined_is_plain_minimum(self, n, coefs):
-        a_coef, b_coef, c_coef = coefs
-        t1, t2 = full_phase_grid(n)
-        values = a_coef * np.cos(t1 - t2) + b_coef * np.cos(t2) + c_coef * np.cos(t1)
-        got = trig_min_grid(*coefs, grid=GridSpec(n, 0))
-        assert got == pytest.approx(values.min(), rel=1e-12, abs=1e-12)
+        values = trig_as_written(*coefs)(*full_phase_grid(n))
+        assert trig_min_grid(*coefs, grid=GridSpec(n, 0)) == values.min()
 
     @settings(deadline=None, derandomize=True)
     @given(mags=st.tuples(*[st.floats(0.2, 5)] * 3),
@@ -183,3 +203,81 @@ class TestTrigMinGrid:
     def test_grid_min_never_below_closed_form_any_signs(self, mags, signs):
         coefs = [m * s for m, s in zip(mags, signs)]
         assert trig_min_grid(*coefs, grid=GridSpec(64, 2)) >= trig_polynomial_min(*coefs) - 1e-12
+
+    @settings(deadline=None, derandomize=True, max_examples=60)
+    @given(coefs=near_boundary_coefficients())
+    # exactly on the triangle boundary (1/1 = 1/2 + 1/2, 1/0.2 = 1/5 + 1/0.2083),
+    # where the valley floor is quartic and the zoom re-centres to reach it
+    @example(coefs=(1, 2, 2))
+    @example(coefs=(-2, 1, -2))
+    @example(coefs=(0.2, 5.0, 0.2 / 0.96))
+    # 1.0085 times the boundary, a valley that outran the zoom at n = 768
+    @example(coefs=(-0.4692, -0.5104, 4.8077))
+    def test_grid_min_reaches_closed_form_near_the_triangle_boundary(self, coefs):
+        # near the boundary the minimum lies in a long flat valley; the zoom
+        # follows it past its first window and comes within verify's
+        # tolerance.  n = 256 is too coarse on the boundary: the (0.2, 5,
+        # 0.2083) valley floor stays 1.9e-6 above the minimum there.
+        inv = [1 / abs(c) for c in coefs]
+        assert 2 * max(inv) * (1 - 1e-12) <= sum(inv) <= 1.05 * 2 * max(inv) * (1 + 1e-12)
+        closed = trig_polynomial_min(*coefs)
+        for n in (512, 768):
+            assert abs(trig_min_grid(*coefs, grid=GridSpec(n, 2)) - closed) <= 1e-6
+
+
+def rhs_as_written(s_a, s_b, s_c):
+    """The right side in the edge sines as a function of the phases."""
+
+    def f(t1, t2):
+        return 1 / s_a**2 + 1 / s_b**2 + 1 / s_c**2 + 2 * (
+            np.cos(t1) / (s_a * s_b) + np.cos(t2) / (s_a * s_c) + np.cos(t1 - t2) / (s_b * s_c)
+        )
+
+    return f
+
+
+def trig_as_written(a_coef, b_coef, c_coef):
+    """A cos(t1 - t2) + B cos(t2) + C cos(t1) as a function of the phases."""
+
+    def f(t1, t2):
+        return a_coef * np.cos(t1 - t2) + b_coef * np.cos(t2) + c_coef * np.cos(t1)
+
+    return f
+
+
+RHS_SINES = [tuple(math.sin(ell * 2.2) for ell in (1, 1.618, 1.3)),
+             tuple(math.sinh(ell * 0.7) for ell in (0.7, 2.9, 1.1))]
+TRIG_COEFS = [(1, 1, 1), (-0.4692, -0.5104, 4.8077)]
+
+
+class TestPhaseTable:
+    @pytest.mark.parametrize("n", [*SMALL_GRIDS, 64, 768])
+    @pytest.mark.parametrize(
+        "in_cosines, as_written",
+        [(oracle._rhs_function(*s), rhs_as_written(*s)) for s in RHS_SINES]
+        + [(oracle._trig_function(*c), trig_as_written(*c)) for c in TRIG_COEFS],
+        ids=["rhs-sin", "rhs-sinh", "trig-equal", "trig-valley"],
+    )
+    def test_table_grid_equals_the_formula_as_written(self, n, in_cosines, as_written):
+        t = phase_axis(n)
+        expected = as_written(t[:, None], t[None, :])
+        got = oracle._on_grid(in_cosines, n)
+        assert got.shape == (n, n)
+        assert np.array_equal(got, expected)
+
+    def test_sizes_in_turn_give_identical_results(self):
+        # the table holds one size at a time; a size built again reads the same
+        geom, k = HexGeometry(1, 1.618, 1.3), 2.2
+        coefs = (-0.4692, -0.5104, 4.8077)
+        results = []
+        for n in (64, 128, 64):
+            grid = GridSpec(n, 2)
+            results.append((rhs_extrema_grid(geom, k, grid), trig_min_grid(*coefs, grid=grid)))
+        assert results[0] == results[2]
+        assert results[0] != results[1]
+
+    def test_the_table_is_read_only(self):
+        for table in oracle._phase_table(64):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0] = 0.0
