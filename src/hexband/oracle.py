@@ -2,11 +2,10 @@
 
 Everything here evaluates the defining formulas directly on phase grids or
 by cofactor expansion, sharing no code with the closed forms it validates.
-Deliberately simple, with one concession to speed: the phase grids read the
-phases only through cos t1, cos t2 and cos(t1 - t2), and the full n x n
-grid of cos(t1 - t2) is one read-only table kept for the last grid size.
-The formulas are evaluated in their written order, so every grid value is
-the one the formula gives at that phase.
+Deliberately simple, with one concession to speed: the grid functions read
+the phases through cos t1, cos t2 and cos(t1 - t2), in the formulas' written
+order, and the full n x n grid of cos(t1 - t2) is one read-only table kept
+for the last grid size.
 """
 
 from __future__ import annotations
@@ -82,11 +81,6 @@ def _on_grid(g, n: int) -> np.ndarray:
     return g(cos_t[:, None], cos_t[None, :], cos_diff)
 
 
-def _on_window(g, l1: np.ndarray, l2: np.ndarray) -> np.ndarray:
-    """g on the grid of phases ``l1`` x ``l2``, broadcast against each other."""
-    return g(np.cos(l1)[:, None], np.cos(l2)[None, :], np.cos(l1[:, None] - l2[None, :]))
-
-
 def _grid_min(g, values: np.ndarray, refine_rounds: int) -> float:
     """Minimum over the torus of g(cos t1, cos t2, cos(t1 - t2)) by grid + local zoom.
 
@@ -132,7 +126,7 @@ def _grid_min(g, values: np.ndarray, refine_rounds: int) -> float:
         while rounds < refine_rounds:
             lt = np.linspace(-half, half, 33)
             l1, l2 = c1 + lt, c2 + lt
-            local = _on_window(g, l1, l2)
+            local = g(np.cos(l1)[:, None], np.cos(l2)[None, :], np.cos(l1[:, None] - l2[None, :]))
             i, j = np.unravel_index(np.argmin(local), local.shape)
             value = float(local[i, j])
             c1, c2 = float(l1[i]), float(l2[j])

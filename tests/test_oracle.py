@@ -47,6 +47,26 @@ def full_phase_grid(n):
     return np.meshgrid(t, t, indexing="ij")
 
 
+def rhs_as_written(s_a, s_b, s_c):
+    """The right side in the edge sines as a function of the phases."""
+
+    def f(t1, t2):
+        return 1 / s_a**2 + 1 / s_b**2 + 1 / s_c**2 + 2 * (
+            np.cos(t1) / (s_a * s_b) + np.cos(t2) / (s_a * s_c) + np.cos(t1 - t2) / (s_b * s_c)
+        )
+
+    return f
+
+
+def trig_as_written(a_coef, b_coef, c_coef):
+    """A cos(t1 - t2) + B cos(t2) + C cos(t1) as a function of the phases."""
+
+    def f(t1, t2):
+        return a_coef * np.cos(t1 - t2) + b_coef * np.cos(t2) + c_coef * np.cos(t1)
+
+    return f
+
+
 @st.composite
 def near_boundary_coefficients(draw):
     """Coefficients with 2 max(1/|c|) <= sum(1/|c|) <= 1.05 * 2 max(1/|c|).
@@ -207,7 +227,7 @@ class TestTrigMinGrid:
     @settings(deadline=None, derandomize=True, max_examples=60)
     @given(coefs=near_boundary_coefficients())
     # exactly on the triangle boundary (1/1 = 1/2 + 1/2, 1/0.2 = 1/5 + 1/0.2083),
-    # where the valley floor is quartic and the zoom re-centres to reach it
+    # where the valley floor is quartic; the zoom re-centres on the last one
     @example(coefs=(1, 2, 2))
     @example(coefs=(-2, 1, -2))
     @example(coefs=(0.2, 5.0, 0.2 / 0.96))
@@ -223,26 +243,6 @@ class TestTrigMinGrid:
         closed = trig_polynomial_min(*coefs)
         for n in (512, 768):
             assert abs(trig_min_grid(*coefs, grid=GridSpec(n, 2)) - closed) <= 1e-6
-
-
-def rhs_as_written(s_a, s_b, s_c):
-    """The right side in the edge sines as a function of the phases."""
-
-    def f(t1, t2):
-        return 1 / s_a**2 + 1 / s_b**2 + 1 / s_c**2 + 2 * (
-            np.cos(t1) / (s_a * s_b) + np.cos(t2) / (s_a * s_c) + np.cos(t1 - t2) / (s_b * s_c)
-        )
-
-    return f
-
-
-def trig_as_written(a_coef, b_coef, c_coef):
-    """A cos(t1 - t2) + B cos(t2) + C cos(t1) as a function of the phases."""
-
-    def f(t1, t2):
-        return a_coef * np.cos(t1 - t2) + b_coef * np.cos(t2) + c_coef * np.cos(t1)
-
-    return f
 
 
 RHS_SINES = [tuple(math.sin(ell * 2.2) for ell in (1, 1.618, 1.3)),
