@@ -13,6 +13,8 @@ E = -kappa^2 uses the hyperbolic analogues.  Scanning samples this
 membership over a k (or kappa) grid and refines every band edge by
 bisection on the signs of the boundary functions D -+ upper and D -+ lower,
 which on the positive branch are defined at the Dirichlet points too.
+The point and column kernels of both branches live in :mod:`hexband.core`;
+this module compares their terms and turns them into reports.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 
 import numpy as np
 
@@ -31,12 +34,13 @@ from .core import (
     FloquetPhase,
     HexGeometry,
     VertexCoupling,
+    _negative_terms,
+    _negative_terms_grid,
     checked_sines,
-    cos_reduced,
     gap_criteria_grid,
     positive_terms,
     positive_terms_grid,
-    sin_reduced,
+    sin_cos_reduced,
 )
 from .numtheory import CommensurabilityWitness, commensurability_witness
 from .report import FlatBand, SampleTable, SpectrumReport
@@ -124,58 +128,6 @@ def rhs_envelope(geom: HexGeometry, k: float) -> RhsEnvelope:
     return RhsEnvelope(max(0.0, lower), upper)
 
 
-def inv_sinh(x: float) -> float:
-    """1/sinh(x) for x > 0; underflows to 0 instead of overflowing sinh."""
-    return 1.0 / math.sinh(x) if x < 700.0 else 0.0
-
-
-def _negative_terms(geom: HexGeometry, alpha: float, kappa: float) -> tuple[float, float, float]:
-    """The negative-branch mirror of :func:`positive_terms`: ``(D, lower_unclamped, upper)``.
-
-    ``D = coth(a*kappa) + coth(b*kappa) + coth(c*kappa) + alpha/kappa`` and
-    ``upper`` is the sum of the 1/sinh terms.  The largest of those always
-    belongs to the shortest edge, so ``lower_unclamped = 2/sinh(l_min*kappa)
-    - upper``.
-    """
-    if not kappa > 0:
-        raise ValueError(f"kappa must be > 0, got {kappa!r}")
-    lengths = geom.lengths
-    inv = [inv_sinh(ell * kappa) for ell in lengths]
-    upper = sum(inv)
-    total = alpha / kappa
-    for ell in lengths:
-        total += 1.0 / math.tanh(ell * kappa)
-    return total, 2 * inv[lengths.index(geom.ell_min)] - upper, upper
-
-
-def _negative_terms_grid(
-    geom: HexGeometry, alpha: float, kappas: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`_negative_terms` on a whole grid of kappa, bit for bit.
-
-    ``math.sinh`` and ``math.tanh`` are mapped over each ``l*kappa``, since
-    ``np.sinh`` and ``np.tanh`` differ from them in the last bit on a few
-    percent of arguments.  :func:`inv_sinh`'s cutoff at 700 is kept, and
-    the sums add their terms in the scalar order.  Where an ``l*kappa``
-    underflows to 0 the point kernel raises ``ZeroDivisionError``; this
-    raises ``FloatingPointError``, like it an ``ArithmeticError``.
-    """
-    if not np.all(kappas > 0):
-        raise ValueError("every kappa must be > 0")
-    lengths = geom.lengths
-    n = kappas.size
-    inv = []
-    with np.errstate(divide="raise", over="ignore", invalid="ignore"):
-        total = alpha / kappas
-        for ell in lengths:
-            x = ell * kappas
-            sinh = np.fromiter(map(math.sinh, np.minimum(x, 700.0).tolist()), np.float64, n)
-            inv.append(np.where(x < 700.0, 1.0 / sinh, 0.0))
-            total += 1.0 / np.fromiter(map(math.tanh, x.tolist()), np.float64, n)
-        upper = sum(inv)
-        return total, 2 * inv[lengths.index(geom.ell_min)] - upper, upper
-
-
 def rhs_envelope_negative(geom: HexGeometry, kappa: float) -> RhsEnvelope:
     """Negative-branch envelope: hyperbolic sines never vanish."""
     _, lower, upper = _negative_terms(geom, 0.0, kappa)
@@ -214,18 +166,24 @@ def _positive_gaps(geom: HexGeometry, alpha: float, ks: np.ndarray) -> np.ndarra
     return gc1 | gc2
 
 
+def _in_band(d, lower, upper):
+    """Whether max(0, lower_unclamped) <= |D| <= upper on each row, the point
+    kernels' comparison.  Leaves |D| in ``d`` and the clamped lower in ``lower``."""
+    value = np.abs(d, out=d)
+    lower[~(lower > 0.0)] = 0.0  # max(0.0, lower), NaN included
+    return (lower <= value) & (value <= upper)
+
+
 def _sample_table(xs, energy, d, lower, upper, flagged):
     """The scan rows of membership terms ``(D, lower_unclamped, upper)``, and their band flags.
 
-    A row is in a band iff max(0, lower_unclamped) <= |D| <= upper, the
-    point kernels' comparison; a flagged row is a ``dirichlet`` row of NaNs.
+    The band flags are :func:`_in_band`'s; a flagged row is a ``dirichlet``
+    row of NaNs.
     """
-    value = np.abs(d, out=d)
-    lower[~(lower > 0.0)] = 0.0  # max(0.0, lower), NaN included
-    band = (lower <= value) & (value <= upper)
-    for column in (value, lower, upper):
+    band = _in_band(d, lower, upper)
+    for column in (d, lower, upper):
         column[flagged] = math.nan
-    return SampleTable(xs, energy, value, lower, upper, np.where(flagged, 2, band)), band
+    return SampleTable(xs, energy, d, lower, upper, np.where(flagged, 2, band)), band
 
 
 def _positive_rows(geom: HexGeometry, alpha: float, ks: np.ndarray, dirichlet_tol: float):
@@ -249,6 +207,11 @@ def _negative_rows(geom: HexGeometry, alpha: float, kappas: np.ndarray):
     samples, band = _sample_table(kappas, -kappas * kappas, d, lower, upper,
                                   np.zeros(kappas.shape, dtype=bool))
     return samples, ~band
+
+
+def _negative_gaps(geom: HexGeometry, alpha: float, kappas: np.ndarray) -> np.ndarray:
+    """The gap flags of :func:`_negative_rows` alone, with no sample table."""
+    return ~_in_band(*_negative_terms_grid(geom, alpha, kappas))
 
 
 def _intervals_from_runs(xs: np.ndarray, gaps: np.ndarray, gaps_at, edge_tol: float):
@@ -358,13 +321,10 @@ def scan_spectrum(
     to resolve features on the scale of the fastest trigonometric oscillation.
     """
 
-    def gaps_at(ks):
-        return _positive_gaps(geom, coupling.alpha, ks)
-
-    def rows(ks):
-        return _positive_rows(geom, coupling.alpha, ks, dirichlet_tol)
-
-    h, samples, intervals = _scan(rows, gaps_at, k_lo, k_hi, n_samples, edge_tol)
+    h, samples, intervals = _scan(partial(_positive_rows, geom, coupling.alpha,
+                                          dirichlet_tol=dirichlet_tol),
+                                  partial(_positive_gaps, geom, coupling.alpha),
+                                  k_lo, k_hi, n_samples, edge_tol)
     bands = [(lo * lo, hi * hi) for gap, lo, hi in intervals if not gap]
     gaps = [(lo * lo, hi * hi) for gap, lo, hi in intervals if gap]
     spacing_limit = math.pi / (8 * max(geom.lengths))
@@ -410,20 +370,17 @@ def negative_spectrum_scan(
     whole axis is a gap and the band list comes back empty.  Intervals are
     ordered by increasing energy (decreasing kappa).  The window defaults to
     kappa in [kappa_max / n_samples, kappa_max].  The sample table and every
-    bisection step come from :func:`_negative_terms_grid`, bit-identical to
-    the point kernel :func:`_negative_terms`.
+    bisection step come from :func:`core._negative_terms_grid`, bit-identical
+    to the point kernel :func:`core._negative_terms`; a bisection step reads
+    only the gap flags and builds no sample table.
     """
     if kappa_lo is None:
         # _scan rejects n_samples < 2; max() only keeps this division defined until it does
         kappa_lo = kappa_max / max(n_samples, 2)
 
-    def rows(kappas):
-        return _negative_rows(geom, coupling.alpha, kappas)
-
-    def gaps_at(kappas):
-        return rows(kappas)[1]
-
-    h, samples, intervals = _scan(rows, gaps_at, kappa_lo, kappa_max, n_samples, edge_tol)
+    h, samples, intervals = _scan(partial(_negative_rows, geom, coupling.alpha),
+                                  partial(_negative_gaps, geom, coupling.alpha),
+                                  kappa_lo, kappa_max, n_samples, edge_tol)
 
     def to_energy(lo: float, hi: float) -> tuple[float, float]:
         return (-hi * hi, -lo * lo)
@@ -495,15 +452,13 @@ def verify_flat_band(
     perimeter = positions[-1]
     worst = 0.0
     for j in range(6):
-        s_j = positions[j]
-        value = sin_reduced(k * s_j)
-        slope_out = k * cos_reduced(k * s_j)  # forward edge, outgoing derivative
+        value, cos_out = sin_cos_reduced(k * positions[j])
+        slope_out = k * cos_out  # forward edge, outgoing derivative
         if j == 0:
-            value_in = sin_reduced(k * perimeter)
-            slope_in = -k * cos_reduced(k * perimeter)  # backward along the last edge
+            value_in, cos_in = sin_cos_reduced(k * perimeter)
+            slope_in = -k * cos_in  # backward along the last edge
         else:
-            value_in = value
-            slope_in = -k * cos_reduced(k * s_j)
+            value_in, slope_in = value, -slope_out
         worst = max(
             worst,
             abs(value),  # against the zero outside edge

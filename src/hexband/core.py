@@ -10,8 +10,11 @@ After the Floquet-Bloch reduction with phases (theta1, theta2), a positive
 energy E = k^2 belongs to the spectrum iff the reduced 4x4 cell matrix is
 singular for some phase pair.  This module evaluates that matrix both entry
 by entry (:func:`assemble_m_matrix`) and through its closed-form determinant
-(:func:`det_m_closed_form`), together with the scalar dispersion functions
-used by the band engine.
+(:func:`det_m_closed_form`).  It also holds the point kernels of both
+branches, scalar and column: the membership terms ``(D, lower_unclamped,
+upper)`` and the gap criteria.  Every positive kernel takes the sines and
+cosines of its edge angles from :func:`_flag_sines`, one angle reduction per
+edge, which is also the package's one Dirichlet guard.
 """
 
 from __future__ import annotations
@@ -32,8 +35,7 @@ __all__ = [
     "SineTriple",
     "MMatrix",
     "reduce_mod_two_pi",
-    "sin_reduced",
-    "cos_reduced",
+    "sin_cos_reduced",
     "sine_triple",
     "dispersion",
     "dispersion_negative",
@@ -59,12 +61,10 @@ def reduce_mod_two_pi(x: float) -> float:
     return r - n * _TAU_LO
 
 
-def sin_reduced(x: float) -> float:
-    return math.sin(reduce_mod_two_pi(x))
-
-
-def cos_reduced(x: float) -> float:
-    return math.cos(reduce_mod_two_pi(x))
+def sin_cos_reduced(x: float) -> tuple[float, float]:
+    """``(sin x, cos x)`` from one :func:`reduce_mod_two_pi` of x."""
+    r = reduce_mod_two_pi(x)
+    return math.sin(r), math.cos(r)
 
 
 class DirichletPointError(ValueError):
@@ -243,45 +243,55 @@ def _check_dirichlet_tol(dirichlet_tol: float) -> None:
         raise ValueError(f"dirichlet_tol must be > 0, got {dirichlet_tol!r}")
 
 
-def _flag_sines(k: float, lengths, dirichlet_tol: float) -> tuple[list[float], list[bool]]:
-    """sin(l*k) for each length, and whether each is flagged as vanishing.
+def _check_k(k: float) -> None:
+    if not k > 0:
+        raise ValueError(f"k must be > 0, got {k!r}")
 
-    This is the package's one Dirichlet guard.  An edge is flagged when
-    |sin(l*k)| is at most the tolerance times max(1, l*k); scaling with the
-    argument guards against catastrophic cancellation at large l*k.
+
+def _flag_sines(
+    k: float, lengths, dirichlet_tol: float
+) -> tuple[list[float], list[float], list[bool]]:
+    """``(sines, cosines, flags)`` of l*k for each length.
+
+    Each angle is reduced once, by :func:`sin_cos_reduced`.  This is the
+    package's one Dirichlet guard: an edge is flagged when |sin(l*k)| is at
+    most the tolerance times max(1, l*k); scaling with the argument guards
+    against catastrophic cancellation at large l*k.
     """
     _check_dirichlet_tol(dirichlet_tol)
-    values = []
-    flags = []
+    sines, cosines, flags = [], [], []
     for ell in lengths:
         x = ell * k
-        s = sin_reduced(x)
-        values.append(s)
+        s, c = sin_cos_reduced(x)
+        sines.append(s)
+        cosines.append(c)
         flags.append(abs(s) <= dirichlet_tol * max(1.0, x))
-    return values, flags
+    return sines, cosines, flags
 
 
-def checked_sines(k: float, names, lengths) -> list[float]:
-    """sin(l*k) for the named edge lengths.
+def checked_sines(
+    k: float, names, lengths, dirichlet_tol: float = DEFAULT_DIRICHLET_TOL
+) -> tuple[list[float], list[float]]:
+    """``(sines, cosines)`` of l*k for each length, from :func:`_flag_sines`.
 
-    Raises :class:`DirichletPointError` naming every edge the guard flags at
-    the default tolerance.
+    Raises :class:`DirichletPointError` naming every guarded edge that is
+    flagged.  The guarded edges are the leading ``len(names)`` lengths, so
+    ``names=("a",)`` with all three lengths guards ``a`` alone.
     """
-    values, flags = _flag_sines(k, lengths, DEFAULT_DIRICHLET_TOL)
+    sines, cosines, flags = _flag_sines(k, lengths, dirichlet_tol)
     vanishing = tuple(name for name, flag in zip(names, flags) if flag)
     if vanishing:
         raise DirichletPointError(k, vanishing)
-    return values
+    return sines, cosines
 
 
 def sine_triple(
     geom: HexGeometry, k: float, dirichlet_tol: float = DEFAULT_DIRICHLET_TOL
 ) -> SineTriple:
     """Evaluate sin(l*k) on all three edges with scale-aware vanish flags."""
-    if not k > 0:
-        raise ValueError(f"k must be > 0, got {k!r}")
-    values, flags = _flag_sines(k, geom.lengths, dirichlet_tol)
-    return SineTriple(values[0], values[1], values[2], flags[0], flags[1], flags[2])
+    _check_k(k)
+    sines, _, flags = _flag_sines(k, geom.lengths, dirichlet_tol)
+    return SineTriple(*sines, *flags)
 
 
 def positive_terms(
@@ -292,18 +302,17 @@ def positive_terms(
     ``D = cot(a*k) + cot(b*k) + cot(c*k) + alpha/k``, ``upper`` is the sum of
     the inverse |sines| and ``lower_unclamped = 2*max(inverse) - upper``, so
     k is in the spectrum iff max(0, lower_unclamped) <= |D| <= upper.  The
-    sines are evaluated once, by :func:`sine_triple`; a flagged sine raises
-    :class:`DirichletPointError` naming the vanishing edges.
+    sines and cosines come from :func:`checked_sines`, three angle
+    reductions in all; a flagged sine raises :class:`DirichletPointError`
+    naming the vanishing edges.
     """
-    triple = sine_triple(geom, k, dirichlet_tol)
-    if triple.any_vanish:
-        raise DirichletPointError(k, triple.vanishing_edges)
-    values = triple.values
-    inv = [1 / abs(s) for s in values]
+    _check_k(k)
+    sines, cosines = checked_sines(k, HexGeometry.EDGE_NAMES, geom.lengths, dirichlet_tol)
+    inv = [1 / abs(s) for s in sines]
     upper = sum(inv)
     total = alpha / k
-    for ell, s in zip(geom.lengths, values):
-        total += cos_reduced(ell * k) / s
+    for s, c in zip(sines, cosines):
+        total += c / s
     return total, 2 * max(inv) - upper, upper
 
 
@@ -377,11 +386,11 @@ def gap_criteria(geom: HexGeometry, alpha: float, k: float) -> tuple[bool, bool]
     |sin|, D -+ upper = alpha/k + sum m (or p), D - lower = alpha/k + m_j +
     sum_{i != j} p_i and D + lower = alpha/k + p_j + sum_{i != j} m_i.  No sum
     adds a pole to its negative, so the signs hold up to the Dirichlet points
-    and need no tolerance.  The sines come from :func:`sine_triple`.
+    and need no tolerance.  The sines and cosines come from :func:`_flag_sines`.
     """
-    sines = sine_triple(geom, k).values
-    ms, ps = zip(*(_half_angle_pair(s, cos_reduced(ell * k))
-                   for ell, s in zip(geom.lengths, sines)))
+    _check_k(k)
+    sines, cosines, _ = _flag_sines(k, geom.lengths, DEFAULT_DIRICHLET_TOL)
+    ms, ps = zip(*map(_half_angle_pair, sines, cosines))
     j = min(range(3), key=lambda i: abs(sines[i]))
     g = alpha / k
     gc1 = g + sum(ms) > 0 or g + sum(ps) < 0
@@ -435,24 +444,62 @@ def dispersion(geom: HexGeometry, coupling: VertexCoupling, k: float) -> float:
     return positive_terms(geom, coupling.alpha, k, DEFAULT_DIRICHLET_TOL)[0]
 
 
-def dispersion_negative(geom: HexGeometry, coupling: VertexCoupling, kappa: float) -> float:
-    """coth(a*kappa) + coth(b*kappa) + coth(c*kappa) + alpha/kappa.
+def inv_sinh(x: float) -> float:
+    """1/sinh(x) for x > 0; underflows to 0 instead of overflowing sinh."""
+    return 1.0 / math.sinh(x) if x < 700.0 else 0.0
 
-    The negative-branch dispersion at E = -kappa^2; sinh never vanishes for
-    kappa > 0 so there are no excluded points.
+
+def _negative_terms(geom: HexGeometry, alpha: float, kappa: float) -> tuple[float, float, float]:
+    """The negative-branch mirror of :func:`positive_terms`: ``(D, lower_unclamped, upper)``.
+
+    ``D = coth(a*kappa) + coth(b*kappa) + coth(c*kappa) + alpha/kappa`` and
+    ``upper`` is the sum of the 1/sinh terms.  The largest of those always
+    belongs to the shortest edge, so ``lower_unclamped = 2/sinh(l_min*kappa)
+    - upper``.  sinh never vanishes for kappa > 0, so there is no guard.
     """
     if not kappa > 0:
         raise ValueError(f"kappa must be > 0, got {kappa!r}")
-    total = coupling.alpha / kappa
-    for ell in geom.lengths:
+    lengths = geom.lengths
+    inv = [inv_sinh(ell * kappa) for ell in lengths]
+    upper = sum(inv)
+    total = alpha / kappa
+    for ell in lengths:
         total += 1.0 / math.tanh(ell * kappa)
-    return total
+    return total, 2 * inv[lengths.index(geom.ell_min)] - upper, upper
 
 
-def _check_sin_a(geom: HexGeometry, k: float) -> float:
-    if not k > 0:
-        raise ValueError(f"k must be > 0, got {k!r}")
-    return checked_sines(k, ("a",), (geom.a,))[0]
+def _negative_terms_grid(
+    geom: HexGeometry, alpha: float, kappas: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_negative_terms` on a whole grid of kappa, bit for bit.
+
+    ``math.sinh`` and ``math.tanh`` are mapped over each ``l*kappa``, since
+    ``np.sinh`` and ``np.tanh`` differ from them in the last bit on a few
+    percent of arguments.  :func:`inv_sinh`'s cutoff at 700 is kept, and
+    the sums add their terms in the scalar order.  Where an ``l*kappa``
+    underflows to 0 the point kernel raises ``ZeroDivisionError``; this
+    raises ``FloatingPointError``, like it an ``ArithmeticError``.
+    """
+    if not np.all(kappas > 0):
+        raise ValueError("every kappa must be > 0")
+    lengths = geom.lengths
+    n = kappas.size
+    inv = []
+    with np.errstate(divide="raise", over="ignore", invalid="ignore"):
+        total = alpha / kappas
+        for ell in lengths:
+            x = ell * kappas
+            sinh = np.fromiter(map(math.sinh, np.minimum(x, 700.0).tolist()), np.float64, n)
+            inv.append(np.where(x < 700.0, 1.0 / sinh, 0.0))
+            total += 1.0 / np.fromiter(map(math.tanh, x.tolist()), np.float64, n)
+        upper = sum(inv)
+        return total, 2 * inv[lengths.index(geom.ell_min)] - upper, upper
+
+
+def dispersion_negative(geom: HexGeometry, coupling: VertexCoupling, kappa: float) -> float:
+    """coth(a*kappa) + coth(b*kappa) + coth(c*kappa) + alpha/kappa, the
+    negative-branch dispersion at E = -kappa^2: the ``D`` of :func:`_negative_terms`."""
+    return _negative_terms(geom, coupling.alpha, kappa)[0]
 
 
 def assemble_m_matrix(
@@ -465,7 +512,8 @@ def assemble_m_matrix(
     derivative conditions with the full-edge amplitudes already eliminated.
     The derivation divides by sin(a*k), so that sine must not vanish.
     """
-    s_a = _check_sin_a(geom, k)
+    _check_k(k)
+    s_a = checked_sines(k, ("a",), (geom.a,))[0][0]
     a, b, c = geom.lengths
     alpha_over_k = coupling.alpha / k
     t1, t2 = phase.theta1, phase.theta2
@@ -508,13 +556,8 @@ def det_m_closed_form(
     bracket ``B`` collects the trigonometric terms of the secular condition;
     the bracket is symmetric under (b <-> c, theta1 <-> theta2).
     """
-    s_a = _check_sin_a(geom, k)
-    a, b, c = geom.lengths
-    s_b = sin_reduced(b * k)
-    s_c = sin_reduced(c * k)
-    c_a = cos_reduced(a * k)
-    c_b = cos_reduced(b * k)
-    c_c = cos_reduced(c * k)
+    _check_k(k)
+    (s_a, s_b, s_c), (c_a, c_b, c_c) = checked_sines(k, ("a",), geom.lengths)
     g = coupling.alpha / k
     t1, t2 = phase.theta1, phase.theta2
     bracket = (

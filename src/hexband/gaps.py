@@ -9,7 +9,9 @@ where D is the cotangent dispersion.  GC1 admits an equivalent tangent form
 on k >= |alpha| built from the nearest-integer fractional part; GC2 for the
 stretched lattice (b = c) reduces to four sign/size conditions.  Hyperbolic
 analogues govern the negative branch, and for b = c the Diophantine class
-of a/b fixes closed-form coupling thresholds for gap existence.
+of a/b fixes closed-form coupling thresholds for gap existence.  The
+criteria read their terms from the point kernels and the one Dirichlet
+guard of :mod:`hexband.core`, one angle reduction per edge.
 """
 
 from __future__ import annotations
@@ -18,14 +20,12 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .bands import rhs_envelope_negative
 from .core import (
     DEFAULT_DIRICHLET_TOL,
     HexGeometry,
     VertexCoupling,
+    _negative_terms,
     checked_sines,
-    cos_reduced,
-    dispersion_negative,
     positive_terms,
 )
 from .numtheory import RatioClass, RatioClassKind
@@ -111,10 +111,10 @@ def gc1_tangent_form(geom: HexGeometry, coupling: VertexCoupling, k: float) -> b
     alpha = coupling.alpha
     if k < abs(alpha):
         raise ValueError(f"tangent form requires k >= |alpha|; got k={k!r}, |alpha|={abs(alpha)!r}")
-    sines = checked_sines(k, HexGeometry.EDGE_NAMES, geom.lengths)
+    sines, cosines = checked_sines(k, HexGeometry.EDGE_NAMES, geom.lengths)
     want = _sign(alpha)
-    for ell, s in zip(geom.lengths, sines):
-        if _sign(cos_reduced(ell * k) / s) != want:
+    for s, c in zip(sines, cosines):
+        if _sign(c / s) != want:
             return False
     return tangent_sum(geom, k) < abs(alpha) / k
 
@@ -125,8 +125,8 @@ def cot_dominance(a: float, b: float, k: float) -> float:
     For the b = c lattice, envelope-undershooting gaps require this margin
     to sit close to |alpha|/k.
     """
-    s_a, s_b = checked_sines(k, ("a", "b"), (a, b))
-    return abs(cos_reduced(a * k) / s_a) - 2 * abs(cos_reduced(b * k) / s_b)
+    (s_a, s_b), (c_a, c_b) = checked_sines(k, ("a", "b"), (a, b))
+    return abs(c_a / s_a) - 2 * abs(c_b / s_b)
 
 
 def tangent_margin_bc(a: float, b: float, k: float) -> float:
@@ -164,9 +164,9 @@ def gc2_equivalent_bc(a: float, b: float, coupling: VertexCoupling, k: float) ->
     dominance margin.  The four conditions imply GC2 for every k > 0 and are
     equivalent to it on k > |alpha|.
     """
-    s_a, s_b = checked_sines(k, ("a", "b"), (a, b))
-    cot_a = cos_reduced(a * k) / s_a
-    cot_b = cos_reduced(b * k) / s_b
+    (s_a, s_b), (c_a, c_b) = checked_sines(k, ("a", "b"), (a, b))
+    cot_a = c_a / s_a
+    cot_b = c_b / s_b
     margin = 1 / abs(s_a) - 2 / abs(s_b)
     if margin <= 0:
         return False
@@ -184,11 +184,11 @@ def gc_negative(
     """The two negative-branch gap criteria at E = -kappa^2.
 
     gc1_neg: |D-(kappa)| exceeds the sum of inverse hyperbolic sines;
-    gc2_neg: it stays below 2/sinh(l_min*kappa) minus that sum.
+    gc2_neg: it stays below 2/sinh(l_min*kappa) minus that sum.  Both
+    read one evaluation of the point kernel :func:`core._negative_terms`.
     """
-    env = rhs_envelope_negative(geom, kappa)
-    value = abs(dispersion_negative(geom, coupling, kappa))
-    return value > env.upper, value < env.lower
+    d, lower, upper = _negative_terms(geom, coupling.alpha, kappa)
+    return abs(d) > upper, abs(d) < lower
 
 
 class GapAtZero(Enum):

@@ -22,9 +22,9 @@ from .core import (
     HexGeometry,
     MMatrix,
     VertexCoupling,
-    cos_reduced,
+    _check_k,
+    checked_sines,
     dispersion_negative,
-    sine_triple,
 )
 from .bands import BandDecision
 
@@ -179,10 +179,9 @@ def rhs_extrema_grid(
     three phase cosine cross terms, the full grid from the shared cosine
     table and each zoom window from its own phases.
     """
-    triple = sine_triple(geom, k)
-    if triple.any_vanish:
-        raise DirichletPointError(k, triple.vanishing_edges)
-    return _rhs_extrema(*triple.values, grid)
+    _check_k(k)
+    sines, _ = checked_sines(k, HexGeometry.EDGE_NAMES, geom.lengths)
+    return _rhs_extrema(*sines, grid)
 
 
 def band_membership_grid(
@@ -194,14 +193,15 @@ def band_membership_grid(
     """Membership decided against the grid-bracketed right-hand-side range."""
     if energy.branch == "positive":
         k = energy.param
-        triple = sine_triple(geom, k)
-        if triple.any_vanish:
-            return BandDecision.dirichlet(triple.vanishing_edges)
-        lo, hi = _rhs_extrema(*triple.values, grid)
+        try:
+            sines, cosines = checked_sines(k, HexGeometry.EDGE_NAMES, geom.lengths)
+        except DirichletPointError as exc:
+            return BandDecision.dirichlet(exc.edges)
+        lo, hi = _rhs_extrema(*sines, grid)
         # the dispersion as written, on the sines already checked above
         d = coupling.alpha / k
-        for ell, s in zip(geom.lengths, triple.values):
-            d += cos_reduced(ell * k) / s
+        for s, c in zip(sines, cosines):
+            d += c / s
         d2 = d**2
     elif energy.branch == "negative":
         kappa = energy.param

@@ -25,9 +25,10 @@ from hexband import (
     trig_polynomial_min,
     verify_flat_band,
 )
-from hexband.bands import (_intervals_from_runs, _negative_rows, _negative_terms,
-                           _negative_terms_grid, _positive_gaps, _positive_rows, inv_sinh)
-from hexband.core import DirichletPointError, dispersion_negative, gap_criteria, positive_terms
+from hexband.bands import (_intervals_from_runs, _negative_gaps, _negative_rows, _positive_gaps,
+                           _positive_rows)
+from hexband.core import (DirichletPointError, _negative_terms, _negative_terms_grid,
+                          dispersion_negative, gap_criteria, inv_sinh, positive_terms)
 from hexband.report import SampleRow
 from hexband.numtheory import CommensurabilityWitness
 from hexband.oracle import GridSpec, band_membership_grid, rhs_extrema_grid, trig_min_grid
@@ -523,8 +524,9 @@ class TestLockstepRefinement:
 
         gaps = [is_gap(kappa) for kappa in kappas.tolist()]
         assert _negative_rows(geom, alpha, kappas)[1].tolist() == gaps
+        assert _negative_gaps(geom, alpha, kappas).tolist() == gaps
         runs = _intervals_from_runs(kappas, np.array(gaps),
-                                    lambda xs: _negative_rows(geom, alpha, xs)[1], 1e-12)
+                                    lambda xs: _negative_gaps(geom, alpha, xs), 1e-12)
         assert len(runs) >= 2
         assert runs == _reference_runs(kappas.tolist(), gaps, is_gap, 1e-12)
 

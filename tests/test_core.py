@@ -20,6 +20,7 @@ from hexband import (
     det_m_closed_form,
     dispersion,
     dispersion_negative,
+    gap_diagnostics_bc,
     gc1,
     gc1_tangent_form,
     gc2,
@@ -28,6 +29,7 @@ from hexband import (
     scan_spectrum,
     sine_triple,
     solve_cell_wavefunction,
+    verify_flat_band,
 )
 from hexband.core import (
     _flag_sines,
@@ -39,7 +41,7 @@ from hexband.core import (
     positive_terms_grid,
     reduce_mod_two_pi,
 )
-from hexband.oracle import GridSpec, band_membership_grid, det_numeric
+from hexband.oracle import GridSpec, band_membership_grid, det_numeric, rhs_extrema_grid
 
 EQUILATERAL = HexGeometry(1, 1, 1)
 KIRCHHOFF = VertexCoupling(0.0)
@@ -181,27 +183,32 @@ class TestDirichletGuard:
         assert info.value.edges == edges
 
 
+def _count_calls(monkeypatch, name):
+    """Count the calls to ``hexband.core.<name>``, in every module that holds it."""
+    import hexband.bands
+    import hexband.core
+    import hexband.gaps
+    import hexband.oracle
+
+    count = [0]
+    original = getattr(hexband.core, name)
+
+    def counting(*args, **kwargs):
+        count[0] += 1
+        return original(*args, **kwargs)
+
+    for module in (hexband.core, hexband.bands, hexband.gaps, hexband.oracle):
+        if getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counting)
+    return count
+
+
 class TestKernelCalls:
-    """Each membership entry point evaluates the three sines once per point."""
+    """Each membership entry point passes the Dirichlet guard once per point."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        import hexband.bands
-        import hexband.core
-        import hexband.gaps
-        import hexband.oracle
-
-        count = [0]
-        original = hexband.core.sine_triple
-
-        def counting(*args, **kwargs):
-            count[0] += 1
-            return original(*args, **kwargs)
-
-        for module in (hexband.core, hexband.bands, hexband.gaps, hexband.oracle):
-            if hasattr(module, "sine_triple"):
-                monkeypatch.setattr(module, "sine_triple", counting)
-        return count
+        return _count_calls(monkeypatch, "_flag_sines")
 
     GEOM = HexGeometry(1.0, 1.3, 0.8)
     COUPLING = VertexCoupling(2.0)
@@ -266,6 +273,46 @@ class TestKernelCalls:
         assert (counts["gap_criteria"], calls[0]) == (0, 0)
 
 
+class TestAngleReductions:
+    """Each entry point reduces each distinct angle once."""
+
+    GEOM = HexGeometry(1.0, 1.3, 0.8)
+    COUPLING = VertexCoupling(2.0)
+    PHASE = FloquetPhase(0.3, -1.1)
+
+    @pytest.mark.parametrize(
+        "call, reductions",
+        [
+            (lambda g, c, p: positive_terms(g, c.alpha, 3.3, 1e-9), 3),
+            (lambda g, c, p: band_membership(g, c, EnergyPoint.positive(3.3)), 3),
+            (lambda g, c, p: gc1(g, c, 3.3), 3),
+            (lambda g, c, p: gc2(g, c, 3.3), 3),
+            (lambda g, c, p: gap_criteria(g, c.alpha, 3.3), 3),
+            (lambda g, c, p: dispersion(g, c, 3.3), 3),
+            (lambda g, c, p: rhs_envelope(g, 3.3), 3),
+            (lambda g, c, p: sine_triple(g, 3.3), 3),
+            (lambda g, c, p: det_m_closed_form(g, c, 3.3, p), 3),
+            (lambda g, c, p: band_membership_grid(g, c, EnergyPoint.positive(3.3),
+                                                  GridSpec(64, 0)), 3),
+            (lambda g, c, p: rhs_extrema_grid(g, 3.3, GridSpec(64, 0)), 3),
+            (lambda g, c, p: gc1_tangent_form(g, c, 3.3), 3),
+            (lambda g, c, p: cot_dominance(g.a, g.b, 3.3), 2),
+            (lambda g, c, p: gc2_equivalent_bc(g.a, g.b, c, 3.3), 2),
+            (lambda g, c, p: gap_diagnostics_bc(g.a, g.b, 3.3), 2),
+            (lambda g, c, p: assemble_m_matrix(g, c, 3.3, p), 1),
+            (lambda g, c, p: verify_flat_band(g, 3.3, c), 7),
+        ],
+        ids=["positive_terms", "band_membership", "gc1", "gc2", "gap_criteria", "dispersion",
+             "rhs_envelope", "sine_triple", "det_m_closed_form", "band_membership_grid",
+             "rhs_extrema_grid", "gc1_tangent_form", "cot_dominance", "gc2_equivalent_bc",
+             "gap_diagnostics_bc", "assemble_m_matrix", "verify_flat_band"],
+    )
+    def test_reductions_per_call(self, monkeypatch, call, reductions):
+        count = _count_calls(monkeypatch, "reduce_mod_two_pi")
+        call(self.GEOM, self.COUPLING, self.PHASE)
+        assert count[0] == reductions
+
+
 SIMD_MESSAGE = ("numpy's SIMD dispatch on this CPU differs from libm ({}): the scan grid "
                 "kernel is no longer bit-identical to the point kernel")
 
@@ -325,7 +372,7 @@ class TestPositiveTermsGrid:
         geom, alpha, ks, tol = case
         d, lower, upper, flagged = positive_terms_grid(geom, alpha, np.array(ks), tol)
         for i, k in enumerate(ks):
-            flags = _flag_sines(k, geom.lengths, tol)[1]
+            flags = _flag_sines(k, geom.lengths, tol)[2]
             assert bool(flagged[i]) == any(flags)
             if flagged[i]:
                 with pytest.raises(DirichletPointError):

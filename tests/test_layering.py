@@ -1,0 +1,61 @@
+"""The import graph between the package's modules.
+
+``core``, ``numtheory`` and ``report`` are the bottom layer and import no
+sibling; ``bands`` and ``gaps`` build on them alone, and the brute-force
+``oracle`` reads only ``core`` and ``bands``.  ``cli`` and ``__init__``
+are the top and may import anything.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import hexband
+
+PACKAGE = Path(hexband.__file__).parent
+MODULES = sorted(path.stem for path in PACKAGE.glob("*.py"))
+ALLOWED = {
+    "core": set(),
+    "numtheory": set(),
+    "report": set(),
+    "bands": {"core", "numtheory", "report"},
+    "gaps": {"core", "numtheory", "report"},
+    "oracle": {"core", "bands"},
+}
+
+
+def sibling_imports(module: str) -> set[str]:
+    """The sibling modules ``module`` imports, relatively or by absolute name.
+
+    A name imported from the package itself, such as ``from . import
+    __version__``, counts as importing ``__init__``.
+    """
+    found = set()
+    for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text())):
+        if isinstance(node, ast.Import):
+            targets = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["hexband" if node.level else "", node.module]))
+            targets = ([f"{base}.{alias.name}" for alias in node.names] if base == "hexband"
+                       else [base])
+        else:
+            continue
+        for parts in (target.split(".") for target in targets):
+            if parts[0] == "hexband":
+                found.add(parts[1] if len(parts) > 1 and parts[1] in MODULES else "__init__")
+    return found - {module}
+
+
+def test_every_layered_module_exists():
+    assert set(ALLOWED) <= set(MODULES)
+
+
+@pytest.mark.parametrize("module", sorted(ALLOWED))
+def test_imports_only_lower_layers(module):
+    assert sibling_imports(module) <= ALLOWED[module]
+
+
+def test_the_parser_sees_the_top_layer():
+    assert {"core", "bands", "gaps", "oracle", "report"} <= sibling_imports("cli")
+    assert "__init__" in sibling_imports("cli")  # from . import __version__
