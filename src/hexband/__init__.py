@@ -16,13 +16,11 @@ from .core import (
     FloquetPhase,
     HexGeometry,
     MMatrix,
-    SineTriple,
     VertexCoupling,
     assemble_m_matrix,
     det_m_closed_form,
     dispersion,
     dispersion_negative,
-    sine_triple,
 )
 from .bands import (
     BandDecision,

@@ -32,11 +32,9 @@ __all__ = [
     "VertexCoupling",
     "EnergyPoint",
     "FloquetPhase",
-    "SineTriple",
     "MMatrix",
     "reduce_mod_two_pi",
     "sin_cos_reduced",
-    "sine_triple",
     "dispersion",
     "dispersion_negative",
     "assemble_m_matrix",
@@ -200,34 +198,6 @@ class FloquetPhase:
 
 
 @dataclass(frozen=True)
-class SineTriple:
-    """sin(l*k) for the three edge lengths, with near-zero flags."""
-
-    s_a: float
-    s_b: float
-    s_c: float
-    vanish_a: bool
-    vanish_b: bool
-    vanish_c: bool
-
-    @property
-    def values(self) -> tuple[float, float, float]:
-        return (self.s_a, self.s_b, self.s_c)
-
-    @property
-    def vanishing_edges(self) -> tuple[str, ...]:
-        return tuple(
-            name
-            for name, flag in zip(("a", "b", "c"), (self.vanish_a, self.vanish_b, self.vanish_c))
-            if flag
-        )
-
-    @property
-    def any_vanish(self) -> bool:
-        return self.vanish_a or self.vanish_b or self.vanish_c
-
-
-@dataclass(frozen=True)
 class MMatrix:
     """The reduced 4x4 cell matrix acting on (C2+, C2-, C3+, C3-)."""
 
@@ -283,15 +253,6 @@ def checked_sines(
     if vanishing:
         raise DirichletPointError(k, vanishing)
     return sines, cosines
-
-
-def sine_triple(
-    geom: HexGeometry, k: float, dirichlet_tol: float = DEFAULT_DIRICHLET_TOL
-) -> SineTriple:
-    """Evaluate sin(l*k) on all three edges with scale-aware vanish flags."""
-    _check_k(k)
-    sines, _, flags = _flag_sines(k, geom.lengths, dirichlet_tol)
-    return SineTriple(*sines, *flags)
 
 
 def positive_terms(

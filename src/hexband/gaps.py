@@ -9,9 +9,9 @@ where D is the cotangent dispersion.  GC1 admits an equivalent tangent form
 on k >= |alpha| built from the nearest-integer fractional part; GC2 for the
 stretched lattice (b = c) reduces to four sign/size conditions.  Hyperbolic
 analogues govern the negative branch, and for b = c the Diophantine class
-of a/b fixes closed-form coupling thresholds for gap existence.  The
-criteria read their terms from the point kernels and the one Dirichlet
-guard of :mod:`hexband.core`, one angle reduction per edge.
+of a/b fixes closed-form coupling thresholds for gap existence.  Every
+edge quantity here, the tangent margins included, takes its sine and cosine
+from the one Dirichlet guard of :mod:`hexband.core`, one reduction per edge.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .core import (
     DEFAULT_DIRICHLET_TOL,
     HexGeometry,
     VertexCoupling,
+    _flag_sines,
     _negative_terms,
     checked_sines,
     positive_terms,
@@ -80,9 +81,16 @@ def gc2(geom: HexGeometry, coupling: VertexCoupling, k: float) -> bool:
     return lower > abs(d)
 
 
-def _edge_tangent(x: float) -> float:
-    """|tan(frac(x/pi) * pi/2)| = 1/|sin x| - |cot x|, finite everywhere."""
-    return abs(math.tan(nearest_int_frac(x / math.pi) * math.pi / 2))
+def _edge_tangent(s: float, c: float) -> float:
+    """|tan(frac(x/pi) * pi/2)| = 1/|sin x| - |cot x| from s = sin x, c = cos x,
+    in the half-angle form |s|/(1 + |c|): no cancellation, and 0 at s = 0."""
+    return abs(s) / (1 + abs(c))
+
+
+def _edge_tangents(k: float, lengths) -> list[float]:
+    """The tangent margin of each length at k, one angle reduction each."""
+    sines, cosines, _ = _flag_sines(k, lengths, DEFAULT_DIRICHLET_TOL)
+    return [_edge_tangent(s, c) for s, c in zip(sines, cosines)]
 
 
 def tangent_sum(geom: HexGeometry, k: float) -> float:
@@ -90,15 +98,17 @@ def tangent_sum(geom: HexGeometry, k: float) -> float:
 
     Each term equals 1/|sin(l*k)| - |cot(l*k)|, the margin by which that
     edge's inverse sine exceeds its cotangent; the sum is what a coupling
-    |alpha|/k must beat for the sign-aligned gap criterion.  The arguments
-    stay in [-pi/4, pi/4], so the value is finite everywhere.
+    |alpha|/k must beat for the sign-aligned gap criterion.  One angle
+    reduction per edge feeds :func:`_edge_tangent`, so the value is finite
+    everywhere and keeps full precision at large k.
     """
-    return sum(_edge_tangent(ell * k) for ell in geom.lengths)
+    return sum(_edge_tangents(k, geom.lengths))
 
 
 def tangent_sum_bc(a: float, b: float, k: float) -> float:
     """The b = c weighting of :func:`tangent_sum`: a-term plus twice b-term."""
-    return _edge_tangent(a * k) + 2 * _edge_tangent(b * k)
+    t_a, t_b = _edge_tangents(k, (a, b))
+    return t_a + 2 * t_b
 
 
 def gc1_tangent_form(geom: HexGeometry, coupling: VertexCoupling, k: float) -> bool:
@@ -116,7 +126,7 @@ def gc1_tangent_form(geom: HexGeometry, coupling: VertexCoupling, k: float) -> b
     for s, c in zip(sines, cosines):
         if _sign(c / s) != want:
             return False
-    return tangent_sum(geom, k) < abs(alpha) / k
+    return sum(_edge_tangent(s, c) for s, c in zip(sines, cosines)) < abs(alpha) / k
 
 
 def cot_dominance(a: float, b: float, k: float) -> float:
@@ -136,7 +146,8 @@ def tangent_margin_bc(a: float, b: float, k: float) -> float:
     weighted difference is what |alpha|/k must exceed for the stretched
     lattice's envelope-undershooting gaps near the a-edge Dirichlet points.
     """
-    return 2 * _edge_tangent(b * k) - _edge_tangent(a * k)
+    t_a, t_b = _edge_tangents(k, (a, b))
+    return 2 * t_b - t_a
 
 
 @dataclass(frozen=True)
@@ -149,11 +160,10 @@ class GapDiagnostics:
 
 
 def gap_diagnostics_bc(a: float, b: float, k: float) -> GapDiagnostics:
-    return GapDiagnostics(
-        tangent_sum=tangent_sum_bc(a, b, k),
-        cot_dominance=cot_dominance(a, b, k),
-        tangent_margin=tangent_margin_bc(a, b, k),
-    )
+    """The three b = c diagnostics at k, all from one :func:`checked_sines`."""
+    (s_a, s_b), (c_a, c_b) = checked_sines(k, ("a", "b"), (a, b))
+    t_a, t_b = _edge_tangent(s_a, c_a), _edge_tangent(s_b, c_b)
+    return GapDiagnostics(t_a + 2 * t_b, abs(c_a / s_a) - 2 * abs(c_b / s_b), 2 * t_b - t_a)
 
 
 def gc2_equivalent_bc(a: float, b: float, coupling: VertexCoupling, k: float) -> bool:

@@ -27,8 +27,10 @@ from hexband import (
     gc2_equivalent_bc,
     rhs_envelope,
     scan_spectrum,
-    sine_triple,
     solve_cell_wavefunction,
+    tangent_margin_bc,
+    tangent_sum,
+    tangent_sum_bc,
     verify_flat_band,
 )
 from hexband.core import (
@@ -110,25 +112,26 @@ def test_angle_reduction_matches_high_precision():
 
 
 class TestSineTriple:
+    """The sines of the three edges and their Dirichlet flags, from ``_flag_sines``."""
+
     def test_equilateral_half_pi(self):
-        t = sine_triple(EQUILATERAL, math.pi / 2, 1e-9)
-        assert t.values == (1.0, 1.0, 1.0)
-        assert not t.any_vanish
+        sines, _, flags = _flag_sines(math.pi / 2, EQUILATERAL.lengths, 1e-9)
+        assert sines == [1.0, 1.0, 1.0]
+        assert not any(flags)
 
     def test_all_edges_flag_at_pi(self):
-        t = sine_triple(HexGeometry(1, 2, 3), math.pi, 1e-9)
-        assert t.vanishing_edges == ("a", "b", "c")
+        _, _, flags = _flag_sines(math.pi, HexGeometry(1, 2, 3).lengths, 1e-9)
+        assert flags == [True, True, True]
 
     def test_irrational_edge_does_not_flag(self):
-        t = sine_triple(HexGeometry(1, math.sqrt(2), 1), math.pi, 1e-9)
-        assert t.vanishing_edges == ("a", "c")
-        assert t.s_b == pytest.approx(-0.9639025328498773, abs=1e-12)
+        sines, _, flags = _flag_sines(math.pi, HexGeometry(1, math.sqrt(2), 1).lengths, 1e-9)
+        assert flags == [True, False, True]
+        assert sines[1] == pytest.approx(-0.9639025328498773, abs=1e-12)
 
     def test_scale_aware_tolerance(self):
         # |sin| below tol*l*k at large argument still flags
         k = 1000 * math.pi + 1e-7
-        t = sine_triple(HexGeometry(1, 1, 1), k, 1e-9)
-        assert t.any_vanish
+        assert any(_flag_sines(k, HexGeometry(1, 1, 1).lengths, 1e-9)[2])
 
 
 class TestDispersion:
@@ -290,7 +293,6 @@ class TestAngleReductions:
             (lambda g, c, p: gap_criteria(g, c.alpha, 3.3), 3),
             (lambda g, c, p: dispersion(g, c, 3.3), 3),
             (lambda g, c, p: rhs_envelope(g, 3.3), 3),
-            (lambda g, c, p: sine_triple(g, 3.3), 3),
             (lambda g, c, p: det_m_closed_form(g, c, 3.3, p), 3),
             (lambda g, c, p: band_membership_grid(g, c, EnergyPoint.positive(3.3),
                                                   GridSpec(64, 0)), 3),
@@ -299,13 +301,17 @@ class TestAngleReductions:
             (lambda g, c, p: cot_dominance(g.a, g.b, 3.3), 2),
             (lambda g, c, p: gc2_equivalent_bc(g.a, g.b, c, 3.3), 2),
             (lambda g, c, p: gap_diagnostics_bc(g.a, g.b, 3.3), 2),
+            (lambda g, c, p: tangent_sum(g, 3.3), 3),
+            (lambda g, c, p: tangent_sum_bc(g.a, g.b, 3.3), 2),
+            (lambda g, c, p: tangent_margin_bc(g.a, g.b, 3.3), 2),
             (lambda g, c, p: assemble_m_matrix(g, c, 3.3, p), 1),
             (lambda g, c, p: verify_flat_band(g, 3.3, c), 7),
         ],
         ids=["positive_terms", "band_membership", "gc1", "gc2", "gap_criteria", "dispersion",
-             "rhs_envelope", "sine_triple", "det_m_closed_form", "band_membership_grid",
+             "rhs_envelope", "det_m_closed_form", "band_membership_grid",
              "rhs_extrema_grid", "gc1_tangent_form", "cot_dominance", "gc2_equivalent_bc",
-             "gap_diagnostics_bc", "assemble_m_matrix", "verify_flat_band"],
+             "gap_diagnostics_bc", "tangent_sum", "tangent_sum_bc", "tangent_margin_bc",
+             "assemble_m_matrix", "verify_flat_band"],
     )
     def test_reductions_per_call(self, monkeypatch, call, reductions):
         count = _count_calls(monkeypatch, "reduce_mod_two_pi")
@@ -425,7 +431,7 @@ class TestGapCriteria:
     @given(LENGTH, LENGTH, LENGTH, ALPHA, st.floats(0.05, 200.0))
     def test_equals_the_envelope_comparison_off_dirichlet_points(self, a, b, c, alpha, k):
         geom = HexGeometry(a, b, c)
-        assume(not sine_triple(geom, k).any_vanish)
+        assume(not any(_flag_sines(k, geom.lengths, 1e-9)[2]))
         coupling = VertexCoupling(alpha)
         verdict = gap_criteria(geom, alpha, k)
         assert verdict == (gc1(geom, coupling, k), gc2(geom, coupling, k))
@@ -537,7 +543,7 @@ class TestGapCriteriaGrid:
         # l*k underflows to 0 on the short edge, and tan(l*k/2) to 0 on the others
         geom = HexGeometry(0.25, 1.0, 1.0)
         ks = np.array([5e-324, 1e-323])
-        assert sine_triple(geom, 5e-324).values == (0.0, 5e-324, 5e-324)
+        assert _flag_sines(5e-324, geom.lengths, 1e-9)[0] == [0.0, 5e-324, 5e-324]
         gc1, gc2 = gap_criteria_grid(geom, -3.0, ks)
         expected = [gap_criteria(geom, -3.0, k) for k in ks.tolist()]
         assert list(zip(gc1.tolist(), gc2.tolist())) == expected

@@ -2,6 +2,9 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from mpmath import mp
 
 from hexband import (
     Decision,
@@ -20,12 +23,14 @@ from hexband import (
     gc_negative,
     nearest_int_frac,
     negative_gap_at_zero,
+    predicted_gap_centers,
+    scan_spectrum,
     tangent_sum,
     tangent_sum_bc,
     tangent_margin_bc,
     thresholds_bc,
 )
-from hexband.core import DirichletPointError
+from hexband.core import DEFAULT_DIRICHLET_TOL, DirichletPointError, _flag_sines
 from hexband.numtheory import ExactRatio, QuadraticSurd, RatioClass, RatioClassKind
 
 EQUILATERAL = HexGeometry(1, 1, 1)
@@ -169,6 +174,60 @@ class TestTangentSum:
             assert tangent_sum(geom, k) == pytest.approx(0.0, abs=1e-9)
             assert tangent_sum(geom, k + 0.01) > 1e-3
             assert tangent_sum(geom, k - 0.01) > 1e-3
+
+
+LENGTH = st.one_of(st.sampled_from([1.0, (1 + math.sqrt(5)) / 2, math.sqrt(2), 0.2, 5.0]),
+                   st.floats(0.05, 20.0))
+
+
+def _mp_margin(x: float) -> tuple[float, float]:
+    """1/|sin x| - |cot x| and |sin x| at 40 digits, for the double x."""
+    with mp.workdps(40):
+        s, c = mp.sin(mp.mpf(x)), mp.cos(mp.mpf(x))
+        return float(1 / abs(s) - abs(c / s)), float(abs(s))
+
+
+class TestOneTrigRoute:
+    """The tangent margins come from the one angle reduction: no fold of
+    x/pi and no math.tan, and full precision at large k."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.tuples(LENGTH, LENGTH, LENGTH), st.floats(0.0, 8.0))
+    def test_matches_high_precision_up_to_1e8(self, lengths, log_k):
+        k = 10.0**log_k
+        terms, sines = zip(*(_mp_margin(ell * k) for ell in lengths))
+        assume(min(sines) >= 1e-5)
+        t_a, t_b, _ = terms
+        a, b = lengths[:2]
+
+        def close(got, want, scale):
+            assert abs(got - want) <= 1e-10 * scale, (got, want)
+
+        close(tangent_sum(HexGeometry(*lengths), k), sum(terms), sum(terms))
+        close(tangent_sum_bc(a, b, k), t_a + 2 * t_b, t_a + 2 * t_b)
+        close(tangent_margin_bc(a, b, k), 2 * t_b - t_a, 2 * t_b + t_a)
+        if any(_flag_sines(k, (a, b), DEFAULT_DIRICHLET_TOL)[2]):
+            with pytest.raises(DirichletPointError):
+                gap_diagnostics_bc(a, b, k)
+        else:
+            diag = gap_diagnostics_bc(a, b, k)
+            close(diag.tangent_sum, t_a + 2 * t_b, t_a + 2 * t_b)
+            close(diag.tangent_margin, 2 * t_b - t_a, 2 * t_b + t_a)
+
+    def test_no_fold_and_no_tan(self, monkeypatch):
+        import hexband.gaps
+
+        def forbidden(*args):
+            raise AssertionError("a second trigonometric route")
+
+        monkeypatch.setattr(math, "tan", forbidden)
+        monkeypatch.setattr(hexband.gaps, "nearest_int_frac", forbidden)
+        k = 2 * math.pi + 0.1
+        assert gc1_tangent_form(EQUILATERAL, VertexCoupling(3.0), k)
+        assert tangent_sum(EQUILATERAL, k) > 0
+        assert tangent_sum_bc(1.3, 1.0, k) > 0
+        assert tangent_margin_bc(1.3, 1.0, k) != 0
+        assert gap_diagnostics_bc(1.3, 1.0, k).tangent_sum > 0
 
 
 class TestCotDominance:
@@ -388,6 +447,31 @@ class TestThresholds:
             report = thresholds_bc(a, b, ratio_class, gamma_estimate=1 / math.sqrt(5))
             assert report.gc1_nogap_bound <= report.gc1_guarantee
             assert report.gc2_nogap_bound <= report.gc2_guarantee
+
+
+class TestThresholdsAgainstSpectrum:
+    """Below gc1_nogap_bound no GC1 gap opens at the family-b centres q*pi;
+    3% above it one opens at each.  The bound is sharp on these lattices."""
+
+    @pytest.mark.parametrize("theta, bound, centers", [
+        (GOLDEN, 2.20691, {1: [34, 89, 233], -1: [21, 55, 144]}),
+        (QuadraticSurd(0, 1, 2), 1.74472, {1: [29, 169], -1: [70]}),
+    ], ids=["golden", "sqrt2"])
+    def test_gc1_nogap_bound_is_the_onset(self, theta, bound, centers):
+        a = theta.value()
+        nogap = thresholds_bc(a, 1.0, classify_ratio(theta)).gc1_nogap_bound
+        assert nogap == pytest.approx(bound, abs=1e-5)
+        geom = HexGeometry(a, 1.0, 1.0)
+        for sign, qs in centers.items():
+            predicted = predicted_gap_centers(theta, ExactRatio(1, 1), sign * nogap, 8)
+            assert [c.q for c in predicted if c.family == "b" and 20 < c.q < 300] == qs
+            for factor, expected in ((0.995, 0), (1.03, 1)):
+                coupling = VertexCoupling(sign * factor * nogap)
+                for q in qs:
+                    report = scan_spectrum(geom, coupling, q * math.pi - 0.3, q * math.pi + 0.3,
+                                           60000, 1e-12)
+                    mids = [(math.sqrt(lo) + math.sqrt(hi)) / 2 for lo, hi in report.gaps]
+                    assert sum(gc1(geom, coupling, k) for k in mids) == expected, (sign, factor, q)
 
 
 class TestDominanceFloorBound:
