@@ -2,10 +2,12 @@
 
 Everything here evaluates the defining formulas directly on phase grids or
 by cofactor expansion, sharing no code with the closed forms it validates.
-Deliberately simple, with one concession to speed: the grid functions read
-the phases through cos t1, cos t2 and cos(t1 - t2), in the formulas' written
-order, and the full n x n grid of cos(t1 - t2) is one read-only table kept
-for the last grid size.
+Deliberately simple, with concessions to speed that keep every value
+bit-identical: the grids read the phases through cos t1, cos t2 and one
+shared read-only table of cos(t1 - t2), in their formulas' order of
+operations; an extremum search evaluates its grid a block of rows at a
+time, keeps each block's column extrema and evaluates again only the cells
+of the best of those; the cofactor expansion evaluates each minor once.
 """
 
 from __future__ import annotations
@@ -55,6 +57,9 @@ class GridSpec:
 _SEEDS = 4
 # Best grid cells scanned for those seeds.
 _CANDIDATES = 64 * _SEEDS
+# Phase-grid cells evaluated at a time (96 KiB of float64): the full grid is
+# never held, so a search allocates nothing that grows with n * n.
+_BLOCK_CELLS = 12 * 1024
 
 
 @functools.lru_cache(maxsize=1)
@@ -75,21 +80,82 @@ def _phase_table(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return t, cos_t, cos_diff
 
 
-def _on_grid(g, n: int) -> np.ndarray:
-    """g on the n x n phase grid, from the shared cosine table."""
+def _on_grid(g, n: int, rows: slice = slice(None)) -> np.ndarray:
+    """g on ``rows`` of the n x n phase grid, from the shared cosine table."""
     _, cos_t, cos_diff = _phase_table(n)
-    return g(cos_t[:, None], cos_t[None, :], cos_diff)
+    return g(cos_t[rows, None], cos_t[None, :], cos_diff[rows])
 
 
-def _grid_min(g, values: np.ndarray, refine_rounds: int) -> float:
+def _best_cells(g, n: int, sides: tuple[bool, ...]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """For each side, smallest (False) or largest (True), the min(_CANDIDATES,
+    n * n) best cells of g on the n x n phase grid as flat indices in
+    (value, flat index) order, with their values.
+
+    The grid is evaluated _BLOCK_CELLS at a time and never held whole: each
+    block of rows keeps only the extremum of each of its columns, a strip.
+    The strips are disjoint, so the m-th best strip extremum is no better
+    than the m-th best cell, and only the strips at least as good as it
+    (about m of them, whatever the grid) can hold candidates.  Their cells
+    are evaluated again, elementwise, to the same bits as in the grid.  With
+    fewer than m strips every cell is read.
+    """
+    _, cos_t, cos_diff = _phase_table(n)
+    m = min(_CANDIDATES, n * n)
+    rows = min(n, max(1, _BLOCK_CELLS // n))
+    starts = range(0, n, rows)
+    strips = [np.empty((len(starts), n)) for _ in sides]
+    if len(starts) * n >= m:
+        for b, r in enumerate(starts):
+            block = _on_grid(g, n, slice(r, r + rows))
+            for largest, ext in zip(sides, strips):
+                (block.max if largest else block.min)(axis=0, out=ext[b])
+    result = []
+    for largest, ext in zip(sides, strips):
+        if ext.size < m:
+            cells = np.arange(n * n)
+        else:
+            ext = ext.ravel()
+            k = ext.size - m if largest else m - 1
+            bound = np.partition(ext, k)[k]
+            b, j = np.divmod(np.flatnonzero(ext >= bound if largest else ext <= bound), n)
+            i = b[:, None] * rows + np.arange(rows)
+            cells = (i * n + j[:, None])[i < n]
+        i, j = np.divmod(cells, n)
+        values = g(cos_t[i], cos_t[j], np.take(cos_diff, cells))
+        key = -values if largest else values
+        best = key <= np.partition(key, m - 1)[m - 1]
+        cells, values = cells[best], values[best]
+        order = np.lexsort((cells, key[best]))[:m]
+        result.append((cells[order], values[order]))
+    return result
+
+
+def _seeds(cells: np.ndarray, n: int) -> list[tuple[float, float]]:
+    """The phases of up to _SEEDS of ``cells``, taken greedily in order: a cell
+    is taken when it lies, on the torus, five cells or more from each cell
+    taken before along at least one axis."""
+    t = _phase_table(n)[0]
+    phases = np.stack((t[cells // n], t[cells % n]))
+    free = np.ones(cells.size, dtype=bool)
+    picked: list[tuple[float, float]] = []
+    while len(picked) < _SEEDS and free.any():
+        i = int(free.argmax())
+        picked.append((float(phases[0, i]), float(phases[1, i])))
+        d = np.abs(phases - phases[:, i : i + 1])
+        free &= (np.minimum(d, 2 * math.pi - d) >= 5 * (2 * math.pi / n)).any(axis=0)
+    return picked
+
+
+def _grid_min(g, n: int, cells: np.ndarray, best: float, refine_rounds: int,
+              negate: bool = False) -> float:
     """Minimum over the torus of g(cos t1, cos t2, cos(t1 - t2)) by grid + local zoom.
 
-    ``values`` is g on the n x n phase grid (``_on_grid``).  Only the best
-    ``_CANDIDATES`` cells are read, so they are found by partial selection
-    and only they are sorted, stably: equal values keep the order partial
-    selection left them in.  From them, several well-separated cells are
-    refined independently so that two near-tied basins cannot hide the true
-    minimum; the result can only fall as the grid is refined.
+    ``cells`` are the best ``_CANDIDATES`` cells of the n x n phase grid
+    (``_best_cells``) and ``best`` is g at the first; ``negate`` seeks the
+    minimum of -g, a maximum, from the largest cells, with ``best`` negated.  Several well-separated cells
+    among them (``_seeds``) are refined independently so that two near-tied
+    basins cannot hide the true minimum; the result can only fall as the
+    grid is refined.
 
     Each zoom round evaluates g on a 33 x 33 window of its own phases
     around the best point so far, then shrinks the window eightfold.  Near
@@ -97,36 +163,16 @@ def _grid_min(g, values: np.ndarray, refine_rounds: int) -> float:
     what shrinking windows reach; so while a window's best point lies on its
     border and lowers ``best``, the window moves there at the same width and
     the round is not counted.  ``best`` falls strictly at each such move,
-    which bounds the walk.  A maximum is the minimum of -g.
+    which bounds the walk.
     """
-    n = values.shape[0]
-    t = _phase_table(n)[0]
-    h = 2 * math.pi / n
-
-    def wrapped_near(x: float, y: float) -> bool:
-        return min(abs(x - y), 2 * math.pi - abs(x - y)) < 5 * h
-
-    flat = values.ravel()
-    m = min(_CANDIDATES, flat.size)
-    best_cells = np.argpartition(flat, m - 1)[:m]
-    order = best_cells[np.argsort(flat[best_cells], kind="stable")]
-    best = float(flat[order[0]])
-    picked: list[tuple[float, float]] = []
-    for idx in order:
-        i, j = divmod(int(idx), n)
-        point = (float(t[i]), float(t[j]))
-        if any(wrapped_near(point[0], p0) and wrapped_near(point[1], p1) for p0, p1 in picked):
-            continue
-        picked.append(point)
-        if len(picked) >= _SEEDS:
-            break
-    for c1, c2 in picked:
-        half = 2 * h
+    f = (lambda c1, c2, c12: -g(c1, c2, c12)) if negate else g
+    for c1, c2 in _seeds(cells, n):
+        half = 4 * math.pi / n
         rounds = 0
         while rounds < refine_rounds:
             lt = np.linspace(-half, half, 33)
             l1, l2 = c1 + lt, c2 + lt
-            local = g(np.cos(l1)[:, None], np.cos(l2)[None, :], np.cos(l1[:, None] - l2[None, :]))
+            local = f(np.cos(l1)[:, None], np.cos(l2)[None, :], np.cos(l1[:, None] - l2[None, :]))
             i, j = np.unravel_index(np.argmin(local), local.shape)
             value = float(local[i, j])
             c1, c2 = float(l1[i]), float(l2[j])
@@ -145,7 +191,11 @@ def _rhs_function(s_a: float, s_b: float, s_c: float):
     const = 1 / s_a**2 + 1 / s_b**2 + 1 / s_c**2
 
     def g(c1, c2, c12):
-        return const + 2 * (c1 / (s_a * s_b) + c2 / (s_a * s_c) + c12 / (s_b * s_c))
+        out = c1 / (s_a * s_b) + c2 / (s_a * s_c)
+        out += c12 / (s_b * s_c)
+        out *= 2
+        out += const
+        return out
 
     return g
 
@@ -154,20 +204,21 @@ def _trig_function(a_coef: float, b_coef: float, c_coef: float):
     """A cos(t1 - t2) + B cos(t2) + C cos(t1), in the phase cosines."""
 
     def g(c1, c2, c12):
-        return a_coef * c12 + b_coef * c2 + c_coef * c1
+        out = a_coef * c12
+        out += b_coef * c2
+        out += c_coef * c1
+        return out
 
     return g
 
 
 def _rhs_extrema(s_a: float, s_b: float, s_c: float, grid: GridSpec) -> tuple[float, float]:
-    """Grid extrema of the right side written in the three edge sines."""
-    g = _rhs_function(s_a, s_b, s_c)
-    values = _on_grid(g, grid.n)
-    lo = _grid_min(g, values, grid.refine_rounds)
-    # the maximum is the minimum of -g; values is this call's own array
-    np.negative(values, out=values)
-    hi = -_grid_min(lambda c1, c2, c12: -g(c1, c2, c12), values, grid.refine_rounds)
-    return lo, hi
+    """Grid extrema of the right side written in the three edge sines, from
+    one pass over the grid."""
+    g, n = _rhs_function(s_a, s_b, s_c), grid.n
+    (lo_cells, lo), (hi_cells, hi) = _best_cells(g, n, (False, True))
+    lo = _grid_min(g, n, lo_cells, float(lo[0]), grid.refine_rounds)
+    return lo, -_grid_min(g, n, hi_cells, -float(hi[0]), grid.refine_rounds, negate=True)
 
 
 def rhs_extrema_grid(
@@ -213,21 +264,23 @@ def band_membership_grid(
 
 
 def det_numeric(m: MMatrix) -> complex:
-    """Determinant of the 4x4 cell matrix by direct cofactor expansion."""
-    rows = [list(row) for row in m.entries]
+    """Determinant of the 4x4 cell matrix by direct cofactor expansion, each
+    minor (the columns left at its row) evaluated once."""
+    rows = m.entries
+    minors = {(j,): rows[-1][j] for j in range(len(rows))}
 
-    def det(sub: list[list[complex]]) -> complex:
-        if len(sub) == 1:
-            return sub[0][0]
-        total = 0j
-        for j, head in enumerate(sub[0]):
-            if head == 0:
-                continue
-            minor = [row[:j] + row[j + 1 :] for row in sub[1:]]
-            total += ((-1) ** j) * head * det(minor)
-        return total
+    def det(r: int, cols: tuple[int, ...]) -> complex:
+        if cols not in minors:
+            total = 0j
+            for j, col in enumerate(cols):
+                head = rows[r][col]
+                if head == 0:
+                    continue
+                total += ((-1) ** j) * head * det(r + 1, cols[:j] + cols[j + 1 :])
+            minors[cols] = total
+        return minors[cols]
 
-    return det(rows)
+    return det(0, tuple(range(len(rows))))
 
 
 def trig_min_grid(
@@ -241,4 +294,5 @@ def trig_min_grid(
     valley, which the zoom follows past its first window.
     """
     g = _trig_function(a_coef, b_coef, c_coef)
-    return _grid_min(g, _on_grid(g, grid.n), grid.refine_rounds)
+    [(cells, values)] = _best_cells(g, grid.n, (False,))
+    return _grid_min(g, grid.n, cells, float(values[0]), grid.refine_rounds)

@@ -451,7 +451,9 @@ class TestThresholds:
 
 class TestThresholdsAgainstSpectrum:
     """Below gc1_nogap_bound no GC1 gap opens at the family-b centres q*pi;
-    3% above it one opens at each.  The bound is sharp on these lattices."""
+    3% above it one opens at each.  The bound is sharp on these lattices.
+    Below gc2_nogap_bound no GC2 gap opens at the family-a centres q*pi/a;
+    3% above gc2_guarantee one opens at each."""
 
     @pytest.mark.parametrize("theta, bound, centers", [
         (GOLDEN, 2.20691, {1: [34, 89, 233], -1: [21, 55, 144]}),
@@ -472,6 +474,24 @@ class TestThresholdsAgainstSpectrum:
                                            60000, 1e-12)
                     mids = [(math.sqrt(lo) + math.sqrt(hi)) / 2 for lo, hi in report.gaps]
                     assert sum(gc1(geom, coupling, k) for k in mids) == expected, (sign, factor, q)
+
+    def test_gc2_bounds_bracket_the_onset(self):
+        a = GOLDEN.value()
+        thresholds = thresholds_bc(a, 1.0, classify_ratio(GOLDEN))
+        assert thresholds.gc2_nogap_bound == pytest.approx(1.28810, abs=1e-5)
+        assert thresholds.gc2_guarantee == pytest.approx(3.47326, abs=1e-5)
+        geom = HexGeometry(a, 1.0, 1.0)
+        for sign, qs in ((1, [34, 89, 233]), (-1, [21, 55, 144])):
+            predicted = predicted_gap_centers(GOLDEN, ExactRatio(1, 1), sign, 8)
+            assert [c.q for c in predicted if c.family == "a" and 20 < c.q < 300] == qs
+            for alpha, expected in ((0.995 * thresholds.gc2_nogap_bound, 0),
+                                    (1.03 * thresholds.gc2_guarantee, 1)):
+                coupling = VertexCoupling(sign * alpha)
+                for q in qs:
+                    center = q * math.pi / a
+                    report = scan_spectrum(geom, coupling, center - 0.3, center + 0.3, 60000, 1e-12)
+                    mids = [(math.sqrt(lo) + math.sqrt(hi)) / 2 for lo, hi in report.gaps]
+                    assert sum(gc2(geom, coupling, k) for k in mids) == expected, (sign, alpha, q)
 
 
 class TestDominanceFloorBound:

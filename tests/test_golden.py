@@ -24,6 +24,13 @@ with Dirichlet rows of NaNs and negative rows past kappa*l = 700, where
 The oracle's phase grids then moved onto one shared cos(t1 - t2) table per
 grid size, and its zoom learned to follow a valley past its window; every
 digest, verify-default-grid-json included, held through both.
+
+verify-bench-grid-json, one run of the benchmark's oracle workload, was
+recorded before the oracle's grids were built in place, its candidates
+found under a row bound and ordered by (value, flat index), and each minor
+of the cofactor expansion evaluated once; every digest held through that,
+and through the grids' later evaluation a block of rows at a time, with
+only the best strips' cells evaluated again.
 """
 
 import hashlib
@@ -60,6 +67,10 @@ VERIFY = ["verify", "--det-samples", "30", "--envelope-samples", "2", "--trigmin
 # verify's default 1024 x 1024 grid, where exact ties in the grid order are most common
 VERIFY_DEFAULT_GRID = ["verify", "--det-samples", "30", "--envelope-samples", "3",
                        "--trigmin-samples", "3"]
+# one run of the benchmark's oracle workload, on its 768 x 768 grid
+VERIFY_BENCH_GRID = ["verify", "--seed", "20240901", "--det-samples", "100",
+                     "--envelope-samples", "3", "--trigmin-samples", "3", "--grid-n", "768",
+                     "--refine-rounds", "2"]
 
 GOLDEN = [
     pytest.param(BANDS, "da5fef641f77425750b7296faad3eee04c3a67fbb1be03a26a762bb64167f29b",
@@ -100,6 +111,9 @@ GOLDEN = [
     pytest.param(VERIFY_DEFAULT_GRID,
                  "90ffee40ad7e8b41b44872e9cbe9041e7a95131fb9b5920161c006b5efbc0cf3",
                  id="verify-default-grid-json"),
+    pytest.param(VERIFY_BENCH_GRID,
+                 "7886258d846e3ca9550d0b063c54202aaaedc6646e6c1b0f03adc6731e1520e4",
+                 id="verify-bench-grid-json"),
 ]
 
 

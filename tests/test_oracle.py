@@ -281,3 +281,161 @@ class TestPhaseTable:
             assert not table.flags.writeable
             with pytest.raises(ValueError):
                 table[0] = 0.0
+
+
+def lexsort_best(values, largest):
+    """The 256 best cells (all, on smaller grids) by (value, flat index), as plain numpy."""
+    flat = -values.ravel() if largest else values.ravel()
+    return np.lexsort((np.arange(flat.size), flat))[: min(256, flat.size)]
+
+
+def assert_best_cells(g, n):
+    """``_best_cells`` on both sides, and on each alone, against the full grid."""
+    values = oracle._on_grid(g, n)
+    both = oracle._best_cells(g, n, (False, True))
+    for largest, (cells, got) in zip((False, True), both):
+        assert np.array_equal(cells, lexsort_best(values, largest))
+        assert np.array_equal(got, values.ravel()[cells])
+        [(alone, _)] = oracle._best_cells(g, n, (largest,))
+        assert np.array_equal(alone, cells)
+
+
+def greedy_seeds(cells, n):
+    """The seed pick as a plain loop: a cell is taken unless it lies within
+    five cells, on the torus, of a cell already taken on both axes."""
+    t = phase_axis(n)
+    h = 2 * math.pi / n
+
+    def wrapped_near(x, y):
+        return min(abs(x - y), 2 * math.pi - abs(x - y)) < 5 * h
+
+    picked = []
+    for idx in cells:
+        i, j = divmod(int(idx), n)
+        point = (float(t[i]), float(t[j]))
+        if any(wrapped_near(point[0], p0) and wrapped_near(point[1], p1) for p0, p1 in picked):
+            continue
+        picked.append(point)
+        if len(picked) >= 4:
+            break
+    return picked
+
+
+def det_by_slices(rows):
+    """Cofactor expansion along the first row, each minor built from list slices."""
+    if len(rows) == 1:
+        return rows[0][0]
+    total = 0j
+    for j, head in enumerate(rows[0]):
+        if head == 0:
+            continue
+        minor = [row[:j] + row[j + 1 :] for row in rows[1:]]
+        total += ((-1) ** j) * head * det_by_slices(minor)
+    return total
+
+
+# coefficients with many exact ties: a zero coefficient makes constant rows,
+# columns or diagonals, and (1, 1, 1) is symmetric under swapping the phases
+TIED_COEFS = st.sampled_from([0.0, 1.0, -1.0, 2.5])
+
+
+class TestCandidateSelection:
+    @settings(deadline=None, derandomize=True, max_examples=80)
+    @given(n=st.sampled_from([8, 16, 64, 255, 256, 768]),
+           coefs=st.tuples(*[TIED_COEFS | st.floats(-5, 5)] * 3))
+    @example(n=768, coefs=(1.0, 1.0, 1.0))
+    @example(n=768, coefs=(0.0, 0.0, 1.0))
+    @example(n=256, coefs=(1.0, 0.0, 0.0))
+    @example(n=255, coefs=(0.0, 0.0, 0.0))
+    def test_best_cells_are_the_lexsorted_prefix(self, n, coefs):
+        assert_best_cells(oracle._trig_function(*coefs), n)
+
+    @pytest.mark.parametrize("n", [8, 16, 64, 120, 128, 256, 768, 1024])
+    @pytest.mark.parametrize("sines", RHS_SINES, ids=["rhs-sin", "rhs-sinh"])
+    def test_rhs_grids(self, n, sines):
+        assert_best_cells(oracle._rhs_function(*sines), n)
+
+    def test_fewer_strips_than_candidates_read_every_cell(self):
+        # cos(t1 - t2) on 64 rows is one block of 64 column strips, and each
+        # strip's extrema lie on one diagonal: the best strip extremum bounds
+        # 64 cells, not the 256 wanted
+        g = oracle._trig_function(1, 0, 0)
+        values = oracle._on_grid(g, 64)
+        assert 64 * 64 <= oracle._BLOCK_CELLS
+        assert np.count_nonzero(values <= values.min(axis=0).max()) < 256
+        assert np.count_nonzero(values >= values.max(axis=0).min()) < 256
+        assert_best_cells(g, 64)
+
+    @pytest.mark.parametrize("n", [767, 1023])
+    @pytest.mark.parametrize("largest", [False, True])
+    def test_bound_is_tight_when_the_best_cells_lie_one_per_strip(self, n, largest):
+        # +-(cos(t1 - t2) + 1e-6 cos t1) peaks along the diagonal t1 = t2, one
+        # cell per column.  Every grid value comes in a mirrored pair but the
+        # one at t = 0 on an odd grid, so the 256th best cell is untied with
+        # the 255th: it is the 256th best strip extremum, and a bound one
+        # strip tighter would miss it
+        sign = 1 if largest else -1
+        g = oracle._trig_function(sign, 0, sign * 1e-6)
+        [(cells, values)] = oracle._best_cells(g, n, (largest,))
+        rows = oracle._BLOCK_CELLS // n
+        assert np.unique(cells // n // rows * n + cells % n).size == 256
+        assert values[254] != values[255]
+        assert_best_cells(g, n)
+
+    def test_blocks_never_hold_the_grid(self):
+        # at n = 768 g is evaluated on 48 blocks of 16 rows and on one set of
+        # candidate cells per side, each far smaller than the grid
+        sizes = []
+
+        def g(c1, c2, c12):
+            out = oracle._trig_function(-0.4692, -0.5104, 4.8077)(c1, c2, c12)
+            sizes.append(out.size)
+            return out
+
+        oracle._best_cells(g, 768, (False, True))
+        assert max(sizes) <= oracle._BLOCK_CELLS
+        assert len(sizes) == 48 + 2
+
+
+class TestSeedPick:
+    @pytest.mark.parametrize("n", [8, 64, 768])
+    @pytest.mark.parametrize("coefs", [(1, 1, 1), (0, 0, 1), (1, 0, 0), *TRIG_COEFS,
+                                       (3.19, 3.76, 4.02), (-2.16, -1.07, 4.36)])
+    def test_equals_the_greedy_loop_on_grids(self, n, coefs):
+        for cells, _ in oracle._best_cells(oracle._trig_function(*coefs), n, (False, True)):
+            assert oracle._seeds(cells, n) == greedy_seeds(cells, n)
+
+    @settings(deadline=None, derandomize=True, max_examples=200)
+    @given(n=st.sampled_from([8, 9, 16, 64, 768]), data=st.data())
+    def test_equals_the_greedy_loop_on_any_cells(self, n, data):
+        # clustered cells, many of them within five cells of each other
+        # and across the wrap-around
+        size = data.draw(st.integers(1, 64))
+        rows = data.draw(st.lists(st.integers(-6, 6), min_size=size, max_size=size))
+        cols = data.draw(st.lists(st.integers(-6, 6), min_size=size, max_size=size))
+        cells = np.array([(r % n) * n + c % n for r, c in zip(rows, cols)])
+        assert oracle._seeds(cells, n) == greedy_seeds(cells, n)
+
+
+class TestDetNumericMemo:
+    def test_bit_identical_to_the_slice_expansion(self):
+        rng = random.Random(31)
+        matrices = []
+        for _ in range(500):
+            geom = HexGeometry(*(rng.uniform(0.5, 3) for _ in range(3)))
+            phase = FloquetPhase(rng.uniform(-math.pi, math.pi), rng.uniform(-math.pi, math.pi))
+            matrices.append(assemble_m_matrix(geom, VertexCoupling(rng.uniform(-5, 5)),
+                                              rng.uniform(0.1, 30), phase))
+        # zero heads at every depth, so the expansion skips them
+        for _ in range(100):
+            rows = [[complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) if rng.random() < 0.6 else 0j
+                     for _ in range(4)] for _ in range(4)]
+            matrices.append(MMatrix(tuple(tuple(row) for row in rows)))
+        assert sum(row.count(0) for m in matrices[500:] for row in m.entries) > 100
+        # a zero head over an infinite minor: skipped, it never makes 0 * inf
+        inf = complex(math.inf, 0)
+        matrices.append(MMatrix(((0j, 1 + 0j, 0j, 0j), (1 + 0j, inf, 0j, 0j),
+                                 (0j, inf, 1 + 0j, 0j), (0j, inf, 0j, 1 + 0j))))
+        assert det_numeric(matrices[-1]) == -1
+        for m in matrices:
+            assert repr(det_numeric(m)) == repr(det_by_slices([list(row) for row in m.entries]))
