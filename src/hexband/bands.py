@@ -9,10 +9,10 @@ As the Bloch phases sweep the torus, R fills exactly the interval
     lower = max(0, 2*max_l 1/|sin lk| - upper)
 
 so E is in the spectrum iff lower <= |D(k)| <= upper.  The negative branch
-E = -kappa^2 uses the hyperbolic analogues.  Scanning samples this
-membership over a k (or kappa) grid and refines every band edge by
-bisection on the signs of the boundary functions D -+ upper and D -+ lower,
-which on the positive branch are defined at the Dirichlet points too.
+E = -kappa^2 uses the hyperbolic analogues.  A scan samples membership over a
+k (or kappa) grid and bisects the boundary functions D -+ upper, D -+ lower:
+at each change of membership on the positive branch, Dirichlet points included,
+and at the one root of each on the negative branch, where kappa times each increases.
 The point and column kernels of both branches live in :mod:`hexband.core`;
 this module compares their terms and turns them into reports.
 """
@@ -23,7 +23,6 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
 
 import numpy as np
 
@@ -201,50 +200,69 @@ def _positive_rows(geom: HexGeometry, alpha: float, ks: np.ndarray, dirichlet_to
     return samples, gaps
 
 
-def _negative_rows(geom: HexGeometry, alpha: float, kappas: np.ndarray):
-    """The sample table and gap flags of a kappa grid from :func:`_negative_terms_grid`."""
-    d, lower, upper = _negative_terms_grid(geom, alpha, kappas)
-    samples, band = _sample_table(kappas, -kappas * kappas, d, lower, upper,
-                                  np.zeros(kappas.shape, dtype=bool))
-    return samples, ~band
+def _negative_past(d, lower, upper):
+    """Whether each kappa lies past the root of D - upper, D + upper, D - lower and
+    D + lower, one row each: :func:`_in_band`'s comparisons as signs.  A sample is
+    in a band iff past root 2, not root 1, and past root 3 or not root 4."""
+    return np.stack([~(d - upper <= 0), d + upper >= 0, d - lower >= 0, ~(d + lower <= 0)])
 
 
-def _negative_gaps(geom: HexGeometry, alpha: float, kappas: np.ndarray) -> np.ndarray:
-    """The gap flags of :func:`_negative_rows` alone, with no sample table."""
-    return ~_in_band(*_negative_terms_grid(geom, alpha, kappas))
+def _negative_roots(geom: HexGeometry, alpha: float, kappas, columns, edge_tol: float):
+    """The roots r1 to r4 of the :func:`_negative_past` rows of the grid ``kappas``' terms
+    ``columns``: -inf before the grid, inf after it, else bisected from the cell where they turn."""
+    past = _negative_past(*columns)
+    roots = np.where(past[:, 0], -math.inf, math.inf)
+    cell = past.argmax(axis=1)
+    which = np.flatnonzero(cell)
+
+    def past_at(x, at):
+        return _negative_past(*_negative_terms_grid(geom, alpha, x))[which[at], np.arange(at.size)]
+
+    roots[which] = _bisect(kappas[cell[which] - 1], kappas[cell[which]], past_at, edge_tol)
+    return roots.tolist()
 
 
-def _intervals_from_runs(xs: np.ndarray, gaps: np.ndarray, gaps_at, edge_tol: float):
-    """Compress per-sample gap flags into refined (is_gap, x_lo, x_hi) runs.
+def _bisect(lo: np.ndarray, hi: np.ndarray, past, edge_tol: float) -> np.ndarray:
+    """Bisect every bracket [lo, hi] in lockstep, in place, and return the midpoints.
 
-    Every change between neighbouring samples is bisected on ``gaps_at``,
-    which maps an array of points to their gap flags.  All brackets step in
-    lockstep, one ``gaps_at`` call per step; each stops once it is no wider
-    than edge_tol, or once its ends are adjacent doubles, where edge_tol is
-    below their spacing and the midpoint would repeat an end.  A run narrower
-    than edge_tol at a window end is that end's Dirichlet point seen from its
-    other side; it joins its neighbour.
+    ``past(mid, at)`` says whether the midpoints ``mid`` of the brackets ``at``
+    lie past their roots; one call per step covers every pending bracket.  Each
+    stops once no wider than edge_tol, or once its ends are adjacent doubles,
+    where edge_tol is below their spacing and the midpoint would repeat an end.
     """
-    changes = np.flatnonzero(gaps[1:] != gaps[:-1])
-    lo, hi, was_gap = xs[changes], xs[changes + 1], gaps[changes]
-    pending = np.arange(changes.size)
+    pending = np.arange(lo.size)
     while True:
         bracket_lo, bracket_hi = lo[pending], hi[pending]
         mid = 0.5 * (bracket_lo + bracket_hi)
         live = (bracket_hi - bracket_lo > edge_tol) & (bracket_lo < mid) & (mid < bracket_hi)
         pending, mid = pending[live], mid[live]
         if not pending.size:
-            break
-        changed = gaps_at(mid) != was_gap[pending]
-        hi[pending[changed]] = mid[changed]
-        lo[pending[~changed]] = mid[~changed]
-    states = [bool(gaps[0]), *(~was_gap).tolist()]
-    edges = [float(xs[0]), *(0.5 * (lo + hi)).tolist(), float(xs[-1])]
+            return 0.5 * (lo + hi)
+        beyond = past(mid, pending)
+        hi[pending[beyond]] = mid[beyond]
+        lo[pending[~beyond]] = mid[~beyond]
+
+
+def _runs(first_is_gap: bool, edges: list[float], edge_tol: float):
+    """(is_gap, x_lo, x_hi) runs between ``edges``, alternating from ``first_is_gap``.
+    A run narrower than edge_tol at a window end is that end's Dirichlet point
+    seen from its other side; it joins its neighbour."""
+    states = [first_is_gap ^ (i % 2 == 1) for i in range(len(edges) - 1)]
     if len(states) > 1 and edges[1] - edges[0] < edge_tol:
         del states[0], edges[1]
     if len(states) > 1 and edges[-1] - edges[-2] < edge_tol:
         del states[-1], edges[-2]
     return [(state, edges[i], edges[i + 1]) for i, state in enumerate(states)]
+
+
+def _intervals_from_runs(xs: np.ndarray, gaps: np.ndarray, gaps_at, edge_tol: float):
+    """Compress per-sample gap flags into refined (is_gap, x_lo, x_hi) runs, bisecting
+    every change between neighbouring samples on ``gaps_at``, which maps an array
+    of points to their gap flags."""
+    changes = np.flatnonzero(gaps[1:] != gaps[:-1])
+    was_gap = gaps[changes]
+    edges = _bisect(xs[changes], xs[changes + 1], lambda x, at: gaps_at(x) != was_gap[at], edge_tol)
+    return _runs(bool(gaps[0]), [float(xs[0]), *edges.tolist(), float(xs[-1])], edge_tol)
 
 
 def _dirichlet_points_in_window(geom: HexGeometry, k_lo: float, k_hi: float) -> list[float]:
@@ -275,16 +293,8 @@ def _flat_bands_in_window(geom: HexGeometry, k_lo: float, k_hi: float) -> list[F
     return out
 
 
-def _scan(rows, gaps_at, lo: float, hi: float, n_samples: int, edge_tol: float):
-    """Sample membership on a uniform grid over [lo, hi] and refine every change.
-
-    The grid is ``lo + i*h`` with its last point set to ``hi``.  ``rows``
-    maps the whole grid, as an array, to its :class:`SampleTable` and its
-    per-sample gap flags as a boolean array; ``gaps_at`` maps any array of
-    points to their gap flags, and :func:`_intervals_from_runs` bisects every
-    change between neighbouring samples on it, all at once.  Returns the grid
-    spacing, the sample table and the refined (is_gap, x_lo, x_hi) runs.
-    """
+def _grid(lo: float, hi: float, n_samples: int, edge_tol: float):
+    """The grid spacing h and the uniform grid ``lo + i*h`` over [lo, hi], its last point ``hi``."""
     if not (0 < lo < hi < math.inf):
         raise ValueError(f"need 0 < window start < window end < inf, got ({lo!r}, {hi!r})")
     if n_samples < 2:
@@ -294,8 +304,7 @@ def _scan(rows, gaps_at, lo: float, hi: float, n_samples: int, edge_tol: float):
     h = (hi - lo) / (n_samples - 1)
     xs = lo + np.arange(n_samples) * h
     xs[-1] = hi
-    samples, gaps = rows(xs)
-    return h, samples, _intervals_from_runs(xs, gaps, gaps_at, edge_tol)
+    return h, xs
 
 
 def scan_spectrum(
@@ -309,22 +318,21 @@ def scan_spectrum(
 ) -> SpectrumReport:
     """Scan the positive branch over (k_lo, k_hi] and report bands/gaps.
 
-    Membership is sampled and refined by :func:`_scan`, and intervals are
-    reported in energy units E = k^2.  The whole k grid is sampled in one
-    numpy pass of :func:`positive_terms_grid`, bit-identical to the point
-    kernel, and its columns become the report's :class:`SampleTable` with
-    no per-sample object.  The samples it flags take their gap flags from
-    one :func:`gap_criteria_grid` call, and each lockstep bisection step
+    Membership is sampled on a uniform grid and refined by
+    :func:`_intervals_from_runs`; intervals are reported in energy units
+    E = k^2.  The grid is sampled in one numpy pass of
+    :func:`positive_terms_grid`, bit-identical to the point kernel, into the
+    report's :class:`SampleTable`.  The samples it flags take their gap flags
+    from one :func:`gap_criteria_grid` call, and each lockstep bisection step
     makes one more over every pending edge; the criteria are defined at the
-    Dirichlet points too.  So ``dirichlet_tol`` only labels sample rows as
+    Dirichlet points too, so ``dirichlet_tol`` only labels sample rows as
     ``dirichlet``.  A metadata flag warns when the grid spacing is too coarse
     to resolve features on the scale of the fastest trigonometric oscillation.
     """
-
-    h, samples, intervals = _scan(partial(_positive_rows, geom, coupling.alpha,
-                                          dirichlet_tol=dirichlet_tol),
-                                  partial(_positive_gaps, geom, coupling.alpha),
-                                  k_lo, k_hi, n_samples, edge_tol)
+    h, ks = _grid(k_lo, k_hi, n_samples, edge_tol)
+    samples, flags = _positive_rows(geom, coupling.alpha, ks, dirichlet_tol)
+    intervals = _intervals_from_runs(
+        ks, flags, lambda mid: _positive_gaps(geom, coupling.alpha, mid), edge_tol)
     bands = [(lo * lo, hi * hi) for gap, lo, hi in intervals if not gap]
     gaps = [(lo * lo, hi * hi) for gap, lo, hi in intervals if gap]
     spacing_limit = math.pi / (8 * max(geom.lengths))
@@ -366,21 +374,29 @@ def negative_spectrum_scan(
 ) -> SpectrumReport:
     """Scan the negative branch and report in energy units E = -kappa^2.
 
-    The negative spectrum is nonempty only for alpha < 0; for alpha >= 0 the
-    whole axis is a gap and the band list comes back empty.  Intervals are
-    ordered by increasing energy (decreasing kappa).  The window defaults to
-    kappa in [kappa_max / n_samples, kappa_max].  The sample table and every
-    bisection step come from :func:`core._negative_terms_grid`, bit-identical
-    to the point kernel :func:`core._negative_terms`; a bisection step reads
-    only the gap flags and builds no sample table.
+    kappa times each of D - upper, D + upper, D - lower and D + lower is
+    strictly increasing, so each has at most one root, r1 to r4, and the
+    spectrum is exactly [r2, r1] less (r4, r3): at most two bands, none for
+    alpha >= 0.  :func:`_negative_roots` bisects each root on its own sign, so
+    no band or gap narrower than the grid is missed.  Every evaluation is one of
+    :func:`core._negative_terms_grid`, bit-identical to :func:`core._negative_terms`.
+    Intervals are ordered by increasing energy (decreasing kappa); the window
+    defaults to kappa in [kappa_max / n_samples, kappa_max].
     """
     if kappa_lo is None:
-        # _scan rejects n_samples < 2; max() only keeps this division defined until it does
+        # _grid rejects n_samples < 2; max() only keeps this division defined until it does
         kappa_lo = kappa_max / max(n_samples, 2)
-
-    h, samples, intervals = _scan(partial(_negative_rows, geom, coupling.alpha),
-                                  partial(_negative_gaps, geom, coupling.alpha),
-                                  kappa_lo, kappa_max, n_samples, edge_tol)
+    h, kappas = _grid(kappa_lo, kappa_max, n_samples, edge_tol)
+    columns = _negative_terms_grid(geom, coupling.alpha, kappas)
+    # the roots read the columns before _in_band overwrites them
+    r1, r2, r3, r4 = _negative_roots(geom, coupling.alpha, kappas, columns, edge_tol)
+    samples, _ = _sample_table(kappas, -kappas * kappas, *columns, np.zeros(n_samples, bool))
+    # [r2, r1] less (r4, r3), where r2 <= r3 and r4 <= r1 since lower >= -upper
+    ends = [x for lo, hi in ([(r2, r4), (r3, r1)] if r4 < r3 else [(r2, r1)]) if lo < hi
+            for x in (lo, hi)]
+    cuts = [x for x in ends if abs(x) < math.inf]
+    intervals = _runs(ends[:1] != [-math.inf], [float(kappas[0]), *cuts, float(kappas[-1])],
+                      edge_tol)
 
     def to_energy(lo: float, hi: float) -> tuple[float, float]:
         return (-hi * hi, -lo * lo)

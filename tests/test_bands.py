@@ -25,7 +25,7 @@ from hexband import (
     trig_polynomial_min,
     verify_flat_band,
 )
-from hexband.bands import (_intervals_from_runs, _negative_gaps, _negative_rows, _positive_gaps,
+from hexband.bands import (_intervals_from_runs, _negative_past, _negative_roots, _positive_gaps,
                            _positive_rows)
 from hexband.core import (DirichletPointError, _negative_terms, _negative_terms_grid,
                           dispersion_negative, gap_criteria, inv_sinh, positive_terms)
@@ -514,21 +514,49 @@ class TestLockstepRefinement:
         assert len(runs) >= 3
         assert runs == _reference_runs(xs.tolist(), gaps.tolist(), is_gap, edge_tol)
 
-    def test_negative_scan_equals_the_scalar_bisection(self):
-        geom, alpha = HexGeometry(1.0, 0.6, 1.7), -6.5
-        kappas = np.linspace(0.05, 5.0, 300)
+    @pytest.mark.parametrize(
+        "geom, alpha, kappa_lo, kappa_hi, n_samples, edge_tol",
+        [
+            (HexGeometry(1.0, 0.6, 1.7), -6.5, 0.05, 5.0, 300, 1e-12),
+            (HexGeometry(0.2, 3, 5), -20.0, 1.25e-3, 5.0, 4000, 1e-9),
+            (HexGeometry(1, 3, 3), -1.5, 1e-4, 5.0, 1500, 1e-14),
+        ],
+        ids=["four-roots", "narrow-band", "short-edge-window"],
+    )
+    def test_negative_roots_equal_the_scalar_bisections(self, geom, alpha, kappa_lo, kappa_hi,
+                                                        n_samples, edge_tol):
+        kappas = np.linspace(kappa_lo, kappa_hi, n_samples)
 
-        def is_gap(kappa):
-            energy = EnergyPoint.negative(kappa)
-            return band_membership(geom, VertexCoupling(alpha), energy).kind is Decision.GAP
+        def signs(kappa):
+            """The four boundary functions' sign tests from the point kernel."""
+            d, lower, upper = _negative_terms(geom, alpha, kappa)
+            return [d - upper > 0, d + upper >= 0, d - lower >= 0, d + lower > 0]
 
-        gaps = [is_gap(kappa) for kappa in kappas.tolist()]
-        assert _negative_rows(geom, alpha, kappas)[1].tolist() == gaps
-        assert _negative_gaps(geom, alpha, kappas).tolist() == gaps
-        runs = _intervals_from_runs(kappas, np.array(gaps),
-                                    lambda xs: _negative_gaps(geom, alpha, xs), 1e-12)
-        assert len(runs) >= 2
-        assert runs == _reference_runs(kappas.tolist(), gaps, is_gap, 1e-12)
+        rows = [signs(kappa) for kappa in kappas.tolist()]
+        for (past1, past2, past3, past4), kappa in zip(rows, kappas.tolist()):
+            band = band_membership(geom, VertexCoupling(alpha), EnergyPoint.negative(kappa))
+            assert (band.kind is Decision.BAND) == (not past1 and past2 and (past3 or not past4))
+        columns = _negative_terms_grid(geom, alpha, kappas)
+        assert _negative_past(*columns).T.tolist() == rows
+        expected = []
+        for i in range(4):
+            row = [signs_at[i] for signs_at in rows]
+            if row[0] or not any(row):
+                expected.append(-math.inf if row[0] else math.inf)
+                continue
+            lo, hi = kappas[row.index(True) - 1], kappas[row.index(True)]
+            while hi - lo > edge_tol:
+                mid = 0.5 * (lo + hi)
+                if not lo < mid < hi:
+                    break
+                if signs(mid)[i]:
+                    hi = mid
+                else:
+                    lo = mid
+            expected.append(0.5 * (lo + hi))
+        roots = _negative_roots(geom, alpha, kappas, columns, edge_tol)
+        assert _bits(roots) == _bits(expected)
+        assert sum(math.isfinite(root) for root in roots) >= 2
 
 
 def _bits(values):
@@ -610,6 +638,20 @@ class TestNegativeScan:
                 (-kappa * kappa, value, lower, upper)
             assert row.decision == ("band" if lower <= value <= upper else "gap")
 
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(st.lists(st.floats(0.05, 20.0), min_size=3, max_size=3), st.floats(-2.0, 2.47),
+           st.floats(0.1, 1.0))
+    def test_a_coarse_scan_finds_every_band_of_a_fine_one(self, lengths, log_alpha, ratio):
+        # alpha from -0.01 to -300; for large l*kappa the bands sit near kappa = |alpha|/3
+        # and narrow exponentially, so the window reaches a fraction of |alpha|
+        alpha = -10.0**log_alpha
+        geom, coupling = HexGeometry(*lengths), VertexCoupling(alpha)
+        coarse, fine = (negative_spectrum_scan(geom, coupling, max(ratio * -alpha, 0.01),
+                                               n_samples, 1e-12, kappa_lo=1e-3)
+                        for n_samples in (400, 60_000))
+        for band in fine.bands:
+            assert any(band == pytest.approx(other, rel=1e-8) for other in coarse.bands)
+
     def test_energies_increase(self):
         report = negative_spectrum_scan(
             EQUILATERAL, VertexCoupling(-6.5), 5.0, 800, 1e-9, kappa_lo=1e-3
@@ -652,14 +694,12 @@ class TestKnownNegativeMiss:
         decision = band_membership(self.GEOM, self.COUPLING, EnergyPoint.negative(self.KAPPA))
         assert decision.kind is Decision.BAND
 
-    @pytest.mark.xfail(strict=True, reason="the negative grid's spacing, 1.25e-3 in kappa, is "
-                       "wider than the band, so the scan reports the whole window as one gap; "
-                       "the monotone-root engine of ROADMAP item 1 is to find it")
     def test_the_scan_finds_the_band(self):
         # bands --a 0.2 --b 3 --c 5 --alpha -20 --kmax 1 --include-negative --kappa-max 5
         report = negative_spectrum_scan(self.GEOM, self.COUPLING, 5.0, 4000, 1e-9)
-        energy = -self.KAPPA**2
-        assert any(lo <= energy <= hi for lo, hi in report.bands)
+        [band] = [(math.sqrt(-hi), math.sqrt(-lo)) for lo, hi in report.bands]
+        assert band == pytest.approx((4.6454032, 4.6454104), abs=1e-7)
+        assert band[0] < self.KAPPA < band[1]
 
 
 class TestKirchhoffEquilateral:

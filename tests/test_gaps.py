@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
@@ -23,6 +23,7 @@ from hexband import (
     gc_negative,
     nearest_int_frac,
     negative_gap_at_zero,
+    negative_spectrum_scan,
     predicted_gap_centers,
     scan_spectrum,
     tangent_sum,
@@ -365,6 +366,14 @@ class TestGCNegative:
             assert gc_negative(EQUILATERAL, VertexCoupling(0.0), kappa) == (True, False)
 
 
+@st.composite
+def _gap_at_zero_case(draw):
+    """Edge lengths, and an alpha of either sign scaled to the strong-coupling
+    threshold 2/a + 2/b + 2/c, so that every class of the classification shows."""
+    lengths = [draw(st.floats(0.05, 20.0)) for _ in range(3)]
+    return lengths, -draw(st.floats(-1.0, 2.0)) * 2 * sum(1 / ell for ell in lengths)
+
+
 class TestNegativeGapAtZero:
     def test_strong_coupling(self):
         assert negative_gap_at_zero(EQUILATERAL, VertexCoupling(-6.5)) is GapAtZero.STRONG_COUPLING
@@ -382,6 +391,35 @@ class TestNegativeGapAtZero:
         geom = HexGeometry(1, 3, 3)  # window is (4/3, 2)
         assert negative_gap_at_zero(geom, VertexCoupling(-1.2)) is GapAtZero.NONE
         assert negative_gap_at_zero(geom, VertexCoupling(-2.2)) is GapAtZero.NONE
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(_gap_at_zero_case())
+    # alpha >= 0: no negative spectrum, even where |alpha| > 2/a + 2/b + 2/c
+    @example(([1.0, 1.0, 1.0], 0.0))
+    @example(([1.0, 1.0, 1.0], 1.0))
+    @example(([1.0, 1.0, 1.0], 6.5))
+    @example(([1.0, 3.0, 3.0], -1.5))
+    def test_classes_follow_the_small_kappa_limits(self, case):
+        # kappa times D - upper, D + upper, D - lower and D + lower tends to
+        # these as kappa -> 0; l_j is the shortest edge
+        lengths, alpha = case
+        geom = HexGeometry(*lengths)
+        inv = [1 / ell for ell in lengths]
+        j = lengths.index(geom.ell_min)
+        limits = [alpha, alpha + 2 * sum(inv), alpha + 2 * (sum(inv) - inv[j]), alpha + 2 * inv[j]]
+        assume(alpha >= 0 or min(map(abs, limits)) > 1e-6)
+        if limits[0] >= 0:
+            expected = GapAtZero.NO_NEGATIVE_SPECTRUM
+        elif limits[1] < 0:
+            expected = GapAtZero.STRONG_COUPLING
+        elif limits[2] < 0 < limits[3]:
+            expected = GapAtZero.SHORT_EDGE_WINDOW
+        else:
+            expected = GapAtZero.NONE
+        coupling = VertexCoupling(alpha)
+        assert negative_gap_at_zero(geom, coupling) is expected
+        report = negative_spectrum_scan(geom, coupling, 1.0, 50, 1e-12, kappa_lo=1e-5)
+        assert report.gap_adjacent_to_zero() == (expected is not GapAtZero.NONE)
 
 
 class TestMutualExclusionAndSoundness:
