@@ -31,7 +31,6 @@ from .bands import (
     flat_band_energies,
     negative_spectrum_scan,
     rhs_envelope,
-    rhs_envelope_negative,
     scan_spectrum,
     solve_cell_wavefunction,
     trig_polynomial_min,
@@ -41,18 +40,14 @@ from .gaps import (
     GapAtZero,
     GapDiagnostics,
     ThresholdReport,
-    cot_dominance,
     gap_diagnostics_bc,
     gc1,
     gc1_tangent_form,
     gc2,
     gc2_equivalent_bc,
     gc_negative,
-    nearest_int_frac,
     negative_gap_at_zero,
     tangent_sum,
-    tangent_sum_bc,
-    tangent_margin_bc,
     thresholds_bc,
 )
 from .numtheory import (

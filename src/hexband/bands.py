@@ -12,7 +12,8 @@ so E is in the spectrum iff lower <= |D(k)| <= upper.  The negative branch
 E = -kappa^2 uses the hyperbolic analogues.  A scan samples membership over a
 k (or kappa) grid and bisects the boundary functions D -+ upper, D -+ lower:
 at each change of membership on the positive branch, Dirichlet points included,
-and at the one root of each on the negative branch, where kappa times each increases.
+and at the one root of each on the negative branch, where kappa times each increases,
+bracketed by the window ends.
 The point and column kernels of both branches live in :mod:`hexband.core`;
 this module compares their terms and turns them into reports.
 """
@@ -51,7 +52,6 @@ __all__ = [
     "CellWavefunction",
     "trig_polynomial_min",
     "rhs_envelope",
-    "rhs_envelope_negative",
     "band_membership",
     "scan_spectrum",
     "negative_spectrum_scan",
@@ -123,13 +123,7 @@ def trig_polynomial_min(a_coef: float, b_coef: float, c_coef: float) -> float:
 
 def rhs_envelope(geom: HexGeometry, k: float) -> RhsEnvelope:
     """Positive-branch envelope of sqrt(R) at wavenumber k."""
-    _, lower, upper = positive_terms(geom, 0.0, k, DEFAULT_DIRICHLET_TOL)
-    return RhsEnvelope(max(0.0, lower), upper)
-
-
-def rhs_envelope_negative(geom: HexGeometry, kappa: float) -> RhsEnvelope:
-    """Negative-branch envelope: hyperbolic sines never vanish."""
-    _, lower, upper = _negative_terms(geom, 0.0, kappa)
+    _, lower, upper = positive_terms(geom, 0.0, k)
     return RhsEnvelope(max(0.0, lower), upper)
 
 
@@ -144,8 +138,7 @@ def band_membership(
     """
     if energy.branch == "positive":
         try:
-            d, lower, upper = positive_terms(geom, coupling.alpha, energy.param,
-                                             DEFAULT_DIRICHLET_TOL)
+            d, lower, upper = positive_terms(geom, coupling.alpha, energy.param)
         except DirichletPointError as exc:
             return BandDecision.dirichlet(exc.edges)
     elif energy.branch == "negative":
@@ -185,21 +178,6 @@ def _sample_table(xs, energy, d, lower, upper, flagged):
     return SampleTable(xs, energy, d, lower, upper, np.where(flagged, 2, band)), band
 
 
-def _positive_rows(geom: HexGeometry, alpha: float, ks: np.ndarray, dirichlet_tol: float):
-    """The sample table and gap flags of a whole k grid from one grid-kernel pass.
-
-    Each row's columns equal :func:`positive_terms` at its k; the flagged k
-    get ``dirichlet`` rows of NaNs and take their gap flags from one
-    :func:`gap_criteria_grid` call.
-    """
-    d, lower, upper, flagged = positive_terms_grid(geom, alpha, ks, dirichlet_tol)
-    samples, band = _sample_table(ks, ks * ks, d, lower, upper, flagged)
-    gaps = ~band
-    if flagged.any():
-        gaps[flagged] = _positive_gaps(geom, alpha, ks[flagged])
-    return samples, gaps
-
-
 def _negative_past(d, lower, upper):
     """Whether each kappa lies past the root of D - upper, D + upper, D - lower and
     D + lower, one row each: :func:`_in_band`'s comparisons as signs.  A sample is
@@ -207,18 +185,19 @@ def _negative_past(d, lower, upper):
     return np.stack([~(d - upper <= 0), d + upper >= 0, d - lower >= 0, ~(d + lower <= 0)])
 
 
-def _negative_roots(geom: HexGeometry, alpha: float, kappas, columns, edge_tol: float):
-    """The roots r1 to r4 of the :func:`_negative_past` rows of the grid ``kappas``' terms
-    ``columns``: -inf before the grid, inf after it, else bisected from the cell where they turn."""
-    past = _negative_past(*columns)
+def _negative_roots(geom: HexGeometry, alpha: float, ends: np.ndarray, edge_tol: float):
+    """The roots r1 to r4 of the :func:`_negative_past` rows in the window ``ends``:
+    -inf before it, inf after it, else bisected over the whole window, where kappa
+    times each boundary function is monotone; no root depends on the samples."""
+    past = _negative_past(*_negative_terms_grid(geom, alpha, ends))
     roots = np.where(past[:, 0], -math.inf, math.inf)
-    cell = past.argmax(axis=1)
-    which = np.flatnonzero(cell)
+    which = np.flatnonzero(past[:, 1] & ~past[:, 0])
 
     def past_at(x, at):
         return _negative_past(*_negative_terms_grid(geom, alpha, x))[which[at], np.arange(at.size)]
 
-    roots[which] = _bisect(kappas[cell[which] - 1], kappas[cell[which]], past_at, edge_tol)
+    roots[which] = _bisect(np.full(which.size, ends[0]), np.full(which.size, ends[1]), past_at,
+                           edge_tol)
     return roots.tolist()
 
 
@@ -326,13 +305,18 @@ def scan_spectrum(
     from one :func:`gap_criteria_grid` call, and each lockstep bisection step
     makes one more over every pending edge; the criteria are defined at the
     Dirichlet points too, so ``dirichlet_tol`` only labels sample rows as
-    ``dirichlet``.  A metadata flag warns when the grid spacing is too coarse
-    to resolve features on the scale of the fastest trigonometric oscillation.
+    ``dirichlet``.  A metadata flag warns when the grid spacing exceeds
+    pi/(8*max_edge); below that a band or gap narrower than the spacing can
+    still be missed unflagged.
     """
     h, ks = _grid(k_lo, k_hi, n_samples, edge_tol)
-    samples, flags = _positive_rows(geom, coupling.alpha, ks, dirichlet_tol)
+    d, lower, upper, flagged = positive_terms_grid(geom, coupling.alpha, ks, dirichlet_tol)
+    samples, band = _sample_table(ks, ks * ks, d, lower, upper, flagged)
+    is_gap = ~band
+    if flagged.any():
+        is_gap[flagged] = _positive_gaps(geom, coupling.alpha, ks[flagged])
     intervals = _intervals_from_runs(
-        ks, flags, lambda mid: _positive_gaps(geom, coupling.alpha, mid), edge_tol)
+        ks, is_gap, lambda mid: _positive_gaps(geom, coupling.alpha, mid), edge_tol)
     bands = [(lo * lo, hi * hi) for gap, lo, hi in intervals if not gap]
     gaps = [(lo * lo, hi * hi) for gap, lo, hi in intervals if gap]
     spacing_limit = math.pi / (8 * max(geom.lengths))
@@ -377,8 +361,9 @@ def negative_spectrum_scan(
     kappa times each of D - upper, D + upper, D - lower and D + lower is
     strictly increasing, so each has at most one root, r1 to r4, and the
     spectrum is exactly [r2, r1] less (r4, r3): at most two bands, none for
-    alpha >= 0.  :func:`_negative_roots` bisects each root on its own sign, so
-    no band or gap narrower than the grid is missed.  Every evaluation is one of
+    alpha >= 0.  :func:`_negative_roots` bisects each root on its own sign over
+    the whole window, so no band or gap narrower than the grid is missed and the
+    intervals do not depend on ``n_samples``.  Every evaluation is one of
     :func:`core._negative_terms_grid`, bit-identical to :func:`core._negative_terms`.
     Intervals are ordered by increasing energy (decreasing kappa); the window
     defaults to kappa in [kappa_max / n_samples, kappa_max].
@@ -387,10 +372,10 @@ def negative_spectrum_scan(
         # _grid rejects n_samples < 2; max() only keeps this division defined until it does
         kappa_lo = kappa_max / max(n_samples, 2)
     h, kappas = _grid(kappa_lo, kappa_max, n_samples, edge_tol)
-    columns = _negative_terms_grid(geom, coupling.alpha, kappas)
-    # the roots read the columns before _in_band overwrites them
-    r1, r2, r3, r4 = _negative_roots(geom, coupling.alpha, kappas, columns, edge_tol)
-    samples, _ = _sample_table(kappas, -kappas * kappas, *columns, np.zeros(n_samples, bool))
+    r1, r2, r3, r4 = _negative_roots(geom, coupling.alpha, kappas[[0, -1]], edge_tol)
+    samples, _ = _sample_table(kappas, -kappas * kappas,
+                               *_negative_terms_grid(geom, coupling.alpha, kappas),
+                               np.zeros(n_samples, bool))
     # [r2, r1] less (r4, r3), where r2 <= r3 and r4 <= r1 since lower >= -upper
     ends = [x for lo, hi in ([(r2, r4), (r3, r1)] if r4 < r3 else [(r2, r1)]) if lo < hi
             for x in (lo, hi)]

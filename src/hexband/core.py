@@ -208,56 +208,44 @@ class MMatrix:
             raise ValueError("MMatrix requires a 4x4 entry grid")
 
 
-def _check_dirichlet_tol(dirichlet_tol: float) -> None:
-    if not dirichlet_tol > 0:
-        raise ValueError(f"dirichlet_tol must be > 0, got {dirichlet_tol!r}")
-
-
 def _check_k(k: float) -> None:
     if not k > 0:
         raise ValueError(f"k must be > 0, got {k!r}")
 
 
-def _flag_sines(
-    k: float, lengths, dirichlet_tol: float
-) -> tuple[list[float], list[float], list[bool]]:
+def _flag_sines(k: float, lengths) -> tuple[list[float], list[float], list[bool]]:
     """``(sines, cosines, flags)`` of l*k for each length.
 
     Each angle is reduced once, by :func:`sin_cos_reduced`.  This is the
     package's one Dirichlet guard: an edge is flagged when |sin(l*k)| is at
-    most the tolerance times max(1, l*k); scaling with the argument guards
-    against catastrophic cancellation at large l*k.
+    most ``DEFAULT_DIRICHLET_TOL`` times max(1, l*k); scaling with the
+    argument guards against catastrophic cancellation at large l*k.
     """
-    _check_dirichlet_tol(dirichlet_tol)
     sines, cosines, flags = [], [], []
     for ell in lengths:
         x = ell * k
         s, c = sin_cos_reduced(x)
         sines.append(s)
         cosines.append(c)
-        flags.append(abs(s) <= dirichlet_tol * max(1.0, x))
+        flags.append(abs(s) <= DEFAULT_DIRICHLET_TOL * max(1.0, x))
     return sines, cosines, flags
 
 
-def checked_sines(
-    k: float, names, lengths, dirichlet_tol: float = DEFAULT_DIRICHLET_TOL
-) -> tuple[list[float], list[float]]:
+def checked_sines(k: float, names, lengths) -> tuple[list[float], list[float]]:
     """``(sines, cosines)`` of l*k for each length, from :func:`_flag_sines`.
 
     Raises :class:`DirichletPointError` naming every guarded edge that is
     flagged.  The guarded edges are the leading ``len(names)`` lengths, so
     ``names=("a",)`` with all three lengths guards ``a`` alone.
     """
-    sines, cosines, flags = _flag_sines(k, lengths, dirichlet_tol)
+    sines, cosines, flags = _flag_sines(k, lengths)
     vanishing = tuple(name for name, flag in zip(names, flags) if flag)
     if vanishing:
         raise DirichletPointError(k, vanishing)
     return sines, cosines
 
 
-def positive_terms(
-    geom: HexGeometry, alpha: float, k: float, dirichlet_tol: float
-) -> tuple[float, float, float]:
+def positive_terms(geom: HexGeometry, alpha: float, k: float) -> tuple[float, float, float]:
     """The positive-branch membership kernel: ``(D, lower_unclamped, upper)``.
 
     ``D = cot(a*k) + cot(b*k) + cot(c*k) + alpha/k``, ``upper`` is the sum of
@@ -268,7 +256,7 @@ def positive_terms(
     naming the vanishing edges.
     """
     _check_k(k)
-    sines, cosines = checked_sines(k, HexGeometry.EDGE_NAMES, geom.lengths, dirichlet_tol)
+    sines, cosines = checked_sines(k, HexGeometry.EDGE_NAMES, geom.lengths)
     inv = [1 / abs(s) for s in sines]
     upper = sum(inv)
     total = alpha / k
@@ -299,13 +287,15 @@ def positive_terms_grid(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """:func:`positive_terms` on a whole grid of k: ``(D, lower_unclamped, upper, flagged)``.
 
-    ``flagged`` marks the k where :func:`_flag_sines` flags a sine; there the
-    other three entries are meaningless.  Elsewhere they equal the scalar
-    kernel's bit for bit: the same angle reduction, the same flag rule and
-    the same order of operations, with ``np.sin``/``np.cos`` in place of
-    ``math.sin``/``math.cos``, which ``tests/test_core.py`` pins as equal.
+    ``flagged`` marks the k where some |sin(l*k)| is at most ``dirichlet_tol``
+    times max(1, l*k), :func:`_flag_sines`'s rule; there the other three
+    entries are meaningless.  Elsewhere they equal the scalar kernel's bit for
+    bit: the same angle reduction and the same order of operations, with
+    ``np.sin``/``np.cos`` in place of ``math.sin``/``math.cos``, which
+    ``tests/test_core.py`` pins as equal.
     """
-    _check_dirichlet_tol(dirichlet_tol)
+    if not dirichlet_tol > 0:
+        raise ValueError(f"dirichlet_tol must be > 0, got {dirichlet_tol!r}")
     if not np.all(ks > 0):
         raise ValueError("every k must be > 0")
     flagged = np.zeros(ks.shape, dtype=bool)
@@ -350,7 +340,7 @@ def gap_criteria(geom: HexGeometry, alpha: float, k: float) -> tuple[bool, bool]
     and need no tolerance.  The sines and cosines come from :func:`_flag_sines`.
     """
     _check_k(k)
-    sines, cosines, _ = _flag_sines(k, geom.lengths, DEFAULT_DIRICHLET_TOL)
+    sines, cosines, _ = _flag_sines(k, geom.lengths)
     ms, ps = zip(*map(_half_angle_pair, sines, cosines))
     j = min(range(3), key=lambda i: abs(sines[i]))
     g = alpha / k
@@ -402,7 +392,7 @@ def dispersion(geom: HexGeometry, coupling: VertexCoupling, k: float) -> float:
 
     Raises :class:`DirichletPointError` when any sin(l*k) is flagged zero.
     """
-    return positive_terms(geom, coupling.alpha, k, DEFAULT_DIRICHLET_TOL)[0]
+    return positive_terms(geom, coupling.alpha, k)[0]
 
 
 def inv_sinh(x: float) -> float:

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .core import (
-    DEFAULT_DIRICHLET_TOL,
     HexGeometry,
     VertexCoupling,
     _flag_sines,
@@ -33,14 +32,10 @@ from .numtheory import RatioClass, RatioClassKind
 from .report import json_dumps
 
 __all__ = [
-    "nearest_int_frac",
     "gc1",
     "gc2",
     "gc1_tangent_form",
     "tangent_sum",
-    "tangent_sum_bc",
-    "cot_dominance",
-    "tangent_margin_bc",
     "GapDiagnostics",
     "gap_diagnostics_bc",
     "gc2_equivalent_bc",
@@ -53,31 +48,20 @@ __all__ = [
 ]
 
 
-def nearest_int_frac(x: float) -> float:
-    """Signed distance from x to its nearest integer, in [-1/2, 1/2].
-
-    Ties at half-integers resolve to +1/2; only |tan(frac * pi/2)| ever
-    enters the gap criteria, so the tie side is spectrally neutral.
-    """
-    if not math.isfinite(x):
-        raise ValueError(f"x must be finite, got {x!r}")
-    return x - math.ceil(x - 0.5)
-
-
 def _sign(x: float) -> int:
     return (x > 0) - (x < 0)
 
 
 def gc1(geom: HexGeometry, coupling: VertexCoupling, k: float) -> bool:
     """Gap criterion above the envelope: |D(k)| > sum of inverse |sines|."""
-    d, _, upper = positive_terms(geom, coupling.alpha, k, DEFAULT_DIRICHLET_TOL)
+    d, _, upper = positive_terms(geom, coupling.alpha, k)
     return abs(d) > upper
 
 
 def gc2(geom: HexGeometry, coupling: VertexCoupling, k: float) -> bool:
     """Gap criterion below the envelope:
     2 max_l 1/|sin lk| - sum_l 1/|sin lk| > |D(k)|."""
-    d, lower, _ = positive_terms(geom, coupling.alpha, k, DEFAULT_DIRICHLET_TOL)
+    d, lower, _ = positive_terms(geom, coupling.alpha, k)
     return lower > abs(d)
 
 
@@ -85,12 +69,6 @@ def _edge_tangent(s: float, c: float) -> float:
     """|tan(frac(x/pi) * pi/2)| = 1/|sin x| - |cot x| from s = sin x, c = cos x,
     in the half-angle form |s|/(1 + |c|): no cancellation, and 0 at s = 0."""
     return abs(s) / (1 + abs(c))
-
-
-def _edge_tangents(k: float, lengths) -> list[float]:
-    """The tangent margin of each length at k, one angle reduction each."""
-    sines, cosines, _ = _flag_sines(k, lengths, DEFAULT_DIRICHLET_TOL)
-    return [_edge_tangent(s, c) for s, c in zip(sines, cosines)]
 
 
 def tangent_sum(geom: HexGeometry, k: float) -> float:
@@ -102,13 +80,8 @@ def tangent_sum(geom: HexGeometry, k: float) -> float:
     reduction per edge feeds :func:`_edge_tangent`, so the value is finite
     everywhere and keeps full precision at large k.
     """
-    return sum(_edge_tangents(k, geom.lengths))
-
-
-def tangent_sum_bc(a: float, b: float, k: float) -> float:
-    """The b = c weighting of :func:`tangent_sum`: a-term plus twice b-term."""
-    t_a, t_b = _edge_tangents(k, (a, b))
-    return t_a + 2 * t_b
+    sines, cosines, _ = _flag_sines(k, geom.lengths)
+    return sum(map(_edge_tangent, sines, cosines))
 
 
 def gc1_tangent_form(geom: HexGeometry, coupling: VertexCoupling, k: float) -> bool:
@@ -129,30 +102,16 @@ def gc1_tangent_form(geom: HexGeometry, coupling: VertexCoupling, k: float) -> b
     return sum(_edge_tangent(s, c) for s, c in zip(sines, cosines)) < abs(alpha) / k
 
 
-def cot_dominance(a: float, b: float, k: float) -> float:
-    """|cot(a*k)| - 2|cot(b*k)|, the stretched-edge dominance margin.
-
-    For the b = c lattice, envelope-undershooting gaps require this margin
-    to sit close to |alpha|/k.
-    """
-    (s_a, s_b), (c_a, c_b) = checked_sines(k, ("a", "b"), (a, b))
-    return abs(c_a / s_a) - 2 * abs(c_b / s_b)
-
-
-def tangent_margin_bc(a: float, b: float, k: float) -> float:
-    """2*(1/|sin bk| - |cot bk|) - (1/|sin ak| - |cot ak|).
-
-    Each parenthesis is the nonnegative per-edge tangent margin; the
-    weighted difference is what |alpha|/k must exceed for the stretched
-    lattice's envelope-undershooting gaps near the a-edge Dirichlet points.
-    """
-    t_a, t_b = _edge_tangents(k, (a, b))
-    return 2 * t_b - t_a
-
-
 @dataclass(frozen=True)
 class GapDiagnostics:
-    """The three scalar diagnostics of the b = c gap analysis at one k."""
+    """The three scalar diagnostics of the b = c gap analysis at one k.
+
+    With t_l = 1/|sin lk| - |cot lk| the tangent margin of edge l,
+    ``tangent_sum`` is t_a + 2 t_b, :func:`tangent_sum` for b = c;
+    ``cot_dominance`` is |cot ak| - 2|cot bk|, which envelope-undershooting
+    gaps need close to |alpha|/k; ``tangent_margin`` is 2 t_b - t_a, which
+    |alpha|/k must exceed for them near the a-edge Dirichlet points.
+    """
 
     tangent_sum: float
     cot_dominance: float

@@ -16,7 +16,6 @@ from hexband import (
     VertexCoupling,
     assemble_m_matrix,
     band_membership,
-    cot_dominance,
     det_m_closed_form,
     dispersion,
     dispersion_negative,
@@ -28,12 +27,11 @@ from hexband import (
     rhs_envelope,
     scan_spectrum,
     solve_cell_wavefunction,
-    tangent_margin_bc,
     tangent_sum,
-    tangent_sum_bc,
     verify_flat_band,
 )
 from hexband.core import (
+    DEFAULT_DIRICHLET_TOL,
     _flag_sines,
     _half_angle_pair,
     _reduce_grid,
@@ -115,23 +113,23 @@ class TestSineTriple:
     """The sines of the three edges and their Dirichlet flags, from ``_flag_sines``."""
 
     def test_equilateral_half_pi(self):
-        sines, _, flags = _flag_sines(math.pi / 2, EQUILATERAL.lengths, 1e-9)
+        sines, _, flags = _flag_sines(math.pi / 2, EQUILATERAL.lengths)
         assert sines == [1.0, 1.0, 1.0]
         assert not any(flags)
 
     def test_all_edges_flag_at_pi(self):
-        _, _, flags = _flag_sines(math.pi, HexGeometry(1, 2, 3).lengths, 1e-9)
+        _, _, flags = _flag_sines(math.pi, HexGeometry(1, 2, 3).lengths)
         assert flags == [True, True, True]
 
     def test_irrational_edge_does_not_flag(self):
-        sines, _, flags = _flag_sines(math.pi, HexGeometry(1, math.sqrt(2), 1).lengths, 1e-9)
+        sines, _, flags = _flag_sines(math.pi, HexGeometry(1, math.sqrt(2), 1).lengths)
         assert flags == [True, False, True]
         assert sines[1] == pytest.approx(-0.9639025328498773, abs=1e-12)
 
     def test_scale_aware_tolerance(self):
         # |sin| below tol*l*k at large argument still flags
         k = 1000 * math.pi + 1e-7
-        assert any(_flag_sines(k, HexGeometry(1, 1, 1).lengths, 1e-9)[2])
+        assert any(_flag_sines(k, HexGeometry(1, 1, 1).lengths)[2])
 
 
 class TestDispersion:
@@ -172,12 +170,12 @@ class TestDirichletGuard:
             (lambda g, k: dispersion(g, KIRCHHOFF, k), ("b",)),
             (lambda g, k: gc1(g, KIRCHHOFF, k), ("b",)),
             (lambda g, k: gc1_tangent_form(g, KIRCHHOFF, k), ("b",)),
-            (lambda g, k: cot_dominance(g.a, g.b, k), ("b",)),
+            (lambda g, k: gap_diagnostics_bc(g.a, g.b, k), ("b",)),
             (lambda g, k: gc2_equivalent_bc(g.b, g.a, KIRCHHOFF, k), ("a",)),
             (lambda g, k: det_m_closed_form(HexGeometry(g.b, g.a, g.c), KIRCHHOFF, k,
                                             FloquetPhase(0.1, 0.2)), ("a",)),
         ],
-        ids=["dispersion", "gc1", "gc1_tangent_form", "cot_dominance", "gc2_equivalent_bc",
+        ids=["dispersion", "gc1", "gc1_tangent_form", "gap_diagnostics_bc", "gc2_equivalent_bc",
              "det_m_closed_form"],
     )
     def test_error_names_only_the_vanishing_edges(self, call, edges):
@@ -286,7 +284,7 @@ class TestAngleReductions:
     @pytest.mark.parametrize(
         "call, reductions",
         [
-            (lambda g, c, p: positive_terms(g, c.alpha, 3.3, 1e-9), 3),
+            (lambda g, c, p: positive_terms(g, c.alpha, 3.3), 3),
             (lambda g, c, p: band_membership(g, c, EnergyPoint.positive(3.3)), 3),
             (lambda g, c, p: gc1(g, c, 3.3), 3),
             (lambda g, c, p: gc2(g, c, 3.3), 3),
@@ -298,20 +296,16 @@ class TestAngleReductions:
                                                   GridSpec(64, 0)), 3),
             (lambda g, c, p: rhs_extrema_grid(g, 3.3, GridSpec(64, 0)), 3),
             (lambda g, c, p: gc1_tangent_form(g, c, 3.3), 3),
-            (lambda g, c, p: cot_dominance(g.a, g.b, 3.3), 2),
             (lambda g, c, p: gc2_equivalent_bc(g.a, g.b, c, 3.3), 2),
             (lambda g, c, p: gap_diagnostics_bc(g.a, g.b, 3.3), 2),
             (lambda g, c, p: tangent_sum(g, 3.3), 3),
-            (lambda g, c, p: tangent_sum_bc(g.a, g.b, 3.3), 2),
-            (lambda g, c, p: tangent_margin_bc(g.a, g.b, 3.3), 2),
             (lambda g, c, p: assemble_m_matrix(g, c, 3.3, p), 1),
             (lambda g, c, p: verify_flat_band(g, 3.3, c), 7),
         ],
         ids=["positive_terms", "band_membership", "gc1", "gc2", "gap_criteria", "dispersion",
              "rhs_envelope", "det_m_closed_form", "band_membership_grid",
-             "rhs_extrema_grid", "gc1_tangent_form", "cot_dominance", "gc2_equivalent_bc",
-             "gap_diagnostics_bc", "tangent_sum", "tangent_sum_bc", "tangent_margin_bc",
-             "assemble_m_matrix", "verify_flat_band"],
+             "rhs_extrema_grid", "gc1_tangent_form", "gc2_equivalent_bc",
+             "gap_diagnostics_bc", "tangent_sum", "assemble_m_matrix", "verify_flat_band"],
     )
     def test_reductions_per_call(self, monkeypatch, call, reductions):
         count = _count_calls(monkeypatch, "reduce_mod_two_pi")
@@ -375,16 +369,21 @@ class TestPositiveTermsGrid:
     @settings(max_examples=1500, derandomize=True, deadline=None)
     @given(_grid_case())
     def test_equals_the_point_kernel_bit_for_bit(self, case):
+        # the scalar kernel flags at DEFAULT_DIRICHLET_TOL only; the grid's flags at
+        # any tolerance follow the rule |sin(l*k)| <= tol * max(1, l*k) on the same sines
         geom, alpha, ks, tol = case
         d, lower, upper, flagged = positive_terms_grid(geom, alpha, np.array(ks), tol)
         for i, k in enumerate(ks):
-            flags = _flag_sines(k, geom.lengths, tol)[2]
-            assert bool(flagged[i]) == any(flags)
-            if flagged[i]:
+            sines, _, flags = _flag_sines(k, geom.lengths)
+            assert bool(flagged[i]) == any(abs(s) <= tol * max(1.0, ell * k)
+                                           for s, ell in zip(sines, geom.lengths))
+            if tol == DEFAULT_DIRICHLET_TOL:
+                assert bool(flagged[i]) == any(flags)
+            if any(flags):
                 with pytest.raises(DirichletPointError):
-                    positive_terms(geom, alpha, k, tol)
+                    positive_terms(geom, alpha, k)
                 continue
-            expected = positive_terms(geom, alpha, k, tol)
+            expected = positive_terms(geom, alpha, k)
             assert tuple(map(_hex, (d[i], lower[i], upper[i]))) == tuple(map(_hex, expected))
 
     def test_ties_take_the_half_even_quotient(self):
@@ -431,7 +430,7 @@ class TestGapCriteria:
     @given(LENGTH, LENGTH, LENGTH, ALPHA, st.floats(0.05, 200.0))
     def test_equals_the_envelope_comparison_off_dirichlet_points(self, a, b, c, alpha, k):
         geom = HexGeometry(a, b, c)
-        assume(not any(_flag_sines(k, geom.lengths, 1e-9)[2]))
+        assume(not any(_flag_sines(k, geom.lengths)[2]))
         coupling = VertexCoupling(alpha)
         verdict = gap_criteria(geom, alpha, k)
         assert verdict == (gc1(geom, coupling, k), gc2(geom, coupling, k))
@@ -543,7 +542,7 @@ class TestGapCriteriaGrid:
         # l*k underflows to 0 on the short edge, and tan(l*k/2) to 0 on the others
         geom = HexGeometry(0.25, 1.0, 1.0)
         ks = np.array([5e-324, 1e-323])
-        assert _flag_sines(5e-324, geom.lengths, 1e-9)[0] == [0.0, 5e-324, 5e-324]
+        assert _flag_sines(5e-324, geom.lengths)[0] == [0.0, 5e-324, 5e-324]
         gc1, gc2 = gap_criteria_grid(geom, -3.0, ks)
         expected = [gap_criteria(geom, -3.0, k) for k in ks.tolist()]
         assert list(zip(gc1.tolist(), gc2.tolist())) == expected

@@ -14,55 +14,24 @@ from hexband import (
     VertexCoupling,
     band_membership,
     classify_ratio,
-    cot_dominance,
     gap_diagnostics_bc,
     gc1,
     gc1_tangent_form,
     gc2,
     gc2_equivalent_bc,
     gc_negative,
-    nearest_int_frac,
     negative_gap_at_zero,
     negative_spectrum_scan,
     predicted_gap_centers,
     scan_spectrum,
     tangent_sum,
-    tangent_sum_bc,
-    tangent_margin_bc,
     thresholds_bc,
 )
-from hexband.core import DEFAULT_DIRICHLET_TOL, DirichletPointError, _flag_sines
+from hexband.core import DirichletPointError, _flag_sines
 from hexband.numtheory import ExactRatio, QuadraticSurd, RatioClass, RatioClassKind
 
 EQUILATERAL = HexGeometry(1, 1, 1)
 GOLDEN = QuadraticSurd(1, 2, 5)
-
-
-class TestNearestIntFrac:
-    @pytest.mark.parametrize(
-        "x,expected",
-        [(2.3, 0.3), (2.7, -0.3), (2.5, 0.5), (-2.5, 0.5), (0.0, 0.0), (-7.49, 0.51 - 1.0)],
-    )
-    def test_examples(self, x, expected):
-        assert nearest_int_frac(x) == pytest.approx(expected, abs=1e-12)
-
-    def test_range_invariant(self):
-        rng = random.Random(1)
-        for _ in range(500):
-            value = nearest_int_frac(rng.uniform(-1e6, 1e6))
-            assert -0.5 <= value <= 0.5
-
-    def test_tangent_margin_identity(self):
-        # |tan(frac(x/pi) * pi/2)| == 1/|sin x| - |cot x| for admissible x
-        rng = random.Random(2)
-        for _ in range(300):
-            x = rng.uniform(0.05, 50)
-            if abs(math.sin(x)) < 1e-6:
-                continue
-            lhs = abs(math.tan(nearest_int_frac(x / math.pi) * math.pi / 2))
-            rhs = 1 / abs(math.sin(x)) - abs(math.cos(x) / math.sin(x))
-            assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-12)
-            assert rhs >= -1e-15  # per-edge margin is nonnegative
 
 
 class TestGC1:
@@ -145,7 +114,7 @@ class TestTangentSum:
         rng = random.Random(8)
         for _ in range(50):
             a, b, k = rng.uniform(0.5, 3), rng.uniform(0.5, 3), rng.uniform(0.1, 20)
-            assert tangent_sum_bc(a, b, k) == pytest.approx(
+            assert gap_diagnostics_bc(a, b, k).tangent_sum == pytest.approx(
                 tangent_sum(HexGeometry(a, b, b), k), rel=1e-12, abs=1e-12
             )
 
@@ -205,9 +174,8 @@ class TestOneTrigRoute:
             assert abs(got - want) <= 1e-10 * scale, (got, want)
 
         close(tangent_sum(HexGeometry(*lengths), k), sum(terms), sum(terms))
-        close(tangent_sum_bc(a, b, k), t_a + 2 * t_b, t_a + 2 * t_b)
-        close(tangent_margin_bc(a, b, k), 2 * t_b - t_a, 2 * t_b + t_a)
-        if any(_flag_sines(k, (a, b), DEFAULT_DIRICHLET_TOL)[2]):
+        close(tangent_sum(HexGeometry(a, b, b), k), t_a + 2 * t_b, t_a + 2 * t_b)
+        if any(_flag_sines(k, (a, b))[2]):
             with pytest.raises(DirichletPointError):
                 gap_diagnostics_bc(a, b, k)
         else:
@@ -216,37 +184,34 @@ class TestOneTrigRoute:
             close(diag.tangent_margin, 2 * t_b - t_a, 2 * t_b + t_a)
 
     def test_no_fold_and_no_tan(self, monkeypatch):
-        import hexband.gaps
-
         def forbidden(*args):
             raise AssertionError("a second trigonometric route")
 
         monkeypatch.setattr(math, "tan", forbidden)
-        monkeypatch.setattr(hexband.gaps, "nearest_int_frac", forbidden)
         k = 2 * math.pi + 0.1
         assert gc1_tangent_form(EQUILATERAL, VertexCoupling(3.0), k)
         assert tangent_sum(EQUILATERAL, k) > 0
-        assert tangent_sum_bc(1.3, 1.0, k) > 0
-        assert tangent_margin_bc(1.3, 1.0, k) != 0
-        assert gap_diagnostics_bc(1.3, 1.0, k).tangent_sum > 0
+        diag = gap_diagnostics_bc(1.3, 1.0, k)
+        assert diag.tangent_sum > 0 and diag.tangent_margin != 0
 
 
 class TestCotDominance:
     def test_balanced(self):
-        assert cot_dominance(1, 1, math.pi / 2) == pytest.approx(0.0, abs=1e-12)
+        assert gap_diagnostics_bc(1, 1, math.pi / 2).cot_dominance == pytest.approx(0.0, abs=1e-12)
 
     def test_dominant_a_edge(self):
-        got = cot_dominance(2, 1, math.pi / 2 - 0.05)
+        got = gap_diagnostics_bc(2, 1, math.pi / 2 - 0.05).cot_dominance
         expected = 1 / math.tan(0.1) - 2 * math.tan(0.05)
         assert got == pytest.approx(expected, rel=1e-12)
         assert got == pytest.approx(9.86656100650816, rel=1e-10)
 
     def test_negative_value(self):
-        assert cot_dominance(1, 1, math.pi / 4) == pytest.approx(-1.0, rel=1e-12)
+        got = gap_diagnostics_bc(1, 1, math.pi / 4).cot_dominance
+        assert got == pytest.approx(-1.0, rel=1e-12)
 
     def test_dirichlet_error(self):
         with pytest.raises(DirichletPointError):
-            cot_dominance(1, 2, math.pi / 2)  # sin(2k) = 0
+            gap_diagnostics_bc(1, 2, math.pi / 2)  # sin(2k) = 0
 
 
 class TestGC2EquivalentBC:
@@ -339,18 +304,21 @@ def test_sqrt_one_less_inequality():
 
 class TestTangentMargin:
     def test_weighted_margin_can_be_negative(self):
-        # at k where the b-term vanishes the margin is minus the a-term
-        value = tangent_margin_bc(1.3, 1.0, math.pi)
-        assert value == pytest.approx(
-            -abs(math.tan(nearest_int_frac(1.3) * math.pi / 2)), rel=1e-12
-        )
+        # just past k = pi the b-term is tan(delta/2) and the a-term tan((0.3*pi + 1.3*delta)/2)
+        delta = 1e-6
+        value = gap_diagnostics_bc(1.3, 1.0, math.pi + delta).tangent_margin
+        expected = 2 * math.tan(delta / 2) - math.tan((0.3 * math.pi + 1.3 * delta) / 2)
+        assert value == pytest.approx(expected, rel=1e-9)
         assert value < 0
 
     def test_diagnostics_bundle(self):
-        diag = gap_diagnostics_bc(2, 1, math.pi / 2 - 0.02)
-        assert diag.tangent_sum == pytest.approx(tangent_sum_bc(2, 1, math.pi / 2 - 0.02))
-        assert diag.cot_dominance == pytest.approx(cot_dominance(2, 1, math.pi / 2 - 0.02))
-        assert diag.tangent_margin == pytest.approx(tangent_margin_bc(2, 1, math.pi / 2 - 0.02))
+        k = math.pi / 2 - 0.02
+        diag = gap_diagnostics_bc(2, 1, k)
+        cot_a, cot_b = (1 / math.tan(x) for x in (2 * k, k))
+        t_a, t_b = 1 / abs(math.sin(2 * k)) - abs(cot_a), 1 / abs(math.sin(k)) - abs(cot_b)
+        assert diag.tangent_sum == pytest.approx(t_a + 2 * t_b)
+        assert diag.cot_dominance == pytest.approx(abs(cot_a) - 2 * abs(cot_b))
+        assert diag.tangent_margin == pytest.approx(2 * t_b - t_a)
 
 
 class TestGCNegative:
@@ -569,5 +537,5 @@ class TestDominanceFloorBound:
                 continue
             cot_a, cot_b = math.cos(2 * k) / sa, math.cos(k) / sb
             if cot_a * cot_b < 0 and abs(sb) >= 2 * abs(sa):
-                assert cot_dominance(2, 1, k) >= floor - 1e-9
+                assert gap_diagnostics_bc(2, 1, k).cot_dominance >= floor - 1e-9
                 found += 1

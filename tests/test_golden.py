@@ -31,6 +31,12 @@ found under a row bound and ordered by (value, flat index), and each minor
 of the cofactor expansion evaluated once; every digest held through that,
 and through the grids' later evaluation a block of rows at a time, with
 only the best strips' cells evaluated again.
+
+A second correctness fix moved digits on purpose: each negative-branch
+root is now bisected between the window ends rather than inside the sample
+cell where its sign turns, so the intervals no longer depend on the number
+of samples.  Only bands-negative-json changed; its band edges moved by
+1.4e-9 and 6.0e-10 in E, within edge_tol in kappa.
 """
 
 import hashlib
@@ -75,7 +81,7 @@ VERIFY_BENCH_GRID = ["verify", "--seed", "20240901", "--det-samples", "100",
 GOLDEN = [
     pytest.param(BANDS, "da5fef641f77425750b7296faad3eee04c3a67fbb1be03a26a762bb64167f29b",
                  id="bands-json"),
-    pytest.param(BANDS_NEGATIVE, "8f045cf4c7d267d709dcb21955a9d1973e8d64ba7b1d02b1cfc56617b83fda2f",
+    pytest.param(BANDS_NEGATIVE, "2a5ec61863199c9f3109df71ad45190ecbc3a6295ef786d488105fca6d0a9f57",
                  id="bands-negative-json"),
     pytest.param(BANDS + ["--format", "csv"],
                  "9dfa31e627edf32042e83fb33f3eb4243d87ac134755848fffdfa631be7b1086",

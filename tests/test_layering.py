@@ -3,10 +3,14 @@
 ``core``, ``numtheory`` and ``report`` are the bottom layer and import no
 sibling; ``bands`` and ``gaps`` build on them alone, and the brute-force
 ``oracle`` reads only ``core`` and ``bands``.  ``cli`` and ``__init__``
-are the top and may import anything.
+are the top and may import anything.  Every name the package re-exports is
+in its module's ``__all__``, and every ``__all__`` entry exists, since
+``bench/tracer.py`` wraps public functions by ``__all__`` and silently
+skips a name it cannot find.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -59,3 +63,18 @@ def test_imports_only_lower_layers(module):
 def test_the_parser_sees_the_top_layer():
     assert {"core", "bands", "gaps", "oracle", "report"} <= sibling_imports("cli")
     assert "__init__" in sibling_imports("cli")  # from . import __version__
+
+
+@pytest.mark.parametrize("module", sorted(ALLOWED))
+def test_every_public_name_is_defined(module):
+    namespace = importlib.import_module(f"hexband.{module}")
+    assert [name for name in namespace.__all__ if not hasattr(namespace, name)] == []
+
+
+def test_the_package_reexports_only_public_names():
+    imports = [node for node in ast.parse((PACKAGE / "__init__.py").read_text()).body
+               if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module]
+    assert {node.module for node in imports} == set(ALLOWED)
+    for node in imports:
+        public = importlib.import_module(f"hexband.{node.module}").__all__
+        assert [alias.name for alias in node.names if alias.name not in public] == [], node.module

@@ -130,7 +130,7 @@ class TestRhsExtremaGrid:
                                             ((1, 1.618, 1.3), 2.2)])
     def test_small_grid_unrefined_is_plain_extrema(self, n, lengths, k):
         geom = HexGeometry(*lengths)
-        values = rhs_as_written(*_flag_sines(k, geom.lengths, 1e-9)[0])(*full_phase_grid(n))
+        values = rhs_as_written(*_flag_sines(k, geom.lengths)[0])(*full_phase_grid(n))
         lo, hi = rhs_extrema_grid(geom, k, GridSpec(n, 0))
         assert lo == values.min()
         assert hi == values.max()

@@ -55,14 +55,14 @@ def _near_positive_edge(geom: HexGeometry, alpha: float, k: float) -> bool:
     off the Dirichlet points, of an envelope edge.  An envelope edge is
     relative to the largest term scale, upper + |alpha|/k, because D and
     lower are sums that may cancel."""
-    sines, _, flags = _flag_sines(k, geom.lengths, DEFAULT_DIRICHLET_TOL)
+    sines, _, flags = _flag_sines(k, geom.lengths)
     for ell, s in zip(geom.lengths, sines):
         threshold = DEFAULT_DIRICHLET_TOL * max(1.0, ell * k)
         if _near(abs(s), threshold, threshold):
             return True
     if any(flags):
         return False
-    d, lower, upper = positive_terms(geom, alpha, k, DEFAULT_DIRICHLET_TOL)
+    d, lower, upper = positive_terms(geom, alpha, k)
     scale = upper + abs(alpha) / k
     return _near(abs(d), upper, scale) or (lower > 0 and _near(abs(d), lower, scale))
 
