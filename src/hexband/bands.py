@@ -9,13 +9,14 @@ As the Bloch phases sweep the torus, R fills exactly the interval
     lower = max(0, 2*max_l 1/|sin lk| - upper)
 
 so E is in the spectrum iff lower <= |D(k)| <= upper.  The negative branch
-E = -kappa^2 uses the hyperbolic analogues.  A scan samples membership over a
-k (or kappa) grid and bisects the boundary functions D -+ upper, D -+ lower:
-at each change of membership on the positive branch, Dirichlet points included,
-and at the one root of each on the negative branch, where kappa times each increases,
-bracketed by the window ends.
-The point and column kernels of both branches live in :mod:`hexband.core`;
-this module compares their terms and turns them into reports.
+E = -kappa^2 uses the hyperbolic analogues.  A scan takes its edges from the
+signs of the boundary functions D -+ upper and D -+ lower, four rows that each
+turn at most once between Dirichlet points (k times each decreases there), or
+once in the whole window on the negative branch (kappa times each increases).
+Pieces where two rows turn are halved until each holds one, and each change of
+membership is bisected (:func:`_halve`).  The point and column kernels of both
+branches live in :mod:`hexband.core`; this module compares their terms and
+turns them into reports.
 """
 
 from __future__ import annotations
@@ -34,10 +35,11 @@ from .core import (
     FloquetPhase,
     HexGeometry,
     VertexCoupling,
+    _SAME_POINT,
     _negative_terms,
     _negative_terms_grid,
+    boundary_rows_grid,
     checked_sines,
-    gap_criteria_grid,
     positive_terms,
     positive_terms_grid,
     sin_cos_reduced,
@@ -152,80 +154,22 @@ def band_membership(
 # spectrum scanning
 
 
-def _positive_gaps(geom: HexGeometry, alpha: float, ks: np.ndarray) -> np.ndarray:
-    """Whether each k lies in a gap, from :func:`gap_criteria_grid`."""
-    gc1, gc2 = gap_criteria_grid(geom, alpha, ks)
-    return gc1 | gc2
-
-
-def _in_band(d, lower, upper):
-    """Whether max(0, lower_unclamped) <= |D| <= upper on each row, the point
-    kernels' comparison.  Leaves |D| in ``d`` and the clamped lower in ``lower``."""
+def _sample_table(xs, energy, d, lower, upper, flagged) -> SampleTable:
+    """The scan rows of membership terms ``(D, lower_unclamped, upper)``, turned in
+    place into |D| and max(0, lower), with the point kernels' band flag
+    lower <= |D| <= upper; a flagged row is a ``dirichlet`` row of NaNs."""
     value = np.abs(d, out=d)
     lower[~(lower > 0.0)] = 0.0  # max(0.0, lower), NaN included
-    return (lower <= value) & (value <= upper)
-
-
-def _sample_table(xs, energy, d, lower, upper, flagged):
-    """The scan rows of membership terms ``(D, lower_unclamped, upper)``, and their band flags.
-
-    The band flags are :func:`_in_band`'s; a flagged row is a ``dirichlet``
-    row of NaNs.
-    """
-    band = _in_band(d, lower, upper)
+    band = (lower <= value) & (value <= upper)
     for column in (d, lower, upper):
         column[flagged] = math.nan
-    return SampleTable(xs, energy, d, lower, upper, np.where(flagged, 2, band)), band
-
-
-def _negative_past(d, lower, upper):
-    """Whether each kappa lies past the root of D - upper, D + upper, D - lower and
-    D + lower, one row each: :func:`_in_band`'s comparisons as signs.  A sample is
-    in a band iff past root 2, not root 1, and past root 3 or not root 4."""
-    return np.stack([~(d - upper <= 0), d + upper >= 0, d - lower >= 0, ~(d + lower <= 0)])
-
-
-def _negative_roots(geom: HexGeometry, alpha: float, ends: np.ndarray, edge_tol: float):
-    """The roots r1 to r4 of the :func:`_negative_past` rows in the window ``ends``:
-    -inf before it, inf after it, else bisected over the whole window, where kappa
-    times each boundary function is monotone; no root depends on the samples."""
-    past = _negative_past(*_negative_terms_grid(geom, alpha, ends))
-    roots = np.where(past[:, 0], -math.inf, math.inf)
-    which = np.flatnonzero(past[:, 1] & ~past[:, 0])
-
-    def past_at(x, at):
-        return _negative_past(*_negative_terms_grid(geom, alpha, x))[which[at], np.arange(at.size)]
-
-    roots[which] = _bisect(np.full(which.size, ends[0]), np.full(which.size, ends[1]), past_at,
-                           edge_tol)
-    return roots.tolist()
-
-
-def _bisect(lo: np.ndarray, hi: np.ndarray, past, edge_tol: float) -> np.ndarray:
-    """Bisect every bracket [lo, hi] in lockstep, in place, and return the midpoints.
-
-    ``past(mid, at)`` says whether the midpoints ``mid`` of the brackets ``at``
-    lie past their roots; one call per step covers every pending bracket.  Each
-    stops once no wider than edge_tol, or once its ends are adjacent doubles,
-    where edge_tol is below their spacing and the midpoint would repeat an end.
-    """
-    pending = np.arange(lo.size)
-    while True:
-        bracket_lo, bracket_hi = lo[pending], hi[pending]
-        mid = 0.5 * (bracket_lo + bracket_hi)
-        live = (bracket_hi - bracket_lo > edge_tol) & (bracket_lo < mid) & (mid < bracket_hi)
-        pending, mid = pending[live], mid[live]
-        if not pending.size:
-            return 0.5 * (lo + hi)
-        beyond = past(mid, pending)
-        hi[pending[beyond]] = mid[beyond]
-        lo[pending[~beyond]] = mid[~beyond]
+    return SampleTable(xs, energy, d, lower, upper, np.where(flagged, 2, band))
 
 
 def _runs(first_is_gap: bool, edges: list[float], edge_tol: float):
     """(is_gap, x_lo, x_hi) runs between ``edges``, alternating from ``first_is_gap``.
-    A run narrower than edge_tol at a window end is that end's Dirichlet point
-    seen from its other side; it joins its neighbour."""
+    A run narrower than edge_tol at a window end cannot be told from that end;
+    it joins its neighbour."""
     states = [first_is_gap ^ (i % 2 == 1) for i in range(len(edges) - 1)]
     if len(states) > 1 and edges[1] - edges[0] < edge_tol:
         del states[0], edges[1]
@@ -234,31 +178,90 @@ def _runs(first_is_gap: bool, edges: list[float], edge_tol: float):
     return [(state, edges[i], edges[i + 1]) for i, state in enumerate(states)]
 
 
-def _intervals_from_runs(xs: np.ndarray, gaps: np.ndarray, gaps_at, edge_tol: float):
-    """Compress per-sample gap flags into refined (is_gap, x_lo, x_hi) runs, bisecting
-    every change between neighbouring samples on ``gaps_at``, which maps an array
-    of points to their gap flags."""
-    changes = np.flatnonzero(gaps[1:] != gaps[:-1])
-    was_gap = gaps[changes]
-    edges = _bisect(xs[changes], xs[changes + 1], lambda x, at: gaps_at(x) != was_gap[at], edge_tol)
-    return _runs(bool(gaps[0]), [float(xs[0]), *edges.tolist(), float(xs[-1])], edge_tol)
+def _dirichlet_points(geom: HexGeometry, k_lo: float, k_hi: float) -> np.ndarray:
+    """The Dirichlet points m*pi/l in [k_lo, k_hi], ascending; a point within
+    _SAME_POINT*max(1, k) of the one before it is the same point."""
+    ks = np.sort(np.concatenate([
+        np.arange(max(1, math.ceil(k_lo * ell / math.pi)), math.floor(k_hi * ell / math.pi) + 2)
+        * math.pi / ell for ell in geom.lengths]))
+    ks = ks[(k_lo <= ks) & (ks <= k_hi)]
+    return ks[np.diff(ks, prepend=-math.inf) > _SAME_POINT * np.maximum(1.0, ks)]
 
 
-def _dirichlet_points_in_window(geom: HexGeometry, k_lo: float, k_hi: float) -> list[float]:
-    points: list[float] = []
-    for ell in geom.lengths:
-        m = max(1, math.ceil(k_lo * ell / math.pi))
-        while m * math.pi / ell <= k_hi:
-            k = m * math.pi / ell
-            if k >= k_lo:
-                points.append(k)
-            m += 1
-    points.sort()
-    unique: list[float] = []
-    for k in points:
-        if not unique or abs(k - unique[-1]) > 1e-12 * max(1.0, k):
-            unique.append(k)
-    return unique
+# The rows of boundary_rows_grid packed into a code, bit i for row i; a piece's
+# pair of end codes, the left one high, and whether its ends differ in
+# membership (GC1 or GC2), or in that or two or more rows.
+_GAP = np.array([code & 3 != 0 or code & 12 == 12 for code in range(16)])
+_EDGE = np.array([_GAP[pair >> 4] != _GAP[pair & 15] for pair in range(256)])
+_LIVE = _EDGE | np.array([((pair >> 4) ^ (pair & 15)).bit_count() >= 2 for pair in range(256)])
+_BITS = np.array([[1], [2], [4], [8]], dtype=np.uint8)
+
+
+def _codes(rows: np.ndarray) -> np.ndarray:
+    return (rows * _BITS).sum(axis=0, dtype=np.uint8)
+
+
+def _sign_codes(d, lower, upper) -> np.ndarray:
+    """The packed rows of membership terms ``(D, lower_unclamped, upper)``, from
+    the comparisons that make the band flags of :func:`_sample_table`."""
+    return _codes(np.array([d > upper, d < -upper, d < lower, d > -lower]))
+
+
+def _halve(lo, hi, pair, codes_at, edge_tol: float) -> np.ndarray:
+    """The edges inside the pieces [lo, hi] with end codes ``pair``, where each row
+    turns at most once.  A piece is live while its ends differ in membership or
+    in two or more rows, and is halved until no wider than edge_tol or its ends
+    are adjacent doubles; then, if its ends differ in membership, its midpoint is
+    an edge.  Where one row turns only the half with the edge stays live, so the
+    piece is bisected.  One ``codes_at`` call evaluates two halvings: the live
+    pieces' midpoints and their halves' midpoints."""
+    edges, quarters = [], None
+    while True:
+        mid = 0.5 * (lo + hi)
+        go = (hi - lo > edge_tol) & (lo < mid) & (mid < hi)
+        edges.append(mid[_EDGE[pair] & ~go])
+        go &= _LIVE[pair]
+        if not go.any():
+            return np.concatenate(edges)
+        lo, mid, hi, pair = lo[go], mid[go], hi[go], pair[go]
+        if quarters is None:
+            codes = codes_at(np.concatenate([mid, 0.5 * (lo + mid), 0.5 * (mid + hi)]))
+            code_mid, quarters = codes[:mid.size], codes[mid.size:]
+        else:
+            code_mid, quarters = quarters[go], None
+        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+        pair = np.concatenate([pair & 0xF0 | code_mid, code_mid << 4 | pair & 15])
+
+
+def _positive_runs(geom: HexGeometry, alpha: float, ks: np.ndarray, codes: np.ndarray,
+                   points: np.ndarray, edge_tol: float):
+    """Refined (is_gap, k_lo, k_hi) runs over the samples ``ks``, with packed rows
+    ``codes``, and the Dirichlet points ``points``, which split the sample
+    intervals so that each row turns at most once in a piece (:func:`_halve`).
+    A point is seen from either side, and is an edge where the sides differ in
+    membership; a sample within _SAME_POINT of a point is that point, and a
+    window end at one is seen from inside."""
+    count = points.size
+    ends = np.concatenate([points, ks[[0, -1]]])
+    left, right = map(_codes, boundary_rows_grid(geom, alpha, ends, sides=True))
+    codes[0], codes[-1] = right[count], left[count + 1]
+    keep = np.ones(ks.size, bool)
+    at = np.searchsorted(ks, points)
+    for i in (np.maximum(at - 1, 0), np.minimum(at, ks.size - 1)):
+        keep[i[np.abs(ks[i] - points) <= _SAME_POINT * np.maximum(1.0, points)]] = False
+    xs = np.concatenate([ks[keep], points])
+    order = np.argsort(xs, kind="stable")
+    xs = xs[order]
+    left, right = left[:count], right[:count]
+    code_right = np.concatenate([codes[keep], right])[order]
+    code_left = np.concatenate([codes[keep], left])[order]
+    live = np.flatnonzero(code_right[:-1] != code_left[1:])
+    edges = _halve(xs[live], xs[live + 1], code_right[live] << 4 | code_left[live + 1],
+                   lambda x: _codes(boundary_rows_grid(geom, alpha, x)), edge_tol)
+    turns = (_GAP[left] != _GAP[right]) & (xs[0] < points) & (points < xs[-1])
+    edges = np.sort(np.concatenate([edges, points[turns]]))
+    return _runs(bool(_GAP[code_right[0]]), [float(ks[0]), *edges.tolist(), float(ks[-1])],
+                 edge_tol)
 
 
 def _flat_bands_in_window(geom: HexGeometry, k_lo: float, k_hi: float) -> list[FlatBand]:
@@ -297,42 +300,27 @@ def scan_spectrum(
 ) -> SpectrumReport:
     """Scan the positive branch over (k_lo, k_hi] and report bands/gaps.
 
-    Membership is sampled on a uniform grid and refined by
-    :func:`_intervals_from_runs`; intervals are reported in energy units
-    E = k^2.  The grid is sampled in one numpy pass of
-    :func:`positive_terms_grid`, bit-identical to the point kernel, into the
-    report's :class:`SampleTable`.  The samples it flags take their gap flags
-    from one :func:`gap_criteria_grid` call, and each lockstep bisection step
-    makes one more over every pending edge; the criteria are defined at the
-    Dirichlet points too, so ``dirichlet_tol`` only labels sample rows as
-    ``dirichlet``.  A metadata flag warns when the grid spacing exceeds
-    pi/(8*max_edge); below that a band or gap narrower than the spacing can
-    still be missed unflagged.
+    The grid is sampled in one numpy pass of :func:`positive_terms_grid`,
+    bit-identical to the point kernel, into the report's :class:`SampleTable`,
+    and its rows seed :func:`_positive_runs`, which certifies every edge
+    between them: no band or gap wider than edge_tol is missed, whatever the
+    spacing.  Intervals are reported in energy units E = k^2.  The rows are
+    defined at the Dirichlet points too, so ``dirichlet_tol`` only labels
+    sample rows as ``dirichlet``.
     """
     h, ks = _grid(k_lo, k_hi, n_samples, edge_tol)
     d, lower, upper, flagged = positive_terms_grid(geom, coupling.alpha, ks, dirichlet_tol)
-    samples, band = _sample_table(ks, ks * ks, d, lower, upper, flagged)
-    is_gap = ~band
-    if flagged.any():
-        is_gap[flagged] = _positive_gaps(geom, coupling.alpha, ks[flagged])
-    intervals = _intervals_from_runs(
-        ks, is_gap, lambda mid: _positive_gaps(geom, coupling.alpha, mid), edge_tol)
+    codes = _sign_codes(d, lower, upper)
+    points = _dirichlet_points(geom, k_lo, k_hi)
+    intervals = _positive_runs(geom, coupling.alpha, ks, codes, points, edge_tol)
+    samples = _sample_table(ks, ks * ks, d, lower, upper, flagged)
     bands = [(lo * lo, hi * hi) for gap, lo, hi in intervals if not gap]
     gaps = [(lo * lo, hi * hi) for gap, lo, hi in intervals if gap]
-    spacing_limit = math.pi / (8 * max(geom.lengths))
-    under_resolved = h > spacing_limit
     meta = {
         "n_samples": n_samples,
         "k_spacing": h,
         "edge_tol": edge_tol,
         "dirichlet_tol": dirichlet_tol,
-        "may_miss_narrow_features": under_resolved,
-        "warnings": (
-            ["grid spacing exceeds pi/(8*max_edge); bands or gaps narrower "
-             "than the spacing may be missed"]
-            if under_resolved
-            else []
-        ),
         "flat_band_search": "commensurability witness only; phase-independent "
         "solutions are not claimed complete",
     }
@@ -342,7 +330,7 @@ def scan_spectrum(
         bands=bands,
         gaps=gaps,
         flat_bands=_flat_bands_in_window(geom, k_lo, k_hi),
-        dirichlet_points=[k * k for k in _dirichlet_points_in_window(geom, k_lo, k_hi)],
+        dirichlet_points=(points * points).tolist(),
         meta=meta,
         samples=samples,
     )
@@ -359,12 +347,13 @@ def negative_spectrum_scan(
     """Scan the negative branch and report in energy units E = -kappa^2.
 
     kappa times each of D - upper, D + upper, D - lower and D + lower is
-    strictly increasing, so each has at most one root, r1 to r4, and the
-    spectrum is exactly [r2, r1] less (r4, r3): at most two bands, none for
-    alpha >= 0.  :func:`_negative_roots` bisects each root on its own sign over
-    the whole window, so no band or gap narrower than the grid is missed and the
-    intervals do not depend on ``n_samples``.  Every evaluation is one of
-    :func:`core._negative_terms_grid`, bit-identical to :func:`core._negative_terms`.
+    strictly increasing, so each of their signs, the four rows that
+    :func:`boundary_rows_grid` gives on the positive branch, turns at most once
+    in the window: at most two bands, none for alpha >= 0.
+    :func:`_halve` refines the edges from the window ends, so no band or gap
+    narrower than the grid is missed and the intervals do not depend on
+    ``n_samples``.  Every evaluation is one of :func:`core._negative_terms_grid`,
+    bit-identical to :func:`core._negative_terms`.
     Intervals are ordered by increasing energy (decreasing kappa); the window
     defaults to kappa in [kappa_max / n_samples, kappa_max].
     """
@@ -372,16 +361,18 @@ def negative_spectrum_scan(
         # _grid rejects n_samples < 2; max() only keeps this division defined until it does
         kappa_lo = kappa_max / max(n_samples, 2)
     h, kappas = _grid(kappa_lo, kappa_max, n_samples, edge_tol)
-    r1, r2, r3, r4 = _negative_roots(geom, coupling.alpha, kappas[[0, -1]], edge_tol)
-    samples, _ = _sample_table(kappas, -kappas * kappas,
-                               *_negative_terms_grid(geom, coupling.alpha, kappas),
-                               np.zeros(n_samples, bool))
-    # [r2, r1] less (r4, r3), where r2 <= r3 and r4 <= r1 since lower >= -upper
-    ends = [x for lo, hi in ([(r2, r4), (r3, r1)] if r4 < r3 else [(r2, r1)]) if lo < hi
-            for x in (lo, hi)]
-    cuts = [x for x in ends if abs(x) < math.inf]
-    intervals = _runs(ends[:1] != [-math.inf], [float(kappas[0]), *cuts, float(kappas[-1])],
+
+    def codes_at(x):
+        return _sign_codes(*_negative_terms_grid(geom, coupling.alpha, x))
+
+    ends = kappas[[0, -1]]
+    code = codes_at(ends)
+    edges = np.sort(_halve(ends[:1], ends[1:], code[:1] << 4 | code[1:], codes_at, edge_tol))
+    intervals = _runs(bool(_GAP[code[0]]), [float(kappas[0]), *edges.tolist(), float(kappas[-1])],
                       edge_tol)
+    samples = _sample_table(kappas, -kappas * kappas,
+                            *_negative_terms_grid(geom, coupling.alpha, kappas),
+                            np.zeros(n_samples, bool))
 
     def to_energy(lo: float, hi: float) -> tuple[float, float]:
         return (-hi * hi, -lo * lo)

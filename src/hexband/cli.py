@@ -30,6 +30,7 @@ import re
 import sys
 
 import click
+import numpy as np
 
 from . import __version__
 from .bands import (
@@ -48,8 +49,9 @@ from .core import (
     VertexCoupling,
     assemble_m_matrix,
     det_m_closed_form,
+    positive_terms_grid,
 )
-from .gaps import gc1, gc2, thresholds_bc, threshold_report_to_json
+from .gaps import thresholds_bc, threshold_report_to_json
 from .numtheory import (
     ExactRatio,
     NumericRatio,
@@ -239,32 +241,23 @@ def gaps(a, b, c, alpha, kmin, kmax, samples, edge_tol, centers, fmt, output):
     """Tabulate gaps with per-gap criterion attribution at the midpoint."""
     geom = HexGeometry(a[0], b[0], c[0])
     coupling = VertexCoupling(alpha)
+    if centers > 0 and not math.isclose(geom.b, geom.c, rel_tol=1e-12):
+        raise click.UsageError("--centers needs b = c geometry")
     report = scan_spectrum(geom, coupling, kmin, kmax, samples, edge_tol)
+    # GC1 (|D| > upper) and GC2 (lower > |D|) at every gap midpoint in one call
+    k_mid = np.array([(math.sqrt(e_lo) + math.sqrt(e_hi)) / 2 for e_lo, e_hi in report.gaps])
+    d, lower, upper, flagged = positive_terms_grid(geom, coupling.alpha, k_mid,
+                                                   DEFAULT_DIRICHLET_TOL)
+    d = np.abs(d)
     rows = []
-    for e_lo, e_hi in report.gaps:
-        k_mid = (math.sqrt(e_lo) + math.sqrt(e_hi)) / 2
-        attribution = []
-        try:
-            if gc1(geom, coupling, k_mid):
-                attribution.append("GC1")
-            if gc2(geom, coupling, k_mid):
-                attribution.append("GC2")
-        except DirichletPointError:
-            attribution.append("midpoint-at-dirichlet")
-        rows.append(
-            {
-                "e_lo": e_lo,
-                "e_hi": e_hi,
-                "k_lo": math.sqrt(e_lo),
-                "k_hi": math.sqrt(e_hi),
-                "width_e": e_hi - e_lo,
-                "attribution": attribution,
-                "predicted_centers": [],
-            }
-        )
+    for (e_lo, e_hi), at_dirichlet, above, below in zip(
+            report.gaps, flagged.tolist(), (d > upper).tolist(), (lower > d).tolist()):
+        rows.append({"e_lo": e_lo, "e_hi": e_hi, "k_lo": math.sqrt(e_lo), "k_hi": math.sqrt(e_hi),
+                     "width_e": e_hi - e_lo,
+                     "attribution": ["midpoint-at-dirichlet"] if at_dirichlet else
+                     [name for name, hit in (("GC1", above), ("GC2", below)) if hit],
+                     "predicted_centers": []})
     if centers > 0:
-        if not math.isclose(geom.b, geom.c, rel_tol=1e-12):
-            raise click.UsageError("--centers needs b = c geometry")
         predictions = predicted_gap_centers(a[1], b[1], coupling.alpha, centers)
         for row in rows:
             for center in predictions:

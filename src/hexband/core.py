@@ -276,8 +276,7 @@ def _reduce_grid(x: np.ndarray) -> np.ndarray:
     r = np.where(r > math.pi, r - math.tau, r)
     ties = r == math.pi
     if ties.any():
-        for i in np.flatnonzero(ties):
-            r[i] = math.remainder(x[i], math.tau)
+        r[ties] = [math.remainder(v, math.tau) for v in x[ties].tolist()]
     n = np.rint((x - r) / math.tau)
     return r - n * _TAU_LO
 
@@ -350,41 +349,56 @@ def gap_criteria(geom: HexGeometry, alpha: float, k: float) -> tuple[bool, bool]
     return gc1, d_minus_lower < 0 < d_plus_lower
 
 
-# The two edges other than j, in order, for j = 0, 1, 2.
-_OTHER_EDGES = np.array([[1, 0, 0], [2, 2, 1]])
+# Dirichlet points closer than this times max(1, k) are one point; an edge
+# with |sin(l*k)| at most this times max(1, l*k) sits on its point.
+_SAME_POINT = 1e-12
+# Turn D - upper, D + upper, D - lower and D + lower into boundary_rows_grid's rows.
+_ROW_SIGNS = np.array([[1.0], [-1.0], [-1.0], [1.0]])
 
 
-def gap_criteria_grid(
-    geom: HexGeometry, alpha: float, ks: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`gap_criteria` on an array of k: ``(gc1, gc2)`` as boolean arrays.
+def boundary_rows_grid(geom: HexGeometry, alpha: float, ks: np.ndarray, sides: bool = False):
+    """The comparisons of :func:`gap_criteria` on an array of k, as a ``(4, n)``
+    boolean array: D - upper > 0, D + upper < 0, D - lower < 0 and D + lower > 0.
 
-    Equal to the scalar form bit for bit.  The three edges form one stacked
-    ``(3, n)`` array, reduced by :func:`_reduce_grid`; the half-angle pairs
-    follow :func:`_half_angle_pair`, j is the first edge of smallest |sin|,
-    and every sum adds its terms in the scalar order.
+    GC1 is the first or the second row and GC2 the third and the fourth, equal to
+    the scalar form bit for bit: one :func:`_reduce_grid` per angle, the pairs of
+    :func:`_half_angle_pair`, j the first edge of smallest |sin|, and every sum
+    in the scalar order.  Between Dirichlet points k times each boundary function
+    strictly decreases, so each row turns at most once there.  With ``sides``
+    the result is the rows just left and just right of each k: an edge on its
+    Dirichlet point (``_SAME_POINT``) takes its pair's one-sided limit, (-inf, 0)
+    from the left and (0, +inf) from the right, and j is the vanishing edge of
+    smallest length.
     """
     if not (ks > 0).all():
         raise ValueError("every k must be > 0")
     x = np.multiply.outer(geom.lengths, ks)
-    r = _reduce_grid(x.ravel()).reshape(x.shape)
-    s = np.sin(r)
-    c = np.cos(r)
-    j = np.argmin(np.abs(s), axis=0)
-    first, second = _OTHER_EDGES[:, j]
-    cols = np.arange(ks.size)
+    r = _reduce_grid(x)
+    s, c = np.sin(r), np.cos(r)
+    key = np.abs(s)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         # r is never -0.0, so s == 0 has c == 1 and t == +0: (-0, +inf) as in the scalar form
         t = np.where(c >= 0, s / (1 + c), (1 - c) / s)
-        inv = 1 / t
-        right = s >= 0
-        m = np.where(right, -t, inv)
-        p = np.where(right, inv, -t)
+        inv, minus_t = 1 / t, -t  # t has the sign of s: m is the lesser of the two, p the greater
+        mp = np.array([np.minimum(minus_t, inv), np.maximum(minus_t, inv)])
+        if sides:
+            on_point = key <= _SAME_POINT * np.maximum(1.0, x)
+            key = np.where(on_point, -1 / np.array(geom.lengths)[:, None], key)
+        j = key.argmin(axis=0)
+        j0, j1 = j == 0, j == 1
         g = alpha / ks
-        gc1 = (g + (m[0] + m[1] + m[2]) > 0) | (g + (p[0] + p[1] + p[2]) < 0)
-        d_minus_lower = g + m[j, cols] + (p[first, cols] + p[second, cols])
-        d_plus_lower = g + p[j, cols] + (m[first, cols] + m[second, cols])
-        return gc1, (d_minus_lower < 0) & (0 < d_plus_lower)
+
+        def rows(mp):
+            first_two = mp[:, 0] + mp[:, 1]
+            at_j = np.where(j0, mp[:, 0], np.where(j1, mp[:, 1], mp[:, 2]))
+            others = np.where(j0, mp[:, 1] + mp[:, 2], np.where(j1, mp[:, 0] + mp[:, 2], first_two))
+            d_upper, d_lower = g + (first_two + mp[:, 2]), g + at_j + others[::-1]
+            return np.concatenate([d_upper, d_lower]) * _ROW_SIGNS > 0
+
+        if not sides:
+            return rows(mp)
+        return tuple(rows(np.where(on_point, np.reshape(limit, (2, 1, 1)), mp))
+                     for limit in ((-math.inf, 0.0), (0.0, math.inf)))
 
 
 def dispersion(geom: HexGeometry, coupling: VertexCoupling, k: float) -> float:

@@ -2,6 +2,7 @@ import hashlib
 import math
 import random
 import struct
+from operator import ne
 from fractions import Fraction
 
 import numpy as np
@@ -24,7 +25,7 @@ from hexband import (
     trig_polynomial_min,
     verify_flat_band,
 )
-from hexband.bands import _intervals_from_runs, _negative_past, _negative_roots, _positive_gaps
+from hexband.bands import _GAP, _halve, _runs, _sign_codes
 from hexband.core import (DirichletPointError, _flag_sines, _negative_terms,
                           _negative_terms_grid, dispersion_negative, gap_criteria, inv_sinh,
                           positive_terms)
@@ -240,11 +241,6 @@ class TestScanSpectrum:
             value = abs(dispersion(geom, coupling, k_mid))
             assert value > env.upper or value < env.lower
 
-    def test_under_resolution_warning(self):
-        report = scan_spectrum(HexGeometry(1, 2, 3), KIRCHHOFF, 1.0, 2.0, 2, 1e-6)
-        assert report.meta["may_miss_narrow_features"] is True
-        assert report.meta["warnings"]
-
     @pytest.mark.parametrize(
         "geom, alpha, k_lo, k_hi, n_samples, tol",
         [
@@ -274,10 +270,6 @@ class TestScanSpectrum:
         assert 0 < sum(row.decision == "dirichlet" for row in expected) < n_samples
         assert [tuple(map(repr, row)) for row in report.samples] == \
             [tuple(map(repr, row)) for row in expected]
-
-    def test_fine_grid_not_flagged(self):
-        report = scan_spectrum(EQUILATERAL, KIRCHHOFF, 1.0, 2.0, 200, 1e-6)
-        assert report.meta["may_miss_narrow_features"] is False
 
     @pytest.mark.parametrize("scan", [_positive_scan, _negative_scan], ids=["positive", "negative"])
     @pytest.mark.parametrize(
@@ -427,19 +419,25 @@ def _hashed_gap(x):
 
 
 def _lockstep_runs(xs, gaps, is_gap, edge_tol):
-    """:func:`_intervals_from_runs` on ``is_gap`` mapped over arrays, and the
-    size of each array it asked for."""
+    """:func:`_halve` on the changes of ``gaps`` between neighbouring ``xs``, the
+    gap flag carried in row 0 and ``is_gap`` mapped over the asked points, then
+    :func:`_runs`; and the size of each array it asked for."""
     sizes = []
 
-    def gaps_at(points):
+    def codes_at(points):
         sizes.append(points.size)
-        return np.array([is_gap(x) for x in points.tolist()], dtype=bool)
+        return np.array([is_gap(x) for x in points.tolist()], dtype=np.uint8)
 
-    return _intervals_from_runs(np.array(xs), np.array(gaps), gaps_at, edge_tol), sizes
+    xs, codes = np.array(xs), np.array(gaps, dtype=np.uint8)
+    changes = np.flatnonzero(codes[1:] != codes[:-1])
+    edges = _halve(xs[changes], xs[changes + 1], codes[changes] << 4 | codes[changes + 1],
+                   codes_at, edge_tol)
+    return _runs(bool(gaps[0]), [float(xs[0]), *np.sort(edges).tolist(), float(xs[-1])],
+                 edge_tol), sizes
 
 
 class TestLockstepRefinement:
-    """Bisecting every edge at once gives the doubles of one bisection per edge."""
+    """Halving every piece at once gives the doubles of one bisection per edge."""
 
     @pytest.mark.parametrize("seed", range(12))
     def test_random_flag_patterns(self, seed):
@@ -454,8 +452,10 @@ class TestLockstepRefinement:
         assert runs == _reference_runs(xs, gaps, _hashed_gap, edge_tol)
         assert all(type(x) is float and type(state) is bool for state, *ends in runs
                    for x in ends)
+        # each call asks for the midpoints and quarter points of the live pieces
         changes = sum(a != b for a, b in zip(gaps, gaps[1:]))
-        assert sorted(sizes, reverse=True) == sizes and all(0 < n <= changes for n in sizes)
+        assert sorted(sizes, reverse=True) == sizes
+        assert all(0 < n <= 3 * changes and n % 3 == 0 for n in sizes)
 
     def test_brackets_shrink_to_adjacent_doubles(self):
         # doubles near k = 1e6 are ~1.2e-10 apart, far wider than edge_tol
@@ -465,16 +465,17 @@ class TestLockstepRefinement:
         runs, sizes = _lockstep_runs(xs, gaps, _hashed_gap, 1e-14)
         assert runs == _reference_runs(xs, gaps, _hashed_gap, 1e-14)
         # the width test never stops a bracket: each stops once its midpoint
-        # repeats an end, after about log2(spacing / ulp) steps
-        steps = math.log2(2.5e-3 / math.ulp(1e6))
+        # repeats an end, after about log2(spacing / ulp) halvings, two per call
+        steps = math.log2(2.5e-3 / math.ulp(1e6)) / 2
         assert math.floor(steps) <= len(sizes) <= math.ceil(steps) + 1
 
     def test_a_bracket_as_wide_as_edge_tol_stops(self):
-        # power-of-two widths: after 11 halvings of 0.5 each bracket is exactly 2**-12 wide
+        # power-of-two widths: after 11 halvings of 0.5 each bracket is exactly
+        # 2**-12 wide; six calls ask for the 3 pieces' midpoints and quarter points
         xs, gaps = [1.0, 1.5, 2.0, 2.5], [False, True, False, True]
         runs, sizes = _lockstep_runs(xs, gaps, _hashed_gap, 2.0**-12)
         assert runs == _reference_runs(xs, gaps, _hashed_gap, 2.0**-12)
-        assert sizes == [3] * 11
+        assert sizes == [9] * 6
 
     @pytest.mark.parametrize("first, last", [(True, True), (True, False), (False, True)])
     def test_runs_at_both_window_ends_join_their_neighbours(self, first, last):
@@ -504,16 +505,40 @@ class TestLockstepRefinement:
     )
     def test_positive_scans_equal_the_scalar_criteria_bisection(self, geom, alpha, k_lo, k_hi,
                                                                 n_samples, edge_tol):
-        xs = np.linspace(k_lo, k_hi, n_samples)
-        gaps = _positive_gaps(geom, alpha, xs)
-        runs = _intervals_from_runs(xs, gaps, lambda ks: _positive_gaps(geom, alpha, ks),
-                                    edge_tol)
+        # a sample interval that holds no Dirichlet point and in which at most one
+        # row turns keeps its edge from one scalar bisection of the criteria, bit
+        # for bit, or has none
+        report = scan_spectrum(geom, VertexCoupling(alpha), k_lo, k_hi, n_samples, edge_tol)
+        energies = {e for lo, hi in report.bands + report.gaps for e in (lo, hi)}
+        h = (k_hi - k_lo) / (n_samples - 1)
+        ks = [k_hi if i == n_samples - 1 else k_lo + i * h for i in range(n_samples)]
+        points = [m * math.pi / ell for ell in geom.lengths
+                  for m in range(int(k_lo * ell / math.pi), int(k_hi * ell / math.pi) + 2)]
+
+        def rows(k):
+            d, lower, upper = positive_terms(geom, alpha, k)
+            return [d > upper, d < -upper, d < lower, d > -lower]
 
         def is_gap(k):
             return any(gap_criteria(geom, alpha, k))
 
-        assert len(runs) >= 3
-        assert runs == _reference_runs(xs.tolist(), gaps.tolist(), is_gap, edge_tol)
+        checked = 0
+        for x_lo, x_hi in zip(ks, ks[1:]):
+            try:
+                ends = rows(x_lo), rows(x_hi)
+            except DirichletPointError:
+                continue
+            if sum(map(ne, *ends)) > 1 or any(x_lo <= p <= x_hi for p in points):
+                continue
+            inside = {e for e in energies if x_lo * x_lo < e < x_hi * x_hi}
+            gaps = [r0 or r1 or (r2 and r3) for r0, r1, r2, r3 in ends]
+            if gaps[0] == gaps[1]:
+                assert not inside
+                continue
+            [(_, lo, hi), *_] = _reference_runs([x_lo, x_hi], gaps, is_gap, edge_tol)
+            assert inside == {hi * hi}
+            checked += 1
+        assert checked >= 3
 
     @pytest.mark.parametrize(
         "geom, alpha, kappa_lo, kappa_hi, n_samples, edge_tol",
@@ -529,35 +554,48 @@ class TestLockstepRefinement:
         kappas = np.linspace(kappa_lo, kappa_hi, n_samples)
 
         def signs(kappa):
-            """The four boundary functions' sign tests from the point kernel."""
+            """The four rows from the point kernel: D - upper > 0, D + upper < 0,
+            D - lower < 0 and D + lower > 0."""
             d, lower, upper = _negative_terms(geom, alpha, kappa)
-            return [d - upper > 0, d + upper >= 0, d - lower >= 0, d + lower > 0]
+            return [d > upper, d < -upper, d < lower, d > -lower]
+
+        def gap(rows):
+            return rows[0] or rows[1] or (rows[2] and rows[3])
 
         rows = [signs(kappa) for kappa in kappas.tolist()]
-        for (past1, past2, past3, past4), kappa in zip(rows, kappas.tolist()):
+        for row, kappa in zip(rows, kappas.tolist()):
             band = band_membership(geom, VertexCoupling(alpha), EnergyPoint.negative(kappa))
-            assert (band.kind is Decision.BAND) == (not past1 and past2 and (past3 or not past4))
-        columns = _negative_terms_grid(geom, alpha, kappas)
-        assert _negative_past(*columns).T.tolist() == rows
-        # each root is bracketed by the window ends, whatever the samples between them
-        expected = []
+            assert (band.kind is Decision.BAND) == (not gap(row))
+        codes = _sign_codes(*_negative_terms_grid(geom, alpha, kappas))
+        assert codes.tolist() == [sum(bit << i for i, bit in enumerate(row)) for row in rows]
+        assert [bool(_GAP[code]) for code in codes.tolist()] == [gap(row) for row in rows]
+        # each row turns once: its root is one scalar bisection between the window
+        # ends, whatever the samples; the edges are the roots that change membership
+        roots = []
         for i in range(4):
-            if rows[0][i] or not rows[-1][i]:
-                expected.append(-math.inf if rows[0][i] else math.inf)
+            if rows[0][i] == rows[-1][i]:
                 continue
             lo, hi = kappas[0], kappas[-1]
             while hi - lo > edge_tol:
                 mid = 0.5 * (lo + hi)
                 if not lo < mid < hi:
                     break
-                if signs(mid)[i]:
+                if signs(mid)[i] != rows[0][i]:
                     hi = mid
                 else:
                     lo = mid
-            expected.append(0.5 * (lo + hi))
-        roots = _negative_roots(geom, alpha, kappas[[0, -1]], edge_tol)
-        assert _bits(roots) == _bits(expected)
-        assert sum(math.isfinite(root) for root in roots) >= 2
+            roots.append((0.5 * (lo + hi), i))
+        row, expected = list(rows[0]), []
+        for root, i in sorted(roots):
+            was_gap = gap(row)
+            row[i] = not row[i]
+            if gap(row) != was_gap:
+                expected.append(-root * root)
+        report = negative_spectrum_scan(geom, VertexCoupling(alpha), kappa_hi, n_samples,
+                                        edge_tol, kappa_lo=kappa_lo)
+        energies = {e for lo, hi in report.bands + report.gaps for e in (lo, hi)}
+        assert _bits(sorted(energies - set(report.window))) == _bits(sorted(expected))
+        assert len(roots) >= 2
 
 
 def _bits(values):
@@ -678,9 +716,10 @@ class TestNegativeScan:
 
 
 class TestKnownMiss:
-    """The GC1 gap at k = 89*pi, 7.5e-3 wide, on (phi, 1, 1) with alpha = 6."""
+    """Gaps narrower than the default grid's spacing, which the sampled scan used to miss."""
 
     GEOM, COUPLING = HexGeometry((1 + math.sqrt(5)) / 2, 1, 1), VertexCoupling(6.0)
+    # the GC1 gap at k = 89*pi, 7.5e-3 wide, on (phi, 1, 1) with alpha = 6
     GAP = (279.60175, 279.60924)
 
     def test_a_local_scan_finds_the_gap(self):
@@ -688,14 +727,43 @@ class TestKnownMiss:
         [(lo, hi)] = [(math.sqrt(lo), math.sqrt(hi)) for lo, hi in report.gaps]
         assert (lo, hi) == pytest.approx(self.GAP, abs=1e-5)
 
-    @pytest.mark.xfail(strict=True, reason="the default grid misses a gap narrower than its "
-                       "spacing and still reports may_miss_narrow_features false; the sub-cell "
-                       "edge engine of ROADMAP item 2 is to find it")
     def test_the_default_window_finds_the_gap(self):
-        # bands --a '(1+sqrt(5))/2' --b 1 --c 1 --alpha 6 --kmax 280.6017
+        # bands --a '(1+sqrt(5))/2' --b 1 --c 1 --alpha 6 --kmax 280.6017: spacing 0.07
         report = scan_spectrum(self.GEOM, self.COUPLING, 0.01, 280.6017, 4000, 1e-9)
         lo, hi = self.GAP
         assert any(e_lo < hi * hi and lo * lo < e_hi for e_lo, e_hi in report.gaps)
+
+    def test_the_default_window_finds_an_interior_gc2_gap(self):
+        # gaps --a '(1+sqrt(5))/2' --b 1 --c 1 --alpha 22 --kmax 298: a GC2 gap in
+        # k = [44.5033, 44.5485] holds no Dirichlet point and is narrower than the
+        # spacing 0.0745; two rows turn in one sample interval
+        coupling, k = VertexCoupling(22.0), 44.5259
+        assert band_membership(self.GEOM, coupling, EnergyPoint.positive(k)).kind is Decision.GAP
+        assert gap_criteria(self.GEOM, coupling.alpha, k) == (False, True)
+        report = scan_spectrum(self.GEOM, coupling, 0.01, 298.0, 4000, 1e-9)
+        assert any(lo < k * k < hi for lo, hi in report.gaps)
+
+
+class TestCertifiedEdges:
+    """The positive scan's intervals do not depend on the grid."""
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(st.lists(st.floats(0.05, 5.0), min_size=3, max_size=3), st.sampled_from([-1, 1]),
+           st.floats(-2.0, 2.0), st.floats(0.01, 50.0), st.floats(0.5, 60.0))
+    # sampled at 400 points, the band (1.2202242, 1.4768824) ran on to 4.4220768
+    @example([2.7678764324583454, 2.123194830213585, 1.9130087924276902], -1,
+             math.log10(3.1250151296673674), 0.01, 55.814491516052504)
+    def test_a_coarse_scan_finds_every_interval_of_a_fine_one(self, lengths, sign, log_alpha,
+                                                               k_lo, width):
+        geom, coupling, edge_tol = HexGeometry(*lengths), VertexCoupling(sign * 10**log_alpha), 1e-9
+        coarse, fine = (_intervals(scan_spectrum(geom, coupling, k_lo, k_lo + width, n_samples,
+                                                 edge_tol)) for n_samples in (400, 60_000))
+        for these, those in ((fine, coarse), (coarse, fine)):
+            for lo, hi, state in these:
+                if hi - lo > 4 * edge_tol:
+                    assert any(state == other and abs(lo - other_lo) <= 2 * edge_tol
+                               and abs(hi - other_hi) <= 2 * edge_tol
+                               for other_lo, other_hi, other in those)
 
 
 class TestKnownNegativeMiss:

@@ -241,6 +241,21 @@ class TestGapsCommand:
         )
         assert result.exit_code == 2
 
+    def test_centers_are_checked_before_the_scan(self, runner, monkeypatch):
+        import hexband.cli
+
+        def scan_spectrum(*args, **kwargs):
+            raise AssertionError("scanned before rejecting --centers")
+
+        monkeypatch.setattr(hexband.cli, "scan_spectrum", scan_spectrum)
+        result = runner.invoke(
+            cli,
+            ["gaps", "--a", "1", "--b", "1", "--c", "2", "--alpha", "6", "--kmax", "7.0",
+             "--centers", "2"],
+        )
+        assert result.exit_code == 2
+        assert "--centers needs b = c geometry" in result.output
+
 
 class TestClassifyCommand:
     def test_golden_ratio_pipeline(self, runner):

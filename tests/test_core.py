@@ -35,8 +35,8 @@ from hexband.core import (
     _flag_sines,
     _half_angle_pair,
     _reduce_grid,
+    boundary_rows_grid,
     gap_criteria,
-    gap_criteria_grid,
     positive_terms,
     positive_terms_grid,
     reduce_mod_two_pi,
@@ -249,20 +249,22 @@ class TestKernelCalls:
             monkeypatch.setattr(module, name, counting)
 
         count(hexband.bands, "positive_terms_grid")
-        count(hexband.bands, "gap_criteria_grid")
+        count(hexband.bands, "boundary_rows_grid")
         count(hexband.core, "gap_criteria")
 
-        # Kirchhoff equilateral is one band: no edges to refine, so the grid
-        # kernel samples all 50 points and no other kernel runs
+        # Kirchhoff equilateral is one band: the grid kernel samples all 50
+        # points, one row call takes the window ends from either side, and
+        # nothing is refined
         report = scan_spectrum(EQUILATERAL, KIRCHHOFF, 1.0, 2.0, 50, 1e-9)
         assert len(report.bands) == 1 and not report.gaps
         assert len(report.samples) == 50
-        assert (counts["positive_terms_grid"], counts["gap_criteria_grid"], calls[0]) == (1, 0, 0)
+        assert (counts["positive_terms_grid"], counts["boundary_rows_grid"], calls[0]) == (1, 1, 0)
 
         # A gap-rich window whose ends and inner samples hit Dirichlet points:
-        # one criteria call for the flagged samples and one per lockstep
-        # bisection step, however many edges there are, and no scalar calls
-        counts.update(positive_terms_grid=0, gap_criteria_grid=0)
+        # one row call for the Dirichlet points seen from either side, then one
+        # per two lockstep halvings, however many edges there are (the pieces
+        # start no wider than the spacing h), and no scalar calls
+        counts.update(positive_terms_grid=0, boundary_rows_grid=0)
         geom = HexGeometry(0.5, 1.5, 1.0)
         k_lo, k_hi, n_samples, edge_tol = 2 * math.pi, 22 * math.pi, 4001, 1e-9
         report = scan_spectrum(geom, VertexCoupling(3.5), k_lo, k_hi, n_samples, edge_tol)
@@ -270,8 +272,28 @@ class TestKernelCalls:
         assert any(row.decision == "dirichlet" for row in report.samples)
         h = report.meta["k_spacing"]
         assert counts["positive_terms_grid"] == 1
-        assert 2 <= counts["gap_criteria_grid"] <= math.ceil(math.log2(h / edge_tol)) + 2
+        halvings = math.ceil(math.log2(h / edge_tol))
+        assert 2 <= counts["boundary_rows_grid"] <= 1 + math.ceil(halvings / 2)
         assert (counts["gap_criteria"], calls[0]) == (0, 0)
+
+    def test_row_calls_of_a_gap_table(self, monkeypatch):
+        # gaps --a 1.1 --b 1.7 --c 0.8 --alpha 22 --kmax 298, the benchmark's
+        # generic-1 table: one row call for the Dirichlet points, then one per
+        # two of the 27 halvings from the spacing 0.0745 down to edge_tol
+        import hexband.bands
+
+        counts = [0]
+        original = hexband.bands.boundary_rows_grid
+
+        def counting(*args, **kwargs):
+            counts[0] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(hexband.bands, "boundary_rows_grid", counting)
+        report = scan_spectrum(HexGeometry(1.1, 1.7, 0.8), VertexCoupling(22.0), 0.01, 298.0,
+                               4000, 1e-9)
+        assert math.ceil(math.log2(report.meta["k_spacing"] / 1e-9)) == 27
+        assert (len(report.gaps), counts[0]) == (27, 15)
 
 
 class TestAngleReductions:
@@ -530,26 +552,70 @@ def _boundary_sums(geom, k):
             ps[j] + sum(m for i, m in enumerate(ms) if i != j))
 
 
+def _scalar_rows(geom, alpha, k):
+    """The four comparisons of :func:`gap_criteria`, each summed as it sums them."""
+    sines, cosines, _ = _flag_sines(k, geom.lengths)
+    ms, ps = zip(*map(_half_angle_pair, sines, cosines))
+    j = min(range(3), key=lambda i: abs(sines[i]))
+    g = alpha / k
+    return [g + sum(ms) > 0, g + sum(ps) < 0,
+            g + ms[j] + sum(p for i, p in enumerate(ps) if i != j) < 0,
+            g + ps[j] + sum(m for i, m in enumerate(ms) if i != j) > 0]
+
+
+def _criteria(rows):
+    """(GC1, GC2) pairs from the rows of :func:`boundary_rows_grid`."""
+    return list(zip((rows[0] | rows[1]).tolist(), (rows[2] & rows[3]).tolist()))
+
+
 class TestGapCriteriaGrid:
+    """The four-row kernel :func:`boundary_rows_grid` against the scalar criteria."""
+
     @settings(max_examples=1500, derandomize=True, deadline=None)
     @given(_criteria_case())
     def test_equals_the_scalar_form_bit_for_bit(self, case):
         geom, alpha, ks = case
-        gc1, gc2 = gap_criteria_grid(geom, alpha, np.array(ks))
-        assert list(zip(gc1.tolist(), gc2.tolist())) == [gap_criteria(geom, alpha, k) for k in ks]
+        rows = boundary_rows_grid(geom, alpha, np.array(ks))
+        assert _criteria(rows) == [gap_criteria(geom, alpha, k) for k in ks]
+        assert rows.T.tolist() == [_scalar_rows(geom, alpha, k) for k in ks]
 
     def test_exact_zero_and_underflowing_sines(self):
         # l*k underflows to 0 on the short edge, and tan(l*k/2) to 0 on the others
         geom = HexGeometry(0.25, 1.0, 1.0)
         ks = np.array([5e-324, 1e-323])
         assert _flag_sines(5e-324, geom.lengths)[0] == [0.0, 5e-324, 5e-324]
-        gc1, gc2 = gap_criteria_grid(geom, -3.0, ks)
         expected = [gap_criteria(geom, -3.0, k) for k in ks.tolist()]
-        assert list(zip(gc1.tolist(), gc2.tolist())) == expected
+        assert _criteria(boundary_rows_grid(geom, -3.0, ks)) == expected
 
     def test_rejects_a_nonpositive_k(self):
         with pytest.raises(ValueError, match="k must be > 0"):
-            gap_criteria_grid(EQUILATERAL, 0.0, np.array([1.0, 0.0]))
+            boundary_rows_grid(EQUILATERAL, 0.0, np.array([1.0, 0.0]))
+
+    @pytest.mark.parametrize(
+        "lengths, alpha, k",
+        [
+            ((1.0, 1.0, 1.0), 3.0, 2 * math.pi),
+            ((0.5, 1.5, 1.0), 3.5, 6 * math.pi),
+            (((1 + math.sqrt(5)) / 2, 1.0, 1.0), 22.0, 14 * math.pi),
+            (((1 + math.sqrt(5)) / 2, 1.0, 1.0), -47.5, 9 * math.pi / ((1 + math.sqrt(5)) / 2)),
+            ((1.1, 1.7, 0.8), 22.0, 40 * math.pi / 1.7),
+        ],
+        ids=["all-edges", "two-edges", "b-and-c", "a-alone", "generic"],
+    )
+    def test_one_sided_rows_are_the_rows_beside_a_dirichlet_point(self, lengths, alpha, k):
+        # at k = m*pi/l the vanishing edges take their one-sided limits; the rows
+        # are those evaluated just beside k, where every boundary function is
+        # continuous on either side
+        geom = HexGeometry(*lengths)
+        left, right = boundary_rows_grid(geom, alpha, np.array([k]), sides=True)
+        near = boundary_rows_grid(geom, alpha, np.array([k * (1 - 1e-9), k * (1 + 1e-9)]))
+        assert (left[:, 0].tolist(), right[:, 0].tolist()) == (near[:, 0].tolist(),
+                                                              near[:, 1].tolist())
+        assert left.tolist() != right.tolist()
+        # away from a Dirichlet point both sides are the rows at k
+        k = k + 0.1
+        assert all(rows.tolist() == boundary_rows_grid(geom, alpha, np.array([k])).tolist()
+                   for rows in boundary_rows_grid(geom, alpha, np.array([k]), sides=True))
 
 
 class TestDispersionNegative:

@@ -37,6 +37,18 @@ root is now bisected between the window ends rather than inside the sample
 cell where its sign turns, so the intervals no longer depend on the number
 of samples.  Only bands-negative-json changed; its band edges moved by
 1.4e-9 and 6.0e-10 in E, within edge_tol in kappa.
+
+A third correctness fix moved digits on purpose: the positive scan takes its
+edges from the four boundary rows, split at the Dirichlet points and halved
+wherever two rows turn in one sample interval, so no band or gap narrower
+than the grid is missed.  An edge on a Dirichlet point is now the point
+m*pi/l itself, seen from either side, instead of a bisection within edge_tol
+of it, and the positive reports lost their may_miss_narrow_features and
+warnings metadata.  bands-json, bands-negative-json, gaps-centers-json and
+gaps-numeric-centers-json changed, only in those edges (none moved by more
+than 4.6e-10 in k) and, for the first two, in the metadata; no interval was
+added or lost.  The negative report of bands-negative-json, every CSV and
+the classify, flatbands and verify digests held.
 """
 
 import hashlib
@@ -79,9 +91,9 @@ VERIFY_BENCH_GRID = ["verify", "--seed", "20240901", "--det-samples", "100",
                      "--refine-rounds", "2"]
 
 GOLDEN = [
-    pytest.param(BANDS, "da5fef641f77425750b7296faad3eee04c3a67fbb1be03a26a762bb64167f29b",
+    pytest.param(BANDS, "d2db640c65b790b0e4cc2e4b623df14b5fb71f9a32bb8f2fe6e55fdf0e4da3ea",
                  id="bands-json"),
-    pytest.param(BANDS_NEGATIVE, "2a5ec61863199c9f3109df71ad45190ecbc3a6295ef786d488105fca6d0a9f57",
+    pytest.param(BANDS_NEGATIVE, "6de62522c873401ac3f6ddf2d4502ee49374a6820d0b90f37a59e88a6ea9a28d",
                  id="bands-negative-json"),
     pytest.param(BANDS + ["--format", "csv"],
                  "9dfa31e627edf32042e83fb33f3eb4243d87ac134755848fffdfa631be7b1086",
@@ -97,14 +109,14 @@ GOLDEN = [
     pytest.param(GAPS + ["--format", "csv"],
                  "180424ea6cd1b19498941b6140f55ac2592f302b5f0075486d4fbf1ccce6563d",
                  id="gaps-csv"),
-    pytest.param(GAPS_CENTERS, "9182b40028b5474e403232820e9e9c840db4148841d57ae394e3fa1712fdde35",
+    pytest.param(GAPS_CENTERS, "381653cb9dae53a551c33759dd4965b8c8a2919de42b66150df2658f3c281229",
                  id="gaps-centers-json"),
     pytest.param(CLASSIFY, "814ba1f29e6784263553d0ee7f54ac6f03569d75bbdb8e387c3ea8e4d3c81066",
                  id="classify-json"),
     pytest.param(CLASSIFY_SQRT2, "e71b162ea991d8d27d8132275826519053fd15ffff17c8e133ac6b2fc281022b",
                  id="classify-sqrt2-centers-json"),
     pytest.param(GAPS_NUMERIC_CENTERS,
-                 "7a20bc981e1825fa3bd9bbe46fee658439d407953563b3732f4da62e22171871",
+                 "6823905c0db4f339dce75273757e4949ff3bfb12740b2cca987a2c90b11b9163",
                  id="gaps-numeric-centers-json"),
     pytest.param(FLATBANDS_EXACT,
                  "f20722cdfc3ce717d56d139b99aa938db8817f238d8f27ffa44720e346d77d4f",
