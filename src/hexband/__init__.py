@@ -47,7 +47,6 @@ from .gaps import (
     gc2_equivalent_bc,
     gc_negative,
     negative_gap_at_zero,
-    tangent_sum,
     thresholds_bc,
 )
 from .numtheory import (

@@ -23,7 +23,6 @@ from enum import Enum
 from .core import (
     HexGeometry,
     VertexCoupling,
-    _flag_sines,
     _negative_terms,
     checked_sines,
     positive_terms,
@@ -35,7 +34,6 @@ __all__ = [
     "gc1",
     "gc2",
     "gc1_tangent_form",
-    "tangent_sum",
     "GapDiagnostics",
     "gap_diagnostics_bc",
     "gc2_equivalent_bc",
@@ -71,19 +69,6 @@ def _edge_tangent(s: float, c: float) -> float:
     return abs(s) / (1 + abs(c))
 
 
-def tangent_sum(geom: HexGeometry, k: float) -> float:
-    """Sum over the edges of |tan(frac(l*k/pi) * pi/2)|.
-
-    Each term equals 1/|sin(l*k)| - |cot(l*k)|, the margin by which that
-    edge's inverse sine exceeds its cotangent; the sum is what a coupling
-    |alpha|/k must beat for the sign-aligned gap criterion.  One angle
-    reduction per edge feeds :func:`_edge_tangent`, so the value is finite
-    everywhere and keeps full precision at large k.
-    """
-    sines, cosines, _ = _flag_sines(k, geom.lengths)
-    return sum(map(_edge_tangent, sines, cosines))
-
-
 def gc1_tangent_form(geom: HexGeometry, coupling: VertexCoupling, k: float) -> bool:
     """GC1 rewritten through the nearest-integer fractional part.
 
@@ -107,7 +92,7 @@ class GapDiagnostics:
     """The three scalar diagnostics of the b = c gap analysis at one k.
 
     With t_l = 1/|sin lk| - |cot lk| the tangent margin of edge l,
-    ``tangent_sum`` is t_a + 2 t_b, :func:`tangent_sum` for b = c;
+    ``tangent_sum`` is t_a + 2 t_b, the sum of the three margins for b = c;
     ``cot_dominance`` is |cot ak| - 2|cot bk|, which envelope-undershooting
     gaps need close to |alpha|/k; ``tangent_margin`` is 2 t_b - t_a, which
     |alpha|/k must exceed for them near the a-edge Dirichlet points.

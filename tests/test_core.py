@@ -27,7 +27,6 @@ from hexband import (
     rhs_envelope,
     scan_spectrum,
     solve_cell_wavefunction,
-    tangent_sum,
     verify_flat_band,
 )
 from hexband.core import (
@@ -320,14 +319,13 @@ class TestAngleReductions:
             (lambda g, c, p: gc1_tangent_form(g, c, 3.3), 3),
             (lambda g, c, p: gc2_equivalent_bc(g.a, g.b, c, 3.3), 2),
             (lambda g, c, p: gap_diagnostics_bc(g.a, g.b, 3.3), 2),
-            (lambda g, c, p: tangent_sum(g, 3.3), 3),
             (lambda g, c, p: assemble_m_matrix(g, c, 3.3, p), 1),
             (lambda g, c, p: verify_flat_band(g, 3.3, c), 7),
         ],
         ids=["positive_terms", "band_membership", "gc1", "gc2", "gap_criteria", "dispersion",
              "rhs_envelope", "det_m_closed_form", "band_membership_grid",
              "rhs_extrema_grid", "gc1_tangent_form", "gc2_equivalent_bc",
-             "gap_diagnostics_bc", "tangent_sum", "assemble_m_matrix", "verify_flat_band"],
+             "gap_diagnostics_bc", "assemble_m_matrix", "verify_flat_band"],
     )
     def test_reductions_per_call(self, monkeypatch, call, reductions):
         count = _count_calls(monkeypatch, "reduce_mod_two_pi")

@@ -24,10 +24,10 @@ from hexband import (
     negative_spectrum_scan,
     predicted_gap_centers,
     scan_spectrum,
-    tangent_sum,
     thresholds_bc,
 )
 from hexband.core import DirichletPointError, _flag_sines
+from hexband.gaps import _edge_tangent
 from hexband.numtheory import ExactRatio, QuadraticSurd, RatioClass, RatioClassKind
 
 EQUILATERAL = HexGeometry(1, 1, 1)
@@ -99,6 +99,13 @@ class TestGC1TangentForm:
     def test_domain_error_below_coupling(self):
         with pytest.raises(ValueError, match="tangent form requires"):
             gc1_tangent_form(EQUILATERAL, VertexCoupling(3.0), 2.0)
+
+
+def tangent_sum(geom, k):
+    """The three edges' tangent margins summed, from the margin that
+    :func:`gc1_tangent_form` and :func:`gap_diagnostics_bc` use."""
+    sines, cosines, _ = _flag_sines(k, geom.lengths)
+    return sum(map(_edge_tangent, sines, cosines))
 
 
 class TestTangentSum:

@@ -6,18 +6,24 @@ sibling; ``bands`` and ``gaps`` build on them alone, and the brute-force
 are the top and may import anything.  Every name the package re-exports is
 in its module's ``__all__``, and every ``__all__`` entry exists, since
 ``bench/tracer.py`` wraps public functions by ``__all__`` and silently
-skips a name it cannot find.
+skips a name it cannot find.  For the same reason every hook of
+``bench/layers.py`` names such a function, and the CLI hands the CSV writer
+the seekable stream whose ``tell()`` that hook reads.
 """
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
 
 import hexband
+import hexband.cli
 
 PACKAGE = Path(hexband.__file__).parent
+BENCH_LAYERS = Path(__file__).resolve().parent.parent / "bench" / "layers.py"
 MODULES = sorted(path.stem for path in PACKAGE.glob("*.py"))
 ALLOWED = {
     "core": set(),
@@ -78,3 +84,39 @@ def test_the_package_reexports_only_public_names():
     for node in imports:
         public = importlib.import_module(f"hexband.{node.module}").__all__
         assert [alias.name for alias in node.names if alias.name not in public] == [], node.module
+
+
+def bench_hook_names() -> list[str]:
+    """The keys of the ``HOOKS`` dict of ``bench/layers.py``, read without importing it."""
+    for node in ast.parse(BENCH_LAYERS.read_text()).body:
+        if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["HOOKS"]:
+            return [ast.literal_eval(key) for key in node.value.keys]
+    raise AssertionError("bench/layers.py assigns no HOOKS dict")
+
+
+def test_every_benchmark_hook_names_a_traced_function():
+    names = bench_hook_names()
+    assert "report.write_samples_csv" in names
+    for name in names:
+        layer, attribute = name.split(".")
+        module = importlib.import_module(f"hexband.{layer}")
+        function = getattr(module, attribute, None)
+        assert inspect.isfunction(function) and function.__module__ == module.__name__, name
+        assert attribute in module.__all__, name
+
+
+def test_the_cli_hands_the_csv_writer_a_stream_with_tell(monkeypatch):
+    positions = []
+    write = hexband.cli.write_samples_csv
+
+    def traced(report, stream):
+        positions.append(stream.tell())
+        write(report, stream)
+
+    monkeypatch.setattr(hexband.cli, "write_samples_csv", traced)
+    result = CliRunner().invoke(hexband.cli.cli, [
+        "bands", "--a", "1", "--b", "1", "--c", "1", "--alpha", "-3", "--kmax", "5",
+        "--samples", "50", "--include-negative", "--format", "csv"])
+    assert result.exit_code == 0, result.output
+    assert len(positions) == 2 and positions[1] > positions[0] == 0
+    assert result.output.count("\n") == 2 * 51

@@ -1,10 +1,11 @@
 import io
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hexband import (
@@ -16,8 +17,9 @@ from hexband import (
     scan_spectrum,
     write_samples_csv,
 )
-from hexband.report import (CSV_COLUMNS, SampleRow, SampleTable, SpectrumReport, format_float,
-                            json_dumps)
+from hexband import report as report_module
+from hexband.report import (CSV_COLUMNS, SampleRow, SampleTable, SpectrumReport, _cell_words,
+                            format_float, json_dumps)
 
 
 def _sample_report():
@@ -137,6 +139,143 @@ def _table(draw):
     n = draw(st.integers(0, 30))
     columns = [draw(st.lists(CELL, min_size=n, max_size=n)) for _ in range(5)]
     return SampleTable(*columns, draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+
+
+def _cell_texts(values):
+    """What the CSV cell formatter writes for each value (text and comma),
+    None for the cells it leaves to format_float."""
+    x = np.array(values, dtype=np.float64)
+    words, fallback = _cell_words(x)
+    texts = [bytes(cell).replace(b"\0", b"").decode("ascii")
+             for cell in words.astype("<u8").view(np.uint8).reshape(-1, 32)]
+    for i in fallback.tolist():
+        texts[i] = None
+    return texts
+
+
+def _scaled(x):
+    """|x| 10**(16 - e) exactly, e the decimal exponent of x: its rounding
+    gives the 17 digits."""
+    v = abs(Fraction(x))
+    e = math.floor(math.log10(abs(x)))
+    e += (Fraction(10) ** (e + 1) <= v) - (Fraction(10) ** e > v)
+    return v * Fraction(10) ** (16 - e)
+
+
+def _is_tie(x):
+    """Whether |x| lies exactly halfway between two 17-digit decimals."""
+    return _scaled(x).denominator == 2
+
+
+def _near_tie(x):
+    """Whether the 17-digit rounding of x is within 2**-19 of a tie."""
+    y = _scaled(x)
+    return abs(y - math.floor(y) - Fraction(1, 2)) <= Fraction(1, 2 ** 19)
+
+
+def _check_cells(values):
+    """Every cell the formatter writes is format_float's text; it leaves
+    only non-finite cells, magnitudes outside [1e-280, 1e280) and cells near
+    a tie, and the writer, those cells included, matches the row writer."""
+    values = [float(v) for v in values]
+    for x, text in zip(values, _cell_texts(values)):
+        if text is None:
+            assert not (x == 0 or 1e-280 <= abs(x) < 1e280) or _near_tie(x), repr(x)
+        else:
+            assert text == format_float(x) + ",", repr(x)
+    rows = len(values) // 5 * 5
+    table = SampleTable(*np.reshape(values[:rows], (5, -1)), [0] * (rows // 5))
+    report = SpectrumReport("positive", (1.0, 2.0), [], [], samples=table)
+    assert _csv(report) == _reference_csv(report)
+
+
+def _near_powers_of_ten(exponents):
+    values = []
+    for e in exponents:
+        x = float(f"1e{e}")
+        values += [x, math.nextafter(x, 0.0), math.nextafter(x, math.inf)]
+    return values + [-x for x in values]
+
+
+@st.composite
+def _tie(draw):
+    """A double whose 17-digit rounding is an exact tie: M 2**(e-17) with M
+    odd, in [10**e, 10**(e+1)).  Ties need M < 2**53, so -7 <= e <= 15."""
+    e = draw(st.integers(-7, 15))
+    lo = math.ceil(Fraction(10) ** e * Fraction(2) ** (17 - e))
+    hi = min(math.ceil(Fraction(10) ** (e + 1) * Fraction(2) ** (17 - e)), 2 ** 53)
+    m = draw(st.integers(lo // 2, (hi - 1) // 2)) * 2 + 1
+    return draw(st.sampled_from([1, -1])) * math.ldexp(m, e - 17)
+
+
+BITS = st.integers(0, 2 ** 64 - 1)
+SPECIAL_BITS = [0, 1 << 63, 1, (1 << 52) - 1, 1 << 52, 0x7FEFFFFFFFFFFFFF, 0x7FF0000000000000,
+                0xFFF0000000000000, 0x7FF8000000000000, 0x7FF0000000000001, 0xFFF8000000000001]
+
+
+class TestCellFormatter:
+    """The numpy cell formatter against format_float, byte for byte."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.lists(BITS, min_size=1, max_size=64))
+    @example(SPECIAL_BITS)  # +-0, subnormals, the largest double, infinities, NaNs
+    def test_raw_bit_patterns(self, bits):
+        _check_cells(np.array(bits, dtype=np.uint64).view(np.float64))
+
+    def test_powers_of_ten_and_their_neighbours(self):
+        _check_cells(_near_powers_of_ten(range(-324, 309)))
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(st.lists(_tie(), min_size=1, max_size=20))
+    @example([671587634000000.125, 1 + 2.0 ** -17])
+    def test_exact_ties_fall_back(self, ties):
+        assert all(map(_is_tie, ties))
+        assert _cell_texts(ties) == [None] * len(ties)
+        _check_cells(ties)
+
+    def test_rounding_that_carries_into_the_next_decade(self):
+        # the doubles nearest these powers of ten lie less than half a unit
+        # of the 17th digit below them; 1e17-1e22 are exact, and their
+        # scaled value is within the product's error of a decade boundary
+        carries = [1e-243, 1e-176, 1e-175, 1e-174, 1e-79, 1e-78, 1e-73, 1e-70, 1e-14, 1e98,
+                   1e129, 1e153, 1e220] + [float(10 ** k) for k in range(17, 23)]
+        assert all(Fraction(x) < Fraction(10) ** round(math.log10(x)) for x in carries[:13])
+        texts = _cell_texts(carries)
+        assert texts == [format_float(x) + "," for x in carries]
+        assert all(text.startswith("1e") for text in texts)
+        _check_cells(carries)
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(st.lists(st.tuples(st.floats(1.0, 10.0, exclude_max=True),
+                              st.sampled_from([-6, -5, -4, -3, 15, 16, 17, 18, -101, -100, -99,
+                                               99, 100, 101, -280, 279]),
+                              st.sampled_from([1.0, -1.0])), min_size=1, max_size=30))
+    def test_switch_points_and_three_digit_exponents(self, parts):
+        values = [sign * mantissa * 10.0 ** e for mantissa, e, sign in parts]
+        _check_cells(values)
+        assert None not in _cell_texts([x for x in values if x != 0 and 1e-280 <= abs(x) < 1e280
+                                        and not _near_tie(x)])
+
+    def test_a_plain_scan_leaves_only_nonfinite_cells(self, monkeypatch):
+        """The fast path carries the scan: format_float sees only the NaN
+        cells of the Dirichlet rows, so a writer that fell back on every
+        cell would fail here though its bytes were right."""
+        report = scan_spectrum(HexGeometry(1, 2, 1.5), VertexCoupling(3.0), 0.01, 100.0, 4000,
+                               1e-9, dirichlet_tol=1e-3)
+        nonfinite = [x for row in report.samples for x in row[:5] if not math.isfinite(x)]
+        calls = []
+
+        def counting(x):
+            calls.append(x)
+            return format_float(x)
+
+        monkeypatch.setattr(report_module, "format_float", counting)
+        text = _csv(report)
+        assert len(nonfinite) > 0
+        assert len(calls) == len(nonfinite)
+        assert not any(map(math.isfinite, calls))
+        monkeypatch.undo()
+        assert text == _reference_csv(report)
 
 
 class TestSampleTable:
