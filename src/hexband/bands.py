@@ -135,18 +135,15 @@ def band_membership(
     """Decide whether an energy lies in the spectrum (closed comparisons).
 
     On the positive branch a flagged sine yields a Dirichlet verdict; the
-    negative branch has no excluded points.  The zero branch is outside both
-    closed forms and is rejected.
+    negative branch has no excluded points.
     """
     if energy.branch == "positive":
         try:
             d, lower, upper = positive_terms(geom, coupling.alpha, energy.param)
         except DirichletPointError as exc:
             return BandDecision.dirichlet(exc.edges)
-    elif energy.branch == "negative":
-        d, lower, upper = _negative_terms(geom, coupling.alpha, energy.param)
     else:
-        raise ValueError("band membership is defined on the positive/negative branches only")
+        d, lower, upper = _negative_terms(geom, coupling.alpha, energy.param)
     return BandDecision(Decision.BAND if max(0.0, lower) <= abs(d) <= upper else Decision.GAP)
 
 
@@ -154,16 +151,15 @@ def band_membership(
 # spectrum scanning
 
 
-def _sample_table(xs, energy, d, lower, upper, flagged) -> SampleTable:
+def _sample_table(xs, energy, d, lower, upper, codes, flagged) -> SampleTable:
     """The scan rows of membership terms ``(D, lower_unclamped, upper)``, turned in
-    place into |D| and max(0, lower), with the point kernels' band flag
-    lower <= |D| <= upper; a flagged row is a ``dirichlet`` row of NaNs."""
-    value = np.abs(d, out=d)
+    place into |D| and max(0, lower), each a band or a gap by its packed rows
+    ``codes`` (:func:`_sign_codes`); a flagged row is a ``dirichlet`` row of NaNs."""
+    np.abs(d, out=d)
     lower[~(lower > 0.0)] = 0.0  # max(0.0, lower), NaN included
-    band = (lower <= value) & (value <= upper)
     for column in (d, lower, upper):
         column[flagged] = math.nan
-    return SampleTable(xs, energy, d, lower, upper, np.where(flagged, 2, band))
+    return SampleTable(xs, energy, d, lower, upper, np.where(flagged, 2, ~_GAP[codes]))
 
 
 def _runs(first_is_gap: bool, edges: list[float], edge_tol: float):
@@ -202,8 +198,8 @@ def _codes(rows: np.ndarray) -> np.ndarray:
 
 
 def _sign_codes(d, lower, upper) -> np.ndarray:
-    """The packed rows of membership terms ``(D, lower_unclamped, upper)``, from
-    the comparisons that make the band flags of :func:`_sample_table`."""
+    """The packed rows of membership terms ``(D, lower_unclamped, upper)``: the
+    comparisons of the point kernels' band flag max(0, lower) <= |D| <= upper."""
     return _codes(np.array([d > upper, d < -upper, d < lower, d > -lower]))
 
 
@@ -268,11 +264,9 @@ def _flat_bands_in_window(geom: HexGeometry, k_lo: float, k_hi: float) -> list[F
     witness = commensurability_witness(geom.a, geom.b, geom.c)
     if witness is None:
         return []
-    out = []
-    for k in flat_band_energies(witness, n_max=max(1, int(k_hi * witness.d / (2 * math.pi)) + 1)):
-        if k_lo <= k <= k_hi:
-            out.append(FlatBand(k=k, energy=k * k))
-    return out
+    ks = flat_band_energies(witness, n_max=max(1, int(k_hi * witness.d / (2 * math.pi)) + 1),
+                            n_min=max(1, int(k_lo * witness.d / (2 * math.pi))))
+    return [FlatBand(k=k, energy=k * k) for k in ks if k_lo <= k <= k_hi]
 
 
 def _grid(lo: float, hi: float, n_samples: int, edge_tol: float):
@@ -311,9 +305,9 @@ def scan_spectrum(
     h, ks = _grid(k_lo, k_hi, n_samples, edge_tol)
     d, lower, upper, flagged = positive_terms_grid(geom, coupling.alpha, ks, dirichlet_tol)
     codes = _sign_codes(d, lower, upper)
+    samples = _sample_table(ks, ks * ks, d, lower, upper, codes, flagged)
     points = _dirichlet_points(geom, k_lo, k_hi)
     intervals = _positive_runs(geom, coupling.alpha, ks, codes, points, edge_tol)
-    samples = _sample_table(ks, ks * ks, d, lower, upper, flagged)
     bands = [(lo * lo, hi * hi) for gap, lo, hi in intervals if not gap]
     gaps = [(lo * lo, hi * hi) for gap, lo, hi in intervals if gap]
     meta = {
@@ -370,9 +364,9 @@ def negative_spectrum_scan(
     edges = np.sort(_halve(ends[:1], ends[1:], code[:1] << 4 | code[1:], codes_at, edge_tol))
     intervals = _runs(bool(_GAP[code[0]]), [float(kappas[0]), *edges.tolist(), float(kappas[-1])],
                       edge_tol)
-    samples = _sample_table(kappas, -kappas * kappas,
-                            *_negative_terms_grid(geom, coupling.alpha, kappas),
-                            np.zeros(n_samples, bool))
+    d, lower, upper = _negative_terms_grid(geom, coupling.alpha, kappas)
+    samples = _sample_table(kappas, -kappas * kappas, d, lower, upper,
+                            _sign_codes(d, lower, upper), np.zeros(n_samples, bool))
 
     def to_energy(lo: float, hi: float) -> tuple[float, float]:
         return (-hi * hi, -lo * lo)
@@ -399,8 +393,10 @@ def negative_spectrum_scan(
 # flat bands
 
 
-def flat_band_energies(witness: CommensurabilityWitness | None, n_max: int) -> list[float]:
-    """Wavenumbers of the phase-independent eigenvalues, k_n = 2*pi*n/d.
+def flat_band_energies(
+    witness: CommensurabilityWitness | None, n_max: int, n_min: int = 1
+) -> list[float]:
+    """Wavenumbers of the phase-independent eigenvalues, k_n = 2*pi*n/d, n_min <= n <= n_max.
 
     Requires a commensurability witness a = p*d, b = q*d, c = r*d; each k_n
     then satisfies k_n*a, k_n*b, k_n*c in 2*pi*Z exactly.  Passing None
@@ -413,12 +409,14 @@ def flat_band_energies(witness: CommensurabilityWitness | None, n_max: int) -> l
         )
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
+    if n_min < 1:
+        raise ValueError("n_min must be >= 1")
     g = math.gcd(witness.p, witness.q, witness.r)
     if witness.d_exact is not None:
         d = float(witness.d_exact * g)
     else:
         d = witness.d * g
-    return [2 * math.pi * n / d for n in range(1, n_max + 1)]
+    return [2 * math.pi * n / d for n in range(n_min, n_max + 1)]
 
 
 def verify_flat_band(

@@ -163,7 +163,7 @@ def _write_text(text: str, output: str | None) -> None:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
-        click.echo(text, nl=False)
+        sys.stdout.write(text)
 
 
 _A = click.option("--a", "a", type=LENGTH, required=True,

@@ -112,28 +112,22 @@ class VertexCoupling:
         if not math.isfinite(self.alpha):
             raise ValueError(f"alpha={self.alpha!r} must be finite")
 
-    @property
-    def is_kirchhoff(self) -> bool:
-        return self.alpha == 0.0
-
 
 @dataclass(frozen=True)
 class EnergyPoint:
-    """Spectral parameter on one of the three branches.
+    """Spectral parameter on one of the two branches.
 
-    ``positive`` carries k with E = k^2, ``negative`` carries kappa with
-    E = -kappa^2, and ``zero`` is the single point E = 0.
+    ``positive`` carries k with E = k^2 and ``negative`` carries kappa with
+    E = -kappa^2.
     """
 
     branch: str
-    param: float = 0.0
-
-    _BRANCHES = ("positive", "zero", "negative")
+    param: float
 
     def __post_init__(self):
-        if self.branch not in self._BRANCHES:
+        if self.branch not in ("positive", "negative"):
             raise ValueError(f"unknown branch {self.branch!r}")
-        if self.branch != "zero" and not (math.isfinite(self.param) and self.param > 0):
+        if not (math.isfinite(self.param) and self.param > 0):
             raise ValueError(f"branch parameter must be finite and > 0, got {self.param!r}")
 
     @classmethod
@@ -143,38 +137,6 @@ class EnergyPoint:
     @classmethod
     def negative(cls, kappa: float) -> "EnergyPoint":
         return cls("negative", kappa)
-
-    @classmethod
-    def zero(cls) -> "EnergyPoint":
-        return cls("zero", 0.0)
-
-    @classmethod
-    def from_energy(cls, energy: float) -> "EnergyPoint":
-        if energy > 0:
-            return cls.positive(math.sqrt(energy))
-        if energy < 0:
-            return cls.negative(math.sqrt(-energy))
-        return cls.zero()
-
-    @property
-    def energy(self) -> float:
-        if self.branch == "positive":
-            return self.param * self.param
-        if self.branch == "negative":
-            return -self.param * self.param
-        return 0.0
-
-    @property
-    def k(self) -> float:
-        if self.branch != "positive":
-            raise ValueError("k is defined on the positive branch only")
-        return self.param
-
-    @property
-    def kappa(self) -> float:
-        if self.branch != "negative":
-            raise ValueError("kappa is defined on the negative branch only")
-        return self.param
 
 
 def _wrap_phase(x: float) -> float:

@@ -27,7 +27,7 @@ from .core import (
     checked_sines,
     positive_terms,
 )
-from .numtheory import RatioClass, RatioClassKind
+from .numtheory import RatioClass, RatioClassKind, _sign
 from .report import json_dumps
 
 __all__ = [
@@ -44,10 +44,6 @@ __all__ = [
     "thresholds_bc",
     "threshold_report_to_json",
 ]
-
-
-def _sign(x: float) -> int:
-    return (x > 0) - (x < 0)
 
 
 def gc1(geom: HexGeometry, coupling: VertexCoupling, k: float) -> bool:

@@ -47,7 +47,7 @@ __all__ = [
 DEFAULT_RATIONAL_TOL = 1e-13
 DEFAULT_DENOMINATOR_CAP = 10**6
 
-# Digits of sqrt(D) precision used for exact sign/quality evaluation.
+# Digits of sqrt(D) precision used for a surd's convergent qualities.
 _SURD_DIGITS = 40
 # A convergent's quality q^2|theta - p/q| carries an error of up to
 # q^2 * 10**-_SURD_DIGITS; below this denominator that error stays under 1e-4.
@@ -120,19 +120,6 @@ class QuadraticSurd:
         scale = 10**_SURD_DIGITS
         root = math.isqrt(self.D * scale * scale)
         return (self.P + Fraction(2 * root + 1, 2 * scale)) / self.Q
-
-    def compare_fraction(self, other: Fraction) -> int:
-        """Exact sign of (self - other)."""
-        # sign of (P + sqrt(D))/Q - n/d  ==  sign(Q) * sign(d*(P + sqrt(D)) - n*Q)
-        n, d = other.numerator, other.denominator
-        t = d * self.P - n * self.Q  # plus d*sqrt(D)
-        u = d
-        # sign of t + u*sqrt(D), u > 0
-        if t >= 0:
-            s = 1
-        else:
-            s = 1 if self.D * u * u > t * t else -1
-        return s * _sign(self.Q)
 
 
 @dataclass(frozen=True)
@@ -394,35 +381,36 @@ def _cf_expand_surd(surd: QuadraticSurd, max_depth: int) -> ContinuedFraction:
     return ContinuedFraction(a0, tuple(partials[:max_depth]), period, exact=True)
 
 
-def _cf_expand_float(x: float, max_depth: int) -> ContinuedFraction:
-    a0 = math.floor(x)
-    partials: list[int] = []
-    rem = x - a0
+def _float_quotients(x: float) -> Iterator[int | None]:
+    """The quotients a0, a1, ... of the double x, lazily; a last ``None`` marks
+    where its digits support no further quotient."""
+    a = math.floor(x)
+    rem = x - a
     q_prev, q_cur = 0, 1
-    exhausted = False
-    for _ in range(max_depth):
-        if rem < 1e-15:
-            break
-        # Once the convergent denominator nears 1/sqrt(eps), further
-        # quotients are noise from the double's last bits.
-        if q_cur > 3e7:
-            exhausted = True
-            break
+    yield a
+    while rem >= 1e-15:
         x = 1.0 / rem
         a = math.floor(x)
-        if a < 1:
-            exhausted = True
-            break
+        # Once the convergent denominator nears 1/sqrt(eps), further
+        # quotients are noise from the double's last bits.
+        if q_cur > 3e7 or a < 1:
+            yield None
+            return
         rem = x - a
-        if 1.0 - rem < 1e-12 * max(1, a):
+        if 1.0 - rem < 1e-12 * a:
             # x sat a hair below an integer: canonicalize a+1 and terminate
             a += 1
             rem = 0.0
-        partials.append(a)
+        yield a
         q_prev, q_cur = q_cur, a * q_cur + q_prev
-    return ContinuedFraction(
-        int(a0), tuple(partials), None, exact=False, precision_exhausted=exhausted
-    )
+
+
+def _cf_expand_float(x: float, max_depth: int) -> ContinuedFraction:
+    a0, *partials = islice(_float_quotients(x), max_depth + 1)
+    exhausted = partials[-1:] == [None]
+    if exhausted:
+        partials.pop()
+    return ContinuedFraction(a0, tuple(partials), None, exact=False, precision_exhausted=exhausted)
 
 
 def _walk(cf: ContinuedFraction, ratio: RatioInput) -> Iterator[Convergent]:
@@ -431,31 +419,36 @@ def _walk(cf: ContinuedFraction, ratio: RatioInput) -> Iterator[Convergent]:
     Consecutive convergents satisfy p_n q_{n-1} - p_{n-1} q_n = +-1 exactly.
     Qualities are measured against one reference value of theta: exact for
     rational and floating-point inputs, the 40-digit midpoint for surds and
-    the depth-60 truncation for explicit quotient sequences.  Approach signs
-    are exact for surds (:meth:`QuadraticSurd.compare_fraction`) and taken
-    against the reference otherwise.
+    the depth-60 truncation for explicit quotient sequences.  On an exact
+    expansion the convergents alternate sides, so theta - p_n/q_n has the
+    sign (-1)^n, and 0 at a rational's last convergent, which is theta.  A
+    float expansion's quotients are not exact, so its approach signs are
+    taken against the float itself.
     """
-    surd = isinstance(ratio, QuadraticSurd)
-    if surd:
+    rational = isinstance(ratio, ExactRatio)
+    if isinstance(ratio, QuadraticSurd):
         theta = ratio.midpoint()
-    elif isinstance(ratio, ExactRatio):
+    elif rational:
         theta = ratio.fraction
     elif isinstance(ratio, ExplicitCF):
         theta = _cf_value_fraction(ratio.a0, [ratio.partial(j) for j in range(1, 61)])
     else:
         theta = Fraction(ratio.x)
 
-    def convergent(p: int, q: int) -> Convergent:
-        frac = Fraction(p, q)
-        sign = ratio.compare_fraction(frac) if surd else _sign(theta - frac)
-        return Convergent(p, q, sign, float(q * q * abs(theta - frac)))
+    def convergent(n: int, p: int, q: int) -> Convergent:
+        gap = theta - Fraction(p, q)
+        if not cf.exact:
+            sign = _sign(gap)
+        else:
+            sign = 0 if rational and not gap else (-1) ** n
+        return Convergent(p, q, sign, float(q * q * abs(gap)))
 
     p_prev, p, q_prev, q = 1, cf.a0, 0, 1
-    yield convergent(p, q)
-    for a in cf.partials:
+    yield convergent(0, p, q)
+    for n, a in enumerate(cf.partials, 1):
         p_prev, p = p, a * p + p_prev
         q_prev, q = q, a * q + q_prev
-        yield convergent(p, q)
+        yield convergent(n, p, q)
 
 
 def convergents(cf: ContinuedFraction, ratio: RatioInput, n: int) -> list[Convergent]:
@@ -579,39 +572,32 @@ def predicted_gap_centers(
     return centers
 
 
-def reconstruct_rational(
-    x: float,
-    tol: float = DEFAULT_RATIONAL_TOL,
-    max_denominator: int = DEFAULT_DENOMINATOR_CAP,
-) -> tuple[int, int] | None:
-    """Smallest-denominator p/q with |x - p/q| <= tol*max(1, x), q <= cap.
+def reconstruct_rational(x: float) -> tuple[int, int] | None:
+    """Smallest-denominator p/q with |x - p/q| <= ``DEFAULT_RATIONAL_TOL``*max(1, x)
+    and q <= ``DEFAULT_DENOMINATOR_CAP``.
 
-    Walks the convergents of x; with the default knobs a double that *is*
-    a modest rational is recovered exactly (its representation error is a
-    few ulp, far below the tolerance), while quadratic irrationals such as
-    sqrt(2) or the golden ratio are rejected: their best approximations
-    improve only like gamma/q^2 and cannot reach the tolerance within the
-    denominator cap.  Returns None when no convergent qualifies.
+    Walks the convergents of the float expansion (:func:`_float_quotients`, as
+    :func:`cf_expand` does): a double that *is* a modest rational is recovered
+    exactly (its representation error is a few ulp, far below the tolerance),
+    while quadratic irrationals such as sqrt(2) or the golden ratio are
+    rejected: their best approximations improve only like gamma/q^2 and cannot
+    reach the tolerance within the denominator cap.  Returns None when no
+    convergent qualifies.
     """
     if not (math.isfinite(x) and x > 0):
         raise ValueError("x must be finite and positive")
-    bound = tol * max(1.0, x)
-    a0 = math.floor(x)
-    p_prev, p_cur = 1, a0
-    q_prev, q_cur = 0, 1
-    rem = x - a0
-    while True:
-        if q_cur <= max_denominator and abs(x - p_cur / q_cur) <= bound:
-            return (p_cur, q_cur)
-        if q_cur > max_denominator or rem < 1e-18:
-            return None
-        nxt = 1.0 / rem
-        a = math.floor(nxt)
-        if a < 1:
-            return None
-        p_prev, p_cur = p_cur, a * p_cur + p_prev
-        q_prev, q_cur = q_cur, a * q_cur + q_prev
-        rem = nxt - a
+    bound = DEFAULT_RATIONAL_TOL * max(1.0, x)
+    p_prev, p, q_prev, q = 0, 1, 1, 0
+    for a in _float_quotients(x):
+        if a is None:
+            break
+        p_prev, p = p, a * p + p_prev
+        q_prev, q = q, a * q + q_prev
+        if q > DEFAULT_DENOMINATOR_CAP:
+            break
+        if abs(x - p / q) <= bound:
+            return (p, q)
+    return None
 
 
 def commensurability_witness(

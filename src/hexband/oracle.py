@@ -254,12 +254,10 @@ def band_membership_grid(
         for s, c in zip(sines, cosines):
             d += c / s
         d2 = d**2
-    elif energy.branch == "negative":
+    else:
         kappa = energy.param
         lo, hi = _rhs_extrema(*(math.sinh(ell * kappa) for ell in geom.lengths), grid)
         d2 = dispersion_negative(geom, coupling, kappa) ** 2
-    else:
-        raise ValueError("membership is defined on the positive/negative branches only")
     return BandDecision.in_band() if lo <= d2 <= hi else BandDecision.in_gap()
 
 

@@ -25,6 +25,7 @@ from hexband import (
     trig_polynomial_min,
     verify_flat_band,
 )
+import hexband.bands as bands_module
 from hexband.bands import _GAP, _halve, _runs, _sign_codes
 from hexband.core import (DirichletPointError, _flag_sines, _negative_terms,
                           _negative_terms_grid, dispersion_negative, gap_criteria, inv_sinh,
@@ -178,8 +179,8 @@ class TestBandMembership:
         assert decision.dirichlet_edges == ("a", "b", "c")
 
     def test_zero_branch_rejected(self):
-        with pytest.raises(ValueError):
-            band_membership(EQUILATERAL, KIRCHHOFF, EnergyPoint.zero())
+        with pytest.raises(ValueError, match="unknown branch"):
+            EnergyPoint("zero", 0.0)
 
     def test_agrees_with_grid_oracle_off_boundary(self):
         rng = random.Random(21)
@@ -834,6 +835,31 @@ class TestFlatBands:
         reduced = flat_band_energies(CommensurabilityWitness(d=1.0, p=1, q=2, r=3), 2)
         doubled = flat_band_energies(CommensurabilityWitness(d=0.5, p=2, q=4, r=6), 2)
         assert reduced == pytest.approx(doubled)
+
+    def test_a_far_window_asks_only_for_its_own_candidates(self, monkeypatch):
+        # near k = 1e7 a window 10 wide holds two flat bands of (1, 2, 3); the scan
+        # asks for the k_n of its window, not for every k_n from n = 1
+        asked = []
+
+        def counted(witness, n_max, n_min=1):
+            asked.append(n_max - n_min + 1)
+            assert n_max - n_min < 100, f"asked for {n_max - n_min + 1} candidates"
+            return flat_band_energies(witness, n_max, n_min)
+
+        monkeypatch.setattr(bands_module, "flat_band_energies", counted)
+        k_lo, k_hi = 1e7, 1e7 + 10
+        report = scan_spectrum(HexGeometry(1, 2, 3), VertexCoupling(3.0), k_lo, k_hi, 400, 1e-9)
+        assert asked == [4]
+        expected = [2 * math.pi * n / 1.0 for n in range(1591540, 1591560)]
+        expected = [k for k in expected if k_lo <= k <= k_hi]
+        assert len(expected) == 2
+        assert [fb.k for fb in report.flat_bands] == expected
+
+    def test_a_window_range_is_the_tail_of_the_full_list(self):
+        witness = CommensurabilityWitness(d=0.5, p=2, q=3, r=5)
+        assert flat_band_energies(witness, 9, n_min=4) == flat_band_energies(witness, 9)[3:]
+        with pytest.raises(ValueError):
+            flat_band_energies(witness, 9, n_min=0)
 
 
 class TestVerifyFlatBand:

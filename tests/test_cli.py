@@ -414,6 +414,32 @@ def test_value_only_the_library_checks_is_usage_error(runner, args):
     assert isinstance(result.exception, SystemExit)  # no traceback
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["bands", "--a", "1", "--b", "(1+sqrt(5))/2", "--c", "1.3", "--alpha", "-3",
+         "--kmax", "20", "--samples", "300", "--include-negative"],
+        ["bands", "--a", "1", "--b", "(1+sqrt(5))/2", "--c", "1.3", "--alpha", "-3",
+         "--kmax", "20", "--samples", "300", "--include-negative", "--format", "csv"],
+        ["gaps", "--a", "(1+sqrt(5))/2", "--b", "1", "--c", "1", "--alpha", "6",
+         "--kmax", "30", "--samples", "500", "--centers", "2"],
+        ["gaps", "--a", "(1+sqrt(5))/2", "--b", "1", "--c", "1", "--alpha", "6",
+         "--kmax", "30", "--samples", "500", "--format", "csv"],
+        ["classify", "--a", "(1+sqrt(5))/2", "--b", "1", "--alpha", "6"],
+        ["flatbands", "--a", "1/2", "--b", "3/2", "--c", "1"],
+        ["verify", "--det-samples", "20", "--envelope-samples", "2", "--trigmin-samples", "2",
+         "--grid-n", "128"],
+    ],
+    ids=["bands-json", "bands-csv", "gaps-json", "gaps-csv", "classify", "flatbands", "verify"],
+)
+def test_output_file_holds_the_bytes_of_stdout(runner, tmp_path, args):
+    shown = runner.invoke(cli, args)
+    out = tmp_path / "out"
+    written = runner.invoke(cli, args + ["--output", str(out)])
+    assert (written.exit_code, written.stdout) == (shown.exit_code, "")
+    assert shown.stdout_bytes and out.read_bytes() == shown.stdout_bytes
+
+
 # Every settable value of every subcommand.  A new option is a new knob to
 # document and test; add it here on purpose.
 PARAMETERS = {

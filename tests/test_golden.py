@@ -49,6 +49,12 @@ gaps-numeric-centers-json changed, only in those edges (none moved by more
 than 4.6e-10 in k) and, for the first two, in the metadata; no interval was
 added or lost.  The negative report of bands-negative-json, every CSV and
 the classify, flatbands and verify digests held.
+
+Then convergent sides were taken from their index, (-1)^n on exact
+expansions, in place of a 40-digit comparison; the float rational
+reconstruction came to walk the float expansion's own quotients; sample rows
+were labelled from their packed boundary rows; and the CLI wrote its output
+with sys.stdout.write instead of click.echo.  Every digest held.
 """
 
 import hashlib

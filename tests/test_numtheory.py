@@ -1,7 +1,10 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
 from hexband import (
@@ -52,10 +55,12 @@ class TestRatioInputs:
         assert surd.invert().value() == pytest.approx(1 / (3 - math.sqrt(2)), rel=1e-14)
 
     def test_exact_comparison(self):
-        assert GOLDEN.compare_fraction(Fraction(3, 2)) == 1
-        assert GOLDEN.compare_fraction(Fraction(2, 1)) == -1
-        assert SQRT2.compare_fraction(Fraction(17, 12)) == -1
-        assert SQRT2.compare_fraction(Fraction(7, 5)) == 1
+        golden, sqrt2 = ({(c.p, c.q): c.approach_sign for c in convergents(cf_expand(r, 6), r, 7)}
+                         for r in (GOLDEN, SQRT2))
+        assert golden[3, 2] == 1
+        assert golden[2, 1] == -1
+        assert sqrt2[17, 12] == -1
+        assert sqrt2[7, 5] == 1
 
 
 class TestRatioDivide:
@@ -144,6 +149,39 @@ def _cf_tail_value(partials):
     return value
 
 
+def _exact_side(theta, p: int, q: int) -> int:
+    """The sign of theta - p/q in exact arithmetic, for a surd, a rational or a Fraction."""
+    if not isinstance(theta, QuadraticSurd):
+        theta = theta.fraction if isinstance(theta, ExactRatio) else theta
+        return (theta > Fraction(p, q)) - (theta < Fraction(p, q))
+    # (P + sqrt(D))/Q - p/q has the sign of Q times that of t + q*sqrt(D)
+    t = q * theta.P - p * theta.Q
+    side = 1 if t >= 0 or theta.D * q * q > t * t else -1
+    return side if theta.Q > 0 else -side
+
+
+def _cf_tail_fraction(partials) -> Fraction:
+    value = Fraction(0)
+    for a in reversed(partials):
+        value = 1 / (a + value)
+    return value
+
+
+def _surd(P: int, Q: int, D: int):
+    try:
+        return QuadraticSurd(P, Q, D)
+    except ValueError:
+        return None
+
+
+_SURDS = st.builds(_surd, st.integers(-40, 40), st.integers(-40, 40), st.integers(2, 2000)).filter(
+    lambda s: s is not None)
+_RATIONALS = st.builds(ExactRatio, st.integers(1, 10**15), st.integers(1, 10**15))
+_EXPLICIT = st.builds(
+    lambda a0, cycle: ExplicitCF(a0, lambda j: cycle[(j - 1) % len(cycle)]),
+    st.integers(0, 50), st.lists(st.integers(1, 10**6), min_size=1, max_size=70))
+
+
 class TestConvergents:
     def test_golden_sequence(self):
         cf = cf_expand(GOLDEN, 10)
@@ -178,6 +216,32 @@ class TestConvergents:
         cf = cf_expand(ExactRatio(7, 3), 10)
         with pytest.raises(ValueError, match="depth exhausted"):
             convergents(cf, ExactRatio(7, 3), 5)
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(st.one_of(_SURDS, _SURDS.map(QuadraticSurd.invert), _RATIONALS, _EXPLICIT))
+    def test_sides_alternate(self, ratio):
+        # theta - p_n/q_n has the sign (-1)^n on an exact expansion, and is 0 at a
+        # rational's last convergent; checked against the side in exact arithmetic
+        depth = 59 if isinstance(ratio, ExplicitCF) else 86
+        cf = cf_expand(ratio, depth)
+        convs = convergents(cf, ratio, cf.depth + 1)
+        theta = ratio
+        if isinstance(ratio, ExplicitCF):  # its depth-200 truncation: every side up to 59 holds
+            theta = ratio.a0 + _cf_tail_fraction([ratio.partial(j) for j in range(1, 201)])
+        for n, conv in enumerate(convs):
+            side = _exact_side(theta, conv.p, conv.q)
+            assert conv.approach_sign == side
+            if isinstance(ratio, ExactRatio) and n == len(convs) - 1:
+                assert side == 0
+            else:
+                assert side == (-1) ** n
+
+    def test_explicit_sides_past_the_reference_depth(self):
+        # the qualities of an explicit sequence are taken against its depth-60
+        # truncation, which is convergent 60 itself; the sides still alternate
+        ratio = ExplicitCF(1, lambda j: 1 + j % 3)
+        convs = convergents(cf_expand(ratio, 80), ratio, 81)
+        assert [c.approach_sign for c in convs[58:]] == [(-1) ** n for n in range(58, 81)]
 
     def test_hurwitz_filter(self):
         # at depth 30, at least a third of the convergents approximate
@@ -356,9 +420,38 @@ class TestReconstructRational:
     def test_sqrt2_rejected_with_default_knobs(self):
         assert reconstruct_rational(math.sqrt(2)) is None
 
-    def test_cap_controls_acceptance(self):
-        # with a loose tolerance sqrt(2) admits a modest-denominator match
-        assert reconstruct_rational(math.sqrt(2), tol=1e-6, max_denominator=10**6) is not None
+    def test_same_answers_as_its_own_loop(self):
+        # the walk over _float_quotients answers as a loop of its own
+        # with other stop rules did: stop past the cap, at rem < 1e-18 or at a < 1
+        def own_loop(x):
+            bound = 1e-13 * max(1.0, x)
+            a0 = math.floor(x)
+            p_prev, p_cur = 1, a0
+            q_prev, q_cur = 0, 1
+            rem = x - a0
+            while True:
+                if q_cur <= 10**6 and abs(x - p_cur / q_cur) <= bound:
+                    return (p_cur, q_cur)
+                if q_cur > 10**6 or rem < 1e-18:
+                    return None
+                nxt = 1.0 / rem
+                a = math.floor(nxt)
+                if a < 1:
+                    return None
+                p_prev, p_cur = p_cur, a * p_cur + p_prev
+                q_prev, q_cur = q_cur, a * q_cur + q_prev
+                rem = nxt - a
+
+        rng = random.Random(20240901)
+        xs = [rng.randint(1, 10**7) / rng.randint(1, 10**6) for _ in range(5000)]
+        xs += [rng.uniform(1e-3, 10.0) for _ in range(3000)]
+        xs += [math.exp(rng.uniform(-15.0, 25.0)) for _ in range(1000)]
+        xs += [math.sqrt(n) for n in range(1, 1500)]
+        for num, den in ((1.7, 1.1), (0.8, 1.1), (0.9, 1.3), (1.6, 1.3)):
+            xs += [num / den, den / num]
+        answers = [reconstruct_rational(x) for x in xs]
+        assert answers == [own_loop(x) for x in xs]
+        assert sum(a is not None for a in answers) > 5000
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):

@@ -150,15 +150,15 @@ class TestRhsExtremaGrid:
 class TestBandMembershipGrid:
     def test_agrees_in_band(self):
         decision = band_membership_grid(
-            EQUILATERAL, VertexCoupling(0.0), EnergyPoint.from_energy(4.0), GridSpec(128, 1)
+            EQUILATERAL, VertexCoupling(0.0), EnergyPoint.positive(2.0), GridSpec(128, 1)
         )
-        fast = band_membership(EQUILATERAL, VertexCoupling(0.0), EnergyPoint.from_energy(4.0))
+        fast = band_membership(EQUILATERAL, VertexCoupling(0.0), EnergyPoint.positive(2.0))
         assert decision.kind is Decision.BAND
         assert decision.kind is fast.kind
 
     def test_negative_branch_gap(self):
         decision = band_membership_grid(
-            EQUILATERAL, VertexCoupling(-6.5), EnergyPoint.from_energy(-1e-4), GridSpec(128, 1)
+            EQUILATERAL, VertexCoupling(-6.5), EnergyPoint.negative(0.01), GridSpec(128, 1)
         )
         assert decision.kind is Decision.GAP
 
