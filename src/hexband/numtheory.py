@@ -418,8 +418,10 @@ def _walk(cf: ContinuedFraction, ratio: RatioInput) -> Iterator[Convergent]:
 
     Consecutive convergents satisfy p_n q_{n-1} - p_{n-1} q_n = +-1 exactly.
     Qualities are measured against one reference value of theta: exact for
-    rational and floating-point inputs, the 40-digit midpoint for surds and
-    the depth-60 truncation for explicit quotient sequences.  On an exact
+    rational and floating-point inputs, the 40-digit midpoint for surds, and
+    for explicit quotient sequences their truncation 30 quotients deeper
+    than ``cf``, and never shallower than depth 60: its error is then
+    negligible against every convergent walked.  On an exact
     expansion the convergents alternate sides, so theta - p_n/q_n has the
     sign (-1)^n, and 0 at a rational's last convergent, which is theta.  A
     float expansion's quotients are not exact, so its approach signs are
@@ -431,7 +433,8 @@ def _walk(cf: ContinuedFraction, ratio: RatioInput) -> Iterator[Convergent]:
     elif rational:
         theta = ratio.fraction
     elif isinstance(ratio, ExplicitCF):
-        theta = _cf_value_fraction(ratio.a0, [ratio.partial(j) for j in range(1, 61)])
+        depth = max(60, cf.depth + 30)
+        theta = _cf_value_fraction(ratio.a0, [ratio.partial(j) for j in range(1, depth + 1)])
     else:
         theta = Fraction(ratio.x)
 

@@ -5,9 +5,10 @@ by cofactor expansion, sharing no code with the closed forms it validates.
 Deliberately simple, with concessions to speed that keep every value
 bit-identical: the grids read the phases through cos t1, cos t2 and one
 shared read-only table of cos(t1 - t2), in their formulas' order of
-operations; an extremum search evaluates its grid a block of rows at a
-time, keeps each block's column extrema and evaluates again only the cells
-of the best of those; the cofactor expansion evaluates each minor once.
+operations; an extremum search bounds its grid function, a trigonometric
+polynomial in the two phases, on square tiles of cells by Taylor's theorem
+and evaluates only the tiles whose bounds could hold its best cells, a
+block at a time; the cofactor expansion evaluates each minor once.
 """
 
 from __future__ import annotations
@@ -57,9 +58,13 @@ class GridSpec:
 _SEEDS = 4
 # Best grid cells scanned for those seeds.
 _CANDIDATES = 64 * _SEEDS
-# Phase-grid cells evaluated at a time (96 KiB of float64): the full grid is
+# Phase cells per side of a branch-and-bound tile.
+_TILE = 12
+# Tiles a search reads at a time.
+_BLOCK_TILES = 32
+# Phase-grid cells evaluated at a time (36 KiB of float64): the full grid is
 # never held, so a search allocates nothing that grows with n * n.
-_BLOCK_CELLS = 12 * 1024
+_BLOCK_CELLS = _BLOCK_TILES * _TILE * _TILE
 
 
 @functools.lru_cache(maxsize=1)
@@ -86,46 +91,106 @@ def _on_grid(g, n: int, rows: slice = slice(None)) -> np.ndarray:
     return g(cos_t[rows, None], cos_t[None, :], cos_diff[rows])
 
 
+@functools.lru_cache(maxsize=1)
+def _tile_table(n: int) -> tuple[np.ndarray, ...]:
+    """The tiles of ``_TILE`` x ``_TILE`` phase cells of the n x n grid.
+
+    Per tile row (and column): its first cell index and its half-width h,
+    half the distance between its outermost cell phases (the last tile is
+    narrower where ``_TILE`` does not divide n); then the cosine and sine of
+    the tile centres u, and of the centre differences u1 - u2, tile row by
+    tile column.  Built once for the last size asked for, like
+    ``_phase_table``.
+    """
+    t = _phase_table(n)[0]
+    first = np.arange(0, n, _TILE)
+    last = np.minimum(first + _TILE, n) - 1
+    centre = (t[first] + t[last]) / 2
+    diff = centre[:, None] - centre[None, :]
+    table = (first, (t[last] - t[first]) / 2, np.cos(centre), np.sin(centre),
+             np.cos(diff), np.sin(diff))
+    for a in table:
+        a.setflags(write=False)
+    return table
+
+
+def _tile_bounds(g, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Certified lower and upper bounds of g over each tile of the n x n grid.
+
+    g = A cos(t1 - t2) + B cos t2 + C cos t1 + K, its coefficients in
+    ``g.coefs``.  On a tile with centre u = (u1, u2) and half-widths
+    (h1, h2), Taylor's theorem with the Lagrange remainder gives
+
+        |g(t) - g(u)| <= |d1 g(u)| h1 + |d2 g(u)| h2
+                         + (|A| + |C|) h1^2 / 2 + (|A| + |B|) h2^2 / 2 + |A| h1 h2,
+
+    with d1 g = -A sin(u1 - u2) - C sin u1 and d2 g = A sin(u1 - u2) - B sin u2,
+    since the second derivatives are bounded by |A| + |C|, |A| + |B| and |A|.
+    The bounds widen this by 1e-12 (|A| + |B| + |C| + |K|).  That margin
+    dominates, by orders of magnitude, every rounding it has to cover: a
+    computed cell value, read from the rounded cos t and cos(t1 - t2), is
+    within a few ulp of that sum of the exact g at its phases, and so is
+    the computed centre value and the computed reach.  Non-finite
+    coefficients give non-finite bounds, which prove nothing.
+    """
+    a, b, c, k = g.coefs
+    _, h, cos_u, sin_u, cos_du, sin_du = _tile_table(n)
+    h1, h2 = h[:, None], h[None, :]
+    centre = a * cos_du + b * cos_u[None, :] + c * cos_u[:, None] + k
+    d1 = -a * sin_du - c * sin_u[:, None]
+    d2 = a * sin_du - b * sin_u[None, :]
+    reach = np.abs(d1) * h1 + np.abs(d2) * h2
+    reach += (abs(a) + abs(c)) / 2 * h1**2 + (abs(a) + abs(b)) / 2 * h2**2 + abs(a) * h1 * h2
+    reach += 1e-12 * (abs(a) + abs(b) + abs(c) + abs(k))
+    return centre - reach, centre + reach
+
+
 def _best_cells(g, n: int, sides: tuple[bool, ...]) -> list[tuple[np.ndarray, np.ndarray]]:
     """For each side, smallest (False) or largest (True), the min(_CANDIDATES,
     n * n) best cells of g on the n x n phase grid as flat indices in
     (value, flat index) order, with their values.
 
-    The grid is evaluated _BLOCK_CELLS at a time and never held whole: each
-    block of rows keeps only the extremum of each of its columns, a strip.
-    The strips are disjoint, so the m-th best strip extremum is no better
-    than the m-th best cell, and only the strips at least as good as it
-    (about m of them, whatever the grid) can hold candidates.  Their cells
-    are evaluated again, elementwise, to the same bits as in the grid.  With
-    fewer than m strips every cell is read.
+    A branch-and-bound over tiles of phase cells (after Shubert, SIAM J.
+    Numer. Anal. 9, 1972): each side reads its tiles in the order of their
+    certified bounds (``_tile_bounds``), _BLOCK_CELLS cells at a time, and
+    keeps only its m best cells so far.  It stops once the m-th best value
+    read is strictly better than the bound of every unread tile: no cell
+    there can be among the m best, nor tie with the m-th.  A tie-rich g,
+    such as a constant, reads every tile.  The cells read are evaluated
+    elementwise from the shared cosine table, to the same bits as in the
+    full grid, so the result is the full grid's (value, flat index) prefix.
     """
     _, cos_t, cos_diff = _phase_table(n)
+    first = _tile_table(n)[0]
+    lower, upper = _tile_bounds(g, n)
     m = min(_CANDIDATES, n * n)
-    rows = min(n, max(1, _BLOCK_CELLS // n))
-    starts = range(0, n, rows)
-    strips = [np.empty((len(starts), n)) for _ in sides]
-    if len(starts) * n >= m:
-        for b, r in enumerate(starts):
-            block = _on_grid(g, n, slice(r, r + rows))
-            for largest, ext in zip(sides, strips):
-                (block.max if largest else block.min)(axis=0, out=ext[b])
+    di, dj = np.divmod(np.arange(_TILE * _TILE), _TILE)
     result = []
-    for largest, ext in zip(sides, strips):
-        if ext.size < m:
-            cells = np.arange(n * n)
-        else:
-            ext = ext.ravel()
-            k = ext.size - m if largest else m - 1
-            bound = np.partition(ext, k)[k]
-            b, j = np.divmod(np.flatnonzero(ext >= bound if largest else ext <= bound), n)
-            i = b[:, None] * rows + np.arange(rows)
-            cells = (i * n + j[:, None])[i < n]
-        i, j = np.divmod(cells, n)
-        values = g(cos_t[i], cos_t[j], np.take(cos_diff, cells))
-        key = -values if largest else values
-        best = key <= np.partition(key, m - 1)[m - 1]
-        cells, values = cells[best], values[best]
-        order = np.lexsort((cells, key[best]))[:m]
+    for largest in sides:
+        bound = (-upper if largest else lower).ravel()
+        tiles = np.argsort(bound)
+        cells, values = np.empty(0, dtype=np.intp), np.empty(0)
+        for start in range(0, tiles.size, _BLOCK_TILES):
+            p, q = np.divmod(tiles[start : start + _BLOCK_TILES], first.size)
+            i = (first[p, None] + di).ravel()
+            j = (first[q, None] + dj).ravel()
+            inside = (i < n) & (j < n)
+            i, j = i[inside], j[inside]
+            read = i * n + j
+            cells = np.concatenate((cells, read))
+            values = np.concatenate((values, g(cos_t[i], cos_t[j], np.take(cos_diff, read))))
+            if cells.size < m:
+                continue
+            key = -values if largest else values
+            kth = np.partition(key, m - 1)[m - 1]
+            keep = np.flatnonzero(key <= kth)
+            if keep.size > m:
+                keep = keep[np.lexsort((cells[keep], key[keep]))[:m]]
+            cells, values = cells[keep], values[keep]
+            end = start + _BLOCK_TILES
+            if end < tiles.size and kth < bound[tiles[end]]:
+                break
+        order = np.lexsort((cells, -values if largest else values))[:m]
         result.append((cells[order], values[order]))
     return result
 
@@ -187,7 +252,11 @@ def _grid_min(g, n: int, cells: np.ndarray, best: float, refine_rounds: int,
 
 
 def _rhs_function(s_a: float, s_b: float, s_c: float):
-    """The right side in the three edge sines (sin or sinh), in the phase cosines."""
+    """The right side in the three edge sines (sin or sinh), in the phase cosines.
+
+    ``g.coefs`` is (A, B, C, K) of the same function written as
+    A cos(t1 - t2) + B cos t2 + C cos t1 + K, for ``_tile_bounds``.
+    """
     const = 1 / s_a**2 + 1 / s_b**2 + 1 / s_c**2
 
     def g(c1, c2, c12):
@@ -197,11 +266,13 @@ def _rhs_function(s_a: float, s_b: float, s_c: float):
         out += const
         return out
 
+    g.coefs = (2 / (s_b * s_c), 2 / (s_a * s_c), 2 / (s_a * s_b), const)
     return g
 
 
 def _trig_function(a_coef: float, b_coef: float, c_coef: float):
-    """A cos(t1 - t2) + B cos(t2) + C cos(t1), in the phase cosines."""
+    """A cos(t1 - t2) + B cos(t2) + C cos(t1), in the phase cosines, with
+    ``g.coefs`` = (A, B, C, 0) for ``_tile_bounds``."""
 
     def g(c1, c2, c12):
         out = a_coef * c12
@@ -209,6 +280,7 @@ def _trig_function(a_coef: float, b_coef: float, c_coef: float):
         out += c_coef * c1
         return out
 
+    g.coefs = (a_coef, b_coef, c_coef, 0.0)
     return g
 
 

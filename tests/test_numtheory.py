@@ -237,11 +237,25 @@ class TestConvergents:
                 assert side == (-1) ** n
 
     def test_explicit_sides_past_the_reference_depth(self):
-        # the qualities of an explicit sequence are taken against its depth-60
-        # truncation, which is convergent 60 itself; the sides still alternate
+        # the sides alternate past depth 60, the shallowest reference truncation
         ratio = ExplicitCF(1, lambda j: 1 + j % 3)
         convs = convergents(cf_expand(ratio, 80), ratio, 81)
         assert [c.approach_sign for c in convs[58:]] == [(-1) ** n for n in range(58, 81)]
+
+    def test_explicit_qualities_past_the_reference_depth(self):
+        # measured against the depth-200 truncation, every quality of this
+        # sequence lies below 1, at convergent 60 and beyond too
+        ratio = ExplicitCF(1, lambda j: 1 + j % 3)
+        theta = ratio.a0 + _cf_tail_fraction([ratio.partial(j) for j in range(1, 201)])
+        convs = convergents(cf_expand(ratio, 80), ratio, 81)
+        for c in convs:
+            expected = float(c.q**2 * abs(theta - Fraction(c.p, c.q)))
+            assert c.quality < 1
+            assert c.quality == pytest.approx(expected, rel=1e-12)
+        # a walk to depth 30 or less is still measured against depth 60
+        theta_60 = ratio.a0 + _cf_tail_fraction([ratio.partial(j) for j in range(1, 61)])
+        for c in convergents(cf_expand(ratio, 30), ratio, 31):
+            assert c.quality == float(c.q**2 * abs(theta_60 - Fraction(c.p, c.q)))
 
     def test_hurwitz_filter(self):
         # at depth 30, at least a third of the convergents approximate

@@ -3,6 +3,7 @@ import random
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -20,6 +21,7 @@ from hexband import (
     trig_polynomial_min,
 )
 from hexband import oracle
+from hexband.cli import cli
 from hexband.core import _flag_sines
 from hexband.oracle import (
     GridSpec,
@@ -339,6 +341,17 @@ def det_by_slices(rows):
 TIED_COEFS = st.sampled_from([0.0, 1.0, -1.0, 2.5])
 
 
+def counted(g):
+    """g, recording the number of cells of each call in ``sizes``."""
+
+    def h(c1, c2, c12):
+        h.sizes.append(c1.size)
+        return g(c1, c2, c12)
+
+    h.coefs, h.sizes = g.coefs, []
+    return h
+
+
 class TestCandidateSelection:
     @settings(deadline=None, derandomize=True, max_examples=80)
     @given(n=st.sampled_from([8, 16, 64, 255, 256, 768]),
@@ -355,46 +368,99 @@ class TestCandidateSelection:
     def test_rhs_grids(self, n, sines):
         assert_best_cells(oracle._rhs_function(*sines), n)
 
-    def test_fewer_strips_than_candidates_read_every_cell(self):
-        # cos(t1 - t2) on 64 rows is one block of 64 column strips, and each
-        # strip's extrema lie on one diagonal: the best strip extremum bounds
-        # 64 cells, not the 256 wanted
-        g = oracle._trig_function(1, 0, 0)
-        values = oracle._on_grid(g, 64)
-        assert 64 * 64 <= oracle._BLOCK_CELLS
-        assert np.count_nonzero(values <= values.min(axis=0).max()) < 256
-        assert np.count_nonzero(values >= values.max(axis=0).min()) < 256
-        assert_best_cells(g, 64)
+    def test_a_constant_reads_every_tile(self):
+        # every cell ties with the 256th best, so no tile can be passed over
+        g = counted(oracle._trig_function(0, 0, 0))
+        assert_best_cells(g, 255)
+        g.sizes.clear()
+        oracle._best_cells(g, 768, (False,))
+        assert sum(g.sizes) == 768 * 768
 
     @pytest.mark.parametrize("n", [767, 1023])
     @pytest.mark.parametrize("largest", [False, True])
-    def test_bound_is_tight_when_the_best_cells_lie_one_per_strip(self, n, largest):
-        # +-(cos(t1 - t2) + 1e-6 cos t1) peaks along the diagonal t1 = t2, one
-        # cell per column.  Every grid value comes in a mirrored pair but the
-        # one at t = 0 on an odd grid, so the 256th best cell is untied with
-        # the 255th: it is the 256th best strip extremum, and a bound one
-        # strip tighter would miss it
+    def test_the_diagonal_ridge(self, n, largest):
+        # +-(cos(t1 - t2) + 1e-6 cos t1) peaks along the diagonal t1 = t2, so
+        # the best cells lie one per row in a thin ridge across many tiles.
+        # Every grid value comes in a mirrored pair but the one at t = 0 on an
+        # odd grid, so the 256th best cell is untied with the 255th, and a
+        # search that passed over its tile would return another cell
         sign = 1 if largest else -1
         g = oracle._trig_function(sign, 0, sign * 1e-6)
         [(cells, values)] = oracle._best_cells(g, n, (largest,))
-        rows = oracle._BLOCK_CELLS // n
-        assert np.unique(cells // n // rows * n + cells % n).size == 256
+        assert np.unique(cells // n // oracle._TILE).size > 16
         assert values[254] != values[255]
         assert_best_cells(g, n)
 
-    def test_blocks_never_hold_the_grid(self):
-        # at n = 768 g is evaluated on 48 blocks of 16 rows and on one set of
-        # candidate cells per side, each far smaller than the grid
-        sizes = []
+    def test_the_quartic_valley_on_the_triangle_boundary(self):
+        assert_best_cells(oracle._trig_function(0.2, 5.0, 0.2 / 0.96), 768)
 
-        def g(c1, c2, c12):
-            out = oracle._trig_function(-0.4692, -0.5104, 4.8077)(c1, c2, c12)
-            sizes.append(out.size)
-            return out
+    @pytest.mark.parametrize("n", [9, 255, 768, 1024])
+    @pytest.mark.parametrize("coefs", [(0, 0, 0), (1, 0, 0), *TRIG_COEFS])
+    def test_g_never_sees_more_than_a_block(self, n, coefs):
+        g = counted(oracle._trig_function(*coefs))
+        oracle._best_cells(g, n, (False, True))
+        assert 0 < max(g.sizes) <= oracle._BLOCK_CELLS
 
-        oracle._best_cells(g, 768, (False, True))
-        assert max(sizes) <= oracle._BLOCK_CELLS
-        assert len(sizes) == 48 + 2
+    @pytest.mark.parametrize("seed", [1, 2, 20240901])
+    def test_verify_reads_a_small_share_of_its_grids(self, seed, monkeypatch):
+        # verify's own draws at n = 768: each search reads at most 5% of the
+        # cells, both sides together
+        search, shares = oracle._best_cells, []
+
+        def best_cells(g, n, sides):
+            g = counted(g)
+            found = search(g, n, sides)
+            shares.append(sum(g.sizes) / (n * n))
+            return found
+
+        monkeypatch.setattr(oracle, "_best_cells", best_cells)
+        argv = ["verify", "--seed", str(seed), "--det-samples", "1", "--envelope-samples", "3",
+                "--trigmin-samples", "3", "--grid-n", "768"]
+        assert CliRunner().invoke(cli, argv).exit_code == 0
+        assert len(shares) == 6
+        assert max(shares) <= 0.05
+
+
+def tile_of_cells(table, n):
+    """A per-tile table spread over the n x n cells of its tiles."""
+    cells = np.repeat(np.repeat(table, oracle._TILE, axis=0), oracle._TILE, axis=1)
+    return cells[:n, :n]
+
+
+@st.composite
+def rhs_sines(draw):
+    """Edge sines of a right side: sin(l k) away from the Dirichlet points,
+    or sinh(l kappa) from tiny (kappa = 1e-60) to huge (sinh 300, whose
+    square is still a double)."""
+    lengths = draw(st.tuples(*[st.floats(0.05, 5)] * 3))
+    if draw(st.booleans()):
+        k = draw(st.floats(0.1, 30))
+        sines = tuple(math.sin(ell * k) for ell in lengths)
+        assume(min(map(abs, sines)) >= 0.05)
+        return sines
+    kappa = 10 ** draw(st.floats(-60, math.log10(60)))
+    return tuple(math.sinh(ell * kappa) for ell in lengths)
+
+
+class TestTileBounds:
+    @settings(deadline=None, derandomize=True, max_examples=60)
+    # at n = 13 and 25 the last tile is one cell wide, and its bounds are
+    # the centre value, computed in another order of operations, +- margin
+    @given(n=st.sampled_from([8, 9, 13, 25, 255, 767, 768, 1023, 1024]),
+           g=st.one_of(st.tuples(*[TIED_COEFS | st.floats(-5, 5)] * 3).map(
+                           lambda c: oracle._trig_function(*c)),
+                       rhs_sines().map(lambda s: oracle._rhs_function(*s))))
+    @example(n=768, g=oracle._rhs_function(*RHS_SINES[0]))
+    @example(n=1023, g=oracle._rhs_function(*RHS_SINES[1]))
+    @example(n=767, g=oracle._rhs_function(*(math.sinh(ell * 1e-60) for ell in (0.05, 1, 5))))
+    @example(n=255, g=oracle._rhs_function(*(math.sinh(ell * 70) for ell in (0.05, 1, 5))))
+    @example(n=1024, g=oracle._trig_function(0.2, 5.0, 0.2 / 0.96))
+    def test_every_cell_lies_within_its_tile_bounds(self, n, g):
+        values = oracle._on_grid(g, n)
+        lower, upper = oracle._tile_bounds(g, n)
+        assert np.isfinite(values).all()
+        assert (tile_of_cells(lower, n) <= values).all()
+        assert (values <= tile_of_cells(upper, n)).all()
 
 
 class TestSeedPick:
