@@ -24,15 +24,14 @@ from .core import (
 )
 from .bands import (
     BandDecision,
-    CellWavefunction,
     Decision,
     RhsEnvelope,
     band_membership,
     flat_band_energies,
     negative_spectrum_scan,
     rhs_envelope,
+    sample_grid,
     scan_spectrum,
-    solve_cell_wavefunction,
     trig_polynomial_min,
     verify_flat_band,
 )

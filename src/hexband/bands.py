@@ -13,15 +13,16 @@ E = -kappa^2 uses the hyperbolic analogues.  A scan takes its edges from the
 signs of the boundary functions D -+ upper and D -+ lower, four rows that each
 turn at most once between Dirichlet points (k times each decreases there), or
 once in the whole window on the negative branch (kappa times each increases).
-Pieces where two rows turn are halved until each holds one, and each change of
-membership is bisected (:func:`_halve`).  The point and column kernels of both
-branches live in :mod:`hexband.core`; this module compares their terms and
-turns them into reports.
+So the window ends and the Dirichlet points alone cut the window into pieces;
+pieces where two rows turn are halved until each holds one, and each change of
+membership is bisected (:func:`_halve`).  The sample table that the CSV format
+prints is a separate product (:func:`sample_grid`).  The point and column
+kernels of both branches live in :mod:`hexband.core`; this module compares
+their terms and turns them into reports.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -32,14 +33,12 @@ from .core import (
     DEFAULT_DIRICHLET_TOL,
     DirichletPointError,
     EnergyPoint,
-    FloquetPhase,
     HexGeometry,
     VertexCoupling,
     _SAME_POINT,
     _negative_terms,
     _negative_terms_grid,
     boundary_rows_grid,
-    checked_sines,
     positive_terms,
     positive_terms_grid,
     sin_cos_reduced,
@@ -51,15 +50,14 @@ __all__ = [
     "Decision",
     "BandDecision",
     "RhsEnvelope",
-    "CellWavefunction",
     "trig_polynomial_min",
     "rhs_envelope",
     "band_membership",
     "scan_spectrum",
     "negative_spectrum_scan",
+    "sample_grid",
     "flat_band_energies",
     "verify_flat_band",
-    "solve_cell_wavefunction",
 ]
 
 
@@ -151,17 +149,6 @@ def band_membership(
 # spectrum scanning
 
 
-def _sample_table(xs, energy, d, lower, upper, codes, flagged) -> SampleTable:
-    """The scan rows of membership terms ``(D, lower_unclamped, upper)``, turned in
-    place into |D| and max(0, lower), each a band or a gap by its packed rows
-    ``codes`` (:func:`_sign_codes`); a flagged row is a ``dirichlet`` row of NaNs."""
-    np.abs(d, out=d)
-    lower[~(lower > 0.0)] = 0.0  # max(0.0, lower), NaN included
-    for column in (d, lower, upper):
-        column[flagged] = math.nan
-    return SampleTable(xs, energy, d, lower, upper, np.where(flagged, 2, ~_GAP[codes]))
-
-
 def _runs(first_is_gap: bool, edges: list[float], edge_tol: float):
     """(is_gap, x_lo, x_hi) runs between ``edges``, alternating from ``first_is_gap``.
     A run narrower than edge_tol at a window end cannot be told from that end;
@@ -229,35 +216,24 @@ def _halve(lo, hi, pair, codes_at, edge_tol: float) -> np.ndarray:
         pair = np.concatenate([pair & 0xF0 | code_mid, code_mid << 4 | pair & 15])
 
 
-def _positive_runs(geom: HexGeometry, alpha: float, ks: np.ndarray, codes: np.ndarray,
+def _positive_runs(geom: HexGeometry, alpha: float, k_lo: float, k_hi: float,
                    points: np.ndarray, edge_tol: float):
-    """Refined (is_gap, k_lo, k_hi) runs over the samples ``ks``, with packed rows
-    ``codes``, and the Dirichlet points ``points``, which split the sample
-    intervals so that each row turns at most once in a piece (:func:`_halve`).
-    A point is seen from either side, and is an edge where the sides differ in
-    membership; a sample within _SAME_POINT of a point is that point, and a
-    window end at one is seen from inside."""
-    count = points.size
-    ends = np.concatenate([points, ks[[0, -1]]])
-    left, right = map(_codes, boundary_rows_grid(geom, alpha, ends, sides=True))
-    codes[0], codes[-1] = right[count], left[count + 1]
-    keep = np.ones(ks.size, bool)
-    at = np.searchsorted(ks, points)
-    for i in (np.maximum(at - 1, 0), np.minimum(at, ks.size - 1)):
-        keep[i[np.abs(ks[i] - points) <= _SAME_POINT * np.maximum(1.0, points)]] = False
-    xs = np.concatenate([ks[keep], points])
-    order = np.argsort(xs, kind="stable")
-    xs = xs[order]
-    left, right = left[:count], right[:count]
-    code_right = np.concatenate([codes[keep], right])[order]
-    code_left = np.concatenate([codes[keep], left])[order]
-    live = np.flatnonzero(code_right[:-1] != code_left[1:])
-    edges = _halve(xs[live], xs[live + 1], code_right[live] << 4 | code_left[live + 1],
+    """Refined (is_gap, k_lo, k_hi) runs over the window [k_lo, k_hi], cut into
+    pieces at the Dirichlet points ``points``, so that each row turns at most
+    once in a piece (:func:`_halve`).  A point is seen from either side, and is
+    an edge where the sides differ in membership; a window end within
+    _SAME_POINT of a point is that point, seen from inside."""
+    near = _SAME_POINT * np.maximum(1.0, points)
+    first = [] if points.size and points[0] - k_lo <= near[0] else [k_lo]
+    last = [] if points.size and k_hi - points[-1] <= near[-1] else [k_hi]
+    xs = np.concatenate([first, points, last])
+    left, right = map(_codes, boundary_rows_grid(geom, alpha, xs, sides=True))
+    live = np.flatnonzero(right[:-1] != left[1:])
+    edges = _halve(xs[live], xs[live + 1], right[live] << 4 | left[live + 1],
                    lambda x: _codes(boundary_rows_grid(geom, alpha, x)), edge_tol)
-    turns = (_GAP[left] != _GAP[right]) & (xs[0] < points) & (points < xs[-1])
-    edges = np.sort(np.concatenate([edges, points[turns]]))
-    return _runs(bool(_GAP[code_right[0]]), [float(ks[0]), *edges.tolist(), float(ks[-1])],
-                 edge_tol)
+    turns = _GAP[left[1:-1]] != _GAP[right[1:-1]]
+    edges = np.sort(np.concatenate([edges, xs[1:-1][turns]]))
+    return _runs(bool(_GAP[right[0]]), [float(k_lo), *edges.tolist(), float(k_hi)], edge_tol)
 
 
 def _flat_bands_in_window(geom: HexGeometry, k_lo: float, k_hi: float) -> list[FlatBand]:
@@ -269,52 +245,35 @@ def _flat_bands_in_window(geom: HexGeometry, k_lo: float, k_hi: float) -> list[F
     return [FlatBand(k=k, energy=k * k) for k in ks if k_lo <= k <= k_hi]
 
 
-def _grid(lo: float, hi: float, n_samples: int, edge_tol: float):
-    """The grid spacing h and the uniform grid ``lo + i*h`` over [lo, hi], its last point ``hi``."""
+def _check_window(lo: float, hi: float) -> None:
     if not (0 < lo < hi < math.inf):
         raise ValueError(f"need 0 < window start < window end < inf, got ({lo!r}, {hi!r})")
-    if n_samples < 2:
-        raise ValueError(f"n_samples must be >= 2, got {n_samples!r}")
+
+
+def _check_scan(lo: float, hi: float, edge_tol: float) -> None:
+    _check_window(lo, hi)
     if not edge_tol > 0:
         raise ValueError(f"edge_tol must be > 0, got {edge_tol!r}")
-    h = (hi - lo) / (n_samples - 1)
-    xs = lo + np.arange(n_samples) * h
-    xs[-1] = hi
-    return h, xs
 
 
 def scan_spectrum(
-    geom: HexGeometry,
-    coupling: VertexCoupling,
-    k_lo: float,
-    k_hi: float,
-    n_samples: int,
-    edge_tol: float,
-    dirichlet_tol: float = DEFAULT_DIRICHLET_TOL,
+    geom: HexGeometry, coupling: VertexCoupling, k_lo: float, k_hi: float, edge_tol: float
 ) -> SpectrumReport:
-    """Scan the positive branch over (k_lo, k_hi] and report bands/gaps.
+    """Scan the positive branch over [k_lo, k_hi] and report bands/gaps.
 
-    The grid is sampled in one numpy pass of :func:`positive_terms_grid`,
-    bit-identical to the point kernel, into the report's :class:`SampleTable`,
-    and its rows seed :func:`_positive_runs`, which certifies every edge
-    between them: no band or gap wider than edge_tol is missed, whatever the
-    spacing.  Intervals are reported in energy units E = k^2.  The rows are
-    defined at the Dirichlet points too, so ``dirichlet_tol`` only labels
-    sample rows as ``dirichlet``.
+    The Dirichlet points cut the window into pieces in each of which every
+    boundary row turns at most once, so :func:`_positive_runs` certifies every
+    edge from the rows at the pieces' ends: no band or gap wider than edge_tol
+    is missed.  The report is a function of geometry, alpha, window and
+    edge_tol alone.  Intervals are reported in energy units E = k^2.
     """
-    h, ks = _grid(k_lo, k_hi, n_samples, edge_tol)
-    d, lower, upper, flagged = positive_terms_grid(geom, coupling.alpha, ks, dirichlet_tol)
-    codes = _sign_codes(d, lower, upper)
-    samples = _sample_table(ks, ks * ks, d, lower, upper, codes, flagged)
+    _check_scan(k_lo, k_hi, edge_tol)
     points = _dirichlet_points(geom, k_lo, k_hi)
-    intervals = _positive_runs(geom, coupling.alpha, ks, codes, points, edge_tol)
+    intervals = _positive_runs(geom, coupling.alpha, k_lo, k_hi, points, edge_tol)
     bands = [(lo * lo, hi * hi) for gap, lo, hi in intervals if not gap]
     gaps = [(lo * lo, hi * hi) for gap, lo, hi in intervals if gap]
     meta = {
-        "n_samples": n_samples,
-        "k_spacing": h,
         "edge_tol": edge_tol,
-        "dirichlet_tol": dirichlet_tol,
         "flat_band_search": "commensurability witness only; phase-independent "
         "solutions are not claimed complete",
     }
@@ -326,67 +285,94 @@ def scan_spectrum(
         flat_bands=_flat_bands_in_window(geom, k_lo, k_hi),
         dirichlet_points=(points * points).tolist(),
         meta=meta,
-        samples=samples,
     )
 
 
 def negative_spectrum_scan(
     geom: HexGeometry,
     coupling: VertexCoupling,
+    kappa_lo: float,
     kappa_max: float,
-    n_samples: int,
     edge_tol: float,
-    kappa_lo: float | None = None,
 ) -> SpectrumReport:
-    """Scan the negative branch and report in energy units E = -kappa^2.
+    """Scan the negative branch over kappa in [kappa_lo, kappa_max] and report
+    in energy units E = -kappa^2.
 
     kappa times each of D - upper, D + upper, D - lower and D + lower is
     strictly increasing, so each of their signs, the four rows that
     :func:`boundary_rows_grid` gives on the positive branch, turns at most once
     in the window: at most two bands, none for alpha >= 0.
-    :func:`_halve` refines the edges from the window ends, so no band or gap
-    narrower than the grid is missed and the intervals do not depend on
-    ``n_samples``.  Every evaluation is one of :func:`core._negative_terms_grid`,
-    bit-identical to :func:`core._negative_terms`.
-    Intervals are ordered by increasing energy (decreasing kappa); the window
-    defaults to kappa in [kappa_max / n_samples, kappa_max].
+    :func:`_halve` refines the edges from the window ends.  Every evaluation
+    is one of :func:`core._negative_terms_grid`, bit-identical to
+    :func:`core._negative_terms`.  Intervals are ordered by increasing energy
+    (decreasing kappa).
     """
-    if kappa_lo is None:
-        # _grid rejects n_samples < 2; max() only keeps this division defined until it does
-        kappa_lo = kappa_max / max(n_samples, 2)
-    h, kappas = _grid(kappa_lo, kappa_max, n_samples, edge_tol)
+    _check_scan(kappa_lo, kappa_max, edge_tol)
 
     def codes_at(x):
         return _sign_codes(*_negative_terms_grid(geom, coupling.alpha, x))
 
-    ends = kappas[[0, -1]]
+    ends = np.array([kappa_lo, kappa_max], dtype=np.float64)
     code = codes_at(ends)
     edges = np.sort(_halve(ends[:1], ends[1:], code[:1] << 4 | code[1:], codes_at, edge_tol))
-    intervals = _runs(bool(_GAP[code[0]]), [float(kappas[0]), *edges.tolist(), float(kappas[-1])],
+    intervals = _runs(bool(_GAP[code[0]]), [float(kappa_lo), *edges.tolist(), float(kappa_max)],
                       edge_tol)
-    d, lower, upper = _negative_terms_grid(geom, coupling.alpha, kappas)
-    samples = _sample_table(kappas, -kappas * kappas, d, lower, upper,
-                            _sign_codes(d, lower, upper), np.zeros(n_samples, bool))
 
     def to_energy(lo: float, hi: float) -> tuple[float, float]:
         return (-hi * hi, -lo * lo)
 
     bands = [to_energy(lo, hi) for gap, lo, hi in reversed(intervals) if not gap]
     gaps = [to_energy(lo, hi) for gap, lo, hi in reversed(intervals) if gap]
-    meta = {
-        "n_samples": n_samples,
-        "kappa_spacing": h,
-        "edge_tol": edge_tol,
-        "nonempty_requires_negative_alpha": True,
-    }
+    meta = {"edge_tol": edge_tol, "nonempty_requires_negative_alpha": True}
     return SpectrumReport(
         branch="negative",
         window=(-kappa_max * kappa_max, -kappa_lo * kappa_lo),
         bands=bands,
         gaps=gaps,
         meta=meta,
-        samples=samples,
     )
+
+
+def sample_grid(
+    geom: HexGeometry,
+    coupling: VertexCoupling,
+    branch: str,
+    lo: float,
+    hi: float,
+    n_samples: int,
+    dirichlet_tol: float = DEFAULT_DIRICHLET_TOL,
+) -> SampleTable:
+    """The table that ``bands --format csv`` prints: ``n_samples`` rows on the
+    uniform grid ``lo + i*h`` over [lo, hi], its last point ``hi``, of k on
+    the positive branch and of kappa on the negative one.
+
+    Each row holds |D|, max(0, lower) and upper from the column kernel of its
+    branch (:func:`core.positive_terms_grid`, :func:`core._negative_terms_grid`),
+    bit-identical to the point kernel, and its band or gap label from their
+    comparisons.  A positive row where some |sin(l*k)| is at most
+    ``dirichlet_tol`` times max(1, l*k) is a ``dirichlet`` row of NaNs; the
+    negative branch has none.  The reports do not read the table.
+    """
+    _check_window(lo, hi)
+    if n_samples < 2:
+        raise ValueError(f"n_samples must be >= 2, got {n_samples!r}")
+    xs = lo + np.arange(n_samples) * ((hi - lo) / (n_samples - 1))
+    xs[-1] = hi
+    if branch == "positive":
+        d, lower, upper, flagged = positive_terms_grid(geom, coupling.alpha, xs, dirichlet_tol)
+        energy = xs * xs
+    elif branch == "negative":
+        d, lower, upper = _negative_terms_grid(geom, coupling.alpha, xs)
+        flagged = np.zeros(n_samples, bool)
+        energy = -xs * xs
+    else:
+        raise ValueError(f"branch must be 'positive' or 'negative', got {branch!r}")
+    decisions = np.where(flagged, 2, ~_GAP[_sign_codes(d, lower, upper)])
+    np.abs(d, out=d)
+    lower[~(lower > 0.0)] = 0.0  # max(0.0, lower), NaN included
+    for column in (d, lower, upper):
+        column[flagged] = math.nan
+    return SampleTable(xs, energy, d, lower, upper, decisions)
 
 
 # ---------------------------------------------------------------------------
@@ -456,57 +442,3 @@ def verify_flat_band(
             abs(slope_out + slope_in - alpha * value),
         )
     return worst
-
-
-# ---------------------------------------------------------------------------
-# cell wavefunctions
-
-
-@dataclass(frozen=True)
-class CellWavefunction:
-    """Exponential amplitudes on the six half-edges of the Floquet cell.
-
-    ``c`` amplitudes live on the outgoing half-edges (psi_i), ``d`` on the
-    incoming ones (phi_i); by continuity at the midpoint of the full a-edge
-    the first pair coincides: c[0] == d[0].
-    """
-
-    c: tuple[tuple[complex, complex], ...]
-    d: tuple[tuple[complex, complex], ...]
-
-    def __post_init__(self):
-        if len(self.c) != 3 or len(self.d) != 3:
-            raise ValueError("three edge amplitude pairs required on each side")
-
-
-def solve_cell_wavefunction(
-    geom: HexGeometry,
-    coupling: VertexCoupling,
-    k: float,
-    phase: FloquetPhase,
-    c2: tuple[complex, complex],
-    c3: tuple[complex, complex],
-) -> CellWavefunction:
-    """Reconstruct all twelve amplitudes from a null vector of the cell matrix.
-
-    Given (C2+, C2-, C3+, C3-), the Bloch conditions fix the incoming b and
-    c amplitudes, and vertex continuity plus midpoint matching determine the
-    a-edge pair (which needs sin(a*k) != 0).  When the input is a null vector
-    of :func:`assemble_m_matrix`, the result satisfies every coupling and
-    Bloch condition of the cell.
-    """
-    a, b, c = geom.lengths
-    checked_sines(k, ("a",), (a,))
-    t1, t2 = phase.theta1, phase.theta2
-    c2p, c2m = c2
-    c3p, c3m = c3
-    d2 = (c2p * cmath.exp(1j * (b * k - t1)), c2m * cmath.exp(1j * (-b * k - t1)))
-    d3 = (c3p * cmath.exp(1j * (c * k - t2)), c3m * cmath.exp(1j * (-c * k - t2)))
-    # psi1(a/2) = psi2(0) and phi1(-a/2) = phi2(0), with psi1 == phi1.
-    v_plus = c2p + c2m
-    v_minus = d2[0] + d2[1]
-    e = cmath.exp(1j * k * a / 2)
-    det = e * e - 1 / (e * e)  # = 2i sin(a k)
-    c1p = (e * v_plus - v_minus / e) / det
-    c1m = (-v_plus / e + e * v_minus) / det
-    return CellWavefunction(c=((c1p, c1m), (c2p, c2m), (c3p, c3m)), d=((c1p, c1m), d2, d3))

@@ -16,8 +16,12 @@ these codes in one place, :class:`_Command`.
 
 Only settings a run needs to choose are flags.  The continued-fraction
 depths of ``classify``, the rational reconstruction of ``flatbands`` and
-the pass tolerances of ``verify`` are constants; the Dirichlet tolerance is
-a flag of ``bands`` only, and it only labels sample rows as ``dirichlet``.
+the pass tolerances of ``verify`` are constants.  The reports of ``bands``
+and ``gaps`` depend on geometry, coupling, window and ``--edge-tol`` alone.
+``bands --format csv`` prints a sample grid instead: ``--samples`` rows per
+branch, where ``--dirichlet-tol`` only labels rows as ``dirichlet``.  The
+negative-branch window of ``bands`` starts at ``--kappa-max`` divided by
+``--samples`` in both formats; ``gaps --samples`` affects nothing.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ from .bands import (
     flat_band_energies,
     negative_spectrum_scan,
     rhs_envelope,
+    sample_grid,
     scan_spectrum,
     trig_polynomial_min,
     verify_flat_band,
@@ -120,6 +125,16 @@ class LengthParam(click.ParamType):
 LENGTH = LengthParam()
 
 
+class _Positive(click.FloatRange):
+    """``click.FloatRange``, which lets NaN through, without NaN."""
+
+    def convert(self, value, param, ctx):
+        value = super().convert(value, param, ctx)
+        if value != value:
+            self.fail("nan is not > 0", param, ctx)
+        return value
+
+
 class _Command(click.Command):
     """A subcommand whose library errors map to exit codes, in this one place."""
 
@@ -175,6 +190,10 @@ _ALPHA = click.option("--alpha", type=float, default=0.0, show_default=True,
 _FORMAT = click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json",
                        show_default=True)
 _OUTPUT = click.option("--output", type=click.Path(dir_okay=False, writable=True), default=None)
+_SAMPLES = click.IntRange(min=2)
+_POSITIVE = _Positive(min=0.0, min_open=True)
+_EDGE_TOL = click.option("--edge-tol", type=_POSITIVE, default=1e-9, show_default=True,
+                         help="edge bisection width")
 _CONFIG = click.option("--config", type=click.Path(exists=False), is_eager=True,
                        expose_value=False, callback=_load_config,
                        help="JSON config file of option values")
@@ -193,10 +212,11 @@ def cli():
 @_ALPHA
 @click.option("--kmin", type=float, default=0.01, show_default=True, help="scan window start (k)")
 @click.option("--kmax", type=float, required=True, help="scan window end (k)")
-@click.option("--samples", type=int, default=4000, show_default=True, help="grid samples")
-@click.option("--edge-tol", type=float, default=1e-9, show_default=True, help="edge bisection width")
-@click.option("--dirichlet-tol", type=float, default=DEFAULT_DIRICHLET_TOL, show_default=True,
-              help="labels sample rows as dirichlet; bands and gaps do not depend on it")
+@click.option("--samples", type=_SAMPLES, default=4000, show_default=True,
+              help="CSV rows per branch; the negative window starts at kappa-max / samples")
+@_EDGE_TOL
+@click.option("--dirichlet-tol", type=_POSITIVE, default=DEFAULT_DIRICHLET_TOL,
+              show_default=True, help="labels CSV rows as dirichlet; nothing else depends on it")
 @click.option("--include-negative", is_flag=True, help="also scan E < 0 when alpha < 0")
 @click.option("--kappa-max", type=float, default=5.0, show_default=True, help="negative-branch window")
 @_FORMAT
@@ -207,17 +227,19 @@ def bands(a, b, c, alpha, kmin, kmax, samples, edge_tol, dirichlet_tol,
     """Scan a k window and report bands, gaps, flat bands, Dirichlet points."""
     geom = HexGeometry(a[0], b[0], c[0])
     coupling = VertexCoupling(alpha)
-    reports = [scan_spectrum(geom, coupling, kmin, kmax, samples, edge_tol,
-                             dirichlet_tol=dirichlet_tol)]
+    windows = [("positive", kmin, kmax)]
     if include_negative and coupling.alpha < 0:
-        reports.append(negative_spectrum_scan(geom, coupling, kappa_max, samples, edge_tol))
+        windows.append(("negative", kappa_max / samples, kappa_max))
     if fmt == "csv":
         buffer = io.StringIO()
-        for report in reports:
-            write_samples_csv(report, buffer)
+        for branch, lo, hi in windows:
+            write_samples_csv(sample_grid(geom, coupling, branch, lo, hi, samples, dirichlet_tol),
+                              buffer)
         _write_text(buffer.getvalue(), output)
     else:
-        _write_text("".join(report_to_json(report) for report in reports), output)
+        scans = {"positive": scan_spectrum, "negative": negative_spectrum_scan}
+        _write_text("".join(report_to_json(scans[branch](geom, coupling, lo, hi, edge_tol))
+                            for branch, lo, hi in windows), output)
 
 
 _GAP_FLOATS = ("e_lo", "e_hi", "k_lo", "k_hi", "width_e")
@@ -230,20 +252,21 @@ _GAP_FLOATS = ("e_lo", "e_hi", "k_lo", "k_hi", "width_e")
 @_ALPHA
 @click.option("--kmin", type=float, default=0.01, show_default=True)
 @click.option("--kmax", type=float, required=True, help="scan window end (k)")
-@click.option("--samples", type=int, default=4000, show_default=True)
-@click.option("--edge-tol", type=float, default=1e-9, show_default=True)
+@click.option("--samples", type=_SAMPLES, default=4000, show_default=True, expose_value=False,
+              help="affects nothing: the gaps do not depend on a sample grid")
+@_EDGE_TOL
 @click.option("--centers", type=click.IntRange(min=0), default=0,
               help="annotate gaps with this many predicted centers per family (b = c only)")
 @_FORMAT
 @_OUTPUT
 @_CONFIG
-def gaps(a, b, c, alpha, kmin, kmax, samples, edge_tol, centers, fmt, output):
+def gaps(a, b, c, alpha, kmin, kmax, edge_tol, centers, fmt, output):
     """Tabulate gaps with per-gap criterion attribution at the midpoint."""
     geom = HexGeometry(a[0], b[0], c[0])
     coupling = VertexCoupling(alpha)
     if centers > 0 and not math.isclose(geom.b, geom.c, rel_tol=1e-12):
         raise click.UsageError("--centers needs b = c geometry")
-    report = scan_spectrum(geom, coupling, kmin, kmax, samples, edge_tol)
+    report = scan_spectrum(geom, coupling, kmin, kmax, edge_tol)
     # GC1 (|D| > upper) and GC2 (lower > |D|) at every gap midpoint in one call
     k_mid = np.array([(math.sqrt(e_lo) + math.sqrt(e_hi)) / 2 for e_lo, e_hi in report.gaps])
     d, lower, upper, flagged = positive_terms_grid(geom, coupling.alpha, k_mid,

@@ -28,6 +28,7 @@ from .core import (
     _check_k,
     checked_sines,
     dispersion_negative,
+    inv_sinh,
 )
 from .bands import BandDecision
 
@@ -270,24 +271,32 @@ def _rhs_function(s_a: float, s_b: float, s_c: float):
     return g
 
 
-def _trig_function(a_coef: float, b_coef: float, c_coef: float):
-    """A cos(t1 - t2) + B cos(t2) + C cos(t1), in the phase cosines, with
-    ``g.coefs`` = (A, B, C, 0) for ``_tile_bounds``."""
+def _trig_function(a_coef: float, b_coef: float, c_coef: float, k_coef: float = 0.0):
+    """A cos(t1 - t2) + B cos(t2) + C cos(t1) + K, in the phase cosines, with
+    ``g.coefs`` = (A, B, C, K) for ``_tile_bounds``."""
 
     def g(c1, c2, c12):
         out = a_coef * c12
         out += b_coef * c2
         out += c_coef * c1
+        if k_coef:
+            out += k_coef
         return out
 
-    g.coefs = (a_coef, b_coef, c_coef, 0.0)
+    g.coefs = (a_coef, b_coef, c_coef, k_coef)
     return g
 
 
-def _rhs_extrema(s_a: float, s_b: float, s_c: float, grid: GridSpec) -> tuple[float, float]:
-    """Grid extrema of the right side written in the three edge sines, from
-    one pass over the grid."""
-    g, n = _rhs_function(s_a, s_b, s_c), grid.n
+def _inverse_rhs_function(u_a: float, u_b: float, u_c: float):
+    """:func:`_rhs_function` in the inverse sines u = 1/s, which stay finite
+    where sinh(l*kappa) overflows, and whose squares underflow instead."""
+    return _trig_function(2 * (u_b * u_c), 2 * (u_a * u_c), 2 * (u_a * u_b),
+                          u_a * u_a + u_b * u_b + u_c * u_c)
+
+
+def _rhs_extrema(g, grid: GridSpec) -> tuple[float, float]:
+    """Grid extrema of the right side ``g``, from one pass over the grid."""
+    n = grid.n
     (lo_cells, lo), (hi_cells, hi) = _best_cells(g, n, (False, True))
     lo = _grid_min(g, n, lo_cells, float(lo[0]), grid.refine_rounds)
     return lo, -_grid_min(g, n, hi_cells, -float(hi[0]), grid.refine_rounds, negate=True)
@@ -304,7 +313,7 @@ def rhs_extrema_grid(
     """
     _check_k(k)
     sines, _ = checked_sines(k, HexGeometry.EDGE_NAMES, geom.lengths)
-    return _rhs_extrema(*sines, grid)
+    return _rhs_extrema(_rhs_function(*sines), grid)
 
 
 def band_membership_grid(
@@ -320,7 +329,7 @@ def band_membership_grid(
             sines, cosines = checked_sines(k, HexGeometry.EDGE_NAMES, geom.lengths)
         except DirichletPointError as exc:
             return BandDecision.dirichlet(exc.edges)
-        lo, hi = _rhs_extrema(*sines, grid)
+        lo, hi = _rhs_extrema(_rhs_function(*sines), grid)
         # the dispersion as written, on the sines already checked above
         d = coupling.alpha / k
         for s, c in zip(sines, cosines):
@@ -328,7 +337,8 @@ def band_membership_grid(
         d2 = d**2
     else:
         kappa = energy.param
-        lo, hi = _rhs_extrema(*(math.sinh(ell * kappa) for ell in geom.lengths), grid)
+        lo, hi = _rhs_extrema(_inverse_rhs_function(*(inv_sinh(ell * kappa)
+                                                      for ell in geom.lengths)), grid)
         d2 = dispersion_negative(geom, coupling, kappa) ** 2
     return BandDecision.in_band() if lo <= d2 <= hi else BandDecision.in_gap()
 

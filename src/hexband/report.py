@@ -51,12 +51,12 @@ class FlatBand:
 
 
 class SampleRow(NamedTuple):
-    """One scan sample: spectral variable, dispersion and envelope values.
+    """One grid sample: spectral variable, dispersion and envelope values.
 
     ``decision`` is ``band``, ``gap`` or ``dirichlet``; a ``dirichlet`` row
-    has NaN in its three envelope and dispersion cells.  A scan keeps its
-    samples as the columns of a :class:`SampleTable`, which builds these
-    rows only when they are read.
+    has NaN in its three envelope and dispersion cells.  A sample grid is
+    kept as the columns of a :class:`SampleTable`, which builds these rows
+    only when they are read.
     """
 
     k: float
@@ -68,7 +68,7 @@ class SampleRow(NamedTuple):
 
 
 class SampleTable(Sequence):
-    """A scan's samples as read-only float64 columns, a sequence of :class:`SampleRow`.
+    """A sample grid as read-only float64 columns, a sequence of :class:`SampleRow`.
 
     ``decisions`` holds one code per row, an index into :attr:`DECISIONS`:
     0 gap, 1 band, 2 dirichlet.  Indexing builds one row, a slice is a
@@ -125,8 +125,8 @@ class SpectrumReport:
     ``bands`` are closed energy intervals, ``gaps`` open ones; together they
     interleave and tile ``window`` up to the scan's edge resolution.  The
     negative branch reports energies E = -kappa^2, ordered increasingly.
-    ``samples`` is the scan grid, one row per sample, which only the CSV
-    format prints; a report read back from JSON has none.
+    ``samples`` is empty on every report: a scan reads no sample grid, and
+    the CSV format prints a :class:`SampleTable` of its own.
     """
 
     branch: str
@@ -252,8 +252,8 @@ def report_from_json(text: str) -> SpectrumReport:
     )
 
 
-def write_samples_csv(report: SpectrumReport, stream: TextIO) -> None:
-    """Write the per-sample scan table with the fixed column set.
+def write_samples_csv(table: SampleTable, stream: TextIO) -> None:
+    """Write a sample table with the fixed column set.
 
     Every float cell holds the text of :func:`format_float`.  The columns
     are read ``_CSV_CHUNK`` rows at a time; :func:`_cell_words` lays out
@@ -264,7 +264,7 @@ def write_samples_csv(report: SpectrumReport, stream: TextIO) -> None:
     """
     stream.write(",".join(CSV_COLUMNS) + "\n")
     labels = _csv_tables().labels
-    *columns, codes = report.samples._columns()
+    *columns, codes = table._columns()
     for start in range(0, len(codes), _CSV_CHUNK):
         chunk = slice(start, start + _CSV_CHUNK)
         cells = np.stack([column[chunk] for column in columns], axis=1).ravel()

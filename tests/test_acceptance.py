@@ -120,14 +120,14 @@ def test_criterion_03_trig_minimum_both_branches():
 
 def test_criterion_04_kirchhoff_equilateral_is_gapless():
     with _Gate("criterion 4: Kirchhoff equilateral window has zero gaps", 10):
-        report = scan_spectrum(EQUILATERAL, VertexCoupling(0.0), 0.01, 10 * math.pi, 6000, 1e-9)
+        report = scan_spectrum(EQUILATERAL, VertexCoupling(0.0), 0.01, 10 * math.pi, 1e-9)
         assert report.gaps == []
         assert len(report.bands) == 1
 
 
 def test_criterion_05_gaps_right_of_commensurate_points():
     with _Gate("criterion 5: alpha=1 opens a gap in each (2*pi*m, 2*pi*m + 0.5)", 10):
-        report = scan_spectrum(EQUILATERAL, VertexCoupling(1.0), 0.01, 10 * math.pi, 6000, 1e-9)
+        report = scan_spectrum(EQUILATERAL, VertexCoupling(1.0), 0.01, 10 * math.pi, 1e-9)
         gaps_k = [(math.sqrt(lo), math.sqrt(hi)) for lo, hi in report.gaps]
         for m in range(1, 5):
             window = (2 * math.pi * m, 2 * math.pi * m + 0.5)
@@ -136,13 +136,9 @@ def test_criterion_05_gaps_right_of_commensurate_points():
 
 def test_criterion_06_negative_gap_threshold_at_six():
     with _Gate("criterion 6: strong-coupling negative gap appears exactly above 6", 10):
-        strong = negative_spectrum_scan(
-            EQUILATERAL, VertexCoupling(-6.5), 5.0, 3000, 1e-9, kappa_lo=1e-4
-        )
+        strong = negative_spectrum_scan(EQUILATERAL, VertexCoupling(-6.5), 1e-4, 5.0, 1e-9)
         assert strong.gap_adjacent_to_zero()
-        weak = negative_spectrum_scan(
-            EQUILATERAL, VertexCoupling(-5.5), 5.0, 3000, 1e-9, kappa_lo=1e-4
-        )
+        weak = negative_spectrum_scan(EQUILATERAL, VertexCoupling(-5.5), 1e-4, 5.0, 1e-9)
         assert not weak.gap_adjacent_to_zero()
         # the discriminating threshold is 2/a + 2/b + 2/c = 6
         assert 5.5 < sum(2 / l for l in EQUILATERAL.lengths) < 6.5
@@ -151,14 +147,10 @@ def test_criterion_06_negative_gap_threshold_at_six():
 def test_criterion_07_short_edge_window():
     with _Gate("criterion 7: short-edge gap window 4/3 < |alpha| < 2 for (1,3,3)", 10):
         geom = HexGeometry(1, 3, 3)
-        inside = negative_spectrum_scan(
-            geom, VertexCoupling(-1.5), 5.0, 3000, 1e-9, kappa_lo=1e-4
-        )
+        inside = negative_spectrum_scan(geom, VertexCoupling(-1.5), 1e-4, 5.0, 1e-9)
         assert inside.gap_adjacent_to_zero()
         for alpha in (-1.2, -2.2):
-            outside = negative_spectrum_scan(
-                geom, VertexCoupling(alpha), 5.0, 3000, 1e-9, kappa_lo=1e-4
-            )
+            outside = negative_spectrum_scan(geom, VertexCoupling(alpha), 1e-4, 5.0, 1e-9)
             assert not outside.gap_adjacent_to_zero(), alpha
 
 
@@ -181,7 +173,7 @@ def test_criterion_09_envelope_undershoot_gap_instance():
     with _Gate("criterion 9: (2,1,1) alpha=4 has an undershoot gap ending near pi/2", 5):
         geom = HexGeometry(2, 1, 1)
         coupling = VertexCoupling(4.0)
-        report = scan_spectrum(geom, coupling, 1.2, 1.9, 1500, 1e-9)
+        report = scan_spectrum(geom, coupling, 1.2, 1.9, 1e-9)
         hits = []
         for lo, hi in report.gaps:
             k_lo, k_hi = math.sqrt(lo), math.sqrt(hi)
@@ -244,6 +236,6 @@ def test_criterion_11_flat_bands():
             assert verify_flat_band(geom, k) <= 1e-12
         assert commensurability_witness(1.0, math.sqrt(2), 1.0) is None
         report = scan_spectrum(
-            HexGeometry(1, math.sqrt(2), 1), VertexCoupling(0.0), 0.5, 14.0, 800, 1e-9
+            HexGeometry(1, math.sqrt(2), 1), VertexCoupling(0.0), 0.5, 14.0, 1e-9
         )
         assert report.flat_bands == []

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -21,16 +22,18 @@ from hexband import (
     flat_band_energies,
     negative_spectrum_scan,
     rhs_envelope,
+    sample_grid,
     scan_spectrum,
     trig_polynomial_min,
     verify_flat_band,
 )
 import hexband.bands as bands_module
 from hexband.bands import _GAP, _halve, _runs, _sign_codes
-from hexband.core import (DirichletPointError, _flag_sines, _negative_terms,
-                          _negative_terms_grid, dispersion_negative, gap_criteria, inv_sinh,
-                          positive_terms)
-from hexband.report import SampleRow
+from hexband.cli import cli
+from hexband.core import (_SAME_POINT, DirichletPointError, _flag_sines, _half_angle_pair,
+                          _negative_terms, _negative_terms_grid, dispersion_negative,
+                          gap_criteria, inv_sinh, positive_terms)
+from hexband.report import SampleRow, report_to_json
 from hexband.numtheory import CommensurabilityWitness
 from hexband.oracle import GridSpec, band_membership_grid, rhs_extrema_grid, trig_min_grid
 
@@ -39,15 +42,22 @@ KIRCHHOFF = VertexCoupling(0.0)
 
 
 def _positive_scan(lo, hi, n_samples, edge_tol):
-    """Positive scan over [lo, hi]; lo None takes the CLI's default start."""
+    """The positive report over [lo, hi] and its sample table; lo None takes
+    the CLI's default start."""
     lo = 0.01 if lo is None else lo
-    return scan_spectrum(EQUILATERAL, KIRCHHOFF, lo, hi, n_samples, edge_tol)
+    return (scan_spectrum(EQUILATERAL, KIRCHHOFF, lo, hi, edge_tol),
+            sample_grid(EQUILATERAL, KIRCHHOFF, "positive", lo, hi, n_samples))
 
 
 def _negative_scan(lo, hi, n_samples, edge_tol):
-    """Negative scan over kappa in [lo, hi]; lo None takes hi / n_samples."""
-    return negative_spectrum_scan(EQUILATERAL, VertexCoupling(-6.5), hi, n_samples, edge_tol,
-                                  kappa_lo=lo)
+    """The negative report over kappa in [lo, hi] and its sample table; lo None
+    takes the CLI's start hi / n_samples, which the CLI computes only once
+    click has accepted n_samples >= 2 (NaN stands for the start it never takes)."""
+    if lo is None:
+        lo = hi / n_samples if n_samples >= 2 else math.nan
+    coupling = VertexCoupling(-6.5)
+    return (negative_spectrum_scan(EQUILATERAL, coupling, lo, hi, edge_tol),
+            sample_grid(EQUILATERAL, coupling, "negative", lo, hi, n_samples))
 
 
 class TestTrigPolynomialMin:
@@ -206,7 +216,7 @@ class TestBandMembership:
 
 class TestScanSpectrum:
     def test_kirchhoff_equilateral_single_band(self):
-        report = scan_spectrum(EQUILATERAL, KIRCHHOFF, 0.01, 10 * math.pi, 2500, 1e-9)
+        report = scan_spectrum(EQUILATERAL, KIRCHHOFF, 0.01, 10 * math.pi, 1e-9)
         assert report.gaps == []
         assert len(report.bands) == 1
         lo, hi = report.bands[0]
@@ -214,14 +224,14 @@ class TestScanSpectrum:
         assert hi == pytest.approx((10 * math.pi) ** 2)
 
     def test_gaps_open_at_commensurate_points(self):
-        report = scan_spectrum(EQUILATERAL, VertexCoupling(1.0), 5.0, 14.0, 4000, 1e-9)
+        report = scan_spectrum(EQUILATERAL, VertexCoupling(1.0), 5.0, 14.0, 1e-9)
         # gaps with left edges at 2*pi and 4*pi and at pi-odd multiples
         lefts = [math.sqrt(lo) for lo, _ in report.gaps]
         assert any(abs(left - 2 * math.pi) < 1e-6 for left in lefts)
         assert any(abs(left - 4 * math.pi) < 1e-6 for left in lefts)
 
     def test_bands_and_gaps_tile_window(self):
-        report = scan_spectrum(HexGeometry(1, 2, 3), VertexCoupling(2.0), 0.5, 9.0, 3000, 1e-9)
+        report = scan_spectrum(HexGeometry(1, 2, 3), VertexCoupling(2.0), 0.5, 9.0, 1e-9)
         intervals = sorted(report.bands + report.gaps)
         assert intervals[0][0] == pytest.approx(report.window[0])
         assert intervals[-1][1] == pytest.approx(report.window[1])
@@ -231,7 +241,7 @@ class TestScanSpectrum:
     def test_gap_midpoints_strictly_outside_envelope(self):
         coupling = VertexCoupling(2.0)
         geom = HexGeometry(1, 2, 3)
-        report = scan_spectrum(geom, coupling, 0.5, 9.0, 3000, 1e-9)
+        report = scan_spectrum(geom, coupling, 0.5, 9.0, 1e-9)
         assert report.gaps
         for lo, hi in report.gaps:
             k_mid = (math.sqrt(lo) + math.sqrt(hi)) / 2
@@ -253,9 +263,8 @@ class TestScanSpectrum:
     )
     def test_samples_equal_the_point_kernel_rows(self, geom, alpha, k_lo, k_hi, n_samples, tol):
         # the grid kernel is bit-identical to the scalar positive_terms on the
-        # scan's own grid lo + i*h, and a sample flagged at tol is a row of NaNs
-        report = scan_spectrum(geom, VertexCoupling(alpha), k_lo, k_hi, n_samples, 1e-9,
-                               dirichlet_tol=tol)
+        # table's grid lo + i*h, and a sample flagged at tol is a row of NaNs
+        table = sample_grid(geom, VertexCoupling(alpha), "positive", k_lo, k_hi, n_samples, tol)
         h = (k_hi - k_lo) / (n_samples - 1)
         expected = []
         for i in range(n_samples):
@@ -269,7 +278,7 @@ class TestScanSpectrum:
             decision = "band" if lower <= value <= upper else "gap"
             expected.append(SampleRow(k, k * k, value, lower, upper, decision))
         assert 0 < sum(row.decision == "dirichlet" for row in expected) < n_samples
-        assert [tuple(map(repr, row)) for row in report.samples] == \
+        assert [tuple(map(repr, row)) for row in table] == \
             [tuple(map(repr, row)) for row in expected]
 
     @pytest.mark.parametrize("scan", [_positive_scan, _negative_scan], ids=["positive", "negative"])
@@ -293,15 +302,20 @@ class TestScanSpectrum:
              "default-start-no-samples", "infinite-end"],
     )
     def test_window_validation(self, scan, lo, hi, n_samples, edge_tol):
-        # a ValueError, never a ZeroDivisionError from the default window start
+        # the report and the table each check what they read: a ValueError,
+        # never a ZeroDivisionError from the default window start
         with pytest.raises(ValueError):
             scan(lo, hi, n_samples, edge_tol)
+
+    def test_a_sample_grid_names_its_branch(self):
+        with pytest.raises(ValueError, match="branch"):
+            sample_grid(EQUILATERAL, KIRCHHOFF, "Positive", 1.0, 2.0, 10)
 
     def test_edge_tol_below_double_spacing_terminates(self):
         # doubles near k = 250 are ~6e-14 apart, wider than edge_tol
         geom = HexGeometry((1 + math.sqrt(5)) / 2, 1, 1)
-        fine = scan_spectrum(geom, VertexCoupling(20.0), 250.0, 300.0, 2000, 1e-14)
-        coarse = scan_spectrum(geom, VertexCoupling(20.0), 250.0, 300.0, 2000, 1e-9)
+        fine = scan_spectrum(geom, VertexCoupling(20.0), 250.0, 300.0, 1e-14)
+        coarse = scan_spectrum(geom, VertexCoupling(20.0), 250.0, 300.0, 1e-9)
         assert len(fine.gaps) == len(coarse.gaps) >= 1
         for (lo, hi), (lo_c, hi_c) in zip(fine.gaps, coarse.gaps):
             assert math.sqrt(lo) == pytest.approx(math.sqrt(lo_c), abs=1e-9)
@@ -309,26 +323,26 @@ class TestScanSpectrum:
 
     def test_narrow_band_right_of_dirichlet_zone_at_large_k(self):
         # At k ~ 1e6 the default tolerance flags about +-1e-3 around each
-        # Dirichlet point; a band about 1.3e-3 wide starts where the zone
-        # ends, narrower than the grid spacing of 2.5e-3.
+        # Dirichlet point; a band about 1.3e-3 wide starts where that zone
+        # would end, narrower than a 4000-sample grid's spacing of 2.5e-3.
         geom = HexGeometry((1 + math.sqrt(5)) / 2, 1, math.sqrt(2))
         coupling = VertexCoupling(3107703.0)
         k = 1004700.2205
         assert band_membership(geom, coupling, EnergyPoint.positive(k)).kind is Decision.BAND
-        report = scan_spectrum(geom, coupling, 1004692.43, 1004702.43, 4000, 1e-6)
+        report = scan_spectrum(geom, coupling, 1004692.43, 1004702.43, 1e-6)
         assert any(lo <= k * k <= hi for lo, hi in report.bands)
         assert not any(lo < k * k < hi for lo, hi in report.gaps)
 
     def test_window_ending_on_dirichlet_point_keeps_its_band(self):
         # 10*pi is a Dirichlet point of every edge and the gap opens to its
-        # right, outside the window: the last sample keeps the band on its left
+        # right, outside the window: the window end keeps the band on its left
         k_hi = 10 * math.pi
-        report = scan_spectrum(EQUILATERAL, VertexCoupling(1.0), 5.0, k_hi, 4000, 1e-9)
+        report = scan_spectrum(EQUILATERAL, VertexCoupling(1.0), 5.0, k_hi, 1e-9)
         assert report.bands[-1][1] == pytest.approx(k_hi**2, rel=1e-15)
         assert not any(math.sqrt(lo) > k_hi - 1e-6 for lo, _ in report.gaps)
 
     def test_flat_bands_and_dirichlet_points_reported(self):
-        report = scan_spectrum(HexGeometry(1, 2, 3), KIRCHHOFF, 0.5, 14.0, 2000, 1e-9)
+        report = scan_spectrum(HexGeometry(1, 2, 3), KIRCHHOFF, 0.5, 14.0, 1e-9)
         ks = [fb.k for fb in report.flat_bands]
         assert ks == pytest.approx([2 * math.pi, 4 * math.pi])
         assert math.pi**2 in [pytest.approx(e) for e in report.dirichlet_points]
@@ -338,11 +352,29 @@ class TestScanSpectrum:
                 assert abs(math.sin(ell * fb.k)) < 1e-9 * max(1, ell * fb.k)
 
 
+def _energy_intervals(report):
+    """(e_lo, e_hi, state) of every band and gap, ascending."""
+    return sorted([(lo, hi, "band") for lo, hi in report.bands]
+                  + [(lo, hi, "gap") for lo, hi in report.gaps])
+
+
 def _intervals(report):
-    """(k_lo, k_hi, state) of every band and gap, ascending."""
-    items = [(lo, hi, "band") for lo, hi in report.bands]
-    items += [(lo, hi, "gap") for lo, hi in report.gaps]
-    return [(math.sqrt(lo), math.sqrt(hi), state) for lo, hi, state in sorted(items)]
+    """(k_lo, k_hi, state) of every band and gap of a positive report, ascending."""
+    return [(math.sqrt(lo), math.sqrt(hi), state) for lo, hi, state in _energy_intervals(report)]
+
+
+def _assert_rows_agree(table, intervals, edge_tol):
+    """Each band or gap row of ``table`` lies in an interval of ``intervals``,
+    (x_lo, x_hi, state) ascending, of its own state, unless it is within
+    2 edge_tol of that interval's ends; and such rows are most of the table."""
+    los = np.array([lo for lo, _, _ in intervals])
+    his = np.array([hi for _, hi, _ in intervals])
+    bands = np.array([state == "band" for _, _, state in intervals])
+    at = np.minimum(np.searchsorted(his, table.k), len(intervals) - 1)
+    checked = ((table.decisions < 2) & (np.abs(table.k - los[at]) > 2 * edge_tol)
+               & (np.abs(table.k - his[at]) > 2 * edge_tol))
+    assert checked.sum() > 0.8 * len(table)
+    assert np.array_equal(table.decisions[checked] == 1, bands[at][checked])
 
 
 class TestDirichletEdges:
@@ -350,20 +382,25 @@ class TestDirichletEdges:
 
     def test_readme_equilateral_edges_sit_on_dirichlet_points(self):
         # bands --a 1 --b 1 --c 1 --alpha 3 --kmax 31.4: a gap opens right of every m*pi
-        report = scan_spectrum(EQUILATERAL, VertexCoupling(3.0), 0.01, 31.4, 4000, 1e-9)
+        report = scan_spectrum(EQUILATERAL, VertexCoupling(3.0), 0.01, 31.4, 1e-9)
         edges = [k for lo, hi, _ in _intervals(report) for k in (lo, hi)]
         for m in range(1, 10):
             assert min(abs(k - m * math.pi) for k in edges) <= 1e-9
 
     def test_intervals_do_not_depend_on_the_dirichlet_tolerance(self):
-        geom = HexGeometry((1 + math.sqrt(5)) / 2, 1, 1)
-        reports = [scan_spectrum(geom, VertexCoupling(-20.0), 0.01, 120.0, 4000, 1e-9,
-                                 dirichlet_tol=tol) for tol in (1e-9, 1e-6, 1e-3, 2.0)]
-        assert reports[0].gaps
-        for report in reports[1:]:
-            assert (report.bands, report.gaps) == (reports[0].bands, reports[0].gaps)
-        # a tolerance of 2 flags every sample row, and still decides every interval
-        assert {row.decision for row in reports[-1].samples} == {"dirichlet"}
+        # bands --dirichlet-tol only labels the CSV rows: the JSON report is the
+        # library's, byte for byte, at every tolerance
+        geom, coupling = HexGeometry((1 + math.sqrt(5)) / 2, 1, 1), VertexCoupling(-20.0)
+        report = scan_spectrum(geom, coupling, 0.01, 120.0, 1e-9)
+        assert report.gaps
+        args = ["bands", "--a", "(1+sqrt(5))/2", "--b", "1", "--c", "1", "--alpha", "-20",
+                "--kmax", "120"]
+        for tol in ("1e-9", "1e-6", "1e-3", "2"):
+            result = CliRunner().invoke(cli, args + ["--dirichlet-tol", tol])
+            assert (result.exit_code, result.stdout) == (0, report_to_json(report))
+        # a tolerance of 2 flags every sample row
+        table = sample_grid(geom, coupling, "positive", 0.01, 120.0, 4000, 2.0)
+        assert {row.decision for row in table} == {"dirichlet"}
 
     @pytest.mark.parametrize(
         "geom, alpha, k_lo, k_hi, end, state",
@@ -378,7 +415,7 @@ class TestDirichletEdges:
     )
     def test_window_end_on_a_dirichlet_point_keeps_its_neighbour(self, geom, alpha, k_lo, k_hi,
                                                                  end, state):
-        report = scan_spectrum(geom, VertexCoupling(alpha), k_lo, k_hi, 4000, 1e-9)
+        report = scan_spectrum(geom, VertexCoupling(alpha), k_lo, k_hi, 1e-9)
         intervals = _intervals(report)
         assert intervals[end][2] == state
         assert all(hi - lo >= 1e-9 for lo, hi, _ in intervals)
@@ -412,6 +449,40 @@ def _reference_runs(xs, gaps, is_gap, edge_tol):
     if len(states) > 1 and edges[-1] - edges[-2] < edge_tol:
         del states[-1], edges[-2]
     return [(state, edges[i], edges[i + 1]) for i, state in enumerate(states)]
+
+
+def _is_gap(rows):
+    return rows[0] or rows[1] or (rows[2] and rows[3])
+
+
+def _row_roots_edges(x_lo, x_hi, first, last, rows_at, edge_tol):
+    """The changes of membership in [x_lo, x_hi], where each of the four rows
+    turns at most once, from the rows ``first`` and ``last`` seen from inside:
+    each turning row's root is one scalar bisection of ``rows_at`` on its own,
+    and the rows flip root by root.  Roots that end in one bracket flip
+    together, so a pair that leaves membership as it was is no edge."""
+    roots = {}
+    for i in range(4):
+        if first[i] == last[i]:
+            continue
+        lo, hi = x_lo, x_hi
+        while hi - lo > edge_tol:
+            mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:
+                break
+            if rows_at(mid)[i] != first[i]:
+                hi = mid
+            else:
+                lo = mid
+        roots.setdefault(0.5 * (lo + hi), []).append(i)
+    row, edges = list(first), []
+    for root in sorted(roots):
+        was_gap = _is_gap(row)
+        for i in roots[root]:
+            row[i] = not row[i]
+        if _is_gap(row) != was_gap:
+            edges.append(root)
+    return edges
 
 
 def _hashed_gap(x):
@@ -495,51 +566,61 @@ class TestLockstepRefinement:
         assert (runs[0][1], runs[-1][2]) == (1.0, 2.5)
 
     @pytest.mark.parametrize(
-        "geom, alpha, k_lo, k_hi, n_samples, edge_tol",
+        "geom, alpha, k_lo, k_hi, edge_tol",
         [
-            (HexGeometry((1 + math.sqrt(5)) / 2, 1, 1), -47.5, 0.01, 120.0, 1500, 1e-9),
-            (HexGeometry(0.5, 1.5, 1.0), 3.5, 2 * math.pi, 22 * math.pi, 801, 1e-12),
+            (HexGeometry((1 + math.sqrt(5)) / 2, 1, 1), -47.5, 0.01, 120.0, 1e-9),
+            (HexGeometry(0.5, 1.5, 1.0), 3.5, 2 * math.pi, 22 * math.pi, 1e-12),
             (HexGeometry((1 + math.sqrt(5)) / 2, 1, math.sqrt(2)), 3107703.0,
-             1004692.43, 1004702.43, 4000, 1e-14),
+             1004692.43, 1004702.43, 1e-14),
         ],
         ids=["golden-bc", "dirichlet-ends", "large-k"],
     )
     def test_positive_scans_equal_the_scalar_criteria_bisection(self, geom, alpha, k_lo, k_hi,
-                                                                n_samples, edge_tol):
-        # a sample interval that holds no Dirichlet point and in which at most one
-        # row turns keeps its edge from one scalar bisection of the criteria, bit
-        # for bit, or has none
-        report = scan_spectrum(geom, VertexCoupling(alpha), k_lo, k_hi, n_samples, edge_tol)
+                                                                edge_tol):
+        # the pieces run between the window ends and the Dirichlet points m*pi/l,
+        # a window end within _SAME_POINT of a point taken as that point; in each
+        # piece every row turns at most once, and each edge is the root of one
+        # turning row from one scalar bisection of the rows, bit for bit
+        report = scan_spectrum(geom, VertexCoupling(alpha), k_lo, k_hi, edge_tol)
         energies = {e for lo, hi in report.bands + report.gaps for e in (lo, hi)}
-        h = (k_hi - k_lo) / (n_samples - 1)
-        ks = [k_hi if i == n_samples - 1 else k_lo + i * h for i in range(n_samples)]
-        points = [m * math.pi / ell for ell in geom.lengths
-                  for m in range(int(k_lo * ell / math.pi), int(k_hi * ell / math.pi) + 2)]
+        candidates = sorted(m * math.pi / ell for ell in geom.lengths
+                            for m in range(int(k_lo * ell / math.pi), int(k_hi * ell / math.pi) + 2))
+        candidates = [k for k in candidates if k_lo <= k <= k_hi]
+        points = [k for i, k in enumerate(candidates)
+                  if i == 0 or k - candidates[i - 1] > _SAME_POINT * max(1.0, k)]
+        first = points[:1] if points[0] - k_lo <= _SAME_POINT * max(1.0, points[0]) else [k_lo]
+        last = points[-1:] if k_hi - points[-1] <= _SAME_POINT * max(1.0, points[-1]) else [k_hi]
+        ends = first + [k for k in points if k not in first + last] + last
 
-        def rows(k):
-            d, lower, upper = positive_terms(geom, alpha, k)
-            return [d > upper, d < -upper, d < lower, d > -lower]
+        def rows(k, side):
+            """The four rows of gap_criteria at k; with a side, an edge on its
+            Dirichlet point takes its one-sided limit from the right (1) or the
+            left (-1), and the vanishing edge of smallest length is the edge j of
+            smallest |sin|."""
+            sines, cosines, _ = _flag_sines(k, geom.lengths)
+            pairs, keys = [], []
+            for ell, s, c in zip(geom.lengths, sines, cosines):
+                if side and abs(s) <= _SAME_POINT * max(1.0, ell * k):
+                    pairs.append((0.0, math.inf) if side > 0 else (-math.inf, 0.0))
+                    keys.append(-1 / ell)
+                else:
+                    pairs.append(_half_angle_pair(s, c))
+                    keys.append(abs(s))
+            ms, ps = zip(*pairs)
+            j = min(range(3), key=keys.__getitem__)
+            g = alpha / k
+            return [g + sum(ms) > 0, g + sum(ps) < 0,
+                    g + ms[j] + sum(p for i, p in enumerate(ps) if i != j) < 0,
+                    g + ps[j] + sum(m for i, m in enumerate(ms) if i != j) > 0]
 
-        def is_gap(k):
-            return any(gap_criteria(geom, alpha, k))
-
-        checked = 0
-        for x_lo, x_hi in zip(ks, ks[1:]):
-            try:
-                ends = rows(x_lo), rows(x_hi)
-            except DirichletPointError:
-                continue
-            if sum(map(ne, *ends)) > 1 or any(x_lo <= p <= x_hi for p in points):
-                continue
-            inside = {e for e in energies if x_lo * x_lo < e < x_hi * x_hi}
-            gaps = [r0 or r1 or (r2 and r3) for r0, r1, r2, r3 in ends]
-            if gaps[0] == gaps[1]:
-                assert not inside
-                continue
-            [(_, lo, hi), *_] = _reference_runs([x_lo, x_hi], gaps, is_gap, edge_tol)
-            assert inside == {hi * hi}
-            checked += 1
-        assert checked >= 3
+        edges = []
+        for x_lo, x_hi in zip(ends, ends[1:]):
+            first, last = rows(x_lo, 1), rows(x_hi, -1)
+            edges += _row_roots_edges(x_lo, x_hi, first, last, lambda k: rows(k, 0), edge_tol)
+            if x_hi != ends[-1] and _is_gap(last) != _is_gap(rows(x_hi, 1)):
+                edges.append(x_hi)  # the sides of a Dirichlet point differ in membership
+        assert _bits(sorted(energies - set(report.window))) == _bits([k * k for k in edges])
+        assert len(edges) >= 3
 
     @pytest.mark.parametrize(
         "geom, alpha, kappa_lo, kappa_hi, n_samples, edge_tol",
@@ -560,43 +641,20 @@ class TestLockstepRefinement:
             d, lower, upper = _negative_terms(geom, alpha, kappa)
             return [d > upper, d < -upper, d < lower, d > -lower]
 
-        def gap(rows):
-            return rows[0] or rows[1] or (rows[2] and rows[3])
-
         rows = [signs(kappa) for kappa in kappas.tolist()]
         for row, kappa in zip(rows, kappas.tolist()):
             band = band_membership(geom, VertexCoupling(alpha), EnergyPoint.negative(kappa))
-            assert (band.kind is Decision.BAND) == (not gap(row))
+            assert (band.kind is Decision.BAND) == (not _is_gap(row))
         codes = _sign_codes(*_negative_terms_grid(geom, alpha, kappas))
         assert codes.tolist() == [sum(bit << i for i, bit in enumerate(row)) for row in rows]
-        assert [bool(_GAP[code]) for code in codes.tolist()] == [gap(row) for row in rows]
+        assert [bool(_GAP[code]) for code in codes.tolist()] == [_is_gap(row) for row in rows]
         # each row turns once: its root is one scalar bisection between the window
-        # ends, whatever the samples; the edges are the roots that change membership
-        roots = []
-        for i in range(4):
-            if rows[0][i] == rows[-1][i]:
-                continue
-            lo, hi = kappas[0], kappas[-1]
-            while hi - lo > edge_tol:
-                mid = 0.5 * (lo + hi)
-                if not lo < mid < hi:
-                    break
-                if signs(mid)[i] != rows[0][i]:
-                    hi = mid
-                else:
-                    lo = mid
-            roots.append((0.5 * (lo + hi), i))
-        row, expected = list(rows[0]), []
-        for root, i in sorted(roots):
-            was_gap = gap(row)
-            row[i] = not row[i]
-            if gap(row) != was_gap:
-                expected.append(-root * root)
-        report = negative_spectrum_scan(geom, VertexCoupling(alpha), kappa_hi, n_samples,
-                                        edge_tol, kappa_lo=kappa_lo)
+        # ends; the edges are the roots that change membership
+        edges = _row_roots_edges(kappa_lo, kappa_hi, rows[0], rows[-1], signs, edge_tol)
+        report = negative_spectrum_scan(geom, VertexCoupling(alpha), kappa_lo, kappa_hi, edge_tol)
         energies = {e for lo, hi in report.bands + report.gaps for e in (lo, hi)}
-        assert _bits(sorted(energies - set(report.window))) == _bits(sorted(expected))
-        assert len(roots) >= 2
+        assert _bits(sorted(energies - set(report.window))) == _bits(sorted(-k * k for k in edges))
+        assert sum(a != b for a, b in zip(rows[0], rows[-1])) >= 2
 
 
 def _bits(values):
@@ -647,28 +705,24 @@ class TestNegativeTermsGrid:
 
 class TestNegativeScan:
     def test_positive_alpha_has_empty_negative_spectrum(self):
-        report = negative_spectrum_scan(EQUILATERAL, VertexCoupling(1.0), 5.0, 400, 1e-9)
+        report = negative_spectrum_scan(EQUILATERAL, VertexCoupling(1.0), 5.0 / 400, 5.0, 1e-9)
         assert report.bands == []
         assert len(report.gaps) == 1
 
     def test_strong_coupling_gap_adjacent_to_zero(self):
-        report = negative_spectrum_scan(
-            EQUILATERAL, VertexCoupling(-6.5), 5.0, 1500, 1e-9, kappa_lo=1e-4
-        )
+        report = negative_spectrum_scan(EQUILATERAL, VertexCoupling(-6.5), 1e-4, 5.0, 1e-9)
         assert report.gap_adjacent_to_zero()
         assert report.bands  # the negative spectrum itself is nonempty
 
     def test_short_edge_window_gap(self):
-        report = negative_spectrum_scan(
-            HexGeometry(1, 3, 3), VertexCoupling(-1.5), 5.0, 1500, 1e-9, kappa_lo=1e-4
-        )
+        report = negative_spectrum_scan(HexGeometry(1, 3, 3), VertexCoupling(-1.5), 1e-4, 5.0, 1e-9)
         assert report.gap_adjacent_to_zero()
 
     def test_rows_equal_the_dispersion_and_envelope(self):
         # kappa reaches past 700/l, where 1/sinh is taken as 0
         geom, coupling = HexGeometry(1, 3, 0.7), VertexCoupling(-6.5)
-        report = negative_spectrum_scan(geom, coupling, 300.0, 800, 1e-9, kappa_lo=1e-3)
-        for row in report.samples:
+        table = sample_grid(geom, coupling, "negative", 1e-3, 300.0, 800)
+        for row in table:
             kappa = row.k
             inv = [inv_sinh(ell * kappa) for ell in geom.lengths]
             upper = sum(inv)
@@ -681,34 +735,26 @@ class TestNegativeScan:
     @settings(max_examples=40, derandomize=True, deadline=None)
     @given(st.lists(st.floats(0.05, 20.0), min_size=3, max_size=3), st.floats(-2.0, 2.47),
            st.floats(0.1, 1.0))
+    # two roots closer than edge_tol near E = -287.1: bracketed by sample cells,
+    # a scan at 400 samples once gave a band of kappa width 6.8e-13 there
+    @example([3.0, 0.05, 6.655366294480903], math.log10(40.66561432555537),
+             37.475917242533725 / 40.66561432555537)
     def test_a_coarse_scan_finds_every_band_of_a_fine_one(self, lengths, log_alpha, ratio):
         # alpha from -0.01 to -300; for large l*kappa the bands sit near kappa = |alpha|/3
-        # and narrow exponentially, so the window reaches a fraction of |alpha|
+        # and narrow exponentially, so the window reaches a fraction of |alpha|.  The
+        # scan refines from its window ends alone; each row of a 60000-row table
+        # lies in an interval of its own state
         alpha = -10.0**log_alpha
-        geom, coupling = HexGeometry(*lengths), VertexCoupling(alpha)
-        coarse, fine = (negative_spectrum_scan(geom, coupling, max(ratio * -alpha, 0.01),
-                                               n_samples, 1e-12, kappa_lo=1e-3)
-                        for n_samples in (400, 60_000))
-        for band in fine.bands:
-            assert any(band == pytest.approx(other, rel=1e-8) for other in coarse.bands)
-
-    @settings(max_examples=40, derandomize=True, deadline=None)
-    @given(st.lists(st.floats(0.05, 20.0), min_size=3, max_size=3), st.floats(-300.0, -0.01),
-           st.floats(0.01, 50.0))
-    # two roots closer than edge_tol: bracketed by sample cells, 400 samples gave a
-    # band of kappa width 6.8e-13 at E = -287.1 and 60k samples none
-    @example([3.0, 0.05, 6.655366294480903], -40.66561432555537, 37.475917242533725)
-    def test_the_intervals_do_not_depend_on_the_samples(self, lengths, alpha, kappa_max):
-        geom, coupling = HexGeometry(*lengths), VertexCoupling(alpha)
-        reports = [negative_spectrum_scan(geom, coupling, kappa_max, n_samples, 1e-12,
-                                          kappa_lo=1e-3) for n_samples in (50, 400, 4000, 60_000)]
-        for report in reports[1:]:
-            assert (report.bands, report.gaps) == (reports[0].bands, reports[0].gaps)
+        geom, coupling, edge_tol = HexGeometry(*lengths), VertexCoupling(alpha), 1e-12
+        kappa_max = max(ratio * -alpha, 0.01)
+        report = negative_spectrum_scan(geom, coupling, 1e-3, kappa_max, edge_tol)
+        intervals = [(math.sqrt(-hi), math.sqrt(-lo), state)
+                     for lo, hi, state in reversed(_energy_intervals(report))]
+        table = sample_grid(geom, coupling, "negative", 1e-3, kappa_max, 60_000)
+        _assert_rows_agree(table, intervals, edge_tol)
 
     def test_energies_increase(self):
-        report = negative_spectrum_scan(
-            EQUILATERAL, VertexCoupling(-6.5), 5.0, 800, 1e-9, kappa_lo=1e-3
-        )
+        report = negative_spectrum_scan(EQUILATERAL, VertexCoupling(-6.5), 1e-3, 5.0, 1e-9)
         intervals = sorted(report.bands + report.gaps)
         assert intervals == sorted(intervals)
         assert all(hi <= 0 for _, hi in intervals)
@@ -717,31 +763,32 @@ class TestNegativeScan:
 
 
 class TestKnownMiss:
-    """Gaps narrower than the default grid's spacing, which the sampled scan used to miss."""
+    """Gaps narrower than a 4000-sample grid's spacing, which a sampled scan used to miss."""
 
     GEOM, COUPLING = HexGeometry((1 + math.sqrt(5)) / 2, 1, 1), VertexCoupling(6.0)
     # the GC1 gap at k = 89*pi, 7.5e-3 wide, on (phi, 1, 1) with alpha = 6
     GAP = (279.60175, 279.60924)
 
     def test_a_local_scan_finds_the_gap(self):
-        report = scan_spectrum(self.GEOM, self.COUPLING, 279.0, 280.2, 4000, 1e-9)
+        report = scan_spectrum(self.GEOM, self.COUPLING, 279.0, 280.2, 1e-9)
         [(lo, hi)] = [(math.sqrt(lo), math.sqrt(hi)) for lo, hi in report.gaps]
         assert (lo, hi) == pytest.approx(self.GAP, abs=1e-5)
 
     def test_the_default_window_finds_the_gap(self):
-        # bands --a '(1+sqrt(5))/2' --b 1 --c 1 --alpha 6 --kmax 280.6017: spacing 0.07
-        report = scan_spectrum(self.GEOM, self.COUPLING, 0.01, 280.6017, 4000, 1e-9)
+        # bands --a '(1+sqrt(5))/2' --b 1 --c 1 --alpha 6 --kmax 280.6017, whose
+        # 4000 samples are 0.07 apart
+        report = scan_spectrum(self.GEOM, self.COUPLING, 0.01, 280.6017, 1e-9)
         lo, hi = self.GAP
         assert any(e_lo < hi * hi and lo * lo < e_hi for e_lo, e_hi in report.gaps)
 
     def test_the_default_window_finds_an_interior_gc2_gap(self):
         # gaps --a '(1+sqrt(5))/2' --b 1 --c 1 --alpha 22 --kmax 298: a GC2 gap in
         # k = [44.5033, 44.5485] holds no Dirichlet point and is narrower than the
-        # spacing 0.0745; two rows turn in one sample interval
+        # 4000-sample spacing 0.0745; two rows turn in the piece that holds it
         coupling, k = VertexCoupling(22.0), 44.5259
         assert band_membership(self.GEOM, coupling, EnergyPoint.positive(k)).kind is Decision.GAP
         assert gap_criteria(self.GEOM, coupling.alpha, k) == (False, True)
-        report = scan_spectrum(self.GEOM, coupling, 0.01, 298.0, 4000, 1e-9)
+        report = scan_spectrum(self.GEOM, coupling, 0.01, 298.0, 1e-9)
         assert any(lo < k * k < hi for lo, hi in report.gaps)
 
 
@@ -756,15 +803,19 @@ class TestCertifiedEdges:
              math.log10(3.1250151296673674), 0.01, 55.814491516052504)
     def test_a_coarse_scan_finds_every_interval_of_a_fine_one(self, lengths, sign, log_alpha,
                                                                k_lo, width):
+        # bands prints the same intervals at 400 and 60000 samples; and each row
+        # of the 60000-row table lies in an interval of its own state, unless it
+        # is a dirichlet row or within 2 edge_tol of an edge
         geom, coupling, edge_tol = HexGeometry(*lengths), VertexCoupling(sign * 10**log_alpha), 1e-9
-        coarse, fine = (_intervals(scan_spectrum(geom, coupling, k_lo, k_lo + width, n_samples,
-                                                 edge_tol)) for n_samples in (400, 60_000))
-        for these, those in ((fine, coarse), (coarse, fine)):
-            for lo, hi, state in these:
-                if hi - lo > 4 * edge_tol:
-                    assert any(state == other and abs(lo - other_lo) <= 2 * edge_tol
-                               and abs(hi - other_hi) <= 2 * edge_tol
-                               for other_lo, other_hi, other in those)
+        k_hi = k_lo + width
+        report = scan_spectrum(geom, coupling, k_lo, k_hi, edge_tol)
+        args = ["bands", "--a", repr(lengths[0]), "--b", repr(lengths[1]), "--c", repr(lengths[2]),
+                "--alpha", repr(coupling.alpha), "--kmin", repr(k_lo), "--kmax", repr(k_hi)]
+        for n_samples in ("400", "60000"):
+            result = CliRunner().invoke(cli, args + ["--samples", n_samples])
+            assert (result.exit_code, result.stdout) == (0, report_to_json(report))
+        table = sample_grid(geom, coupling, "positive", k_lo, k_hi, 60_000)
+        _assert_rows_agree(table, _intervals(report), edge_tol)
 
 
 class TestKnownNegativeMiss:
@@ -779,7 +830,7 @@ class TestKnownNegativeMiss:
 
     def test_the_scan_finds_the_band(self):
         # bands --a 0.2 --b 3 --c 5 --alpha -20 --kmax 1 --include-negative --kappa-max 5
-        report = negative_spectrum_scan(self.GEOM, self.COUPLING, 5.0, 4000, 1e-9)
+        report = negative_spectrum_scan(self.GEOM, self.COUPLING, 5.0 / 4000, 5.0, 1e-9)
         [band] = [(math.sqrt(-hi), math.sqrt(-lo)) for lo, hi in report.bands]
         assert band == pytest.approx((4.6454032, 4.6454104), abs=1e-7)
         assert band[0] < self.KAPPA < band[1]
@@ -798,11 +849,9 @@ class TestKirchhoffEquilateral:
         assert decision.kind is not Decision.GAP
 
     @settings(max_examples=60, derandomize=True, deadline=None)
-    @given(st.floats(0.05, 20.0), st.floats(0.01, 1e4), st.floats(0.01, 50.0),
-           st.integers(50, 2000))
-    def test_a_scan_has_no_gaps(self, ell, k_lo, width, n_samples):
-        report = scan_spectrum(HexGeometry(ell, ell, ell), KIRCHHOFF, k_lo, k_lo + width,
-                               n_samples, 1e-9)
+    @given(st.floats(0.05, 20.0), st.floats(0.01, 1e4), st.floats(0.01, 50.0))
+    def test_a_scan_has_no_gaps(self, ell, k_lo, width):
+        report = scan_spectrum(HexGeometry(ell, ell, ell), KIRCHHOFF, k_lo, k_lo + width, 1e-9)
         assert report.gaps == []
 
 
@@ -848,7 +897,7 @@ class TestFlatBands:
 
         monkeypatch.setattr(bands_module, "flat_band_energies", counted)
         k_lo, k_hi = 1e7, 1e7 + 10
-        report = scan_spectrum(HexGeometry(1, 2, 3), VertexCoupling(3.0), k_lo, k_hi, 400, 1e-9)
+        report = scan_spectrum(HexGeometry(1, 2, 3), VertexCoupling(3.0), k_lo, k_hi, 1e-9)
         assert asked == [4]
         expected = [2 * math.pi * n / 1.0 for n in range(1591540, 1591560)]
         expected = [k for k in expected if k_lo <= k <= k_hi]

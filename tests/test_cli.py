@@ -4,6 +4,8 @@ import warnings
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hexband.cli import cli, parse_length
 from hexband.numtheory import ExactRatio, NumericRatio, QuadraticSurd
@@ -389,6 +391,10 @@ EQUILATERAL = ["--a", "1", "--b", "1", "--c", "1"]
         ["gaps", *EQUILATERAL, "--kmax", "5", "--samples", "1"],
         ["gaps", *EQUILATERAL, "--kmax", "5", "--edge-tol", "0"],
         ["bands", *EQUILATERAL, "--kmax", "5", "--dirichlet-tol", "0"],
+        # neither value reaches a library call on these paths
+        ["bands", *EQUILATERAL, "--kmax", "5", "--samples", "1"],
+        ["bands", *EQUILATERAL, "--kmax", "5", "--edge-tol", "0", "--format", "csv"],
+        ["bands", *EQUILATERAL, "--kmax", "5", "--edge-tol", "nan", "--format", "csv"],
         ["bands", *EQUILATERAL, "--kmax", "5", "--alpha", "-3", "--include-negative",
          "--kappa-max", "-1"],
         ["classify", "--a", "sqrt(2)", "--b", "1", "--alpha", "nan"],
@@ -402,7 +408,8 @@ EQUILATERAL = ["--a", "1", "--b", "1", "--c", "1"]
         ["verify", "--envelope-samples", "-1"],
         ["verify", "--trigmin-samples", "0"],
     ],
-    ids=["gaps-samples", "gaps-edge-tol", "bands-dirichlet-tol", "bands-kappa-max",
+    ids=["gaps-samples", "gaps-edge-tol", "bands-dirichlet-tol", "bands-json-samples",
+         "bands-csv-edge-tol", "bands-csv-edge-tol-nan", "bands-kappa-max",
          "classify-alpha", "verify-grid-n", "flatbands-n-max", "gaps-centers",
          "classify-centers", "verify-samples-zero", "verify-det-samples",
          "verify-envelope-samples", "verify-trigmin-samples"],
@@ -438,6 +445,22 @@ def test_output_file_holds_the_bytes_of_stdout(runner, tmp_path, args):
     written = runner.invoke(cli, args + ["--output", str(out)])
     assert (written.exit_code, written.stdout) == (shown.exit_code, "")
     assert shown.stdout_bytes and out.read_bytes() == shown.stdout_bytes
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(st.lists(st.sampled_from(["1", "1/2", "3/2", "(1+sqrt(5))/2", "sqrt(2)", "0.8", "2.3"]),
+                min_size=3, max_size=3),
+       st.floats(-50.0, 50.0), st.floats(0.01, 40.0), st.floats(0.05, 40.0),
+       st.sampled_from(["bands", "gaps"]))
+def test_json_reports_do_not_depend_on_the_samples(lengths, alpha, kmin, width, command):
+    # the reports are a function of geometry, alpha, window and edge tolerance
+    # alone; bands --include-negative is left out, since its window starts at
+    # kappa-max / samples
+    args = [command, "--a", lengths[0], "--b", lengths[1], "--c", lengths[2],
+            "--alpha", repr(alpha), "--kmin", repr(kmin), "--kmax", repr(kmin + width)]
+    outputs = [CliRunner().invoke(cli, args + ["--samples", n]) for n in ("2", "400", "60000")]
+    assert outputs[0].exit_code == 0, outputs[0].output
+    assert [(r.exit_code, r.stdout) for r in outputs[1:]] == [(0, outputs[0].stdout)] * 2
 
 
 # Every settable value of every subcommand.  A new option is a new knob to

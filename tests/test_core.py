@@ -4,6 +4,7 @@ import random
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
@@ -26,9 +27,9 @@ from hexband import (
     gc2_equivalent_bc,
     rhs_envelope,
     scan_spectrum,
-    solve_cell_wavefunction,
     verify_flat_band,
 )
+from hexband.cli import cli
 from hexband.core import (
     DEFAULT_DIRICHLET_TOL,
     _flag_sines,
@@ -219,52 +220,70 @@ class TestKernelCalls:
 
     def test_one_grid_call_per_scan(self, calls, monkeypatch):
         import hexband.bands
+        import hexband.cli
         import hexband.core
 
         counts = {}
 
         def count(module, name):
             original = getattr(module, name)
-            counts[name] = 0
+            key = f"{module.__name__.split('.')[-1]}.{name}"
+            counts[key] = 0
 
             def counting(*args, **kwargs):
-                counts[name] += 1
+                counts[key] += 1
                 return original(*args, **kwargs)
 
             monkeypatch.setattr(module, name, counting)
 
         count(hexband.bands, "positive_terms_grid")
+        count(hexband.bands, "_negative_terms_grid")
         count(hexband.bands, "boundary_rows_grid")
+        count(hexband.cli, "positive_terms_grid")
         count(hexband.core, "gap_criteria")
 
-        # Kirchhoff equilateral is one band: the grid kernel samples all 50
-        # points, one row call takes the window ends from either side, and
-        # nothing is refined
-        report = scan_spectrum(EQUILATERAL, KIRCHHOFF, 1.0, 2.0, 50, 1e-9)
-        assert len(report.bands) == 1 and not report.gaps
-        assert len(report.samples) == 50
-        assert (counts["positive_terms_grid"], counts["boundary_rows_grid"], calls[0]) == (1, 1, 0)
+        def run(*args):
+            counts.update(dict.fromkeys(counts, 0))
+            result = CliRunner().invoke(cli, list(args))
+            assert result.exit_code == 0, result.output
+            return (counts["bands.positive_terms_grid"], counts["bands._negative_terms_grid"],
+                    counts["bands.boundary_rows_grid"], counts["cli.positive_terms_grid"],
+                    counts["core.gap_criteria"], calls[0])
 
-        # A gap-rich window whose ends and inner samples hit Dirichlet points:
-        # one row call for the Dirichlet points seen from either side, then one
-        # per two lockstep halvings, however many edges there are (the pieces
-        # start no wider than the spacing h), and no scalar calls
-        counts.update(positive_terms_grid=0, boundary_rows_grid=0)
-        geom = HexGeometry(0.5, 1.5, 1.0)
-        k_lo, k_hi, n_samples, edge_tol = 2 * math.pi, 22 * math.pi, 4001, 1e-9
-        report = scan_spectrum(geom, VertexCoupling(3.5), k_lo, k_hi, n_samples, edge_tol)
-        assert len(report.gaps) >= 10
-        assert any(row.decision == "dirichlet" for row in report.samples)
-        h = report.meta["k_spacing"]
-        assert counts["positive_terms_grid"] == 1
-        halvings = math.ceil(math.log2(h / edge_tol))
-        assert 2 <= counts["boundary_rows_grid"] <= 1 + math.ceil(halvings / 2)
-        assert (counts["gap_criteria"], calls[0]) == (0, 0)
+        # JSON bands evaluates no sample grid.  Kirchhoff equilateral is one band:
+        # one row call takes the window ends from either side, and one more halves
+        # the window once, where rows 2 and 3 both turn
+        assert run("bands", "--a", "1", "--b", "1", "--c", "1", "--kmin", "1", "--kmax", "2",
+                   "--samples", "50") == (0, 0, 2, 0, 0, 0)
+
+        # A gap-rich window whose ends are Dirichlet points: one row call for the
+        # window ends and the Dirichlet points seen from either side, then one per
+        # two lockstep halvings of the widest piece, however many edges there are;
+        # the negative scan refines from its window ends in the same way
+        def gap_rich(alpha, *extra):
+            return ["--a", "1/2", "--b", "3/2", "--c", "1", "--alpha", alpha,
+                    "--kmin", repr(2 * math.pi), "--kmax", repr(22 * math.pi), *extra]
+
+        widest = 2 * math.pi / 3  # between the Dirichlet points of the b edge
+        rows = 1 + math.ceil(math.ceil(math.log2(widest / 1e-9)) / 2)
+        negative = 1 + math.ceil(math.ceil(math.log2((5 - 5 / 4000) / 1e-9)) / 2)
+        assert run("bands", *gap_rich("3.5")) == (0, 0, rows, 0, 0, 0)
+        assert run("bands", *gap_rich("-3.5", "--include-negative")) == \
+            (0, 0 + negative, rows, 0, 0, 0)
+
+        # gaps scans the same way, and its attribution evaluates the gap midpoints
+        # in one call of its own
+        assert run("gaps", *gap_rich("3.5")) == (0, 0, rows, 1, 0, 0)
+
+        # CSV bands evaluates one column kernel call per branch and refines nothing
+        assert run("bands", *gap_rich("-3.5", "--include-negative", "--format", "csv")) == \
+            (1, 1, 0, 0, 0, 0)
 
     def test_row_calls_of_a_gap_table(self, monkeypatch):
         # gaps --a 1.1 --b 1.7 --c 0.8 --alpha 22 --kmax 298, the benchmark's
-        # generic-1 table: one row call for the Dirichlet points, then one per
-        # two of the 27 halvings from the spacing 0.0745 down to edge_tol
+        # generic-1 table: one row call for the window ends and the Dirichlet
+        # points, then one per two of the 31 halvings of the widest piece,
+        # [0.01, pi/1.7], down to edge_tol
         import hexband.bands
 
         counts = [0]
@@ -275,10 +294,9 @@ class TestKernelCalls:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(hexband.bands, "boundary_rows_grid", counting)
-        report = scan_spectrum(HexGeometry(1.1, 1.7, 0.8), VertexCoupling(22.0), 0.01, 298.0,
-                               4000, 1e-9)
-        assert math.ceil(math.log2(report.meta["k_spacing"] / 1e-9)) == 27
-        assert (len(report.gaps), counts[0]) == (27, 15)
+        report = scan_spectrum(HexGeometry(1.1, 1.7, 0.8), VertexCoupling(22.0), 0.01, 298.0, 1e-9)
+        assert math.ceil(math.log2((math.pi / 1.7 - 0.01) / 1e-9)) == 31
+        assert (len(report.gaps), counts[0]) == (27, 17)
 
 
 class TestAngleReductions:
@@ -745,6 +763,27 @@ def _find_singular_phase(geom, coupling, k):
 
 
 class TestCellWavefunction:
+    @staticmethod
+    def amplitudes(geom, k, phase, c2, c3):
+        """All twelve half-edge amplitudes ``(c, d)`` from the four entries of a
+        null vector of the cell matrix, (C2+, C2-, C3+, C3-).
+
+        ``c`` holds the outgoing pairs (psi_i) and ``d`` the incoming ones
+        (phi_i).  The Bloch conditions fix the incoming b and c pairs, and
+        vertex continuity plus matching at the midpoint of the full a-edge fix
+        the a-edge pair, which is shared: c[0] == d[0].  Needs sin(a*k) != 0.
+        """
+        a, b, c = geom.lengths
+        t1, t2 = phase.theta1, phase.theta2
+        d2 = (c2[0] * cmath.exp(1j * (b * k - t1)), c2[1] * cmath.exp(1j * (-b * k - t1)))
+        d3 = (c3[0] * cmath.exp(1j * (c * k - t2)), c3[1] * cmath.exp(1j * (-c * k - t2)))
+        # psi1(a/2) = psi2(0) and phi1(-a/2) = phi2(0), with psi1 == phi1
+        v_plus, v_minus = c2[0] + c2[1], d2[0] + d2[1]
+        e = cmath.exp(1j * k * a / 2)
+        det = e * e - 1 / (e * e)  # = 2i sin(a k)
+        c1 = ((e * v_plus - v_minus / e) / det, (-v_plus / e + e * v_minus) / det)
+        return (c1, c2, c3), (c1, d2, d3)
+
     @pytest.mark.parametrize(
         "geom,alpha,k",
         [
@@ -762,9 +801,7 @@ class TestCellWavefunction:
         _, sigma, vh = np.linalg.svd(m)
         assert sigma[-1] < 1e-7
         null = vh[-1].conj()
-        wf = solve_cell_wavefunction(geom, coupling, k, phase, (null[0], null[1]),
-                                     (null[2], null[3]))
-        assert wf.c[0] == wf.d[0]
+        c_pairs, d_pairs = self.amplitudes(geom, k, phase, (null[0], null[1]), (null[2], null[3]))
 
         def psi(pair, x):
             return pair[0] * cmath.exp(1j * k * x) + pair[1] * cmath.exp(-1j * k * x)
@@ -776,19 +813,19 @@ class TestCellWavefunction:
         t1n, t2n = phase.theta1, phase.theta2
         residuals = [
             # vertex between the outgoing half-edges and the full a-edge
-            abs(psi(wf.c[1], 0) - psi(wf.c[2], 0)),
-            abs(psi(wf.c[1], 0) - psi(wf.c[0], a / 2)),
-            abs(dpsi(wf.c[1], 0) + dpsi(wf.c[2], 0) - dpsi(wf.c[0], a / 2)
-                - alpha * psi(wf.c[1], 0)),
+            abs(psi(c_pairs[1], 0) - psi(c_pairs[2], 0)),
+            abs(psi(c_pairs[1], 0) - psi(c_pairs[0], a / 2)),
+            abs(dpsi(c_pairs[1], 0) + dpsi(c_pairs[2], 0) - dpsi(c_pairs[0], a / 2)
+                - alpha * psi(c_pairs[1], 0)),
             # mirror vertex on the incoming side
-            abs(psi(wf.d[1], 0) - psi(wf.d[2], 0)),
-            abs(psi(wf.d[1], 0) - psi(wf.d[0], -a / 2)),
-            abs(-dpsi(wf.d[1], 0) - dpsi(wf.d[2], 0) + dpsi(wf.d[0], -a / 2)
-                - alpha * psi(wf.d[1], 0)),
+            abs(psi(d_pairs[1], 0) - psi(d_pairs[2], 0)),
+            abs(psi(d_pairs[1], 0) - psi(d_pairs[0], -a / 2)),
+            abs(-dpsi(d_pairs[1], 0) - dpsi(d_pairs[2], 0) + dpsi(d_pairs[0], -a / 2)
+                - alpha * psi(d_pairs[1], 0)),
             # Bloch conditions tying the half-edge pairs
-            abs(psi(wf.c[1], b / 2) - cmath.exp(1j * t1n) * psi(wf.d[1], -b / 2)),
-            abs(dpsi(wf.c[1], b / 2) - cmath.exp(1j * t1n) * dpsi(wf.d[1], -b / 2)),
-            abs(psi(wf.c[2], c / 2) - cmath.exp(1j * t2n) * psi(wf.d[2], -c / 2)),
-            abs(dpsi(wf.c[2], c / 2) - cmath.exp(1j * t2n) * dpsi(wf.d[2], -c / 2)),
+            abs(psi(c_pairs[1], b / 2) - cmath.exp(1j * t1n) * psi(d_pairs[1], -b / 2)),
+            abs(dpsi(c_pairs[1], b / 2) - cmath.exp(1j * t1n) * dpsi(d_pairs[1], -b / 2)),
+            abs(psi(c_pairs[2], c / 2) - cmath.exp(1j * t2n) * psi(d_pairs[2], -c / 2)),
+            abs(dpsi(c_pairs[2], c / 2) - cmath.exp(1j * t2n) * dpsi(d_pairs[2], -c / 2)),
         ]
         assert max(residuals) < 1e-7

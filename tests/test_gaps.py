@@ -393,7 +393,7 @@ class TestNegativeGapAtZero:
             expected = GapAtZero.NONE
         coupling = VertexCoupling(alpha)
         assert negative_gap_at_zero(geom, coupling) is expected
-        report = negative_spectrum_scan(geom, coupling, 1.0, 50, 1e-12, kappa_lo=1e-5)
+        report = negative_spectrum_scan(geom, coupling, 1e-5, 1.0, 1e-12)
         assert report.gap_adjacent_to_zero() == (expected is not GapAtZero.NONE)
 
 
@@ -483,8 +483,7 @@ class TestThresholdsAgainstSpectrum:
             for factor, expected in ((0.995, 0), (1.03, 1)):
                 coupling = VertexCoupling(sign * factor * nogap)
                 for q in qs:
-                    report = scan_spectrum(geom, coupling, q * math.pi - 0.3, q * math.pi + 0.3,
-                                           60000, 1e-12)
+                    report = scan_spectrum(geom, coupling, q * math.pi - 0.3, q * math.pi + 0.3, 1e-12)
                     mids = [(math.sqrt(lo) + math.sqrt(hi)) / 2 for lo, hi in report.gaps]
                     assert sum(gc1(geom, coupling, k) for k in mids) == expected, (sign, factor, q)
 
@@ -502,7 +501,7 @@ class TestThresholdsAgainstSpectrum:
                 coupling = VertexCoupling(sign * alpha)
                 for q in qs:
                     center = q * math.pi / a
-                    report = scan_spectrum(geom, coupling, center - 0.3, center + 0.3, 60000, 1e-12)
+                    report = scan_spectrum(geom, coupling, center - 0.3, center + 0.3, 1e-12)
                     mids = [(math.sqrt(lo) + math.sqrt(hi)) / 2 for lo, hi in report.gaps]
                     assert sum(gc2(geom, coupling, k) for k in mids) == expected, (sign, alpha, q)
 

@@ -55,6 +55,20 @@ expansions, in place of a 40-digit comparison; the float rational
 reconstruction came to walk the float expansion's own quotients; sample rows
 were labelled from their packed boundary rows; and the CLI wrote its output
 with sys.stdout.write instead of click.echo.  Every digest held.
+
+Then the reports stopped reading the sample grid: the positive scan cuts its
+window at the Dirichlet points and the window ends alone, so the reports are a
+function of geometry, alpha, window and edge_tol, and only the CSV format
+builds a sample table.  The positive edges were bisected from those wider
+pieces and moved in their last bits, each by less than edge_tol in k; no
+interval was added or lost, and the reports lost their n_samples, k_spacing,
+kappa_spacing and dirichlet_tol metadata.  Six digests were re-recorded:
+bands-json (largest edge move 5.7e-10 in k), bands-negative-json (4.4e-10 on
+the positive report; the negative report's window and intervals held bit for
+bit, only its metadata changed), gaps-json and gaps-csv (1.0e-10),
+gaps-centers-json (5.5e-10) and gaps-numeric-centers-json (5.8e-10), whose
+gap attributions and predicted centres held.  Every bands CSV digest and the
+classify, flatbands and verify digests held.
 """
 
 import hashlib
@@ -97,9 +111,9 @@ VERIFY_BENCH_GRID = ["verify", "--seed", "20240901", "--det-samples", "100",
                      "--refine-rounds", "2"]
 
 GOLDEN = [
-    pytest.param(BANDS, "d2db640c65b790b0e4cc2e4b623df14b5fb71f9a32bb8f2fe6e55fdf0e4da3ea",
+    pytest.param(BANDS, "e284e839fb7317a08b825b2b5fddec099d2c76dbbe57fcf0fd22c938f3bee5b0",
                  id="bands-json"),
-    pytest.param(BANDS_NEGATIVE, "6de62522c873401ac3f6ddf2d4502ee49374a6820d0b90f37a59e88a6ea9a28d",
+    pytest.param(BANDS_NEGATIVE, "c862dec4d8ff4500327ca89a7ebf2743051e5160454111b6e05072e7a6a2e918",
                  id="bands-negative-json"),
     pytest.param(BANDS + ["--format", "csv"],
                  "9dfa31e627edf32042e83fb33f3eb4243d87ac134755848fffdfa631be7b1086",
@@ -110,19 +124,19 @@ GOLDEN = [
     pytest.param(BANDS_BOTH_BRANCHES,
                  "3112ce30d1b439a6be12c06c3dd672f79d156bbbd0ac0e10337b4b5ac28adb7a",
                  id="bands-both-branches-csv"),
-    pytest.param(GAPS, "d82ba1f63759ad73b52ec8878ef13196131d4e9383c6b193e37ce431e64b42c6",
+    pytest.param(GAPS, "11d467f698b494dcd806514d1848cc4914def64603b907de208b3b345a9c77f4",
                  id="gaps-json"),
     pytest.param(GAPS + ["--format", "csv"],
-                 "180424ea6cd1b19498941b6140f55ac2592f302b5f0075486d4fbf1ccce6563d",
+                 "ecaf7df1b12c56c72fbf28ae45310da68b968e50c72f735f9fca14ec78bd38ed",
                  id="gaps-csv"),
-    pytest.param(GAPS_CENTERS, "381653cb9dae53a551c33759dd4965b8c8a2919de42b66150df2658f3c281229",
+    pytest.param(GAPS_CENTERS, "010178d20a1698951514b834638215fae963a5ef9dda2e51a06f7f59a7c04887",
                  id="gaps-centers-json"),
     pytest.param(CLASSIFY, "814ba1f29e6784263553d0ee7f54ac6f03569d75bbdb8e387c3ea8e4d3c81066",
                  id="classify-json"),
     pytest.param(CLASSIFY_SQRT2, "e71b162ea991d8d27d8132275826519053fd15ffff17c8e133ac6b2fc281022b",
                  id="classify-sqrt2-centers-json"),
     pytest.param(GAPS_NUMERIC_CENTERS,
-                 "6823905c0db4f339dce75273757e4949ff3bfb12740b2cca987a2c90b11b9163",
+                 "5c146dd48861f215cb96cd45c5eec4aae7774cf2633389e63175bbc92f6cd387",
                  id="gaps-numeric-centers-json"),
     pytest.param(FLATBANDS_EXACT,
                  "f20722cdfc3ce717d56d139b99aa938db8817f238d8f27ffa44720e346d77d4f",

@@ -109,9 +109,9 @@ def test_the_cli_hands_the_csv_writer_a_stream_with_tell(monkeypatch):
     positions = []
     write = hexband.cli.write_samples_csv
 
-    def traced(report, stream):
+    def traced(table, stream):
         positions.append(stream.tell())
-        write(report, stream)
+        write(table, stream)
 
     monkeypatch.setattr(hexband.cli, "write_samples_csv", traced)
     result = CliRunner().invoke(hexband.cli.cli, [

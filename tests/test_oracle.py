@@ -22,7 +22,7 @@ from hexband import (
 )
 from hexband import oracle
 from hexband.cli import cli
-from hexband.core import _flag_sines
+from hexband.core import _flag_sines, inv_sinh
 from hexband.oracle import (
     GridSpec,
     band_membership_grid,
@@ -163,6 +163,33 @@ class TestBandMembershipGrid:
             EQUILATERAL, VertexCoupling(-6.5), EnergyPoint.negative(0.01), GridSpec(128, 1)
         )
         assert decision.kind is Decision.GAP
+
+    @pytest.mark.parametrize("kappa", [300.0, 400.0, 1000.0])
+    @pytest.mark.parametrize("alpha", [-6.5, 2.0, -1200.0])
+    def test_negative_branch_past_the_sinh_range(self, alpha, kappa):
+        # sinh(l*kappa)**2 overflows once l*kappa passes about 355, and sinh itself
+        # past 710; the grid is written in 1/sinh and agrees with band_membership
+        geom, coupling = HexGeometry(1.0, 1.3, 0.8), VertexCoupling(alpha)
+        energy = EnergyPoint.negative(kappa)
+        fast = band_membership(geom, coupling, energy)
+        assert band_membership_grid(geom, coupling, energy, GridSpec(64, 1)).kind is fast.kind
+
+    @pytest.mark.parametrize("kappa", [0.05, 0.7, 3.0, 30.0])
+    def test_the_inverse_form_equals_the_sinh_form(self, kappa):
+        lengths = (1.0, 1.3, 0.8)
+        grid = GridSpec(64, 1)
+        lo, hi = oracle._rhs_extrema(
+            oracle._rhs_function(*(math.sinh(ell * kappa) for ell in lengths)), grid)
+        inverse = oracle._rhs_extrema(
+            oracle._inverse_rhs_function(*(inv_sinh(ell * kappa) for ell in lengths)), grid)
+        assert inverse == pytest.approx((lo, hi), rel=0, abs=1e-12 * hi)
+
+    def test_negative_band_agrees(self):
+        # the band at kappa = 4.645407, 7.2e-6 wide, on (0.2, 3, 5) with alpha = -20
+        geom, coupling = HexGeometry(0.2, 3, 5), VertexCoupling(-20.0)
+        energy = EnergyPoint.negative(4.645407)
+        assert band_membership(geom, coupling, energy).kind is Decision.BAND
+        assert band_membership_grid(geom, coupling, energy, GridSpec(64, 1)).kind is Decision.BAND
 
     def test_positive_gap(self):
         energy = EnergyPoint.positive(2 * math.pi + 0.1)
@@ -449,12 +476,15 @@ class TestTileBounds:
     @given(n=st.sampled_from([8, 9, 13, 25, 255, 767, 768, 1023, 1024]),
            g=st.one_of(st.tuples(*[TIED_COEFS | st.floats(-5, 5)] * 3).map(
                            lambda c: oracle._trig_function(*c)),
-                       rhs_sines().map(lambda s: oracle._rhs_function(*s))))
+                       rhs_sines().map(lambda s: oracle._rhs_function(*s)),
+                       rhs_sines().map(lambda s: oracle._inverse_rhs_function(*(1 / x for x in s)))))
     @example(n=768, g=oracle._rhs_function(*RHS_SINES[0]))
     @example(n=1023, g=oracle._rhs_function(*RHS_SINES[1]))
     @example(n=767, g=oracle._rhs_function(*(math.sinh(ell * 1e-60) for ell in (0.05, 1, 5))))
     @example(n=255, g=oracle._rhs_function(*(math.sinh(ell * 70) for ell in (0.05, 1, 5))))
     @example(n=1024, g=oracle._trig_function(0.2, 5.0, 0.2 / 0.96))
+    # past the range of sinh: 1/sinh of 20, 400 and 2000 (which is 0)
+    @example(n=255, g=oracle._inverse_rhs_function(*(inv_sinh(ell * 400) for ell in (0.05, 1, 5))))
     def test_every_cell_lies_within_its_tile_bounds(self, n, g):
         values = oracle._on_grid(g, n)
         lower, upper = oracle._tile_bounds(g, n)

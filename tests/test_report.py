@@ -14,6 +14,7 @@ from hexband import (
     negative_spectrum_scan,
     report_from_json,
     report_to_json,
+    sample_grid,
     scan_spectrum,
     write_samples_csv,
 )
@@ -23,7 +24,7 @@ from hexband.report import (CSV_COLUMNS, SampleRow, SampleTable, SpectrumReport,
 
 
 def _sample_report():
-    return scan_spectrum(HexGeometry(1, 1, 1), VertexCoupling(1.0), 5.0, 8.0, 600, 1e-9)
+    return scan_spectrum(HexGeometry(1, 1, 1), VertexCoupling(1.0), 5.0, 8.0, 1e-9)
 
 
 class TestFloatFormatting:
@@ -57,9 +58,7 @@ class TestJsonEmitter:
         assert [fb.k for fb in loaded.flat_bands] == [fb.k for fb in report.flat_bands]
 
     def test_negative_branch_round_trip(self):
-        report = negative_spectrum_scan(
-            HexGeometry(1, 1, 1), VertexCoupling(-6.5), 5.0, 400, 1e-9, kappa_lo=1e-3
-        )
+        report = negative_spectrum_scan(HexGeometry(1, 1, 1), VertexCoupling(-6.5), 1e-3, 5.0, 1e-9)
         loaded = report_from_json(report_to_json(report))
         assert loaded.bands == report.bands
         assert loaded.gaps == report.gaps
@@ -77,12 +76,12 @@ class TestJsonEmitter:
 
 class TestCsv:
     def test_columns_and_rows(self):
-        report = _sample_report()
+        table = sample_grid(HexGeometry(1, 1, 1), VertexCoupling(1.0), "positive", 5.0, 8.0, 600)
         buffer = io.StringIO()
-        write_samples_csv(report, buffer)
+        write_samples_csv(table, buffer)
         lines = buffer.getvalue().splitlines()
         assert lines[0] == ",".join(CSV_COLUMNS)
-        assert len(lines) == 1 + len(report.samples)
+        assert len(lines) == 1 + len(table) == 601
         first = lines[1].split(",")
         assert len(first) == 6
         assert first[5] in ("band", "gap", "dirichlet")
@@ -90,17 +89,17 @@ class TestCsv:
         assert float(first[1]) == pytest.approx(float(first[0]) ** 2)
 
 
-def _reference_csv(report):
+def _reference_csv(table):
     """The row-by-row CSV writer: format_float on every cell."""
     lines = [",".join(CSV_COLUMNS)]
-    for row in report.samples:
+    for row in table:
         lines.append(",".join([*map(format_float, row[:5]), row.decision]))
     return "\n".join(lines) + "\n"
 
 
-def _csv(report):
+def _csv(table):
     buffer = io.StringIO()
-    write_samples_csv(report, buffer)
+    write_samples_csv(table, buffer)
     return buffer.getvalue()
 
 
@@ -113,8 +112,9 @@ LENGTH = st.one_of(st.sampled_from([0.5, 1.0, 1.5, 2.0]), st.floats(0.3, 3.0))
 
 @st.composite
 def _scan(draw):
-    """A positive or negative scan of a random lattice: Dirichlet rows on
-    rational lengths and wide tolerances, kappa windows from 1e-310."""
+    """A positive or negative report of a random lattice and the sample table of
+    its window: Dirichlet rows on rational lengths and wide tolerances, kappa
+    windows from 1e-310."""
     geom = HexGeometry(draw(LENGTH), draw(LENGTH), draw(LENGTH))
     n_samples = draw(st.one_of(st.integers(2, 400), st.sampled_from([4096, 4097, 9000])))
     edge_tol = draw(st.sampled_from([1e-12, 1e-9, 1e-4]))
@@ -123,12 +123,13 @@ def _scan(draw):
         k_lo = draw(st.floats(0.01, 40.0))
         k_hi = k_lo + draw(st.floats(0.5, 40.0))
         tol = draw(st.sampled_from([1e-9, 1e-3, 0.2, 2.0]))
-        return scan_spectrum(geom, coupling, k_lo, k_hi, n_samples, edge_tol, dirichlet_tol=tol)
+        return (scan_spectrum(geom, coupling, k_lo, k_hi, edge_tol),
+                sample_grid(geom, coupling, "positive", k_lo, k_hi, n_samples, tol))
     coupling = VertexCoupling(draw(st.floats(-50.0, 0.0, exclude_max=True)))
     kappa_lo = 10.0 ** draw(st.floats(-310.0, 0.0))
     kappa_max = kappa_lo + draw(st.floats(0.5, 800.0))
-    return negative_spectrum_scan(geom, coupling, kappa_max, n_samples, edge_tol,
-                                  kappa_lo=kappa_lo)
+    return (negative_spectrum_scan(geom, coupling, kappa_lo, kappa_max, edge_tol),
+            sample_grid(geom, coupling, "negative", kappa_lo, kappa_max, n_samples))
 
 
 CELL = st.one_of(st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324]))
@@ -185,8 +186,7 @@ def _check_cells(values):
             assert text == format_float(x) + ",", repr(x)
     rows = len(values) // 5 * 5
     table = SampleTable(*np.reshape(values[:rows], (5, -1)), [0] * (rows // 5))
-    report = SpectrumReport("positive", (1.0, 2.0), [], [], samples=table)
-    assert _csv(report) == _reference_csv(report)
+    assert _csv(table) == _reference_csv(table)
 
 
 def _near_powers_of_ten(exponents):
@@ -260,9 +260,9 @@ class TestCellFormatter:
         """The fast path carries the scan: format_float sees only the NaN
         cells of the Dirichlet rows, so a writer that fell back on every
         cell would fail here though its bytes were right."""
-        report = scan_spectrum(HexGeometry(1, 2, 1.5), VertexCoupling(3.0), 0.01, 100.0, 4000,
-                               1e-9, dirichlet_tol=1e-3)
-        nonfinite = [x for row in report.samples for x in row[:5] if not math.isfinite(x)]
+        table = sample_grid(HexGeometry(1, 2, 1.5), VertexCoupling(3.0), "positive", 0.01, 100.0,
+                            4000, 1e-3)
+        nonfinite = [x for row in table for x in row[:5] if not math.isfinite(x)]
         calls = []
 
         def counting(x):
@@ -270,12 +270,12 @@ class TestCellFormatter:
             return format_float(x)
 
         monkeypatch.setattr(report_module, "format_float", counting)
-        text = _csv(report)
+        text = _csv(table)
         assert len(nonfinite) > 0
         assert len(calls) == len(nonfinite)
         assert not any(map(math.isfinite, calls))
         monkeypatch.undo()
-        assert text == _reference_csv(report)
+        assert text == _reference_csv(table)
 
 
 class TestSampleTable:
@@ -319,19 +319,20 @@ class TestSampleTable:
     @settings(max_examples=100, derandomize=True, deadline=None)
     @given(_table())
     def test_csv_of_any_table_equals_the_row_writer(self, table):
-        report = SpectrumReport("positive", (1.0, 2.0), [], [], samples=table)
-        assert _csv(report) == _reference_csv(report)
+        assert _csv(table) == _reference_csv(table)
 
 
 class TestScanProperties:
     @settings(max_examples=60, derandomize=True, deadline=None)
     @given(_scan())
-    def test_csv_equals_the_row_writer(self, report):
-        assert _csv(report) == _reference_csv(report)
+    def test_csv_equals_the_row_writer(self, scan):
+        _, table = scan
+        assert _csv(table) == _reference_csv(table)
 
     @settings(max_examples=60, derandomize=True, deadline=None)
     @given(_scan())
-    def test_bands_and_gaps_alternate_and_tile_the_window(self, report):
+    def test_bands_and_gaps_alternate_and_tile_the_window(self, scan):
+        report, _ = scan
         kinds = {**{tuple(i): "band" for i in report.bands},
                  **{tuple(i): "gap" for i in report.gaps}}
         intervals = sorted(kinds)
@@ -344,7 +345,8 @@ class TestScanProperties:
 
     @settings(max_examples=60, derandomize=True, deadline=None)
     @given(_scan())
-    def test_json_round_trip_reproduces_the_intervals_bit_for_bit(self, report):
+    def test_json_round_trip_reproduces_the_intervals_bit_for_bit(self, scan):
+        report, _ = scan
         loaded = report_from_json(report_to_json(report))
         for read in (lambda r: [x for pair in r.bands for x in pair],
                      lambda r: [x for pair in r.gaps for x in pair],
