@@ -753,6 +753,23 @@ class TestNegativeScan:
         table = sample_grid(geom, coupling, "negative", 1e-3, kappa_max, 60_000)
         _assert_rows_agree(table, intervals, edge_tol)
 
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(st.lists(st.floats(0.05, 20.0), min_size=3, max_size=3), st.floats(-300.0, -0.01),
+           st.floats(0.01, 50.0))
+    # two roots closer than edge_tol: bracketed by sample cells, 400 samples gave a
+    # band of kappa width 6.8e-13 at E = -287.1 and 60k samples none
+    @example([3.0, 0.05, 6.655366294480903], -40.66561432555537, 37.475917242533725)
+    def test_the_intervals_do_not_depend_on_the_samples(self, lengths, alpha, kappa_max):
+        # the report takes no sample count, and its one set of intervals
+        # accounts for the rows of a sample table at every count
+        geom, coupling, edge_tol = HexGeometry(*lengths), VertexCoupling(alpha), 1e-12
+        report = negative_spectrum_scan(geom, coupling, 1e-3, kappa_max, edge_tol)
+        intervals = [(math.sqrt(-hi), math.sqrt(-lo), state)
+                     for lo, hi, state in reversed(_energy_intervals(report))]
+        for n_samples in (50, 400, 4000, 60_000):
+            table = sample_grid(geom, coupling, "negative", 1e-3, kappa_max, n_samples)
+            _assert_rows_agree(table, intervals, edge_tol)
+
     def test_energies_increase(self):
         report = negative_spectrum_scan(EQUILATERAL, VertexCoupling(-6.5), 1e-3, 5.0, 1e-9)
         intervals = sorted(report.bands + report.gaps)
