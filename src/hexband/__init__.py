@@ -36,7 +36,6 @@ from .bands import (
     verify_flat_band,
 )
 from .gaps import (
-    GapAtZero,
     GapDiagnostics,
     ThresholdReport,
     gap_diagnostics_bc,
@@ -45,7 +44,6 @@ from .gaps import (
     gc2,
     gc2_equivalent_bc,
     gc_negative,
-    negative_gap_at_zero,
     thresholds_bc,
 )
 from .numtheory import (
@@ -71,7 +69,6 @@ from .numtheory import (
 from .oracle import GridSpec, band_membership_grid, det_numeric, rhs_extrema_grid, trig_min_grid
 from .report import (
     FlatBand,
-    SampleRow,
     SampleTable,
     SpectrumReport,
     report_from_json,

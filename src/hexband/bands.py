@@ -24,6 +24,7 @@ their terms and turns them into reports.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -342,9 +343,10 @@ def sample_grid(
     n_samples: int,
     dirichlet_tol: float = DEFAULT_DIRICHLET_TOL,
 ) -> SampleTable:
-    """The table that ``bands --format csv`` prints: ``n_samples`` rows on the
-    uniform grid ``lo + i*h`` over [lo, hi], its last point ``hi``, of k on
-    the positive branch and of kappa on the negative one.
+    """The table that ``bands --format csv`` prints: ``n_samples`` rows, an
+    integer of at least 2, on the uniform grid ``lo + i*h`` over [lo, hi],
+    its last point ``hi``, of k on the positive branch and of kappa on the
+    negative one, as the columns of a :class:`report.SampleTable`.
 
     Each row holds |D|, max(0, lower) and upper from the column kernel of its
     branch (:func:`core.positive_terms_grid`, :func:`core._negative_terms_grid`),
@@ -354,8 +356,8 @@ def sample_grid(
     negative branch has none.  The reports do not read the table.
     """
     _check_window(lo, hi)
-    if n_samples < 2:
-        raise ValueError(f"n_samples must be >= 2, got {n_samples!r}")
+    if not isinstance(n_samples, numbers.Integral) or n_samples < 2:
+        raise ValueError(f"n_samples must be an integer >= 2, got {n_samples!r}")
     xs = lo + np.arange(n_samples) * ((hi - lo) / (n_samples - 1))
     xs[-1] = hi
     if branch == "positive":
@@ -367,7 +369,7 @@ def sample_grid(
         energy = -xs * xs
     else:
         raise ValueError(f"branch must be 'positive' or 'negative', got {branch!r}")
-    decisions = np.where(flagged, 2, ~_GAP[_sign_codes(d, lower, upper)])
+    decisions = np.where(flagged, 2, ~_GAP[_sign_codes(d, lower, upper)]).astype(np.int8)
     np.abs(d, out=d)
     lower[~(lower > 0.0)] = 0.0  # max(0.0, lower), NaN included
     for column in (d, lower, upper):
@@ -415,8 +417,8 @@ def verify_flat_band(
     violation of the vertex conditions over the six cycle vertices: value
     mismatches against the zero outside edge, the closure mismatch where the
     cycle ends meet, and the outgoing-derivative sums against alpha times
-    the vertex value.  The construction is exact precisely when k*a, k*b,
-    k*c are all multiples of 2*pi.
+    the vertex value.  The construction is exact when k*a, k*b and k*c are
+    all multiples of pi.
     """
     if not k > 0:
         raise ValueError("k must be > 0")

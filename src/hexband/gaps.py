@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 
 from .core import (
     HexGeometry,
@@ -38,8 +37,6 @@ __all__ = [
     "gap_diagnostics_bc",
     "gc2_equivalent_bc",
     "gc_negative",
-    "GapAtZero",
-    "negative_gap_at_zero",
     "ThresholdReport",
     "thresholds_bc",
     "threshold_report_to_json",
@@ -139,36 +136,6 @@ def gc_negative(
     """
     d, lower, upper = _negative_terms(geom, coupling.alpha, kappa)
     return abs(d) > upper, abs(d) < lower
-
-
-class GapAtZero(Enum):
-    """Why (or whether) the negative spectrum has a gap adjacent to zero."""
-
-    STRONG_COUPLING = "strong_coupling"  # |alpha| > 2/a + 2/b + 2/c
-    SHORT_EDGE_WINDOW = "short_edge_window"  # dominant shortest edge, |alpha| in a window
-    NONE = "none"
-    NO_NEGATIVE_SPECTRUM = "no_negative_spectrum"  # alpha >= 0: the whole axis is a gap
-
-
-def negative_gap_at_zero(geom: HexGeometry, coupling: VertexCoupling) -> GapAtZero:
-    """Classify the small-kappa asymptotics of the negative-branch criteria.
-
-    For alpha >= 0 there is no negative spectrum at all.  For alpha < 0 a
-    gap adjacent to E = 0 from below exists iff either the coupling
-    magnitude exceeds 2/a + 2/b + 2/c, or the shortest edge dominates
-    (2/l_min > 1/a + 1/b + 1/c) and |alpha| falls strictly inside
-    (2/a + 2/b + 2/c - 2/l_min, 2/l_min).
-    """
-    if coupling.alpha >= 0:
-        return GapAtZero.NO_NEGATIVE_SPECTRUM
-    abs_alpha = abs(coupling.alpha)
-    inv_sum = sum(1 / ell for ell in geom.lengths)
-    if abs_alpha > 2 * inv_sum:
-        return GapAtZero.STRONG_COUPLING
-    short = 2 / geom.ell_min
-    if short > inv_sum and 2 * inv_sum - short < abs_alpha < short:
-        return GapAtZero.SHORT_EDGE_WINDOW
-    return GapAtZero.NONE
 
 
 @dataclass(frozen=True)

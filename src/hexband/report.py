@@ -3,9 +3,10 @@
 JSON output is deterministic: field order is fixed by construction and every
 float is rendered with 17 significant digits, which round-trips doubles
 exactly.  ``report_from_json`` therefore reproduces interval lists bit for
-bit.  The CSV writer prints the same 17-digit text, byte for byte, but
-formats a block of cells at once in numpy (:func:`_cell_words`) and leaves
-only non-finite, extreme and possibly tied cells to :func:`format_float`.
+bit.  The CSV writer prints a :class:`SampleTable`, six equal-length
+columns, in the same 17-digit text, byte for byte, but formats a block of
+cells at once in numpy (:func:`_cell_words`) and leaves only non-finite,
+extreme and possibly tied cells to :func:`format_float`.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum
 from typing import Any, NamedTuple, TextIO
@@ -23,7 +23,6 @@ import numpy as np
 __all__ = [
     "SCHEMA_VERSION",
     "FlatBand",
-    "SampleRow",
     "SampleTable",
     "SpectrumReport",
     "format_float",
@@ -50,72 +49,23 @@ class FlatBand:
     note: str = "infinite multiplicity"
 
 
-class SampleRow(NamedTuple):
-    """One grid sample: spectral variable, dispersion and envelope values.
+class SampleTable(NamedTuple):
+    """A sample grid as six equal-length columns, one row per sample.
 
-    ``decision`` is ``band``, ``gap`` or ``dirichlet``; a ``dirichlet`` row
-    has NaN in its three envelope and dispersion cells.  A sample grid is
-    kept as the columns of a :class:`SampleTable`, which builds these rows
-    only when they are read.
-    """
-
-    k: float
-    energy: float
-    abs_dispersion: float
-    lower: float
-    upper: float
-    decision: str
-
-
-class SampleTable(Sequence):
-    """A sample grid as read-only float64 columns, a sequence of :class:`SampleRow`.
-
-    ``decisions`` holds one code per row, an index into :attr:`DECISIONS`:
-    0 gap, 1 band, 2 dirichlet.  Indexing builds one row, a slice is a
-    table over views of the same columns, and iteration builds the rows
-    from whole columns at once.  With no arguments the table is empty.
+    The five float columns hold k (kappa on the negative branch), the
+    energy, |D| and the envelope's lower and upper values; a ``dirichlet``
+    row has NaN in its last three.  ``decisions`` holds one int8 code per
+    row, an index into :attr:`DECISIONS`: 0 gap, 1 band, 2 dirichlet.
     """
 
     DECISIONS = ("gap", "band", "dirichlet")
-    _LABELS = np.array(DECISIONS, dtype=object)
 
-    __slots__ = ("k", "energy", "abs_dispersion", "lower", "upper", "decisions")
-
-    def __init__(self, k=(), energy=(), abs_dispersion=(), lower=(), upper=(), decisions=()):
-        columns = [np.asarray(c, dtype=np.float64) for c in (k, energy, abs_dispersion, lower,
-                                                             upper)]
-        columns.append(np.asarray(decisions, dtype=np.int8))
-        if len({c.shape for c in columns}) != 1 or columns[0].ndim != 1:
-            raise ValueError("sample columns must be one-dimensional and of equal length")
-        for name, column in zip(self.__slots__, columns):
-            view = column.view()  # read-only without freezing the caller's array
-            view.flags.writeable = False
-            setattr(self, name, view)
-
-    def _columns(self) -> list[np.ndarray]:
-        return [getattr(self, name) for name in self.__slots__]
-
-    def __len__(self) -> int:
-        return len(self.k)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return SampleTable(*(column[index] for column in self._columns()))
-        *values, code = (column[index].item() for column in self._columns())
-        return SampleRow(*values, self.DECISIONS[code])
-
-    def __iter__(self):
-        *columns, codes = self._columns()
-        return map(SampleRow, *(column.tolist() for column in columns),
-                   self._LABELS[codes].tolist())
-
-    def __eq__(self, other):
-        if not isinstance(other, SampleTable):
-            return NotImplemented
-        return all(np.array_equal(a, b, equal_nan=True)
-                   for a, b in zip(self._columns(), other._columns()))
-
-    __hash__ = None
+    k: np.ndarray
+    energy: np.ndarray
+    abs_dispersion: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+    decisions: np.ndarray
 
 
 @dataclass
@@ -125,8 +75,8 @@ class SpectrumReport:
     ``bands`` are closed energy intervals, ``gaps`` open ones; together they
     interleave and tile ``window`` up to the scan's edge resolution.  The
     negative branch reports energies E = -kappa^2, ordered increasingly.
-    ``samples`` is empty on every report: a scan reads no sample grid, and
-    the CSV format prints a :class:`SampleTable` of its own.
+    ``samples`` is the empty tuple on every report: a scan reads no sample
+    grid, and the CSV format prints a :class:`SampleTable` of its own.
     """
 
     branch: str
@@ -136,7 +86,7 @@ class SpectrumReport:
     flat_bands: list[FlatBand] = field(default_factory=list)
     dirichlet_points: list[float] = field(default_factory=list)
     meta: dict[str, Any] = field(default_factory=dict)
-    samples: SampleTable = field(default_factory=SampleTable)
+    samples: tuple = ()
 
     def gap_adjacent_to_zero(self) -> bool:
         """True when the interval bordering E = 0 from below is a gap.
@@ -260,11 +210,13 @@ def write_samples_csv(table: SampleTable, stream: TextIO) -> None:
     the chunk's cells in numpy, :func:`format_float` writes the few cells
     it leaves (NaN, infinities, magnitudes beyond 1e280 or below 1e-280,
     possible ties at 17 digits), and one ``bytes.translate`` drops the
-    padding between them.
+    padding between them.  Columns of unequal length raise ``ValueError``.
     """
+    if len(set(map(len, table))) > 1:
+        raise ValueError("sample columns must be of equal length")
     stream.write(",".join(CSV_COLUMNS) + "\n")
     labels = _csv_tables().labels
-    *columns, codes = table._columns()
+    *columns, codes = table
     for start in range(0, len(codes), _CSV_CHUNK):
         chunk = slice(start, start + _CSV_CHUNK)
         cells = np.stack([column[chunk] for column in columns], axis=1).ravel()

@@ -33,7 +33,7 @@ from hexband.cli import cli
 from hexband.core import (_SAME_POINT, DirichletPointError, _flag_sines, _half_angle_pair,
                           _negative_terms, _negative_terms_grid, dispersion_negative,
                           gap_criteria, inv_sinh, positive_terms)
-from hexband.report import SampleRow, report_to_json
+from hexband.report import SampleTable, report_to_json
 from hexband.numtheory import CommensurabilityWitness
 from hexband.oracle import GridSpec, band_membership_grid, rhs_extrema_grid, trig_min_grid
 
@@ -271,14 +271,14 @@ class TestScanSpectrum:
             k = k_hi if i == n_samples - 1 else k_lo + i * h
             sines = _flag_sines(k, geom.lengths)[0]
             if any(abs(s) <= tol * max(1.0, ell * k) for s, ell in zip(sines, geom.lengths)):
-                expected.append(SampleRow(k, k * k, math.nan, math.nan, math.nan, "dirichlet"))
+                expected.append((k, k * k, math.nan, math.nan, math.nan, 2))
                 continue
             d, lower, upper = positive_terms(geom, alpha, k)
             value, lower = abs(d), max(0.0, lower)
-            decision = "band" if lower <= value <= upper else "gap"
-            expected.append(SampleRow(k, k * k, value, lower, upper, decision))
-        assert 0 < sum(row.decision == "dirichlet" for row in expected) < n_samples
-        assert [tuple(map(repr, row)) for row in table] == \
+            expected.append((k, k * k, value, lower, upper, int(lower <= value <= upper)))
+        assert 0 < sum(row[5] == 2 for row in expected) < n_samples
+        assert table.decisions.dtype == np.int8
+        assert [tuple(map(repr, row)) for row in zip(*(column.tolist() for column in table))] == \
             [tuple(map(repr, row)) for row in expected]
 
     @pytest.mark.parametrize("scan", [_positive_scan, _negative_scan], ids=["positive", "negative"])
@@ -310,6 +310,16 @@ class TestScanSpectrum:
     def test_a_sample_grid_names_its_branch(self):
         with pytest.raises(ValueError, match="branch"):
             sample_grid(EQUILATERAL, KIRCHHOFF, "Positive", 1.0, 2.0, 10)
+
+    def test_a_sample_count_is_an_integer(self):
+        # 2.5 samples once gave rows at k = 1, 1.667 and 2, off the grid lo + i*h
+        geom, coupling = HexGeometry(1, 1.3, 1.7), VertexCoupling(1.0)
+        for n_samples in (2.5, 3.0, np.float64(3.0), "3"):
+            with pytest.raises(ValueError, match="integer"):
+                sample_grid(geom, coupling, "positive", 1.0, 2.0, n_samples)
+        for n_samples in (3, np.int8(3), np.int64(3), np.uint32(3)):
+            table = sample_grid(geom, coupling, "positive", 1.0, 2.0, n_samples)
+            assert table.k.tolist() == [1.0, 1.5, 2.0]
 
     def test_edge_tol_below_double_spacing_terminates(self):
         # doubles near k = 250 are ~6e-14 apart, wider than edge_tol
@@ -373,7 +383,7 @@ def _assert_rows_agree(table, intervals, edge_tol):
     at = np.minimum(np.searchsorted(his, table.k), len(intervals) - 1)
     checked = ((table.decisions < 2) & (np.abs(table.k - los[at]) > 2 * edge_tol)
                & (np.abs(table.k - his[at]) > 2 * edge_tol))
-    assert checked.sum() > 0.8 * len(table)
+    assert checked.sum() > 0.8 * len(table.k)
     assert np.array_equal(table.decisions[checked] == 1, bands[at][checked])
 
 
@@ -400,7 +410,7 @@ class TestDirichletEdges:
             assert (result.exit_code, result.stdout) == (0, report_to_json(report))
         # a tolerance of 2 flags every sample row
         table = sample_grid(geom, coupling, "positive", 0.01, 120.0, 4000, 2.0)
-        assert {row.decision for row in table} == {"dirichlet"}
+        assert set(table.decisions.tolist()) == {SampleTable.DECISIONS.index("dirichlet")}
 
     @pytest.mark.parametrize(
         "geom, alpha, k_lo, k_hi, end, state",
@@ -722,15 +732,13 @@ class TestNegativeScan:
         # kappa reaches past 700/l, where 1/sinh is taken as 0
         geom, coupling = HexGeometry(1, 3, 0.7), VertexCoupling(-6.5)
         table = sample_grid(geom, coupling, "negative", 1e-3, 300.0, 800)
-        for row in table:
-            kappa = row.k
+        for kappa, *row, code in zip(*(column.tolist() for column in table)):
             inv = [inv_sinh(ell * kappa) for ell in geom.lengths]
             upper = sum(inv)
             lower = max(0.0, 2 * inv_sinh(geom.ell_min * kappa) - upper)
             value = abs(dispersion_negative(geom, coupling, kappa))
-            assert (row.energy, row.abs_dispersion, row.lower, row.upper) == \
-                (-kappa * kappa, value, lower, upper)
-            assert row.decision == ("band" if lower <= value <= upper else "gap")
+            assert row == [-kappa * kappa, value, lower, upper]
+            assert SampleTable.DECISIONS[code] == ("band" if lower <= value <= upper else "gap")
 
     @settings(max_examples=40, derandomize=True, deadline=None)
     @given(st.lists(st.floats(0.05, 20.0), min_size=3, max_size=3), st.floats(-2.0, 2.47),
@@ -936,6 +944,20 @@ class TestVerifyFlatBand:
 
     def test_coupling_does_not_break_exact_construction(self):
         assert verify_flat_band(EQUILATERAL, 2 * math.pi, VertexCoupling(7.5)) <= 1e-11
+
+    @pytest.mark.parametrize(
+        "lengths, k, exact",
+        [((1, 1, 1), math.pi, True), ((1, 2, 3), math.pi, True),
+         ((0.5, 1.5, 1), 2 * math.pi, True), ((1, 1, 1), math.pi / 2, False)],
+        ids=["pi-equilateral", "pi-odd-lengths", "2pi-half-lengths", "half-pi"],
+    )
+    def test_exact_at_multiples_of_pi(self, lengths, k, exact):
+        # k*l in pi*Z suffices, 2*pi*Z is not needed: k*a, k*b, k*c are
+        # pi, 2*pi and 3*pi at (1, 2, 3) and pi, 3*pi, 2*pi at (1/2, 3/2, 1)
+        residual = verify_flat_band(HexGeometry(*lengths), k, VertexCoupling(2.5))
+        assert (residual <= 1e-14) is exact
+        if not exact:
+            assert residual == pytest.approx(math.pi, rel=1e-12)  # |slope sum| = 2k at k = pi/2
 
     def test_incommensurate_lengths_fail(self):
         geom = HexGeometry(1, math.sqrt(2), 1)

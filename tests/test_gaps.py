@@ -9,7 +9,6 @@ from mpmath import mp
 from hexband import (
     Decision,
     EnergyPoint,
-    GapAtZero,
     HexGeometry,
     VertexCoupling,
     band_membership,
@@ -20,7 +19,6 @@ from hexband import (
     gc2,
     gc2_equivalent_bc,
     gc_negative,
-    negative_gap_at_zero,
     negative_spectrum_scan,
     predicted_gap_centers,
     scan_spectrum,
@@ -349,23 +347,27 @@ def _gap_at_zero_case(draw):
     return lengths, -draw(st.floats(-1.0, 2.0)) * 2 * sum(1 / ell for ell in lengths)
 
 
+def _gap_at_zero(geom, alpha):
+    report = negative_spectrum_scan(geom, VertexCoupling(alpha), 1e-5, 1.0, 1e-12)
+    return report.gap_adjacent_to_zero()
+
+
 class TestNegativeGapAtZero:
+    """Whether the negative scan opens a gap adjacent to E = 0 from below."""
+
     def test_strong_coupling(self):
-        assert negative_gap_at_zero(EQUILATERAL, VertexCoupling(-6.5)) is GapAtZero.STRONG_COUPLING
+        assert _gap_at_zero(EQUILATERAL, -6.5)  # |alpha| > 2/a + 2/b + 2/c = 6
 
     def test_short_edge_window(self):
-        assert (
-            negative_gap_at_zero(HexGeometry(1, 3, 3), VertexCoupling(-1.5))
-            is GapAtZero.SHORT_EDGE_WINDOW
-        )
+        assert _gap_at_zero(HexGeometry(1, 3, 3), -1.5)  # 4/3 < |alpha| < 2/l_min = 2
 
     def test_no_gap_below_threshold(self):
-        assert negative_gap_at_zero(EQUILATERAL, VertexCoupling(-5.5)) is GapAtZero.NONE
+        assert not _gap_at_zero(EQUILATERAL, -5.5)
 
     def test_window_boundaries(self):
         geom = HexGeometry(1, 3, 3)  # window is (4/3, 2)
-        assert negative_gap_at_zero(geom, VertexCoupling(-1.2)) is GapAtZero.NONE
-        assert negative_gap_at_zero(geom, VertexCoupling(-2.2)) is GapAtZero.NONE
+        assert not _gap_at_zero(geom, -1.2)
+        assert not _gap_at_zero(geom, -2.2)
 
     @settings(max_examples=200, derandomize=True, deadline=None)
     @given(_gap_at_zero_case())
@@ -376,25 +378,17 @@ class TestNegativeGapAtZero:
     @example(([1.0, 3.0, 3.0], -1.5))
     def test_classes_follow_the_small_kappa_limits(self, case):
         # kappa times D - upper, D + upper, D - lower and D + lower tends to
-        # these as kappa -> 0; l_j is the shortest edge
+        # these as kappa -> 0; l_j is the shortest edge.  A gap borders zero
+        # with no negative spectrum (alpha >= 0), under strong coupling, or
+        # in the short-edge window
         lengths, alpha = case
         geom = HexGeometry(*lengths)
         inv = [1 / ell for ell in lengths]
         j = lengths.index(geom.ell_min)
         limits = [alpha, alpha + 2 * sum(inv), alpha + 2 * (sum(inv) - inv[j]), alpha + 2 * inv[j]]
         assume(alpha >= 0 or min(map(abs, limits)) > 1e-6)
-        if limits[0] >= 0:
-            expected = GapAtZero.NO_NEGATIVE_SPECTRUM
-        elif limits[1] < 0:
-            expected = GapAtZero.STRONG_COUPLING
-        elif limits[2] < 0 < limits[3]:
-            expected = GapAtZero.SHORT_EDGE_WINDOW
-        else:
-            expected = GapAtZero.NONE
-        coupling = VertexCoupling(alpha)
-        assert negative_gap_at_zero(geom, coupling) is expected
-        report = negative_spectrum_scan(geom, coupling, 1e-5, 1.0, 1e-12)
-        assert report.gap_adjacent_to_zero() == (expected is not GapAtZero.NONE)
+        expected = limits[0] >= 0 or limits[1] < 0 or limits[2] < 0 < limits[3]
+        assert _gap_at_zero(geom, alpha) == expected
 
 
 class TestMutualExclusionAndSoundness:
