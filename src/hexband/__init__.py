@@ -6,7 +6,10 @@ closed-form secular condition, decides band membership through the phase
 envelope, scans energy windows into bands and gaps (positive and negative
 branch), enumerates and verifies flat bands, applies the explicit gap
 criteria with their number-theoretic coupling thresholds, and cross-checks
-everything against brute-force grid oracles.
+everything against brute-force grid oracles.  The cofactor oracle
+``det_numeric(re, im) -> (re, im)`` works on columns: the (4, 4, n) real
+and imaginary parts of n cell matrices in, the (n,) parts of their
+determinants out.
 """
 
 from .core import (

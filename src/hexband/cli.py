@@ -52,7 +52,6 @@ from .core import (
     FloquetPhase,
     HexGeometry,
     VertexCoupling,
-    assemble_m_matrix,
     det_m_closed_form,
     positive_terms_grid,
 )
@@ -71,7 +70,7 @@ from .numtheory import (
     predicted_gap_centers,
     ratio_divide,
 )
-from .oracle import GridSpec, det_numeric, rhs_extrema_grid, trig_min_grid
+from .oracle import GridSpec, _assemble_columns, det_numeric, rhs_extrema_grid, trig_min_grid
 from .report import format_float, json_dumps, report_to_json, write_samples_csv
 
 EXIT_NUMERIC = 3
@@ -400,7 +399,7 @@ def verify(det_samples, envelope_samples, trigmin_samples, grid_n, refine_rounds
     rng = random.Random(seed)
     grid = GridSpec(n=grid_n, refine_rounds=refine_rounds)
 
-    max_det_dev = 0.0
+    samples = []
     for _ in range(det_samples):
         geom = HexGeometry(rng.uniform(0.5, 3), rng.uniform(0.5, 3), rng.uniform(0.5, 3))
         coupling = VertexCoupling(rng.uniform(-5, 5))
@@ -408,9 +407,12 @@ def verify(det_samples, envelope_samples, trigmin_samples, grid_n, refine_rounds
         if abs(math.sin(geom.a * k)) < 1e-3:
             continue
         phase = FloquetPhase(rng.uniform(-math.pi, math.pi), rng.uniform(-math.pi, math.pi))
-        closed = det_m_closed_form(geom, coupling, k, phase)
-        direct = det_numeric(assemble_m_matrix(geom, coupling, k, phase))
-        max_det_dev = max(max_det_dev, abs(closed - direct) / (1 + abs(closed)))
+        samples.append((geom, coupling, k, phase))
+    det_re, det_im = det_numeric(*_assemble_columns(samples))
+    max_det_dev = 0.0
+    for sample, re, im in zip(samples, det_re.tolist(), det_im.tolist()):
+        closed = det_m_closed_form(*sample)
+        max_det_dev = max(max_det_dev, abs(closed - complex(re, im)) / (1 + abs(closed)))
 
     max_env_dev = 0.0
     for _ in range(envelope_samples):

@@ -8,12 +8,16 @@ shared read-only table of cos(t1 - t2), in their formulas' order of
 operations; an extremum search bounds its grid function, a trigonometric
 polynomial in the two phases, on square tiles of cells by Taylor's theorem
 and evaluates only the tiles whose bounds could hold its best cells, a
-block at a time; the cofactor expansion evaluates each minor once.
+block at a time; the cell matrices are assembled, and their cofactor
+expansion runs, once across all samples, on columns of real and imaginary
+parts in CPython's complex formulas (numpy's complex arithmetic rounds
+differently), each minor evaluated once.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -23,9 +27,9 @@ from .core import (
     DirichletPointError,
     EnergyPoint,
     HexGeometry,
-    MMatrix,
     VertexCoupling,
     _check_k,
+    _reduce_grid,
     checked_sines,
     dispersion_negative,
     inv_sinh,
@@ -212,6 +216,14 @@ def _seeds(cells: np.ndarray, n: int) -> list[tuple[float, float]]:
     return picked
 
 
+@functools.lru_cache(maxsize=16)
+def _zoom_offsets(half: float) -> np.ndarray:
+    """The 33 phase offsets of a zoom window of half-width ``half``, read-only."""
+    offsets = np.linspace(-half, half, 33)
+    offsets.setflags(write=False)
+    return offsets
+
+
 def _grid_min(g, n: int, cells: np.ndarray, best: float, refine_rounds: int,
               negate: bool = False) -> float:
     """Minimum over the torus of g(cos t1, cos t2, cos(t1 - t2)) by grid + local zoom.
@@ -236,7 +248,7 @@ def _grid_min(g, n: int, cells: np.ndarray, best: float, refine_rounds: int,
         half = 4 * math.pi / n
         rounds = 0
         while rounds < refine_rounds:
-            lt = np.linspace(-half, half, 33)
+            lt = _zoom_offsets(half)
             l1, l2 = c1 + lt, c2 + lt
             local = f(np.cos(l1)[:, None], np.cos(l2)[None, :], np.cos(l1[:, None] - l2[None, :]))
             i, j = np.unravel_index(np.argmin(local), local.shape)
@@ -343,24 +355,96 @@ def band_membership_grid(
     return BandDecision.in_band() if lo <= d2 <= hi else BandDecision.in_gap()
 
 
-def det_numeric(m: MMatrix) -> complex:
-    """Determinant of the 4x4 cell matrix by direct cofactor expansion, each
-    minor (the columns left at its row) evaluated once."""
-    rows = m.entries
-    minors = {(j,): rows[-1][j] for j in range(len(rows))}
+def _product(x, y):
+    """CPython's complex product of two (real, imaginary) pairs of columns or floats."""
+    (xr, xi), (yr, yi) = x, y
+    return xr * yr - xi * yi, xr * yi + xi * yr
 
-    def det(r: int, cols: tuple[int, ...]) -> complex:
-        if cols not in minors:
-            total = 0j
+
+def _exp_i(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``cmath.exp(1j * x)`` for real x: the real part of ``1j * x`` is a
+    signed zero, whose exponential is exactly 1, so this is (cos x, sin x)."""
+    return np.cos(x), np.sin(x)
+
+
+def _assemble_columns(samples) -> tuple[np.ndarray, np.ndarray]:
+    """``assemble_m_matrix`` over (geom, coupling, k, phase) samples at once.
+
+    Returns the (4, 4, n) real and imaginary parts of the n matrices, each
+    entry equal to ``assemble_m_matrix``'s bit for bit: the same operations
+    in the same order, in CPython's complex formulas (a float is the complex
+    (x, 0), a division by sin(a*k) is Smith's quotient by (s_a, 0)), with
+    ``np.sin``/``np.cos`` in place of the libm calls, which
+    ``tests/test_core.py`` pins as equal over the phases drawn here.  numpy's
+    complex128 arithmetic rounds differently, so it is not used.  Every
+    sin(a*k) must be clear of the Dirichlet guard; it is not checked.
+    """
+    a, b, c, alpha, k, t1, t2 = np.array(
+        [(g.a, g.b, g.c, cp.alpha, kk, ph.theta1, ph.theta2) for g, cp, kk, ph in samples],
+        dtype=float).reshape(-1, 7).T
+    s_a = np.sin(_reduce_grid(a * k))
+    alpha_over_k = alpha / k
+    ratio = 0.0 / s_a
+    denom = s_a + 0.0 * ratio
+
+    def quotient(x):
+        return (x[0] + x[1] * ratio) / denom, (x[1] - x[0] * ratio) / denom
+
+    def m3(sign: int):
+        er, ei = _exp_i(-sign * a * k)
+        fr, fi = _exp_i(sign * b * k - t1)
+        qr, qi = quotient((-er + fr, -ei + fi))
+        return qr - alpha_over_k, qi  # qi - 0.0 is qi
+
+    def m4(sign: int):
+        er, ei = _exp_i(sign * a * k + sign * b * k - t1)
+        qr, qi = quotient((-er + 1.0, -ei + 0.0))
+        pr, pi = _product((alpha_over_k, 0.0), _exp_i(sign * b * k - t1))
+        return qr - pr, qi - pi
+
+    e_c_plus, e_c_minus = _exp_i(c * k - t2), _exp_i(-c * k - t2)
+    rows = (
+        ((1.0, 0.0), (1.0, 0.0), (-1.0, 0.0), (-1.0, 0.0)),
+        (_exp_i(b * k - t1), _exp_i(-b * k - t1),
+         (-e_c_plus[0], -e_c_plus[1]), (-e_c_minus[0], -e_c_minus[1])),
+        (m3(1), m3(-1), (0.0, 1.0), (-0.0, -1.0)),  # 1j and -1j
+        (m4(1), m4(-1), _product((-0.0, -1.0), e_c_plus), _product((0.0, 1.0), e_c_minus)),
+    )
+    re, im = np.empty((2, 4, 4, k.size))
+    for r, row in enumerate(rows):
+        for j, (xr, xi) in enumerate(row):
+            re[r, j], im[r, j] = xr, xi
+    return re, im
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def det_numeric(re: np.ndarray, im: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Determinants of n 4x4 complex matrices by direct cofactor expansion.
+
+    ``re`` and ``im`` are the (4, 4, n) real and imaginary parts of the
+    matrices; the result is the (n,) real and imaginary parts of their
+    determinants.  The expansion runs once over all n, each minor (the
+    columns left at its row) evaluated once, in CPython's complex formulas,
+    so that each determinant is the scalar expansion's bit for bit.  A zero
+    head is skipped in its own matrix: its product with an infinite minor
+    never reaches the sum.  The minors are built from the last row up, not
+    by a closure that recurses: such a closure is a reference cycle, which
+    holds every minor's columns until the cyclic garbage collector runs.
+    """
+    size = len(re)
+    live = (re != 0) | (im != 0)
+    # (-1)**j * head for even and odd j, every entry at once
+    signed = [_product((sign, 0.0), (re, im)) for sign in (1.0, -1.0)]
+    minors = {(j,): (re[-1, j], im[-1, j]) for j in range(size)}
+    for r in range(size - 2, -1, -1):
+        for cols in itertools.combinations(range(size), size - r):
+            total = np.zeros(re.shape[-1]), np.zeros(re.shape[-1])
             for j, col in enumerate(cols):
-                head = rows[r][col]
-                if head == 0:
-                    continue
-                total += ((-1) ** j) * head * det(r + 1, cols[:j] + cols[j + 1 :])
+                hr, hi = signed[j % 2]
+                term = _product((hr[r, col], hi[r, col]), minors[cols[:j] + cols[j + 1 :]])
+                total = tuple(np.where(live[r, col], t + u, t) for t, u in zip(total, term))
             minors[cols] = total
-        return minors[cols]
-
-    return det(0, tuple(range(len(rows))))
+    return minors[tuple(range(size))]
 
 
 def trig_min_grid(

@@ -1,7 +1,9 @@
 import json
 import math
+import random
 import warnings
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings
@@ -356,7 +358,8 @@ class TestVerifyCommand:
 
     def test_corrupted_tolerances_fail_with_exit_4(self, runner, monkeypatch):
         # a cofactor oracle that disagrees with the closed form fails the suite
-        monkeypatch.setattr("hexband.cli.det_numeric", lambda m: 1e6 + 0j)
+        monkeypatch.setattr("hexband.cli.det_numeric",
+                            lambda re, im: (np.full(re.shape[-1], 1e6), np.zeros(re.shape[-1])))
         result = runner.invoke(
             cli,
             ["verify", "--det-samples", "20", "--envelope-samples", "2",
@@ -366,6 +369,20 @@ class TestVerifyCommand:
         data = json.loads(result.output)
         assert data["passed"] is False
         assert [check["passed"] for check in data["checks"]] == [False, True, True]
+
+    def test_no_determinant_samples_deviate_by_zero(self, runner):
+        # seed 652 draws a sample with |sin(a k)| < 1e-3 first, which verify skips
+        rng = random.Random(652)
+        a, _, _, _ = rng.uniform(0.5, 3), rng.uniform(0.5, 3), rng.uniform(0.5, 3), rng.uniform(-5, 5)
+        assert abs(math.sin(a * rng.uniform(0.1, 30))) < 1e-3
+        result = runner.invoke(
+            cli,
+            ["verify", "--seed", "652", "--det-samples", "1", "--envelope-samples", "1",
+             "--trigmin-samples", "1", "--grid-n", "64"],
+        )
+        assert result.exit_code == 0
+        det_check = json.loads(result.output)["checks"][0]
+        assert det_check["max_deviation"] == 0.0 and det_check["passed"] is True
 
     def test_trig_minimum_in_a_long_valley_passes(self, runner):
         # coefficients (-0.4692, -0.5104, 4.8077), 1.0085 times the triangle

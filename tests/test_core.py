@@ -47,6 +47,13 @@ EQUILATERAL = HexGeometry(1, 1, 1)
 KIRCHHOFF = VertexCoupling(0.0)
 
 
+def cofactor_det(m):
+    """``det_numeric`` of one matrix, passed as one-lane columns."""
+    entries = np.array(m.entries, dtype=complex)[..., None]
+    re, im = det_numeric(entries.real, entries.imag)
+    return complex(re[0], im[0])
+
+
 class TestGeometry:
     def test_rejects_nonpositive_lengths(self):
         for bad in (0.0, -1.0, math.inf, math.nan):
@@ -347,13 +354,21 @@ class TestGridKernelAgainstLibm:
 
     N = 1_000_000
 
-    def test_sin_and_cos(self):
-        x = np.random.default_rng(8).uniform(-math.pi, math.pi, self.N)
+    @staticmethod
+    def _assert_sin_and_cos_agree(x):
         xs = x.tolist()
         for np_fn, math_fn in ((np.sin, math.sin), (np.cos, math.cos)):
             expected = np.array([math_fn(v) for v in xs])
             bad = np.count_nonzero(np_fn(x) != expected)
-            assert bad == 0, SIMD_MESSAGE.format(f"{np_fn.__name__}: {bad} of {self.N} differ")
+            assert bad == 0, SIMD_MESSAGE.format(f"{np_fn.__name__}: {bad} of {x.size} differ")
+
+    def test_sin_and_cos(self):
+        self._assert_sin_and_cos_agree(np.random.default_rng(8).uniform(-math.pi, math.pi, self.N))
+
+    def test_sin_and_cos_over_the_cell_matrix_phases(self):
+        # oracle._assemble_columns takes sines and cosines of unreduced
+        # phases such as (a + b) k - theta1, within about +-183 for verify's draws
+        self._assert_sin_and_cos_agree(np.random.default_rng(10).uniform(-200, 200, self.N))
 
     def test_fold(self):
         x = np.random.default_rng(9).uniform(0.0, 1e8, self.N)
@@ -662,7 +677,7 @@ class TestMMatrix:
         assert m.entries[3][3] == pytest.approx(1j * cmath.exp(1j * (-geom.c * k - t2)))
 
     def test_determinant_value_at_reference_point(self):
-        numeric = det_numeric(assemble_m_matrix(**SPEC_POINT))
+        numeric = cofactor_det(assemble_m_matrix(**SPEC_POINT))
         closed = det_m_closed_form(**SPEC_POINT)
         assert numeric == pytest.approx(25.490643057848562 + 0j, rel=1e-10)
         assert abs(closed - numeric) / (1 + abs(closed)) < 1e-12
@@ -686,7 +701,7 @@ class TestClosedFormDeterminant:
                 continue
             phase = FloquetPhase(rng.uniform(-math.pi, math.pi), rng.uniform(-math.pi, math.pi))
             closed = det_m_closed_form(geom, coupling, k, phase)
-            direct = det_numeric(assemble_m_matrix(geom, coupling, k, phase))
+            direct = cofactor_det(assemble_m_matrix(geom, coupling, k, phase))
             assert abs(closed - direct) / (1 + abs(closed)) < 1e-9
             checked += 1
 
@@ -698,7 +713,7 @@ class TestClosedFormDeterminant:
         d1 = det_m_closed_form(EQUILATERAL, KIRCHHOFF, k1, FloquetPhase(0, 0))
         d2 = det_m_closed_form(EQUILATERAL, KIRCHHOFF, k2, FloquetPhase(0, 0))
         for k, d in ((k1, d1), (k2, d2)):
-            direct = det_numeric(assemble_m_matrix(EQUILATERAL, KIRCHHOFF, k, FloquetPhase(0, 0)))
+            direct = cofactor_det(assemble_m_matrix(EQUILATERAL, KIRCHHOFF, k, FloquetPhase(0, 0)))
             assert abs(d - direct) / (1 + abs(d)) < 1e-9
         assert abs(d1) / abs(d2) == pytest.approx(4.0, rel=1e-3)
 

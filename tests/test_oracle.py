@@ -203,21 +203,33 @@ class TestBandMembershipGrid:
         assert decision.kind is Decision.DIRICHLET
 
 
+def columns(matrices):
+    """The (4, 4, n) real and imaginary parts of n matrices, one lane each."""
+    entries = np.moveaxis(np.array([m.entries for m in matrices], dtype=complex), 0, -1)
+    return entries.real, entries.imag
+
+
+def det_lanes(matrices):
+    """``det_numeric`` of the matrices in one call, as Python complex numbers."""
+    re, im = det_numeric(*columns(matrices))
+    return [complex(x, y) for x, y in zip(re.tolist(), im.tolist())]
+
+
 class TestDetNumeric:
     def test_identity(self):
         rows = tuple(tuple(1.0 + 0j if i == j else 0j for j in range(4)) for i in range(4))
-        assert det_numeric(MMatrix(rows)) == 1
+        assert det_lanes([MMatrix(rows)]) == [1]
 
     def test_duplicated_row(self):
         row = (1 + 2j, -3j, 0.5 + 0j, 2 + 0j)
         other = (2 + 0j, 1j, 1 + 1j, -1 + 0j)
         rows = (row, row, other, (0j, 1 + 0j, 2 + 0j, 3 + 0j))
-        assert det_numeric(MMatrix(rows)) == pytest.approx(0.0, abs=1e-12)
+        assert det_lanes([MMatrix(rows)])[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_closed_form_at_reference_point(self):
         phase = FloquetPhase(0.0, 0.0)
         m = assemble_m_matrix(EQUILATERAL, VertexCoupling(0.0), 1.0, phase)
-        direct = det_numeric(m)
+        [direct] = det_lanes([m])
         closed = det_m_closed_form(EQUILATERAL, VertexCoupling(0.0), 1.0, phase)
         assert direct == pytest.approx(25.490643057848562 + 0j, rel=1e-10)
         assert abs(direct - closed) / (1 + abs(closed)) < 1e-12
@@ -532,6 +544,31 @@ class TestDetNumericMemo:
         inf = complex(math.inf, 0)
         matrices.append(MMatrix(((0j, 1 + 0j, 0j, 0j), (1 + 0j, inf, 0j, 0j),
                                  (0j, inf, 1 + 0j, 0j), (0j, inf, 0j, 1 + 0j))))
-        assert det_numeric(matrices[-1]) == -1
-        for m in matrices:
-            assert repr(det_numeric(m)) == repr(det_by_slices([list(row) for row in m.entries]))
+        assert det_lanes(matrices[-1:]) == [-1]
+        expected = [repr(det_by_slices([list(row) for row in m.entries])) for m in matrices]
+        # one lane at a time, and all in one call: lanes do not interact
+        assert [repr(det_lanes([m])[0]) for m in matrices] == expected
+        assert [repr(d) for d in det_lanes(matrices)] == expected
+
+    def test_no_samples_give_empty_columns(self):
+        re, im = oracle._assemble_columns([])
+        assert re.shape == im.shape == (4, 4, 0)
+        det_re, det_im = det_numeric(re, im)
+        assert det_re.shape == det_im.shape == (0,)
+
+    @settings(deadline=None, derandomize=True, max_examples=300)
+    @given(st.lists(st.tuples(*[st.floats(0.5, 3)] * 3, st.floats(-5, 5), st.floats(0.1, 30),
+                              *[st.floats(-math.pi, math.pi)] * 2), min_size=1, max_size=8))
+    def test_columns_equal_the_scalar_assembly_and_expansion(self, draws):
+        # verify's draws, clear of its |sin(a k)| < 1e-3 skip
+        assume(all(abs(math.sin(a * k)) >= 1e-3 for a, _, _, _, k, _, _ in draws))
+        samples = [(HexGeometry(a, b, c), VertexCoupling(alpha), k, FloquetPhase(t1, t2))
+                   for a, b, c, alpha, k, t1, t2 in draws]
+        matrices = [assemble_m_matrix(*sample) for sample in samples]
+        re, im = oracle._assemble_columns(samples)
+        assert [[[repr(complex(x, y)) for x, y in zip(re[r, j].tolist(), im[r, j].tolist())]
+                 for j in range(4)] for r in range(4)] == [
+            [[repr(m.entries[r][j]) for m in matrices] for j in range(4)] for r in range(4)]
+        expected = [repr(det_by_slices([list(row) for row in m.entries])) for m in matrices]
+        det_re, det_im = det_numeric(re, im)
+        assert [repr(complex(x, y)) for x, y in zip(det_re.tolist(), det_im.tolist())] == expected
