@@ -8,13 +8,15 @@ derivatives equals ``alpha`` times the vertex value.
 
 After the Floquet-Bloch reduction with phases (theta1, theta2), a positive
 energy E = k^2 belongs to the spectrum iff the reduced 4x4 cell matrix is
-singular for some phase pair.  This module evaluates that matrix both entry
-by entry (:func:`assemble_m_matrix`) and through its closed-form determinant
-(:func:`det_m_closed_form`).  It also holds the point kernels of both
-branches, scalar and column: the membership terms ``(D, lower_unclamped,
-upper)`` and the gap criteria.  Every positive kernel takes the sines and
-cosines of its edge angles from :func:`_flag_sines`, one angle reduction per
-edge, which is also the package's one Dirichlet guard.
+singular for some phase pair.  This module writes that matrix once, on real
+and imaginary parts (:func:`_cell_entries`), evaluated on floats by
+:func:`assemble_m_matrix` or on numpy columns by the oracle, and gives its
+closed-form determinant (:func:`det_m_closed_form`).  It also holds the
+point kernels of both branches, scalar and column: the membership terms
+``(D, lower_unclamped, upper)`` and the gap criteria.  Every positive
+kernel takes the sines and cosines of its edge angles from
+:func:`_flag_sines`, one angle reduction per edge, which is also the
+package's one Dirichlet guard.
 """
 
 from __future__ import annotations
@@ -429,6 +431,47 @@ def dispersion_negative(geom: HexGeometry, coupling: VertexCoupling, kappa: floa
     return _negative_terms(geom, coupling.alpha, kappa)[0]
 
 
+def _product(x, y):
+    """CPython's complex product of two (real, imaginary) pairs of floats or columns."""
+    (xr, xi), (yr, yi) = x, y
+    return xr * yr - xi * yi, xr * yi + xi * yr
+
+
+def _cell_entries(a, b, c, alpha, k, t1, t2, s_a, cos, sin) -> tuple:
+    """The 16 entries of the reduced cell matrix as 32 real and imaginary parts, row by row.
+
+    ``s_a`` is sin(a*k).  The arguments are floats, with ``math.cos`` and
+    ``math.sin``, or numpy columns, with ``np.cos`` and ``np.sin``: each
+    complex operation is written as CPython (3.11) evaluates it, so both
+    give the same bits.  A float is the complex (x, 0) in a product, the
+    division by sin(a*k) is Smith's quotient by (s_a, 0), and exp(i x) is
+    (cos x, sin x).  Numpy's complex arithmetic rounds differently.
+    """
+    ak, bk, ck = a * k, b * k, c * k
+    alpha_over_k = alpha / k
+    ratio = 0.0 / s_a
+    denom = s_a + 0.0 * ratio
+    # exp(i x) at x = +-b k - t1 (rows 2 to 4), +-c k - t2 (rows 2 and 4),
+    # -+a k (row 3) and +-(a k + b k) - t1 (row 4)
+    xs = (bk - t1, -bk - t1, ck - t2, -ck - t2, -ak, ak, ak + bk - t1, -ak - bk - t1)
+    (c1, c2, c3, c4, c5, c6, c7, c8), (s1, s2, s3, s4, s5, s6, s7, s8) = map(cos, xs), map(sin, xs)
+    m34 = []
+    # each entry is (-exp(i x) + f) / s_a - g, and -y + f is f - y exactly
+    for (xr, xi), (gr, gi) in (
+        ((c1 - c5, s1 - s5), (alpha_over_k, 0.0)),
+        ((c2 - c6, s2 - s6), (alpha_over_k, 0.0)),
+        ((1.0 - c7, 0.0 - s7), _product((alpha_over_k, 0.0), (c1, s1))),
+        ((1.0 - c8, 0.0 - s8), _product((alpha_over_k, 0.0), (c2, s2))),
+    ):
+        m34 += [(xr + xi * ratio) / denom - gr, (xi - xr * ratio) / denom - gi]
+    return (
+        1.0, 0.0, 1.0, 0.0, -1.0, 0.0, -1.0, 0.0,
+        c1, s1, c2, s2, -c3, -s3, -c4, -s4,
+        *m34[:4], 0.0, 1.0, -0.0, -1.0,  # 1j and -1j
+        *m34[4:], *_product((-0.0, -1.0), (c3, s3)), *_product((0.0, 1.0), (c4, s4)),
+    )
+
+
 def assemble_m_matrix(
     geom: HexGeometry, coupling: VertexCoupling, k: float, phase: FloquetPhase
 ) -> MMatrix:
@@ -437,41 +480,15 @@ def assemble_m_matrix(
     Rows encode, in order: value continuity between the two vertices, the
     Bloch-shifted continuity of the c-edge pair, and the two delta-coupling
     derivative conditions with the full-edge amplitudes already eliminated.
-    The derivation divides by sin(a*k), so that sine must not vanish.
+    The derivation divides by sin(a*k), so that sine must not vanish.  The
+    entries come from :func:`_cell_entries`.
     """
     _check_k(k)
     s_a = checked_sines(k, ("a",), (geom.a,))[0][0]
-    a, b, c = geom.lengths
-    alpha_over_k = coupling.alpha / k
-    t1, t2 = phase.theta1, phase.theta2
-
-    def m3(sign: int) -> complex:
-        return (
-            -cmath.exp(-1j * sign * a * k) + cmath.exp(1j * (sign * b * k - t1))
-        ) / s_a - alpha_over_k
-
-    def m4(sign: int) -> complex:
-        return (
-            -cmath.exp(1j * (sign * a * k + sign * b * k - t1)) + 1.0
-        ) / s_a - alpha_over_k * cmath.exp(1j * (sign * b * k - t1))
-
-    rows = (
-        (1.0 + 0j, 1.0 + 0j, -1.0 + 0j, -1.0 + 0j),
-        (
-            cmath.exp(1j * (b * k - t1)),
-            cmath.exp(1j * (-b * k - t1)),
-            -cmath.exp(1j * (c * k - t2)),
-            -cmath.exp(1j * (-c * k - t2)),
-        ),
-        (m3(1), m3(-1), 1j, -1j),
-        (
-            m4(1),
-            m4(-1),
-            -1j * cmath.exp(1j * (c * k - t2)),
-            1j * cmath.exp(1j * (-c * k - t2)),
-        ),
-    )
-    return MMatrix(rows)
+    parts = _cell_entries(*geom.lengths, coupling.alpha, k, phase.theta1, phase.theta2,
+                          s_a, math.cos, math.sin)
+    entries = map(complex, parts[::2], parts[1::2])
+    return MMatrix(tuple(zip(entries, entries, entries, entries)))
 
 
 def det_m_closed_form(

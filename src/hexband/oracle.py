@@ -8,10 +8,10 @@ shared read-only table of cos(t1 - t2), in their formulas' order of
 operations; an extremum search bounds its grid function, a trigonometric
 polynomial in the two phases, on square tiles of cells by Taylor's theorem
 and evaluates only the tiles whose bounds could hold its best cells, a
-block at a time; the cell matrices are assembled, and their cofactor
-expansion runs, once across all samples, on columns of real and imaginary
-parts in CPython's complex formulas (numpy's complex arithmetic rounds
-differently), each minor evaluated once.
+block at a time; the cell matrices are core's one formula evaluated on
+columns, and their cofactor expansion runs once across all samples, on
+columns of real and imaginary parts in CPython's complex formulas (numpy's
+complex arithmetic rounds differently), each minor evaluated once.
 """
 
 from __future__ import annotations
@@ -28,7 +28,9 @@ from .core import (
     EnergyPoint,
     HexGeometry,
     VertexCoupling,
+    _cell_entries,
     _check_k,
+    _product,
     _reduce_grid,
     checked_sines,
     dispersion_negative,
@@ -90,10 +92,10 @@ def _phase_table(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return t, cos_t, cos_diff
 
 
-def _on_grid(g, n: int, rows: slice = slice(None)) -> np.ndarray:
-    """g on ``rows`` of the n x n phase grid, from the shared cosine table."""
+def _on_grid(g, n: int) -> np.ndarray:
+    """g on the n x n phase grid, from the shared cosine table."""
     _, cos_t, cos_diff = _phase_table(n)
-    return g(cos_t[rows, None], cos_t[None, :], cos_diff[rows])
+    return g(cos_t[:, None], cos_t[None, :], cos_diff)
 
 
 @functools.lru_cache(maxsize=1)
@@ -355,66 +357,24 @@ def band_membership_grid(
     return BandDecision.in_band() if lo <= d2 <= hi else BandDecision.in_gap()
 
 
-def _product(x, y):
-    """CPython's complex product of two (real, imaginary) pairs of columns or floats."""
-    (xr, xi), (yr, yi) = x, y
-    return xr * yr - xi * yi, xr * yi + xi * yr
-
-
-def _exp_i(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``cmath.exp(1j * x)`` for real x: the real part of ``1j * x`` is a
-    signed zero, whose exponential is exactly 1, so this is (cos x, sin x)."""
-    return np.cos(x), np.sin(x)
-
-
 def _assemble_columns(samples) -> tuple[np.ndarray, np.ndarray]:
     """``assemble_m_matrix`` over (geom, coupling, k, phase) samples at once.
 
     Returns the (4, 4, n) real and imaginary parts of the n matrices, each
-    entry equal to ``assemble_m_matrix``'s bit for bit: the same operations
-    in the same order, in CPython's complex formulas (a float is the complex
-    (x, 0), a division by sin(a*k) is Smith's quotient by (s_a, 0)), with
-    ``np.sin``/``np.cos`` in place of the libm calls, which
-    ``tests/test_core.py`` pins as equal over the phases drawn here.  numpy's
-    complex128 arithmetic rounds differently, so it is not used.  Every
-    sin(a*k) must be clear of the Dirichlet guard; it is not checked.
+    entry equal to ``assemble_m_matrix``'s bit for bit: both evaluate
+    ``core._cell_entries``, here on columns, with ``np.sin``/``np.cos`` in
+    place of the libm calls, which ``tests/test_core.py`` pins as equal over
+    the phases drawn here.  Every sin(a*k) must be clear of the Dirichlet
+    guard; it is not checked.
     """
     a, b, c, alpha, k, t1, t2 = np.array(
         [(g.a, g.b, g.c, cp.alpha, kk, ph.theta1, ph.theta2) for g, cp, kk, ph in samples],
         dtype=float).reshape(-1, 7).T
-    s_a = np.sin(_reduce_grid(a * k))
-    alpha_over_k = alpha / k
-    ratio = 0.0 / s_a
-    denom = s_a + 0.0 * ratio
-
-    def quotient(x):
-        return (x[0] + x[1] * ratio) / denom, (x[1] - x[0] * ratio) / denom
-
-    def m3(sign: int):
-        er, ei = _exp_i(-sign * a * k)
-        fr, fi = _exp_i(sign * b * k - t1)
-        qr, qi = quotient((-er + fr, -ei + fi))
-        return qr - alpha_over_k, qi  # qi - 0.0 is qi
-
-    def m4(sign: int):
-        er, ei = _exp_i(sign * a * k + sign * b * k - t1)
-        qr, qi = quotient((-er + 1.0, -ei + 0.0))
-        pr, pi = _product((alpha_over_k, 0.0), _exp_i(sign * b * k - t1))
-        return qr - pr, qi - pi
-
-    e_c_plus, e_c_minus = _exp_i(c * k - t2), _exp_i(-c * k - t2)
-    rows = (
-        ((1.0, 0.0), (1.0, 0.0), (-1.0, 0.0), (-1.0, 0.0)),
-        (_exp_i(b * k - t1), _exp_i(-b * k - t1),
-         (-e_c_plus[0], -e_c_plus[1]), (-e_c_minus[0], -e_c_minus[1])),
-        (m3(1), m3(-1), (0.0, 1.0), (-0.0, -1.0)),  # 1j and -1j
-        (m4(1), m4(-1), _product((-0.0, -1.0), e_c_plus), _product((0.0, 1.0), e_c_minus)),
-    )
-    re, im = np.empty((2, 4, 4, k.size))
-    for r, row in enumerate(rows):
-        for j, (xr, xi) in enumerate(row):
-            re[r, j], im[r, j] = xr, xi
-    return re, im
+    parts = _cell_entries(a, b, c, alpha, k, t1, t2, np.sin(_reduce_grid(a * k)), np.cos, np.sin)
+    out = np.empty((32, k.size))
+    for row, part in zip(out, parts):
+        row[...] = part
+    return out[0::2].reshape(4, 4, -1), out[1::2].reshape(4, 4, -1)
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -36,6 +36,7 @@ from hexband.core import (
     _half_angle_pair,
     _reduce_grid,
     boundary_rows_grid,
+    checked_sines,
     gap_criteria,
     positive_terms,
     positive_terms_grid,
@@ -366,8 +367,9 @@ class TestGridKernelAgainstLibm:
         self._assert_sin_and_cos_agree(np.random.default_rng(8).uniform(-math.pi, math.pi, self.N))
 
     def test_sin_and_cos_over_the_cell_matrix_phases(self):
-        # oracle._assemble_columns takes sines and cosines of unreduced
-        # phases such as (a + b) k - theta1, within about +-183 for verify's draws
+        # verify's column assembly evaluates core._cell_entries with np.sin and
+        # np.cos of unreduced phases such as (a + b) k - theta1, within about
+        # +-183 for verify's draws
         self._assert_sin_and_cos_agree(np.random.default_rng(10).uniform(-200, 200, self.N))
 
     def test_fold(self):
@@ -658,6 +660,66 @@ class TestDispersionNegative:
 SPEC_POINT = dict(geom=EQUILATERAL, coupling=KIRCHHOFF, k=1.0, phase=FloquetPhase(0.0, 0.0))
 
 
+def cmath_cell_matrix(geom, coupling, k, phase):
+    """The reduced cell matrix written in ``cmath``: the reference that
+    ``assemble_m_matrix`` (``core._cell_entries``) is pinned to by ``repr``.
+
+    The mixed float-complex operations here follow CPython 3.13 and earlier,
+    which promote the float to ``complex(x, 0.0)``.  CPython 3.14 computes
+    them on the parts instead (gh-69639), which can change signed zeros."""
+    s_a = checked_sines(k, ("a",), (geom.a,))[0][0]
+    a, b, c = geom.lengths
+    alpha_over_k = coupling.alpha / k
+    t1, t2 = phase.theta1, phase.theta2
+
+    def m3(sign):
+        return (
+            -cmath.exp(-1j * sign * a * k) + cmath.exp(1j * (sign * b * k - t1))
+        ) / s_a - alpha_over_k
+
+    def m4(sign):
+        return (
+            -cmath.exp(1j * (sign * a * k + sign * b * k - t1)) + 1.0
+        ) / s_a - alpha_over_k * cmath.exp(1j * (sign * b * k - t1))
+
+    return (
+        (1.0 + 0j, 1.0 + 0j, -1.0 + 0j, -1.0 + 0j),
+        (
+            cmath.exp(1j * (b * k - t1)),
+            cmath.exp(1j * (-b * k - t1)),
+            -cmath.exp(1j * (c * k - t2)),
+            -cmath.exp(1j * (-c * k - t2)),
+        ),
+        (m3(1), m3(-1), 1j, -1j),
+        (
+            m4(1),
+            m4(-1),
+            -1j * cmath.exp(1j * (c * k - t2)),
+            1j * cmath.exp(1j * (-c * k - t2)),
+        ),
+    )
+
+
+@st.composite
+def _cell_case(draw):
+    """A sample for the cell matrix: k in [0.01, 1e3] at random or within
+    1e-6 of a Dirichlet point of b or c, clear of sin(a k) = 0, alpha = 0
+    among others, and phases at 0, +-pi and +-b k or +-c k (wrapped) among
+    others: b k - theta1 = 0 makes exact zeros, which show signed zeros."""
+    lengths = [draw(st.floats(0.05, 20.0)) for _ in range(3)]
+    if draw(st.booleans()):
+        k = draw(st.floats(0.01, 1e3))
+    else:
+        ell = lengths[draw(st.integers(1, 2))]
+        k = draw(st.integers(1, int(1e3 * ell / math.pi))) * math.pi / ell
+        k += draw(st.floats(-1e-6, 1e-6))
+    assume(0.01 <= k <= 1e3 and abs(math.sin(lengths[0] * k)) >= 1e-3)
+    alpha = draw(st.one_of(st.just(0.0), st.floats(-50.0, 50.0)))
+    t1, t2 = (draw(st.one_of(st.sampled_from([0.0, math.pi, -math.pi, ell * k, -ell * k]),
+                             st.floats(-math.pi, math.pi))) for ell in lengths[1:])
+    return HexGeometry(*lengths), VertexCoupling(alpha), k, FloquetPhase(t1, t2)
+
+
 class TestMMatrix:
     def test_first_row_exact(self):
         m = assemble_m_matrix(**SPEC_POINT)
@@ -681,6 +743,13 @@ class TestMMatrix:
         closed = det_m_closed_form(**SPEC_POINT)
         assert numeric == pytest.approx(25.490643057848562 + 0j, rel=1e-10)
         assert abs(closed - numeric) / (1 + abs(closed)) < 1e-12
+
+    @settings(deadline=None, derandomize=True, max_examples=300)
+    @given(_cell_case())
+    def test_entries_equal_the_cmath_reference(self, case):
+        got = assemble_m_matrix(*case).entries
+        assert [repr(z) for row in got for z in row] == [
+            repr(z) for row in cmath_cell_matrix(*case) for z in row]
 
     def test_dirichlet_guard_on_a_edge(self):
         with pytest.raises(DirichletPointError):
