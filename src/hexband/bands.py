@@ -42,7 +42,6 @@ from .core import (
     boundary_rows_grid,
     positive_terms,
     positive_terms_grid,
-    sin_cos_reduced,
 )
 from .numtheory import CommensurabilityWitness, commensurability_witness
 from .report import FlatBand, SampleTable, SpectrumReport
@@ -430,11 +429,11 @@ def verify_flat_band(
     perimeter = positions[-1]
     worst = 0.0
     for j in range(6):
-        value, cos_out = sin_cos_reduced(k * positions[j])
-        slope_out = k * cos_out  # forward edge, outgoing derivative
+        x = k * positions[j]
+        value, slope_out = math.sin(x), k * math.cos(x)  # forward edge, outgoing derivative
         if j == 0:
-            value_in, cos_in = sin_cos_reduced(k * perimeter)
-            slope_in = -k * cos_in  # backward along the last edge
+            x = k * perimeter
+            value_in, slope_in = math.sin(x), -k * math.cos(x)  # backward along the last edge
         else:
             value_in, slope_in = value, -slope_out
         worst = max(

@@ -13,10 +13,11 @@ and imaginary parts (:func:`_cell_entries`), evaluated on floats by
 :func:`assemble_m_matrix` or on numpy columns by the oracle, and gives its
 closed-form determinant (:func:`det_m_closed_form`).  It also holds the
 point kernels of both branches, scalar and column: the membership terms
-``(D, lower_unclamped, upper)`` and the gap criteria.  Every positive
-kernel takes the sines and cosines of its edge angles from
-:func:`_flag_sines`, one angle reduction per edge, which is also the
-package's one Dirichlet guard.
+``(D, lower_unclamped, upper)`` and the gap criteria.  Every edge sine and
+cosine is libm's, of the unreduced l*k: ``math.sin``/``math.cos`` in the
+scalar kernels, which take them from :func:`_flag_sines`, the package's one
+Dirichlet guard, and ``np.sin``/``np.cos``, equal to them bit for bit, in
+the column kernels.
 """
 
 from __future__ import annotations
@@ -35,8 +36,6 @@ __all__ = [
     "EnergyPoint",
     "FloquetPhase",
     "MMatrix",
-    "reduce_mod_two_pi",
-    "sin_cos_reduced",
     "dispersion",
     "dispersion_negative",
     "assemble_m_matrix",
@@ -44,27 +43,6 @@ __all__ = [
 ]
 
 DEFAULT_DIRICHLET_TOL = 1e-9
-
-# Tail of 2*pi beyond the nearest double, for two-part angle reduction.
-_TAU_LO = 2.4492935982947064e-16
-
-
-def reduce_mod_two_pi(x: float) -> float:
-    """Reduce ``x`` modulo 2*pi into [-pi, pi] with a two-part correction.
-
-    ``math.remainder`` reduces against the *double* nearest 2*pi; the second
-    step removes the accumulated tail ``n * (2*pi - float(2*pi))`` so large
-    arguments keep close-to-full precision before hitting the trig kernels.
-    """
-    r = math.remainder(x, math.tau)
-    n = round((x - r) / math.tau)
-    return r - n * _TAU_LO
-
-
-def sin_cos_reduced(x: float) -> tuple[float, float]:
-    """``(sin x, cos x)`` from one :func:`reduce_mod_two_pi` of x."""
-    r = reduce_mod_two_pi(x)
-    return math.sin(r), math.cos(r)
 
 
 class DirichletPointError(ValueError):
@@ -180,7 +158,7 @@ def _check_k(k: float) -> None:
 def _flag_sines(k: float, lengths) -> tuple[list[float], list[float], list[bool]]:
     """``(sines, cosines, flags)`` of l*k for each length.
 
-    Each angle is reduced once, by :func:`sin_cos_reduced`.  This is the
+    Each sine and cosine is libm's, of the unreduced l*k.  This is the
     package's one Dirichlet guard: an edge is flagged when |sin(l*k)| is at
     most ``DEFAULT_DIRICHLET_TOL`` times max(1, l*k); scaling with the
     argument guards against catastrophic cancellation at large l*k.
@@ -188,9 +166,9 @@ def _flag_sines(k: float, lengths) -> tuple[list[float], list[float], list[bool]
     sines, cosines, flags = [], [], []
     for ell in lengths:
         x = ell * k
-        s, c = sin_cos_reduced(x)
+        s = math.sin(x)
         sines.append(s)
-        cosines.append(c)
+        cosines.append(math.cos(x))
         flags.append(abs(s) <= DEFAULT_DIRICHLET_TOL * max(1.0, x))
     return sines, cosines, flags
 
@@ -215,9 +193,9 @@ def positive_terms(geom: HexGeometry, alpha: float, k: float) -> tuple[float, fl
     ``D = cot(a*k) + cot(b*k) + cot(c*k) + alpha/k``, ``upper`` is the sum of
     the inverse |sines| and ``lower_unclamped = 2*max(inverse) - upper``, so
     k is in the spectrum iff max(0, lower_unclamped) <= |D| <= upper.  The
-    sines and cosines come from :func:`checked_sines`, three angle
-    reductions in all; a flagged sine raises :class:`DirichletPointError`
-    naming the vanishing edges.
+    sines and cosines come from :func:`checked_sines`, one of each per edge;
+    a flagged sine raises :class:`DirichletPointError` naming the vanishing
+    edges.
     """
     _check_k(k)
     sines, cosines = checked_sines(k, HexGeometry.EDGE_NAMES, geom.lengths)
@@ -229,22 +207,6 @@ def positive_terms(geom: HexGeometry, alpha: float, k: float) -> tuple[float, fl
     return total, 2 * max(inv) - upper, upper
 
 
-def _reduce_grid(x: np.ndarray) -> np.ndarray:
-    """:func:`reduce_mod_two_pi` on an array of positive arguments, bit for bit.
-
-    ``np.fmod`` is exact, and for x > 0 folding its (pi, 2*pi) part down by
-    2*pi is exact too, so this is ``math.remainder``.  At a tie, fmod == pi,
-    the half-even quotient decides the sign; ``math.remainder`` gives it.
-    """
-    r = np.fmod(x, math.tau)
-    r = np.where(r > math.pi, r - math.tau, r)
-    ties = r == math.pi
-    if ties.any():
-        r[ties] = [math.remainder(v, math.tau) for v in x[ties].tolist()]
-    n = np.rint((x - r) / math.tau)
-    return r - n * _TAU_LO
-
-
 def positive_terms_grid(
     geom: HexGeometry, alpha: float, ks: np.ndarray, dirichlet_tol: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -253,8 +215,8 @@ def positive_terms_grid(
     ``flagged`` marks the k where some |sin(l*k)| is at most ``dirichlet_tol``
     times max(1, l*k), :func:`_flag_sines`'s rule; there the other three
     entries are meaningless.  Elsewhere they equal the scalar kernel's bit for
-    bit: the same angle reduction and the same order of operations, with
-    ``np.sin``/``np.cos`` in place of ``math.sin``/``math.cos``, which
+    bit: the same order of operations, with ``np.sin``/``np.cos`` of the
+    unreduced l*k in place of ``math.sin``/``math.cos``, which
     ``tests/test_core.py`` pins as equal.
     """
     if not dirichlet_tol > 0:
@@ -268,13 +230,12 @@ def positive_terms_grid(
         total = alpha / ks
         for ell in geom.lengths:
             x = ell * ks
-            r = _reduce_grid(x)
-            s = np.sin(r)
+            s = np.sin(x)
             flagged |= np.abs(s) <= dirichlet_tol * np.maximum(1.0, x)
             inv = 1 / np.abs(s)
             upper = upper + inv
             inv_max = np.maximum(inv_max, inv)
-            total += np.cos(r) / s
+            total += np.cos(x) / s
         return total, 2 * inv_max - upper, upper, flagged
 
 
@@ -325,7 +286,7 @@ def boundary_rows_grid(geom: HexGeometry, alpha: float, ks: np.ndarray, sides: b
     boolean array: D - upper > 0, D + upper < 0, D - lower < 0 and D + lower > 0.
 
     GC1 is the first or the second row and GC2 the third and the fourth, equal to
-    the scalar form bit for bit: one :func:`_reduce_grid` per angle, the pairs of
+    the scalar form bit for bit: ``np.sin``/``np.cos`` of each l*k, the pairs of
     :func:`_half_angle_pair`, j the first edge of smallest |sin|, and every sum
     in the scalar order.  Between Dirichlet points k times each boundary function
     strictly decreases, so each row turns at most once there.  With ``sides``
@@ -337,11 +298,10 @@ def boundary_rows_grid(geom: HexGeometry, alpha: float, ks: np.ndarray, sides: b
     if not (ks > 0).all():
         raise ValueError("every k must be > 0")
     x = np.multiply.outer(geom.lengths, ks)
-    r = _reduce_grid(x)
-    s, c = np.sin(r), np.cos(r)
+    s, c = np.sin(x), np.cos(x)
     key = np.abs(s)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        # r is never -0.0, so s == 0 has c == 1 and t == +0: (-0, +inf) as in the scalar form
+        # x > 0 or +0.0, so s == 0 has c == 1 and t == +0: (-0, +inf) as in the scalar form
         t = np.where(c >= 0, s / (1 + c), (1 - c) / s)
         inv, minus_t = 1 / t, -t  # t has the sign of s: m is the lesser of the two, p the greater
         mp = np.array([np.minimum(minus_t, inv), np.maximum(minus_t, inv)])
@@ -440,7 +400,8 @@ def _product(x, y):
 def _cell_entries(a, b, c, alpha, k, t1, t2, s_a, cos, sin) -> tuple:
     """The 16 entries of the reduced cell matrix as 32 real and imaginary parts, row by row.
 
-    ``s_a`` is sin(a*k).  The arguments are floats, with ``math.cos`` and
+    ``s_a`` is sin(a*k).  Every sine and cosine, s_a included, is libm's of
+    the unreduced angle.  The arguments are floats, with ``math.cos`` and
     ``math.sin``, or numpy columns, with ``np.cos`` and ``np.sin``: each
     complex operation is written as CPython (3.11) evaluates it, so both
     give the same bits.  A float is the complex (x, 0) in a product, the

@@ -11,7 +11,7 @@ stretched lattice (b = c) reduces to four sign/size conditions.  Hyperbolic
 analogues govern the negative branch, and for b = c the Diophantine class
 of a/b fixes closed-form coupling thresholds for gap existence.  Every
 edge quantity here, the tangent margins included, takes its sine and cosine
-from the one Dirichlet guard of :mod:`hexband.core`, one reduction per edge.
+from the one Dirichlet guard of :mod:`hexband.core`: libm's, of the unreduced l*k.
 """
 
 from __future__ import annotations

@@ -31,7 +31,6 @@ from .core import (
     _cell_entries,
     _check_k,
     _product,
-    _reduce_grid,
     checked_sines,
     dispersion_negative,
     inv_sinh,
@@ -363,14 +362,14 @@ def _assemble_columns(samples) -> tuple[np.ndarray, np.ndarray]:
     Returns the (4, 4, n) real and imaginary parts of the n matrices, each
     entry equal to ``assemble_m_matrix``'s bit for bit: both evaluate
     ``core._cell_entries``, here on columns, with ``np.sin``/``np.cos`` in
-    place of the libm calls, which ``tests/test_core.py`` pins as equal over
-    the phases drawn here.  Every sin(a*k) must be clear of the Dirichlet
-    guard; it is not checked.
+    place of the libm calls, which ``tests/test_core.py`` pins as equal on
+    unreduced arguments over the whole range drawn here.  Every sin(a*k) must
+    be clear of the Dirichlet guard; it is not checked.
     """
     a, b, c, alpha, k, t1, t2 = np.array(
         [(g.a, g.b, g.c, cp.alpha, kk, ph.theta1, ph.theta2) for g, cp, kk, ph in samples],
         dtype=float).reshape(-1, 7).T
-    parts = _cell_entries(a, b, c, alpha, k, t1, t2, np.sin(_reduce_grid(a * k)), np.cos, np.sin)
+    parts = _cell_entries(a, b, c, alpha, k, t1, t2, np.sin(a * k), np.cos, np.sin)
     out = np.empty((32, k.size))
     for row, part in zip(out, parts):
         row[...] = part

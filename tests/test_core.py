@@ -34,13 +34,11 @@ from hexband.core import (
     DEFAULT_DIRICHLET_TOL,
     _flag_sines,
     _half_angle_pair,
-    _reduce_grid,
     boundary_rows_grid,
     checked_sines,
     gap_criteria,
     positive_terms,
     positive_terms_grid,
-    reduce_mod_two_pi,
 )
 from hexband.oracle import GridSpec, band_membership_grid, det_numeric, rhs_extrema_grid
 
@@ -94,13 +92,20 @@ class TestFloquetPhase:
         assert FloquetPhase(-math.pi, 0).theta1 == math.pi
 
 
-def test_angle_reduction_matches_high_precision():
-    mp.dps = 40
-    rng = random.Random(11)
-    for _ in range(50):
-        x = rng.uniform(1, 1e6)
-        expected = float(mp.sin(mp.mpf(x)))
-        assert math.sin(reduce_mod_two_pi(x)) == pytest.approx(expected, abs=1e-12)
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(st.floats(0.0, 11.5), st.booleans(), st.floats(-9.0, -3.0), st.booleans(),
+       st.floats(0.05, 20.0))
+def test_angle_reduction_matches_high_precision(log_m, odd, log_delta, below, ell):
+    # the edge sine and cosine of l*k = m*pi + delta, at odd and even m, l*k up to
+    # 1e12, against mpmath on the double l*k that the kernel forms
+    m = 2 * (int(10.0**log_m) // 2 + 1) - odd
+    with mp.workdps(60):
+        k = float((m * mp.pi + (-1) ** below * mp.mpf(10) ** log_delta) / ell)
+        x = mp.mpf(ell * k)
+        expected = mp.sin(x), mp.cos(x)
+    (s,), (c,), _ = _flag_sines(k, (ell,))
+    for got, want in zip((s, c), expected):
+        assert abs(got - want) <= 2.3e-16 * abs(want), (m, got, want)
 
 
 class TestSineTriple:
@@ -308,14 +313,17 @@ class TestKernelCalls:
 
 
 class TestAngleReductions:
-    """Each entry point reduces each distinct angle once."""
+    """Each entry point takes the sine of each distinct angle once, from libm.
+
+    ``assemble_m_matrix`` takes sin(a*k) and the eight exponentials of the
+    cell matrix; the other entry points take the sines of their edges alone."""
 
     GEOM = HexGeometry(1.0, 1.3, 0.8)
     COUPLING = VertexCoupling(2.0)
     PHASE = FloquetPhase(0.3, -1.1)
 
     @pytest.mark.parametrize(
-        "call, reductions",
+        "call, sines",
         [
             (lambda g, c, p: positive_terms(g, c.alpha, 3.3), 3),
             (lambda g, c, p: band_membership(g, c, EnergyPoint.positive(3.3)), 3),
@@ -331,7 +339,7 @@ class TestAngleReductions:
             (lambda g, c, p: gc1_tangent_form(g, c, 3.3), 3),
             (lambda g, c, p: gc2_equivalent_bc(g.a, g.b, c, 3.3), 2),
             (lambda g, c, p: gap_diagnostics_bc(g.a, g.b, 3.3), 2),
-            (lambda g, c, p: assemble_m_matrix(g, c, 3.3, p), 1),
+            (lambda g, c, p: assemble_m_matrix(g, c, 3.3, p), 9),
             (lambda g, c, p: verify_flat_band(g, 3.3, c), 7),
         ],
         ids=["positive_terms", "band_membership", "gc1", "gc2", "gap_criteria", "dispersion",
@@ -339,10 +347,18 @@ class TestAngleReductions:
              "rhs_extrema_grid", "gc1_tangent_form", "gc2_equivalent_bc",
              "gap_diagnostics_bc", "assemble_m_matrix", "verify_flat_band"],
     )
-    def test_reductions_per_call(self, monkeypatch, call, reductions):
-        count = _count_calls(monkeypatch, "reduce_mod_two_pi")
+    def test_reductions_per_call(self, monkeypatch, call, sines):
+        count = [0]
+        sin = math.sin
+
+        def counting(x):
+            count[0] += 1
+            return sin(x)
+
+        monkeypatch.setattr(math, "sin", counting)
         call(self.GEOM, self.COUPLING, self.PHASE)
-        assert count[0] == reductions
+        monkeypatch.undo()
+        assert count[0] == sines
 
 
 SIMD_MESSAGE = ("numpy's SIMD dispatch on this CPU differs from libm ({}): the scan grid "
@@ -350,8 +366,9 @@ SIMD_MESSAGE = ("numpy's SIMD dispatch on this CPU differs from libm ({}): the s
 
 
 class TestGridKernelAgainstLibm:
-    """The grid kernel is bit-identical only while numpy's sin, cos and fmod
-    agree with math's; numpy may dispatch other SIMD kernels on other CPUs."""
+    """The column kernels are bit-identical to the point kernels only while
+    numpy's sin and cos agree with math's; numpy may dispatch other SIMD
+    kernels on other CPUs."""
 
     N = 1_000_000
 
@@ -372,11 +389,21 @@ class TestGridKernelAgainstLibm:
         # +-183 for verify's draws
         self._assert_sin_and_cos_agree(np.random.default_rng(10).uniform(-200, 200, self.N))
 
-    def test_fold(self):
-        x = np.random.default_rng(9).uniform(0.0, 1e8, self.N)
-        expected = np.array([reduce_mod_two_pi(v) for v in x.tolist()])
-        bad = np.count_nonzero(_reduce_grid(x) != expected)
-        assert bad == 0, SIMD_MESSAGE.format(f"fold: {bad} of {self.N} differ")
+    def test_sin_and_cos_of_unreduced_angles(self):
+        # the column kernels take np.sin and np.cos of the unreduced l*k
+        rng = np.random.default_rng(9)
+        self._assert_sin_and_cos_agree(10.0 ** rng.uniform(-3.0, 12.0, self.N))
+        # the doubles nearest m*pi, where the sine is smallest, and two either side:
+        # a quotient of integers is correctly rounded
+        with mp.workdps(80):
+            pi = int(mp.pi * 2**200)
+        ms = np.unique(np.rint(10.0 ** rng.uniform(0.0, 11.5, self.N // 5)).astype(np.int64))
+        at = np.array([m * pi / 2**200 for m in ms.tolist()])
+        near = [at]
+        for direction in (-math.inf, math.inf):
+            step = np.nextafter(at, direction)
+            near += [step, np.nextafter(step, direction)]
+        self._assert_sin_and_cos_agree(np.concatenate(near))
 
 
 def _hex(x):
@@ -386,19 +413,19 @@ def _hex(x):
 @st.composite
 def _grid_case(draw):
     """A geometry, alpha, tolerance and k grid with exact Dirichlet hits and
-    ``fmod(l*k, 2*pi) == pi`` ties among random k from 1e-2 to 1e8."""
+    l*k equal to m * math.pi among random k from 1e-2 to 1e8."""
     lengths = [draw(st.floats(0.05, 20.0)) for _ in range(3)]
     ks = []
     for _ in range(draw(st.integers(1, 8))):
-        kind = draw(st.sampled_from(["random", "dirichlet", "tie"]))
+        kind = draw(st.sampled_from(["random", "dirichlet", "exact"]))
         edge = draw(st.integers(0, 2))
         if kind == "random":
             ks.append(10.0 ** draw(st.floats(-2.0, 8.0)))
         elif kind == "dirichlet":
             ks.append(draw(st.integers(1, 10**7)) * math.pi / lengths[edge])
         else:
-            # the only doubles x with fmod(x, 2*pi) == pi are pi, 3pi, 5pi, 7pi and 9pi;
-            # a power-of-two length makes l*k land on one exactly
+            # a power-of-two length makes l*k exactly the double m * math.pi, m = 1, 3, ..., 9:
+            # a stress case on the edge's Dirichlet point
             lengths[edge] = 2.0 ** draw(st.integers(-4, 4))
             ks.append(draw(st.sampled_from([1, 3, 5, 7, 9])) * math.pi / lengths[edge])
     alpha = draw(st.floats(-1e3, 1e3))
@@ -426,12 +453,6 @@ class TestPositiveTermsGrid:
                 continue
             expected = positive_terms(geom, alpha, k)
             assert tuple(map(_hex, (d[i], lower[i], upper[i]))) == tuple(map(_hex, expected))
-
-    def test_ties_take_the_half_even_quotient(self):
-        x = np.array([math.pi, 3 * math.pi, 5 * math.pi, 7 * math.pi, 9 * math.pi])
-        assert [math.fmod(v, math.tau) for v in x.tolist()] == [math.pi] * 5
-        assert _reduce_grid(x).tolist() == [reduce_mod_two_pi(v) for v in x.tolist()]
-        assert [math.copysign(1.0, v) for v in _reduce_grid(x).tolist()] == [1, -1, 1, -1, 1]
 
     @pytest.mark.parametrize("tol", [0.0, -1e-9, math.nan])
     def test_rejects_a_nonpositive_tolerance(self, tol):
@@ -531,13 +552,13 @@ def _criteria_case(draw):
         lengths[2] = lengths[1]
     ks = []
     for _ in range(draw(st.integers(1, 8))):
-        kind = draw(st.sampled_from(["random", "dirichlet", "tie", "two-pi", "subnormal"]))
+        kind = draw(st.sampled_from(["random", "dirichlet", "exact", "two-pi", "subnormal"]))
         edge = draw(st.integers(0, 2))
         if kind == "random":
             ks.append(10.0 ** draw(st.floats(-2.0, 8.0)))
         elif kind == "dirichlet":
             ks.append(draw(st.integers(1, 10**7)) * math.pi / lengths[edge])
-        elif kind == "tie":
+        elif kind == "exact":
             set_length(edge, 2.0 ** draw(st.integers(-4, 4)))
             ks.append(draw(st.sampled_from([1, 3, 5, 7, 9])) * math.pi / lengths[edge])
         elif kind == "two-pi":
@@ -563,9 +584,8 @@ def _boundary_sums(geom, k):
     """D - upper, D + upper, D - lower and D + lower less alpha/k, summed as
     :func:`gap_criteria` sums them."""
     xs = [ell * k for ell in geom.lengths]
-    sines = [math.sin(reduce_mod_two_pi(x)) for x in xs]
-    ms, ps = zip(*(_half_angle_pair(s, math.cos(reduce_mod_two_pi(x)))
-                   for s, x in zip(sines, xs)))
+    sines = [math.sin(x) for x in xs]
+    ms, ps = zip(*(_half_angle_pair(s, math.cos(x)) for s, x in zip(sines, xs)))
     j = min(range(3), key=lambda i: abs(sines[i]))
     return (sum(ms), sum(ps), ms[j] + sum(p for i, p in enumerate(ps) if i != j),
             ps[j] + sum(m for i, m in enumerate(ms) if i != j))

@@ -163,8 +163,8 @@ def _mp_margin(x: float) -> tuple[float, float]:
 
 
 class TestOneTrigRoute:
-    """The tangent margins come from the one angle reduction: no fold of
-    x/pi and no math.tan, and full precision at large k."""
+    """The tangent margins come from the one Dirichlet guard's libm sines and
+    cosines: no fold of x/pi and no math.tan, and full precision at large k."""
 
     @settings(max_examples=300, derandomize=True, deadline=None)
     @given(st.tuples(LENGTH, LENGTH, LENGTH), st.floats(0.0, 8.0))

@@ -69,6 +69,22 @@ bit, only its metadata changed), gaps-json and gaps-csv (1.0e-10),
 gaps-centers-json (5.5e-10) and gaps-numeric-centers-json (5.8e-10), whose
 gap attributions and predicted centres held.  Every bands CSV digest and the
 classify, flatbands and verify digests held.
+
+A fourth correctness fix moved digits on purpose: every sine and cosine of
+an edge angle is now libm's, of the unreduced l*k, in place of a reduction
+modulo 2*pi that lost up to 2e-7 relative next to odd multiples of pi.
+Eight digests were re-recorded, and only last digits moved.  In the CSVs:
+bands-csv 3484 of its 12000 absD, lower and upper cells (largest relative
+move 8.6e-13), bands-negative-csv 2620 of 24000 (3.0e-13) and
+bands-both-branches-csv 4758 of 18000 (2.9e-12), all in positive rows; the
+largest moves are where D or lower nearly cancels or k is next to a
+Dirichlet point, and no decision label changed.  The flat-band residuals
+moved in their last digit (flatbands-exact-json 2.1558735510086125e-14 to
+2.1558735510086122e-14, flatbands-decimal-json 7.44733809234372e-14 to
+7.447338092343719e-14), and so did verify's determinant deviation
+(verify-json and verify-default-grid-json 6.162715826352451e-14 to
+6.004600831639797e-14, verify-bench-grid-json 4.266296733807685e-13 to
+4.2585736195591454e-13).  Every JSON bands, gaps and classify digest held.
 """
 
 import hashlib
@@ -116,13 +132,13 @@ GOLDEN = [
     pytest.param(BANDS_NEGATIVE, "c862dec4d8ff4500327ca89a7ebf2743051e5160454111b6e05072e7a6a2e918",
                  id="bands-negative-json"),
     pytest.param(BANDS + ["--format", "csv"],
-                 "9dfa31e627edf32042e83fb33f3eb4243d87ac134755848fffdfa631be7b1086",
+                 "bf39d3c613d011e1f7b0220bb0f31905d6d1ee41d0f0657584ce684cbe5b96b2",
                  id="bands-csv"),
     pytest.param(BANDS_NEGATIVE + ["--format", "csv"],
-                 "311a8dc4a89938e34146a239ce4dfa79f84fbc82e202b7c3408b6e7fed9b82d9",
+                 "434d533c20b740dc56d191077b8d4e192650ae061f6438d5c3a52d003906d7d0",
                  id="bands-negative-csv"),
     pytest.param(BANDS_BOTH_BRANCHES,
-                 "3112ce30d1b439a6be12c06c3dd672f79d156bbbd0ac0e10337b4b5ac28adb7a",
+                 "000c7616e2c35262841246af9a76f9d8779ccf1957bde3ad5e527aa773e58381",
                  id="bands-both-branches-csv"),
     pytest.param(GAPS, "11d467f698b494dcd806514d1848cc4914def64603b907de208b3b345a9c77f4",
                  id="gaps-json"),
@@ -139,18 +155,18 @@ GOLDEN = [
                  "5c146dd48861f215cb96cd45c5eec4aae7774cf2633389e63175bbc92f6cd387",
                  id="gaps-numeric-centers-json"),
     pytest.param(FLATBANDS_EXACT,
-                 "f20722cdfc3ce717d56d139b99aa938db8817f238d8f27ffa44720e346d77d4f",
+                 "ab428670e555e5d83b02556f9e65e55962c1cc1e4c3354fa5bdfed9f3d096779",
                  id="flatbands-exact-json"),
     pytest.param(FLATBANDS_DECIMAL,
-                 "b2e6571d6c632eba8eec565304cd67e584a8f9a7235b1792f2dbd3bff967ed3f",
+                 "15e5f8a2e3bed7f005cd1b00ff772ffa600f9a732f15750350f97e26598192cb",
                  id="flatbands-decimal-json"),
-    pytest.param(VERIFY, "5174345bfcba27c7ddf50912957fc5eaeeaf62da07fc529e745224c399c48480",
+    pytest.param(VERIFY, "860f87be4606a2e37791f35375892f5f1da421c36c9e0d6cd142c2fb0d9fb4a6",
                  id="verify-json"),
     pytest.param(VERIFY_DEFAULT_GRID,
-                 "90ffee40ad7e8b41b44872e9cbe9041e7a95131fb9b5920161c006b5efbc0cf3",
+                 "00ac87737c035e5c2c715b6cfbe05787d2d0dcdae8ebb7843f4699638ceefaf6",
                  id="verify-default-grid-json"),
     pytest.param(VERIFY_BENCH_GRID,
-                 "7886258d846e3ca9550d0b063c54202aaaedc6646e6c1b0f03adc6731e1520e4",
+                 "4ccb502c03a0432eaff6a79f33f8d8f0aeb0d424ef4501eb36721027e06eda1e",
                  id="verify-bench-grid-json"),
 ]
 
