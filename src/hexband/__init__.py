@@ -22,7 +22,6 @@ from .core import (
     VertexCoupling,
     assemble_m_matrix,
     det_m_closed_form,
-    dispersion,
     dispersion_negative,
 )
 from .bands import (

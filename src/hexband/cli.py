@@ -62,6 +62,7 @@ from .numtheory import (
     QuadraticSurd,
     RatioClassKind,
     RatioInput,
+    _sharing_expansions,
     approx_constant,
     cf_expand,
     classify_ratio,
@@ -139,7 +140,7 @@ class _Command(click.Command):
 
     def invoke(self, ctx: click.Context):
         try:
-            return super().invoke(ctx)
+            return _sharing_expansions(super().invoke, ctx)
         except (DirichletPointError, ArithmeticError) as exc:  # before ValueError, its base
             click.echo(f"numeric failure: {exc}", err=True)
             sys.exit(EXIT_NUMERIC)

@@ -36,7 +36,6 @@ __all__ = [
     "EnergyPoint",
     "FloquetPhase",
     "MMatrix",
-    "dispersion",
     "dispersion_negative",
     "assemble_m_matrix",
     "det_m_closed_form",
@@ -323,14 +322,6 @@ def boundary_rows_grid(geom: HexGeometry, alpha: float, ks: np.ndarray, sides: b
             return rows(mp)
         return tuple(rows(np.where(on_point, np.reshape(limit, (2, 1, 1)), mp))
                      for limit in ((-math.inf, 0.0), (0.0, math.inf)))
-
-
-def dispersion(geom: HexGeometry, coupling: VertexCoupling, k: float) -> float:
-    """cot(a*k) + cot(b*k) + cot(c*k) + alpha/k, the positive-branch dispersion.
-
-    Raises :class:`DirichletPointError` when any sin(l*k) is flagged zero.
-    """
-    return positive_terms(geom, coupling.alpha, k)[0]
 
 
 def inv_sinh(x: float) -> float:

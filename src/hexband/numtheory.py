@@ -5,7 +5,9 @@ ratio theta = a/b is approximated by rationals.  This module expands ratios
 into continued fractions, produces convergents with exact approach signs,
 classifies ratios (rational / badly approximable / unbounded-quotient /
 numeric-only), estimates the quadratic approximation constant gamma, and
-predicts gap-center locations from sign-selected convergents.
+predicts gap-center locations from sign-selected convergents.  A ratio's
+quotients and convergents (in integer arithmetic) are computed once and kept,
+each reader taking its own depth; one CLI command's readers share them.
 
 Classification policy: floating-point inputs never certify a class; only
 exact inputs (reduced rationals, quadratic surds, or explicitly constructed
@@ -15,11 +17,12 @@ partial-quotient sequences) do.
 from __future__ import annotations
 
 import math
+from contextvars import ContextVar, copy_context
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import islice
-from typing import Callable, Iterator, Sequence
+from itertools import chain, count, cycle, islice
+from typing import Any, Callable, Iterator, Sequence
 
 __all__ = [
     "ExactRatio",
@@ -309,12 +312,125 @@ def _normalize_surd(A: int, u: int, D: int, B: int) -> QuadraticSurd:
     return QuadraticSurd(-A, -B, D * u * u)
 
 
-def _floor_surd(P: int, Q: int, D: int) -> int:
-    """Exact floor of (P + sqrt(D))/Q for non-square D."""
-    s = math.isqrt(D)
-    if Q > 0:
-        return (P + s) // Q
-    return -((P + s) // (-Q)) - 1
+class _Expansion:
+    """One ratio's continued fraction, computed on demand and kept.
+
+    ``partials`` holds the quotients a1, a2, ... found so far; the source stops
+    after a rational's last one, or where a float's digits support no further
+    one (``exhausted``); ``period`` gets a surd's (start, length) once found.
+    No kept generator refers back to the object, so dropping it frees it at once.
+    """
+
+    def __init__(self, ratio: RatioInput, quotients: Iterator[int | None] | None = None):
+        self.ratio = ratio
+        self.exact = not isinstance(ratio, NumericRatio)
+        self.partials: list[int] = []
+        self.period: list[tuple[int, int]] = []
+        self.exhausted = False
+        self._walks: dict[int | None, tuple[tuple[int, int], list[Convergent]]] = {}
+        if quotients is None:
+            if isinstance(ratio, ExactRatio):
+                quotients = _euclid_quotients(ratio.p, ratio.q)
+            elif isinstance(ratio, QuadraticSurd):
+                quotients = _surd_quotients(ratio.P, ratio.Q, ratio.D, self.partials, self.period)
+            elif isinstance(ratio, ExplicitCF):
+                quotients = chain([ratio.a0], map(ratio.partial, count(1)))
+            else:
+                quotients = _float_quotients(ratio.x)
+        self.a0 = next(quotients)
+        if self.a0 < 0:
+            raise ValueError("a0 must be nonnegative")
+        self._source: Iterator[int | None] | None = quotients
+
+    def extend(self, depth: int) -> int:
+        """Compute the partials up to ``depth``; return how many there are."""
+        while len(self.partials) < depth and self._source:
+            a = next(self._source, 0)  # a partial is >= 1: 0 is the end, None a float's
+            if a:
+                self.partials.append(a)
+            else:
+                self._source, self.exhausted = None, a is None
+        return len(self.partials)
+
+    def stream(self) -> Iterator[int]:
+        """The partials a1, a2, ... as far as they go, each computed once."""
+        n = 1
+        while self.extend(n) >= n:
+            yield self.partials[n - 1]
+            n += 1
+
+    def walk(self, depth: int = 0) -> Iterator[Convergent]:
+        """The convergents in order, each computed once and then kept.  Theta
+        is num/den: exact for rationals and floats, the 40-digit midpoint for
+        surds, an explicit sequence truncated 30 quotients deeper than ``depth``
+        (at least 60).  With gap = num*q - p*den, q^2 |theta - p/q| is q |gap| /
+        den, rounded once as float(Fraction) rounds it.  Exact sides alternate,
+        0 at a rational's end; a float's are the signs of gap."""
+        key = max(60, depth + 30) if isinstance(self.ratio, ExplicitCF) else None
+        if key not in self._walks:
+            self._walks[key] = (self._reference(key), [])
+        (num, den), done = self._walks[key]
+        rational = isinstance(self.ratio, ExactRatio)
+        p_prev, p, q_prev, q = 0, 1, 1, 0
+        for n, a in enumerate(chain([self.a0], self.stream())):
+            p_prev, p = p, a * p + p_prev
+            q_prev, q = q, a * q + q_prev
+            if n == len(done):
+                gap = num * q - p * den
+                sign = (-1) ** n if self.exact else _sign(gap)
+                done.append(Convergent(p, q, 0 if rational and not gap else sign, q * abs(gap) / den))
+            yield done[n]
+
+    def _reference(self, depth: int | None) -> tuple[int, int]:
+        ratio = self.ratio
+        if isinstance(ratio, ExactRatio):
+            return ratio.p, ratio.q
+        if isinstance(ratio, NumericRatio):
+            return ratio.x.as_integer_ratio()
+        theta = ratio.midpoint() if isinstance(ratio, QuadraticSurd) else _cf_value_fraction(
+            ratio.a0, [ratio.partial(j) for j in range(1, depth + 1)])
+        return theta.numerator, theta.denominator
+
+
+def _euclid_quotients(p: int, q: int) -> Iterator[int]:
+    while q:
+        yield p // q
+        p, q = q, p % q
+
+
+def _surd_quotients(P: int, Q: int, D: int, partials: list[int], period: list) -> Iterator[int]:
+    """The exact recurrence of (P + sqrt(D))/Q until a state repeats, then the
+    cycle of ``partials``, the quotients it yielded, noted in ``period``."""
+    if (D - P * P) % Q:
+        P, D, Q = P * abs(Q), D * Q * Q, Q * abs(Q)
+    root = math.isqrt(D)
+    seen: dict[tuple[int, int], int] = {}  # the index of each partial's state
+    while True:
+        a = (P + root) // Q if Q > 0 else -((P + root) // -Q) - 1
+        yield a
+        P = a * Q - P
+        Q = (D - P * P) // Q
+        if (P, Q) in seen:
+            break
+        seen[P, Q] = len(seen) + 1
+    start = seen[P, Q]
+    period.append((start, len(seen) + 1 - start))
+    yield from cycle(partials[start - 1 :])
+
+
+_expansions: ContextVar[dict[RatioInput, _Expansion]] = ContextVar("expansions")
+
+
+def _sharing_expansions(call: Callable[..., Any], *args: Any) -> Any:
+    """``call(*args)``, its readers sharing one expansion per ratio, as one CLI command's do."""
+    context = copy_context()
+    context.run(_expansions.set, {})
+    return context.run(call, *args)
+
+
+def _expansion(ratio: RatioInput) -> _Expansion:
+    memo = _expansions.get({})  # outside _sharing_expansions, a memo for this reader alone
+    return memo.get(ratio) or memo.setdefault(ratio, _Expansion(ratio))
 
 
 def cf_expand(ratio: RatioInput, max_depth: int) -> ContinuedFraction:
@@ -328,57 +444,11 @@ def cf_expand(ratio: RatioInput, max_depth: int) -> ContinuedFraction:
     """
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
-    if isinstance(ratio, ExactRatio):
-        partials = []
-        p, q = ratio.p, ratio.q
-        a0 = p // q
-        p, q = q, p - a0 * q
-        while q:
-            a = p // q
-            partials.append(a)
-            p, q = q, p - a * q
-        return ContinuedFraction(a0, tuple(partials[:max_depth]), None, exact=True)
-    if isinstance(ratio, QuadraticSurd):
-        return _cf_expand_surd(ratio, max_depth)
-    if isinstance(ratio, ExplicitCF):
-        partials = tuple(ratio.partial(j) for j in range(1, max_depth + 1))
-        return ContinuedFraction(ratio.a0, partials, None, exact=True)
-    assert isinstance(ratio, NumericRatio)
-    return _cf_expand_float(ratio.x, max_depth)
-
-
-def _cf_expand_surd(surd: QuadraticSurd, max_depth: int) -> ContinuedFraction:
-    P, Q, D = surd.P, surd.Q, surd.D
-    if (D - P * P) % Q:
-        P *= abs(Q)
-        D *= Q * Q
-        Q *= abs(Q)
-    a0 = _floor_surd(P, Q, D)
-    if a0 < 0:
-        raise ValueError("ratio must be positive")
-    partials: list[int] = []
-    seen: dict[tuple[int, int], int] = {}
-    period = None
-    P = a0 * Q - P
-    Q = (D - P * P) // Q
-    index = 1
-    while len(partials) < max_depth:
-        state = (P, Q)
-        if state in seen:
-            period = (seen[state], index - seen[state])
-            break
-        seen[state] = index
-        a = _floor_surd(P, Q, D)
-        partials.append(a)
-        P = a * Q - P
-        Q = (D - P * P) // Q
-        index += 1
-    if period is not None:
-        start, length = period
-        cycle = partials[start - 1 : start - 1 + length]
-        while len(partials) < max_depth:
-            partials.append(cycle[(len(partials) - (start - 1)) % length])
-    return ContinuedFraction(a0, tuple(partials[:max_depth]), period, exact=True)
+    expansion = _expansion(ratio)
+    n = expansion.extend(max_depth)
+    period = next((found for found in expansion.period if sum(found) <= max_depth), None)
+    return ContinuedFraction(expansion.a0, tuple(expansion.partials[:max_depth]), period,
+                             expansion.exact, expansion.exhausted and n < max_depth)
 
 
 def _float_quotients(x: float) -> Iterator[int | None]:
@@ -405,61 +475,17 @@ def _float_quotients(x: float) -> Iterator[int | None]:
         q_prev, q_cur = q_cur, a * q_cur + q_prev
 
 
-def _cf_expand_float(x: float, max_depth: int) -> ContinuedFraction:
-    a0, *partials = islice(_float_quotients(x), max_depth + 1)
-    exhausted = partials[-1:] == [None]
-    if exhausted:
-        partials.pop()
-    return ContinuedFraction(a0, tuple(partials), None, exact=False, precision_exhausted=exhausted)
-
-
-def _walk(cf: ContinuedFraction, ratio: RatioInput) -> Iterator[Convergent]:
-    """The convergents of ``cf`` in order, lazily, by the three-term recurrence.
-
-    Consecutive convergents satisfy p_n q_{n-1} - p_{n-1} q_n = +-1 exactly.
-    Qualities are measured against one reference value of theta: exact for
-    rational and floating-point inputs, the 40-digit midpoint for surds, and
-    for explicit quotient sequences their truncation 30 quotients deeper
-    than ``cf``, and never shallower than depth 60: its error is then
-    negligible against every convergent walked.  On an exact
-    expansion the convergents alternate sides, so theta - p_n/q_n has the
-    sign (-1)^n, and 0 at a rational's last convergent, which is theta.  A
-    float expansion's quotients are not exact, so its approach signs are
-    taken against the float itself.
-    """
-    rational = isinstance(ratio, ExactRatio)
-    if isinstance(ratio, QuadraticSurd):
-        theta = ratio.midpoint()
-    elif rational:
-        theta = ratio.fraction
-    elif isinstance(ratio, ExplicitCF):
-        depth = max(60, cf.depth + 30)
-        theta = _cf_value_fraction(ratio.a0, [ratio.partial(j) for j in range(1, depth + 1)])
-    else:
-        theta = Fraction(ratio.x)
-
-    def convergent(n: int, p: int, q: int) -> Convergent:
-        gap = theta - Fraction(p, q)
-        if not cf.exact:
-            sign = _sign(gap)
-        else:
-            sign = 0 if rational and not gap else (-1) ** n
-        return Convergent(p, q, sign, float(q * q * abs(gap)))
-
-    p_prev, p, q_prev, q = 1, cf.a0, 0, 1
-    yield convergent(0, p, q)
-    for n, a in enumerate(cf.partials, 1):
-        p_prev, p = p, a * p + p_prev
-        q_prev, q = q, a * q + q_prev
-        yield convergent(n, p, q)
-
-
 def convergents(cf: ContinuedFraction, ratio: RatioInput, n: int) -> list[Convergent]:
     """The first ``n`` convergents p/q of ``cf``, with approach sides and qualities."""
     available = cf.depth + 1
     if n > available:
         raise ValueError(f"depth exhausted: {n} convergents requested, {available} available")
-    return list(islice(_walk(cf, ratio), n))
+    expansion = _expansion(ratio)
+    if (cf.a0, cf.exact) != (expansion.a0, expansion.exact) or \
+            expansion.extend(cf.depth) < cf.depth or tuple(expansion.partials[: cf.depth]) != cf.partials:
+        expansion = _Expansion(ratio, iter((cf.a0, *cf.partials)))  # not this ratio's own
+        expansion.exact = cf.exact
+    return list(islice(expansion.walk(cf.depth), n))
 
 
 def classify_ratio(ratio: RatioInput, depth: int = 30) -> RatioClass:
@@ -525,7 +551,9 @@ def approx_constant(ratio: RatioInput, depth: int = 20) -> float:
     """
     if isinstance(ratio, ExactRatio):
         raise RationalRatioError("approximation constant is undefined for rational ratios")
-    qualities = [c.quality for c in islice(_walk(cf_expand(ratio, depth), ratio), depth)]
+    if depth < 1:
+        raise ValueError("max_depth must be >= 1")
+    qualities = [c.quality for c in islice(_expansion(ratio).walk(depth), depth)]
     return min(qualities[len(qualities) // 2 :])
 
 
@@ -558,10 +586,15 @@ def predicted_gap_centers(
             "gap centers sit at the exact commensurability points"
         )
     want = _sign(alpha)
+    expansion = _expansion(theta)
+    # a surd 1/theta's quotients are theta's shifted one place: behind a 0, or without a0 = 0
+    shifted = chain([0, expansion.a0] if expansion.a0 else [], expansion.stream())
+    inverse = (_Expansion(theta.invert(), shifted) if isinstance(theta, QuadraticSurd)
+               else _expansion(theta.invert()))
     centers: list[GapCenter] = []
-    for family, ratio, scale in (("b", theta, b.value()), ("a", theta.invert(), a.value())):
+    for family, walked, scale in (("b", expansion, b.value()), ("a", inverse, a.value())):
         picked: list[Convergent] = []
-        for conv in _walk(cf_expand(ratio, _RESOLVED_DEPTH), ratio):
+        for conv in islice(walked.walk(), _RESOLVED_DEPTH + 1):
             # deeper convergents would outrun the precision of their qualities
             if len(picked) == count or conv.q >= _RESOLVED_Q:
                 break

@@ -3,7 +3,9 @@
 JSON output is deterministic: field order is fixed by construction and every
 float is rendered with 17 significant digits, which round-trips doubles
 exactly.  ``report_from_json`` therefore reproduces interval lists bit for
-bit.  The CSV writer prints a :class:`SampleTable`, six equal-length
+bit.  The writer picks each value's branch by its exact type; any other type,
+such as a subclass like numpy's float64, takes an isinstance chain that
+serializes it alike.  The CSV writer prints a :class:`SampleTable`, six equal-length
 columns, in the same 17-digit text, byte for byte, but formats a block of
 cells at once in numpy (:func:`_cell_words`) and leaves only non-finite,
 extreme and possibly tied cells to :func:`format_float`.
@@ -126,40 +128,53 @@ def json_dumps(obj: Any) -> str:
 
 
 def _emit(obj: Any, parts: list[str]) -> None:
-    if obj is None:
-        parts.append("null")
-    elif obj is True:
-        parts.append("true")
-    elif obj is False:
-        parts.append("false")
-    elif isinstance(obj, str):
-        parts.append(json.dumps(obj))
-    elif isinstance(obj, int):
-        parts.append(str(obj))
-    elif isinstance(obj, float):
+    kind = type(obj)
+    if kind is float:
         parts.append(format_float(obj))
-    elif isinstance(obj, dict):
+    elif kind is str:
+        parts.append(_encode_str(obj))
+    elif kind is dict:
         parts.append("{")
         for i, (key, value) in enumerate(obj.items()):
-            if i:
-                parts.append(",")
-            parts.append(json.dumps(str(key)))
-            parts.append(":")
+            parts.append(("," if i else "") + _encode_str(str(key)) + ":")
             _emit(value, parts)
         parts.append("}")
-    elif isinstance(obj, (list, tuple)):
+    elif kind is list or kind is tuple:
         parts.append("[")
         for i, value in enumerate(obj):
             if i:
                 parts.append(",")
             _emit(value, parts)
         parts.append("]")
+    elif kind is int:
+        parts.append(str(obj))
+    elif kind in _FIELD_NAMES:
+        _emit({name: getattr(obj, name) for name in _FIELD_NAMES[kind]}, parts)
+    elif obj is None or obj is True or obj is False:
+        parts.append(json.dumps(obj))
+    elif isinstance(obj, str):
+        parts.append(_encode_str(obj))
+    elif isinstance(obj, int):
+        parts.append(str(obj))
+    elif isinstance(obj, float):
+        parts.append(format_float(obj))
+    elif isinstance(obj, dict):
+        _emit(dict(obj.items()), parts)
+    elif isinstance(obj, (list, tuple)):
+        _emit(list(obj), parts)
     elif isinstance(obj, Enum):
         _emit(obj.value, parts)
     elif is_dataclass(obj):
-        _emit({f.name: getattr(obj, f.name) for f in fields(obj)}, parts)
+        names = [f.name for f in fields(obj)]
+        if not isinstance(obj, type):
+            _FIELD_NAMES[kind] = names
+        _emit({name: getattr(obj, name) for name in names}, parts)
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+_encode_str = json.encoder.encode_basestring_ascii  # what json.dumps(text) calls
+_FIELD_NAMES: dict[type, list[str]] = {}  # of each dataclass serialized, in declaration order
 
 
 def report_to_dict(report: SpectrumReport) -> dict[str, Any]:

@@ -18,7 +18,6 @@ from hexband import (
     assemble_m_matrix,
     band_membership,
     det_m_closed_form,
-    dispersion,
     dispersion_negative,
     gap_diagnostics_bc,
     gc1,
@@ -132,30 +131,33 @@ class TestSineTriple:
 
 
 class TestDispersion:
+    """The cotangent dispersion D, the first of :func:`positive_terms`."""
+
     def test_kirchhoff_equilateral_half_pi(self):
-        assert dispersion(EQUILATERAL, KIRCHHOFF, math.pi / 2) == pytest.approx(0.0, abs=1e-12)
+        d = positive_terms(EQUILATERAL, KIRCHHOFF.alpha, math.pi / 2)[0]
+        assert d == pytest.approx(0.0, abs=1e-12)
 
     def test_coupled_equilateral_half_pi(self):
         expected = 3 / (math.pi / 2)
-        assert dispersion(EQUILATERAL, VertexCoupling(3.0), math.pi / 2) == pytest.approx(
+        assert positive_terms(EQUILATERAL, 3.0, math.pi / 2)[0] == pytest.approx(
             expected, rel=1e-14
         )
 
     def test_mixed_lengths_against_high_precision(self):
         mp.dps = 40
         expected = float(mp.cot(1) + mp.cot(2) + mp.cot(3) + 1)
-        got = dispersion(HexGeometry(1, 2, 3), VertexCoupling(1.0), 1.0)
+        got = positive_terms(HexGeometry(1, 2, 3), 1.0, 1.0)[0]
         assert got == pytest.approx(expected, rel=1e-14)
         assert got == pytest.approx(-5.8308174898604885, rel=1e-12)
 
     def test_dirichlet_point_raises(self):
         with pytest.raises(DirichletPointError):
-            dispersion(EQUILATERAL, KIRCHHOFF, math.pi)
+            positive_terms(EQUILATERAL, KIRCHHOFF.alpha, math.pi)
 
     def test_periodicity_equilateral(self):
         for k in (0.4, 1.1, 2.2):
-            assert dispersion(EQUILATERAL, KIRCHHOFF, k + math.pi) == pytest.approx(
-                dispersion(EQUILATERAL, KIRCHHOFF, k), rel=1e-10
+            assert positive_terms(EQUILATERAL, KIRCHHOFF.alpha, k + math.pi)[0] == pytest.approx(
+                positive_terms(EQUILATERAL, KIRCHHOFF.alpha, k)[0], rel=1e-10
             )
 
 
@@ -166,7 +168,7 @@ class TestDirichletGuard:
     @pytest.mark.parametrize(
         "call, edges",
         [
-            (lambda g, k: dispersion(g, KIRCHHOFF, k), ("b",)),
+            (lambda g, k: positive_terms(g, KIRCHHOFF.alpha, k)[0], ("b",)),
             (lambda g, k: gc1(g, KIRCHHOFF, k), ("b",)),
             (lambda g, k: gc1_tangent_form(g, KIRCHHOFF, k), ("b",)),
             (lambda g, k: gap_diagnostics_bc(g.a, g.b, k), ("b",)),
@@ -219,13 +221,12 @@ class TestKernelCalls:
             lambda g, c: band_membership(g, c, EnergyPoint.positive(3.3)),
             lambda g, c: gc1(g, c, 3.3),
             lambda g, c: gc2(g, c, 3.3),
-            lambda g, c: dispersion(g, c, 3.3),
             lambda g, c: rhs_envelope(g, 3.3),
             lambda g, c: band_membership_grid(g, c, EnergyPoint.positive(3.3), GridSpec(64, 0)),
             lambda g, c: gap_criteria(g, c.alpha, 3.3),
         ],
-        ids=["band_membership", "gc1", "gc2", "dispersion", "rhs_envelope",
-             "band_membership_grid", "gap_criteria"],
+        ids=["band_membership", "gc1", "gc2", "rhs_envelope", "band_membership_grid",
+             "gap_criteria"],
     )
     def test_point_entry_points(self, calls, call):
         call(self.GEOM, self.COUPLING)
@@ -330,7 +331,7 @@ class TestAngleReductions:
             (lambda g, c, p: gc1(g, c, 3.3), 3),
             (lambda g, c, p: gc2(g, c, 3.3), 3),
             (lambda g, c, p: gap_criteria(g, c.alpha, 3.3), 3),
-            (lambda g, c, p: dispersion(g, c, 3.3), 3),
+            (lambda g, c, p: positive_terms(g, c.alpha, 3.3)[0], 3),
             (lambda g, c, p: rhs_envelope(g, 3.3), 3),
             (lambda g, c, p: det_m_closed_form(g, c, 3.3, p), 3),
             (lambda g, c, p: band_membership_grid(g, c, EnergyPoint.positive(3.3),

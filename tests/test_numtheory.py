@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -8,11 +9,15 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from hexband import (
+    ContinuedFraction,
+    Convergent,
     ExactRatio,
     ExplicitCF,
+    GapCenter,
     HexGeometry,
     NumericRatio,
     QuadraticSurd,
+    RatioClass,
     RatioClassKind,
     RationalRatioError,
     VertexCoupling,
@@ -25,7 +30,7 @@ from hexband import (
     predicted_gap_centers,
     ratio_divide,
 )
-from hexband.numtheory import reconstruct_rational
+from hexband.numtheory import _sharing_expansions, reconstruct_rational
 
 GOLDEN = QuadraticSurd(1, 2, 5)
 SQRT2 = QuadraticSurd(0, 1, 2)
@@ -470,3 +475,328 @@ class TestReconstructRational:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             reconstruct_rational(-1.0)
+
+
+# ---------------------------------------------------------------------------
+# One expansion per ratio, walked in integers
+#
+# The readers below the line are a test-local copy of the expansion and
+# convergent walk that each reader ran on its own, with every quality taken
+# in Fraction arithmetic.  The shared, integer expansion must answer as they
+# do, bit for bit, exceptions included.
+
+
+def _ref_cf_expand(ratio, max_depth):
+    if max_depth < 1:
+        raise ValueError("max_depth must be >= 1")
+    if isinstance(ratio, ExactRatio):
+        partials = []
+        p, q = ratio.p, ratio.q
+        a0 = p // q
+        p, q = q, p - a0 * q
+        while q:
+            a = p // q
+            partials.append(a)
+            p, q = q, p - a * q
+        return ContinuedFraction(a0, tuple(partials[:max_depth]), None, exact=True)
+    if isinstance(ratio, QuadraticSurd):
+        return _ref_cf_expand_surd(ratio, max_depth)
+    if isinstance(ratio, ExplicitCF):
+        partials = tuple(ratio.partial(j) for j in range(1, max_depth + 1))
+        return ContinuedFraction(ratio.a0, partials, None, exact=True)
+    return _ref_cf_expand_float(ratio.x, max_depth)
+
+
+def _ref_floor_surd(P, Q, D):
+    s = math.isqrt(D)
+    if Q > 0:
+        return (P + s) // Q
+    return -((P + s) // (-Q)) - 1
+
+
+def _ref_cf_expand_surd(surd, max_depth):
+    P, Q, D = surd.P, surd.Q, surd.D
+    if (D - P * P) % Q:
+        P *= abs(Q)
+        D *= Q * Q
+        Q *= abs(Q)
+    a0 = _ref_floor_surd(P, Q, D)
+    if a0 < 0:
+        raise ValueError("ratio must be positive")
+    partials, seen, period = [], {}, None
+    P = a0 * Q - P
+    Q = (D - P * P) // Q
+    index = 1
+    while len(partials) < max_depth:
+        state = (P, Q)
+        if state in seen:
+            period = (seen[state], index - seen[state])
+            break
+        seen[state] = index
+        a = _ref_floor_surd(P, Q, D)
+        partials.append(a)
+        P = a * Q - P
+        Q = (D - P * P) // Q
+        index += 1
+    if period is not None:
+        start, length = period
+        cycle = partials[start - 1 : start - 1 + length]
+        while len(partials) < max_depth:
+            partials.append(cycle[(len(partials) - (start - 1)) % length])
+    return ContinuedFraction(a0, tuple(partials[:max_depth]), period, exact=True)
+
+
+def _ref_float_quotients(x):
+    a = math.floor(x)
+    rem = x - a
+    q_prev, q_cur = 0, 1
+    yield a
+    while rem >= 1e-15:
+        x = 1.0 / rem
+        a = math.floor(x)
+        if q_cur > 3e7 or a < 1:
+            yield None
+            return
+        rem = x - a
+        if 1.0 - rem < 1e-12 * a:
+            a += 1
+            rem = 0.0
+        yield a
+        q_prev, q_cur = q_cur, a * q_cur + q_prev
+
+
+def _ref_cf_expand_float(x, max_depth):
+    a0, *partials = islice(_ref_float_quotients(x), max_depth + 1)
+    exhausted = partials[-1:] == [None]
+    if exhausted:
+        partials.pop()
+    return ContinuedFraction(a0, tuple(partials), None, exact=False, precision_exhausted=exhausted)
+
+
+def _ref_theta(ratio, depth):
+    """The Fraction every quality of a walk to ``depth`` is measured against."""
+    if isinstance(ratio, QuadraticSurd):
+        return ratio.midpoint()
+    if isinstance(ratio, ExactRatio):
+        return ratio.fraction
+    if isinstance(ratio, ExplicitCF):
+        deep = max(60, depth + 30)
+        return ratio.a0 + _cf_tail_fraction([ratio.partial(j) for j in range(1, deep + 1)])
+    return Fraction(ratio.x)
+
+
+def _ref_walk(cf, ratio):
+    rational = isinstance(ratio, ExactRatio)
+    theta = _ref_theta(ratio, cf.depth)
+
+    def convergent(n, p, q):
+        gap = theta - Fraction(p, q)
+        if not cf.exact:
+            sign = (gap > 0) - (gap < 0)
+        else:
+            sign = 0 if rational and not gap else (-1) ** n
+        return Convergent(p, q, sign, float(q * q * abs(gap)))
+
+    p_prev, p, q_prev, q = 1, cf.a0, 0, 1
+    yield convergent(0, p, q)
+    for n, a in enumerate(cf.partials, 1):
+        p_prev, p = p, a * p + p_prev
+        q_prev, q = q, a * q + q_prev
+        yield convergent(n, p, q)
+
+
+def _ref_convergents(cf, ratio, n):
+    available = cf.depth + 1
+    if n > available:
+        raise ValueError(f"depth exhausted: {n} convergents requested, {available} available")
+    return list(islice(_ref_walk(cf, ratio), n))
+
+
+def _ref_approx_constant(ratio, depth=20):
+    if isinstance(ratio, ExactRatio):
+        raise RationalRatioError("approximation constant is undefined for rational ratios")
+    qualities = [c.quality for c in islice(_ref_walk(_ref_cf_expand(ratio, depth), ratio), depth)]
+    return min(qualities[len(qualities) // 2 :])
+
+
+def _ref_classify_ratio(ratio, depth=30):
+    if isinstance(ratio, QuadraticSurd):
+        return RatioClass(
+            RatioClassKind.BADLY_APPROXIMABLE, certified=True,
+            gamma_lower=_ref_approx_constant(ratio, depth),
+            note=("periodic continued fraction: partial quotients bounded; "
+                  "gamma_lower is a convergent-restricted asymptotic estimate"))
+    if not isinstance(ratio, NumericRatio):
+        return classify_ratio(ratio, depth)  # no expansion: rationals and explicit sequences
+    cf = _ref_cf_expand(ratio, depth)
+    if not cf.partials:
+        note = "value is a floating-point integer; class undecidable from floats"
+    else:
+        peak = max(cf.partials)
+        trend = "growing" if peak > 4 * max(1, min(cf.partials)) else "bounded-looking"
+        note = (f"{trend} partial quotients over {len(cf.partials)} examined "
+                f"(max {peak}); floats cannot certify a class")
+    return RatioClass(RatioClassKind.UNKNOWN_NUMERIC, certified=False, note=note)
+
+
+def _ref_predicted_gap_centers(a, b, alpha, count):
+    if alpha == 0:
+        raise ValueError("alpha must be nonzero to select an approach side")
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    theta = ratio_divide(a, b)
+    if isinstance(theta, ExactRatio):
+        raise RationalRatioError(
+            "a/b is rational: use the commensurability witness / flat-band machinery; "
+            "gap centers sit at the exact commensurability points")
+    want = (alpha > 0) - (alpha < 0)
+    centers = []
+    for family, ratio, scale in (("b", theta, b.value()), ("a", theta.invert(), a.value())):
+        picked = []
+        for conv in _ref_walk(_ref_cf_expand(ratio, 86), ratio):
+            if len(picked) == count or conv.q >= 10**18:
+                break
+            if conv.approach_sign == want and conv.quality < 0.5:
+                picked.append(conv)
+        if len(picked) < count:
+            raise ArithmeticError(
+                f"could not find {count} sign-matching convergents (family {family})")
+        centers.extend(GapCenter(c.q * math.pi / scale, family, c.p, c.q) for c in picked)
+    return centers
+
+
+def _outcome(call, *args):
+    try:
+        return call(*args)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+_FLOATS = st.one_of(
+    st.floats(1e-6, 1e6).map(NumericRatio),
+    st.builds(lambda p, q: NumericRatio(p / q), st.integers(1, 10**4), st.integers(1, 10**4)))
+_RATIOS = st.one_of(_SURDS, _SURDS.map(QuadraticSurd.invert), _RATIONALS, _EXPLICIT, _FLOATS)
+_DEPTHS = st.integers(1, 90)
+_READERS = {
+    "cf_expand": (cf_expand, _ref_cf_expand),
+    "convergents": (
+        lambda r, d: convergents(cf_expand(r, d), r, cf_expand(r, d).depth + 1),
+        lambda r, d: _ref_convergents(_ref_cf_expand(r, d), r, _ref_cf_expand(r, d).depth + 1)),
+    "classify_ratio": (classify_ratio, _ref_classify_ratio),
+    "approx_constant": (approx_constant, _ref_approx_constant),
+    # another ratio's quotients, walked against this ratio's reference
+    "foreign convergents": (lambda r, d: convergents(cf_expand(SQRT3, d), r, d + 1),
+                            lambda r, d: _ref_convergents(_ref_cf_expand(SQRT3, d), r, d + 1)),
+}
+
+
+class TestOneExpansion:
+    @settings(max_examples=120, derandomize=True, deadline=None)
+    @given(_RATIOS, _DEPTHS)
+    def test_qualities_and_float_signs_equal_the_fraction_formula(self, ratio, depth):
+        cf = cf_expand(ratio, depth)
+        theta = _ref_theta(ratio, depth)
+        for n, c in enumerate(convergents(cf, ratio, cf.depth + 1)):
+            gap = theta - Fraction(c.p, c.q)
+            assert c.quality == float(c.q * c.q * abs(gap))
+            if not cf.exact:
+                assert c.approach_sign == (gap > 0) - (gap < 0)
+
+    @settings(max_examples=120, derandomize=True, deadline=None)
+    @given(_RATIOS, st.lists(st.tuples(st.sampled_from(sorted(_READERS)), _DEPTHS), min_size=1,
+                             max_size=5))
+    def test_readers_answer_as_the_fraction_walk(self, ratio, calls):
+        # each call alone, and the same calls in one command sharing the expansion
+        want = [_outcome(_READERS[name][1], ratio, depth) for name, depth in calls]
+        assert [_outcome(_READERS[name][0], ratio, depth) for name, depth in calls] == want
+        shared = _sharing_expansions(
+            lambda: [_outcome(_READERS[name][0], ratio, depth) for name, depth in calls])
+        assert shared == want
+
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(st.one_of(_SURDS, _SURDS.map(QuadraticSurd.invert), _FLOATS, _RATIONALS),
+           st.one_of(_RATIONALS, st.just(ExactRatio(1, 1)), _FLOATS),
+           st.sampled_from([-6.0, 2.5, 40.0]), st.integers(1, 6))
+    def test_gap_centers_answer_as_the_fraction_walk(self, a, b, alpha, count):
+        want = _outcome(_ref_predicted_gap_centers, a, b, alpha, count)
+        assert _outcome(predicted_gap_centers, a, b, alpha, count) == want
+        assert _sharing_expansions(lambda: (_outcome(predicted_gap_centers, a, b, alpha, count),
+                                            _outcome(predicted_gap_centers, a, b, alpha, count))) \
+            == (want, want)
+
+
+class TestExpansionCounts:
+    """One command expands each ratio once and walks each convergent once."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        import hexband.numtheory as nt
+
+        counts = {"surd expansions": [], "midpoints": 0, "walked": []}
+        surd_quotients, walk = nt._surd_quotients, nt._Expansion.walk
+        midpoint = QuadraticSurd.midpoint
+        walking = []  # the ratio whose walk is running
+
+        def counting_surd_quotients(P, Q, D, *args):
+            counts["surd expansions"].append((P, Q, D))
+            return surd_quotients(P, Q, D, *args)
+
+        def tagged_walk(self, depth=0):
+            inner = walk(self, depth)
+            while True:
+                walking.append(self.ratio)
+                try:
+                    conv = next(inner, None)
+                finally:
+                    walking.pop()
+                if conv is None:
+                    return
+                yield conv
+
+        def counting_convergent(p, q, sign, quality):
+            counts["walked"].append((walking[-1], p, q))
+            return Convergent(p, q, sign, quality)
+
+        def counting_midpoint(self):
+            counts["midpoints"] += 1
+            return midpoint(self)
+
+        monkeypatch.setattr(nt, "_surd_quotients", counting_surd_quotients)
+        monkeypatch.setattr(nt._Expansion, "walk", tagged_walk)
+        monkeypatch.setattr(nt, "Convergent", counting_convergent)
+        monkeypatch.setattr(QuadraticSurd, "midpoint", counting_midpoint)
+        return counts
+
+    @staticmethod
+    def run(*argv):
+        from click.testing import CliRunner
+
+        from hexband.cli import cli
+
+        result = CliRunner().invoke(cli, list(argv))
+        assert result.exit_code == 0, result.output
+
+    def test_a_surd_classify(self, counts):
+        # theta at depths 30, 20, 24 and 10 convergents and the centre search;
+        # 1/theta's quotients are theta's, so theta is the one surd expanded
+        self.run("classify", "--a", "(1+sqrt(5))/2", "--b", "1", "--alpha", "30", "--centers", "5")
+        assert counts["surd expansions"] == [(1, 2, 5)]
+        assert counts["midpoints"] == 2
+        walked = counts["walked"]
+        assert len(walked) == len(set(walked))
+        assert {ratio for ratio, _, _ in walked} == {GOLDEN, GOLDEN.invert()}
+        assert sum(ratio == GOLDEN for ratio, _, _ in walked) == 30
+
+    def test_gap_centers_use_one_quotient_sequence(self, counts):
+        self.run("gaps", "--a", "(1+sqrt(5))/2", "--b", "1", "--c", "1", "--alpha", "22",
+                 "--kmax", "30", "--centers", "3")
+        assert counts["surd expansions"] == [(1, 2, 5)]
+        assert counts["midpoints"] == 2
+
+    def test_no_expansion_outlives_its_command_or_call(self, counts):
+        argv = ("classify", "--a", "sqrt(2)", "--b", "1", "--alpha", "-30", "--centers", "2")
+        self.run(*argv)
+        self.run(*argv)
+        classify_ratio(SQRT2)
+        approx_constant(SQRT2)
+        assert counts["surd expansions"] == [(0, 1, 2)] * 4

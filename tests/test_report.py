@@ -1,6 +1,10 @@
 import io
+import json
 import math
 import random
+from collections import OrderedDict, namedtuple
+from dataclasses import dataclass, fields, is_dataclass
+from enum import Enum, IntEnum
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +13,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hexband import (
+    Convergent,
+    GapCenter,
     HexGeometry,
+    RatioClassKind,
     VertexCoupling,
     negative_spectrum_scan,
     report_from_json,
@@ -21,6 +28,76 @@ from hexband import (
 from hexband import report as report_module
 from hexband.report import (CSV_COLUMNS, SampleTable, SpectrumReport, _cell_words, format_float,
                             json_dumps)
+
+
+def _ref_json_dumps(obj):
+    """A test-local copy of the emitter as one isinstance chain, the order it keeps."""
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        return format_float(obj)
+    if isinstance(obj, dict):
+        items = (json.dumps(str(k)) + ":" + _ref_json_dumps(v) for k, v in obj.items())
+        return "{" + ",".join(items) + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ",".join(_ref_json_dumps(v) for v in obj) + "]"
+    if isinstance(obj, Enum):
+        return _ref_json_dumps(obj.value)
+    if is_dataclass(obj):
+        return _ref_json_dumps({f.name: getattr(obj, f.name) for f in fields(obj)})
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+class _Kind(Enum):
+    TEXT = "gap"
+    NUMBER = 3
+    HALF = 0.5
+
+
+class _TextKind(str, Enum):
+    BAND = "band"
+
+
+class _Label(str):
+    pass
+
+
+@dataclass
+class _Row:
+    k: object
+    label: object
+    rows: object = ()
+
+
+class _Plain:
+    pass
+
+
+_Pair = namedtuple("_Pair", "lo hi")
+_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(-10**20, 10**20), st.floats(),
+    st.floats().map(np.float64),
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]), st.text(),
+    st.sampled_from(['"', "\\", "\n\t\x00\x7f", "\u00e9\u2028\U0001f600", "\ud800"]),
+    st.text().map(_Label), st.sampled_from([*_Kind, *_TextKind, IntEnum("_Count", "ONE TWO").TWO]),
+    st.sampled_from([RatioClassKind.RATIONAL, _Row, _Plain]))
+_JSON_VALUES = st.recursive(_LEAVES, lambda children: st.one_of(
+    st.lists(children, max_size=4), st.lists(children, max_size=4).map(tuple),
+    st.dictionaries(st.one_of(st.text(), st.integers(), st.sampled_from([_Kind.TEXT, None])),
+                    children, max_size=4),
+    st.dictionaries(st.text(), children, max_size=3).map(OrderedDict),
+    st.builds(_Row, children, children, children), st.builds(_Pair, children, children),
+    st.builds(GapCenter, children, st.text(), children, children),
+    st.builds(Convergent, st.integers(), st.integers(), st.integers(-1, 1), st.floats())),
+    max_leaves=24)
 
 
 def _sample_report():
@@ -72,6 +149,17 @@ class TestJsonEmitter:
     def test_unserializable_type_rejected(self):
         with pytest.raises(TypeError):
             json_dumps({"bad": object()})
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(_JSON_VALUES)
+    def test_equals_the_isinstance_chain(self, value):
+        def outcome(dumps):
+            try:
+                return dumps(value)
+            except (TypeError, AttributeError) as exc:  # a dataclass type with a required field
+                return type(exc), str(exc)
+
+        assert outcome(json_dumps) == outcome(_ref_json_dumps)
 
 
 class TestCsv:
