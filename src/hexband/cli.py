@@ -62,7 +62,6 @@ from .numtheory import (
     QuadraticSurd,
     RatioClassKind,
     RatioInput,
-    _sharing_expansions,
     approx_constant,
     cf_expand,
     classify_ratio,
@@ -118,7 +117,7 @@ class LengthParam(click.ParamType):
             return value
         try:
             return parse_length(str(value))
-        except (ValueError, ZeroDivisionError) as exc:
+        except (ValueError, ArithmeticError) as exc:  # OverflowError: too large for a float
             self.fail(f"invalid length {value!r}: {exc}", param, ctx)
 
 
@@ -140,7 +139,7 @@ class _Command(click.Command):
 
     def invoke(self, ctx: click.Context):
         try:
-            return _sharing_expansions(super().invoke, ctx)
+            return super().invoke(ctx)
         except (DirichletPointError, ArithmeticError) as exc:  # before ValueError, its base
             click.echo(f"numeric failure: {exc}", err=True)
             sys.exit(EXIT_NUMERIC)

@@ -12,12 +12,12 @@ singular for some phase pair.  This module writes that matrix once, on real
 and imaginary parts (:func:`_cell_entries`), evaluated on floats by
 :func:`assemble_m_matrix` or on numpy columns by the oracle, and gives its
 closed-form determinant (:func:`det_m_closed_form`).  It also holds the
-point kernels of both branches, scalar and column: the membership terms
-``(D, lower_unclamped, upper)`` and the gap criteria.  Every edge sine and
-cosine is libm's, of the unreduced l*k: ``math.sin``/``math.cos`` in the
-scalar kernels, which take them from :func:`_flag_sines`, the package's one
-Dirichlet guard, and ``np.sin``/``np.cos``, equal to them bit for bit, in
-the column kernels.
+point kernels of both branches: the membership terms
+``(D, lower_unclamped, upper)``, scalar and column, and the gap criteria on
+columns (:func:`boundary_rows_grid`).  Every edge sine and cosine is libm's,
+of the unreduced l*k: ``math.sin``/``math.cos`` in the scalar kernels, which
+take them from :func:`_flag_sines`, the package's one Dirichlet guard, and
+``np.sin``/``np.cos``, equal to them bit for bit, in the column kernels.
 """
 
 from __future__ import annotations
@@ -238,41 +238,6 @@ def positive_terms_grid(
         return total, 2 * inv_max - upper, upper, flagged
 
 
-def _half_angle_pair(s: float, c: float) -> tuple[float, float]:
-    """``(cot x - 1/|sin x|, cot x + 1/|sin x|)`` from ``s = sin x``, ``c = cos x``.
-
-    With ``t = tan(x/2)`` taken as s/(1+c) or (1-c)/s, whichever does not
-    cancel, the pair is (-t, 1/t) for s > 0 and (1/t, -t) for s < 0.  At
-    s == 0 it is the limit from the right, (-0, +inf); where t underflows to
-    zero, 1/t is the IEEE limit.
-    """
-    if s == 0.0:
-        return -0.0, math.inf
-    t = s / (1 + c) if c >= 0 else (1 - c) / s
-    inv = 1 / t if t else math.copysign(math.inf, t)  # t underflows only for a subnormal s
-    return (-t, inv) if s > 0 else (inv, -t)
-
-
-def gap_criteria(geom: HexGeometry, alpha: float, k: float) -> tuple[bool, bool]:
-    """``(GC1, GC2)``, that is |D| > upper and |D| < lower, at any k > 0.
-
-    With (m, p) the half-angle pairs of the edges and j the edge of smallest
-    |sin|, D -+ upper = alpha/k + sum m (or p), D - lower = alpha/k + m_j +
-    sum_{i != j} p_i and D + lower = alpha/k + p_j + sum_{i != j} m_i.  No sum
-    adds a pole to its negative, so the signs hold up to the Dirichlet points
-    and need no tolerance.  The sines and cosines come from :func:`_flag_sines`.
-    """
-    _check_k(k)
-    sines, cosines, _ = _flag_sines(k, geom.lengths)
-    ms, ps = zip(*map(_half_angle_pair, sines, cosines))
-    j = min(range(3), key=lambda i: abs(sines[i]))
-    g = alpha / k
-    gc1 = g + sum(ms) > 0 or g + sum(ps) < 0
-    d_minus_lower = g + ms[j] + sum(p for i, p in enumerate(ps) if i != j)
-    d_plus_lower = g + ps[j] + sum(m for i, m in enumerate(ms) if i != j)
-    return gc1, d_minus_lower < 0 < d_plus_lower
-
-
 # Dirichlet points closer than this times max(1, k) are one point; an edge
 # with |sin(l*k)| at most this times max(1, l*k) sits on its point.
 _SAME_POINT = 1e-12
@@ -281,18 +246,25 @@ _ROW_SIGNS = np.array([[1.0], [-1.0], [-1.0], [1.0]])
 
 
 def boundary_rows_grid(geom: HexGeometry, alpha: float, ks: np.ndarray, sides: bool = False):
-    """The comparisons of :func:`gap_criteria` on an array of k, as a ``(4, n)``
-    boolean array: D - upper > 0, D + upper < 0, D - lower < 0 and D + lower > 0.
+    """The gap criteria on an array of k, as a ``(4, n)`` boolean array of the
+    boundary functions' signs: D - upper > 0, D + upper < 0, D - lower < 0 and
+    D + lower > 0.  GC1 (|D| > upper) is the first or the second row, GC2
+    (|D| < lower) the third and the fourth.
 
-    GC1 is the first or the second row and GC2 the third and the fourth, equal to
-    the scalar form bit for bit: ``np.sin``/``np.cos`` of each l*k, the pairs of
-    :func:`_half_angle_pair`, j the first edge of smallest |sin|, and every sum
-    in the scalar order.  Between Dirichlet points k times each boundary function
+    Each edge contributes the pair (m, p) = (cot x - 1/|sin x|, cot x + 1/|sin x|),
+    which is (-t, 1/t) for sin x > 0 and (1/t, -t) for sin x < 0, with
+    t = tan(x/2) taken as s/(1+c) or (1-c)/s, whichever does not cancel.  With j
+    the first edge of smallest |sin|, D -+ upper = alpha/k + sum m (or p),
+    D - lower = alpha/k + m_j + sum_{i != j} p_i and D + lower = alpha/k + p_j +
+    sum_{i != j} m_i.  No sum adds a pole to its negative, so the signs hold up to
+    the Dirichlet points and need no tolerance.  An exact zero sine (x = 0) takes
+    the limit from the right, (-0, +inf), and a t that underflows to zero its
+    IEEE limit.  Between Dirichlet points k times each boundary function
     strictly decreases, so each row turns at most once there.  With ``sides``
     the result is the rows just left and just right of each k: an edge on its
     Dirichlet point (``_SAME_POINT``) takes its pair's one-sided limit, (-inf, 0)
     from the left and (0, +inf) from the right, and j is the vanishing edge of
-    smallest length.
+    smallest length.  ``np.sin``/``np.cos`` equal libm's bit for bit.
     """
     if not (ks > 0).all():
         raise ValueError("every k must be > 0")
@@ -300,7 +272,7 @@ def boundary_rows_grid(geom: HexGeometry, alpha: float, ks: np.ndarray, sides: b
     s, c = np.sin(x), np.cos(x)
     key = np.abs(s)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        # x > 0 or +0.0, so s == 0 has c == 1 and t == +0: (-0, +inf) as in the scalar form
+        # x > 0 or +0.0, so s == 0 has c == 1 and t == +0: the pair (-0, +inf)
         t = np.where(c >= 0, s / (1 + c), (1 - c) / s)
         inv, minus_t = 1 / t, -t  # t has the sign of s: m is the lesser of the two, p the greater
         mp = np.array([np.minimum(minus_t, inv), np.maximum(minus_t, inv)])

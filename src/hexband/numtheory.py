@@ -5,9 +5,9 @@ ratio theta = a/b is approximated by rationals.  This module expands ratios
 into continued fractions, produces convergents with exact approach signs,
 classifies ratios (rational / badly approximable / unbounded-quotient /
 numeric-only), estimates the quadratic approximation constant gamma, and
-predicts gap-center locations from sign-selected convergents.  A ratio's
-quotients and convergents (in integer arithmetic) are computed once and kept,
-each reader taking its own depth; one CLI command's readers share them.
+predicts gap-center locations from sign-selected convergents.  Each reader
+expands its ratio itself, computing the quotients on demand and each
+convergent's quality in integer arithmetic, to its own depth.
 
 Classification policy: floating-point inputs never certify a class; only
 exact inputs (reduced rationals, quadratic surds, or explicitly constructed
@@ -17,12 +17,11 @@ partial-quotient sequences) do.
 from __future__ import annotations
 
 import math
-from contextvars import ContextVar, copy_context
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import chain, count, cycle, islice
-from typing import Any, Callable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 __all__ = [
     "ExactRatio",
@@ -313,7 +312,7 @@ def _normalize_surd(A: int, u: int, D: int, B: int) -> QuadraticSurd:
 
 
 class _Expansion:
-    """One ratio's continued fraction, computed on demand and kept.
+    """One ratio's continued fraction, its quotients computed on demand and kept.
 
     ``partials`` holds the quotients a1, a2, ... found so far; the source stops
     after a rational's last one, or where a float's digits support no further
@@ -327,7 +326,6 @@ class _Expansion:
         self.partials: list[int] = []
         self.period: list[tuple[int, int]] = []
         self.exhausted = False
-        self._walks: dict[int | None, tuple[tuple[int, int], list[Convergent]]] = {}
         if quotients is None:
             if isinstance(ratio, ExactRatio):
                 quotients = _euclid_quotients(ratio.p, ratio.q)
@@ -360,28 +358,23 @@ class _Expansion:
             n += 1
 
     def walk(self, depth: int = 0) -> Iterator[Convergent]:
-        """The convergents in order, each computed once and then kept.  Theta
-        is num/den: exact for rationals and floats, the 40-digit midpoint for
+        """The convergents in order, each computed as it is yielded.  Theta is
+        num/den: exact for rationals and floats, the 40-digit midpoint for
         surds, an explicit sequence truncated 30 quotients deeper than ``depth``
         (at least 60).  With gap = num*q - p*den, q^2 |theta - p/q| is q |gap| /
         den, rounded once as float(Fraction) rounds it.  Exact sides alternate,
         0 at a rational's end; a float's are the signs of gap."""
-        key = max(60, depth + 30) if isinstance(self.ratio, ExplicitCF) else None
-        if key not in self._walks:
-            self._walks[key] = (self._reference(key), [])
-        (num, den), done = self._walks[key]
+        num, den = self._reference(max(60, depth + 30))
         rational = isinstance(self.ratio, ExactRatio)
         p_prev, p, q_prev, q = 0, 1, 1, 0
         for n, a in enumerate(chain([self.a0], self.stream())):
             p_prev, p = p, a * p + p_prev
             q_prev, q = q, a * q + q_prev
-            if n == len(done):
-                gap = num * q - p * den
-                sign = (-1) ** n if self.exact else _sign(gap)
-                done.append(Convergent(p, q, 0 if rational and not gap else sign, q * abs(gap) / den))
-            yield done[n]
+            gap = num * q - p * den
+            sign = (-1) ** n if self.exact else _sign(gap)
+            yield Convergent(p, q, 0 if rational and not gap else sign, q * abs(gap) / den)
 
-    def _reference(self, depth: int | None) -> tuple[int, int]:
+    def _reference(self, depth: int) -> tuple[int, int]:
         ratio = self.ratio
         if isinstance(ratio, ExactRatio):
             return ratio.p, ratio.q
@@ -418,21 +411,6 @@ def _surd_quotients(P: int, Q: int, D: int, partials: list[int], period: list) -
     yield from cycle(partials[start - 1 :])
 
 
-_expansions: ContextVar[dict[RatioInput, _Expansion]] = ContextVar("expansions")
-
-
-def _sharing_expansions(call: Callable[..., Any], *args: Any) -> Any:
-    """``call(*args)``, its readers sharing one expansion per ratio, as one CLI command's do."""
-    context = copy_context()
-    context.run(_expansions.set, {})
-    return context.run(call, *args)
-
-
-def _expansion(ratio: RatioInput) -> _Expansion:
-    memo = _expansions.get({})  # outside _sharing_expansions, a memo for this reader alone
-    return memo.get(ratio) or memo.setdefault(ratio, _Expansion(ratio))
-
-
 def cf_expand(ratio: RatioInput, max_depth: int) -> ContinuedFraction:
     """Expand a ratio into its continued fraction.
 
@@ -444,7 +422,7 @@ def cf_expand(ratio: RatioInput, max_depth: int) -> ContinuedFraction:
     """
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
-    expansion = _expansion(ratio)
+    expansion = _Expansion(ratio)
     n = expansion.extend(max_depth)
     period = next((found for found in expansion.period if sum(found) <= max_depth), None)
     return ContinuedFraction(expansion.a0, tuple(expansion.partials[:max_depth]), period,
@@ -476,15 +454,13 @@ def _float_quotients(x: float) -> Iterator[int | None]:
 
 
 def convergents(cf: ContinuedFraction, ratio: RatioInput, n: int) -> list[Convergent]:
-    """The first ``n`` convergents p/q of ``cf``, with approach sides and qualities."""
+    """The first ``n`` convergents p/q of ``cf``'s quotients, with approach sides
+    and qualities measured against ``ratio``."""
     available = cf.depth + 1
     if n > available:
         raise ValueError(f"depth exhausted: {n} convergents requested, {available} available")
-    expansion = _expansion(ratio)
-    if (cf.a0, cf.exact) != (expansion.a0, expansion.exact) or \
-            expansion.extend(cf.depth) < cf.depth or tuple(expansion.partials[: cf.depth]) != cf.partials:
-        expansion = _Expansion(ratio, iter((cf.a0, *cf.partials)))  # not this ratio's own
-        expansion.exact = cf.exact
+    expansion = _Expansion(ratio, iter((cf.a0, *cf.partials)))
+    expansion.exact = cf.exact
     return list(islice(expansion.walk(cf.depth), n))
 
 
@@ -553,7 +529,7 @@ def approx_constant(ratio: RatioInput, depth: int = 20) -> float:
         raise RationalRatioError("approximation constant is undefined for rational ratios")
     if depth < 1:
         raise ValueError("max_depth must be >= 1")
-    qualities = [c.quality for c in islice(_expansion(ratio).walk(depth), depth)]
+    qualities = [c.quality for c in islice(_Expansion(ratio).walk(depth), depth)]
     return min(qualities[len(qualities) // 2 :])
 
 
@@ -586,11 +562,11 @@ def predicted_gap_centers(
             "gap centers sit at the exact commensurability points"
         )
     want = _sign(alpha)
-    expansion = _expansion(theta)
+    expansion = _Expansion(theta)
     # a surd 1/theta's quotients are theta's shifted one place: behind a 0, or without a0 = 0
     shifted = chain([0, expansion.a0] if expansion.a0 else [], expansion.stream())
     inverse = (_Expansion(theta.invert(), shifted) if isinstance(theta, QuadraticSurd)
-               else _expansion(theta.invert()))
+               else _Expansion(theta.invert()))
     centers: list[GapCenter] = []
     for family, walked, scale in (("b", expansion, b.value()), ("a", inverse, a.value())):
         picked: list[Convergent] = []

@@ -91,12 +91,6 @@ def _phase_table(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return t, cos_t, cos_diff
 
 
-def _on_grid(g, n: int) -> np.ndarray:
-    """g on the n x n phase grid, from the shared cosine table."""
-    _, cos_t, cos_diff = _phase_table(n)
-    return g(cos_t[:, None], cos_t[None, :], cos_diff)
-
-
 @functools.lru_cache(maxsize=1)
 def _tile_table(n: int) -> tuple[np.ndarray, ...]:
     """The tiles of ``_TILE`` x ``_TILE`` phase cells of the n x n grid.

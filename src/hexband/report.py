@@ -164,10 +164,8 @@ def _emit(obj: Any, parts: list[str]) -> None:
         _emit(list(obj), parts)
     elif isinstance(obj, Enum):
         _emit(obj.value, parts)
-    elif is_dataclass(obj):
-        names = [f.name for f in fields(obj)]
-        if not isinstance(obj, type):
-            _FIELD_NAMES[kind] = names
+    elif is_dataclass(obj) and not isinstance(obj, type):  # an instance, not the class
+        names = _FIELD_NAMES[kind] = [f.name for f in fields(obj)]
         _emit({name: getattr(obj, name) for name in names}, parts)
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")

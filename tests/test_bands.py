@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import math
 import random
@@ -29,12 +30,13 @@ from hexband import (
 import hexband.bands as bands_module
 from hexband.bands import _GAP, _halve, _runs, _sign_codes
 from hexband.cli import cli
-from hexband.core import (_SAME_POINT, DirichletPointError, _flag_sines, _half_angle_pair,
-                          _negative_terms, _negative_terms_grid, dispersion_negative,
-                          gap_criteria, inv_sinh, positive_terms)
+from hexband.core import (_SAME_POINT, DirichletPointError, _flag_sines, _negative_terms,
+                          _negative_terms_grid, dispersion_negative, inv_sinh, positive_terms)
 from hexband.report import SampleTable, report_to_json
 from hexband.numtheory import CommensurabilityWitness
 from hexband.oracle import GridSpec, band_membership_grid, rhs_extrema_grid, trig_min_grid
+
+from criteria_reference import rows as reference_rows
 
 EQUILATERAL = HexGeometry(1, 1, 1)
 KIRCHHOFF = VertexCoupling(0.0)
@@ -601,27 +603,7 @@ class TestLockstepRefinement:
         last = points[-1:] if k_hi - points[-1] <= _SAME_POINT * max(1.0, points[-1]) else [k_hi]
         ends = first + [k for k in points if k not in first + last] + last
 
-        def rows(k, side):
-            """The four rows of gap_criteria at k; with a side, an edge on its
-            Dirichlet point takes its one-sided limit from the right (1) or the
-            left (-1), and the vanishing edge of smallest length is the edge j of
-            smallest |sin|."""
-            sines, cosines, _ = _flag_sines(k, geom.lengths)
-            pairs, keys = [], []
-            for ell, s, c in zip(geom.lengths, sines, cosines):
-                if side and abs(s) <= _SAME_POINT * max(1.0, ell * k):
-                    pairs.append((0.0, math.inf) if side > 0 else (-math.inf, 0.0))
-                    keys.append(-1 / ell)
-                else:
-                    pairs.append(_half_angle_pair(s, c))
-                    keys.append(abs(s))
-            ms, ps = zip(*pairs)
-            j = min(range(3), key=keys.__getitem__)
-            g = alpha / k
-            return [g + sum(ms) > 0, g + sum(ps) < 0,
-                    g + ms[j] + sum(p for i, p in enumerate(ps) if i != j) < 0,
-                    g + ps[j] + sum(m for i, m in enumerate(ms) if i != j) > 0]
-
+        rows = functools.partial(reference_rows, geom, alpha)
         edges = []
         for x_lo, x_hi in zip(ends, ends[1:]):
             first, last = rows(x_lo, 1), rows(x_hi, -1)
@@ -811,7 +793,8 @@ class TestKnownMiss:
         # 4000-sample spacing 0.0745; two rows turn in the piece that holds it
         coupling, k = VertexCoupling(22.0), 44.5259
         assert band_membership(self.GEOM, coupling, EnergyPoint.positive(k)).kind is Decision.GAP
-        assert gap_criteria(self.GEOM, coupling.alpha, k) == (False, True)
+        rows = reference_rows(self.GEOM, coupling.alpha, k)
+        assert (rows[0] or rows[1], rows[2] and rows[3]) == (False, True)
         report = scan_spectrum(self.GEOM, coupling, 0.01, 298.0, 1e-9)
         assert any(lo < k * k < hi for lo, hi in report.gaps)
 

@@ -13,6 +13,8 @@ from hexband.cli import cli, parse_length
 from hexband.numtheory import ExactRatio, NumericRatio, QuadraticSurd
 from hexband.report import report_from_json
 
+_HUGE = "1" + "0" * 400 + "1"  # an integer beyond a float's range
+
 
 @pytest.fixture
 def runner():
@@ -52,6 +54,20 @@ class TestLengthGrammar:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             parse_length("0")
+
+    @pytest.mark.parametrize(
+        "length",
+        [f"sqrt({_HUGE})", f"(1+sqrt({_HUGE}))/2", f"({_HUGE}-sqrt(2))/3", f"{_HUGE}/1"],
+        ids=["sqrt", "surd", "surd-numerator", "rational"],
+    )
+    @pytest.mark.parametrize("command", [["classify", "--b", "1", "--alpha", "3"],
+                                         ["bands", "--b", "1", "--c", "1", "--kmax", "2"]],
+                             ids=["classify", "bands"])
+    def test_a_length_too_large_for_a_float_exits_2(self, runner, command, length):
+        result = runner.invoke(cli, command + ["--a", length])
+        assert result.exit_code == 2, result.output
+        assert "Invalid value for '--a': invalid length" in result.stderr
+        assert "too large" in result.stderr
 
 
 class TestBandsCommand:

@@ -32,14 +32,14 @@ from hexband.cli import cli
 from hexband.core import (
     DEFAULT_DIRICHLET_TOL,
     _flag_sines,
-    _half_angle_pair,
     boundary_rows_grid,
     checked_sines,
-    gap_criteria,
     positive_terms,
     positive_terms_grid,
 )
 from hexband.oracle import GridSpec, band_membership_grid, det_numeric, rhs_extrema_grid
+
+from criteria_reference import boundary_functions, rows as reference_rows
 
 EQUILATERAL = HexGeometry(1, 1, 1)
 KIRCHHOFF = VertexCoupling(0.0)
@@ -223,10 +223,8 @@ class TestKernelCalls:
             lambda g, c: gc2(g, c, 3.3),
             lambda g, c: rhs_envelope(g, 3.3),
             lambda g, c: band_membership_grid(g, c, EnergyPoint.positive(3.3), GridSpec(64, 0)),
-            lambda g, c: gap_criteria(g, c.alpha, 3.3),
         ],
-        ids=["band_membership", "gc1", "gc2", "rhs_envelope", "band_membership_grid",
-             "gap_criteria"],
+        ids=["band_membership", "gc1", "gc2", "rhs_envelope", "band_membership_grid"],
     )
     def test_point_entry_points(self, calls, call):
         call(self.GEOM, self.COUPLING)
@@ -254,7 +252,6 @@ class TestKernelCalls:
         count(hexband.bands, "_negative_terms_grid")
         count(hexband.bands, "boundary_rows_grid")
         count(hexband.cli, "positive_terms_grid")
-        count(hexband.core, "gap_criteria")
 
         def run(*args):
             counts.update(dict.fromkeys(counts, 0))
@@ -262,13 +259,13 @@ class TestKernelCalls:
             assert result.exit_code == 0, result.output
             return (counts["bands.positive_terms_grid"], counts["bands._negative_terms_grid"],
                     counts["bands.boundary_rows_grid"], counts["cli.positive_terms_grid"],
-                    counts["core.gap_criteria"], calls[0])
+                    calls[0])
 
         # JSON bands evaluates no sample grid.  Kirchhoff equilateral is one band:
         # one row call takes the window ends from either side, and one more halves
         # the window once, where rows 2 and 3 both turn
         assert run("bands", "--a", "1", "--b", "1", "--c", "1", "--kmin", "1", "--kmax", "2",
-                   "--samples", "50") == (0, 0, 2, 0, 0, 0)
+                   "--samples", "50") == (0, 0, 2, 0, 0)
 
         # A gap-rich window whose ends are Dirichlet points: one row call for the
         # window ends and the Dirichlet points seen from either side, then one per
@@ -281,17 +278,17 @@ class TestKernelCalls:
         widest = 2 * math.pi / 3  # between the Dirichlet points of the b edge
         rows = 1 + math.ceil(math.ceil(math.log2(widest / 1e-9)) / 2)
         negative = 1 + math.ceil(math.ceil(math.log2((5 - 5 / 4000) / 1e-9)) / 2)
-        assert run("bands", *gap_rich("3.5")) == (0, 0, rows, 0, 0, 0)
+        assert run("bands", *gap_rich("3.5")) == (0, 0, rows, 0, 0)
         assert run("bands", *gap_rich("-3.5", "--include-negative")) == \
-            (0, 0 + negative, rows, 0, 0, 0)
+            (0, 0 + negative, rows, 0, 0)
 
         # gaps scans the same way, and its attribution evaluates the gap midpoints
         # in one call of its own
-        assert run("gaps", *gap_rich("3.5")) == (0, 0, rows, 1, 0, 0)
+        assert run("gaps", *gap_rich("3.5")) == (0, 0, rows, 1, 0)
 
         # CSV bands evaluates one column kernel call per branch and refines nothing
         assert run("bands", *gap_rich("-3.5", "--include-negative", "--format", "csv")) == \
-            (1, 1, 0, 0, 0, 0)
+            (1, 1, 0, 0, 0)
 
     def test_row_calls_of_a_gap_table(self, monkeypatch):
         # gaps --a 1.1 --b 1.7 --c 0.8 --alpha 22 --kmax 298, the benchmark's
@@ -330,7 +327,6 @@ class TestAngleReductions:
             (lambda g, c, p: band_membership(g, c, EnergyPoint.positive(3.3)), 3),
             (lambda g, c, p: gc1(g, c, 3.3), 3),
             (lambda g, c, p: gc2(g, c, 3.3), 3),
-            (lambda g, c, p: gap_criteria(g, c.alpha, 3.3), 3),
             (lambda g, c, p: positive_terms(g, c.alpha, 3.3)[0], 3),
             (lambda g, c, p: rhs_envelope(g, 3.3), 3),
             (lambda g, c, p: det_m_closed_form(g, c, 3.3, p), 3),
@@ -343,7 +339,7 @@ class TestAngleReductions:
             (lambda g, c, p: assemble_m_matrix(g, c, 3.3, p), 9),
             (lambda g, c, p: verify_flat_band(g, 3.3, c), 7),
         ],
-        ids=["positive_terms", "band_membership", "gc1", "gc2", "gap_criteria", "dispersion",
+        ids=["positive_terms", "band_membership", "gc1", "gc2", "dispersion",
              "rhs_envelope", "det_m_closed_form", "band_membership_grid",
              "rhs_extrema_grid", "gc1_tangent_form", "gc2_equivalent_bc",
              "gap_diagnostics_bc", "assemble_m_matrix", "verify_flat_band"],
@@ -488,14 +484,21 @@ def _mp_boundary_functions(geom, alpha, k):
         return (d - upper, d + upper, d - lower, d + lower), 1e-9 * finite
 
 
+def _grid_criteria(geom, alpha, k):
+    """``(GC1, GC2)`` at one k from :func:`boundary_rows_grid`."""
+    return _criteria(boundary_rows_grid(geom, alpha, np.array([k])))[0]
+
+
 class TestGapCriteria:
+    """:func:`boundary_rows_grid` against the envelope, mpmath and its limits."""
+
     @settings(max_examples=400, derandomize=True, deadline=None)
     @given(LENGTH, LENGTH, LENGTH, ALPHA, st.floats(0.05, 200.0))
     def test_equals_the_envelope_comparison_off_dirichlet_points(self, a, b, c, alpha, k):
         geom = HexGeometry(a, b, c)
         assume(not any(_flag_sines(k, geom.lengths)[2]))
         coupling = VertexCoupling(alpha)
-        verdict = gap_criteria(geom, alpha, k)
+        verdict = _grid_criteria(geom, alpha, k)
         assert verdict == (gc1(geom, coupling, k), gc2(geom, coupling, k))
         membership = band_membership(geom, coupling, EnergyPoint.positive(k)).kind
         assert any(verdict) == (membership.value == "gap")
@@ -517,23 +520,35 @@ class TestGapCriteria:
         assume(min(abs(d_minus_upper), abs(d_plus_upper), abs(d_minus_lower),
                    abs(d_plus_lower)) > margin)
         expected = (d_minus_upper > 0 or d_plus_upper < 0, d_minus_lower < 0 < d_plus_lower)
-        assert gap_criteria(geom, alpha, k) == expected
+        assert _grid_criteria(geom, alpha, k) == expected
 
-    @pytest.mark.parametrize("s_right, c", [(1e-300, 1.0), (-1e-300, -1.0)], ids=["0", "pi"])
-    def test_exact_zero_sine_is_the_limit_from_the_right(self, s_right, c):
-        # just right of x = 0 the sine is positive, just right of x = pi negative
-        m, p = _half_angle_pair(s_right, c)
-        assert -1e-299 < m < 0 and p > 1e299
-        m, p = _half_angle_pair(0.0, c)
-        assert m == 0.0 and math.copysign(1.0, m) < 0 and p == math.inf
+    @pytest.mark.parametrize(
+        "geom, k",
+        [(HexGeometry(1e-320, 1.0, 1.3), 1e-5),  # a*k underflows to 0: sin(a*k) == 0
+         (HexGeometry(1.0, 1.3, 0.8), math.nextafter(math.pi, math.inf))],  # sin(a*k) < 0
+        ids=["0", "pi"],
+    )
+    def test_exact_zero_sine_is_the_limit_from_the_right(self, geom, k):
+        # the a edge sits on its Dirichlet point, its sine zero or just right of
+        # it: the rows are those from the right, and some differ from the left
+        ks = np.array([k])
+        differ = []
+        for alpha in (-5.0, -1e-5, 0.0, 1e-5, 5.0):
+            left, right = boundary_rows_grid(geom, alpha, ks, sides=True)
+            rows = boundary_rows_grid(geom, alpha, ks)
+            assert rows.tolist() == right.tolist()
+            assert rows[:, 0].tolist() == reference_rows(geom, alpha, k)
+            differ.append(rows.tolist() != left.tolist())
+        assert any(differ)
 
     def test_underflowing_half_angle_takes_the_ieee_limit(self):
         # tan(x/2) = s/(1+c) underflows to zero for a subnormal sine
-        m, p = _half_angle_pair(5e-324, 1.0)
-        assert (m, p) == (0.0, math.inf) and math.copysign(1.0, m) < 0
-        m, p = _half_angle_pair(-5e-324, 1.0)
-        assert (m, p) == (-math.inf, 0.0) and math.copysign(1.0, p) > 0
-        assert gap_criteria(EQUILATERAL, 3.0, 5e-324) == (True, False)
+        assert _flag_sines(5e-324, EQUILATERAL.lengths)[0] == [5e-324] * 3
+        assert _grid_criteria(EQUILATERAL, 3.0, 5e-324) == (True, False)
+        for alpha in (-3.0, 0.0, 3.0):
+            rows = boundary_rows_grid(EQUILATERAL, alpha, np.array([5e-324, 1e-323]))
+            assert rows.T.tolist() == [reference_rows(EQUILATERAL, alpha, k)
+                                       for k in (5e-324, 1e-323)]
 
 
 @st.composite
@@ -573,34 +588,12 @@ def _criteria_case(draw):
         # alpha/k cancels one boundary function at the first k to within a few
         # ulps, where any change in rounding flips its sign
         k = ks[0]
-        target = -k * draw(st.sampled_from(_boundary_sums(geom, k)))
+        target = -k * draw(st.sampled_from(boundary_functions(geom, 0.0, k)))
         if math.isfinite(target):
             alpha = target
             for _ in range(draw(st.integers(0, 3))):
                 alpha = math.nextafter(alpha, draw(st.sampled_from([-math.inf, math.inf])))
     return geom, alpha, ks
-
-
-def _boundary_sums(geom, k):
-    """D - upper, D + upper, D - lower and D + lower less alpha/k, summed as
-    :func:`gap_criteria` sums them."""
-    xs = [ell * k for ell in geom.lengths]
-    sines = [math.sin(x) for x in xs]
-    ms, ps = zip(*(_half_angle_pair(s, math.cos(x)) for s, x in zip(sines, xs)))
-    j = min(range(3), key=lambda i: abs(sines[i]))
-    return (sum(ms), sum(ps), ms[j] + sum(p for i, p in enumerate(ps) if i != j),
-            ps[j] + sum(m for i, m in enumerate(ms) if i != j))
-
-
-def _scalar_rows(geom, alpha, k):
-    """The four comparisons of :func:`gap_criteria`, each summed as it sums them."""
-    sines, cosines, _ = _flag_sines(k, geom.lengths)
-    ms, ps = zip(*map(_half_angle_pair, sines, cosines))
-    j = min(range(3), key=lambda i: abs(sines[i]))
-    g = alpha / k
-    return [g + sum(ms) > 0, g + sum(ps) < 0,
-            g + ms[j] + sum(p for i, p in enumerate(ps) if i != j) < 0,
-            g + ps[j] + sum(m for i, m in enumerate(ms) if i != j) > 0]
 
 
 def _criteria(rows):
@@ -609,23 +602,22 @@ def _criteria(rows):
 
 
 class TestGapCriteriaGrid:
-    """The four-row kernel :func:`boundary_rows_grid` against the scalar criteria."""
+    """The four-row kernel :func:`boundary_rows_grid` against the scalar reference."""
 
     @settings(max_examples=1500, derandomize=True, deadline=None)
     @given(_criteria_case())
     def test_equals_the_scalar_form_bit_for_bit(self, case):
         geom, alpha, ks = case
         rows = boundary_rows_grid(geom, alpha, np.array(ks))
-        assert _criteria(rows) == [gap_criteria(geom, alpha, k) for k in ks]
-        assert rows.T.tolist() == [_scalar_rows(geom, alpha, k) for k in ks]
+        assert rows.T.tolist() == [reference_rows(geom, alpha, k) for k in ks]
 
     def test_exact_zero_and_underflowing_sines(self):
         # l*k underflows to 0 on the short edge, and tan(l*k/2) to 0 on the others
         geom = HexGeometry(0.25, 1.0, 1.0)
         ks = np.array([5e-324, 1e-323])
         assert _flag_sines(5e-324, geom.lengths)[0] == [0.0, 5e-324, 5e-324]
-        expected = [gap_criteria(geom, -3.0, k) for k in ks.tolist()]
-        assert _criteria(boundary_rows_grid(geom, -3.0, ks)) == expected
+        expected = [reference_rows(geom, -3.0, k) for k in ks.tolist()]
+        assert boundary_rows_grid(geom, -3.0, ks).T.tolist() == expected
 
     def test_rejects_a_nonpositive_k(self):
         with pytest.raises(ValueError, match="k must be > 0"):

@@ -8,7 +8,8 @@ in its module's ``__all__``, and every ``__all__`` entry exists, since
 ``bench/tracer.py`` wraps public functions by ``__all__`` and silently
 skips a name it cannot find.  For the same reason every hook of
 ``bench/layers.py`` names such a function, and the CLI hands the CSV writer
-the seekable stream whose ``tell()`` that hook reads.
+the seekable stream whose ``tell()`` that hook reads.  No private function
+or class serves the tests alone: each is read somewhere in the package.
 """
 
 import ast
@@ -84,6 +85,32 @@ def test_the_package_reexports_only_public_names():
     for node in imports:
         public = importlib.import_module(f"hexband.{node.module}").__all__
         assert [alias.name for alias in node.names if alias.name not in public] == [], node.module
+
+
+def is_click_command(node: ast.FunctionDef | ast.ClassDef) -> bool:
+    """A function registered by ``@<group>.command(...)``, which click calls by its name."""
+    return any(isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute)
+               and d.func.attr == "command" for d in node.decorator_list)
+
+
+def test_every_private_definition_is_read_by_the_package():
+    # a top-level function or class outside its module's __all__ is referenced by
+    # name (a Name or an attribute, not text) in package code outside its own body
+    statements, definitions = [], []
+    for module in MODULES:
+        namespace = importlib.import_module(f"hexband.{module}")
+        for node in ast.parse((PACKAGE / f"{module}.py").read_text()).body:
+            statements.append(node)
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and node.name not in getattr(namespace, "__all__", ())
+                    and not is_click_command(node)):
+                definitions.append((module, node))
+    names_in = {id(node): {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                           if isinstance(n, (ast.Name, ast.Attribute))} for node in statements}
+    orphans = [f"{module}.{node.name}" for module, node in definitions
+               if not any(node.name in names_in[id(other)] for other in statements
+                          if other is not node)]
+    assert orphans == []
 
 
 def bench_hook_names() -> list[str]:

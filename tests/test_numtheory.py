@@ -30,7 +30,7 @@ from hexband import (
     predicted_gap_centers,
     ratio_divide,
 )
-from hexband.numtheory import _sharing_expansions, reconstruct_rational
+from hexband.numtheory import reconstruct_rational
 
 GOLDEN = QuadraticSurd(1, 2, 5)
 SQRT2 = QuadraticSurd(0, 1, 2)
@@ -706,12 +706,8 @@ class TestOneExpansion:
     @given(_RATIOS, st.lists(st.tuples(st.sampled_from(sorted(_READERS)), _DEPTHS), min_size=1,
                              max_size=5))
     def test_readers_answer_as_the_fraction_walk(self, ratio, calls):
-        # each call alone, and the same calls in one command sharing the expansion
         want = [_outcome(_READERS[name][1], ratio, depth) for name, depth in calls]
         assert [_outcome(_READERS[name][0], ratio, depth) for name, depth in calls] == want
-        shared = _sharing_expansions(
-            lambda: [_outcome(_READERS[name][0], ratio, depth) for name, depth in calls])
-        assert shared == want
 
     @settings(max_examples=80, derandomize=True, deadline=None)
     @given(st.one_of(_SURDS, _SURDS.map(QuadraticSurd.invert), _FLOATS, _RATIONALS),
@@ -720,31 +716,30 @@ class TestOneExpansion:
     def test_gap_centers_answer_as_the_fraction_walk(self, a, b, alpha, count):
         want = _outcome(_ref_predicted_gap_centers, a, b, alpha, count)
         assert _outcome(predicted_gap_centers, a, b, alpha, count) == want
-        assert _sharing_expansions(lambda: (_outcome(predicted_gap_centers, a, b, alpha, count),
-                                            _outcome(predicted_gap_centers, a, b, alpha, count))) \
-            == (want, want)
 
 
 class TestExpansionCounts:
-    """One command expands each ratio once and walks each convergent once."""
+    """Each call builds its own expansion, and two identical commands expand
+    the same number of times."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
         import hexband.numtheory as nt
 
-        counts = {"surd expansions": [], "midpoints": 0, "walked": []}
+        counts = {"surd expansions": [], "midpoints": 0, "walks": []}
         surd_quotients, walk = nt._surd_quotients, nt._Expansion.walk
         midpoint = QuadraticSurd.midpoint
-        walking = []  # the ratio whose walk is running
+        walking = []  # the (p, q) list of the walk that is running
 
         def counting_surd_quotients(P, Q, D, *args):
             counts["surd expansions"].append((P, Q, D))
             return surd_quotients(P, Q, D, *args)
 
         def tagged_walk(self, depth=0):
-            inner = walk(self, depth)
+            inner, walked = walk(self, depth), []
+            counts["walks"].append((self.ratio, walked))
             while True:
-                walking.append(self.ratio)
+                walking.append(walked)
                 try:
                     conv = next(inner, None)
                 finally:
@@ -754,7 +749,7 @@ class TestExpansionCounts:
                 yield conv
 
         def counting_convergent(p, q, sign, quality):
-            counts["walked"].append((walking[-1], p, q))
+            walking[-1].append((p, q))
             return Convergent(p, q, sign, quality)
 
         def counting_midpoint(self):
@@ -777,15 +772,18 @@ class TestExpansionCounts:
         assert result.exit_code == 0, result.output
 
     def test_a_surd_classify(self, counts):
-        # theta at depths 30, 20, 24 and 10 convergents and the centre search;
-        # 1/theta's quotients are theta's, so theta is the one surd expanded
+        # classify_ratio (depth 30), approx_constant (20), cf_expand (24) and the
+        # centre search each expand theta; the table walks cf_expand's quotients,
+        # and the centre search takes 1/theta's from theta's; each walk takes one
+        # midpoint and builds each of its convergents once
         self.run("classify", "--a", "(1+sqrt(5))/2", "--b", "1", "--alpha", "30", "--centers", "5")
-        assert counts["surd expansions"] == [(1, 2, 5)]
-        assert counts["midpoints"] == 2
-        walked = counts["walked"]
-        assert len(walked) == len(set(walked))
-        assert {ratio for ratio, _, _ in walked} == {GOLDEN, GOLDEN.invert()}
-        assert sum(ratio == GOLDEN for ratio, _, _ in walked) == 30
+        assert counts["surd expansions"] == [(1, 2, 5)] * 4
+        assert counts["midpoints"] == len(counts["walks"]) == 5
+        assert [(ratio, len(walked)) for ratio, walked in counts["walks"][:3]] == \
+            [(GOLDEN, 30), (GOLDEN, 20), (GOLDEN, 10)]
+        assert [ratio for ratio, _ in counts["walks"][3:]] == [GOLDEN, GOLDEN.invert()]
+        for _, walked in counts["walks"]:
+            assert len(walked) == len(set(walked))
 
     def test_gap_centers_use_one_quotient_sequence(self, counts):
         self.run("gaps", "--a", "(1+sqrt(5))/2", "--b", "1", "--c", "1", "--alpha", "22",
@@ -796,7 +794,9 @@ class TestExpansionCounts:
     def test_no_expansion_outlives_its_command_or_call(self, counts):
         argv = ("classify", "--a", "sqrt(2)", "--b", "1", "--alpha", "-30", "--centers", "2")
         self.run(*argv)
+        assert counts["surd expansions"] == [(0, 1, 2)] * 4
         self.run(*argv)
+        assert counts["surd expansions"] == [(0, 1, 2)] * 8
         classify_ratio(SQRT2)
         approx_constant(SQRT2)
-        assert counts["surd expansions"] == [(0, 1, 2)] * 4
+        assert counts["surd expansions"] == [(0, 1, 2)] * 10

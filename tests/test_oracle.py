@@ -43,6 +43,13 @@ def phase_axis(n):
     return np.linspace(-math.pi, math.pi, n, endpoint=False) + math.pi / n
 
 
+def on_grid(g, n):
+    """g on the full n x n phase grid, from the oracle's shared cosine table:
+    the reference that the tile search is checked against."""
+    _, cos_t, cos_diff = oracle._phase_table(n)
+    return g(cos_t[:, None], cos_t[None, :], cos_diff)
+
+
 def full_phase_grid(n):
     """The oracle's n x n phase grid as two full coordinate arrays."""
     t = phase_axis(n)
@@ -302,7 +309,7 @@ class TestPhaseTable:
     def test_table_grid_equals_the_formula_as_written(self, n, in_cosines, as_written):
         t = phase_axis(n)
         expected = as_written(t[:, None], t[None, :])
-        got = oracle._on_grid(in_cosines, n)
+        got = on_grid(in_cosines, n)
         assert got.shape == (n, n)
         assert np.array_equal(got, expected)
 
@@ -332,7 +339,7 @@ def lexsort_best(values, largest):
 
 def assert_best_cells(g, n):
     """``_best_cells`` on both sides, and on each alone, against the full grid."""
-    values = oracle._on_grid(g, n)
+    values = on_grid(g, n)
     both = oracle._best_cells(g, n, (False, True))
     for largest, (cells, got) in zip((False, True), both):
         assert np.array_equal(cells, lexsort_best(values, largest))
@@ -498,7 +505,7 @@ class TestTileBounds:
     # past the range of sinh: 1/sinh of 20, 400 and 2000 (which is 0)
     @example(n=255, g=oracle._inverse_rhs_function(*(inv_sinh(ell * 400) for ell in (0.05, 1, 5))))
     def test_every_cell_lies_within_its_tile_bounds(self, n, g):
-        values = oracle._on_grid(g, n)
+        values = on_grid(g, n)
         lower, upper = oracle._tile_bounds(g, n)
         assert np.isfinite(values).all()
         assert (tile_of_cells(lower, n) <= values).all()
