@@ -7,12 +7,12 @@ verification residuals) and ``verify`` (oracle cross-check suites).
 
 Geometry arguments accept three grammars per argument: a decimal float
 (``1.5``), an exact rational (``3/2``), or a quadratic surd
-(``(1+sqrt(5))/2``, ``sqrt(2)``).  A JSON config file (``--config``) sets
-option defaults; its keys are the parameter names (``fmt`` for
-``--format``) and explicit flags win.  Exit codes: 0 ok, 2 invalid input
-(any invalid flag or config value, including values only the library
-checks), 3 numeric failure, 4 verification failure.  Library errors map to
-these codes in one place, :class:`_Command`.
+(``(1+sqrt(5))/2``, ``sqrt(2)``; ``sqrt(4)`` is the rational 2).  A JSON
+config file (``--config``) sets option defaults; its keys are the parameter
+names (``fmt`` for ``--format``) and explicit flags win.  Exit codes: 0 ok,
+2 invalid input (any invalid flag or config value, including values only the
+library checks), 3 numeric failure, 4 verification failure.  Library errors
+map to these codes in one place, :class:`_Command`.
 
 Only settings a run needs to choose are flags.  The continued-fraction
 depths of ``classify``, the rational reconstruction of ``flatbands`` and
@@ -59,7 +59,6 @@ from .gaps import thresholds_bc, threshold_report_to_json
 from .numtheory import (
     ExactRatio,
     NumericRatio,
-    QuadraticSurd,
     RatioClassKind,
     RatioInput,
     approx_constant,
@@ -68,6 +67,7 @@ from .numtheory import (
     commensurability_witness,
     convergents,
     predicted_gap_centers,
+    _quadratic,
     ratio_divide,
 )
 from .oracle import GridSpec, _assemble_columns, det_numeric, rhs_extrema_grid, trig_min_grid
@@ -87,16 +87,11 @@ def parse_length(text: str) -> tuple[float, RatioInput]:
     m = _SURD_RE.match(text)
     if m:
         if m.group(5) is not None:
-            surd = QuadraticSurd(0, 1, int(m.group(5)))
+            ratio = _quadratic(0, 1, 1, int(m.group(5)))
         else:
-            p = int(m.group(1))
-            d = int(m.group(3))
-            q = int(m.group(4))
-            if m.group(2) == "-":
-                # (P - sqrt(D))/Q == (-P + sqrt(D))/(-Q)
-                p, q = -p, -q
-            surd = QuadraticSurd(p, q, d)
-        return surd.value(), surd
+            sign = -1 if m.group(2) == "-" else 1
+            ratio = _quadratic(int(m.group(1)), sign, int(m.group(4)), int(m.group(3)))
+        return ratio.value(), ratio
     if "/" in text:
         num, den = text.split("/", 1)
         ratio = ExactRatio(int(num), int(den))

@@ -36,7 +36,6 @@ __all__ = [
     "EnergyPoint",
     "FloquetPhase",
     "MMatrix",
-    "dispersion_negative",
     "assemble_m_matrix",
     "det_m_closed_form",
 ]
@@ -346,12 +345,6 @@ def _negative_terms_grid(
             total += 1.0 / np.fromiter(map(math.tanh, x.tolist()), np.float64, n)
         upper = sum(inv)
         return total, 2 * inv[lengths.index(geom.ell_min)] - upper, upper
-
-
-def dispersion_negative(geom: HexGeometry, coupling: VertexCoupling, kappa: float) -> float:
-    """coth(a*kappa) + coth(b*kappa) + coth(c*kappa) + alpha/kappa, the
-    negative-branch dispersion at E = -kappa^2: the ``D`` of :func:`_negative_terms`."""
-    return _negative_terms(geom, coupling.alpha, kappa)[0]
 
 
 def _product(x, y):

@@ -9,6 +9,11 @@ predicts gap-center locations from sign-selected convergents.  Each reader
 expands its ratio itself, computing the quotients on demand and each
 convergent's quality in integer arithmetic, to its own depth.
 
+Exact ratios are numbers (p + r*sqrt(D))/q, r = 0 for a rational: division
+is one conjugate division in Q(sqrt(D)), and a surd's qualities are measured
+against an integer bracket of it, so each is the correctly rounded double of
+q^2 |theta - p/q| whichever form the surd was written in.
+
 Classification policy: floating-point inputs never certify a class; only
 exact inputs (reduced rationals, quadratic surds, or explicitly constructed
 partial-quotient sequences) do.
@@ -48,15 +53,6 @@ __all__ = [
 
 DEFAULT_RATIONAL_TOL = 1e-13
 DEFAULT_DENOMINATOR_CAP = 10**6
-
-# Digits of sqrt(D) precision used for a surd's convergent qualities.
-_SURD_DIGITS = 40
-# A convergent's quality q^2|theta - p/q| carries an error of up to
-# q^2 * 10**-_SURD_DIGITS; below this denominator that error stays under 1e-4.
-_RESOLVED_Q = 10 ** ((_SURD_DIGITS - 4) // 2)
-# q_n >= F_{n+1} (Fibonacci) and F_88 > _RESOLVED_Q, so convergent 87 is past
-# it: 86 partial quotients reach every convergent with q < _RESOLVED_Q.
-_RESOLVED_DEPTH = 86
 
 
 class RationalRatioError(ValueError):
@@ -112,16 +108,12 @@ class QuadraticSurd:
         return (self.P + math.sqrt(self.D)) / self.Q
 
     def invert(self) -> "QuadraticSurd":
-        # 1/x = (-P*Q + sqrt(D*Q^2)) / (D - P^2), sign-adjusted so the
-        # sqrt coefficient stays +1.
-        return _normalize_surd(-self.P * self.Q, self.Q, self.D, self.D - self.P * self.P)
+        return ratio_divide(ExactRatio(1, 1), self)
 
-    def midpoint(self) -> Fraction:
-        """The value with sqrt(D) replaced by the midpoint of its
-        ``_SURD_DIGITS``-digit bracket: within 10**-_SURD_DIGITS/|Q| of it."""
-        scale = 10**_SURD_DIGITS
-        root = math.isqrt(self.D * scale * scale)
-        return (self.P + Fraction(2 * root + 1, 2 * scale)) / self.Q
+    def bracket(self, bits: int) -> tuple[int, int]:
+        """Integers (n, d), d = |Q|*2**bits, with n/d < value < (n + 1)/d."""
+        n = (self.P << bits) + math.isqrt(self.D << 2 * bits)
+        return (n, self.Q << bits) if self.Q > 0 else (-n - 1, -self.Q << bits)
 
 
 @dataclass(frozen=True)
@@ -264,51 +256,40 @@ def _cf_value_fraction(a0: int, partials: Sequence[int]) -> Fraction:
 
 
 def ratio_divide(num: RatioInput, den: RatioInput) -> RatioInput:
-    """Form num/den staying exact whenever the arithmetic permits.
+    """Form num/den, exactly whenever the arithmetic permits.
 
-    Surd-by-surd division falls back to a numeric ratio unless both share
-    the same radicand, in which case rationalizing keeps the result exact.
+    An exact ratio is (p + r*sqrt(D))/q, with r = 0 for a rational.  Two surds
+    share a radicand when D1*D2 is a perfect square s^2 (then sqrt(D1) =
+    s*sqrt(D2)/D2), and num/den is one conjugate division in Q(sqrt(D)); any
+    other surd pair, and any float, gives a numeric ratio.
     """
     if isinstance(num, ExplicitCF) or isinstance(den, ExplicitCF):
         raise ValueError("explicit CF inputs do not support division")
     if isinstance(num, NumericRatio) or isinstance(den, NumericRatio):
         return NumericRatio(num.value() / den.value())
-    if isinstance(num, ExactRatio) and isinstance(den, ExactRatio):
-        frac = num.fraction / den.fraction
-        return ExactRatio(frac.numerator, frac.denominator)
-    if isinstance(num, QuadraticSurd) and isinstance(den, ExactRatio):
-        return _scale_surd(num, Fraction(den.q, den.p))
-    if isinstance(num, ExactRatio) and isinstance(den, QuadraticSurd):
-        return _scale_surd(den.invert(), num.fraction)
-    assert isinstance(num, QuadraticSurd) and isinstance(den, QuadraticSurd)
-    if num.D == den.D:
-        # Rationalize: (P1 + sqrt(D))/(P2 + sqrt(D)) has a linear-in-sqrt(D)
-        # numerator, so the quotient stays a quadratic surd (or a rational).
-        u = (den.P - num.P) * den.Q
-        A = (num.P * den.P - num.D) * den.Q
-        B = num.Q * (den.P * den.P - num.D)
-        if u == 0:
-            frac = Fraction(A, B)
-            if frac <= 0:
-                raise ValueError("ratio is not positive")
-            return ExactRatio(frac.numerator, frac.denominator)
-        return _normalize_surd(A, u, num.D, B)
-    return NumericRatio(num.value() / den.value())
+    (p1, r1, q1, d1), (p2, r2, q2, d2) = (
+        (x.P, 1, x.Q, x.D) if isinstance(x, QuadraticSurd) else (x.p, 0, x.q, 1)
+        for x in (num, den))
+    if r1 and r2:
+        s = math.isqrt(d1 * d2)
+        if s * s != d1 * d2:
+            return NumericRatio(num.value() / den.value())
+        p1, r1, q1 = p1 * d2, r1 * s, q1 * d2
+    D = d2 if r2 else d1
+    # (p1 + r1 sqrt(D)) q2 / (q1 (p2 + r2 sqrt(D))), both sides times p2 - r2 sqrt(D)
+    return _quadratic(q2 * (p1 * p2 - r1 * r2 * D), q2 * (r1 * p2 - p1 * r2),
+                      q1 * (p2 * p2 - r2 * r2 * D), D)
 
 
-def _scale_surd(surd: QuadraticSurd, factor: Fraction) -> QuadraticSurd:
-    # (P + sqrt(D))/Q * n/d = (P*n + sqrt(D*n^2)) / (Q*d)  for n > 0
-    n, d = factor.numerator, factor.denominator
-    if n <= 0:
-        raise ValueError("scale factor must be positive")
-    return QuadraticSurd(surd.P * n, surd.Q * d, surd.D * n * n)
-
-
-def _normalize_surd(A: int, u: int, D: int, B: int) -> QuadraticSurd:
-    """Represent (A + u*sqrt(D))/B as (P + sqrt(D'))/Q with |u| folded into D'."""
-    if u > 0:
-        return QuadraticSurd(A, B, D * u * u)
-    return QuadraticSurd(-A, -B, D * u * u)
+def _quadratic(p: int, r: int, q: int, D: int) -> ExactRatio | QuadraticSurd:
+    """(p + r*sqrt(D))/q in normal form: an ``ExactRatio`` when r = 0 or D is a
+    perfect square, else (P + sqrt(D*r^2))/Q with p, r, q reduced and r > 0."""
+    root = math.isqrt(D)
+    if root * root == D:
+        p, r = p + r * root, 0
+    g = math.gcd(p, r, q) * (-1 if (r or q) < 0 else 1)
+    p, r, q = p // g, r // g, q // g
+    return QuadraticSurd(p, q, D * r * r) if r else ExactRatio(p, q)
 
 
 class _Expansion:
@@ -359,20 +340,32 @@ class _Expansion:
 
     def walk(self, depth: int = 0) -> Iterator[Convergent]:
         """The convergents in order, each computed as it is yielded.  Theta is
-        num/den: exact for rationals and floats, the 40-digit midpoint for
-        surds, an explicit sequence truncated 30 quotients deeper than ``depth``
-        (at least 60).  With gap = num*q - p*den, q^2 |theta - p/q| is q |gap| /
-        den, rounded once as float(Fraction) rounds it.  Exact sides alternate,
-        0 at a rational's end; a float's are the signs of gap."""
-        num, den = self._reference(max(60, depth + 30))
-        rational = isinstance(self.ratio, ExactRatio)
+        num/den: exact for rationals and floats, an explicit sequence truncated
+        30 quotients deeper than ``depth`` (at least 60).  With gap = num*q -
+        p*den, q^2 |theta - p/q| is q |gap| / den, rounded once as
+        float(Fraction) rounds it.  A surd lies strictly inside the integer
+        bracket (num, num + 1)/den of one ``math.isqrt``: a quality is taken
+        when both ends put p/q on one side and round to one double, so it is
+        the correctly rounded value; else, as q outgrows the bracket, a finer
+        one is taken.  Exact sides alternate, 0 at a rational's end; a float's
+        are the signs of gap."""
+        ratio, bits = self.ratio, 128  # den = |Q|*2**128 serves q up to about 2**32
+        surd = isinstance(ratio, QuadraticSurd)
+        num, den = ratio.bracket(bits) if surd else self._reference(max(60, depth + 30))
+        rational = isinstance(ratio, ExactRatio)
         p_prev, p, q_prev, q = 0, 1, 1, 0
         for n, a in enumerate(chain([self.a0], self.stream())):
             p_prev, p = p, a * p + p_prev
             q_prev, q = q, a * q + q_prev
-            gap = num * q - p * den
+            while True:
+                gap = num * q - p * den
+                quality = q * abs(gap) / den
+                if not surd or (gap > 0 or gap < -q) and q * abs(gap + q) / den == quality:
+                    break
+                bits = max(2 * bits, 2 * q.bit_length() + 64)
+                num, den = ratio.bracket(bits)
             sign = (-1) ** n if self.exact else _sign(gap)
-            yield Convergent(p, q, 0 if rational and not gap else sign, q * abs(gap) / den)
+            yield Convergent(p, q, 0 if rational and not gap else sign, quality)
 
     def _reference(self, depth: int) -> tuple[int, int]:
         ratio = self.ratio
@@ -380,8 +373,7 @@ class _Expansion:
             return ratio.p, ratio.q
         if isinstance(ratio, NumericRatio):
             return ratio.x.as_integer_ratio()
-        theta = ratio.midpoint() if isinstance(ratio, QuadraticSurd) else _cf_value_fraction(
-            ratio.a0, [ratio.partial(j) for j in range(1, depth + 1)])
+        theta = _cf_value_fraction(ratio.a0, [ratio.partial(j) for j in range(1, depth + 1)])
         return theta.numerator, theta.denominator
 
 
@@ -545,11 +537,11 @@ def predicted_gap_centers(
     give centers k = q*pi/b; convergents of 1/theta likewise give k = q*pi/a.
     Convergents whose quality reaches 1/2 are skipped: there p is not the
     nearest integer to theta*q and the sign of cot(a*k) at the center is no
-    longer tied to the approach side.  Only convergents with q < 1e18 are
-    examined: below that the 40-digit surd arithmetic resolves the quality.
-    Rational ratios are rejected (their gap centers are the exact
-    commensurability points instead); running out of resolvable convergents
-    before ``count`` are found is an ``ArithmeticError``.
+    longer tied to the approach side.  The search examines the convergents
+    with q < 1e18: a budget, not a precision bound, as every quality is
+    exact to the double.  Rational ratios are rejected (their gap centers are
+    the exact commensurability points instead); running out of convergents
+    within the budget before ``count`` are found is an ``ArithmeticError``.
     """
     if alpha == 0:
         raise ValueError("alpha must be nonzero to select an approach side")
@@ -570,9 +562,8 @@ def predicted_gap_centers(
     centers: list[GapCenter] = []
     for family, walked, scale in (("b", expansion, b.value()), ("a", inverse, a.value())):
         picked: list[Convergent] = []
-        for conv in islice(walked.walk(), _RESOLVED_DEPTH + 1):
-            # deeper convergents would outrun the precision of their qualities
-            if len(picked) == count or conv.q >= _RESOLVED_Q:
+        for conv in walked.walk():
+            if len(picked) == count or conv.q >= 10**18:  # the search budget
                 break
             if conv.approach_sign == want and conv.quality < 0.5:
                 picked.append(conv)

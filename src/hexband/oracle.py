@@ -32,7 +32,6 @@ from .core import (
     _check_k,
     _product,
     checked_sines,
-    dispersion_negative,
     inv_sinh,
 )
 from .bands import BandDecision
@@ -346,7 +345,11 @@ def band_membership_grid(
         kappa = energy.param
         lo, hi = _rhs_extrema(_inverse_rhs_function(*(inv_sinh(ell * kappa)
                                                       for ell in geom.lengths)), grid)
-        d2 = dispersion_negative(geom, coupling, kappa) ** 2
+        # the dispersion as written: coth(l*kappa) = 1/tanh(l*kappa), summed
+        d = coupling.alpha / kappa
+        for ell in geom.lengths:
+            d += 1.0 / math.tanh(ell * kappa)
+        d2 = d**2
     return BandDecision.in_band() if lo <= d2 <= hi else BandDecision.in_gap()
 
 

@@ -31,7 +31,7 @@ import hexband.bands as bands_module
 from hexband.bands import _GAP, _halve, _runs, _sign_codes
 from hexband.cli import cli
 from hexband.core import (_SAME_POINT, DirichletPointError, _flag_sines, _negative_terms,
-                          _negative_terms_grid, dispersion_negative, inv_sinh, positive_terms)
+                          _negative_terms_grid, inv_sinh, positive_terms)
 from hexband.report import SampleTable, report_to_json
 from hexband.numtheory import CommensurabilityWitness
 from hexband.oracle import GridSpec, band_membership_grid, rhs_extrema_grid, trig_min_grid
@@ -717,7 +717,7 @@ class TestNegativeScan:
             inv = [inv_sinh(ell * kappa) for ell in geom.lengths]
             upper = sum(inv)
             lower = max(0.0, 2 * inv_sinh(geom.ell_min * kappa) - upper)
-            value = abs(dispersion_negative(geom, coupling, kappa))
+            value = abs(_negative_terms(geom, coupling.alpha, kappa)[0])
             assert row == [-kappa * kappa, value, lower, upper]
             assert SampleTable.DECISIONS[code] == ("band" if lower <= value <= upper else "gap")
 

@@ -8,6 +8,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import mp
 
 from hexband.cli import cli, parse_length
 from hexband.numtheory import ExactRatio, NumericRatio, QuadraticSurd
@@ -54,6 +55,22 @@ class TestLengthGrammar:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             parse_length("0")
+
+    @pytest.mark.parametrize("text, p, q", [("sqrt(4)", 2, 1), ("(2+sqrt(9))/5", 1, 1),
+                                            ("(7-sqrt(9))/2", 2, 1), ("(1-sqrt(16))/-6", 1, 2)])
+    def test_perfect_square_radicand_is_the_exact_rational(self, text, p, q):
+        value, exact = parse_length(text)
+        assert isinstance(exact, ExactRatio) and (exact.p, exact.q) == (p, q)
+        assert value == p / q
+
+    @pytest.mark.parametrize("text", ["(1-sqrt(4))/5", "(1-sqrt(2))/1", "sqrt(0)"])
+    def test_rejects_nonpositive_surds(self, text):
+        with pytest.raises(ValueError):
+            parse_length(text)
+
+    def test_minus_sqrt_takes_the_normal_form(self):
+        _, exact = parse_length("(3-sqrt(2))/1")
+        assert exact == QuadraticSurd(-3, -1, 2)
 
     @pytest.mark.parametrize(
         "length",
@@ -321,12 +338,59 @@ class TestClassifyCommand:
     )
     def test_no_sign_matching_convergents_is_numeric_failure(self, runner, args):
         # neither ratio has enough positive-side convergents of quality below
-        # 1/2 within the resolved depth, so the centre search gives up cleanly
+        # 1/2 with q < 1e18, so the centre search gives up cleanly
         result = runner.invoke(cli, args + ["--alpha", "6"])
         assert result.exit_code == 3
         assert isinstance(result.exception, SystemExit)  # no traceback
         assert result.stderr.startswith("numeric failure:")
         assert "sign-matching convergents" in result.stderr
+
+
+class TestExactRatioFaults:
+    """classify on exact ratios whose convergents outgrow a fixed-precision
+    value of theta, whose surd is written in another form, or whose two
+    radicands differ by a square factor."""
+
+    def test_deep_convergent_qualities_are_correctly_rounded(self, runner):
+        # 2*sqrt(2)/3 = [0; 1, 16, 2, 16, 2, ...]: q passes 1e21 inside 30 convergents
+        result = runner.invoke(cli, ["classify", "--a", "sqrt(2)", "--b", "3/2"])
+        assert result.exit_code == 0, result.output
+        data = json.loads(result.output.splitlines()[0])
+        with mp.workdps(80):
+            theta = 2 * mp.sqrt(2) / 3
+            qualities = [float(q * q * abs(theta - mp.mpf(p) / q))
+                         for p, q in _mp_convergents(theta, 30)]
+        assert data["classification"]["gamma_lower"] == min(qualities[15:]) == 0.05892556509887896
+        assert data["gamma_estimate"] == min(qualities[10:20])
+
+    def test_two_forms_of_one_surd_print_the_same_bytes(self, runner):
+        outputs = [runner.invoke(cli, ["classify", "--a", a, "--b", "7", "--alpha", "6"])
+                   for a in ("(1+sqrt(5))/2", "(3+sqrt(45))/6")]
+        assert [out.exit_code for out in outputs] == [0, 0]
+        assert outputs[0].output == outputs[1].output
+
+    def test_radicands_a_square_factor_apart_divide_exactly(self, runner):
+        result = runner.invoke(cli, ["classify", "--a", "sqrt(8)", "--b", "sqrt(2)"])
+        assert result.exit_code == 0, result.output
+        classification = json.loads(result.output.splitlines()[0])["classification"]
+        assert classification["kind"] == "rational"
+        assert classification["rational_pq"] == [2, 1]
+
+    def test_centers_on_a_rational_surd_ratio_are_usage_errors(self, runner):
+        result = runner.invoke(cli, ["gaps", "--a", "sqrt(8)", "--b", "sqrt(2)", "--c", "sqrt(2)",
+                                     "--alpha", "6", "--kmax", "10", "--centers", "2"])
+        assert result.exit_code == 2, result.output
+        assert "a/b is rational" in result.stderr
+
+
+def _mp_convergents(theta, n):
+    p_prev, p, q_prev, q = 0, 1, 1, 0
+    for _ in range(n):
+        a = int(mp.floor(theta))
+        p_prev, p = p, a * p + p_prev
+        q_prev, q = q, a * q + q_prev
+        yield p, q
+        theta = 1 / (theta - a)
 
 
 class TestFlatbandsCommand:

@@ -18,7 +18,6 @@ from hexband import (
     assemble_m_matrix,
     band_membership,
     det_m_closed_form,
-    dispersion_negative,
     gap_diagnostics_bc,
     gc1,
     gc1_tangent_form,
@@ -32,6 +31,7 @@ from hexband.cli import cli
 from hexband.core import (
     DEFAULT_DIRICHLET_TOL,
     _flag_sines,
+    _negative_terms,
     boundary_rows_grid,
     checked_sines,
     positive_terms,
@@ -651,23 +651,25 @@ class TestGapCriteriaGrid:
 
 
 class TestDispersionNegative:
+    """The negative-branch dispersion, the ``D`` of ``_negative_terms``."""
+
     def test_large_kappa_asymptote(self):
-        assert dispersion_negative(EQUILATERAL, KIRCHHOFF, 40.0) == pytest.approx(3.0, abs=1e-12)
+        assert _negative_terms(EQUILATERAL, KIRCHHOFF.alpha, 40.0)[0] == pytest.approx(3.0, abs=1e-12)
 
     def test_small_kappa_scaling(self):
         kappa = 1e-4
-        value = kappa * dispersion_negative(EQUILATERAL, VertexCoupling(-6.0), kappa)
+        value = kappa * _negative_terms(EQUILATERAL, -6.0, kappa)[0]
         assert value == pytest.approx(-3.0, abs=1e-6)
 
     def test_unit_kappa(self):
         expected = 3 / math.tanh(1.0) - 3
-        got = dispersion_negative(EQUILATERAL, VertexCoupling(-3.0), 1.0)
+        got = _negative_terms(EQUILATERAL, -3.0, 1.0)[0]
         assert got == pytest.approx(expected, rel=1e-14)
         assert got == pytest.approx(0.9391058564979944, rel=1e-12)
 
     def test_rejects_nonpositive_kappa(self):
         with pytest.raises(ValueError):
-            dispersion_negative(EQUILATERAL, KIRCHHOFF, 0.0)
+            _negative_terms(EQUILATERAL, KIRCHHOFF.alpha, 0.0)
 
 
 SPEC_POINT = dict(geom=EQUILATERAL, coupling=KIRCHHOFF, k=1.0, phase=FloquetPhase(0.0, 0.0))

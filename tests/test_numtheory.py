@@ -100,6 +100,16 @@ class TestRatioDivide:
         out = ratio_divide(SQRT2, SQRT3)
         assert isinstance(out, NumericRatio)
         assert out.value() == pytest.approx(math.sqrt(2 / 3), rel=1e-14)
+        # 8 * 12 is not a square either
+        assert isinstance(ratio_divide(QuadraticSurd(1, 2, 8), QuadraticSurd(0, 1, 12)),
+                          NumericRatio)
+
+    def test_radicands_a_square_factor_apart_stay_exact(self):
+        assert ratio_divide(QuadraticSurd(0, 1, 8), SQRT2) == ExactRatio(2, 1)
+        # (1 + 2 sqrt(2)) / (3 sqrt(2)) = (4 + sqrt(2))/6
+        out = ratio_divide(QuadraticSurd(1, 1, 8), QuadraticSurd(0, 1, 18))
+        assert isinstance(out, QuadraticSurd)
+        assert _coordinates(out, 2) == (Fraction(2, 3), Fraction(1, 6))
 
 
 class TestCFExpand:
@@ -482,8 +492,9 @@ class TestReconstructRational:
 #
 # The readers below the line are a test-local copy of the expansion and
 # convergent walk that each reader ran on its own, with every quality taken
-# in Fraction arithmetic.  The shared, integer expansion must answer as they
-# do, bit for bit, exceptions included.
+# in Fraction arithmetic, or for a surd in mpmath and rounded once.  The
+# shared, integer expansion must answer as they do, bit for bit, exceptions
+# included.
 
 
 def _ref_cf_expand(ratio, max_depth):
@@ -574,9 +585,10 @@ def _ref_cf_expand_float(x, max_depth):
 
 
 def _ref_theta(ratio, depth):
-    """The Fraction every quality of a walk to ``depth`` is measured against."""
+    """What every quality of a walk to ``depth`` is measured against: a surd
+    itself, any other ratio as a Fraction."""
     if isinstance(ratio, QuadraticSurd):
-        return ratio.midpoint()
+        return ratio
     if isinstance(ratio, ExactRatio):
         return ratio.fraction
     if isinstance(ratio, ExplicitCF):
@@ -585,17 +597,30 @@ def _ref_theta(ratio, depth):
     return Fraction(ratio.x)
 
 
+def _ref_quality(theta, p, q):
+    """q^2 |theta - p/q| rounded once to a double: for a Fraction, in Fraction
+    arithmetic; for a surd, in mpmath at a precision far past the cancellation
+    in q*theta - p."""
+    if not isinstance(theta, QuadraticSurd):
+        return float(q * q * abs(theta - Fraction(p, q)))
+    P, Q, D = theta.P, theta.Q, theta.D
+    bits = 4 * (q.bit_length() + p.bit_length() + abs(P).bit_length() + abs(Q).bit_length()
+                + D.bit_length())
+    with mp.workprec(bits + 200):
+        return float(abs(q * (q * (P + mp.sqrt(D)) - p * Q) / Q))
+
+
 def _ref_walk(cf, ratio):
     rational = isinstance(ratio, ExactRatio)
     theta = _ref_theta(ratio, cf.depth)
 
     def convergent(n, p, q):
-        gap = theta - Fraction(p, q)
         if not cf.exact:
+            gap = theta - Fraction(p, q)
             sign = (gap > 0) - (gap < 0)
         else:
-            sign = 0 if rational and not gap else (-1) ** n
-        return Convergent(p, q, sign, float(q * q * abs(gap)))
+            sign = 0 if rational and theta == Fraction(p, q) else (-1) ** n
+        return Convergent(p, q, sign, _ref_quality(theta, p, q))
 
     p_prev, p, q_prev, q = 1, cf.a0, 0, 1
     yield convergent(0, p, q)
@@ -697,9 +722,9 @@ class TestOneExpansion:
         cf = cf_expand(ratio, depth)
         theta = _ref_theta(ratio, depth)
         for n, c in enumerate(convergents(cf, ratio, cf.depth + 1)):
-            gap = theta - Fraction(c.p, c.q)
-            assert c.quality == float(c.q * c.q * abs(gap))
+            assert c.quality == _ref_quality(theta, c.p, c.q)
             if not cf.exact:
+                gap = theta - Fraction(c.p, c.q)
                 assert c.approach_sign == (gap > 0) - (gap < 0)
 
     @settings(max_examples=120, derandomize=True, deadline=None)
@@ -718,6 +743,76 @@ class TestOneExpansion:
         assert _outcome(predicted_gap_centers, a, b, alpha, count) == want
 
 
+def _rescaled(surd, f):
+    """The same number written (P*f + sqrt(D*f^2))/(Q*f)."""
+    return QuadraticSurd(surd.P * f, surd.Q * f, surd.D * f * f)
+
+
+_WIDE_SURDS = st.builds(_surd, st.integers(-10**6, 10**6), st.integers(-10**4, 10**4),
+                        st.integers(2, 10**12)).filter(lambda s: s is not None)
+_SMALL_RATIONALS = st.builds(ExactRatio, st.integers(1, 50), st.integers(1, 50))
+
+
+@st.composite
+def _one_field(draw):
+    """A radicand D and two positive numbers of Q(sqrt(D)), each a rational or a
+    surd whose radicand is D times a square."""
+    D = draw(st.integers(2, 300).filter(lambda d: math.isqrt(d) ** 2 != d))
+    surds = st.builds(_surd, st.integers(-50, 50), st.integers(-50, 50),
+                      st.integers(1, 30).map(lambda s: D * s * s)).filter(lambda s: s is not None)
+    return D, draw(st.one_of(surds, _SMALL_RATIONALS)), draw(st.one_of(surds, _SMALL_RATIONALS))
+
+
+def _coordinates(x, D):
+    """(a, b) with x = a + b*sqrt(D) exactly, in Fractions."""
+    if isinstance(x, ExactRatio):
+        return x.fraction, Fraction(0)
+    m = math.isqrt(x.D // D)
+    assert m * m * D == x.D
+    return Fraction(x.P, x.Q), Fraction(m, x.Q)
+
+
+class TestExactArithmetic:
+    """Surd arithmetic is exact: one number answers alike in every form, each
+    quality is the correctly rounded double, and division is exact within
+    one quadratic field."""
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(st.one_of(_SURDS, _SURDS.map(QuadraticSurd.invert)), st.integers(2, 10**6),
+           st.sampled_from([-6.0, 2.5, 40.0]), st.integers(1, 5))
+    def test_rescaled_forms_answer_alike(self, surd, f, alpha, count):
+        scaled = _rescaled(surd, f)
+        assert classify_ratio(scaled) == classify_ratio(surd)
+        assert approx_constant(scaled, 40) == approx_constant(surd, 40)
+        assert cf_expand(scaled, 40) == cf_expand(surd, 40)
+        assert (convergents(cf_expand(scaled, 40), scaled, 41)
+                == convergents(cf_expand(surd, 40), surd, 41))
+        one = ExactRatio(1, 1)
+        got, want = (_outcome(predicted_gap_centers, x, one, alpha, count) for x in (scaled, surd))
+        if isinstance(want, list):  # family a's k = q*pi/a takes each form's float of a
+            scale = {"a": scaled.value(), "b": 1.0}
+            want = [GapCenter(c.q * math.pi / scale[c.family], c.family, c.p, c.q) for c in want]
+        assert got == want
+
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(st.one_of(_WIDE_SURDS, st.builds(ratio_divide, _SURDS, _SMALL_RATIONALS),
+                     st.builds(ratio_divide, _SMALL_RATIONALS, _WIDE_SURDS)))
+    def test_every_quality_to_depth_40_is_correctly_rounded(self, ratio):
+        qualities = [c.quality for c in convergents(cf_expand(ratio, 40), ratio, 41)]
+        assert qualities == [_ref_quality(ratio, c.p, c.q)
+                             for c in _ref_walk(_ref_cf_expand(ratio, 40), ratio)]
+        assert approx_constant(ratio, 40) == min(qualities[20:40])
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(_one_field())
+    def test_division_within_one_field_is_exact(self, field):
+        D, x, y = field
+        z = ratio_divide(x, y)
+        assert isinstance(z, (ExactRatio, QuadraticSurd))
+        (a1, b1), (a2, b2) = _coordinates(z, D), _coordinates(y, D)
+        assert (a1 * a2 + b1 * b2 * D, a1 * b2 + a2 * b1) == _coordinates(x, D)
+
+
 class TestExpansionCounts:
     """Each call builds its own expansion, and two identical commands expand
     the same number of times."""
@@ -726,9 +821,9 @@ class TestExpansionCounts:
     def counts(self, monkeypatch):
         import hexband.numtheory as nt
 
-        counts = {"surd expansions": [], "midpoints": 0, "walks": []}
+        counts = {"surd expansions": [], "brackets": 0, "walks": []}
         surd_quotients, walk = nt._surd_quotients, nt._Expansion.walk
-        midpoint = QuadraticSurd.midpoint
+        bracket = QuadraticSurd.bracket
         walking = []  # the (p, q) list of the walk that is running
 
         def counting_surd_quotients(P, Q, D, *args):
@@ -752,14 +847,14 @@ class TestExpansionCounts:
             walking[-1].append((p, q))
             return Convergent(p, q, sign, quality)
 
-        def counting_midpoint(self):
-            counts["midpoints"] += 1
-            return midpoint(self)
+        def counting_bracket(self, bits):
+            counts["brackets"] += 1
+            return bracket(self, bits)
 
         monkeypatch.setattr(nt, "_surd_quotients", counting_surd_quotients)
         monkeypatch.setattr(nt._Expansion, "walk", tagged_walk)
         monkeypatch.setattr(nt, "Convergent", counting_convergent)
-        monkeypatch.setattr(QuadraticSurd, "midpoint", counting_midpoint)
+        monkeypatch.setattr(QuadraticSurd, "bracket", counting_bracket)
         return counts
 
     @staticmethod
@@ -775,10 +870,10 @@ class TestExpansionCounts:
         # classify_ratio (depth 30), approx_constant (20), cf_expand (24) and the
         # centre search each expand theta; the table walks cf_expand's quotients,
         # and the centre search takes 1/theta's from theta's; each walk takes one
-        # midpoint and builds each of its convergents once
+        # bracket (one isqrt) and builds each of its convergents once
         self.run("classify", "--a", "(1+sqrt(5))/2", "--b", "1", "--alpha", "30", "--centers", "5")
         assert counts["surd expansions"] == [(1, 2, 5)] * 4
-        assert counts["midpoints"] == len(counts["walks"]) == 5
+        assert counts["brackets"] == len(counts["walks"]) == 5
         assert [(ratio, len(walked)) for ratio, walked in counts["walks"][:3]] == \
             [(GOLDEN, 30), (GOLDEN, 20), (GOLDEN, 10)]
         assert [ratio for ratio, _ in counts["walks"][3:]] == [GOLDEN, GOLDEN.invert()]
@@ -789,7 +884,16 @@ class TestExpansionCounts:
         self.run("gaps", "--a", "(1+sqrt(5))/2", "--b", "1", "--c", "1", "--alpha", "22",
                  "--kmax", "30", "--centers", "3")
         assert counts["surd expansions"] == [(1, 2, 5)]
-        assert counts["midpoints"] == 2
+        assert counts["brackets"] == 2
+
+    def test_a_walk_takes_a_finer_bracket_only_as_q_outgrows_it(self, counts):
+        # 2*sqrt(2)/3's q passes 2**71 by convergent 30: the first bracket
+        # (den = 3 * 2**128) serves while q stays near 2**32 or below, the
+        # second (2**256) every later convergent
+        approx_constant(ratio_divide(SQRT2, ExactRatio(3, 2)), 30)
+        assert counts["brackets"] == 2
+        approx_constant(GOLDEN, 30)  # q below 2**21
+        assert counts["brackets"] == 3
 
     def test_no_expansion_outlives_its_command_or_call(self, counts):
         argv = ("classify", "--a", "sqrt(2)", "--b", "1", "--alpha", "-30", "--centers", "2")
