@@ -52,7 +52,7 @@ from .core import (
     FloquetPhase,
     HexGeometry,
     VertexCoupling,
-    det_m_closed_form,
+    _closed_det,
     positive_terms_grid,
 )
 from .gaps import thresholds_bc, threshold_report_to_json
@@ -403,11 +403,14 @@ def verify(det_samples, envelope_samples, trigmin_samples, grid_n, refine_rounds
             continue
         phase = FloquetPhase(rng.uniform(-math.pi, math.pi), rng.uniform(-math.pi, math.pi))
         samples.append((geom, coupling, k, phase))
-    det_re, det_im = det_numeric(*_assemble_columns(samples))
-    max_det_dev = 0.0
-    for sample, re, im in zip(samples, det_re.tolist(), det_im.tolist()):
-        closed = det_m_closed_form(*sample)
-        max_det_dev = max(max_det_dev, abs(closed - complex(re, im)) / (1 + abs(closed)))
+    a, b, c, alpha, k, t1, t2 = columns = np.array(
+        [(g.a, g.b, g.c, cp.alpha, kk, ph.theta1, ph.theta2) for g, cp, kk, ph in samples],
+        dtype=float).reshape(-1, 7).T
+    det_re, det_im = det_numeric(*_assemble_columns(*columns))
+    lk = np.stack((a, b, c)) * k
+    closed_re, closed_im = _closed_det(np.sin(lk), np.cos(lk), alpha / k, t1, t2, np.cos, np.sin)
+    det_dev = np.hypot(closed_re - det_re, closed_im - det_im) / (1 + np.hypot(closed_re, closed_im))
+    max_det_dev = max([0.0, *det_dev.tolist()])
 
     max_env_dev = 0.0
     for _ in range(envelope_samples):

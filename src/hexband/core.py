@@ -22,7 +22,6 @@ take them from :func:`_flag_sines`, the package's one Dirichlet guard, and
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -408,6 +407,35 @@ def assemble_m_matrix(
     return MMatrix(tuple(zip(entries, entries, entries, entries)))
 
 
+def _closed_det(sines, cosines, alpha_over_k, t1, t2, cos, sin) -> tuple:
+    """The real and imaginary parts of :func:`det_m_closed_form`, from the
+    sines and cosines of l*k for (a, b, c).
+
+    Floats with ``math.cos`` and ``math.sin``, or numpy columns with
+    ``np.cos`` and ``np.sin``, as in :func:`_cell_entries`: the complex tail
+    is ``-4.0 * B * cmath.exp(-1j * (t1 + t2)) / s_a`` as CPython (3.11)
+    evaluates it, with -1j * x = (0, -x) and Smith's quotient by (s_a, 0),
+    so both give the same bits.
+    """
+    (s_a, s_b, s_c), (c_a, c_b, c_c), g = sines, cosines, alpha_over_k
+    bracket = (
+        2.0 * s_a * c_b * c_c
+        + 2.0 * c_a * s_b * c_c
+        + 2.0 * c_a * c_b * s_c
+        - 3.0 * s_a * s_b * s_c
+        - 2.0 * s_a * cos(t1 - t2)
+        - 2.0 * s_c * cos(t1)
+        - 2.0 * s_b * cos(t2)
+        + 2.0 * g * (c_a * s_b * s_c + s_a * c_b * s_c + s_a * s_b * c_c)
+        + g * g * s_a * s_b * s_c
+    )
+    x = -(t1 + t2)
+    re, im = _product((-4.0 * bracket, 0.0), (cos(x), sin(x)))
+    ratio = 0.0 / s_a
+    denom = s_a + 0.0 * ratio
+    return (re + im * ratio) / denom, (im - re * ratio) / denom
+
+
 def det_m_closed_form(
     geom: HexGeometry, coupling: VertexCoupling, k: float, phase: FloquetPhase
 ) -> complex:
@@ -418,18 +446,6 @@ def det_m_closed_form(
     the bracket is symmetric under (b <-> c, theta1 <-> theta2).
     """
     _check_k(k)
-    (s_a, s_b, s_c), (c_a, c_b, c_c) = checked_sines(k, ("a",), geom.lengths)
-    g = coupling.alpha / k
-    t1, t2 = phase.theta1, phase.theta2
-    bracket = (
-        2.0 * s_a * c_b * c_c
-        + 2.0 * c_a * s_b * c_c
-        + 2.0 * c_a * c_b * s_c
-        - 3.0 * s_a * s_b * s_c
-        - 2.0 * s_a * math.cos(t1 - t2)
-        - 2.0 * s_c * math.cos(t1)
-        - 2.0 * s_b * math.cos(t2)
-        + 2.0 * g * (c_a * s_b * s_c + s_a * c_b * s_c + s_a * s_b * c_c)
-        + g * g * s_a * s_b * s_c
-    )
-    return -4.0 * bracket * cmath.exp(-1j * (t1 + t2)) / s_a
+    sines, cosines = checked_sines(k, ("a",), geom.lengths)
+    return complex(*_closed_det(sines, cosines, coupling.alpha / k, phase.theta1, phase.theta2,
+                                math.cos, math.sin))

@@ -8,10 +8,14 @@ shared read-only table of cos(t1 - t2), in their formulas' order of
 operations; an extremum search bounds its grid function, a trigonometric
 polynomial in the two phases, on square tiles of cells by Taylor's theorem
 and evaluates only the tiles whose bounds could hold its best cells, a
-block at a time; the cell matrices are core's one formula evaluated on
-columns, and their cofactor expansion runs once across all samples, on
-columns of real and imaginary parts in CPython's complex formulas (numpy's
-complex arithmetic rounds differently), each minor evaluated once.
+block of tiles at a time, each tile's row and column of cosines broadcast
+against its cells of the table; the seeds of a search then zoom together,
+one batch per round, and one at a time only where a window follows a
+valley, to the values of a seed-by-seed zoom; the cell matrices are core's
+one formula evaluated on columns, and their cofactor expansion runs once
+across all samples, on columns of real and imaginary parts in CPython's
+complex formulas (numpy's complex arithmetic rounds differently), each
+minor evaluated once.
 """
 
 from __future__ import annotations
@@ -151,33 +155,44 @@ def _best_cells(g, n: int, sides: tuple[bool, ...]) -> list[tuple[np.ndarray, np
 
     A branch-and-bound over tiles of phase cells (after Shubert, SIAM J.
     Numer. Anal. 9, 1972): each side reads its tiles in the order of their
-    certified bounds (``_tile_bounds``), _BLOCK_CELLS cells at a time, and
+    certified bounds (``_tile_bounds``), _BLOCK_TILES tiles at a time, and
     keeps only its m best cells so far.  It stops once the m-th best value
     read is strictly better than the bound of every unread tile: no cell
     there can be among the m best, nor tie with the m-th.  A tie-rich g,
-    such as a constant, reads every tile.  The cells read are evaluated
-    elementwise from the shared cosine table, to the same bits as in the
-    full grid, so the result is the full grid's (value, flat index) prefix.
+    such as a constant, reads every tile.  The first block is taken by a
+    partial sort, whose next element is the smallest unread bound; the
+    other tiles are sorted only when a second block is needed.  A block is
+    read tile-shaped: cos t1 and cos t2 as a row and a column per tile,
+    cos(t1 - t2) gathered from the shared table and g broadcast over them,
+    to the same bits as in the full grid; only the ragged last tiles, where
+    _TILE does not divide n, are masked.  So the result is the full grid's
+    (value, flat index) prefix.
     """
     _, cos_t, cos_diff = _phase_table(n)
     first = _tile_table(n)[0]
     lower, upper = _tile_bounds(g, n)
     m = min(_CANDIDATES, n * n)
-    di, dj = np.divmod(np.arange(_TILE * _TILE), _TILE)
+    # each tile's _TILE cell indices along one axis, the ragged last clipped
+    span = first[:, None] + np.arange(_TILE)
+    inside = span < n
+    np.minimum(span, n - 1, out=span)
     result = []
     for largest in sides:
         bound = (-upper if largest else lower).ravel()
-        tiles = np.argsort(bound)
+        tiles = np.argpartition(bound, min(_BLOCK_TILES, bound.size - 1))
         cells, values = np.empty(0, dtype=np.intp), np.empty(0)
         for start in range(0, tiles.size, _BLOCK_TILES):
+            if start == _BLOCK_TILES:
+                tiles[start:] = tiles[start:][np.argsort(bound[tiles[start:]])]
             p, q = np.divmod(tiles[start : start + _BLOCK_TILES], first.size)
-            i = (first[p, None] + di).ravel()
-            j = (first[q, None] + dj).ravel()
-            inside = (i < n) & (j < n)
-            i, j = i[inside], j[inside]
+            i, j = span[p][:, :, None], span[q][:, None, :]
             read = i * n + j
-            cells = np.concatenate((cells, read))
-            values = np.concatenate((values, g(cos_t[i], cos_t[j], np.take(cos_diff, read))))
+            block = g(cos_t[i], cos_t[j], np.take(cos_diff, read))
+            if n % _TILE:
+                keep = inside[p][:, :, None] & inside[q][:, None, :]
+                read, block = read[keep], block[keep]
+            cells = np.concatenate((cells, read.ravel()))
+            values = np.concatenate((values, block.ravel()))
             if cells.size < m:
                 continue
             key = -values if largest else values
@@ -218,44 +233,73 @@ def _zoom_offsets(half: float) -> np.ndarray:
     return offsets
 
 
-def _grid_min(g, n: int, cells: np.ndarray, best: float, refine_rounds: int,
-              negate: bool = False) -> float:
-    """Minimum over the torus of g(cos t1, cos t2, cos(t1 - t2)) by grid + local zoom.
+def _zoom(g, n: int, windows: list, refine_rounds: int) -> np.ndarray | None:
+    """Each window's minimum of g, or of -g where it seeks the largest, by local zoom.
 
-    ``cells`` are the best ``_CANDIDATES`` cells of the n x n phase grid
-    (``_best_cells``) and ``best`` is g at the first; ``negate`` seeks the
-    minimum of -g, a maximum, from the largest cells, with ``best`` negated.  Several well-separated cells
-    among them (``_seeds``) are refined independently so that two near-tied
-    basins cannot hide the true minimum; the result can only fall as the
-    grid is refined.
-
-    Each zoom round evaluates g on a 33 x 33 window of its own phases
-    around the best point so far, then shrinks the window eightfold.  Near
-    a flat valley the minimum can lie several cells from every seed, past
+    A window (largest, c1, c2, best) starts at the seed (c1, c2) with its
+    running minimum ``best``.  Each round evaluates g on a 33 x 33 window of
+    its own phases around the best point so far, for all windows as one
+    (windows, 33, 33) array, then shrinks every window eightfold.  Near a
+    flat valley the minimum can lie several cells from every seed, past
     what shrinking windows reach; so while a window's best point lies on its
     border and lowers ``best``, the window moves there at the same width and
     the round is not counted.  ``best`` falls strictly at each such move,
-    which bounds the walk.
+    which bounds the walk.  Only a single window follows a valley: for
+    several, the first such move returns None.
     """
-    f = (lambda c1, c2, c12: -g(c1, c2, c12)) if negate else g
-    for c1, c2 in _seeds(cells, n):
-        half = 4 * math.pi / n
-        rounds = 0
-        while rounds < refine_rounds:
-            lt = _zoom_offsets(half)
-            l1, l2 = c1 + lt, c2 + lt
-            local = f(np.cos(l1)[:, None], np.cos(l2)[None, :], np.cos(l1[:, None] - l2[None, :]))
-            i, j = np.unravel_index(np.argmin(local), local.shape)
-            value = float(local[i, j])
-            c1, c2 = float(l1[i]), float(l2[j])
-            if value < best and (i in (0, 32) or j in (0, 32)):
-                # the valley runs on past the window: follow it at this width
-                best = value
-                continue
-            best = min(best, value)
-            half /= 8
-            rounds += 1
+    largest, c1, c2, best = map(np.array, zip(*windows))
+    rows = np.arange(c1.size)
+    half, rounds = 4 * math.pi / n, 0
+    while rounds < refine_rounds:
+        lt = _zoom_offsets(half)
+        l1, l2 = c1[:, None] + lt, c2[:, None] + lt
+        local = g(np.cos(l1)[:, :, None], np.cos(l2)[:, None, :],
+                  np.cos(l1[:, :, None] - l2[:, None, :])).reshape(c1.size, -1)
+        np.negative(local, out=local, where=largest[:, None])
+        at = local.argmin(axis=1)
+        value = local[rows, at]
+        i, j = np.divmod(at, 33)
+        c1, c2 = l1[rows, i], l2[rows, j]
+        border = (i % 32 == 0) | (j % 32 == 0)  # row or column 0 or 32
+        if (border & (value < best)).any():
+            # the valley runs on past the window: follow it at this width
+            if c1.size > 1:
+                return None
+            best = value
+            continue
+        best = np.where(value < best, value, best)
+        half /= 8
+        rounds += 1
     return best
+
+
+def _extrema(g, grid: GridSpec, sides: tuple[bool, ...]) -> list[float]:
+    """For each side, the minimum (False) or maximum (True) of
+    g(cos t1, cos t2, cos(t1 - t2)) over the torus, by grid + local zoom.
+
+    The best ``_CANDIDATES`` cells of each side (``_best_cells``) give
+    several well-separated seeds (``_seeds``), zoomed independently so that
+    two near-tied basins cannot hide the true extremum; the result can only
+    improve as the grid is refined.  All seeds zoom in one batch
+    (``_zoom``), each from its side's best cell value, to the values of
+    the seed-by-seed loop, which carries one running minimum per side
+    through its seeds in turn: that minimum is never above a window's own,
+    so where no window follows a valley, neither does the loop, and both
+    take the least of the same values.  Where one does, the seeds zoom one
+    at a time, each from the minimum carried so far, as that loop does.
+    """
+    n = grid.n
+    windows = [(largest, c1, c2, -float(values[0]) if largest else float(values[0]))
+               for largest, (cells, values) in zip(sides, _best_cells(g, n, sides))
+               for c1, c2 in _seeds(cells, n)]
+    batch = _zoom(g, n, windows, grid.refine_rounds)
+    found = {}
+    for w, (largest, c1, c2, start) in enumerate(windows):
+        start = found.get(largest, start)
+        own = batch[w] if batch is not None else _zoom(
+            g, n, [(largest, c1, c2, start)], grid.refine_rounds)[0]
+        found[largest] = min(start, float(own))
+    return [-found[largest] if largest else found[largest] for largest in sides]
 
 
 def _rhs_function(s_a: float, s_b: float, s_c: float):
@@ -301,11 +345,8 @@ def _inverse_rhs_function(u_a: float, u_b: float, u_c: float):
 
 
 def _rhs_extrema(g, grid: GridSpec) -> tuple[float, float]:
-    """Grid extrema of the right side ``g``, from one pass over the grid."""
-    n = grid.n
-    (lo_cells, lo), (hi_cells, hi) = _best_cells(g, n, (False, True))
-    lo = _grid_min(g, n, lo_cells, float(lo[0]), grid.refine_rounds)
-    return lo, -_grid_min(g, n, hi_cells, -float(hi[0]), grid.refine_rounds, negate=True)
+    """Grid extrema of the right side ``g``, from one search over the grid."""
+    return tuple(_extrema(g, grid, (False, True)))
 
 
 def rhs_extrema_grid(
@@ -353,8 +394,8 @@ def band_membership_grid(
     return BandDecision.in_band() if lo <= d2 <= hi else BandDecision.in_gap()
 
 
-def _assemble_columns(samples) -> tuple[np.ndarray, np.ndarray]:
-    """``assemble_m_matrix`` over (geom, coupling, k, phase) samples at once.
+def _assemble_columns(a, b, c, alpha, k, t1, t2) -> tuple[np.ndarray, np.ndarray]:
+    """``assemble_m_matrix`` over columns of samples' lengths, couplings, k and phases.
 
     Returns the (4, 4, n) real and imaginary parts of the n matrices, each
     entry equal to ``assemble_m_matrix``'s bit for bit: both evaluate
@@ -363,9 +404,6 @@ def _assemble_columns(samples) -> tuple[np.ndarray, np.ndarray]:
     unreduced arguments over the whole range drawn here.  Every sin(a*k) must
     be clear of the Dirichlet guard; it is not checked.
     """
-    a, b, c, alpha, k, t1, t2 = np.array(
-        [(g.a, g.b, g.c, cp.alpha, kk, ph.theta1, ph.theta2) for g, cp, kk, ph in samples],
-        dtype=float).reshape(-1, 7).T
     parts = _cell_entries(a, b, c, alpha, k, t1, t2, np.sin(a * k), np.cos, np.sin)
     out = np.empty((32, k.size))
     for row, part in zip(out, parts):
@@ -413,6 +451,5 @@ def trig_min_grid(
     Near the triangle condition's boundary the minimum lies in a long flat
     valley, which the zoom follows past its first window.
     """
-    g = _trig_function(a_coef, b_coef, c_coef)
-    [(cells, values)] = _best_cells(g, grid.n, (False,))
-    return _grid_min(g, grid.n, cells, float(values[0]), grid.refine_rounds)
+    [lo] = _extrema(_trig_function(a_coef, b_coef, c_coef), grid, (False,))
+    return lo

@@ -314,7 +314,8 @@ class TestAngleReductions:
     """Each entry point takes the sine of each distinct angle once, from libm.
 
     ``assemble_m_matrix`` takes sin(a*k) and the eight exponentials of the
-    cell matrix; the other entry points take the sines of their edges alone."""
+    cell matrix, ``det_m_closed_form`` its edges' and exp(-i(theta1 + theta2));
+    the other entry points take the sines of their edges alone."""
 
     GEOM = HexGeometry(1.0, 1.3, 0.8)
     COUPLING = VertexCoupling(2.0)
@@ -329,7 +330,7 @@ class TestAngleReductions:
             (lambda g, c, p: gc2(g, c, 3.3), 3),
             (lambda g, c, p: positive_terms(g, c.alpha, 3.3)[0], 3),
             (lambda g, c, p: rhs_envelope(g, 3.3), 3),
-            (lambda g, c, p: det_m_closed_form(g, c, 3.3, p), 3),
+            (lambda g, c, p: det_m_closed_form(g, c, 3.3, p), 4),
             (lambda g, c, p: band_membership_grid(g, c, EnergyPoint.positive(3.3),
                                                   GridSpec(64, 0)), 3),
             (lambda g, c, p: rhs_extrema_grid(g, 3.3, GridSpec(64, 0)), 3),

@@ -1,5 +1,7 @@
+import cmath
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ from hexband import (
 )
 from hexband import oracle
 from hexband.cli import cli
-from hexband.core import _flag_sines, inv_sinh
+from hexband.core import _closed_det, _flag_sines, inv_sinh
 from hexband.oracle import (
     GridSpec,
     band_membership_grid,
@@ -30,6 +32,7 @@ from hexband.oracle import (
     rhs_extrema_grid,
     trig_min_grid,
 )
+import zoom_reference
 
 EQUILATERAL = HexGeometry(1, 1, 1)
 # the sign patterns of A, B, C with A*B*C > 0, the closed form's domain
@@ -388,10 +391,11 @@ TIED_COEFS = st.sampled_from([0.0, 1.0, -1.0, 2.5])
 
 
 def counted(g):
-    """g, recording the number of cells of each call in ``sizes``."""
+    """g, recording the number of cells of each call, the size its arguments
+    broadcast to, in ``sizes``."""
 
     def h(c1, c2, c12):
-        h.sizes.append(c1.size)
+        h.sizes.append(np.broadcast(c1, c2, c12).size)
         return g(c1, c2, c12)
 
     h.coefs, h.sizes = g.coefs, []
@@ -532,6 +536,113 @@ class TestSeedPick:
         assert oracle._seeds(cells, n) == greedy_seeds(cells, n)
 
 
+# the benchmark's grid (768) and verify's default (1024), grids with ragged
+# last tiles (255, 767, 1024), and a small grid of 36 tiles (64)
+ZOOM_GRIDS = [64, 255, 767, 768, 1024]
+ZOOM = 33 * 33
+
+
+class TestBatchedZoom:
+    """Every seed of a search zooms in one batch, to the same bits as the
+    seed-by-seed loop of ``zoom_reference``; a valley falls back to it."""
+
+    @settings(deadline=None, derandomize=True, max_examples=40)
+    @given(n=st.sampled_from(ZOOM_GRIDS), rounds=st.integers(0, 3), sines=rhs_sines())
+    @example(n=768, rounds=2, sines=RHS_SINES[0])
+    @example(n=1024, rounds=2, sines=RHS_SINES[1])
+    def test_rhs_extrema_equal_the_seed_by_seed_loop(self, n, rounds, sines):
+        grid = GridSpec(n, rounds)
+        for g in (oracle._rhs_function(*sines),
+                  oracle._inverse_rhs_function(*(1 / s for s in sines))):
+            assert oracle._rhs_extrema(g, grid) == zoom_reference.rhs_extrema(g, grid)
+
+    @settings(deadline=None, derandomize=True, max_examples=60)
+    @given(n=st.sampled_from(ZOOM_GRIDS), rounds=st.integers(0, 3),
+           coefs=near_boundary_coefficients() | st.tuples(*[TIED_COEFS | st.floats(-5, 5)] * 3))
+    @example(n=512, rounds=2, coefs=(-2, 1, -2))
+    @example(n=768, rounds=2, coefs=(-2, 1, -2))
+    @example(n=512, rounds=2, coefs=(0.2, 5, 0.2 / 0.96))
+    @example(n=768, rounds=2, coefs=(0.2, 5, 0.2 / 0.96))
+    @example(n=768, rounds=2, coefs=TRIG_COEFS[1])
+    def test_trig_min_equals_the_seed_by_seed_loop(self, n, rounds, coefs):
+        grid = GridSpec(n, rounds)
+        assert trig_min_grid(*coefs, grid=grid) == zoom_reference.trig_min(*coefs, grid)
+
+    @settings(deadline=None, derandomize=True, max_examples=30)
+    @given(n=st.sampled_from(ZOOM_GRIDS), lengths=st.tuples(*[st.floats(0.5, 3)] * 3),
+           alpha=st.floats(-20, 20), param=st.floats(0.1, 30), negative=st.booleans())
+    def test_membership_equals_the_seed_by_seed_loop(self, n, lengths, alpha, param, negative):
+        geom, grid = HexGeometry(*lengths), GridSpec(n)
+        energy = EnergyPoint.negative(param / 10) if negative else EnergyPoint.positive(param)
+        extrema, decisions = [], []
+
+        def recording(search):
+            def h(g, grid):
+                extrema.append(search(g, grid))
+                return extrema[-1]
+            return h
+
+        for search in (oracle._rhs_extrema, zoom_reference.rhs_extrema):
+            with mock.patch.object(oracle, "_rhs_extrema", recording(search)):
+                decisions.append(band_membership_grid(geom, VertexCoupling(alpha), energy, grid))
+        assert decisions[0] == decisions[1]
+        assert extrema[: len(extrema) // 2] == extrema[len(extrema) // 2 :]
+        if not negative and decisions[0].kind is not Decision.DIRICHLET:
+            assert rhs_extrema_grid(geom, param, grid) == extrema[0]
+
+    def test_a_search_calls_g_once_per_block_and_zoom_round(self, monkeypatch):
+        # no window follows a valley: both sides stop after their first
+        # block, and the eight seeds zoom together, once per round
+        made, rhs = [], oracle._rhs_function
+        monkeypatch.setattr(oracle, "_rhs_function", lambda *s: made.append(counted(rhs(*s))) or made[-1])
+        rhs_extrema_grid(HexGeometry(1, 1.618, 1.3), 1.0, GridSpec(768))
+        assert made[0].sizes == [oracle._BLOCK_CELLS] * 2 + [8 * ZOOM] * 2
+        g = counted(oracle._trig_function(1, 1, 1))
+        oracle._extrema(g, GridSpec(768), (False,))
+        assert g.sizes == [oracle._BLOCK_CELLS] + [4 * ZOOM] * 2
+
+    @pytest.mark.parametrize("coefs, n", [((-2, 1, -2), 512), ((-2, 1, -2), 768),
+                                          ((0.2, 5, 0.2 / 0.96), 512), ((0.2, 5, 0.2 / 0.96), 768),
+                                          (TRIG_COEFS[1], 768)])
+    def test_a_valley_zooms_the_seeds_one_at_a_time(self, coefs, n):
+        # a window's best point on its border below its own minimum stops the
+        # batch of four within its two rounds; each seed then zooms alone,
+        # carrying the minimum, for at least its two rounds
+        g = counted(oracle._trig_function(*coefs))
+        [lo] = oracle._extrema(g, GridSpec(n), (False,))
+        zooms = [size for size in g.sizes if size % ZOOM == 0]
+        batch = zooms.count(4 * ZOOM)
+        assert batch in (1, 2)
+        assert zooms == [4 * ZOOM] * batch + [ZOOM] * (len(zooms) - batch)
+        assert len(zooms) - batch >= 4 * 2
+        assert lo == zoom_reference.trig_min(*coefs, GridSpec(n))
+
+
+def sample_columns(samples):
+    """The (7, n) columns of (geom, coupling, k, phase) samples, as ``verify`` builds them."""
+    return np.array([(g.a, g.b, g.c, cp.alpha, k, ph.theta1, ph.theta2)
+                     for g, cp, k, ph in samples]).reshape(-1, 7).T
+
+
+def det_as_written(geom, coupling, k, phase):
+    """The closed-form determinant in CPython's complex arithmetic, as written."""
+    (s_a, s_b, s_c), (c_a, c_b, c_c) = _flag_sines(k, geom.lengths)[:2]
+    g = coupling.alpha / k
+    t1, t2 = phase.theta1, phase.theta2
+    bracket = (
+        2.0 * s_a * c_b * c_c
+        + 2.0 * c_a * s_b * c_c
+        + 2.0 * c_a * c_b * s_c
+        - 3.0 * s_a * s_b * s_c
+        - 2.0 * s_a * math.cos(t1 - t2)
+        - 2.0 * s_c * math.cos(t1)
+        - 2.0 * s_b * math.cos(t2)
+        + 2.0 * g * (c_a * s_b * s_c + s_a * c_b * s_c + s_a * s_b * c_c)
+        + g * g * s_a * s_b * s_c
+    )
+    return -4.0 * bracket * cmath.exp(-1j * (t1 + t2)) / s_a
+
+
 class TestDetNumericMemo:
     def test_bit_identical_to_the_slice_expansion(self):
         rng = random.Random(31)
@@ -558,7 +669,7 @@ class TestDetNumericMemo:
         assert [repr(d) for d in det_lanes(matrices)] == expected
 
     def test_no_samples_give_empty_columns(self):
-        re, im = oracle._assemble_columns([])
+        re, im = oracle._assemble_columns(*sample_columns([]))
         assert re.shape == im.shape == (4, 4, 0)
         det_re, det_im = det_numeric(re, im)
         assert det_re.shape == det_im.shape == (0,)
@@ -572,10 +683,30 @@ class TestDetNumericMemo:
         samples = [(HexGeometry(a, b, c), VertexCoupling(alpha), k, FloquetPhase(t1, t2))
                    for a, b, c, alpha, k, t1, t2 in draws]
         matrices = [assemble_m_matrix(*sample) for sample in samples]
-        re, im = oracle._assemble_columns(samples)
+        re, im = oracle._assemble_columns(*sample_columns(samples))
         assert [[[repr(complex(x, y)) for x, y in zip(re[r, j].tolist(), im[r, j].tolist())]
                  for j in range(4)] for r in range(4)] == [
             [[repr(m.entries[r][j]) for m in matrices] for j in range(4)] for r in range(4)]
         expected = [repr(det_by_slices([list(row) for row in m.entries])) for m in matrices]
         det_re, det_im = det_numeric(re, im)
         assert [repr(complex(x, y)) for x, y in zip(det_re.tolist(), det_im.tolist())] == expected
+
+    @settings(deadline=None, derandomize=True, max_examples=300)
+    @given(st.lists(st.tuples(*[st.floats(0.5, 3)] * 3, st.floats(-5, 5) | st.sampled_from([0.0, -0.0]),
+                              st.floats(0.1, 30),
+                              *[st.floats(-math.pi, math.pi) | st.sampled_from([0.0, -0.0])] * 2),
+                    min_size=1, max_size=8))
+    def test_closed_form_columns_equal_the_scalar_closed_form(self, draws):
+        # verify's determinant stage: the closed form on columns and on
+        # floats equal to its complex expression as written, zero signs
+        # included, and its deviation's np.hypot equal to abs of the complex
+        assume(all(abs(math.sin(a * k)) >= 1e-3 for a, _, _, _, k, _, _ in draws))
+        samples = [(HexGeometry(a, b, c), VertexCoupling(alpha), k, FloquetPhase(t1, t2))
+                   for a, b, c, alpha, k, t1, t2 in draws]
+        a, b, c, alpha, k, t1, t2 = sample_columns(samples)
+        lk = np.stack((a, b, c)) * k
+        re, im = _closed_det(np.sin(lk), np.cos(lk), alpha / k, t1, t2, np.cos, np.sin)
+        closed = [det_as_written(*sample) for sample in samples]
+        assert list(map(repr, map(det_m_closed_form, *zip(*samples)))) == list(map(repr, closed))
+        assert [repr(complex(x, y)) for x, y in zip(re.tolist(), im.tolist())] == list(map(repr, closed))
+        assert np.hypot(re, im).tolist() == [abs(z) for z in closed]
