@@ -1,9 +1,4 @@
-"""Command-line front end.
-
-Subcommands: ``bands`` (scan a window into bands/gaps), ``gaps`` (gap table
-with criterion attribution), ``classify`` (ratio class + coupling
-thresholds for b = c), ``flatbands`` (commensurate flat-band list with
-verification residuals) and ``verify`` (oracle cross-check suites).
+"""Command-line front end: each subcommand parses, calls the library and writes.
 
 Geometry arguments accept three grammars per argument: a decimal float
 (``1.5``), an exact rational (``3/2``), or a quadratic surd
@@ -13,15 +8,6 @@ names (``fmt`` for ``--format``) and explicit flags win.  Exit codes: 0 ok,
 2 invalid input (any invalid flag or config value, including values only the
 library checks), 3 numeric failure, 4 verification failure.  Library errors
 map to these codes in one place, :class:`_Command`.
-
-Only settings a run needs to choose are flags.  The continued-fraction
-depths of ``classify``, the rational reconstruction of ``flatbands`` and
-the pass tolerances of ``verify`` are constants.  The reports of ``bands``
-and ``gaps`` depend on geometry, coupling, window and ``--edge-tol`` alone.
-``bands --format csv`` prints a sample grid instead: ``--samples`` rows per
-branch, where ``--dirichlet-tol`` only labels rows as ``dirichlet``.  The
-negative-branch window of ``bands`` starts at ``--kappa-max`` divided by
-``--samples`` in both formats; ``gaps --samples`` affects nothing.
 """
 
 from __future__ import annotations
@@ -29,48 +15,29 @@ from __future__ import annotations
 import io
 import json
 import math
-import random
 import re
 import sys
 
 import click
-import numpy as np
 
 from . import __version__
 from .bands import (
     flat_band_energies,
     negative_spectrum_scan,
-    rhs_envelope,
     sample_grid,
     scan_spectrum,
-    trig_polynomial_min,
     verify_flat_band,
 )
-from .core import (
-    DEFAULT_DIRICHLET_TOL,
-    DirichletPointError,
-    FloquetPhase,
-    HexGeometry,
-    VertexCoupling,
-    _closed_det,
-    positive_terms_grid,
-)
-from .gaps import thresholds_bc, threshold_report_to_json
+from .core import DEFAULT_DIRICHLET_TOL, DirichletPointError, HexGeometry, VertexCoupling
+from .gaps import classify_bc, gap_table
 from .numtheory import (
     ExactRatio,
     NumericRatio,
-    RatioClassKind,
     RatioInput,
-    approx_constant,
-    cf_expand,
-    classify_ratio,
     commensurability_witness,
-    convergents,
-    predicted_gap_centers,
-    _quadratic,
-    ratio_divide,
+    quadratic_ratio,
 )
-from .oracle import GridSpec, _assemble_columns, det_numeric, rhs_extrema_grid, trig_min_grid
+from .oracle import GridSpec, verify_suite
 from .report import format_float, json_dumps, report_to_json, write_samples_csv
 
 EXIT_NUMERIC = 3
@@ -87,10 +54,10 @@ def parse_length(text: str) -> tuple[float, RatioInput]:
     m = _SURD_RE.match(text)
     if m:
         if m.group(5) is not None:
-            ratio = _quadratic(0, 1, 1, int(m.group(5)))
+            ratio = quadratic_ratio(0, 1, 1, int(m.group(5)))
         else:
             sign = -1 if m.group(2) == "-" else 1
-            ratio = _quadratic(int(m.group(1)), sign, int(m.group(4)), int(m.group(3)))
+            ratio = quadratic_ratio(int(m.group(1)), sign, int(m.group(4)), int(m.group(3)))
         return ratio.value(), ratio
     if "/" in text:
         num, den = text.split("/", 1)
@@ -261,25 +228,7 @@ def gaps(a, b, c, alpha, kmin, kmax, edge_tol, centers, fmt, output):
     if centers > 0 and not math.isclose(geom.b, geom.c, rel_tol=1e-12):
         raise click.UsageError("--centers needs b = c geometry")
     report = scan_spectrum(geom, coupling, kmin, kmax, edge_tol)
-    # GC1 (|D| > upper) and GC2 (lower > |D|) at every gap midpoint in one call
-    k_mid = np.array([(math.sqrt(e_lo) + math.sqrt(e_hi)) / 2 for e_lo, e_hi in report.gaps])
-    d, lower, upper, flagged = positive_terms_grid(geom, coupling.alpha, k_mid,
-                                                   DEFAULT_DIRICHLET_TOL)
-    d = np.abs(d)
-    rows = []
-    for (e_lo, e_hi), at_dirichlet, above, below in zip(
-            report.gaps, flagged.tolist(), (d > upper).tolist(), (lower > d).tolist()):
-        rows.append({"e_lo": e_lo, "e_hi": e_hi, "k_lo": math.sqrt(e_lo), "k_hi": math.sqrt(e_hi),
-                     "width_e": e_hi - e_lo,
-                     "attribution": ["midpoint-at-dirichlet"] if at_dirichlet else
-                     [name for name, hit in (("GC1", above), ("GC2", below)) if hit],
-                     "predicted_centers": []})
-    if centers > 0:
-        predictions = predicted_gap_centers(a[1], b[1], coupling.alpha, centers)
-        for row in rows:
-            for center in predictions:
-                if row["k_lo"] - 0.5 <= center.k <= row["k_hi"] + 0.5:
-                    row["predicted_centers"].append(center)
+    rows = gap_table(report, geom, coupling, a[1], b[1], centers)
     if fmt == "csv":
         lines = [",".join(_GAP_FLOATS + ("attribution",))]
         for row in rows:
@@ -287,8 +236,7 @@ def gaps(a, b, c, alpha, kmin, kmax, edge_tol, centers, fmt, output):
             lines.append(",".join(cells + ["+".join(row["attribution"])]))
         _write_text("\n".join(lines) + "\n", output)
     else:
-        payload = {"schema_version": 1, "gaps": rows}
-        _write_text(json_dumps(payload) + "\n", output)
+        _write_text(json_dumps({"schema_version": 1, "gaps": rows}) + "\n", output)
 
 
 @cli.command()
@@ -305,38 +253,8 @@ def classify(a, b, alpha, centers, output):
     The class reads 30 partial quotients and gamma 20 (the library
     defaults); the printed expansion has 24.
     """
-    a_val, a_exact = a
-    b_val, b_exact = b
-    coupling = VertexCoupling(alpha)
-    theta = ratio_divide(a_exact, b_exact)
-    ratio_class = classify_ratio(theta)
-    gamma = None
-    if ratio_class.kind is RatioClassKind.BADLY_APPROXIMABLE:
-        gamma = approx_constant(theta)
-    thresholds = thresholds_bc(a_val, b_val, ratio_class, gamma_estimate=gamma)
-    cf = cf_expand(theta, max_depth=24)
-    table = convergents(cf, theta, min(10, cf.depth + 1))
-    predictions = []
-    if centers > 0 and ratio_class.kind in (
-        RatioClassKind.BADLY_APPROXIMABLE,
-        RatioClassKind.LAST_ADMISSIBLE,
-    ) and coupling.alpha != 0:
-        predictions = predicted_gap_centers(a_exact, b_exact, coupling.alpha, centers)
-    notes = []
-    if ratio_class.kind is RatioClassKind.RATIONAL:
-        notes.append("rational ratio: infinitely many gaps for any nonzero coupling")
-    payload = {
-        "schema_version": 1,
-        "theta": {"value": a_val / b_val},
-        "classification": ratio_class,
-        "gamma_estimate": gamma,
-        "continued_fraction": cf,
-        "convergents": table,
-        "predicted_gap_centers": predictions,
-        "notes": notes,
-    }
-    text = json_dumps(payload) + "\n" + threshold_report_to_json(thresholds)
-    _write_text(text, output)
+    ratio, thresholds = classify_bc(a[1], b[1], VertexCoupling(alpha), centers)
+    _write_text(json_dumps(ratio) + "\n" + json_dumps(thresholds) + "\n", output)
 
 
 @cli.command()
@@ -391,62 +309,10 @@ def flatbands(a, b, c, alpha, n_max, output):
 @_CONFIG
 def verify(det_samples, envelope_samples, trigmin_samples, grid_n, refine_rounds, seed, output):
     """Cross-check the closed forms against the brute-force oracles."""
-    rng = random.Random(seed)
-    grid = GridSpec(n=grid_n, refine_rounds=refine_rounds)
-
-    samples = []
-    for _ in range(det_samples):
-        geom = HexGeometry(rng.uniform(0.5, 3), rng.uniform(0.5, 3), rng.uniform(0.5, 3))
-        coupling = VertexCoupling(rng.uniform(-5, 5))
-        k = rng.uniform(0.1, 30)
-        if abs(math.sin(geom.a * k)) < 1e-3:
-            continue
-        phase = FloquetPhase(rng.uniform(-math.pi, math.pi), rng.uniform(-math.pi, math.pi))
-        samples.append((geom, coupling, k, phase))
-    a, b, c, alpha, k, t1, t2 = columns = np.array(
-        [(g.a, g.b, g.c, cp.alpha, kk, ph.theta1, ph.theta2) for g, cp, kk, ph in samples],
-        dtype=float).reshape(-1, 7).T
-    det_re, det_im = det_numeric(*_assemble_columns(*columns))
-    lk = np.stack((a, b, c)) * k
-    closed_re, closed_im = _closed_det(np.sin(lk), np.cos(lk), alpha / k, t1, t2, np.cos, np.sin)
-    det_dev = np.hypot(closed_re - det_re, closed_im - det_im) / (1 + np.hypot(closed_re, closed_im))
-    max_det_dev = max([0.0, *det_dev.tolist()])
-
-    max_env_dev = 0.0
-    for _ in range(envelope_samples):
-        while True:
-            geom = HexGeometry(rng.uniform(0.5, 3), rng.uniform(0.5, 3), rng.uniform(0.5, 3))
-            k = rng.uniform(0.1, 30)
-            if min(abs(math.sin(ell * k)) for ell in geom.lengths) >= 0.05:
-                break
-        env = rhs_envelope(geom, k)
-        lo, hi = rhs_extrema_grid(geom, k, grid)
-        max_env_dev = max(max_env_dev, abs(lo - env.lower**2), abs(hi - env.upper**2))
-
-    max_trigmin_dev = 0.0
-    for _ in range(trigmin_samples):
-        mags = [rng.uniform(0.2, 5) for _ in range(3)]
-        signs = rng.choice([(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)])
-        coefs = [m * s for m, s in zip(mags, signs)]
-        closed = trig_polynomial_min(*coefs)
-        gridmin = trig_min_grid(*coefs, grid=grid)
-        max_trigmin_dev = max(max_trigmin_dev, abs(closed - gridmin))
-
-    checks = [
-        ("determinant closed form vs cofactor", max_det_dev, 1e-9),
-        ("envelope vs phase-grid extrema", max_env_dev, 1e-3),
-        ("trig minimum closed form vs grid", max_trigmin_dev, 1e-6),
-    ]
-    ok = all(dev <= tol for _, dev, tol in checks)
-    payload = {
-        "schema_version": 1,
-        "passed": ok,
-        "checks": [
-            {"name": name, "max_deviation": dev, "tolerance": tol, "passed": dev <= tol}
-            for name, dev, tol in checks
-        ],
-    }
-    _write_text(json_dumps(payload) + "\n", output)
+    checks = verify_suite(seed, det_samples, envelope_samples, trigmin_samples,
+                          GridSpec(n=grid_n, refine_rounds=refine_rounds))
+    ok = all(check["passed"] for check in checks)
+    _write_text(json_dumps({"schema_version": 1, "passed": ok, "checks": checks}) + "\n", output)
     if not ok:
         sys.exit(EXIT_VERIFY)
 

@@ -9,7 +9,8 @@ where D is the cotangent dispersion.  GC1 admits an equivalent tangent form
 on k >= |alpha| built from the nearest-integer fractional part; GC2 for the
 stretched lattice (b = c) reduces to four sign/size conditions.  Hyperbolic
 analogues govern the negative branch, and for b = c the Diophantine class
-of a/b fixes closed-form coupling thresholds for gap existence.  Every
+of a/b fixes closed-form coupling thresholds for gap existence
+(:func:`classify_bc`); :func:`gap_table` attributes a scan's gaps.  Every
 edge quantity here, the tangent margins included, takes its sine and cosine
 from the one Dirichlet guard of :mod:`hexband.core`: libm's, of the unreduced l*k.
 """
@@ -19,15 +20,30 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .core import (
+    DEFAULT_DIRICHLET_TOL,
     HexGeometry,
     VertexCoupling,
     _negative_terms,
     checked_sines,
     positive_terms,
+    positive_terms_grid,
 )
-from .numtheory import RatioClass, RatioClassKind, _sign
-from .report import json_dumps
+from .numtheory import (
+    RatioClass,
+    RatioClassKind,
+    RatioInput,
+    _sign,
+    approx_constant,
+    cf_expand,
+    classify_ratio,
+    convergents,
+    predicted_gap_centers,
+    ratio_divide,
+)
+from .report import SpectrumReport
 
 __all__ = [
     "gc1",
@@ -37,9 +53,10 @@ __all__ = [
     "gap_diagnostics_bc",
     "gc2_equivalent_bc",
     "gc_negative",
+    "gap_table",
     "ThresholdReport",
     "thresholds_bc",
-    "threshold_report_to_json",
+    "classify_bc",
 ]
 
 
@@ -138,6 +155,29 @@ def gc_negative(
     return abs(d) > upper, abs(d) < lower
 
 
+def gap_table(report: SpectrumReport, geom: HexGeometry, coupling: VertexCoupling,
+              a: RatioInput, b: RatioInput, centers: int) -> list[dict]:
+    """One row per gap of the positive scan ``report``: its ends in E and k, its width in
+    E, the criteria that hold at its midpoint in k (or ``midpoint-at-dirichlet``) and,
+    for ``centers`` > 0 (b = c only), the predicted centres within 0.5 of its k ends."""
+    # GC1 (|D| > upper) and GC2 (lower > |D|) at every gap midpoint in one call
+    k_mid = np.array([(math.sqrt(e_lo) + math.sqrt(e_hi)) / 2 for e_lo, e_hi in report.gaps])
+    d, lower, upper, flagged = positive_terms_grid(geom, coupling.alpha, k_mid,
+                                                   DEFAULT_DIRICHLET_TOL)
+    d = np.abs(d)
+    predictions = predicted_gap_centers(a, b, coupling.alpha, centers) if centers > 0 else []
+    rows = []
+    for (e_lo, e_hi), at_dirichlet, above, below in zip(
+            report.gaps, flagged.tolist(), (d > upper).tolist(), (lower > d).tolist()):
+        k_lo, k_hi = math.sqrt(e_lo), math.sqrt(e_hi)
+        rows.append({"e_lo": e_lo, "e_hi": e_hi, "k_lo": k_lo, "k_hi": k_hi, "width_e": e_hi - e_lo,
+                     "attribution": ["midpoint-at-dirichlet"] if at_dirichlet else
+                     [name for name, hit in (("GC1", above), ("GC2", below)) if hit],
+                     "predicted_centers": [center for center in predictions
+                                           if k_lo - 0.5 <= center.k <= k_hi + 0.5]})
+    return rows
+
+
 @dataclass(frozen=True)
 class ThresholdReport:
     """Closed-form coupling thresholds for the stretched (b = c) lattice.
@@ -147,15 +187,16 @@ class ThresholdReport:
     bounds are magnitudes below which the criterion opens none; they are
     nonzero only for badly approximable ratios and never exceed the
     guarantees.  ``provenance`` records the formula behind every number.
+    The fields are in the order ``classify`` prints them.
     """
 
+    ratio_class: str
     gc1_guarantee: float
     gc1_nogap_bound: float
     gc2_guarantee: float
     gc2_nogap_bound: float
-    ratio_class: str
-    provenance: dict[str, str] = field(default_factory=dict)
     extras: dict[str, float] = field(default_factory=dict)
+    provenance: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
         if self.gc1_nogap_bound > self.gc1_guarantee or self.gc2_nogap_bound > self.gc2_guarantee:
@@ -241,15 +282,36 @@ def thresholds_bc(
     )
 
 
-def threshold_report_to_json(report: ThresholdReport) -> str:
-    payload = {
+def classify_bc(a: RatioInput, b: RatioInput, coupling: VertexCoupling,
+                centers: int) -> tuple[dict, dict]:
+    """The two documents of ``classify`` for the b = c lattice of lengths a, b: theta = a/b
+    with its class, gamma, 24 partial quotients, 10 convergents and ``centers`` predicted
+    gap centres per family (where the class admits them and alpha != 0); then its thresholds."""
+    theta = ratio_divide(a, b)
+    ratio_class = classify_ratio(theta)
+    gamma = None
+    if ratio_class.kind is RatioClassKind.BADLY_APPROXIMABLE:
+        gamma = approx_constant(theta)
+    thresholds = thresholds_bc(a.value(), b.value(), ratio_class, gamma_estimate=gamma)
+    cf = cf_expand(theta, max_depth=24)
+    table = convergents(cf, theta, min(10, cf.depth + 1))
+    predictions = []
+    if centers > 0 and ratio_class.kind in (
+        RatioClassKind.BADLY_APPROXIMABLE,
+        RatioClassKind.LAST_ADMISSIBLE,
+    ) and coupling.alpha != 0:
+        predictions = predicted_gap_centers(a, b, coupling.alpha, centers)
+    notes = []
+    if ratio_class.kind is RatioClassKind.RATIONAL:
+        notes.append("rational ratio: infinitely many gaps for any nonzero coupling")
+    ratio = {
         "schema_version": 1,
-        "ratio_class": report.ratio_class,
-        "gc1_guarantee": report.gc1_guarantee,
-        "gc1_nogap_bound": report.gc1_nogap_bound,
-        "gc2_guarantee": report.gc2_guarantee,
-        "gc2_nogap_bound": report.gc2_nogap_bound,
-        "extras": report.extras,
-        "provenance": report.provenance,
+        "theta": {"value": a.value() / b.value()},
+        "classification": ratio_class,
+        "gamma_estimate": gamma,
+        "continued_fraction": cf,
+        "convergents": table,
+        "predicted_gap_centers": predictions,
+        "notes": notes,
     }
-    return json_dumps(payload) + "\n"
+    return ratio, {"schema_version": 1, **vars(thresholds)}

@@ -42,6 +42,7 @@ __all__ = [
     "CommensurabilityWitness",
     "RationalRatioError",
     "ratio_divide",
+    "quadratic_ratio",
     "cf_expand",
     "convergents",
     "classify_ratio",
@@ -277,11 +278,11 @@ def ratio_divide(num: RatioInput, den: RatioInput) -> RatioInput:
         p1, r1, q1 = p1 * d2, r1 * s, q1 * d2
     D = d2 if r2 else d1
     # (p1 + r1 sqrt(D)) q2 / (q1 (p2 + r2 sqrt(D))), both sides times p2 - r2 sqrt(D)
-    return _quadratic(q2 * (p1 * p2 - r1 * r2 * D), q2 * (r1 * p2 - p1 * r2),
-                      q1 * (p2 * p2 - r2 * r2 * D), D)
+    return quadratic_ratio(q2 * (p1 * p2 - r1 * r2 * D), q2 * (r1 * p2 - p1 * r2),
+                           q1 * (p2 * p2 - r2 * r2 * D), D)
 
 
-def _quadratic(p: int, r: int, q: int, D: int) -> ExactRatio | QuadraticSurd:
+def quadratic_ratio(p: int, r: int, q: int, D: int) -> ExactRatio | QuadraticSurd:
     """(p + r*sqrt(D))/q in normal form: an ``ExactRatio`` when r = 0 or D is a
     perfect square, else (P + sqrt(D*r^2))/Q with p, r, q reduced and r > 0."""
     root = math.isqrt(D)

@@ -15,7 +15,7 @@ valley, to the values of a seed-by-seed zoom; the cell matrices are core's
 one formula evaluated on columns, and their cofactor expansion runs once
 across all samples, on columns of real and imaginary parts in CPython's
 complex formulas (numpy's complex arithmetic rounds differently), each
-minor evaluated once.
+minor evaluated once.  :func:`verify_suite` measures the closed forms by them.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,11 +35,12 @@ from .core import (
     VertexCoupling,
     _cell_entries,
     _check_k,
+    _closed_det,
     _product,
     checked_sines,
     inv_sinh,
 )
-from .bands import BandDecision
+from .bands import BandDecision, rhs_envelope, trig_polynomial_min
 
 __all__ = [
     "GridSpec",
@@ -46,6 +48,7 @@ __all__ = [
     "band_membership_grid",
     "det_numeric",
     "trig_min_grid",
+    "verify_suite",
 ]
 
 
@@ -453,3 +456,56 @@ def trig_min_grid(
     """
     [lo] = _extrema(_trig_function(a_coef, b_coef, c_coef), grid, (False,))
     return lo
+
+
+def verify_suite(seed: int, det_samples: int, envelope_samples: int, trigmin_samples: int,
+                 grid: GridSpec) -> list[dict]:
+    """The three checks of ``verify`` on draws from ``random.Random(seed)``, each a
+    dict of name, largest deviation, tolerance and verdict: the closed determinant
+    against :func:`det_numeric` (skipping draws with |sin(a*k)| < 1e-3), the envelope
+    against :func:`rhs_extrema_grid` and the trig minimum against :func:`trig_min_grid`."""
+    rng = random.Random(seed)
+    draws = []
+    for _ in range(det_samples):
+        a, b, c, alpha, k = (rng.uniform(0.5, 3), rng.uniform(0.5, 3), rng.uniform(0.5, 3),
+                             rng.uniform(-5, 5), rng.uniform(0.1, 30))
+        if abs(math.sin(a * k)) >= 1e-3:
+            phases = rng.uniform(-math.pi, math.pi), rng.uniform(-math.pi, math.pi)
+            draws.append((a, b, c, alpha, k, *phases))
+    columns = np.array(draws, dtype=float).reshape(-1, 7).T
+    # the phases as FloquetPhase wraps them into (-pi, pi]: of those drawn only -pi moves
+    columns[5:][columns[5:] == -math.pi] = math.pi
+    a, b, c, alpha, k, t1, t2 = columns
+    det_re, det_im = det_numeric(*_assemble_columns(*columns))
+    lk = np.stack((a, b, c)) * k
+    closed_re, closed_im = _closed_det(np.sin(lk), np.cos(lk), alpha / k, t1, t2, np.cos, np.sin)
+    det_dev = np.hypot(closed_re - det_re, closed_im - det_im) / (1 + np.hypot(closed_re, closed_im))
+    max_det_dev = max([0.0, *det_dev.tolist()])
+
+    max_env_dev = 0.0
+    for _ in range(envelope_samples):
+        while True:
+            geom = HexGeometry(rng.uniform(0.5, 3), rng.uniform(0.5, 3), rng.uniform(0.5, 3))
+            k = rng.uniform(0.1, 30)
+            if min(abs(math.sin(ell * k)) for ell in geom.lengths) >= 0.05:
+                break
+        env = rhs_envelope(geom, k)
+        lo, hi = rhs_extrema_grid(geom, k, grid)
+        max_env_dev = max(max_env_dev, abs(lo - env.lower**2), abs(hi - env.upper**2))
+
+    max_trigmin_dev = 0.0
+    for _ in range(trigmin_samples):
+        mags = [rng.uniform(0.2, 5) for _ in range(3)]
+        signs = rng.choice([(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)])
+        coefs = [m * s for m, s in zip(mags, signs)]
+        closed = trig_polynomial_min(*coefs)
+        gridmin = trig_min_grid(*coefs, grid=grid)
+        max_trigmin_dev = max(max_trigmin_dev, abs(closed - gridmin))
+
+    checks = [
+        ("determinant closed form vs cofactor", max_det_dev, 1e-9),
+        ("envelope vs phase-grid extrema", max_env_dev, 1e-3),
+        ("trig minimum closed form vs grid", max_trigmin_dev, 1e-6),
+    ]
+    return [{"name": name, "max_deviation": dev, "tolerance": tol, "passed": dev <= tol}
+            for name, dev, tol in checks]

@@ -918,6 +918,37 @@ class TestFlatBands:
             flat_band_energies(witness, 9, n_min=0)
 
 
+class TestBudgets:
+    """What one call may build is counted before anything is built (the
+    subprocess runs of the CLI are in ``tests/test_cli.py``)."""
+
+    def test_a_window_is_refused_above_its_candidate_count(self, monkeypatch):
+        geom, coupling = HexGeometry(1, (1 + math.sqrt(5)) / 2, 1.3), VertexCoupling(3.0)
+        k_lo, k_hi = 0.5, 30.0  # every ceil(k_lo * l / pi) is at least 1
+        count = sum(math.floor(k_hi * ell / math.pi) + 2 - math.ceil(k_lo * ell / math.pi)
+                    for ell in geom.lengths)
+        expected = report_to_json(scan_spectrum(geom, coupling, k_lo, k_hi, 1e-9))
+        monkeypatch.setattr(bands_module, "_DIRICHLET_BUDGET", count)
+        assert report_to_json(scan_spectrum(geom, coupling, k_lo, k_hi, 1e-9)) == expected
+        monkeypatch.setattr(bands_module, "_DIRICHLET_BUDGET", count - 1)
+        with pytest.raises(ValueError, match=f"window of {count} Dirichlet points, "
+                                             f"over the budget {count - 1}$"):
+            scan_spectrum(geom, coupling, k_lo, k_hi, 1e-9)
+
+    def test_flat_bands_up_to_the_budget(self):
+        budget = bands_module._FLAT_BAND_BUDGET
+        witness = CommensurabilityWitness(d=1.0, p=1, q=2, r=3)
+        assert len(flat_band_energies(witness, budget)) == budget
+        assert len(flat_band_energies(witness, budget + 10, n_min=11)) == budget
+        with pytest.raises(ValueError, match=f"{budget + 1} flat bands, over the budget {budget}$"):
+            flat_band_energies(witness, budget + 1)
+
+    def test_a_scan_within_its_budget_lists_its_flat_bands(self):
+        # a window of at most _DIRICHLET_BUDGET candidates asks for at most a
+        # sixth as many flat bands, plus three
+        assert bands_module._DIRICHLET_BUDGET / 6 + 3 <= bands_module._FLAT_BAND_BUDGET
+
+
 class TestVerifyFlatBand:
     def test_exact_construction_for_commensurate_lengths(self):
         assert verify_flat_band(EQUILATERAL, 2 * math.pi) <= 1e-12

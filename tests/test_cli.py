@@ -1,7 +1,12 @@
 import json
 import math
+import os
 import random
+import resource
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
+import hexband
 from hexband.cli import cli, parse_length
 from hexband.numtheory import ExactRatio, NumericRatio, QuadraticSurd
 from hexband.report import report_from_json
@@ -423,6 +429,30 @@ class TestFlatbandsCommand:
         assert data["witness"]["exact"] is True
 
 
+def _cap_address_space():
+    # 1 GiB: a CLI run needs under a quarter of it, and a refusal that came after
+    # the allocation would fail on this cap, not on the machine's memory
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+class TestBudgets:
+    @pytest.mark.parametrize("args", [
+        ["bands", "--a", "1e15", "--b", "1e15", "--c", "1", "--kmax", "10"],
+        ["gaps", "--a", "1e15", "--b", "1", "--c", "1", "--kmax", "10"],
+        ["flatbands", "--a", "1", "--b", "1", "--c", "1", "--n-max", "100000000"],
+    ], ids=["bands", "gaps", "flatbands"])
+    def test_over_the_budget_exits_2_before_allocating(self, args):
+        src = str(Path(hexband.__file__).resolve().parent.parent)
+        result = subprocess.run(
+            [sys.executable, "-m", "hexband.cli", *args], capture_output=True, text=True,
+            timeout=120, preexec_fn=_cap_address_space,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+                src, os.environ.get("PYTHONPATH")]))})
+        assert result.returncode == 2, result.stderr
+        assert "Traceback" not in result.stderr
+        assert "over the budget" in result.stderr
+
+
 class TestVerifyCommand:
     def test_default_suite_passes(self, runner):
         result = runner.invoke(
@@ -438,7 +468,7 @@ class TestVerifyCommand:
 
     def test_corrupted_tolerances_fail_with_exit_4(self, runner, monkeypatch):
         # a cofactor oracle that disagrees with the closed form fails the suite
-        monkeypatch.setattr("hexband.cli.det_numeric",
+        monkeypatch.setattr("hexband.oracle.det_numeric",
                             lambda re, im: (np.full(re.shape[-1], 1e6), np.zeros(re.shape[-1])))
         result = runner.invoke(
             cli,

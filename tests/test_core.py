@@ -232,8 +232,8 @@ class TestKernelCalls:
 
     def test_one_grid_call_per_scan(self, calls, monkeypatch):
         import hexband.bands
-        import hexband.cli
         import hexband.core
+        import hexband.gaps
 
         counts = {}
 
@@ -251,14 +251,14 @@ class TestKernelCalls:
         count(hexband.bands, "positive_terms_grid")
         count(hexband.bands, "_negative_terms_grid")
         count(hexband.bands, "boundary_rows_grid")
-        count(hexband.cli, "positive_terms_grid")
+        count(hexband.gaps, "positive_terms_grid")
 
         def run(*args):
             counts.update(dict.fromkeys(counts, 0))
             result = CliRunner().invoke(cli, list(args))
             assert result.exit_code == 0, result.output
             return (counts["bands.positive_terms_grid"], counts["bands._negative_terms_grid"],
-                    counts["bands.boundary_rows_grid"], counts["cli.positive_terms_grid"],
+                    counts["bands.boundary_rows_grid"], counts["gaps.positive_terms_grid"],
                     calls[0])
 
         # JSON bands evaluates no sample grid.  Kirchhoff equilateral is one band:

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -24,9 +25,13 @@ from hexband import (
     scan_spectrum,
     thresholds_bc,
 )
-from hexband.core import DirichletPointError, _flag_sines
-from hexband.gaps import _edge_tangent
-from hexband.numtheory import ExactRatio, QuadraticSurd, RatioClass, RatioClassKind
+import hexband.gaps
+from hexband.core import (DEFAULT_DIRICHLET_TOL, DirichletPointError, _flag_sines,
+                          positive_terms_grid)
+from hexband.gaps import _edge_tangent, gap_table
+from hexband.numtheory import (ExactRatio, GapCenter, NumericRatio, QuadraticSurd, RatioClass,
+                               RatioClassKind)
+from hexband.report import SpectrumReport
 
 EQUILATERAL = HexGeometry(1, 1, 1)
 GOLDEN = QuadraticSurd(1, 2, 5)
@@ -414,6 +419,42 @@ class TestMutualExclusionAndSoundness:
             in_gap = band_membership(geom, coupling, EnergyPoint.positive(k)).kind is Decision.GAP
             assert in_gap == (gc1(geom, coupling, k) or gc2(geom, coupling, k))
             checked += 1
+
+
+class TestGapTable:
+    GEOM, COUPLING = HexGeometry(1.1, 1.7, 0.8), VertexCoupling(22.0)
+    A, B = NumericRatio(1.1), NumericRatio(1.7)
+
+    def test_attribution_is_the_criteria_at_the_midpoint(self):
+        report = scan_spectrum(self.GEOM, self.COUPLING, 0.01, 60.0, 1e-9)
+        rows = gap_table(report, self.GEOM, self.COUPLING, self.A, self.B, 0)
+        k_mid = np.array([(math.sqrt(lo) + math.sqrt(hi)) / 2 for lo, hi in report.gaps])
+        d, lower, upper, flagged = positive_terms_grid(self.GEOM, self.COUPLING.alpha, k_mid,
+                                                       DEFAULT_DIRICHLET_TOL)
+        assert not flagged.any()
+        expected = [[name for name, hit in (("GC1", abs(x) > u), ("GC2", lo > abs(x))) if hit]
+                    for x, lo, u in zip(d.tolist(), lower.tolist(), upper.tolist())]
+        assert [row["attribution"] for row in rows] == expected
+        assert ["GC1"] in expected and ["GC2"] in expected
+        assert [(row["e_lo"], row["e_hi"]) for row in rows] == report.gaps
+        assert all(row["predicted_centers"] == [] for row in rows)
+
+    def test_centres_within_half_a_unit_of_either_end(self, monkeypatch):
+        # one gap over k in [2, 3]: it takes the centres in [1.5, 3.5], ends included
+        report = SpectrumReport("positive", (1.0, 16.0), [(1.0, 4.0), (9.0, 16.0)], [(4.0, 9.0)])
+        ks = [math.nextafter(1.5, 0), 1.5, 2.5, 3.5, math.nextafter(3.5, 4)]
+        asked = []
+
+        def predicted(*args):
+            asked.append(args)
+            return [GapCenter(k, "b", 0, 1) for k in ks]
+
+        monkeypatch.setattr(hexband.gaps, "predicted_gap_centers", predicted)
+        [row] = gap_table(report, self.GEOM, self.COUPLING, self.A, self.B, 5)
+        assert [center.k for center in row["predicted_centers"]] == [1.5, 2.5, 3.5]
+        assert asked == [(self.A, self.B, 22.0, 5)]
+        assert gap_table(report, self.GEOM, self.COUPLING, self.A, self.B, 0)[0][
+            "predicted_centers"] == [] and len(asked) == 1
 
 
 class TestThresholds:

@@ -3,13 +3,15 @@
 ``core``, ``numtheory`` and ``report`` are the bottom layer and import no
 sibling; ``bands`` and ``gaps`` build on them alone, and the brute-force
 ``oracle`` reads only ``core`` and ``bands``.  ``cli`` and ``__init__``
-are the top and may import anything.  Every name the package re-exports is
-in its module's ``__all__``, and every ``__all__`` entry exists, since
-``bench/tracer.py`` wraps public functions by ``__all__`` and silently
-skips a name it cannot find.  For the same reason every hook of
-``bench/layers.py`` names such a function, and the CLI hands the CSV writer
-the seekable stream whose ``tell()`` that hook reads.  No private function
-or class serves the tests alone: each is read somewhere in the package.
+are the top and may import any sibling, ``cli`` only the names in the
+sibling's ``__all__``: it parses, calls the library and writes.  Every name
+the package re-exports is in its module's ``__all__``, and every
+``__all__`` entry exists, since ``bench/tracer.py`` wraps public functions
+by ``__all__`` and silently skips a name it cannot find.  For the same
+reason every hook of ``bench/layers.py`` names such a function, and the CLI
+hands the CSV writer the seekable stream whose ``tell()`` that hook reads.
+No private function or class serves the tests alone: each is read
+somewhere in the package.
 """
 
 import ast
@@ -70,6 +72,19 @@ def test_imports_only_lower_layers(module):
 def test_the_parser_sees_the_top_layer():
     assert {"core", "bands", "gaps", "oracle", "report"} <= sibling_imports("cli")
     assert "__init__" in sibling_imports("cli")  # from . import __version__
+
+
+def test_the_cli_imports_only_public_names():
+    for node in ast.walk(ast.parse((PACKAGE / "cli.py").read_text())):
+        if isinstance(node, ast.Import):
+            assert not [alias.name for alias in node.names if alias.name.startswith("hexband")]
+        elif isinstance(node, ast.ImportFrom) and node.level and node.module:
+            public = importlib.import_module(f"hexband.{node.module}").__all__
+            assert [alias.name for alias in node.names if alias.name not in public] == [], node.module
+        elif isinstance(node, ast.ImportFrom) and node.level:
+            assert [alias.name for alias in node.names] == ["__version__"]
+        elif isinstance(node, ast.ImportFrom):
+            assert not (node.module or "").startswith("hexband"), node.module
 
 
 @pytest.mark.parametrize("module", sorted(ALLOWED))

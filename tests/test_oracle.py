@@ -1,6 +1,8 @@
+import ast
 import cmath
 import math
 import random
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -31,6 +33,7 @@ from hexband.oracle import (
     det_numeric,
     rhs_extrema_grid,
     trig_min_grid,
+    verify_suite,
 )
 import zoom_reference
 
@@ -39,6 +42,7 @@ EQUILATERAL = HexGeometry(1, 1, 1)
 POSITIVE_PRODUCT_SIGNS = [(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)]
 # grids with at most 256 cells, fewer than the extremum search reads
 SMALL_GRIDS = [8, 9, 15, 16]
+BENCH_ORACLE = Path(__file__).resolve().parent.parent / "bench" / "wl_oracle.py"
 
 
 def phase_axis(n):
@@ -710,3 +714,29 @@ class TestDetNumericMemo:
         assert list(map(repr, map(det_m_closed_form, *zip(*samples)))) == list(map(repr, closed))
         assert [repr(complex(x, y)) for x, y in zip(re.tolist(), im.tolist())] == list(map(repr, closed))
         assert np.hypot(re, im).tolist() == [abs(z) for z in closed]
+
+
+def bench_check_names() -> tuple[str, ...]:
+    """``CHECK_NAMES`` of ``bench/wl_oracle.py``, read without importing it."""
+    for node in ast.parse(BENCH_ORACLE.read_text()).body:
+        if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["CHECK_NAMES"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("bench/wl_oracle.py assigns no CHECK_NAMES")
+
+
+class TestVerifySuite:
+    def test_checks_in_the_order_the_benchmark_reads_them(self):
+        checks = verify_suite(1, 20, 1, 1, GridSpec(64))
+        assert [check["name"] for check in checks] == list(bench_check_names())
+        assert [list(check) for check in checks] == [["name", "max_deviation", "tolerance",
+                                                      "passed"]] * 3
+        assert [check["tolerance"] for check in checks] == [1e-9, 1e-3, 1e-6]
+        assert all(check["passed"] for check in checks)
+
+    @settings(deadline=None, derandomize=True, max_examples=300)
+    @given(st.floats(-math.pi, math.pi) | st.sampled_from([-math.pi, math.pi, 0.0, -0.0]))
+    def test_a_drawn_phase_wraps_only_at_minus_pi(self, t):
+        # verify_suite draws its phases as floats and maps -pi to pi itself: of
+        # the values rng.uniform(-pi, pi) can draw, FloquetPhase moves no other
+        phase = FloquetPhase(t, t)
+        assert repr(phase.theta1) == repr(phase.theta2) == repr(math.pi if t == -math.pi else t)
