@@ -163,18 +163,22 @@ def _runs(first_is_gap: bool, edges: list[float], edge_tol: float):
 
 # What one call may build, each measured at its budget (README): a scan of
 # _DIRICHLET_BUDGET candidate Dirichlet points peaks near 335 MB in 0.6 s, and
-# _FLAT_BAND_BUDGET flat bands near 100 MB in 0.6 s.  A scan's window holds at
-# most a sixth as many flat bands as candidates, plus three: never that many.
+# _FLAT_BAND_BUDGET flat bands near 100 MB in 0.6 s, and a CSV table of
+# _SAMPLE_BUDGET rows near 180 MB in 0.9 s.  A scan's window holds at most a
+# sixth as many flat bands as candidates, plus three: never that many.
 _DIRICHLET_BUDGET = 2**18
 _FLAT_BAND_BUDGET = 2**16
+_SAMPLE_BUDGET = 2**19
 
 
 def _dirichlet_points(geom: HexGeometry, k_lo: float, k_hi: float) -> np.ndarray:
     """The Dirichlet points m*pi/l in [k_lo, k_hi], ascending; a point within
     _SAME_POINT*max(1, k) of the one before it is the same point.  A window
-    with more candidates than _DIRICHLET_BUDGET is refused before any is built."""
-    ranges = [(max(1, math.ceil(k_lo * ell / math.pi)), math.floor(k_hi * ell / math.pi) + 2)
-              for ell in geom.lengths]
+    with more candidates than _DIRICHLET_BUDGET, or more than a float counts, is
+    refused before any is built."""
+    ends = [(k_lo * ell / math.pi, k_hi * ell / math.pi) for ell in geom.lengths]
+    ranges = [(max(1, math.ceil(lo)), math.floor(hi) + 2) if hi < math.inf else (0, math.inf)
+              for lo, hi in ends]
     count = sum(max(0, stop - start) for start, stop in ranges)
     if count > _DIRICHLET_BUDGET:
         raise ValueError(f"window of {count} Dirichlet points, over the budget {_DIRICHLET_BUDGET}")
@@ -365,11 +369,14 @@ def sample_grid(
     bit-identical to the point kernel, and its band or gap label from their
     comparisons.  A positive row where some |sin(l*k)| is at most
     ``dirichlet_tol`` times max(1, l*k) is a ``dirichlet`` row of NaNs; the
-    negative branch has none.  The reports do not read the table.
+    negative branch has none.  More than _SAMPLE_BUDGET rows are refused.  The
+    reports do not read the table.
     """
     _check_window(lo, hi)
     if not isinstance(n_samples, numbers.Integral) or n_samples < 2:
         raise ValueError(f"n_samples must be an integer >= 2, got {n_samples!r}")
+    if n_samples > _SAMPLE_BUDGET:
+        raise ValueError(f"{n_samples} sample rows, over the budget {_SAMPLE_BUDGET}")
     xs = lo + np.arange(n_samples) * ((hi - lo) / (n_samples - 1))
     xs[-1] = hi
     if branch == "positive":
@@ -413,11 +420,7 @@ def flat_band_energies(
         raise ValueError("n_min must be >= 1")
     if n_max - n_min + 1 > _FLAT_BAND_BUDGET:
         raise ValueError(f"{n_max - n_min + 1} flat bands, over the budget {_FLAT_BAND_BUDGET}")
-    g = math.gcd(witness.p, witness.q, witness.r)
-    if witness.d_exact is not None:
-        d = float(witness.d_exact * g)
-    else:
-        d = witness.d * g
+    d = witness.d * math.gcd(witness.p, witness.q, witness.r)
     return [2 * math.pi * n / d for n in range(n_min, n_max + 1)]
 
 

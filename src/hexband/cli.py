@@ -48,8 +48,9 @@ _SURD_RE = re.compile(
 )
 
 
-def parse_length(text: str) -> tuple[float, RatioInput]:
-    """Parse one geometry argument into (float value, exact witness)."""
+def parse_length(text: str) -> RatioInput:
+    """Parse one geometry argument into its exact or numeric ratio, whose
+    ``value()`` must be a float."""
     text = text.strip()
     m = _SURD_RE.match(text)
     if m:
@@ -58,24 +59,24 @@ def parse_length(text: str) -> tuple[float, RatioInput]:
         else:
             sign = -1 if m.group(2) == "-" else 1
             ratio = quadratic_ratio(int(m.group(1)), sign, int(m.group(4)), int(m.group(3)))
-        return ratio.value(), ratio
-    if "/" in text:
+    elif "/" in text:
         num, den = text.split("/", 1)
         ratio = ExactRatio(int(num), int(den))
-        return ratio.value(), ratio
-    value = float(text)
-    if not (math.isfinite(value) and value > 0):
-        raise ValueError(f"length must be finite and positive, got {text!r}")
-    if value == int(value) and abs(value) < 1e15:
-        return value, ExactRatio(int(value), 1)
-    return value, NumericRatio(value)
+    else:
+        value = float(text)
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"length must be finite and positive, got {text!r}")
+        whole = value == int(value) and value < 1e15
+        ratio = ExactRatio(int(value), 1) if whole else NumericRatio(value)
+    ratio.value()  # OverflowError: too large for a float
+    return ratio
 
 
 class LengthParam(click.ParamType):
     name = "length"
 
     def convert(self, value, param, ctx):
-        if isinstance(value, tuple):
+        if isinstance(value, RatioInput):
             return value
         try:
             return parse_length(str(value))
@@ -186,7 +187,7 @@ def cli():
 def bands(a, b, c, alpha, kmin, kmax, samples, edge_tol, dirichlet_tol,
           include_negative, kappa_max, fmt, output):
     """Scan a k window and report bands, gaps, flat bands, Dirichlet points."""
-    geom = HexGeometry(a[0], b[0], c[0])
+    geom = HexGeometry(a.value(), b.value(), c.value())
     coupling = VertexCoupling(alpha)
     windows = [("positive", kmin, kmax)]
     if include_negative and coupling.alpha < 0:
@@ -223,12 +224,12 @@ _GAP_FLOATS = ("e_lo", "e_hi", "k_lo", "k_hi", "width_e")
 @_CONFIG
 def gaps(a, b, c, alpha, kmin, kmax, edge_tol, centers, fmt, output):
     """Tabulate gaps with per-gap criterion attribution at the midpoint."""
-    geom = HexGeometry(a[0], b[0], c[0])
+    geom = HexGeometry(a.value(), b.value(), c.value())
     coupling = VertexCoupling(alpha)
     if centers > 0 and not math.isclose(geom.b, geom.c, rel_tol=1e-12):
         raise click.UsageError("--centers needs b = c geometry")
     report = scan_spectrum(geom, coupling, kmin, kmax, edge_tol)
-    rows = gap_table(report, geom, coupling, a[1], b[1], centers)
+    rows = gap_table(report, geom, coupling, a, b, centers)
     if fmt == "csv":
         lines = [",".join(_GAP_FLOATS + ("attribution",))]
         for row in rows:
@@ -253,7 +254,7 @@ def classify(a, b, alpha, centers, output):
     The class reads 30 partial quotients and gamma 20 (the library
     defaults); the printed expansion has 24.
     """
-    ratio, thresholds = classify_bc(a[1], b[1], VertexCoupling(alpha), centers)
+    ratio, thresholds = classify_bc(a, b, VertexCoupling(alpha), centers)
     _write_text(json_dumps(ratio) + "\n" + json_dumps(thresholds) + "\n", output)
 
 
@@ -267,10 +268,9 @@ def classify(a, b, alpha, centers, output):
 @_CONFIG
 def flatbands(a, b, c, alpha, n_max, output):
     """List flat-band wavenumbers with eigenfunction residuals."""
-    geom = HexGeometry(a[0], b[0], c[0])
+    geom = HexGeometry(a.value(), b.value(), c.value())
     coupling = VertexCoupling(alpha)
-    exacts = [w.fraction if isinstance(w, ExactRatio) else value for value, w in (a, b, c)]
-    witness = commensurability_witness(*exacts)
+    witness = commensurability_witness(a, b, c)
     if witness is None:
         payload = {
             "schema_version": 1,
@@ -291,7 +291,7 @@ def flatbands(a, b, c, alpha, n_max, output):
     ]
     payload = {
         "schema_version": 1,
-        "witness": {"d": float(witness.d), "p": witness.p, "q": witness.q, "r": witness.r,
+        "witness": {"d": witness.d, "p": witness.p, "q": witness.q, "r": witness.r,
                     "exact": witness.exact},
         "flat_bands": rows,
     }

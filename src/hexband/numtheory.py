@@ -16,7 +16,10 @@ q^2 |theta - p/q| whichever form the surd was written in.
 
 Classification policy: floating-point inputs never certify a class; only
 exact inputs (reduced rationals, quadratic surds, or explicitly constructed
-partial-quotient sequences) do.
+partial-quotient sequences) do.  So with commensurability: the lengths share
+a unit exactly when b/a and c/a are rational, and for exact lengths the
+ratios of :func:`ratio_divide` decide it; only a float length's ratio is a
+guess (:func:`reconstruct_rational`), and its witness is not ``exact``.
 """
 
 from __future__ import annotations
@@ -81,9 +84,6 @@ class ExactRatio:
     def value(self) -> float:
         return self.p / self.q
 
-    def invert(self) -> "ExactRatio":
-        return ExactRatio(self.q, self.p)
-
 
 @dataclass(frozen=True)
 class QuadraticSurd:
@@ -102,14 +102,11 @@ class QuadraticSurd:
             raise ValueError("Q must be nonzero")
         if self.D <= 0 or math.isqrt(self.D) ** 2 == self.D:
             raise ValueError("D must be positive and not a perfect square")
-        if self.value() <= 0:
+        if (self.P >= 0 or self.P * self.P < self.D) != (self.Q > 0):  # P + sqrt(D) > 0, exactly
             raise ValueError("represented value must be positive")
 
     def value(self) -> float:
         return (self.P + math.sqrt(self.D)) / self.Q
-
-    def invert(self) -> "QuadraticSurd":
-        return ratio_divide(ExactRatio(1, 1), self)
 
     def bracket(self, bits: int) -> tuple[int, int]:
         """Integers (n, d), d = |Q|*2**bits, with n/d < value < (n + 1)/d."""
@@ -129,9 +126,6 @@ class NumericRatio:
 
     def value(self) -> float:
         return self.x
-
-    def invert(self) -> "NumericRatio":
-        return NumericRatio(1.0 / self.x)
 
 
 @dataclass(frozen=True)
@@ -156,9 +150,6 @@ class ExplicitCF:
 
     def value(self, depth: int = 40) -> float:
         return float(_cf_value_fraction(self.a0, [self.partial(j) for j in range(1, depth + 1)]))
-
-    def invert(self) -> "ExplicitCF":
-        raise ValueError("inversion of explicit CF inputs is not supported")
 
 
 RatioInput = ExactRatio | QuadraticSurd | NumericRatio | ExplicitCF
@@ -235,14 +226,14 @@ class GapCenter:
 
 @dataclass(frozen=True)
 class CommensurabilityWitness:
-    """Common unit d with a = p*d, b = q*d, c = r*d and gcd(p, q, r) = 1."""
+    """Common unit d with a = p*d, b = q*d, c = r*d and gcd(p, q, r) = 1;
+    ``exact`` when exact arithmetic proved the lattice, not a float guess."""
 
     d: float
     p: int
     q: int
     r: int
     exact: bool = False
-    d_exact: Fraction | None = None
 
 
 def _sign(x) -> int:
@@ -558,8 +549,8 @@ def predicted_gap_centers(
     expansion = _Expansion(theta)
     # a surd 1/theta's quotients are theta's shifted one place: behind a 0, or without a0 = 0
     shifted = chain([0, expansion.a0] if expansion.a0 else [], expansion.stream())
-    inverse = (_Expansion(theta.invert(), shifted) if isinstance(theta, QuadraticSurd)
-               else _Expansion(theta.invert()))
+    inverse = _Expansion(ratio_divide(ExactRatio(1, 1), theta),
+                         shifted if isinstance(theta, QuadraticSurd) else None)
     centers: list[GapCenter] = []
     for family, walked, scale in (("b", expansion, b.value()), ("a", inverse, a.value())):
         picked: list[Convergent] = []
@@ -605,44 +596,45 @@ def reconstruct_rational(x: float) -> tuple[int, int] | None:
 
 
 def commensurability_witness(
-    a: float | Fraction,
-    b: float | Fraction,
-    c: float | Fraction,
+    a: RatioInput | float | Fraction,
+    b: RatioInput | float | Fraction,
+    c: RatioInput | float | Fraction,
 ) -> CommensurabilityWitness | None:
-    """Find a common unit d with a = p*d, b = q*d, c = r*d, gcd(p,q,r) = 1.
+    """Find a common unit d with a = p*d, b = q*d, c = r*d, gcd(p, q, r) = 1.
 
-    Exact ``Fraction``/``int`` inputs produce an exact witness.  Float
-    inputs go through bounded-denominator rational reconstruction of the
-    ratios b/a and c/a; when either ratio admits no rational of denominator
-    <= ``DEFAULT_DENOMINATOR_CAP`` within ``DEFAULT_RATIONAL_TOL``, there is
-    no witness.
+    An ``int`` or ``Fraction`` length is an ``ExactRatio`` and a float a
+    ``NumericRatio``; p, q, r come from the ratios b/a and c/a of
+    :func:`ratio_divide`.  Two rational ratios prove the lattice, and the
+    witness is ``exact``.  An irrational ratio of exact lengths proves there is
+    none (None): a surd, or the float quotient of two surds of unlike
+    radicands, whose sqrt(D1) and sqrt(D2) are independent over Q.  Only a
+    ratio with a float length is guessed, by :func:`reconstruct_rational`, and
+    the guess stands only if b and c lie within ``DEFAULT_RATIONAL_TOL`` of
+    q*d and r*d.  d is the correctly rounded a/p for an exact lattice with a
+    rational a, and float(a)/p otherwise.
     """
-    values = (a, b, c)
-    if all(isinstance(v, (int, Fraction)) for v in values):
-        fracs = [Fraction(v) for v in values]
-        if any(f <= 0 for f in fracs):
-            raise ValueError("lengths must be positive")
-        lcm_den = math.lcm(*(f.denominator for f in fracs))
-        ints = [int(f * lcm_den) for f in fracs]
-        g = math.gcd(*ints)
-        d_exact = Fraction(g, lcm_den)
-        p, q, r = (i // g for i in ints)
-        return CommensurabilityWitness(float(d_exact), p, q, r, exact=True, d_exact=d_exact)
+    a, b, c = map(_as_ratio, (a, b, c))
+    ratios = [(ratio_divide(x, a), NumericRatio in (type(a), type(x))) for x in (b, c)]
+    guesses = [(x.p, x.q) if isinstance(x, ExactRatio)
+               else reconstruct_rational(x.x) if numeric
+               else None  # an irrational ratio of exact lengths
+               for x, numeric in ratios]
+    if None in guesses:
+        return None
+    (mb, nb), (mc, nc) = guesses
+    p = math.lcm(nb, nc)  # each guess is reduced, so gcd(p, q, r) = 1
+    q, r = mb * (p // nb), mc * (p // nc)
+    if not any(numeric for _, numeric in ratios):
+        d = a.p / (a.q * p) if isinstance(a, ExactRatio) else a.value() / p
+        return CommensurabilityWitness(d, p, q, r, exact=True)
+    d = a.value() / p
+    if any(abs(x.value() - n * d) > DEFAULT_RATIONAL_TOL * max(1.0, x.value())
+           for x, n in ((b, q), (c, r))):
+        return None
+    return CommensurabilityWitness(d, p, q, r)
 
-    fa, fb, fc = (float(v) for v in values)
-    if min(fa, fb, fc) <= 0:
-        raise ValueError("lengths must be positive")
-    rb = reconstruct_rational(fb / fa)
-    rc = reconstruct_rational(fc / fa)
-    if rb is None or rc is None:
-        return None
-    (mb, nb), (mc, nc) = rb, rc
-    L = math.lcm(nb, nc)
-    p, q, r = L, mb * (L // nb), mc * (L // nc)
-    g = math.gcd(p, q, r)
-    p, q, r = p // g, q // g, r // g
-    d = fa / p
-    tol = DEFAULT_RATIONAL_TOL
-    if abs(fb - q * d) > tol * max(1.0, fb) or abs(fc - r * d) > tol * max(1.0, fc):
-        return None
-    return CommensurabilityWitness(d, p, q, r, exact=False)
+
+def _as_ratio(length: RatioInput | float | Fraction) -> RatioInput:
+    if isinstance(length, (int, Fraction)):
+        return ExactRatio(*Fraction(length).as_integer_ratio())
+    return length if isinstance(length, RatioInput) else NumericRatio(float(length))

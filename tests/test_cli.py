@@ -30,33 +30,32 @@ def runner():
 
 class TestLengthGrammar:
     def test_float(self):
-        value, exact = parse_length("1.25")
-        assert value == 1.25
+        exact = parse_length("1.25")
         assert isinstance(exact, NumericRatio)
+        assert exact.value() == 1.25
 
     def test_integer_becomes_exact(self):
-        value, exact = parse_length("2")
-        assert value == 2.0
+        exact = parse_length("2")
         assert isinstance(exact, ExactRatio) and (exact.p, exact.q) == (2, 1)
+        assert exact.value() == 2.0
 
     def test_rational(self):
-        value, exact = parse_length("3/2")
-        assert value == 1.5
+        exact = parse_length("3/2")
         assert isinstance(exact, ExactRatio) and (exact.p, exact.q) == (3, 2)
+        assert exact.value() == 1.5
 
     def test_surd(self):
-        value, exact = parse_length("(1+sqrt(5))/2")
-        assert value == pytest.approx((1 + math.sqrt(5)) / 2)
+        exact = parse_length("(1+sqrt(5))/2")
         assert isinstance(exact, QuadraticSurd)
+        assert exact.value() == pytest.approx((1 + math.sqrt(5)) / 2)
 
     def test_bare_sqrt(self):
-        value, exact = parse_length("sqrt(2)")
-        assert value == pytest.approx(math.sqrt(2))
+        exact = parse_length("sqrt(2)")
         assert isinstance(exact, QuadraticSurd)
+        assert exact.value() == pytest.approx(math.sqrt(2))
 
     def test_negative_surd_branch(self):
-        value, exact = parse_length("(-1+sqrt(5))/2")
-        assert value == pytest.approx((math.sqrt(5) - 1) / 2)
+        assert parse_length("(-1+sqrt(5))/2").value() == pytest.approx((math.sqrt(5) - 1) / 2)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
@@ -65,9 +64,9 @@ class TestLengthGrammar:
     @pytest.mark.parametrize("text, p, q", [("sqrt(4)", 2, 1), ("(2+sqrt(9))/5", 1, 1),
                                             ("(7-sqrt(9))/2", 2, 1), ("(1-sqrt(16))/-6", 1, 2)])
     def test_perfect_square_radicand_is_the_exact_rational(self, text, p, q):
-        value, exact = parse_length(text)
+        exact = parse_length(text)
         assert isinstance(exact, ExactRatio) and (exact.p, exact.q) == (p, q)
-        assert value == p / q
+        assert exact.value() == p / q
 
     @pytest.mark.parametrize("text", ["(1-sqrt(4))/5", "(1-sqrt(2))/1", "sqrt(0)"])
     def test_rejects_nonpositive_surds(self, text):
@@ -75,8 +74,7 @@ class TestLengthGrammar:
             parse_length(text)
 
     def test_minus_sqrt_takes_the_normal_form(self):
-        _, exact = parse_length("(3-sqrt(2))/1")
-        assert exact == QuadraticSurd(-3, -1, 2)
+        assert parse_length("(3-sqrt(2))/1") == QuadraticSurd(-3, -1, 2)
 
     @pytest.mark.parametrize(
         "length",
@@ -435,22 +433,38 @@ def _cap_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
+def _run_capped(*argv):
+    src = str(Path(hexband.__file__).resolve().parent.parent)
+    return subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True, timeout=120,
+        preexec_fn=_cap_address_space,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+            src, os.environ.get("PYTHONPATH")]))})
+
+
 class TestBudgets:
     @pytest.mark.parametrize("args", [
         ["bands", "--a", "1e15", "--b", "1e15", "--c", "1", "--kmax", "10"],
         ["gaps", "--a", "1e15", "--b", "1", "--c", "1", "--kmax", "10"],
         ["flatbands", "--a", "1", "--b", "1", "--c", "1", "--n-max", "100000000"],
-    ], ids=["bands", "gaps", "flatbands"])
+        # k*l/pi past a float's range: a count that no float holds
+        ["bands", "--a", "1e300", "--b", "1", "--c", "1", "--kmax", "1e10"],
+        ["gaps", "--a", "1e300", "--b", "1", "--c", "1", "--kmax", "1e10"],
+        # a CSV table past its row budget
+        ["bands", "--a", "1", "--b", "1", "--c", "1", "--kmax", "10", "--format", "csv",
+         "--samples", "1000000000"],
+    ], ids=["bands", "gaps", "flatbands", "bands-overflow", "gaps-overflow", "bands-csv-samples"])
     def test_over_the_budget_exits_2_before_allocating(self, args):
-        src = str(Path(hexband.__file__).resolve().parent.parent)
-        result = subprocess.run(
-            [sys.executable, "-m", "hexband.cli", *args], capture_output=True, text=True,
-            timeout=120, preexec_fn=_cap_address_space,
-            env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
-                src, os.environ.get("PYTHONPATH")]))})
+        result = _run_capped("-m", "hexband.cli", *args)
         assert result.returncode == 2, result.stderr
         assert "Traceback" not in result.stderr
         assert "over the budget" in result.stderr
+
+    def test_hostile_commands_exit_0_2_3_or_4(self):
+        # 1000 derandomized draws of lengths, couplings, windows and counts, run
+        # in one process under the cap
+        result = _run_capped(str(Path(__file__).with_name("cli_grammar.py")), "1000")
+        assert result.returncode == 0, result.stdout + result.stderr
 
 
 class TestVerifyCommand:

@@ -85,6 +85,12 @@ moved in their last digit (flatbands-exact-json 2.1558735510086125e-14 to
 (verify-json and verify-default-grid-json 6.162715826352451e-14 to
 6.004600831639797e-14, verify-bench-grid-json 4.266296733807685e-13 to
 4.2585736195591454e-13).  Every JSON bands, gaps and classify digest held.
+
+A fifth correctness fix added two digests and moved none: flatbands decides
+commensurability from the exact ratios b/a and c/a, so a lattice of surds
+with one radicand is exact (flatbands-surd-lattice-json), and lengths with
+an irrational exact ratio have no witness (flatbands-irrational-ratio-json;
+a float guess had taken 3*phi for 2178309/726103).
 """
 
 import hashlib
@@ -110,6 +116,10 @@ GAPS_NUMERIC_CENTERS = ["gaps", "--a", "1.6180339887", "--b", "1", "--c", "1", "
 # an exact commensurability witness, and one reconstructed from a decimal length
 FLATBANDS_EXACT = ["flatbands", "--a", "1/2", "--b", "3/2", "--c", "1", "--n-max", "3"]
 FLATBANDS_DECIMAL = ["flatbands", "--a", "1.25", "--b", "1", "--c", "1"]
+# a witness proved from surds, and none where an exact ratio is irrational
+FLATBANDS_SURD_LATTICE = ["flatbands", "--a", "sqrt(2)", "--b", "sqrt(8)", "--c", "sqrt(2)",
+                          "--n-max", "3"]
+FLATBANDS_IRRATIONAL_RATIO = ["flatbands", "--a", "1/3", "--b", "1", "--c", "(1+sqrt(5))/2"]
 # Dirichlet rows of NaNs on the positive branch, and negative rows whose
 # kappa*l passes 700, so their upper and lower columns read 0
 BANDS_BOTH_BRANCHES = ["bands", "--a", "1/2", "--b", "3/2", "--c", "1", "--alpha", "-3",
@@ -160,6 +170,12 @@ GOLDEN = [
     pytest.param(FLATBANDS_DECIMAL,
                  "15e5f8a2e3bed7f005cd1b00ff772ffa600f9a732f15750350f97e26598192cb",
                  id="flatbands-decimal-json"),
+    pytest.param(FLATBANDS_SURD_LATTICE,
+                 "7a058f674630fdcc3a962b63b1c7f25d7c023cd25f1e84a9378129b24d6e66c8",
+                 id="flatbands-surd-lattice-json"),
+    pytest.param(FLATBANDS_IRRATIONAL_RATIO,
+                 "6e6c8322668f469d9244f41173126bbc390fcd7b9b631a24e441702dde464630",
+                 id="flatbands-irrational-ratio-json"),
     pytest.param(VERIFY, "860f87be4606a2e37791f35375892f5f1da421c36c9e0d6cd142c2fb0d9fb4a6",
                  id="verify-json"),
     pytest.param(VERIFY_DEFAULT_GRID,

@@ -30,18 +30,22 @@ from hexband import (
     predicted_gap_centers,
     ratio_divide,
 )
-from hexband.numtheory import reconstruct_rational
+from hexband.numtheory import quadratic_ratio, reconstruct_rational
 
 GOLDEN = QuadraticSurd(1, 2, 5)
 SQRT2 = QuadraticSurd(0, 1, 2)
 SQRT3 = QuadraticSurd(0, 1, 3)
 
 
+def inverse(ratio):
+    return ratio_divide(ExactRatio(1, 1), ratio)
+
+
 class TestRatioInputs:
     def test_exact_ratio_reduces(self):
         r = ExactRatio(14, 6)
         assert (r.p, r.q) == (7, 3)
-        assert r.invert().value() == pytest.approx(3 / 7)
+        assert inverse(r).value() == pytest.approx(3 / 7)
 
     def test_surd_validation(self):
         with pytest.raises(ValueError):
@@ -51,13 +55,22 @@ class TestRatioInputs:
         with pytest.raises(ValueError):
             QuadraticSurd(-5, 1, 2)  # negative value
 
+    def test_surd_sign_is_decided_exactly(self):
+        # a radicand past a float's range, and a value that rounds to 0.0
+        huge = QuadraticSurd(0, 1, 2 * 10**400)
+        assert huge.bracket(0) == (math.isqrt(2 * 10**400), 1)
+        tiny = QuadraticSurd(-10**20, 1, 10**40 + 1)
+        assert tiny.value() == 0.0 and tiny.bracket(100)[0] > 0
+        with pytest.raises(ValueError, match="positive"):
+            QuadraticSurd(-10**20, 1, 10**40 - 1)
+
     def test_surd_inversion_value(self):
-        inv = GOLDEN.invert()
+        inv = inverse(GOLDEN)
         assert inv.value() == pytest.approx(1 / GOLDEN.value(), rel=1e-14)
         # 3 - sqrt(2) needs a negative denominator representation
         surd = QuadraticSurd(-3, -1, 2)
         assert surd.value() == pytest.approx(3 - math.sqrt(2), rel=1e-14)
-        assert surd.invert().value() == pytest.approx(1 / (3 - math.sqrt(2)), rel=1e-14)
+        assert inverse(surd).value() == pytest.approx(1 / (3 - math.sqrt(2)), rel=1e-14)
 
     def test_exact_comparison(self):
         golden, sqrt2 = ({(c.p, c.q): c.approach_sign for c in convergents(cf_expand(r, 6), r, 7)}
@@ -233,7 +246,7 @@ class TestConvergents:
             convergents(cf, ExactRatio(7, 3), 5)
 
     @settings(max_examples=150, derandomize=True, deadline=None)
-    @given(st.one_of(_SURDS, _SURDS.map(QuadraticSurd.invert), _RATIONALS, _EXPLICIT))
+    @given(st.one_of(_SURDS, _SURDS.map(inverse), _RATIONALS, _EXPLICIT))
     def test_sides_alternate(self, ratio):
         # theta - p_n/q_n has the sign (-1)^n on an exact expansion, and is 0 at a
         # rational's last convergent; checked against the side in exact arithmetic
@@ -332,12 +345,12 @@ class TestApproxConstant:
     def test_inversion_agreement(self):
         for ratio in (GOLDEN, SQRT2):
             direct = approx_constant(ratio, depth=24)
-            inverted = approx_constant(ratio.invert(), depth=24)
+            inverted = approx_constant(inverse(ratio), depth=24)
             assert direct == pytest.approx(inverted, rel=0.02)
 
     def test_class_preserved_under_inversion(self):
         for ratio in (GOLDEN, SQRT2, SQRT3):
-            assert classify_ratio(ratio.invert()).kind is classify_ratio(ratio).kind
+            assert classify_ratio(inverse(ratio)).kind is classify_ratio(ratio).kind
 
 
 class TestPredictedGapCenters:
@@ -409,6 +422,31 @@ class TestPredictedGapCenters:
             assert hit, f"no GC1 gap in (k, k+0.5) for center {center}"
 
 
+# sqrt(radicand) = s sqrt(D), D square-free
+_SQUARE_CLASSES = {2: (1, 2), 8: (2, 2), 18: (3, 2), 3: (1, 3), 12: (2, 3)}
+
+
+def _witness_length(u: Fraction, v: Fraction, radicand: int):
+    """u + v sqrt(radicand) as a ratio, with its form (u, v s, D)."""
+    q = math.lcm(u.denominator, v.denominator)
+    s, square_free = _SQUARE_CLASSES[radicand]
+    return (quadratic_ratio(int(u * q), int(v * q), q, radicand), (u, v * s, square_free))
+
+
+_WITNESS_FRACTIONS = st.sampled_from([Fraction(0), Fraction(1), Fraction(2), Fraction(1, 2),
+                                      Fraction(3, 2), Fraction(1, 3), Fraction(5, 7),
+                                      Fraction(1, 11)])
+_EXACT_LENGTHS = st.tuples(
+    _WITNESS_FRACTIONS, _WITNESS_FRACTIONS, st.sampled_from(sorted(_SQUARE_CLASSES)),
+).filter(lambda form: form[0] or form[1]).map(lambda form: _witness_length(*form))
+_FLOAT_LENGTHS = st.one_of(
+    st.builds(lambda p, q: (NumericRatio(p / q), None), st.integers(1, 300), st.integers(1, 300)),
+    st.floats(1e-3, 1e3).map(lambda x: (NumericRatio(x), None)))
+_WITNESS_LENGTHS = st.one_of(st.lists(_EXACT_LENGTHS, min_size=3, max_size=3),
+                             st.lists(st.one_of(_EXACT_LENGTHS, _FLOAT_LENGTHS),
+                                      min_size=3, max_size=3))
+
+
 class TestCommensurabilityWitness:
     def test_integer_lengths(self):
         w = commensurability_witness(1, 2, 3)
@@ -424,12 +462,18 @@ class TestCommensurabilityWitness:
     def test_fraction_lengths(self):
         w = commensurability_witness(Fraction(1, 2), Fraction(3, 2), Fraction(1))
         assert (w.p, w.q, w.r) == (1, 3, 2)
-        assert w.d_exact == Fraction(1, 2)
+        assert w.exact and w.d == 0.5
+
+    def test_an_exact_unit_is_correctly_rounded(self):
+        # a/p once rounded, not the rounded a divided by p
+        w = commensurability_witness(Fraction(1, 3), Fraction(1, 11), 1)
+        assert (w.p, w.q, w.r, w.exact) == (11, 3, 33, True)
+        assert w.d == 1 / 33 != (1 / 3) / 11
 
     def test_gcd_reduction(self):
         w = commensurability_witness(2, 4, 6)
         assert (w.p, w.q, w.r) == (1, 2, 3)
-        assert w.d_exact == Fraction(2)
+        assert w.exact and w.d == 2.0
 
     def test_irrational_ratio_gives_none(self):
         assert commensurability_witness(1.0, math.sqrt(2), 1.0) is None
@@ -439,6 +483,47 @@ class TestCommensurabilityWitness:
         w = commensurability_witness(0.5, 1.5, 1.0)
         assert (w.p, w.q, w.r) == (1, 3, 2)
         assert w.d == pytest.approx(0.5)
+
+    def test_commensurate_surds_are_an_exact_lattice(self):
+        w = commensurability_witness(SQRT2, QuadraticSurd(0, 1, 8), SQRT2)
+        assert (w.d, w.p, w.q, w.r, w.exact) == (math.sqrt(2), 1, 2, 1, True)
+
+    def test_an_irrational_exact_ratio_is_no_lattice(self):
+        # 3 phi is within 1e-13 of 2178309/726103, which a float guess would take
+        assert commensurability_witness(ExactRatio(1, 3), ExactRatio(1, 1), GOLDEN) is None
+        # unlike radicands: ratio_divide gives the float 2.26838..., within 1e-13 of
+        # 1510213/665767, but sqrt(2) and sqrt(3) are independent over Q
+        a, b = QuadraticSurd(1, 3, 18), QuadraticSurd(1, 2, 48)
+        assert isinstance(ratio_divide(b, a), NumericRatio)
+        assert reconstruct_rational(ratio_divide(b, a).x) == (1510213, 665767)
+        assert commensurability_witness(a, b, a) is None
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(_WITNESS_LENGTHS)
+    def test_against_fraction_arithmetic(self, lengths):
+        # a length is u + v sqrt(D) with D in one of two square classes; b/a and c/a
+        # are rational exactly when they are t = v_x/v_a (or u_x/u_a) with
+        # u_x = t u_a and v_x = t v_a in one class, a lattice built in Fractions
+        a, b, c = (length for length, _ in lengths)
+        w = commensurability_witness(a, b, c)
+        ratios = [ratio_divide(x, a) for x in (b, c)]
+        assert (w is not None and w.exact) == all(isinstance(x, ExactRatio) for x in ratios)
+        if any(isinstance(x, QuadraticSurd) for x in ratios):
+            assert w is None
+        if any(form is None for _, form in lengths):
+            return  # a float length: the witness is a guess
+        (ua, va, ka), *others = (form for _, form in lengths)
+        units = []
+        for ux, vx, kx in others:
+            t = vx / va if va else ux / ua
+            if (ux, vx) != (t * ua, t * va) or (va and kx != ka):
+                assert w is None
+                return
+            units.append(t)
+        p = math.lcm(*(t.denominator for t in units))
+        q, r = (int(t * p) for t in units)
+        d = float(ua / p) if not va else a.value() / p
+        assert (w.d, w.p, w.q, w.r, w.exact) == (d, p, q, r, True)
 
 
 class TestReconstructRational:
@@ -676,7 +761,7 @@ def _ref_predicted_gap_centers(a, b, alpha, count):
             "gap centers sit at the exact commensurability points")
     want = (alpha > 0) - (alpha < 0)
     centers = []
-    for family, ratio, scale in (("b", theta, b.value()), ("a", theta.invert(), a.value())):
+    for family, ratio, scale in (("b", theta, b.value()), ("a", inverse(theta), a.value())):
         picked = []
         for conv in _ref_walk(_ref_cf_expand(ratio, 86), ratio):
             if len(picked) == count or conv.q >= 10**18:
@@ -700,7 +785,7 @@ def _outcome(call, *args):
 _FLOATS = st.one_of(
     st.floats(1e-6, 1e6).map(NumericRatio),
     st.builds(lambda p, q: NumericRatio(p / q), st.integers(1, 10**4), st.integers(1, 10**4)))
-_RATIOS = st.one_of(_SURDS, _SURDS.map(QuadraticSurd.invert), _RATIONALS, _EXPLICIT, _FLOATS)
+_RATIOS = st.one_of(_SURDS, _SURDS.map(inverse), _RATIONALS, _EXPLICIT, _FLOATS)
 _DEPTHS = st.integers(1, 90)
 _READERS = {
     "cf_expand": (cf_expand, _ref_cf_expand),
@@ -735,7 +820,7 @@ class TestOneExpansion:
         assert [_outcome(_READERS[name][0], ratio, depth) for name, depth in calls] == want
 
     @settings(max_examples=80, derandomize=True, deadline=None)
-    @given(st.one_of(_SURDS, _SURDS.map(QuadraticSurd.invert), _FLOATS, _RATIONALS),
+    @given(st.one_of(_SURDS, _SURDS.map(inverse), _FLOATS, _RATIONALS),
            st.one_of(_RATIONALS, st.just(ExactRatio(1, 1)), _FLOATS),
            st.sampled_from([-6.0, 2.5, 40.0]), st.integers(1, 6))
     def test_gap_centers_answer_as_the_fraction_walk(self, a, b, alpha, count):
@@ -778,7 +863,7 @@ class TestExactArithmetic:
     one quadratic field."""
 
     @settings(max_examples=60, derandomize=True, deadline=None)
-    @given(st.one_of(_SURDS, _SURDS.map(QuadraticSurd.invert)), st.integers(2, 10**6),
+    @given(st.one_of(_SURDS, _SURDS.map(inverse)), st.integers(2, 10**6),
            st.sampled_from([-6.0, 2.5, 40.0]), st.integers(1, 5))
     def test_rescaled_forms_answer_alike(self, surd, f, alpha, count):
         scaled = _rescaled(surd, f)
@@ -876,7 +961,7 @@ class TestExpansionCounts:
         assert counts["brackets"] == len(counts["walks"]) == 5
         assert [(ratio, len(walked)) for ratio, walked in counts["walks"][:3]] == \
             [(GOLDEN, 30), (GOLDEN, 20), (GOLDEN, 10)]
-        assert [ratio for ratio, _ in counts["walks"][3:]] == [GOLDEN, GOLDEN.invert()]
+        assert [ratio for ratio, _ in counts["walks"][3:]] == [GOLDEN, inverse(GOLDEN)]
         for _, walked in counts["walks"]:
             assert len(walked) == len(set(walked))
 
