@@ -15,10 +15,11 @@ turn at most once between Dirichlet points (k times each decreases there), or
 once in the whole window on the negative branch (kappa times each increases).
 So the window ends and the Dirichlet points alone cut the window into pieces;
 pieces where two rows turn are halved until each holds one, and each change of
-membership is bisected (:func:`_halve`).  The sample table that the CSV format
-prints is a separate product (:func:`sample_grid`).  The point and column
-kernels of both branches live in :mod:`hexband.core`; this module compares
-their terms and turns them into reports.
+membership is bisected, by one routine for both branches (:func:`_refined_runs`).
+The sample table that the CSV format prints is a separate product
+(:func:`sample_grid`).  The point and column kernels of both branches live in
+:mod:`hexband.core`; this module compares their terms and turns them into
+reports.
 """
 
 from __future__ import annotations
@@ -149,18 +150,6 @@ def band_membership(
 # spectrum scanning
 
 
-def _runs(first_is_gap: bool, edges: list[float], edge_tol: float):
-    """(is_gap, x_lo, x_hi) runs between ``edges``, alternating from ``first_is_gap``.
-    A run narrower than edge_tol at a window end cannot be told from that end;
-    it joins its neighbour."""
-    states = [first_is_gap ^ (i % 2 == 1) for i in range(len(edges) - 1)]
-    if len(states) > 1 and edges[1] - edges[0] < edge_tol:
-        del states[0], edges[1]
-    if len(states) > 1 and edges[-1] - edges[-2] < edge_tol:
-        del states[-1], edges[-2]
-    return [(state, edges[i], edges[i + 1]) for i, state in enumerate(states)]
-
-
 # What one call may build, each measured at its budget (README): a scan of
 # _DIRICHLET_BUDGET candidate Dirichlet points peaks near 335 MB in 0.6 s, and
 # _FLAT_BAND_BUDGET flat bands near 100 MB in 0.6 s, and a CSV table of
@@ -207,22 +196,29 @@ def _sign_codes(d, lower, upper) -> np.ndarray:
     return _codes(np.array([d > upper, d < -upper, d < lower, d > -lower]))
 
 
-def _halve(lo, hi, pair, codes_at, edge_tol: float) -> np.ndarray:
-    """The edges inside the pieces [lo, hi] with end codes ``pair``, where each row
-    turns at most once.  A piece is live while its ends differ in membership or
-    in two or more rows, and is halved until no wider than edge_tol or its ends
-    are adjacent doubles; then, if its ends differ in membership, its midpoint is
-    an edge.  Where one row turns only the half with the edge stays live, so the
-    piece is bisected.  One ``codes_at`` call evaluates two halvings: the live
-    pieces' midpoints and their halves' midpoints."""
-    edges, quarters = [], None
+def _refined_runs(codes_at, x_lo: float, x_hi: float, xs: np.ndarray, left: np.ndarray,
+                  right: np.ndarray, edge_tol: float):
+    """Refined (is_gap, x_lo, x_hi) runs over the window [x_lo, x_hi], cut into
+    pieces at the points ``xs``, the packed codes just left and right of each
+    in ``left`` and ``right``, so that each row turns at most once in a piece.
+    A point whose sides differ in membership is an edge.  A piece is live while
+    its ends differ in membership or in two or more rows, and is halved until no
+    wider than edge_tol or its ends are adjacent doubles; then, if its ends
+    differ in membership, its midpoint is an edge.  Where one row turns only the
+    half with the edge stays live, so the piece is bisected.  One ``codes_at``
+    call evaluates two halvings: the live pieces' midpoints and their halves'
+    midpoints.  A run narrower than edge_tol at a window end cannot be told from
+    that end; it joins its neighbour."""
+    live = np.flatnonzero(right[:-1] != left[1:])
+    lo, hi, pair = xs[live], xs[live + 1], right[live] << 4 | left[live + 1]
+    edges, quarters = [xs[1:-1][_GAP[left[1:-1]] != _GAP[right[1:-1]]]], None
     while True:
         mid = 0.5 * (lo + hi)
         go = (hi - lo > edge_tol) & (lo < mid) & (mid < hi)
         edges.append(mid[_EDGE[pair] & ~go])
         go &= _LIVE[pair]
         if not go.any():
-            return np.concatenate(edges)
+            break
         lo, mid, hi, pair = lo[go], mid[go], hi[go], pair[go]
         if quarters is None:
             codes = codes_at(np.concatenate([mid, 0.5 * (lo + mid), 0.5 * (mid + hi)]))
@@ -231,31 +227,25 @@ def _halve(lo, hi, pair, codes_at, edge_tol: float) -> np.ndarray:
             code_mid, quarters = quarters[go], None
         lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
         pair = np.concatenate([pair & 0xF0 | code_mid, code_mid << 4 | pair & 15])
+    edges = [float(x_lo), *np.sort(np.concatenate(edges)).tolist(), float(x_hi)]
+    states = [bool(_GAP[right[0]]) ^ (i % 2 == 1) for i in range(len(edges) - 1)]
+    if len(states) > 1 and edges[1] - edges[0] < edge_tol:
+        del states[0], edges[1]
+    if len(states) > 1 and edges[-1] - edges[-2] < edge_tol:
+        del states[-1], edges[-2]
+    return [(state, edges[i], edges[i + 1]) for i, state in enumerate(states)]
 
 
-def _positive_runs(geom: HexGeometry, alpha: float, k_lo: float, k_hi: float,
-                   points: np.ndarray, edge_tol: float):
-    """Refined (is_gap, k_lo, k_hi) runs over the window [k_lo, k_hi], cut into
-    pieces at the Dirichlet points ``points``, so that each row turns at most
-    once in a piece (:func:`_halve`).  A point is seen from either side, and is
-    an edge where the sides differ in membership; a window end within
-    _SAME_POINT of a point is that point, seen from inside."""
-    near = _SAME_POINT * np.maximum(1.0, points)
-    first = [] if points.size and points[0] - k_lo <= near[0] else [k_lo]
-    last = [] if points.size and k_hi - points[-1] <= near[-1] else [k_hi]
-    xs = np.concatenate([first, points, last])
-    left, right = map(_codes, boundary_rows_grid(geom, alpha, xs, sides=True))
-    live = np.flatnonzero(right[:-1] != left[1:])
-    edges = _halve(xs[live], xs[live + 1], right[live] << 4 | left[live + 1],
-                   lambda x: _codes(boundary_rows_grid(geom, alpha, x)), edge_tol)
-    turns = _GAP[left[1:-1]] != _GAP[right[1:-1]]
-    edges = np.sort(np.concatenate([edges, xs[1:-1][turns]]))
-    return _runs(bool(_GAP[right[0]]), [float(k_lo), *edges.tolist(), float(k_hi)], edge_tol)
+def _report(branch: str, window: tuple[float, float], runs, **fields) -> SpectrumReport:
+    """The report of (is_gap, e_lo, e_hi) runs in energy units."""
+    return SpectrumReport(branch=branch, window=window,
+                          bands=[(lo, hi) for gap, lo, hi in runs if not gap],
+                          gaps=[(lo, hi) for gap, lo, hi in runs if gap], **fields)
 
 
 def _flat_bands_in_window(geom: HexGeometry, k_lo: float, k_hi: float) -> list[FlatBand]:
     witness = commensurability_witness(geom.a, geom.b, geom.c)
-    if witness is None:
+    if witness is None or not 2 * math.pi / witness.d <= k_hi:  # the first lies past k_hi
         return []
     ks = flat_band_energies(witness, n_max=max(1, int(k_hi * witness.d / (2 * math.pi)) + 1),
                             n_min=max(1, int(k_lo * witness.d / (2 * math.pi))))
@@ -279,30 +269,31 @@ def scan_spectrum(
     """Scan the positive branch over [k_lo, k_hi] and report bands/gaps.
 
     The Dirichlet points cut the window into pieces in each of which every
-    boundary row turns at most once, so :func:`_positive_runs` certifies every
-    edge from the rows at the pieces' ends: no band or gap wider than edge_tol
-    is missed.  The report is a function of geometry, alpha, window and
-    edge_tol alone.  Intervals are reported in energy units E = k^2.
+    boundary row turns at most once, so :func:`_refined_runs` certifies every
+    edge from the rows at the pieces' ends, each point seen from either side:
+    no band or gap wider than edge_tol is missed.  A window end within
+    _SAME_POINT of a point is that point, seen from inside.  The report is a
+    function of geometry, alpha, window and edge_tol alone.  Intervals are
+    reported in energy units E = k^2.
     """
     _check_scan(k_lo, k_hi, edge_tol)
     points = _dirichlet_points(geom, k_lo, k_hi)
-    intervals = _positive_runs(geom, coupling.alpha, k_lo, k_hi, points, edge_tol)
-    bands = [(lo * lo, hi * hi) for gap, lo, hi in intervals if not gap]
-    gaps = [(lo * lo, hi * hi) for gap, lo, hi in intervals if gap]
+    near = _SAME_POINT * np.maximum(1.0, points)
+    first = [] if points.size and points[0] - k_lo <= near[0] else [k_lo]
+    last = [] if points.size and k_hi - points[-1] <= near[-1] else [k_hi]
+    xs = np.concatenate([first, points, last])
+    left, right = map(_codes, boundary_rows_grid(geom, coupling.alpha, xs, sides=True))
+    runs = _refined_runs(lambda x: _codes(boundary_rows_grid(geom, coupling.alpha, x)),
+                         k_lo, k_hi, xs, left, right, edge_tol)
     meta = {
         "edge_tol": edge_tol,
         "flat_band_search": "commensurability witness only; phase-independent "
         "solutions are not claimed complete",
     }
-    return SpectrumReport(
-        branch="positive",
-        window=(k_lo * k_lo, k_hi * k_hi),
-        bands=bands,
-        gaps=gaps,
-        flat_bands=_flat_bands_in_window(geom, k_lo, k_hi),
-        dirichlet_points=(points * points).tolist(),
-        meta=meta,
-    )
+    return _report("positive", (k_lo * k_lo, k_hi * k_hi),
+                   [(gap, lo * lo, hi * hi) for gap, lo, hi in runs],
+                   flat_bands=_flat_bands_in_window(geom, k_lo, k_hi),
+                   dirichlet_points=(points * points).tolist(), meta=meta)
 
 
 def negative_spectrum_scan(
@@ -318,11 +309,11 @@ def negative_spectrum_scan(
     kappa times each of D - upper, D + upper, D - lower and D + lower is
     strictly increasing, so each of their signs, the four rows that
     :func:`boundary_rows_grid` gives on the positive branch, turns at most once
-    in the window: at most two bands, none for alpha >= 0.
-    :func:`_halve` refines the edges from the window ends.  Every evaluation
-    is one of :func:`core._negative_terms_grid`, bit-identical to
-    :func:`core._negative_terms`.  Intervals are ordered by increasing energy
-    (decreasing kappa).
+    in the window: at most two bands, none for alpha >= 0.  The window is one
+    piece, and :func:`_refined_runs` refines its edges from the window ends.
+    Every evaluation is one of :func:`core._negative_terms_grid`,
+    bit-identical to :func:`core._negative_terms`.  Intervals are ordered by
+    increasing energy (decreasing kappa).
     """
     _check_scan(kappa_lo, kappa_max, edge_tol)
 
@@ -331,23 +322,10 @@ def negative_spectrum_scan(
 
     ends = np.array([kappa_lo, kappa_max], dtype=np.float64)
     code = codes_at(ends)
-    edges = np.sort(_halve(ends[:1], ends[1:], code[:1] << 4 | code[1:], codes_at, edge_tol))
-    intervals = _runs(bool(_GAP[code[0]]), [float(kappa_lo), *edges.tolist(), float(kappa_max)],
-                      edge_tol)
-
-    def to_energy(lo: float, hi: float) -> tuple[float, float]:
-        return (-hi * hi, -lo * lo)
-
-    bands = [to_energy(lo, hi) for gap, lo, hi in reversed(intervals) if not gap]
-    gaps = [to_energy(lo, hi) for gap, lo, hi in reversed(intervals) if gap]
-    meta = {"edge_tol": edge_tol, "nonempty_requires_negative_alpha": True}
-    return SpectrumReport(
-        branch="negative",
-        window=(-kappa_max * kappa_max, -kappa_lo * kappa_lo),
-        bands=bands,
-        gaps=gaps,
-        meta=meta,
-    )
+    runs = _refined_runs(codes_at, kappa_lo, kappa_max, ends, code, code, edge_tol)
+    return _report("negative", (-kappa_max * kappa_max, -kappa_lo * kappa_lo),
+                   [(gap, -hi * hi, -lo * lo) for gap, lo, hi in reversed(runs)],
+                   meta={"edge_tol": edge_tol, "nonempty_requires_negative_alpha": True})
 
 
 def sample_grid(
@@ -408,7 +386,8 @@ def flat_band_energies(
     Requires a commensurability witness a = p*d, b = q*d, c = r*d; each k_n
     then satisfies k_n*a, k_n*b, k_n*c in 2*pi*Z exactly.  Passing None
     (no witness exists) is an error: incommensurate lattices have no
-    eigenvalues at all.  More than _FLAT_BAND_BUDGET wavenumbers are refused.
+    eigenvalues at all.  More than _FLAT_BAND_BUDGET wavenumbers are refused, and
+    so is a unit d whose wavenumbers to n_max are past a float's range.
     """
     if witness is None:
         raise ValueError(
@@ -421,6 +400,9 @@ def flat_band_energies(
     if n_max - n_min + 1 > _FLAT_BAND_BUDGET:
         raise ValueError(f"{n_max - n_min + 1} flat bands, over the budget {_FLAT_BAND_BUDGET}")
     d = witness.d * math.gcd(witness.p, witness.q, witness.r)
+    if not (d > 0 and 2 * math.pi * n_max / d < math.inf):
+        raise ValueError(f"lattice unit d = {d!r} puts the flat bands to n = {n_max} "
+                         "past a float's range")
     return [2 * math.pi * n / d for n in range(n_min, n_max + 1)]
 
 

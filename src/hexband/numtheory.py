@@ -568,8 +568,8 @@ def predicted_gap_centers(
 
 
 def reconstruct_rational(x: float) -> tuple[int, int] | None:
-    """Smallest-denominator p/q with |x - p/q| <= ``DEFAULT_RATIONAL_TOL``*max(1, x)
-    and q <= ``DEFAULT_DENOMINATOR_CAP``.
+    """Smallest-denominator p/q with |x - p/q| <= ``DEFAULT_RATIONAL_TOL``*max(1, x),
+    q <= ``DEFAULT_DENOMINATOR_CAP`` and p >= 1 (a ratio of lengths is never 0).
 
     Walks the convergents of the float expansion (:func:`_float_quotients`, as
     :func:`cf_expand` does): a double that *is* a modest rational is recovered
@@ -590,7 +590,7 @@ def reconstruct_rational(x: float) -> tuple[int, int] | None:
         q_prev, q = q, a * q + q_prev
         if q > DEFAULT_DENOMINATOR_CAP:
             break
-        if abs(x - p / q) <= bound:
+        if p and abs(x - p / q) <= bound:
             return (p, q)
     return None
 

@@ -52,6 +52,15 @@ __all__ = [
 ]
 
 
+# What one grid may ask for, each measured at its budget (README): the n x n
+# phase table of _GRID_BUDGET points per axis is 128 MiB, and a verify with one
+# sample per check peaks near 167 MB in 0.5 s; the default verify at
+# _ROUNDS_BUDGET rounds takes 1.4 s at n = 1024.  Past about 20 rounds a zoom
+# window is narrower than the doubles' spacing, and the answer stops moving.
+_GRID_BUDGET = 2**12
+_ROUNDS_BUDGET = 2**6
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Phase-grid resolution: n points per axis plus local refinement passes."""
@@ -64,6 +73,10 @@ class GridSpec:
             raise ValueError("grid needs at least 8 points per axis")
         if self.refine_rounds < 0:
             raise ValueError("refine_rounds must be >= 0")
+        if self.n > _GRID_BUDGET:
+            raise ValueError(f"grid of {self.n} points per axis, over the budget {_GRID_BUDGET}")
+        if self.refine_rounds > _ROUNDS_BUDGET:
+            raise ValueError(f"{self.refine_rounds} refine rounds, over the budget {_ROUNDS_BUDGET}")
 
 
 # Well-separated best grid cells refined per minimum.

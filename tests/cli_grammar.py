@@ -1,15 +1,17 @@
 """Hostile commands over the CLI grammar: every one exits 0, 2, 3 or 4.
 
 Run as a script, ``python tests/cli_grammar.py [examples]`` draws commands of
-``bands``, ``gaps``, ``classify`` and ``flatbands`` with ``hypothesis``,
-derandomized, and runs each in-process. The draws span lengths from 5e-324
-to 1e308 (floats, rationals of up to 400 digits, and surds with radicands of
-up to 400 digits), couplings up to +-1e300, windows up to 1e9, and
-``--n-max``, ``--centers`` and ``--samples`` values from below their minimum
-to far above their budgets. The script exits nonzero, printing the
-falsifying command, if a command exits otherwise or raises. Run it under an
-address-space cap, as ``tests/test_cli.py`` does, so that a command which
-allocates past its budget fails there, not on the machine's memory.
+``bands``, ``gaps``, ``classify``, ``flatbands`` and ``verify`` with
+``hypothesis``, derandomized, and runs each in-process. The draws span lengths
+from 5e-324 to 1e308 (floats, rationals of up to 400 digits, and surds with
+radicands of up to 400 digits), couplings up to +-1e300, windows up to 1e9,
+and ``--n-max``, ``--centers``, ``--samples``, ``--grid-n`` and
+``--refine-rounds`` values from below their minimum to far above their
+budgets; ``verify`` draws one to three samples per check. The script exits
+nonzero, printing the falsifying command, if a command exits otherwise or
+raises. Run it under an address-space cap, as ``tests/test_cli.py`` does, so
+that a command which allocates past its budget fails there, not on the
+machine's memory.
 """
 
 import sys
@@ -36,6 +38,13 @@ _WAVENUMBERS = st.one_of(st.floats(5e-324, 1e9), st.floats(0.01, 50))
 # counts below their minimum, small enough to run fast, and past every budget
 _COUNTS = st.one_of(st.integers(-3, 10), st.integers(11, 10**4),
                     st.integers(10**6, 10**10)).map(str)
+
+# verify's grids and rounds: below their minimum, small enough to run fast, and
+# past their budgets (2**12 points per axis, 2**6 rounds)
+_GRIDS = st.one_of(st.integers(-3, 7), st.integers(8, 96),
+                   st.integers(2**12 + 1, 10**10)).map(str)
+_ROUNDS = st.one_of(st.integers(-3, 2**6), st.integers(2**6 + 1, 10**10)).map(str)
+_SAMPLES = st.integers(1, 3).map(str)
 
 
 def _window(start, width):
@@ -64,6 +73,12 @@ COMMANDS = st.one_of(
              st.one_of(st.just([]), _COUNTS.map(lambda n: ["--centers", n]))),
     _command("classify", _geometry("ab"), _ALPHA, _COUNTS.map(lambda n: ["--centers", n])),
     _command("flatbands", _ABC, _ALPHA, _COUNTS.map(lambda n: ["--n-max", n])),
+    _command("verify", _GRIDS.map(lambda n: ["--grid-n", n]),
+             _ROUNDS.map(lambda n: ["--refine-rounds", n]),
+             _SAMPLES.map(lambda n: ["--det-samples", n]),
+             _SAMPLES.map(lambda n: ["--envelope-samples", n]),
+             _SAMPLES.map(lambda n: ["--trigmin-samples", n]),
+             st.integers(0, 2**64).map(lambda seed: ["--seed", str(seed)])),
 )
 
 

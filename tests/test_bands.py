@@ -28,7 +28,7 @@ from hexband import (
     verify_flat_band,
 )
 import hexband.bands as bands_module
-from hexband.bands import _GAP, _halve, _runs, _sign_codes
+from hexband.bands import _GAP, _refined_runs, _sign_codes
 from hexband.cli import cli
 from hexband.core import (_SAME_POINT, DirichletPointError, _flag_sines, _negative_terms,
                           _negative_terms_grid, inv_sinh, positive_terms)
@@ -432,29 +432,36 @@ class TestDirichletEdges:
         assert all(hi - lo >= 1e-9 for lo, hi, _ in intervals)
 
 
-def _reference_runs(xs, gaps, is_gap, edge_tol):
+def _reference_runs(xs, gaps, is_gap, edge_tol, right=None, ends=None):
     """Refined (is_gap, x_lo, x_hi) runs from one scalar bisection per edge.
 
-    Each change is bisected on the point function ``is_gap`` until the
-    bracket is no wider than edge_tol or its ends are adjacent doubles; then
-    a run narrower than edge_tol at a window end joins its neighbour.
+    ``gaps`` holds the gap flag just left of each point and ``right`` (``gaps``
+    when None) the one just right of it; an interior point whose sides differ
+    is an edge.  Each change between neighbouring points is bisected on the
+    point function ``is_gap`` until the bracket is no wider than edge_tol or its
+    ends are adjacent doubles; then a run narrower than edge_tol at a window end
+    (``ends``, the outer points when None) joins its neighbour.
     """
-    states, edges = [gaps[0]], [xs[0]]
-    for x_lo, x_hi, was_gap, gap in zip(xs, xs[1:], gaps, gaps[1:]):
-        if gap == was_gap:
-            continue
-        lo, hi = x_lo, x_hi
-        while hi - lo > edge_tol:
-            mid = 0.5 * (lo + hi)
-            if not lo < mid < hi:
-                break
-            if is_gap(mid) != was_gap:
-                hi = mid
-            else:
-                lo = mid
-        states.append(gap)
-        edges.append(0.5 * (lo + hi))
-    edges.append(xs[-1])
+    right = gaps if right is None else right
+    x_lo, x_hi = (xs[0], xs[-1]) if ends is None else ends
+    states, edges = [right[0]], [x_lo]
+    for i, (lo, hi) in enumerate(zip(xs, xs[1:])):
+        was_gap, gap = right[i], gaps[i + 1]
+        if gap != was_gap:
+            while hi - lo > edge_tol:
+                mid = 0.5 * (lo + hi)
+                if not lo < mid < hi:
+                    break
+                if is_gap(mid) != was_gap:
+                    hi = mid
+                else:
+                    lo = mid
+            states.append(gap)
+            edges.append(0.5 * (lo + hi))
+        if i + 2 < len(xs) and right[i + 1] != gap:
+            states.append(right[i + 1])
+            edges.append(xs[i + 1])
+    edges.append(x_hi)
     if len(states) > 1 and edges[1] - edges[0] < edge_tol:
         del states[0], edges[1]
     if len(states) > 1 and edges[-1] - edges[-2] < edge_tol:
@@ -501,22 +508,22 @@ def _hashed_gap(x):
     return hashlib.blake2b(struct.pack("<d", x), digest_size=1).digest()[0] & 1 == 1
 
 
-def _lockstep_runs(xs, gaps, is_gap, edge_tol):
-    """:func:`_halve` on the changes of ``gaps`` between neighbouring ``xs``, the
-    gap flag carried in row 0 and ``is_gap`` mapped over the asked points, then
-    :func:`_runs`; and the size of each array it asked for."""
+def _lockstep_runs(xs, gaps, is_gap, edge_tol, right=None, ends=None):
+    """:func:`_refined_runs` on the points ``xs`` with the codes ``gaps`` just
+    left and ``right`` (``gaps`` when None) just right of each, the gap flag
+    carried in row 0 and ``is_gap`` mapped over the asked points, over the window
+    ``ends`` (the outer points when None); and the size of each array it asked
+    for."""
     sizes = []
 
     def codes_at(points):
         sizes.append(points.size)
         return np.array([is_gap(x) for x in points.tolist()], dtype=np.uint8)
 
-    xs, codes = np.array(xs), np.array(gaps, dtype=np.uint8)
-    changes = np.flatnonzero(codes[1:] != codes[:-1])
-    edges = _halve(xs[changes], xs[changes + 1], codes[changes] << 4 | codes[changes + 1],
-                   codes_at, edge_tol)
-    return _runs(bool(gaps[0]), [float(xs[0]), *np.sort(edges).tolist(), float(xs[-1])],
-                 edge_tol), sizes
+    left = np.array(gaps, dtype=np.uint8)
+    right = left if right is None else np.array(right, dtype=np.uint8)
+    x_lo, x_hi = (xs[0], xs[-1]) if ends is None else ends
+    return _refined_runs(codes_at, x_lo, x_hi, np.array(xs), left, right, edge_tol), sizes
 
 
 class TestLockstepRefinement:
@@ -559,6 +566,28 @@ class TestLockstepRefinement:
         runs, sizes = _lockstep_runs(xs, gaps, _hashed_gap, 2.0**-12)
         assert runs == _reference_runs(xs, gaps, _hashed_gap, 2.0**-12)
         assert sizes == [9] * 6
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(st.data())
+    def test_a_point_whose_sides_differ_is_an_edge(self, data):
+        # the codes just left and right of each point differ at some interior
+        # points, as at a Dirichlet point, and the window ends may lie outside
+        # the outer points, as where a window end is taken as a point
+        n = data.draw(st.integers(1, 40))
+        lo = data.draw(st.floats(1e-2, 1e6))
+        h = lo * data.draw(st.floats(1e-6, 1.0))
+        xs = (lo + np.arange(n) * h).tolist()
+        gaps = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        right = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        ends = (xs[0] - data.draw(st.sampled_from([0.0, 1e-9 * h, h])),
+                xs[-1] + data.draw(st.sampled_from([0.0, 1e-9 * h, h])))
+        edge_tol = 10 ** data.draw(st.floats(-15, -2))
+        runs, sizes = _lockstep_runs(xs, gaps, _hashed_gap, edge_tol, right, ends)
+        assert runs == _reference_runs(xs, gaps, _hashed_gap, edge_tol, right, ends)
+        assert all(type(x) is float and type(state) is bool for state, *bounds in runs
+                   for x in bounds)
+        changes = sum(a != b for a, b in zip(right, gaps[1:]))
+        assert all(0 < n <= 3 * changes and n % 3 == 0 for n in sizes)
 
     @pytest.mark.parametrize("first, last", [(True, True), (True, False), (False, True)])
     def test_runs_at_both_window_ends_join_their_neighbours(self, first, last):
@@ -867,6 +896,12 @@ class TestFlatBands:
         witness = CommensurabilityWitness(d=1.0, p=1, q=2, r=3)
         ks = flat_band_energies(witness, 3)
         assert ks == pytest.approx([2 * math.pi, 4 * math.pi, 6 * math.pi])
+
+    @pytest.mark.parametrize("d", [5e-324, 0.0, 1e-305])
+    def test_a_unit_past_a_float_is_refused_by_name(self, d):
+        # 2*pi*n/d is past a float's range by n = 65532 for each, or d is 0.0
+        with pytest.raises(ValueError, match=f"lattice unit d = {d!r} "):
+            flat_band_energies(CommensurabilityWitness(d=d, p=1, q=1, r=1), 65536, n_min=65532)
 
     def test_half_unit_family(self):
         witness = commensurability_witness(Fraction(1, 2), Fraction(3, 2), Fraction(1))

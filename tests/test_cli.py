@@ -417,6 +417,16 @@ class TestFlatbandsCommand:
         assert data["flat_bands"] == []
         assert "incommensurate" in data["message"]
 
+    def test_a_tiny_float_length_has_no_zero_multiple(self, runner):
+        result = runner.invoke(cli, ["flatbands", "--a", "1", "--b", "1e-300", "--c", "1"])
+        assert result.exit_code == 0
+        data = json.loads(result.output)
+        assert "witness" not in data and data["flat_bands"] == []
+        result = runner.invoke(cli, ["bands", "--a", "1", "--b", "1e-300", "--c", "1",
+                                     "--kmax", "10"])
+        assert result.exit_code == 0
+        assert json.loads(result.output)["flat_bands"] == []
+
     def test_half_unit_witness(self, runner):
         result = runner.invoke(
             cli, ["flatbands", "--a", "1/2", "--b", "3/2", "--c", "1", "--n-max", "1"]
@@ -453,12 +463,32 @@ class TestBudgets:
         # a CSV table past its row budget
         ["bands", "--a", "1", "--b", "1", "--c", "1", "--kmax", "10", "--format", "csv",
          "--samples", "1000000000"],
-    ], ids=["bands", "gaps", "flatbands", "bands-overflow", "gaps-overflow", "bands-csv-samples"])
+        # a phase grid past its budget, and zoom rounds past theirs
+        ["verify", "--grid-n", "100000", "--det-samples", "1", "--envelope-samples", "1",
+         "--trigmin-samples", "1"],
+        ["verify", "--grid-n", "64", "--refine-rounds", "100000000"],
+    ], ids=["bands", "gaps", "flatbands", "bands-overflow", "gaps-overflow", "bands-csv-samples",
+            "verify-grid", "verify-rounds"])
     def test_over_the_budget_exits_2_before_allocating(self, args):
         result = _run_capped("-m", "hexband.cli", *args)
         assert result.returncode == 2, result.stderr
         assert "Traceback" not in result.stderr
         assert "over the budget" in result.stderr
+
+    def test_a_lattice_unit_past_a_float_is_refused_by_name(self):
+        # 2*pi*n/d overflows for d = 5e-324, and d = a/p with p = 10**400
+        # underflows to 0.0: flatbands refuses both before the division, naming d
+        for lengths in (["5e-324"] * 3, [f"{10**400}/{10**400 + 1}", "1", "1"]):
+            result = _run_capped("-m", "hexband.cli", "flatbands",
+                                 *(w for name, x in zip("abc", lengths) for w in (f"--{name}", x)))
+            assert result.returncode == 2, result.stderr
+            assert "Traceback" not in result.stderr
+            assert "lattice unit d = " in result.stderr
+        # a scan's window holds no flat band of the first lattice, and is not refused
+        result = _run_capped("-m", "hexband.cli", "bands", "--a", "5e-324", "--b", "5e-324",
+                             "--c", "5e-324", "--kmax", "10")
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout)["flat_bands"] == []
 
     def test_hostile_commands_exit_0_2_3_or_4(self):
         # 1000 derandomized draws of lengths, couplings, windows and counts, run

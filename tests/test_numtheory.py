@@ -479,6 +479,11 @@ class TestCommensurabilityWitness:
         assert commensurability_witness(1.0, math.sqrt(2), 1.0) is None
         assert commensurability_witness(1.0, (1 + math.sqrt(5)) / 2, 2.0) is None
 
+    @pytest.mark.parametrize("b", [1e-300, 1e-14])
+    def test_a_tiny_float_ratio_is_no_zero_multiple(self, b):
+        # b/a is within the tolerance of 0, but b = 0 * d is false: no lattice
+        assert commensurability_witness(1.0, b, 1.0) is None
+
     def test_float_rationals_recovered(self):
         w = commensurability_witness(0.5, 1.5, 1.0)
         assert (w.p, w.q, w.r) == (1, 3, 2)
@@ -530,6 +535,11 @@ class TestReconstructRational:
     def test_exact_double_of_small_rational(self):
         assert reconstruct_rational(1 / 3) == (1, 3)
         assert reconstruct_rational(355 / 113) == (355, 113)
+
+    @pytest.mark.parametrize("x", [1e-300, 1e-14, 1e-13])
+    def test_a_ratio_within_the_tolerance_of_zero_has_no_guess(self, x):
+        # 0/1 is within the tolerance, and the next convergent's q is past the cap
+        assert reconstruct_rational(x) is None
 
     def test_sqrt2_rejected_with_default_knobs(self):
         assert reconstruct_rational(math.sqrt(2)) is None

@@ -109,6 +109,13 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(refine_rounds=-1)
 
+    def test_budgets(self):
+        GridSpec(n=oracle._GRID_BUDGET, refine_rounds=oracle._ROUNDS_BUDGET)
+        with pytest.raises(ValueError, match="4097 points per axis, over the budget 4096"):
+            GridSpec(n=oracle._GRID_BUDGET + 1)
+        with pytest.raises(ValueError, match="65 refine rounds, over the budget 64"):
+            GridSpec(refine_rounds=oracle._ROUNDS_BUDGET + 1)
+
 
 class TestRhsExtremaGrid:
     def test_equilateral_half_pi(self):
